@@ -43,8 +43,7 @@ def main():
                                    n_d_max=args.g * args.m_p, rho=rho)
             lam = scene.lam_sim[: scene.r_design]
             asn = sd.min_max_design(lam, scene.a, rho, frame)
-            prof = ss.profile(scene.lam_sim, scene.a, rho,
-                              sim._pad_g(asn, scene.r_sim))
+            prof = ss.profile(scene.lam_sim, scene.a, rho, asn.g_padded(scene.r_sim))
             nmse = prof.upper_sum() / scene.trace()
             cells.append(f"   {asn.n_d:3d}, {nmse:7.4f}      ")
         print("".join(cells))

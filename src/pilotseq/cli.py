@@ -187,14 +187,8 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
 def _designed_plan(table, config):
     name = config.designer if config.basis == "eigen" else config.designer + "_dft"
     if isinstance(table, sim.TraceTable):
-        for plan in getattr(table, "plans", []):
-            if plan.name == name:
-                return plan
-    else:
-        users = getattr(table, "user_plans", None)
-        if users:
-            return users[0].plans.get(config.designer)
-    return None
+        return next((plan for plan in table.plans if plan.name == name), None)
+    return table.user_plans[0].get(config.designer)
 
 
 def cmd_design(args) -> int:
@@ -308,42 +302,42 @@ def _check_diag_full_equivalence():
     r_h = cm.one_ring_covariance(8, 0.3, 0.25, 1.0)
     stats = cm.ChannelStatistics.from_covariance(0.95, r_h)
     rng = np.random.default_rng(300)
+    sched = np.array([[step % stats.rank, (step + 1) % stats.rank] for step in range(12)])
+    diag = sim.Tracker("diag", 2, stats.lam, stats.a, 3.0, sched=sched)
     full = kalman.init(stats)
-    diag = kalman.diagonal_init(stats)
+    chat = np.zeros((1, stats.rank), dtype=complex)
     h = cm.stationary_channel(stats, rng)
     worst = 0.0
-    for step in range(12):
-        idx = [step % stats.rank, (step + 1) % stats.rank]
-        s = np.sqrt(3.0) * stats.u[:, idx]
-        y = kalman.simulate_received(h, s, rng)
-        full = kalman.measurement_update(full, s, y)
-        diag = kalman.diagonal_measurement_update(diag, idx, y, 3.0)
+    for step, lam_bar in enumerate(diag.posteriors()):
+        s = np.sqrt(3.0) * stats.u[:, sched[step]]
+        w = cm.complex_normal(rng, 2)
+        full = kalman.measurement_update(full, s, s.conj().T @ h + w)
+        diag.sample_step(chat, (stats.u.conj().T @ h)[None, :], w[None, :], step)
         p_diag = np.real(np.diag(stats.u.conj().T @ full.p_est @ stats.u))
-        worst = max(worst, float(np.max(np.abs(p_diag - diag.lambda_bar))))
+        est_gap = np.abs(stats.u.conj().T @ full.h_hat - chat[0])
+        worst = max(worst, float(np.max(np.abs(p_diag - lam_bar))), float(np.max(est_gap)))
         full = kalman.time_update(full, stats)
-        diag = kalman.diagonal_time_update(diag, stats.a, stats.lam)
         h = cm.evolve_channel(h, stats, rng)
-    return worst < 1e-10, f"max |diag - full| posterior variance gap = {worst:.2e}"
+    return worst < 1e-10, f"max |diag - full| posterior variance / estimate gap = {worst:.2e}"
 
 
 def _check_sandwich():
-    # the posterior of a trained mode must cycle between the closed-form
-    # floor (right after a pilot) and ceiling (g - 1 aging steps later)
+    # the posterior of a mode sounded every g blocks must cycle between the
+    # closed-form floor (right after a pilot) and ceiling (g - 1 aging steps
+    # later); a second mode takes the pilot in between
     lam, a, rho, g = 0.8, 0.9, 5.0, 4
-    lam_pred = lam
+    sched = np.where(np.arange(4000) % g == 0, 0, 1)[:, None]
+    tracker = sim.Tracker("diag", 1, np.array([lam, lam]), a, rho, sched=sched)
     lo = min_ss_mse(lam, a, rho, g)
     hi = max_ss_mse(lo, lam, a, g)
     post = None
     cycle_max = -np.inf
-    for ell in range(4000):
+    for ell, lam_bar in enumerate(tracker.posteriors()):
         if ell % g == 0:
-            lam_bar = lam_pred / (1.0 + rho * lam_pred)
-            post = lam_bar
-            cycle_max = lam_bar
+            post = lam_bar[0]
+            cycle_max = lam_bar[0]
         else:
-            lam_bar = lam_pred
-            cycle_max = max(cycle_max, lam_bar)
-        lam_pred = a * a * lam_bar + (1.0 - a * a) * lam
+            cycle_max = max(cycle_max, lam_bar[0])
     ok = abs(post - lo) < 1e-6 and abs(cycle_max - hi) < 1e-6
     return ok, f"floor gap {abs(post - lo):.2e}, ceiling gap {abs(cycle_max - hi):.2e}"
 

@@ -1,10 +1,9 @@
-"""Kalman channel tracker for the block-fading AR(1) state-space model.
+"""Reference Kalman channel tracker for the block-fading AR(1) state-space
+model.
 
-Two interchangeable paths are provided.  The full-matrix recursion accepts
-arbitrary training matrices and serves as the reference implementation.
-The diagonal path exploits simultaneous diagonalizability: when every
-training column is a scaled covariance eigenvector, prediction and
-measurement reduce to independent scalar recursions per eigenmode.
+The full-matrix recursion in antenna space accepts arbitrary training
+matrices.  It is the oracle that tests and ``pilotseq verify`` check the
+engine's eigencoordinate tracker (``simulate.Tracker``) against.
 """
 
 from __future__ import annotations
@@ -85,74 +84,3 @@ def time_update(state: KalmanState, stats: ChannelStatistics) -> KalmanState:
         p_pred=p_pred,
         block_index=state.block_index + 1,
     )
-
-
-@dataclass
-class DiagonalKalmanState:
-    """Eigenmode-wise tracker: estimate coordinates in the eigenbasis plus
-    posterior (lambda_bar) and prior (lambda_pred) per-mode variances."""
-
-    coeff_hat: np.ndarray
-    lambda_bar: np.ndarray
-    lambda_pred: np.ndarray
-    block_index: int = 0
-
-    def nmse(self, lam: np.ndarray) -> float:
-        return float(self.lambda_bar.sum() / lam.sum())
-
-
-def diagonal_init(stats: ChannelStatistics) -> DiagonalKalmanState:
-    r = stats.rank
-    return DiagonalKalmanState(
-        coeff_hat=np.zeros(r, dtype=complex),
-        lambda_bar=stats.lam.astype(float).copy(),
-        lambda_pred=stats.lam.astype(float).copy(),
-        block_index=0,
-    )
-
-
-def diagonal_measurement_update(
-    state: DiagonalKalmanState,
-    trained_indices,
-    projected_y,
-    rho: float,
-) -> DiagonalKalmanState:
-    """Scalar Kalman updates on the sounded eigenmodes.
-
-    projected_y[k] is the pilot observation for trained_indices[k], i.e.
-    sqrt(rho) u_i^H h + noise.  Untrained modes keep their prior.
-    """
-    idx = np.asarray(list(trained_indices), dtype=int)
-    coeff = state.coeff_hat.copy()
-    lam_bar = state.lambda_pred.copy()
-    if idx.size:
-        if idx.max() >= coeff.shape[0] or idx.min() < 0:
-            raise IndexError("trained index outside the eigenbasis")
-        y = np.asarray(projected_y, dtype=complex)
-        pred = state.lambda_pred[idx]
-        gain = np.sqrt(rho) * pred / (1.0 + rho * pred)
-        coeff[idx] = coeff[idx] + gain * (y - np.sqrt(rho) * coeff[idx])
-        lam_bar[idx] = pred / (1.0 + rho * pred)
-    return DiagonalKalmanState(
-        coeff_hat=coeff,
-        lambda_bar=lam_bar,
-        lambda_pred=state.lambda_pred.copy(),
-        block_index=state.block_index,
-    )
-
-
-def diagonal_time_update(
-    state: DiagonalKalmanState, a: float, lam: np.ndarray
-) -> DiagonalKalmanState:
-    """Per-mode analogue of the AR(1) prediction step."""
-    return DiagonalKalmanState(
-        coeff_hat=a * state.coeff_hat,
-        lambda_bar=state.lambda_bar.copy(),
-        lambda_pred=a * a * state.lambda_bar + (1.0 - a * a) * lam,
-        block_index=state.block_index + 1,
-    )
-
-
-def estimate_from_coefficients(state: DiagonalKalmanState, u: np.ndarray) -> np.ndarray:
-    """Lift the eigenbasis coordinates back to an antenna-domain estimate."""
-    return u @ state.coeff_hat

@@ -41,18 +41,25 @@ class MultiuserScene:
         if len(self.users) * self.m_p >= self.m:
             raise ValueError("U * M_p must stay below the block length M")
         self._cross = {}
+        self._weights = {}
 
     @property
     def n_users(self) -> int:
         return len(self.users)
 
+    def cross_product(self, u: int, v: int) -> np.ndarray:
+        """Cached U_u^H U_v, mapping user v's eigencoordinates into user u's."""
+        key = (u, v)
+        if key not in self._cross:
+            self._cross[key] = self.users[u].stats.u.conj().T @ self.users[v].stats.u
+        return self._cross[key]
+
     def cross_subspace(self, u: int, v: int) -> np.ndarray:
         """Cached |U_u^H U_v|^2, the eigenmode coupling weights."""
         key = (u, v)
-        if key not in self._cross:
-            w = self.users[u].stats.u.conj().T @ self.users[v].stats.u
-            self._cross[key] = np.abs(w) ** 2
-        return self._cross[key]
+        if key not in self._weights:
+            self._weights[key] = np.abs(self.cross_product(u, v)) ** 2
+        return self._weights[key]
 
 
 def matched_filter_precoder(h_hat_list) -> np.ndarray:

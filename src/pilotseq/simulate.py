@@ -14,23 +14,32 @@ full     arbitrary fixed training columns through the full-matrix Kalman
          while the tracker keeps the true covariance knowledge
 perfect  genie channel knowledge
 
-Determinism: every Monte Carlo run owns spawned RNG streams (one for the
-channel, one per scheme), runs are processed in fixed-size chunks, and
-chunk partial sums are reduced in run-index order, so results are
-byte-identical for any thread count.
+Every scheme plan is a ``Tracker``: its covariance recursion runs once,
+when the plan is built, and yields the deterministic traces plus the
+per-block gains; its batched sample step is the only estimate update the
+Monte Carlo kernel makes.  A single-user experiment is the one-user case
+of the multiuser kernel.
+
+Determinism: every Monte Carlo run owns spawned RNG streams (one per user
+channel, then one per scheme and user), runs are processed in fixed-size
+chunks, and chunk partial sums are reduced in run-index order, so results
+are byte-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import multiuser as mu
 from .channel_model import (
     ArrayGeometry,
+    ChannelStatistics,
     OneRingGeometry,
+    _dft_matrix,
     build_covariance,
     dft_approximation,
     dft_approximation_upa,
@@ -91,20 +100,101 @@ def build_scene(
 
 
 @dataclass
-class SchemePlan:
-    """Precomputed per-scheme data: schedule, gains and deterministic traces."""
+class Tracker:
+    """Kalman tracker of one user's channel in its eigencoordinates.
 
-    name: str
+    A diag tracker sounds covariance eigenvectors, so its error covariance
+    stays diagonal and is carried as per-mode variances; a full tracker
+    sounds the columns ``s_u`` and carries the whole matrix; a perfect
+    tracker knows the channel and runs no recursion.  ``posteriors`` runs
+    the covariance recursion over the schedule and stores the per-block
+    gains that ``sample_step`` applies to a batch of Monte Carlo estimates.
+    """
+
     kind: str  # diag | full | perfect
     m_p: int
+    lam: np.ndarray  # channel spectrum, the prior error variances
+    a: float
+    rho: float
     sched: np.ndarray | None = None  # (horizon, m_p) mode/column indices
-    gains: np.ndarray | None = None  # (horizon, m_p) scalar gains (diag)
-    kgains: np.ndarray | None = None  # (horizon, r, m_p) Kalman gains (full)
-    s_u: np.ndarray | None = None  # (r, n_cols) training columns in U coords
-    dim: int = 0  # estimator state dimension
+    s_u: np.ndarray | None = None  # (r, n_cols) training columns in U coords (full)
+    gains: np.ndarray | None = None  # (horizon, m_p) diag, (horizon, r, m_p) full
+
+    @cached_property
+    def _sqrt_rho(self) -> float:
+        return np.sqrt(self.rho)
+
+    @cached_property
+    def _channel_cov(self) -> np.ndarray:
+        """Channel covariance in the shape of the error covariance."""
+        return np.diag(self.lam) if self.kind == "full" else self.lam
+
+    def predict(self, p_bar: np.ndarray) -> np.ndarray:
+        """One-block AR(1) prediction of a posterior error covariance."""
+        a2 = self.a * self.a
+        return a2 * p_bar + (1.0 - a2) * self._channel_cov
+
+    def posteriors(self):
+        """Covariance recursion over the schedule: stores each block's gains
+        and yields its posterior error covariance (per-mode variances for
+        diag, the matrix for full)."""
+        n_cols = len(self.lam) if self.kind == "diag" else self.s_u.shape[1]
+        if self.sched.size and not 0 <= self.sched.min() <= self.sched.max() < n_cols:
+            raise IndexError("schedule index outside the sounding basis")
+        sqrt_rho = self._sqrt_rho
+        horizon = len(self.sched)
+        if self.kind == "diag":
+            p = np.asarray(self.lam, dtype=float)
+            self.gains = np.zeros((horizon, self.m_p))
+            for ell, idx in enumerate(self.sched):
+                pred = p[idx]
+                self.gains[ell] = sqrt_rho * pred / (1.0 + self.rho * pred)
+                p = p.copy()
+                p[idx] = pred / (1.0 + self.rho * pred)
+                yield p
+                p = self.predict(p)
+        else:
+            p = np.diag(self.lam).astype(complex)
+            self.gains = np.zeros((horizon, len(self.lam), self.m_p), dtype=complex)
+            for ell, idx in enumerate(self.sched):
+                s = sqrt_rho * self.s_u[:, idx]
+                ps = p @ s
+                gram = s.conj().T @ ps + np.eye(self.m_p)
+                k = np.linalg.solve(gram.conj().T, ps.conj().T).conj().T
+                p = p - k @ ps.conj().T
+                p = 0.5 * (p + p.conj().T)
+                self.gains[ell] = k
+                yield p
+                p = self.predict(p)
+
+    def sample_step(self, chat: np.ndarray, c: np.ndarray, noise: np.ndarray, ell: int) -> None:
+        """Batched estimate update in place for channels c (runs, r) in
+        eigencoordinates: chat (runs, r) holds the estimates after block
+        ell - 1 (the zero prior at block 0); they are predicted one block
+        ahead and conditioned on block ell's pilots y = S^H h + w, with w =
+        noise (runs, m_p), through the gains ``posteriors`` stored."""
+        if ell:
+            chat *= self.a
+        sqrt_rho = self._sqrt_rho
+        if self.kind == "diag":
+            idx = self.sched[ell]
+            y = sqrt_rho * c[:, idx] + noise
+            chat[:, idx] += self.gains[ell] * (y - sqrt_rho * chat[:, idx])
+        else:
+            s_conj = (sqrt_rho * self.s_u[:, self.sched[ell]]).conj()
+            y = c @ s_conj + noise
+            chat += (y - chat @ s_conj) @ self.gains[ell].T
+
+
+@dataclass(kw_only=True)
+class SchemePlan(Tracker):
+    """One scheme's tracker plus its design and deterministic traces."""
+
+    name: str
     nmse: np.ndarray | None = None  # (horizon,) NMSE trace
     det_sinr: np.ndarray | None = None  # (horizon,) deterministic equivalent
     lb_sinr: float | None = None  # steady-state lower bound
+    posterior: np.ndarray | None = None  # (horizon, r) posterior variances; multiuser only
     assignment: IntervalAssignment | None = None
     seq: SequenceMatrix | None = None
 
@@ -126,60 +216,35 @@ def _round_robin_cycle(n_cols: int, m_p: int) -> np.ndarray:
     return flat.reshape(length, m_p)
 
 
-def _diag_deterministic(plan: SchemePlan, lam_model, lam_true, a, rho, horizon):
-    """Matched diagonal recursion: per-block gains, NMSE and the
-    single-user deterministic SINR trace."""
-    lam_pred = lam_model.astype(float).copy()
-    trace_total = float(lam_true.sum())
-    gains = np.zeros((horizon, plan.m_p))
-    nmse = np.zeros(horizon)
-    det = np.zeros(horizon)
-    sqrt_rho = np.sqrt(rho)
-    for ell in range(horizon):
-        idx = plan.sched[ell]
-        pred = lam_pred[idx]
-        gains[ell] = sqrt_rho * pred / (1.0 + rho * pred)
-        lam_bar = lam_pred.copy()
-        lam_bar[idx] = pred / (1.0 + rho * pred)
-        err = float(lam_bar.sum())
-        s = trace_total - err
-        b = float(np.sum(lam_bar * (lam_true - lam_bar)))
-        nmse[ell] = err / trace_total
-        det[ell] = s * s / (s / rho + b) if s > 0 else 0.0
-        lam_pred = a * a * lam_bar + (1.0 - a * a) * lam_true
-    plan.gains = gains
-    plan.nmse = nmse
-    plan.det_sinr = det
-
-
-def _full_deterministic(plan: SchemePlan, lam_true, a, rho, horizon):
-    """Full-matrix covariance recursion in eigencoordinates; stores the
-    per-block Kalman gains for the Monte Carlo pass."""
-    r = len(lam_true)
-    p = np.diag(lam_true).astype(complex)
-    lam_diag = np.diag(lam_true)
-    trace_total = float(lam_true.sum())
-    kgains = np.zeros((horizon, r, plan.m_p), dtype=complex)
-    nmse = np.zeros(horizon)
-    det = np.zeros(horizon)
-    sqrt_rho = np.sqrt(rho)
-    for ell in range(horizon):
-        s = sqrt_rho * plan.s_u[:, plan.sched[ell]]
-        ps = p @ s
-        gram = s.conj().T @ ps + np.eye(plan.m_p)
-        k = np.linalg.solve(gram.conj().T, ps.conj().T).conj().T
-        p = p - k @ ps.conj().T
-        p = 0.5 * (p + p.conj().T)
-        kgains[ell] = k
-        err = float(np.real(np.trace(p)))
-        cap = trace_total - err
-        b = float(np.real(np.sum(np.diag(p) * lam_true) - np.sum(np.abs(p) ** 2)))
-        nmse[ell] = err / trace_total
+def _deterministic_traces(plan: SchemePlan, horizon: int, keep_posterior: bool) -> None:
+    """Run the plan's covariance recursion once: NMSE and single-user
+    deterministic SINR per block, plus the posterior trajectory when kept."""
+    lam, rho = plan.lam, plan.rho
+    total = float(lam.sum())
+    if plan.kind == "perfect":
+        plan.nmse = np.zeros(horizon)
+        plan.det_sinr = np.full(horizon, rho * total)
+        if keep_posterior:
+            plan.posterior = np.zeros((horizon, len(lam)))
+        return
+    nmse = plan.nmse = np.zeros(horizon)
+    det = plan.det_sinr = np.zeros(horizon)
+    diag = plan.kind == "diag"
+    kept = []
+    for ell, p in enumerate(plan.posteriors()):
+        if diag:
+            err = float(p.sum())
+            b = float(np.sum(p * (lam - p)))
+        else:
+            err = float(np.real(np.trace(p)))
+            b = float(np.real(np.sum(np.diag(p) * lam) - np.sum(np.abs(p) ** 2)))
+        cap = total - err
+        nmse[ell] = err / total
         det[ell] = cap * cap / (cap / rho + max(b, 0.0)) if cap > 0 else 0.0
-        p = a * a * p + (1.0 - a * a) * lam_diag
-    plan.kgains = kgains
-    plan.nmse = nmse
-    plan.det_sinr = det
+        if keep_posterior:
+            kept.append(p)
+    if keep_posterior:
+        plan.posterior = np.array(kept)
 
 
 def _single_user_lb(lam_sim, g_padded, a, rho) -> float:
@@ -204,20 +269,20 @@ def build_single_user_plans(
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
+    return _build_plans(scene, frame, horizon, schemes, rng_scene, keep_posterior=False)
+
+
+def _build_plans(scene, frame, horizon, schemes, rng_scene, keep_posterior):
     lam = scene.lam_sim
-    lam_design = lam[: scene.r_design]
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
     plans = []
     for name in schemes:
+        kind, s_u, cycle, asn, seq, lb_asn = "diag", None, None, None, None, None
         if name in ("min_max", "exhaustive"):
-            asn = _DESIGNERS[name](lam_design, a, rho, frame)
+            asn = lb_asn = _DESIGNERS[name](lam[: scene.r_design], a, rho, frame)
             seq = construct_sequence_matrix(asn, frame)
-            plan = SchemePlan(name=name, kind="diag", m_p=m_p, dim=scene.r_sim,
-                              assignment=asn, seq=seq)
-            plan.sched = _horizon_schedule(seq.c - 1, horizon)
-            _diag_deterministic(plan, lam, lam, a, rho, horizon)
-            plan.lb_sinr = _single_user_lb(lam, _pad_g(asn, scene.r_sim), a, rho)
+            cycle = seq.c - 1
         elif name in ("min_max_dft", "exhaustive_dft"):
             # hybrid variant: sounding directions are restricted to the DFT
             # surrogate basis (the analog pre-beamformer), the sequence is
@@ -226,55 +291,39 @@ def build_single_user_plans(
             basis = _scene_dft_basis(scene)
             asn = _DESIGNERS[name.replace("_dft", "")](basis.lambda_tilde, a, rho, frame)
             seq = construct_sequence_matrix(asn, frame)
-            plan = SchemePlan(name=name, kind="full", m_p=m_p, dim=scene.r_sim,
-                              assignment=asn, seq=seq,
-                              s_u=scene.u_sim.conj().T @ basis.f_tilde)
-            plan.sched = _horizon_schedule(seq.c - 1, horizon)
-            _full_deterministic(plan, lam, a, rho, horizon)
+            kind, s_u, cycle = "full", scene.u_sim.conj().T @ basis.f_tilde, seq.c - 1
         elif name == "mp_fixed":
-            plan = SchemePlan(name=name, kind="diag", m_p=m_p, dim=scene.r_sim)
-            plan.sched = _horizon_schedule(np.arange(m_p)[None, :], horizon)
-            _diag_deterministic(plan, lam, lam, a, rho, horizon)
-            asn = IntervalAssignment(g=(1,) * m_p, n_d=m_p, objective=0.0)
-            plan.lb_sinr = _single_user_lb(lam, _pad_g(asn, scene.r_sim), a, rho)
+            cycle = np.arange(m_p)[None, :]
+            lb_asn = IntervalAssignment(g=(1,) * m_p, n_d=m_p, objective=0.0)
         elif name == "nd_fixed":
             n_sel = min(frame.n_d_max, scene.r_sim)
-            plan = SchemePlan(name=name, kind="diag", m_p=m_p, dim=scene.r_sim)
-            plan.sched = _horizon_schedule(_round_robin_cycle(n_sel, m_p), horizon)
-            _diag_deterministic(plan, lam, lam, a, rho, horizon)
+            cycle = _round_robin_cycle(n_sel, m_p)
             if n_sel == frame.g_len * m_p:
-                asn = IntervalAssignment(g=(frame.g_len,) * n_sel, n_d=n_sel,
-                                         objective=0.0)
-                plan.lb_sinr = _single_user_lb(lam, _pad_g(asn, scene.r_sim), a, rho)
-        elif name == "orthogonal":
-            grid = np.arange(n_t)
-            dft = np.exp(-2j * np.pi * np.outer(grid, grid) / n_t) / np.sqrt(n_t)
-            plan = SchemePlan(name=name, kind="full", m_p=m_p, dim=scene.r_sim,
-                              s_u=scene.u_sim.conj().T @ dft)
-            plan.sched = _horizon_schedule(_round_robin_cycle(n_t, m_p), horizon)
-            _full_deterministic(plan, lam, a, rho, horizon)
-        elif name == "random":
-            cols = rng_scene.standard_normal((n_t, n_t)) + 1j * rng_scene.standard_normal((n_t, n_t))
-            cols /= np.linalg.norm(cols, axis=0, keepdims=True)
-            plan = SchemePlan(name=name, kind="full", m_p=m_p, dim=scene.r_sim,
-                              s_u=scene.u_sim.conj().T @ cols)
-            plan.sched = _horizon_schedule(_round_robin_cycle(n_t, m_p), horizon)
-            _full_deterministic(plan, lam, a, rho, horizon)
+                lb_asn = IntervalAssignment(g=(frame.g_len,) * n_sel, n_d=n_sel,
+                                            objective=0.0)
+        elif name in ("orthogonal", "random"):
+            # orthogonal: the N_t-point unitary DFT; random: a fixed set of
+            # N_t isotropic unit vectors drawn from the scene generator
+            if name == "orthogonal":
+                cols = _dft_matrix(n_t)
+            else:
+                cols = (rng_scene.standard_normal((n_t, n_t))
+                        + 1j * rng_scene.standard_normal((n_t, n_t)))
+                cols /= np.linalg.norm(cols, axis=0, keepdims=True)
+            kind, s_u = "full", scene.u_sim.conj().T @ cols
+            cycle = _round_robin_cycle(n_t, m_p)
         elif name == "perfect_csit":
-            plan = SchemePlan(name=name, kind="perfect", m_p=m_p, dim=0)
-            plan.nmse = np.zeros(horizon)
-            s = float(lam.sum())
-            plan.det_sinr = np.full(horizon, rho * s)
+            kind = "perfect"
         else:
             raise ValueError(f"unknown scheme {name!r}")
+        plan = SchemePlan(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
+                          sched=None if cycle is None else _horizon_schedule(cycle, horizon),
+                          assignment=asn, seq=seq)
+        _deterministic_traces(plan, horizon, keep_posterior)
+        if lb_asn is not None:
+            plan.lb_sinr = _single_user_lb(lam, lb_asn.g_padded(scene.r_sim), a, rho)
         plans.append(plan)
     return plans
-
-
-def _pad_g(asn: IntervalAssignment, r_sim: int) -> np.ndarray:
-    out = np.zeros(r_sim, dtype=int)
-    out[: asn.n_d] = asn.g
-    return out
 
 
 def _scene_dft_basis(scene: ChannelScene):
@@ -286,42 +335,6 @@ def _scene_dft_basis(scene: ChannelScene):
     return dft_approximation_upa(scene.axes[0], scene.axes[1], r_target)
 
 
-def baseline_training(
-    scheme: str,
-    block: int,
-    stats,
-    frame: FrameParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Antenna-domain training matrix S_ell of a baseline scheme at a block.
-
-    orthogonal: columns of the fixed N_t-point DFT unitary, cycled M_p at a
-    time.  random: a fixed set of N_t isotropic unit vectors, cycled; the
-    set is drawn deterministically from ``rng``, so pass a generator seeded
-    identically on every call (it is consumed in full each time).
-    mp_fixed / nd_fixed: the strongest covariance eigenvectors, fixed or
-    cycled.  All outputs satisfy S^H S = rho * I.
-    """
-    n_t = stats.u.shape[0]
-    m_p = frame.m_p
-    if scheme == "orthogonal":
-        grid = np.arange(n_t)
-        cols = np.exp(-2j * np.pi * np.outer(grid, grid) / n_t) / np.sqrt(n_t)
-    elif scheme == "random":
-        cols = rng.standard_normal((n_t, n_t)) + 1j * rng.standard_normal((n_t, n_t))
-        cols /= np.linalg.norm(cols, axis=0, keepdims=True)
-    elif scheme == "mp_fixed":
-        return np.sqrt(frame.rho) * stats.u[:, :m_p]
-    elif scheme == "nd_fixed":
-        n_sel = min(frame.n_d_max, stats.u.shape[1])
-        idx = (block * m_p + np.arange(m_p)) % n_sel
-        return np.sqrt(frame.rho) * stats.u[:, idx]
-    else:
-        raise ValueError(f"unknown baseline scheme {scheme!r}")
-    idx = (block * m_p + np.arange(m_p)) % n_t
-    return np.sqrt(frame.rho) * cols[:, idx]
-
-
 # -- Monte Carlo ----------------------------------------------------------
 
 
@@ -330,76 +343,115 @@ def _complex_rows(gen, shape):
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
-def _chunk_single_user(seed_seqs, plans, lam, a, rho, horizon, prelog):
-    """Simulate one chunk of runs through every scheme; returns per-scheme
-    per-block partial sums of the realized SINR and spectral efficiency."""
-    n_runs = len(seed_seqs)
-    r = len(lam)
-    sqrt_lam = np.sqrt(lam)
-    sqrt_rho = np.sqrt(rho)
-    evolve = np.sqrt(1.0 - a * a)
+def _realized_sinr(c, hats, rho, cross):
+    """Worst-case-noise matched-filter SINR of every user over a batch.
 
-    c_ch = np.empty((n_runs, r), dtype=complex)
-    proc = np.empty((n_runs, horizon, r), dtype=complex)
-    meas = []
-    for i, seq in enumerate(seed_seqs):
-        streams = seq.spawn(1 + len(plans))
-        gen = np.random.Generator(np.random.PCG64(streams[0]))
-        z = _complex_rows(gen, (horizon + 1, r))
-        c_ch[i] = z[0] * sqrt_lam
-        proc[i] = z[1:] * sqrt_lam
-        row = []
-        for k, plan in enumerate(plans):
-            if plan.kind == "perfect":
-                row.append(None)
+    c[u] and hats[u] (runs, r_u) are user u's channels and estimates in its
+    eigencoordinates, and cross(u, v) = U_u^H U_v maps user v's coordinates
+    into user u's.  Returns one (runs,) array per user.
+    """
+    n_users = len(c)
+    nrm2 = [np.einsum("ij,ij->i", h.conj(), h).real for h in hats]
+    out = []
+    for u in range(n_users):
+        self_dot = np.einsum("ij,ij->i", c[u].conj(), hats[u])
+        sigma = n_users * nrm2[u] / rho + np.abs(self_dot - nrm2[u]) ** 2
+        for v in range(n_users):
+            if v == u:
                 continue
-            g_k = np.random.Generator(np.random.PCG64(streams[1 + k]))
-            row.append(_complex_rows(g_k, (horizon, plan.m_p)))
-        meas.append(row)
-    meas = [
-        None if meas[0][k] is None else np.stack([meas[i][k] for i in range(n_runs)])
-        for k in range(len(plans))
-    ]
+            mixed = hats[v] @ cross(u, v).T  # into user u coordinates
+            dot_uv = np.einsum("ij,ij->i", c[u].conj(), mixed)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(nrm2[v] > 0, nrm2[u] / nrm2[v], 0.0)
+            sigma += ratio * np.abs(dot_uv) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append(np.where(nrm2[u] > 0, nrm2[u] ** 2 / sigma, 0.0))
+    return out
 
-    states = []
-    for plan in plans:
-        states.append(None if plan.kind == "perfect" else np.zeros((n_runs, plan.dim), dtype=complex))
 
-    sinr_sum = {p.name: np.zeros(horizon) for p in plans}
-    se_sum = {p.name: np.zeros(horizon) for p in plans}
+def _chunk(seed_seqs, channels, plans, horizon, rho, prelog, cross):
+    """Simulate one chunk of runs through every scheme for every user.
+
+    channels[u] = (lam, a) describes user u's channel and plans[name][u] is
+    user u's plan of a scheme.  Returns per-scheme (horizon, U) partial
+    sums of the realized SINR and spectral efficiency.
+    """
+    n_runs = len(seed_seqs)
+    n_users = len(channels)
+    evolve = [np.sqrt(1.0 - a * a) for _, a in channels]
+
+    c_ch = [np.empty((n_runs, len(lam)), dtype=complex) for lam, _ in channels]
+    proc = [np.empty((n_runs, horizon, len(lam)), dtype=complex) for lam, _ in channels]
+    meas = {name: [None if p.kind == "perfect"
+                   else np.empty((n_runs, horizon, p.m_p), dtype=complex) for p in per_user]
+            for name, per_user in plans.items()}
+    for i, seq in enumerate(seed_seqs):
+        streams = seq.spawn(n_users * (1 + len(plans)))
+        for u, (lam, _) in enumerate(channels):
+            gen = np.random.Generator(np.random.PCG64(streams[u]))
+            z = _complex_rows(gen, (horizon + 1, len(lam)))
+            c_ch[u][i] = z[0] * np.sqrt(lam)
+            proc[u][i] = z[1:] * np.sqrt(lam)
+        pos = n_users
+        for name, per_user in plans.items():
+            for u, plan in enumerate(per_user):
+                if plan.kind != "perfect":
+                    gen = np.random.Generator(np.random.PCG64(streams[pos]))
+                    meas[name][u][i] = _complex_rows(gen, (horizon, plan.m_p))
+                pos += 1
+
+    sinr_sum = {name: np.zeros((horizon, n_users)) for name in plans}
+    se_sum = {name: np.zeros((horizon, n_users)) for name in plans}
+    # estimates and channels are updated in place, so each scheme's list of
+    # per-user estimates (the channel itself under perfect knowledge) is
+    # built once
+    schemes = []
+    for name, per_user in plans.items():
+        chats = [None if p.kind == "perfect" else np.zeros((n_runs, len(p.lam)), dtype=complex)
+                 for p in per_user]
+        hats = [c_ch[u] if chat is None else chat for u, chat in enumerate(chats)]
+        schemes.append((name, list(zip(per_user, chats, meas[name])), hats))
 
     for ell in range(horizon):
-        for k, plan in enumerate(plans):
-            chat = states[k]
-            if plan.kind == "diag":
-                idx = plan.sched[ell]
-                y = sqrt_rho * c_ch[:, idx] + meas[k][:, ell, :]
-                chat[:, idx] += plan.gains[ell] * (y - sqrt_rho * chat[:, idx])
-                h_dot = np.einsum("ij,ij->i", c_ch.conj(), chat)
-                nrm2 = np.einsum("ij,ij->i", chat.conj(), chat).real
-            elif plan.kind == "full":
-                s_cols = sqrt_rho * plan.s_u[:, plan.sched[ell]]
-                y = c_ch @ s_cols.conj() + meas[k][:, ell, :]
-                chat += (y - chat @ s_cols.conj()) @ plan.kgains[ell].T
-                h_dot = np.einsum("ij,ij->i", c_ch.conj(), chat)
-                nrm2 = np.einsum("ij,ij->i", chat.conj(), chat).real
-            else:  # perfect
-                nrm2 = np.einsum("ij,ij->i", c_ch.conj(), c_ch).real
-                h_dot = nrm2
-            err_dot = h_dot - nrm2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sinr = np.where(
-                    nrm2 > 0.0,
-                    nrm2**2 / (nrm2 / rho + np.abs(err_dot) ** 2),
-                    0.0,
-                )
-            sinr_sum[plan.name][ell] += sinr.sum()
-            se_sum[plan.name][ell] += (prelog * np.log2(1.0 + sinr)).sum()
-        for k, plan in enumerate(plans):
-            if states[k] is not None:
-                states[k] *= a
-        c_ch = a * c_ch + evolve * proc[:, ell, :]
+        for name, links, hats in schemes:
+            for u, (plan, chat, noise) in enumerate(links):
+                if chat is not None:
+                    plan.sample_step(chat, c_ch[u], noise[:, ell, :], ell)
+            sinr_acc, se_acc = sinr_sum[name][ell], se_sum[name][ell]
+            for u, sinr in enumerate(_realized_sinr(c_ch, hats, rho, cross)):
+                sinr_acc[u] += sinr.sum()
+                se_acc[u] += (prelog * np.log2(1.0 + sinr)).sum()
+        for u, (_, a) in enumerate(channels):
+            c_ch[u] *= a
+            c_ch[u] += evolve[u] * proc[u][:, ell, :]
     return sinr_sum, se_sum
+
+
+def _monte_carlo(channels, plans, seed, mc_runs, horizon, rho, prelog, threads, cross=None):
+    """Monte Carlo means of the realized SINR and spectral efficiency, per
+    scheme as (horizon, U) arrays, from run streams spawned off ``seed``."""
+    run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
+    chunks = [run_seqs[i:i + CHUNK_RUNS] for i in range(0, mc_runs, CHUNK_RUNS)]
+
+    def work(chunk):
+        return _chunk(chunk, channels, plans, horizon, rho, prelog, cross)
+
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, chunks))
+    else:
+        results = [work(chunk) for chunk in chunks]
+
+    sinr_mc = {name: np.zeros((horizon, len(channels))) for name in plans}
+    se_mc = {name: np.zeros((horizon, len(channels))) for name in plans}
+    for sinr_part, se_part in results:
+        for name in plans:
+            sinr_mc[name] += sinr_part[name]
+            se_mc[name] += se_part[name]
+    for name in plans:
+        sinr_mc[name] /= mc_runs
+        se_mc[name] /= mc_runs
+    return sinr_mc, se_mc
 
 
 @dataclass
@@ -410,12 +462,12 @@ class TraceTable:
     horizon: int
     frame: FrameParams
     nmse: dict
-    rx_snr_db: dict
     se_mc: dict
     se_det: dict
     se_lb: dict
     sinr_mc: dict = field(default_factory=dict)
     det_sinr: dict = field(default_factory=dict)
+    plans: list = field(default_factory=list)
 
     def steady_state(self, key: str, scheme: str, frames: int = 2) -> float:
         tail = self.frame.g_len * frames
@@ -432,50 +484,26 @@ def run_schemes(
     threads: int = 1,
 ) -> TraceTable:
     """Deterministic traces plus Monte Carlo averages for a scheme list."""
-    root = np.random.SeedSequence(seed)
-    scene_ss, runs_ss = root.spawn(2)
+    scene_ss = np.random.SeedSequence(seed).spawn(2)[0]
     rng_scene = np.random.Generator(np.random.PCG64(scene_ss))
     plans = build_single_user_plans(scene, frame, horizon, schemes, rng_scene)
 
     prelog = 1.0 - frame.m_p / frame.m
-    run_seqs = runs_ss.spawn(mc_runs)
-    chunks = [run_seqs[i:i + CHUNK_RUNS] for i in range(0, mc_runs, CHUNK_RUNS)]
-
-    def work(chunk):
-        return _chunk_single_user(chunk, plans, scene.lam_sim, scene.a,
-                                  frame.rho, horizon, prelog)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(chunk) for chunk in chunks]
-
-    sinr_mc = {p.name: np.zeros(horizon) for p in plans}
-    se_mc = {p.name: np.zeros(horizon) for p in plans}
-    for sinr_part, se_part in results:
-        for name in sinr_mc:
-            sinr_mc[name] += sinr_part[name]
-            se_mc[name] += se_part[name]
-    for name in sinr_mc:
-        sinr_mc[name] /= mc_runs
-        se_mc[name] /= mc_runs
-
-    table = TraceTable(
+    sinr_mc, se_mc = _monte_carlo([(scene.lam_sim, scene.a)], {p.name: [p] for p in plans},
+                                  seed, mc_runs, horizon, frame.rho, prelog, threads)
+    return TraceTable(
         schemes=[p.name for p in plans],
         horizon=horizon,
         frame=frame,
         nmse={p.name: p.nmse for p in plans},
-        rx_snr_db={name: 10.0 * np.log10(np.maximum(vals, 1e-300)) for name, vals in sinr_mc.items()},
-        se_mc=se_mc,
+        se_mc={name: vals[:, 0] for name, vals in se_mc.items()},
         se_det={p.name: prelog * np.log2(1.0 + p.det_sinr) for p in plans},
         se_lb={p.name: (None if p.lb_sinr is None else prelog * np.log2(1.0 + p.lb_sinr))
                for p in plans},
-        sinr_mc=sinr_mc,
+        sinr_mc={name: vals[:, 0] for name, vals in sinr_mc.items()},
         det_sinr={p.name: p.det_sinr for p in plans},
+        plans=plans,
     )
-    table.plans = plans
-    return table
 
 
 def run_single_user(config: ExperimentConfig) -> TraceTable:
@@ -495,133 +523,6 @@ MU_SCHEMES = ("min_max", "exhaustive", "mp_fixed", "nd_fixed", "perfect_csit")
 
 
 @dataclass
-class UserPlans:
-    """Per-user channel description and per-scheme diagonal plans."""
-
-    stats: mu.ChannelStatistics  # reuse of the statistics container
-    plans: dict
-
-
-def _build_user_plans(scene: ChannelScene, frame: FrameParams, horizon, schemes):
-    from .channel_model import ChannelStatistics
-
-    stats = ChannelStatistics(
-        a=scene.a,
-        r_h=(scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T,
-        u=scene.u_sim,
-        lam=scene.lam_sim,
-        rank=scene.r_sim,
-    )
-    plans = {}
-    rng_dummy = np.random.Generator(np.random.PCG64(0))  # diag schemes draw nothing
-    for name in schemes:
-        if name not in MU_SCHEMES:
-            raise ValueError(
-                f"scheme {name!r} is not available in the multiuser path; "
-                f"choose among {MU_SCHEMES}"
-            )
-        plan = build_single_user_plans(scene, frame, horizon, [name], rng_dummy)[0]
-        plans[name] = plan
-    return UserPlans(stats=stats, plans=plans)
-
-
-def _diag_lambda_trace(plan: SchemePlan, lam, a, rho, horizon):
-    """Posterior eigenmode variance trajectory for one diagonal plan."""
-    if plan.kind == "perfect":
-        return np.zeros((horizon, len(lam)))
-    out = np.empty((horizon, len(lam)))
-    lam_pred = lam.astype(float).copy()
-    for ell in range(horizon):
-        idx = plan.sched[ell]
-        lam_bar = lam_pred.copy()
-        lam_bar[idx] = lam_pred[idx] / (1.0 + rho * lam_pred[idx])
-        out[ell] = lam_bar
-        lam_pred = a * a * lam_bar + (1.0 - a * a) * lam
-    return out
-
-
-def _chunk_multiuser(seed_seqs, users, scheme_names, horizon, rho, prelog, cross):
-    """Chunk of multiuser runs; returns per-scheme (horizon, U) partial sums
-    of realized SINR and spectral efficiency."""
-    n_runs = len(seed_seqs)
-    n_users = len(users)
-    lam_u = [u.stats.lam for u in users]
-    sqrt_rho = np.sqrt(rho)
-    a_u = [u.stats.a for u in users]
-    evolve_u = [np.sqrt(1.0 - a * a) for a in a_u]
-
-    c_ch = [np.empty((n_runs, len(lam))) * 0j for lam in lam_u]
-    proc = [np.empty((n_runs, horizon, len(lam)), dtype=complex) for lam in lam_u]
-    meas = {name: [np.empty((n_runs, horizon, users[0].plans[name].m_p), dtype=complex)
-                   if users[0].plans[name].kind != "perfect" else None
-                   for _ in range(n_users)]
-            for name in scheme_names}
-    for i, seq in enumerate(seed_seqs):
-        streams = seq.spawn(n_users * (1 + len(scheme_names)))
-        for u in range(n_users):
-            gen = np.random.Generator(np.random.PCG64(streams[u]))
-            z = _complex_rows(gen, (horizon + 1, len(lam_u[u])))
-            c_ch[u][i] = z[0] * np.sqrt(lam_u[u])
-            proc[u][i] = z[1:] * np.sqrt(lam_u[u])
-        pos = n_users
-        for name in scheme_names:
-            for u in range(n_users):
-                plan = users[u].plans[name]
-                if plan.kind != "perfect":
-                    gen = np.random.Generator(np.random.PCG64(streams[pos]))
-                    meas[name][u][i] = _complex_rows(gen, (horizon, plan.m_p))
-                pos += 1
-
-    states = {
-        name: [
-            None if users[u].plans[name].kind == "perfect"
-            else np.zeros((n_runs, users[u].plans[name].dim), dtype=complex)
-            for u in range(n_users)
-        ]
-        for name in scheme_names
-    }
-    sinr_sum = {name: np.zeros((horizon, n_users)) for name in scheme_names}
-    se_sum = {name: np.zeros((horizon, n_users)) for name in scheme_names}
-
-    for ell in range(horizon):
-        for name in scheme_names:
-            hats = []
-            for u in range(n_users):
-                plan = users[u].plans[name]
-                if plan.kind == "perfect":
-                    hats.append(c_ch[u])
-                    continue
-                chat = states[name][u]
-                idx = plan.sched[ell]
-                y = sqrt_rho * c_ch[u][:, idx] + meas[name][u][:, ell, :]
-                chat[:, idx] += plan.gains[ell] * (y - sqrt_rho * chat[:, idx])
-                hats.append(chat)
-            nrm2 = [np.einsum("ij,ij->i", h.conj(), h).real for h in hats]
-            for u in range(n_users):
-                self_dot = np.einsum("ij,ij->i", c_ch[u].conj(), hats[u])
-                sigma = n_users * nrm2[u] / rho + np.abs(self_dot - nrm2[u]) ** 2
-                for v in range(n_users):
-                    if v == u:
-                        continue
-                    mixed = hats[v] @ cross[(u, v)].T  # into user u coordinates
-                    dot_uv = np.einsum("ij,ij->i", c_ch[u].conj(), mixed)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        ratio = np.where(nrm2[v] > 0, nrm2[u] / nrm2[v], 0.0)
-                    sigma += ratio * np.abs(dot_uv) ** 2
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    sinr = np.where(nrm2[u] > 0, nrm2[u] ** 2 / sigma, 0.0)
-                sinr_sum[name][ell, u] += sinr.sum()
-                se_sum[name][ell, u] += (prelog * np.log2(1.0 + sinr)).sum()
-        for name in scheme_names:
-            for u in range(n_users):
-                if states[name][u] is not None:
-                    states[name][u] *= a_u[u]
-        for u in range(n_users):
-            c_ch[u] = a_u[u] * c_ch[u] + evolve_u[u] * proc[u][:, ell, :]
-    return sinr_sum, se_sum
-
-
-@dataclass
 class MultiuserTable:
     """Per-block multiuser traces plus per-user steady-state summaries."""
 
@@ -635,6 +536,8 @@ class MultiuserTable:
     se_mc_runs: dict  # (horizon, U) Monte Carlo mean spectral efficiency
     se_user_lb: dict  # (U,) steady-state lower bounds (nan if undefined)
     prelog: float = 0.0
+    sinr_det_ss: dict = field(default_factory=dict)  # (U,) converged deterministic SINR
+    user_plans: list = field(default_factory=list)  # per user, {scheme: SchemePlan}
 
     def se_mc(self, scheme):
         return self.se_mc_runs[scheme]
@@ -649,16 +552,6 @@ class MultiuserTable:
         """Spectral efficiency at the converged (steady-state) deterministic
         SINR; nan for schemes without a closed-form steady state."""
         return self.prelog * np.log2(1.0 + self.sinr_det_ss[scheme])
-
-    def steady_sum(self, which, scheme, frames: int = 2) -> float:
-        tail = self.frame.g_len * frames
-        if which == "mc":
-            vals = self.se_mc(scheme)
-        elif which == "det":
-            vals = self.se_det(scheme)
-        else:
-            raise ValueError(which)
-        return float(vals[-tail:].mean(axis=0).sum())
 
 
 def run_multiuser_scene(
@@ -675,36 +568,34 @@ def run_multiuser_scene(
     n_users = len(scenes)
     if n_users * frame.m_p >= frame.m:
         raise ValueError("U * M_p must stay below the block length M")
-    users = [_build_user_plans(s, frame, horizon, schemes) for s in scenes]
+    for name in schemes:
+        if name not in MU_SCHEMES:
+            raise ValueError(
+                f"scheme {name!r} is not available in the multiuser path; "
+                f"choose among {MU_SCHEMES}"
+            )
+    rng_dummy = np.random.Generator(np.random.PCG64(0))  # diag schemes draw nothing
+    users = [{p.name: p for p in _build_plans(s, frame, horizon, schemes, rng_dummy,
+                                               keep_posterior=True)}
+             for s in scenes]
     scene_mu = mu.MultiuserScene(
-        users=[mu.UserLink(stats=u.stats) for u in users],
+        users=[mu.UserLink(stats=ChannelStatistics(
+            a=s.a, r_h=(s.u_sim * s.lam_sim) @ s.u_sim.conj().T, u=s.u_sim,
+            lam=s.lam_sim, rank=s.r_sim)) for s in scenes],
         rho=frame.rho, m=frame.m, m_p=frame.m_p,
     )
-    cross = {}
-    for u in range(n_users):
-        for v in range(n_users):
-            if u != v:
-                cross[(u, v)] = users[u].stats.u.conj().T @ users[v].stats.u
 
     # deterministic traces
-    lam_traces = {
-        name: [_diag_lambda_trace(users[u].plans[name], scenes[u].lam_sim,
-                                  scenes[u].a, frame.rho, horizon)
-               for u in range(n_users)]
-        for name in schemes
-    }
     prelog = 1.0 - n_users * frame.m_p / frame.m
     sinr_det = {name: np.zeros((horizon, n_users)) for name in schemes}
     nmse = {}
     for name in schemes:
+        posts = [users[u][name].posterior for u in range(n_users)]
         for ell in range(horizon):
-            bars = [lam_traces[name][u][ell] for u in range(n_users)]
+            bars = [p[ell] for p in posts]
             for u in range(n_users):
                 sinr_det[name][ell, u] = mu.deterministic_sinr(scene_mu, bars, u)
-        nmse[name] = np.mean(
-            [lam_traces[name][u].sum(axis=1) / scenes[u].trace() for u in range(n_users)],
-            axis=0,
-        )
+        nmse[name] = np.mean([users[u][name].nmse for u in range(n_users)], axis=0)
 
     # steady-state quantities: the Appendix-style bound plus the converged
     # deterministic SINR evaluated at the post-training envelope state
@@ -717,10 +608,10 @@ def run_multiuser_scene(
             bars = [np.zeros(scenes[u].r_sim) for u in range(n_users)]
             for u in range(n_users):
                 det_ss[u] = mu.deterministic_sinr(scene_mu, bars, u)
-        elif all(users[u].plans[name].assignment is not None for u in range(n_users)):
+        elif all(users[u][name].assignment is not None for u in range(n_users)):
             profiles = [
                 ss_profile(scenes[u].lam_sim, scenes[u].a, frame.rho,
-                           _pad_g(users[u].plans[name].assignment, scenes[u].r_sim))
+                           users[u][name].assignment.g_padded(scenes[u].r_sim))
                 for u in range(n_users)
             ]
             bars = [p.lambda_lower for p in profiles]
@@ -730,40 +621,18 @@ def run_multiuser_scene(
         se_user_lb[name] = lbs
         sinr_det_ss[name] = det_ss
 
-    # Monte Carlo
-    root = np.random.SeedSequence(seed)
-    _, runs_ss = root.spawn(2)
-    run_seqs = runs_ss.spawn(mc_runs)
-    chunks = [run_seqs[i:i + CHUNK_RUNS] for i in range(0, mc_runs, CHUNK_RUNS)]
+    # the deterministic SINRs above filled the cross-product cache, so the
+    # Monte Carlo threads only read it
+    sinr_mc, se_mc_runs = _monte_carlo(
+        [(s.lam_sim, s.a) for s in scenes],
+        {name: [plans[name] for plans in users] for name in schemes},
+        seed, mc_runs, horizon, frame.rho, prelog, threads, scene_mu.cross_product)
 
-    def work(chunk):
-        return _chunk_multiuser(chunk, users, list(schemes), horizon, frame.rho,
-                                prelog, cross)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(chunk) for chunk in chunks]
-
-    sinr_mc = {name: np.zeros((horizon, n_users)) for name in schemes}
-    se_mc_runs = {name: np.zeros((horizon, n_users)) for name in schemes}
-    for sinr_part, se_part in results:
-        for name in schemes:
-            sinr_mc[name] += sinr_part[name]
-            se_mc_runs[name] += se_part[name]
-    for name in schemes:
-        sinr_mc[name] /= mc_runs
-        se_mc_runs[name] /= mc_runs
-
-    table = MultiuserTable(
+    return MultiuserTable(
         schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
         nmse=nmse, sinr_mc=sinr_mc, sinr_det=sinr_det, se_mc_runs=se_mc_runs,
-        se_user_lb=se_user_lb, prelog=prelog,
+        se_user_lb=se_user_lb, prelog=prelog, sinr_det_ss=sinr_det_ss, user_plans=users,
     )
-    table.user_plans = users
-    table.sinr_det_ss = sinr_det_ss
-    return table
 
 
 def multiuser_scenes_from_config(config: ExperimentConfig):

@@ -162,14 +162,11 @@ def test_kalman_sandwich():
         lam = np.sort(rng.uniform(0.1, 3.0, size=asn.n_d + 2))[::-1]
         blocks = int(np.ceil(60.0 / (1.0 - a * a)))
         blocks = (blocks // g_len + 2) * g_len  # whole frames
-        lam_pred = lam.copy()
+        sched = np.array([seq.row(ell) - 1 for ell in range(blocks)])
+        tracker = sim.Tracker("diag", m_p, lam, a, rho, sched=sched)
         history = np.empty((g_len, len(lam)))
-        for ell in range(blocks):
-            idx = seq.row(ell) - 1
-            lam_bar = lam_pred.copy()
-            lam_bar[idx] = lam_pred[idx] / (1.0 + rho * lam_pred[idx])
+        for ell, lam_bar in enumerate(tracker.posteriors()):
             history[ell % g_len] = lam_bar
-            lam_pred = a * a * lam_bar + (1.0 - a * a) * lam
         for i in range(asn.n_d):
             g_i = asn.g[i]
             lo = ss.min_ss_mse(lam[i], a, rho, g_i)
@@ -287,19 +284,13 @@ def test_lemma1_estimate_covariance():
     lam = scene.lam_sim
     c = cm.complex_normal(rng, (runs, r)) * np.sqrt(lam)
     chat = np.zeros((runs, r), dtype=complex)
-    lam_pred = lam.copy()
     blocks = 8  # fixed block index 2G
+    lam_bar = list(plan.posteriors())[blocks - 1]
     for ell in range(blocks):
-        idx = plan.sched[ell]
-        y = np.sqrt(frame.rho) * c[:, idx] + cm.complex_normal(rng, (runs, len(idx)))
-        chat[:, idx] += plan.gains[ell] * (y - np.sqrt(frame.rho) * chat[:, idx])
-        lam_bar = lam_pred.copy()
-        lam_bar[idx] = lam_pred[idx] / (1.0 + frame.rho * lam_pred[idx])
+        plan.sample_step(chat, c, cm.complex_normal(rng, (runs, frame.m_p)), ell)
         if ell < blocks - 1:
-            chat *= scene.a
             c = scene.a * c + np.sqrt(1 - scene.a**2) * (
                 cm.complex_normal(rng, (runs, r)) * np.sqrt(lam))
-            lam_pred = scene.a**2 * lam_bar + (1 - scene.a**2) * lam
     emp = (chat.T @ chat.conj()) / runs
     expected = np.diag(lam - lam_bar)
     rel = np.linalg.norm(emp - expected) / np.linalg.norm(expected)

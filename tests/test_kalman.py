@@ -1,11 +1,13 @@
-"""Kalman tracker: full-matrix reference path, diagonal fast path, and the
-statistical properties the downlink analysis relies on."""
+"""Kalman tracker: the full-matrix reference path, the engine's diagonal
+tracker checked against it, and the statistical properties the downlink
+analysis relies on."""
 
 import numpy as np
 import pytest
 
 from pilotseq import channel_model as cm
 from pilotseq import kalman
+from pilotseq import simulate as sim
 
 
 def make_stats(n=8, a=0.9, theta=0.3, delta=0.25, seed=None):
@@ -154,25 +156,37 @@ class TestTimeUpdate:
         assert np.real(np.trace(out.p_pred)) == pytest.approx(np.real(expected), rel=1e-12)
 
 
+def diag_tracker(stats, sched, rho, a=None):
+    """The engine's diagonal tracker over an explicit per-block schedule."""
+    sched = np.asarray(sched, dtype=int).reshape(len(sched), -1)
+    return sim.Tracker("diag", sched.shape[1], stats.lam,
+                       stats.a if a is None else a, rho, sched=sched)
+
+
 class TestDiagonalPath:
+    """The engine's diag tracker against the full-matrix reference."""
+
     def test_empty_update_is_identity(self):
         stats = make_stats()
-        state = kalman.diagonal_init(stats)
-        out = kalman.diagonal_measurement_update(state, [], [], rho=2.0)
-        assert np.allclose(out.lambda_bar, state.lambda_pred)
-        assert np.allclose(out.coeff_hat, state.coeff_hat)
+        tracker = diag_tracker(stats, [[]], rho=2.0)
+        (lam_bar,) = tracker.posteriors()
+        chat = np.arange(stats.rank, dtype=complex)[None, :]
+        before = chat.copy()
+        tracker.sample_step(chat, np.ones((1, stats.rank), dtype=complex),
+                            np.zeros((1, 0), dtype=complex), 0)
+        assert np.allclose(lam_bar, stats.lam)  # the prior of block 0
+        assert np.allclose(chat, before)
 
     def test_zero_power_keeps_prediction(self):
         stats = make_stats()
-        state = kalman.diagonal_init(stats)
-        out = kalman.diagonal_measurement_update(state, [0, 1], [0.1, 0.2], rho=0.0)
-        assert np.allclose(out.lambda_bar, state.lambda_pred)
+        (lam_bar,) = diag_tracker(stats, [[0, 1]], rho=0.0).posteriors()
+        assert np.allclose(lam_bar, stats.lam)
 
     def test_out_of_range_mode_rejected(self):
         stats = make_stats()
-        state = kalman.diagonal_init(stats)
-        with pytest.raises(IndexError):
-            kalman.diagonal_measurement_update(state, [stats.rank], [0.1], rho=1.0)
+        for mode in (stats.rank, -1):
+            with pytest.raises(IndexError):
+                list(diag_tracker(stats, [[mode]], rho=1.0).posteriors())
 
     def test_matches_full_path_trajectories(self):
         """Eigenvector training keeps both paths identical to 1e-10."""
@@ -181,45 +195,43 @@ class TestDiagonalPath:
         rng = np.random.default_rng(5)
         schedule = [[0, 1], [2, 3], [0, 4], [1, 2], [0, 3], [4, 5]]
         full = kalman.init(stats)
-        diag = kalman.diagonal_init(stats)
+        diag = diag_tracker(stats, schedule, rho)
+        chat = np.zeros((1, stats.rank), dtype=complex)
         h = cm.stationary_channel(stats, rng)
-        for idx in schedule:
-            s = np.sqrt(rho) * stats.u[:, idx]
-            y = kalman.simulate_received(h, s, rng)
-            full = kalman.measurement_update(full, s, y)
-            diag = kalman.diagonal_measurement_update(diag, idx, y, rho)
+        for ell, lam_bar in enumerate(diag.posteriors()):
+            s = np.sqrt(rho) * stats.u[:, schedule[ell]]
+            w = cm.complex_normal(rng, 2)
+            full = kalman.measurement_update(full, s, s.conj().T @ h + w)
+            diag.sample_step(chat, (stats.u.conj().T @ h)[None, :], w[None, :], ell)
             # posterior covariance stays simultaneously diagonalizable
             p_in_basis = stats.u.conj().T @ full.p_est @ stats.u
-            assert np.allclose(np.diag(p_in_basis), diag.lambda_bar, atol=1e-10)
+            assert np.allclose(np.diag(p_in_basis), lam_bar, atol=1e-10)
             off = p_in_basis - np.diag(np.diag(p_in_basis))
             assert np.linalg.norm(off) <= 1e-8 * np.real(np.trace(full.p_est))
             est_full_coeff = stats.u.conj().T @ full.h_hat
-            assert np.allclose(est_full_coeff, diag.coeff_hat, atol=1e-10)
+            assert np.allclose(est_full_coeff, chat[0], atol=1e-10)
             full = kalman.time_update(full, stats)
-            diag = kalman.diagonal_time_update(diag, stats.a, stats.lam)
             h = cm.evolve_channel(h, stats, rng)
 
     def test_variance_ordering_invariant(self):
         stats = make_stats(n=10, a=0.95)
-        diag = kalman.diagonal_init(stats)
         rng = np.random.default_rng(8)
-        for step in range(50):
-            idx = list(rng.choice(stats.rank, size=2, replace=False))
-            y = [0.0 + 0.0j] * 2  # values do not affect the variances
-            diag = kalman.diagonal_measurement_update(diag, idx, y, rho=3.0)
-            assert np.all(diag.lambda_bar <= diag.lambda_pred + 1e-14)
-            assert np.all(diag.lambda_bar >= 0)
-            diag = kalman.diagonal_time_update(diag, stats.a, stats.lam)
-            assert np.all(diag.lambda_pred <= stats.lam + 1e-12)
+        sched = [list(rng.choice(stats.rank, size=2, replace=False)) for _ in range(50)]
+        diag = diag_tracker(stats, sched, rho=3.0)
+        lam_pred = stats.lam
+        for lam_bar in diag.posteriors():
+            assert np.all(lam_bar <= lam_pred + 1e-14)
+            assert np.all(lam_bar >= 0)
+            lam_pred = diag.predict(lam_bar)
+            assert np.all(lam_pred <= stats.lam + 1e-12)
 
     def test_diagonal_time_update_limits(self):
         stats = make_stats()
-        state = kalman.diagonal_init(stats)
-        state.lambda_bar = 0.5 * stats.lam
-        frozen = kalman.diagonal_time_update(state, 1.0, stats.lam)
-        assert np.allclose(frozen.lambda_pred, state.lambda_bar)
-        reset = kalman.diagonal_time_update(state, 0.0, stats.lam)
-        assert np.allclose(reset.lambda_pred, stats.lam)
+        lam_bar = 0.5 * stats.lam
+        frozen = diag_tracker(stats, [[0]], rho=1.0, a=1.0).predict(lam_bar)
+        assert np.allclose(frozen, lam_bar)
+        reset = diag_tracker(stats, [[0]], rho=1.0, a=0.0).predict(lam_bar)
+        assert np.allclose(reset, stats.lam)
 
 
 class TestEstimatorStatistics:

@@ -6,6 +6,7 @@ import pytest
 
 from pilotseq import channel_model as cm
 from pilotseq import kalman
+from pilotseq import multiuser as mu
 from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
 from pilotseq.cli import emit_outputs
@@ -57,13 +58,14 @@ class TestEngineAgainstKalmanModule:
         stats = cm.ChannelStatistics(
             a=scene.a, r_h=(scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T,
             u=scene.u_sim, lam=scene.lam_sim, rank=scene.r_sim)
-        diag = kalman.diagonal_init(stats)
+        state = kalman.init(stats)
+        total = stats.trace()
         for ell in range(horizon):
-            idx = plan.sched[ell].tolist()
-            y = [0.0j] * len(idx)
-            diag = kalman.diagonal_measurement_update(diag, idx, y, frame.rho)
-            assert diag.nmse(stats.lam) == pytest.approx(plan.nmse[ell], rel=1e-12)
-            diag = kalman.diagonal_time_update(diag, stats.a, stats.lam)
+            s = np.sqrt(frame.rho) * stats.u[:, plan.sched[ell]]
+            state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
+            assert np.real(np.trace(state.p_est)) / total == pytest.approx(
+                plan.nmse[ell], rel=1e-12)
+            state = kalman.time_update(state, stats)
 
     def test_full_trace_matches_reference_recursion(self):
         scene = small_scene(n=12)
@@ -122,56 +124,52 @@ class TestFloorsAndEnvelopes:
         assert plans[0].nmse[-1] < plans[1].nmse[-1]
 
 
+def antenna_training(scene, plan, block):
+    """Antenna-domain training matrix S_ell of a full-kind plan; exact when
+    the scene's eigenbasis spans the whole array."""
+    return np.sqrt(plan.rho) * scene.u_sim @ plan.s_u[:, plan.sched[block]]
+
+
 class TestBaselineTraining:
     def test_orthogonal_full_sounding_when_budget_matches(self):
         scene = small_scene(n=4)
-        stats = cm.ChannelStatistics(
-            a=scene.a, r_h=(scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T,
-            u=scene.u_sim, lam=scene.lam_sim, rank=scene.r_sim)
+        assert scene.r_sim == 4
         frame = FrameParams(g_len=4, m_p=4, m=6, n_d_max=4, rho=2.0)
-        rng = np.random.default_rng(0)
-        s0 = sim.baseline_training("orthogonal", 0, stats, frame, rng)
-        s1 = sim.baseline_training("orthogonal", 1, stats, frame, rng)
+        (plan,) = sim.build_single_user_plans(scene, frame, 2, ["orthogonal"],
+                                              np.random.default_rng(0))
+        s0 = antenna_training(scene, plan, 0)
+        s1 = antenna_training(scene, plan, 1)
         assert np.allclose(s0, s1)  # N_t == M_p: every block sounds all
         assert np.allclose(s0.conj().T @ s0, 2.0 * np.eye(4), atol=1e-12)
 
     def test_nd_fixed_covers_budget_once_per_frame(self):
         scene = small_scene()
-        stats = cm.ChannelStatistics(
-            a=scene.a, r_h=(scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T,
-            u=scene.u_sim, lam=scene.lam_sim, rank=scene.r_sim)
         frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=1.0)
-        seen = []
-        for ell in range(4):
-            s = sim.baseline_training("nd_fixed", ell, stats, frame,
-                                      np.random.default_rng(0))
-            for j in range(2):
-                matches = np.argmax(np.abs(stats.u.conj().T @ s[:, j]))
-                seen.append(int(matches))
+        (plan,) = sim.build_single_user_plans(scene, frame, 4, ["nd_fixed"],
+                                              np.random.default_rng(0))
+        assert plan.kind == "diag"  # sounds eigenvectors u_i directly
+        seen = plan.sched.ravel().tolist()
         assert sorted(seen) == list(range(8))
 
     def test_random_columns_have_pilot_power(self):
-        scene = small_scene()
-        stats = cm.ChannelStatistics(
-            a=scene.a, r_h=(scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T,
-            u=scene.u_sim, lam=scene.lam_sim, rank=scene.r_sim)
+        scene = small_scene(n=8)
+        assert scene.r_sim == 8
         frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=3.0)
-        s_a = sim.baseline_training("random", 2, stats, frame,
-                                    np.random.default_rng(5))
-        s_b = sim.baseline_training("random", 2, stats, frame,
-                                    np.random.default_rng(5))
+        plan_a, plan_b = (
+            sim.build_single_user_plans(scene, frame, 4, ["random"],
+                                        np.random.default_rng(5))[0]
+            for _ in range(2))
+        s_a = antenna_training(scene, plan_a, 2)
+        s_b = antenna_training(scene, plan_b, 2)
         assert np.allclose(s_a, s_b)  # the fixed set is seed-determined
         assert np.allclose(np.linalg.norm(s_a, axis=0), np.sqrt(3.0))
 
     def test_unknown_scheme_rejected(self):
         scene = small_scene()
-        stats = cm.ChannelStatistics(
-            a=scene.a, r_h=(scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T,
-            u=scene.u_sim, lam=scene.lam_sim, rank=scene.r_sim)
         frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=1.0)
-        with pytest.raises(ValueError, match="unknown baseline"):
-            sim.baseline_training("psychic", 0, stats, frame,
-                                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown scheme"):
+            sim.build_single_user_plans(scene, frame, 4, ["psychic"],
+                                        np.random.default_rng(0))
 
 
 class TestTrajectoryPeriodicity:
@@ -288,6 +286,30 @@ class TestMultiuserEngine:
         plan = single.plans[0]
         assert np.isfinite(lb_multi)
         assert 10 ** 0 * lb_multi == pytest.approx(plan.lb_sinr, rel=1e-9)
+
+    @pytest.mark.parametrize("n_users", [1, 2])
+    def test_realized_sinr_matches_instantaneous_oracle(self, n_users):
+        # the kernel's batched eigencoordinate SINR against the
+        # per-realization antenna-domain oracle, on random channel /
+        # estimate pairs lifted to antenna space as U c and U c_hat
+        scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 20.0)[:n_users]]
+        stats = [cm.ChannelStatistics(a=s.a, r_h=(s.u_sim * s.lam_sim) @ s.u_sim.conj().T,
+                                      u=s.u_sim, lam=s.lam_sim, rank=s.r_sim)
+                 for s in scenes]
+        rho, runs = 4.0, 6
+        scene_mu = mu.MultiuserScene(users=[mu.UserLink(stats=st) for st in stats],
+                                     rho=rho, m=10, m_p=1)
+        rng = np.random.default_rng(11)
+        c = [cm.complex_normal(rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim) for s in scenes]
+        c_hat = [0.8 * x + 0.3 * cm.complex_normal(rng, x.shape) * np.sqrt(s.lam_sim)
+                 for x, s in zip(c, scenes)]
+        got = sim._realized_sinr(c, c_hat, rho, scene_mu.cross_product)
+        for i in range(runs):
+            h = [s.u_sim @ x[i] for x, s in zip(c, scenes)]
+            h_hat = [s.u_sim @ x[i] for x, s in zip(c_hat, scenes)]
+            for u in range(n_users):
+                assert got[u][i] == pytest.approx(
+                    mu.instantaneous_sinr(h, h_hat, rho, u), rel=1e-9)
 
     def test_interference_lowers_sinr(self):
         s0 = small_scene(theta_deg=10.0, d_r=8.0)
