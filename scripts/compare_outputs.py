@@ -6,7 +6,8 @@ Usage: python3 scripts/compare_outputs.py REV
 REV is checked out into a temporary ``git worktree``.  ``pilotseq simulate``
 then runs there and in this working tree (HEAD plus any uncommitted
 changes) on the ``demo``, ``ci_ula32`` and ``multiuser_ula32`` presets, and
-on ``upa375`` through ``--config`` with ``mc_runs`` cut to 16.  Each of
+through ``--config`` on ``upa375`` and on ``ci_ula32`` with the exhaustive
+designer, both with ``mc_runs`` cut to 16.  Each of
 ``trace.csv``, ``design.csv`` and ``sweep.csv`` is compared byte for byte;
 a file written on one side only counts as a difference.  Prints one line
 per preset and file and exits 1 on any difference (2 if a run fails).
@@ -25,7 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("demo", "ci_ula32", "multiuser_ula32")
 FILES = ("trace.csv", "design.csv", "sweep.csv")
-UPA375_RUNS = 16
+CUT_RUNS = 16
 
 
 def simulate(tree: Path, args: list[str], out: Path) -> None:
@@ -40,12 +41,15 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.exists() else "absent"
 
 
-def upa375_config(path: Path) -> None:
+def cut_config(path: Path, name: str, **fields) -> None:
+    """Write preset ``name`` with ``mc_runs`` cut and ``fields`` overridden."""
     sys.path.insert(0, str(ROOT / "src"))
     from pilotseq.config import preset
 
-    cfg = preset("upa375")
-    cfg.mc_runs = UPA375_RUNS
+    cfg = preset(name)
+    cfg.mc_runs = CUT_RUNS
+    for key, value in fields.items():
+        setattr(cfg, key, value)
     path.write_text(cfg.to_json(), encoding="utf-8")
 
 
@@ -60,10 +64,14 @@ def main(argv: list[str]) -> int:
         subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base), rev],
                        cwd=ROOT, check=True)
         try:
-            config = tmp / "upa375.json"
-            upa375_config(config)
             cases = [(name, ["--preset", name]) for name in PRESETS]
-            cases.append((f"upa375 (mc_runs={UPA375_RUNS})", ["--config", str(config)]))
+            for label, name, fields in (
+                ("upa375", "upa375", {}),
+                ("ci_ula32 exhaustive", "ci_ula32", {"designer": "exhaustive"}),
+            ):
+                config = tmp / f"config{len(cases)}.json"
+                cut_config(config, name, **fields)
+                cases.append((f"{label} (mc_runs={CUT_RUNS})", ["--config", str(config)]))
             differ = 0
             for i, (label, args) in enumerate(cases):
                 outs = (tmp / f"base{i}", tmp / f"head{i}")
@@ -75,7 +83,7 @@ def main(argv: list[str]) -> int:
                         continue
                     same = a.exists() and b.exists() and a.read_bytes() == b.read_bytes()
                     differ += not same
-                    print(f"{'identical' if same else 'DIFFERS  '} {label:<26} {name:<10} "
+                    print(f"{'identical' if same else 'DIFFERS  '} {label:<36} {name:<10} "
                           f"{rev}={digest(a)} tree={digest(b)}")
         except RuntimeError as exc:
             print(exc, file=sys.stderr)

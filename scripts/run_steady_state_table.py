@@ -25,8 +25,7 @@ def main():
     ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--mc-runs", type=int, default=None)
     ap.add_argument("--skip", nargs="*", default=[],
-                    help="scheme names to leave out (exhaustive is slow on "
-                         "wide frames)")
+                    help="scheme names to leave out")
     args = ap.parse_args()
 
     cfg = preset(args.preset)

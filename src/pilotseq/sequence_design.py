@@ -136,49 +136,71 @@ def _feasible_n_d_range(lam, frame: FrameParams) -> tuple[int, int]:
 def exhaustive_search(lam, a: float, rho: float, frame: FrameParams) -> IntervalAssignment:
     """Global minimizer of the upper-envelope objective over ordered designs.
 
-    Enumerates every nondecreasing interval vector g in I_G**n_d with the
-    exact budget sum(G/g_i) = G*M_p, for every admissible n_d.  Since both
-    lam and g are sorted, positional pairing already assigns the smallest
-    intervals to the strongest modes.  Ties break toward fewer sounded
-    modes, then lexicographically smallest g.
+    The objective is sum(lam) + sum_{i < n_d} f_i(g_i) with the ceiling
+    excess f_i(d) = max_ss_mse(lam_i, d) - lam_i, and a design pairs a
+    nondecreasing g with the descending lam by position.  A dynamic program
+    over (mode i, smallest divisor index k still allowed, blocks b left)
+    fills the table value[i, k, b] of best completions, vectorized over b,
+    in O(n_d * |D| * G * M_p) with D the divisors of G.  Sounding may stop
+    only with the budget spent exactly (b = 0) and M_p <= i <= the cap.
+
+    The table fixes the optimum only up to its own float sums, so the
+    result comes from a depth-first walk that follows every branch whose
+    partial sum plus table value stays within ``slack`` of the optimum, and
+    re-scores each complete design with ``_objective``.  Ties break toward
+    fewer sounded modes, then lexicographically smallest g.
     """
     lam = np.asarray(lam, dtype=float)
     lo, hi = _feasible_n_d_range(lam, frame)
     divisors = divisor_set(frame.g_len)
+    n_div = len(divisors)
     budget = frame.g_len * frame.m_p
     cost = [frame.g_len // d for d in divisors]  # blocks consumed per use
 
-    best = None
-    # counts[i] = how many modes use divisors[i]; enumerate compositions of
-    # the block budget with bounded total multiplicity
-    def recurse(idx: int, counts: list[int], remaining: int, total: int):
-        nonlocal best
-        if total > hi:
-            return
-        if idx == len(divisors) - 1:
-            # the largest divisor always costs G/G = 1 block per use when
-            # divisors end at G; in general require exact divisibility
-            c, rem = divmod(remaining, cost[idx])
-            if rem != 0 or total + c > hi or total + c < lo:
-                return
-            counts = counts + [c]
-            g = np.repeat(divisors, counts)
-            if len(g) < lo:
-                return
-            obj = _objective(lam, a, rho, g)
-            key = (obj, len(g), tuple(g))
-            if best is None or key < best[0]:
-                best = (key, g)
-            return
-        max_c = remaining // cost[idx]
-        for c in range(max_c + 1):
-            recurse(idx + 1, counts + [c], remaining - c * cost[idx], total + c)
+    lam_col = lam[:hi, None]
+    d_row = np.asarray(divisors, dtype=float)[None, :]
+    excess = max_ss_mse(min_ss_mse(lam_col, a, rho, d_row), lam_col, a, d_row) - lam_col
 
-    recurse(0, [], budget, 0)
-    if best is None:
+    # value[i, n_div] is the stop column: modes i.. stay untrained
+    value = np.full((hi + 1, n_div + 1, budget + 1), np.inf)
+    for i in range(hi, -1, -1):
+        if i >= lo:
+            value[i, n_div, 0] = 0.0
+        for k in range(n_div - 1, -1, -1):
+            value[i, k] = value[i, k + 1]
+            if i < hi:
+                c = cost[k]
+                np.minimum(value[i, k, c:], excess[i, k] + value[i + 1, k, : budget + 1 - c],
+                           out=value[i, k, c:])
+    optimum = value[0, 0, budget]
+    if not np.isfinite(optimum):
         raise ValueError("no feasible interval vector under the given frame")
-    (obj, n_d, g_tuple), _ = best
-    return IntervalAssignment(g=g_tuple, n_d=n_d, objective=obj)
+
+    # the table's backward sums, the walk's forward partial sums and
+    # _objective's np.sum each add at most len(lam) + 1 terms bounded by
+    # lam_i, so two of them differ by under 2 (len(lam) + 1) eps sum(lam);
+    # the slack covers that gap for both the winner and the table's optimum,
+    # plus few-ulp differences between the grid's and _objective's envelopes
+    slack = 16.0 * (len(lam) + 2) * np.finfo(float).eps * float(np.sum(lam))
+    limit = optimum + slack
+    best = None
+    stack = [(0, 0, budget, 0.0, ())]
+    while stack:
+        i, k, b, partial, g = stack.pop()
+        if b == 0:
+            key = (_objective(lam, a, rho, np.asarray(g)), len(g), g)
+            if best is None or key < best:
+                best = key
+            continue
+        for kk in range(k, n_div):
+            c = cost[kk]
+            if c > b:
+                continue
+            s = partial + excess[i, kk]
+            if s + value[i + 1, kk, b - c] <= limit:
+                stack.append((i + 1, kk, b - c, s, g + (divisors[kk],)))
+    obj, n_d, g = best
+    return IntervalAssignment(g=g, n_d=n_d, objective=obj)
 
 
 def min_max_design(lam, a: float, rho: float, frame: FrameParams) -> IntervalAssignment:

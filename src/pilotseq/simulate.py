@@ -81,6 +81,14 @@ class ChannelScene:
     def trace(self) -> float:
         return float(self.lam_sim.sum())
 
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """n_t x n_t covariance U diag(lam) U^H rebuilt from the eigensystem;
+        exact to truncation.  Read-only, since every caller shares it."""
+        r_h = (self.u_sim * self.lam_sim) @ self.u_sim.conj().T
+        r_h.flags.writeable = False
+        return r_h
+
 
 def build_scene(
     array: ArrayGeometry,
@@ -329,9 +337,7 @@ def _build_plans(scene, frame, horizon, schemes, rng_scene, keep_posterior):
 def _scene_dft_basis(scene: ChannelScene):
     r_target = scene.r_design
     if scene.axes is None:
-        # rebuild the covariance from the eigensystem; exact to truncation
-        r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
-        return dft_approximation(r_h, r_target)
+        return dft_approximation(scene.covariance, r_target)
     return dft_approximation_upa(scene.axes[0], scene.axes[1], r_target)
 
 
@@ -580,7 +586,7 @@ def run_multiuser_scene(
              for s in scenes]
     scene_mu = mu.MultiuserScene(
         users=[mu.UserLink(stats=ChannelStatistics(
-            a=s.a, r_h=(s.u_sim * s.lam_sim) @ s.u_sim.conj().T, u=s.u_sim,
+            a=s.a, r_h=s.covariance, u=s.u_sim,
             lam=s.lam_sim, rank=s.r_sim)) for s in scenes],
         rho=frame.rho, m=frame.m, m_p=frame.m_p,
     )

@@ -128,8 +128,10 @@ def riccati_iterate_oracle(lam, a, rho, g, tol: float = 1e-12, max_iter: int = 1
     """Brute-force fixed point of the per-cycle Riccati recursion.
 
     Iterates x <- z / (rho*z + 1) with z = a**(2g)*x + (1 - a**(2g))*lam,
-    starting from x = lam, until the largest successive change falls below
-    tol.  Accepts scalars or broadcastable arrays; returns (value, iterations).
+    starting from x = lam.  Each cell stops once its own successive change
+    falls below tol; only the cells still moving are iterated.  Accepts
+    scalars or broadcastable arrays; returns (value, iterations), the count
+    being that of the slowest cell.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -139,15 +141,23 @@ def riccati_iterate_oracle(lam, a, rho, g, tol: float = 1e-12, max_iter: int = 1
     g = np.asarray(g, dtype=float)
     a2g = a ** (2.0 * g)
     shape = np.broadcast_shapes(lam.shape, a2g.shape, rho.shape)
-    lam_b = np.broadcast_to(lam, shape)
-    a2g_b = np.broadcast_to(a2g, shape)
-    rho_b = np.broadcast_to(rho, shape)
-    x = np.array(lam_b, dtype=float)
+    out = np.array(np.broadcast_to(lam, shape), dtype=float)
+    flat = out.reshape(-1)  # a view: converged cells are written through it
+    live = np.arange(flat.size)
+    a2g_l = np.broadcast_to(a2g, shape).ravel()
+    drift_l = (1.0 - a2g_l) * np.broadcast_to(lam, shape).ravel()
+    rho_l = np.broadcast_to(rho, shape).ravel()
+    x = flat.copy()
     for it in range(1, max_iter + 1):
-        z = a2g_b * x + (1.0 - a2g_b) * lam_b
-        x_next = z / (rho_b * z + 1.0)
-        delta = np.max(np.abs(x_next - x))
+        z = a2g_l * x + drift_l
+        x_next = z / (rho_l * z + 1.0)
+        done = np.abs(x_next - x) < tol  # False on nan: such a cell never stops
         x = x_next
-        if delta < tol:
-            return (float(x), it) if x.ndim == 0 else (x, it)
+        if done.any():
+            flat[live[done]] = x[done]
+            moving = ~done
+            if not moving.any():
+                return (float(out), it) if out.ndim == 0 else (out, it)
+            live, x, a2g_l, drift_l, rho_l = (
+                live[moving], x[moving], a2g_l[moving], drift_l[moving], rho_l[moving])
     raise RuntimeError(f"Riccati iteration did not converge within {max_iter} steps")

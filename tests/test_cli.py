@@ -36,6 +36,18 @@ class TestDesign:
                                   "--out", str(tmp_path)])
         assert args.func(args) == 0
 
+    def test_exhaustive_design_summary(self, tmp_path):
+        cfg = preset("demo")
+        cfg.designer = "exhaustive"
+        cfg.output_dir = str(tmp_path / "d")
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        args = cli.build_parser().parse_args(["design", "--config", str(path)])
+        assert args.func(args) == 0
+        summary = json.loads((tmp_path / "d" / "assignment.json").read_text())
+        assert summary["designer"] == "exhaustive"
+        assert len(summary["g"]) == summary["n_d"]
+
 
 class TestSimulate:
     def test_simulate_with_config_file(self, tmp_path):

@@ -1,6 +1,8 @@
 """Design-problem solvers and the index-matrix construction."""
 
 import itertools
+import re
+import time
 
 import numpy as np
 import pytest
@@ -90,6 +92,39 @@ def brute_force_optimum(lam, a, rho, fr):
     return best
 
 
+def enumerated_optimum(lam, a, rho, fr):
+    """Enumeration oracle: every nondecreasing interval vector with the exact
+    block budget, as multiplicities of each divisor, scored by
+    ``sd._objective`` and ranked by (objective, n_d, g)."""
+    lam = np.asarray(lam, dtype=float)
+    lo, hi = sd._feasible_n_d_range(lam, fr)
+    divisors = sd.divisor_set(fr.g_len)
+    cost = [fr.g_len // d for d in divisors]  # blocks consumed per use
+    best = None
+
+    def recurse(idx, counts, remaining, total):
+        nonlocal best
+        if total > hi:
+            return
+        if idx == len(divisors) - 1:
+            c, rem = divmod(remaining, cost[idx])
+            if rem != 0 or not lo <= total + c <= hi:
+                return
+            g = tuple(int(x) for x in np.repeat(divisors, counts + [c]))
+            key = (sd._objective(lam, a, rho, np.asarray(g)), len(g), g)
+            if best is None or key < best:
+                best = key
+            return
+        for c in range(remaining // cost[idx] + 1):
+            recurse(idx + 1, counts + [c], remaining - c * cost[idx], total + c)
+
+    recurse(0, [], fr.g_len * fr.m_p, 0)
+    if best is None:
+        raise ValueError("no feasible interval vector under the given frame")
+    obj, n_d, g = best
+    return sd.IntervalAssignment(g=g, n_d=n_d, objective=obj)
+
+
 class TestExhaustiveSearch:
     def test_unique_feasible_point(self):
         # N_d = M_p forces g = 1 on every sounded mode
@@ -126,12 +161,59 @@ class TestExhaustiveSearch:
             sd.exhaustive_search(spectrum(2), 0.9, 1.0, frame(m_p=3, n_d_max=2))
 
     def test_ties_prefer_fewer_modes(self):
-        # flat spectrum, generous cap: many assignments share the objective
+        # without training power no design improves on the flat spectrum's
+        # full power, so every design ties and the fewest modes win
         lam = np.full(8, 1.0)
-        fr = frame(g_len=4, m_p=1, m=6, n_d_max=8)
-        asn = sd.exhaustive_search(lam, 0.9, 1.0, fr)
-        alt = sd.exhaustive_search(lam, 0.9, 1.0, fr)
-        assert asn == alt  # deterministic output
+        fr = frame(g_len=4, m_p=2, m=6, n_d_max=8)
+        asn = sd.exhaustive_search(lam, 0.9, 0.0, fr)
+        assert asn == enumerated_optimum(lam, 0.9, 0.0, fr)
+        assert asn.g == (1, 1)
+        assert asn.objective == 8.0
+
+    def test_ties_prefer_smallest_intervals(self):
+        # a static flat channel is pinned down by any sounding, so the two
+        # four-mode designs tie and the lexicographically smaller g wins
+        lam = np.full(8, 1.0)
+        fr = frame(g_len=8, m_p=2, m=6, n_d_max=4)
+        asn = sd.exhaustive_search(lam, 1.0, 3.0, fr)
+        assert asn == enumerated_optimum(lam, 1.0, 3.0, fr)
+        assert asn.g == (1, 2, 4, 4)
+        assert asn.objective == 4.0
+
+    @pytest.mark.parametrize("g_len", [4, 8, 9, 16, 27, 32])
+    def test_matches_enumeration_oracle(self, g_len):
+        rng = np.random.default_rng(g_len)
+        feasible = 0
+        for _ in range(12):
+            r = int(rng.integers(2, 11))
+            lam = np.sort(rng.uniform(0.05, 3.0, size=r))[::-1]
+            if rng.random() < 0.5:  # repeated eigenvalues
+                lam = np.sort(rng.choice([0.25, 1.0, 2.5], size=r))[::-1]
+            a = float(rng.uniform(0.5, 0.9999))
+            rho = float(rng.uniform(0.1, 30.0))
+            fr = frame(g_len=g_len, m_p=int(rng.integers(1, 5)), m=200,
+                       n_d_max=int(rng.integers(1, 11)))
+            try:
+                expected = enumerated_optimum(lam, a, rho, fr)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    sd.exhaustive_search(lam, a, rho, fr)
+                continue
+            got = sd.exhaustive_search(lam, a, rho, fr)
+            assert got == expected
+            assert all(type(x) is int for x in got.g)
+            feasible += 1
+        assert feasible >= 4
+
+    def test_wide_frame_is_fast_and_beats_greedy(self):
+        lam = spectrum(128, decay=0.97)
+        fr = frame(g_len=128, m_p=2, m=300, n_d_max=128, rho=5.0)
+        t0 = time.perf_counter()
+        asn = sd.exhaustive_search(lam, 0.99, 5.0, fr)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 0.5
+        assert sd.validate_assignment(asn, fr, rank=128) == []
+        assert asn.objective <= sd.min_max_design(lam, 0.99, 5.0, fr).objective
 
 
 class TestMinMaxDesign:
