@@ -3,23 +3,28 @@
 
 Usage: python3 scripts/compare_outputs.py REV
 
-REV is checked out into a temporary ``git worktree``.  ``pilotseq simulate``
-then runs there and in this working tree (HEAD plus any uncommitted
-changes) on the ``demo``, ``ci_ula32`` and ``multiuser_ula32`` presets, and
-through ``--config`` on ``upa375`` and on ``ci_ula32`` with the exhaustive
-designer, both with ``mc_runs`` cut to 16.  Each of
-``trace.csv``, ``design.csv`` and ``sweep.csv`` is compared byte for byte;
-a file written on one side only counts as a difference.  Prints one line
-per preset and file and exits 1 on any difference (2 if a run fails).
-Temporary files go under ``$TMPDIR``.
+REV is exported with ``git archive`` into a temporary directory.
+``pilotseq simulate`` then runs there and in this working tree (HEAD plus
+any uncommitted changes) on the ``demo``, ``ci_ula32`` and
+``multiuser_ula32`` presets, and through ``--config`` on ``upa375`` and on
+``ci_ula32`` with the exhaustive designer, both with ``mc_runs`` cut to 16.
+Each of ``trace.csv``, ``design.csv`` and ``sweep.csv`` is compared byte
+for byte; a file written on one side only counts as a difference.  Prints
+one line per preset and file, and under each differing CSV the drift: every
+differing column with its largest relative difference over rows matched by
+position, a row-count mismatch, and non-numeric mismatches.  Exits 1 on any
+difference (2 if a run fails).  Temporary files go under ``$TMPDIR``.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -39,6 +44,46 @@ def simulate(tree: Path, args: list[str], out: Path) -> None:
 
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.exists() else "absent"
+
+
+def drift(a: Path, b: Path) -> list[str]:
+    """How two CSV files differ, rows matched by position and columns named
+    by the first line unless it is a ``#`` comment."""
+    if not (a.exists() and b.exists()):
+        return ["written on one side only"]
+    rows_a, rows_b = (list(csv.reader(io.StringIO(p.read_text(encoding="utf-8"))))
+                      for p in (a, b))
+    header = rows_a[0] if rows_a and not rows_a[0][0].startswith("#") else []
+    out = []
+    if len(rows_a) != len(rows_b):
+        out.append(f"row count differs: {len(rows_a)} vs {len(rows_b)} lines")
+    worst: dict[str, list] = {}  # column -> [largest relative difference, values differing]
+    text: dict[str, tuple[int, str, str]] = {}  # column -> first non-numeric mismatch
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        if len(ra) != len(rb):
+            text.setdefault(f"line {i + 1}", (i, f"{len(ra)} fields", f"{len(rb)} fields"))
+            continue
+        for j, (x, y) in enumerate(zip(ra, rb)):
+            if x == y:
+                continue
+            if i == 0:
+                col = f"line 1 field {j + 1}"
+            else:
+                col = header[j] if j < len(header) else f"column {j + 1}"
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                text.setdefault(col, (i, x, y))
+                continue
+            entry = worst.setdefault(col, [0.0, 0])
+            if fx != fy:
+                entry[0] = max(entry[0], abs(fx - fy) / max(abs(fx), abs(fy)))
+            entry[1] += 1
+    for col, (rel, count) in worst.items():
+        out.append(f"{col}: largest relative difference {rel:.3g} ({count} values differ)")
+    for col, (i, x, y) in text.items():
+        out.append(f"{col}: non-numeric mismatch at line {i + 1}: {x!r} vs {y!r}")
+    return out
 
 
 def cut_config(path: Path, name: str, **fields) -> None:
@@ -61,8 +106,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base), rev],
-                       cwd=ROOT, check=True)
+        archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
         try:
             cases = [(name, ["--preset", name]) for name in PRESETS]
             for label, name, fields in (
@@ -85,13 +132,12 @@ def main(argv: list[str]) -> int:
                     differ += not same
                     print(f"{'identical' if same else 'DIFFERS  '} {label:<36} {name:<10} "
                           f"{rev}={digest(a)} tree={digest(b)}")
+                    if not same:
+                        for line in drift(a, b):
+                            print(f"    {line}")
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 2
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=ROOT,
-                           check=False)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
     print(f"{differ} file(s) differ" if differ else "all outputs identical")
     return 1 if differ else 0
 

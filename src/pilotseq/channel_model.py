@@ -367,25 +367,3 @@ def build_covariance(array: ArrayGeometry, ring: OneRingGeometry, tol: float = 1
         array.n_v, theta_v, delta_v, 1.0, array.spacing_over_wavelength, tol
     )
     return upa_covariance(r_axis_h, r_axis_v), (r_axis_h, r_axis_v)
-
-
-def build_statistics(
-    array: ArrayGeometry,
-    ring: OneRingGeometry,
-    block_len: int,
-    rank_tol: float = 1e-6,
-) -> ChannelStatistics:
-    """Full second-order description for one user at one array."""
-    a = temporal_coefficient(ring, block_len)
-    r_h, _ = build_covariance(array, ring)
-    return ChannelStatistics.from_covariance(a, r_h, rank_tol)
-
-
-def build_dft_basis(
-    array: ArrayGeometry, ring: OneRingGeometry, r_target: int
-) -> DftBasis:
-    """DFT eigenbasis surrogate matching build_covariance's scaling."""
-    r_h, axes = build_covariance(array, ring)
-    if axes is None:
-        return dft_approximation(r_h, r_target)
-    return dft_approximation_upa(axes[0], axes[1], r_target)

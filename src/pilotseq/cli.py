@@ -25,12 +25,11 @@ from .sequence_design import (
     divisor_set,
     exhaustive_search,
     min_max_design,
-    sequence_csv_text,
+    save_sequence_csv,
     sequence_invariant_violations,
     validate_assignment,
 )
 from .steady_state import (
-    bound_gap,
     max_ss_mse,
     min_ss_mse,
     profile,
@@ -113,6 +112,30 @@ if (here / "sweep.csv").exists():
 """
 
 
+def _write_csv(path: Path, header: str, rows) -> Path:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    return path
+
+
+def _trace_rows(table):
+    """One row per block and scheme: NMSE and received SNR as means over
+    users, spectral efficiencies as sums over users."""
+    columns = {}
+    for name in table.schemes:
+        lb = table.se_lb(name)
+        columns[name] = (table.nmse[name], table.sinr_mc[name].mean(axis=1),
+                         table.se_mc(name).sum(axis=1), table.se_det(name).sum(axis=1),
+                         None if np.all(np.isnan(lb)) else float(np.nansum(lb)))
+    for ell in range(table.horizon):
+        for name in table.schemes:
+            nmse, sinr, se_mc, se_det, se_lb = columns[name]
+            yield [str(ell), name, _fmt(nmse[ell]),
+                   _fmt(10.0 * np.log10(sinr[ell]) if sinr[ell] > 0 else None),
+                   _fmt(se_mc[ell]), _fmt(se_det[ell]), _fmt(se_lb)]
+
+
 def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
     """Write trace.csv, design.csv, config.resolved.json and a plot script.
 
@@ -121,58 +144,20 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = [_write_csv(out / "trace.csv", "block,scheme,nmse,rx_snr_db,se_sum,se_det,se_lb",
+                          _trace_rows(table))]
 
-    trace_path = out / "trace.csv"
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("block,scheme,nmse,rx_snr_db,se_sum,se_det,se_lb\n")
-        if isinstance(table, sim.TraceTable):
-            for ell in range(table.horizon):
-                for name in table.schemes:
-                    sinr = table.sinr_mc[name][ell]
-                    rx = 10.0 * np.log10(sinr) if sinr > 0 else float("-inf")
-                    fh.write(",".join([
-                        str(ell), name,
-                        _fmt(table.nmse[name][ell]),
-                        _fmt(rx if np.isfinite(rx) else None),
-                        _fmt(table.se_mc[name][ell]),
-                        _fmt(table.se_det[name][ell]),
-                        _fmt(table.se_lb[name]),
-                    ]) + "\n")
-        else:  # multiuser
-            for ell in range(table.horizon):
-                for name in table.schemes:
-                    mean_sinr = float(table.sinr_mc[name][ell].mean())
-                    lb_sum = float(np.nansum(table.se_lb(name)))
-                    fh.write(",".join([
-                        str(ell), name,
-                        _fmt(table.nmse[name][ell]),
-                        _fmt(10.0 * np.log10(mean_sinr) if mean_sinr > 0 else None),
-                        _fmt(float(table.se_mc(name)[ell].sum())),
-                        _fmt(float(table.se_det(name)[ell].sum())),
-                        _fmt(lb_sum if lb_sum > 0 else None),
-                    ]) + "\n")
-    written.append(trace_path)
-
-    plan = _designed_plan(table, config)
+    name = config.designer if config.basis == "eigen" else config.designer + "_dft"
+    plan = table.user_plans[0].get(name)
     if plan is not None and plan.seq is not None:
-        design_path = out / "design.csv"
-        frame = config.frame.build()
-        with open(design_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(sequence_csv_text(plan.seq, frame))
-        written.append(design_path)
+        written.append(out / "design.csv")
+        save_sequence_csv(written[-1], plan.seq, config.frame.build())
 
     if sweep_rows:
-        sweep_path = out / "sweep.csv"
-        with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("snr_db,scheme,user,se_mc,se_det,se_lb\n")
-            for row in sweep_rows:
-                fh.write(",".join([
-                    _fmt(row["snr_db"]), row["scheme"], str(row["user"]),
-                    _fmt(row["se_mc"]), _fmt(row["se_det"]),
-                    _fmt(row["se_lb"] if np.isfinite(row["se_lb"]) else None),
-                ]) + "\n")
-        written.append(sweep_path)
+        written.append(_write_csv(
+            out / "sweep.csv", "snr_db,scheme,user,se_mc,se_det,se_lb",
+            ([_fmt(row["snr_db"]), row["scheme"], str(row["user"]), _fmt(row["se_mc"]),
+              _fmt(row["se_det"]), _fmt(row["se_lb"])] for row in sweep_rows)))
 
     cfg_path = out / "config.resolved.json"
     cfg_path.write_text(config.to_json(), encoding="utf-8")
@@ -182,13 +167,6 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
     plot_path.write_text(PLOT_SCRIPT, encoding="utf-8")
     written.append(plot_path)
     return written
-
-
-def _designed_plan(table, config):
-    name = config.designer if config.basis == "eigen" else config.designer + "_dft"
-    if isinstance(table, sim.TraceTable):
-        return next((plan for plan in table.plans if plan.name == name), None)
-    return table.user_plans[0].get(config.designer)
 
 
 def cmd_design(args) -> int:
@@ -206,8 +184,7 @@ def cmd_design(args) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     design_path = out / "design.csv"
-    with open(design_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(sequence_csv_text(seq, frame))
+    save_sequence_csv(design_path, seq, frame)
     summary = {
         "designer": cfg.designer,
         "basis": cfg.basis,
@@ -228,11 +205,9 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if cfg.users.count > 1:
         table, rows = sim.run_multiuser(cfg)
-        written = emit_outputs(table, cfg, sweep_rows=rows)
     else:
-        table = sim.run_single_user(cfg)
-        written = emit_outputs(table, cfg)
-    for path in written:
+        table, rows = sim.run_single_user(cfg), None
+    for path in emit_outputs(table, cfg, sweep_rows=rows):
         print("wrote", path)
     return 0
 

@@ -94,6 +94,7 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        self.frame.build()  # rejects bad frame values, naming the field
         if self.designer not in DESIGNERS:
             raise ValueError(f"designer must be one of {DESIGNERS}")
         if self.basis not in BASES:

@@ -1,14 +1,15 @@
 """Multiuser matched-filter downlink analysis.
 
-Realized SINR under worst-case uncorrelated noise, its deterministic
-equivalent driven only by per-user Kalman eigenvalue profiles, the pre-log
-weighted spectral efficiency, and a closed-form steady-state SINR lower
-bound built from the periodic-training MSE envelopes.
+Realized SINR under worst-case uncorrelated noise (the per-realization
+oracle of the Monte Carlo kernel), its deterministic equivalent driven only
+by per-user Kalman error traces, the pre-log weighted spectral efficiency,
+and a closed-form steady-state SINR lower bound built from the
+periodic-training MSE envelopes.  A single-user link is the one-user case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,17 +19,16 @@ from .steady_state import SteadyStateProfile
 
 @dataclass(frozen=True)
 class UserLink:
-    """One serviced user: channel statistics plus its training plan."""
+    """One serviced user: its channel statistics."""
 
     stats: ChannelStatistics
-    g: np.ndarray | None = None  # per-mode sounding intervals (0 = untrained)
-    alpha_sq: float | None = None  # power normalization; None = derive
 
 
 @dataclass
 class MultiuserScene:
     """Downlink scene: U single-antenna users sharing data symbols of power
-    rho, with per-user pilots sounded over non-overlapping slots."""
+    rho, with per-user pilots sounded over non-overlapping slots.  A
+    single-user link is the one-user scene."""
 
     users: list
     rho: float
@@ -41,7 +41,7 @@ class MultiuserScene:
         if len(self.users) * self.m_p >= self.m:
             raise ValueError("U * M_p must stay below the block length M")
         self._cross = {}
-        self._weights = {}
+        self._coupling = {}
 
     @property
     def n_users(self) -> int:
@@ -54,24 +54,17 @@ class MultiuserScene:
             self._cross[key] = self.users[u].stats.u.conj().T @ self.users[v].stats.u
         return self._cross[key]
 
-    def cross_subspace(self, u: int, v: int) -> np.ndarray:
-        """Cached |U_u^H U_v|^2, the eigenmode coupling weights."""
-        key = (u, v)
-        if key not in self._weights:
-            self._weights[key] = np.abs(self.cross_product(u, v)) ** 2
-        return self._weights[key]
-
-
-def matched_filter_precoder(h_hat_list) -> np.ndarray:
-    """Per-user matched filters stacked as columns, total power one."""
-    n_users = len(h_hat_list)
-    cols = []
-    for h_hat in h_hat_list:
-        norm = np.linalg.norm(h_hat)
-        if norm == 0.0:
-            raise ValueError("matched filter undefined for a zero estimate")
-        cols.append(h_hat / (norm * np.sqrt(n_users)))
-    return np.stack(cols, axis=1)
+    def coupling(self, v: int) -> np.ndarray:
+        """Cached (U, r_v) leakage map of user v: row u = v is zero, and row u
+        is lam_u^T |U_u^H U_v|^2, which weighs v's per-mode captured energy
+        into the interference v's beam causes user u."""
+        if v not in self._coupling:
+            out = np.zeros((self.n_users, len(self.users[v].stats.lam)))
+            for u in range(self.n_users):
+                if u != v:
+                    out[u] = self.users[u].stats.lam @ np.abs(self.cross_product(u, v)) ** 2
+            self._coupling[v] = out
+        return self._coupling[v]
 
 
 def instantaneous_sinr(h_list, h_hat_list, rho: float, u: int) -> float:
@@ -99,38 +92,76 @@ def instantaneous_sinr(h_list, h_hat_list, rho: float, u: int) -> float:
     return float(eta / sigma)
 
 
-def deterministic_sinr(scene: MultiuserScene, lambda_bars, u: int) -> float:
-    """Large-array deterministic equivalent of the matched-filter SINR.
+@dataclass
+class ErrorTrace:
+    """One user's posterior error covariances P over a horizon, reduced to
+    the deterministic SINR's inputs (eigencoordinates, Lambda = diag(lam))."""
 
-    lambda_bars[v] holds user v's current posterior eigenmode MSE profile.
-    The normalization is the trace form alpha_v^2 = 1/(U * tr(Lambda_v -
-    LambdaBar_v)): the U factor keeps the total precoder power at one, and
-    it is what the realized normalization 1/(||h_hat|| sqrt(U)) converges
-    to.  Cross-user couplings reuse the cached subspace products.
+    err: np.ndarray  # (horizon,) tr P
+    self_err: np.ndarray  # (horizon,) Re tr(P (Lambda - P)), the self-error term
+    leak: np.ndarray  # (horizon, U) captured diag(Lambda - P) through coupling rows
+
+
+def error_trace(lam, posteriors, coupling: np.ndarray) -> ErrorTrace:
+    """Reduce a posterior trajectory block by block.  Each posterior is a
+    vector of per-mode error variances (diag tracker, envelope state, zeros
+    under perfect knowledge) or a full matrix, whose self-error term keeps
+    the off-diagonal part; ``coupling`` is the user's leakage map."""
+    err, self_err, leak = [], [], []
+    for p in posteriors:
+        if p.ndim == 1:
+            d = p
+            err.append(p.sum())
+            self_err.append(np.sum(p * (lam - p)))
+        else:
+            d = np.diag(p)
+            err.append(np.real(np.trace(p)))
+            self_err.append(np.real(np.sum(d * lam) - np.sum(np.abs(p) ** 2)))
+        leak.append(coupling @ (lam - d.real))
+    return ErrorTrace(np.array(err, dtype=float), np.array(self_err, dtype=float),
+                      np.array(leak))
+
+
+def deterministic_sinr_trace(scene: MultiuserScene, traces: list, u: int) -> np.ndarray:
+    """Large-array deterministic equivalent of user u's matched-filter SINR
+    at every block of the per-user error traces.
+
+    With captured energy cap_v = sum(lam_v) - tr P_v and the normalization
+    alpha_v^2 = 1/(U cap_v), the limit of the realized 1/(U ||h_hat_v||^2):
+    cap_u^2 / (U cap_u/rho + max(b_u, 0) + sum_v (cap_u/cap_v) c_vu), with
+    self-error term b_u and leakage c_vu of user v.  It is zero where user
+    u captures nothing, a user capturing nothing leaks nothing, and an
+    exactly known channel without interference takes the form rho cap_u/U.
     """
-    captured = [
-        np.asarray(scene.users[v].stats.lam, dtype=float) - np.asarray(lambda_bars[v], dtype=float)
-        for v in range(scene.n_users)
-    ]
-    traces = np.array([c.sum() for c in captured])
-    if traces[u] <= 0.0:
-        raise ValueError("user has no captured channel energy")
-    lam_u = scene.users[u].stats.lam
-    a_term = traces[u] ** 2
-    b_term = float(np.sum(np.asarray(lambda_bars[u]) * captured[u]))
+    n = scene.n_users
+    rho = scene.rho
+    caps = [float(np.sum(user.stats.lam)) - t.err for user, t in zip(scene.users, traces)]
+    cap = caps[u]
     c_term = 0.0
-    for v in range(scene.n_users):
-        if v == u:
-            continue
-        weights = scene.cross_subspace(u, v)
-        # alpha_v^2/alpha_u^2 = tr_u / tr_v under the trace normalization
-        c_term += (traces[u] / traces[v]) * float(lam_u @ weights @ captured[v])
-    noise = scene.n_users * traces[u] / scene.rho
-    return float(a_term / (noise + b_term + c_term))
+    for v in range(n):
+        if v != u:
+            ratio = np.divide(cap, caps[v], out=np.zeros_like(cap), where=caps[v] > 0)
+            c_term = c_term + ratio * traces[v].leak[:, u]
+    den = n * cap / rho + np.maximum(traces[u].self_err, 0.0) + c_term
+    exact = (traces[u].err == 0) & (np.asarray(c_term) == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinr = np.where(exact, rho * cap / n, cap * cap / den)
+    return np.where(cap > 0, sinr, 0.0)
 
 
-def spectral_efficiency(sinr: float, n_users: int, m_p: int, m: int) -> float:
-    """Throughput in bits per channel use with the training pre-log factor.
+def deterministic_sinr(scene: MultiuserScene, lambda_bars, u: int) -> float:
+    """Deterministic SINR of user u for one posterior state, where
+    lambda_bars[v] holds user v's per-mode error variances."""
+    traces = [error_trace(user.stats.lam, [np.asarray(bar, dtype=float)], scene.coupling(v))
+              for v, (user, bar) in enumerate(zip(scene.users, lambda_bars))]
+    if traces[u].err[0] >= float(np.sum(scene.users[u].stats.lam)):
+        raise ValueError("user has no captured channel energy")
+    return float(deterministic_sinr_trace(scene, traces, u)[0])
+
+
+def spectral_efficiency(sinr, n_users: int, m_p: int, m: int):
+    """Throughput in bits per channel use with the training pre-log factor,
+    elementwise over an array of SINRs.
 
     The log is base 2: rates are reported in bits rather than nats.
     """
@@ -149,23 +180,22 @@ def steady_state_sinr_lower_bound(
     ||upper (x) (lam - lower)||_1, and the interference with the other
     users' captured energy at its (lam - lower) ceiling.  Normalizations
     use alpha_v^2 = 1 / (U * ||lam_v - upper_v||_1), matching the
-    deterministic-equivalent convention.
+    deterministic-equivalent convention, and the bound is zero where the
+    upper envelope leaves user u nothing captured.
     """
     caps = [p.lam - p.lambda_upper for p in profiles]  # worst captured energy
     s_min = np.array([c.sum() for c in caps])
     if not np.any(profiles[u].trained):
         raise ValueError("user trains no modes; the bound is undefined")
-    if s_min[u] <= 0.0:
-        raise ValueError("upper envelope leaves no captured energy")
+    s_u = s_min[u]
+    if s_u <= 0.0:
+        return 0.0
     p_u = profiles[u]
-    noise = scene.n_users * s_min[u] / scene.rho
+    noise = scene.n_users * s_u / scene.rho
     b_term = float(np.sum(p_u.lambda_upper * (p_u.lam - p_u.lambda_lower)))
     c_term = 0.0
     for v in range(scene.n_users):
-        if v == u:
-            continue
-        weights = scene.cross_subspace(u, v)
-        c_term += (s_min[u] / s_min[v]) * float(
-            p_u.lam @ weights @ (profiles[v].lam - profiles[v].lambda_lower)
-        )
-    return float(s_min[u] ** 2 / (noise + b_term + c_term))
+        if v != u and s_min[v] > 0.0:
+            c_term += (s_u / s_min[v]) * float(
+                scene.coupling(v)[u] @ (profiles[v].lam - profiles[v].lambda_lower))
+    return float(s_u * s_u / (noise + b_term + c_term))

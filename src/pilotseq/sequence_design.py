@@ -35,6 +35,11 @@ class FrameParams:
     rho: float
 
     def __post_init__(self):
+        for name in ("g_len", "m_p", "m", "n_d_max"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.rho, (int, float, np.number)) or not np.isfinite(self.rho):
+            raise ValueError(f"rho must be a finite number, got {self.rho!r}")
         if self.g_len < 1 or not _is_prime_power(self.g_len):
             raise ValueError(f"frame length {self.g_len} is not a prime power")
         if self.m_p < 1:
@@ -275,18 +280,6 @@ class SequenceMatrix:
     g: tuple  # the interval vector the matrix realizes
     n_d: int
 
-    @property
-    def frame_len(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def m_p(self) -> int:
-        return self.c.shape[1]
-
-    def row(self, block: int) -> np.ndarray:
-        """Training-mode indices for an absolute block index (periodic)."""
-        return self.c[block % self.frame_len]
-
 
 def sequence_invariant_violations(c: np.ndarray, g, frame: FrameParams):
     """Check the structural invariants of an index matrix against g.
@@ -368,18 +361,6 @@ def construct_sequence_matrix(asn: IntervalAssignment, frame: FrameParams) -> Se
     if problems:
         raise RuntimeError("constructed matrix violates invariants: " + "; ".join(problems))
     return seq
-
-
-def expand_training_signals(seq: SequenceMatrix, basis: np.ndarray, rho: float):
-    """Per-block training matrices S_0..S_{G-1} with columns sqrt(rho) times
-    the basis columns named by the index matrix (1-based)."""
-    if seq.n_d > basis.shape[1]:
-        raise ValueError(
-            f"index matrix references {seq.n_d} basis columns, only "
-            f"{basis.shape[1]} available"
-        )
-    scale = np.sqrt(rho)
-    return [scale * basis[:, seq.c[ell] - 1] for ell in range(seq.frame_len)]
 
 
 def save_sequence_csv(path, seq: SequenceMatrix, frame: FrameParams) -> None:

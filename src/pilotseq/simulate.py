@@ -15,10 +15,11 @@ full     arbitrary fixed training columns through the full-matrix Kalman
 perfect  genie channel knowledge
 
 Every scheme plan is a ``Tracker``: its covariance recursion runs once,
-when the plan is built, and yields the deterministic traces plus the
-per-block gains; its batched sample step is the only estimate update the
-Monte Carlo kernel makes.  A single-user experiment is the one-user case
-of the multiuser kernel.
+when the plan is built, and yields the error trace that the deterministic
+SINR of ``multiuser`` reads plus the per-block gains; its batched sample
+step is the only estimate update the Monte Carlo kernel makes.  A
+single-user run is the one-user case of the multiuser run: one run path,
+one result table.
 
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user), runs are processed in fixed-size
@@ -29,7 +30,7 @@ are byte-identical for any thread count.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -196,14 +197,11 @@ class Tracker:
 
 @dataclass(kw_only=True)
 class SchemePlan(Tracker):
-    """One scheme's tracker plus its design and deterministic traces."""
+    """One scheme's tracker plus its design and NMSE trace."""
 
     name: str
     nmse: np.ndarray | None = None  # (horizon,) NMSE trace
-    det_sinr: np.ndarray | None = None  # (horizon,) deterministic equivalent
-    lb_sinr: float | None = None  # steady-state lower bound
-    posterior: np.ndarray | None = None  # (horizon, r) posterior variances; multiuser only
-    assignment: IntervalAssignment | None = None
+    design: IntervalAssignment | None = None  # periodic eigenmode design the bound reads
     seq: SequenceMatrix | None = None
 
 
@@ -224,47 +222,6 @@ def _round_robin_cycle(n_cols: int, m_p: int) -> np.ndarray:
     return flat.reshape(length, m_p)
 
 
-def _deterministic_traces(plan: SchemePlan, horizon: int, keep_posterior: bool) -> None:
-    """Run the plan's covariance recursion once: NMSE and single-user
-    deterministic SINR per block, plus the posterior trajectory when kept."""
-    lam, rho = plan.lam, plan.rho
-    total = float(lam.sum())
-    if plan.kind == "perfect":
-        plan.nmse = np.zeros(horizon)
-        plan.det_sinr = np.full(horizon, rho * total)
-        if keep_posterior:
-            plan.posterior = np.zeros((horizon, len(lam)))
-        return
-    nmse = plan.nmse = np.zeros(horizon)
-    det = plan.det_sinr = np.zeros(horizon)
-    diag = plan.kind == "diag"
-    kept = []
-    for ell, p in enumerate(plan.posteriors()):
-        if diag:
-            err = float(p.sum())
-            b = float(np.sum(p * (lam - p)))
-        else:
-            err = float(np.real(np.trace(p)))
-            b = float(np.real(np.sum(np.diag(p) * lam) - np.sum(np.abs(p) ** 2)))
-        cap = total - err
-        nmse[ell] = err / total
-        det[ell] = cap * cap / (cap / rho + max(b, 0.0)) if cap > 0 else 0.0
-        if keep_posterior:
-            kept.append(p)
-    if keep_posterior:
-        plan.posterior = np.array(kept)
-
-
-def _single_user_lb(lam_sim, g_padded, a, rho) -> float:
-    prof = ss_profile(lam_sim, a, rho, g_padded)
-    cap = prof.lam - prof.lambda_upper
-    s_min = float(cap.sum())
-    if s_min <= 0:
-        return 0.0
-    b_max = float(np.sum(prof.lambda_upper * (prof.lam - prof.lambda_lower)))
-    return s_min * s_min / (s_min / rho + b_max)
-
-
 def build_single_user_plans(
     scene: ChannelScene,
     frame: FrameParams,
@@ -277,61 +234,60 @@ def build_single_user_plans(
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
-    return _build_plans(scene, frame, horizon, schemes, rng_scene, keep_posterior=False)
+    lone = np.zeros((1, scene.r_sim))  # a lone user leaks into nobody
+    return [_build_plan(scene, frame, horizon, name, rng_scene, lone)[0] for name in schemes]
 
 
-def _build_plans(scene, frame, horizon, schemes, rng_scene, keep_posterior):
+def _build_plan(scene, frame, horizon, name, rng_scene, coupling):
+    """One scheme's plan for one user, plus the error trace of the plan's one
+    covariance recursion (``coupling`` is the user's leakage map)."""
     lam = scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
-    plans = []
-    for name in schemes:
-        kind, s_u, cycle, asn, seq, lb_asn = "diag", None, None, None, None, None
-        if name in ("min_max", "exhaustive"):
-            asn = lb_asn = _DESIGNERS[name](lam[: scene.r_design], a, rho, frame)
-            seq = construct_sequence_matrix(asn, frame)
-            cycle = seq.c - 1
-        elif name in ("min_max_dft", "exhaustive_dft"):
-            # hybrid variant: sounding directions are restricted to the DFT
-            # surrogate basis (the analog pre-beamformer), the sequence is
-            # designed on the DFT-projected spectrum, and the tracker keeps
-            # the true covariance knowledge
-            basis = _scene_dft_basis(scene)
-            asn = _DESIGNERS[name.replace("_dft", "")](basis.lambda_tilde, a, rho, frame)
-            seq = construct_sequence_matrix(asn, frame)
-            kind, s_u, cycle = "full", scene.u_sim.conj().T @ basis.f_tilde, seq.c - 1
-        elif name == "mp_fixed":
-            cycle = np.arange(m_p)[None, :]
-            lb_asn = IntervalAssignment(g=(1,) * m_p, n_d=m_p, objective=0.0)
-        elif name == "nd_fixed":
-            n_sel = min(frame.n_d_max, scene.r_sim)
-            cycle = _round_robin_cycle(n_sel, m_p)
-            if n_sel == frame.g_len * m_p:
-                lb_asn = IntervalAssignment(g=(frame.g_len,) * n_sel, n_d=n_sel,
-                                            objective=0.0)
-        elif name in ("orthogonal", "random"):
-            # orthogonal: the N_t-point unitary DFT; random: a fixed set of
-            # N_t isotropic unit vectors drawn from the scene generator
-            if name == "orthogonal":
-                cols = _dft_matrix(n_t)
-            else:
-                cols = (rng_scene.standard_normal((n_t, n_t))
-                        + 1j * rng_scene.standard_normal((n_t, n_t)))
-                cols /= np.linalg.norm(cols, axis=0, keepdims=True)
-            kind, s_u = "full", scene.u_sim.conj().T @ cols
-            cycle = _round_robin_cycle(n_t, m_p)
-        elif name == "perfect_csit":
-            kind = "perfect"
+    kind, s_u, cycle, design, seq = "diag", None, None, None, None
+    if name in ("min_max", "exhaustive"):
+        design = _DESIGNERS[name](lam[: scene.r_design], a, rho, frame)
+        seq = construct_sequence_matrix(design, frame)
+        cycle = seq.c - 1
+    elif name in ("min_max_dft", "exhaustive_dft"):
+        # hybrid variant: sounding directions are restricted to the DFT
+        # surrogate basis (the analog pre-beamformer), the sequence is
+        # designed on the DFT-projected spectrum, and the tracker keeps
+        # the true covariance knowledge
+        basis = _scene_dft_basis(scene)
+        seq = construct_sequence_matrix(
+            _DESIGNERS[name.replace("_dft", "")](basis.lambda_tilde, a, rho, frame), frame)
+        kind, s_u, cycle = "full", scene.u_sim.conj().T @ basis.f_tilde, seq.c - 1
+    elif name == "mp_fixed":
+        cycle = np.arange(m_p)[None, :]
+        design = IntervalAssignment(g=(1,) * m_p, n_d=m_p, objective=0.0)
+    elif name == "nd_fixed":
+        n_sel = min(frame.n_d_max, scene.r_sim)
+        cycle = _round_robin_cycle(n_sel, m_p)
+        if n_sel == frame.g_len * m_p:
+            design = IntervalAssignment(g=(frame.g_len,) * n_sel, n_d=n_sel, objective=0.0)
+    elif name in ("orthogonal", "random"):
+        # orthogonal: the N_t-point unitary DFT; random: a fixed set of
+        # N_t isotropic unit vectors drawn from the scene generator
+        if name == "orthogonal":
+            cols = _dft_matrix(n_t)
         else:
-            raise ValueError(f"unknown scheme {name!r}")
-        plan = SchemePlan(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
-                          sched=None if cycle is None else _horizon_schedule(cycle, horizon),
-                          assignment=asn, seq=seq)
-        _deterministic_traces(plan, horizon, keep_posterior)
-        if lb_asn is not None:
-            plan.lb_sinr = _single_user_lb(lam, lb_asn.g_padded(scene.r_sim), a, rho)
-        plans.append(plan)
-    return plans
+            cols = (rng_scene.standard_normal((n_t, n_t))
+                    + 1j * rng_scene.standard_normal((n_t, n_t)))
+            cols /= np.linalg.norm(cols, axis=0, keepdims=True)
+        kind, s_u = "full", scene.u_sim.conj().T @ cols
+        cycle = _round_robin_cycle(n_t, m_p)
+    elif name == "perfect_csit":
+        kind = "perfect"
+    else:
+        raise ValueError(f"unknown scheme {name!r}")
+    plan = SchemePlan(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
+                      sched=None if cycle is None else _horizon_schedule(cycle, horizon),
+                      design=design, seq=seq)
+    posteriors = np.zeros((horizon, len(lam))) if kind == "perfect" else plan.posteriors()
+    trace = mu.error_trace(lam, posteriors, coupling)
+    plan.nmse = trace.err / float(lam.sum())
+    return plan, trace
 
 
 def _scene_dft_basis(scene: ChannelScene):
@@ -375,7 +331,7 @@ def _realized_sinr(c, hats, rho, cross):
     return out
 
 
-def _chunk(seed_seqs, channels, plans, horizon, rho, prelog, cross):
+def _chunk(seed_seqs, channels, plans, horizon, frame, cross):
     """Simulate one chunk of runs through every scheme for every user.
 
     channels[u] = (lam, a) describes user u's channel and plans[name][u] is
@@ -424,23 +380,23 @@ def _chunk(seed_seqs, channels, plans, horizon, rho, prelog, cross):
                 if chat is not None:
                     plan.sample_step(chat, c_ch[u], noise[:, ell, :], ell)
             sinr_acc, se_acc = sinr_sum[name][ell], se_sum[name][ell]
-            for u, sinr in enumerate(_realized_sinr(c_ch, hats, rho, cross)):
+            for u, sinr in enumerate(_realized_sinr(c_ch, hats, frame.rho, cross)):
                 sinr_acc[u] += sinr.sum()
-                se_acc[u] += (prelog * np.log2(1.0 + sinr)).sum()
+                se_acc[u] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum()
         for u, (_, a) in enumerate(channels):
             c_ch[u] *= a
             c_ch[u] += evolve[u] * proc[u][:, ell, :]
     return sinr_sum, se_sum
 
 
-def _monte_carlo(channels, plans, seed, mc_runs, horizon, rho, prelog, threads, cross=None):
+def _monte_carlo(channels, plans, seed, mc_runs, horizon, frame, threads, cross):
     """Monte Carlo means of the realized SINR and spectral efficiency, per
     scheme as (horizon, U) arrays, from run streams spawned off ``seed``."""
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
     chunks = [run_seqs[i:i + CHUNK_RUNS] for i in range(0, mc_runs, CHUNK_RUNS)]
 
     def work(chunk):
-        return _chunk(chunk, channels, plans, horizon, rho, prelog, cross)
+        return _chunk(chunk, channels, plans, horizon, frame, cross)
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -460,22 +416,47 @@ def _monte_carlo(channels, plans, seed, mc_runs, horizon, rho, prelog, threads, 
     return sinr_mc, se_mc
 
 
+# -- runs ------------------------------------------------------------------
+
+MU_SCHEMES = ("min_max", "exhaustive", "mp_fixed", "nd_fixed", "perfect_csit")
+
+
 @dataclass
-class TraceTable:
-    """Per-block metrics for every scheme of one experiment."""
+class MultiuserTable:
+    """Per-block traces of every scheme for each of a run's U users, plus
+    per-user steady-state summaries; a single-user run is the U = 1 table."""
 
     schemes: list
     horizon: int
     frame: FrameParams
-    nmse: dict
-    se_mc: dict
-    se_det: dict
-    se_lb: dict
-    sinr_mc: dict = field(default_factory=dict)
-    det_sinr: dict = field(default_factory=dict)
-    plans: list = field(default_factory=list)
+    n_users: int
+    nmse: dict  # (horizon,) NMSE, mean over users
+    sinr_mc: dict  # (horizon, U) Monte Carlo mean realized SINR
+    se_mc_runs: dict  # (horizon, U) Monte Carlo mean spectral efficiency
+    sinr_det: dict  # (horizon, U) deterministic equivalent
+    sinr_lb: dict  # (U,) steady-state lower bound, nan where undefined
+    sinr_det_ss: dict  # (U,) deterministic SINR at the converged state, nan where undefined
+    user_plans: list  # per user, {scheme: SchemePlan}
+
+    def _se(self, sinr):
+        return mu.spectral_efficiency(sinr, self.n_users, self.frame.m_p, self.frame.m)
+
+    def se_mc(self, scheme):
+        return self.se_mc_runs[scheme]
+
+    def se_det(self, scheme):
+        return self._se(self.sinr_det[scheme])
+
+    def se_lb(self, scheme):
+        return self._se(self.sinr_lb[scheme])
+
+    def se_det_ss(self, scheme):
+        """Spectral efficiency at the converged (steady-state) deterministic
+        SINR; nan for schemes without a closed-form steady state."""
+        return self._se(self.sinr_det_ss[scheme])
 
     def steady_state(self, key: str, scheme: str, frames: int = 2) -> float:
+        """Mean of a per-block field over the last ``frames`` frames and the users."""
         tail = self.frame.g_len * frames
         return float(np.mean(getattr(self, key)[scheme][-tail:]))
 
@@ -488,31 +469,13 @@ def run_schemes(
     seed: int,
     horizon: int,
     threads: int = 1,
-) -> TraceTable:
-    """Deterministic traces plus Monte Carlo averages for a scheme list."""
-    scene_ss = np.random.SeedSequence(seed).spawn(2)[0]
-    rng_scene = np.random.Generator(np.random.PCG64(scene_ss))
-    plans = build_single_user_plans(scene, frame, horizon, schemes, rng_scene)
-
-    prelog = 1.0 - frame.m_p / frame.m
-    sinr_mc, se_mc = _monte_carlo([(scene.lam_sim, scene.a)], {p.name: [p] for p in plans},
-                                  seed, mc_runs, horizon, frame.rho, prelog, threads)
-    return TraceTable(
-        schemes=[p.name for p in plans],
-        horizon=horizon,
-        frame=frame,
-        nmse={p.name: p.nmse for p in plans},
-        se_mc={name: vals[:, 0] for name, vals in se_mc.items()},
-        se_det={p.name: prelog * np.log2(1.0 + p.det_sinr) for p in plans},
-        se_lb={p.name: (None if p.lb_sinr is None else prelog * np.log2(1.0 + p.lb_sinr))
-               for p in plans},
-        sinr_mc={name: vals[:, 0] for name, vals in sinr_mc.items()},
-        det_sinr={p.name: p.det_sinr for p in plans},
-        plans=plans,
-    )
+) -> MultiuserTable:
+    """Deterministic traces plus Monte Carlo averages for a scheme list: the
+    one-user run."""
+    return run_multiuser_scene([scene], frame, schemes, mc_runs, seed, horizon, threads)
 
 
-def run_single_user(config: ExperimentConfig) -> TraceTable:
+def run_single_user(config: ExperimentConfig) -> MultiuserTable:
     """Full single-user experiment from a configuration document."""
     scene = build_scene(config.array.build(), config.ring.build(),
                         config.frame.m, config.rank_tol)
@@ -523,41 +486,26 @@ def run_single_user(config: ExperimentConfig) -> TraceTable:
                        config.horizon_blocks, config.threads)
 
 
-# -- multiuser ------------------------------------------------------------
-
-MU_SCHEMES = ("min_max", "exhaustive", "mp_fixed", "nd_fixed", "perfect_csit")
-
-
-@dataclass
-class MultiuserTable:
-    """Per-block multiuser traces plus per-user steady-state summaries."""
-
-    schemes: list
-    horizon: int
-    frame: FrameParams
-    n_users: int
-    nmse: dict  # mean NMSE over users, per block
-    sinr_mc: dict  # (horizon, U) Monte Carlo mean SINR
-    sinr_det: dict  # (horizon, U) deterministic equivalents
-    se_mc_runs: dict  # (horizon, U) Monte Carlo mean spectral efficiency
-    se_user_lb: dict  # (U,) steady-state lower bounds (nan if undefined)
-    prelog: float = 0.0
-    sinr_det_ss: dict = field(default_factory=dict)  # (U,) converged deterministic SINR
-    user_plans: list = field(default_factory=list)  # per user, {scheme: SchemePlan}
-
-    def se_mc(self, scheme):
-        return self.se_mc_runs[scheme]
-
-    def se_det(self, scheme):
-        return self.prelog * np.log2(1.0 + self.sinr_det[scheme])
-
-    def se_lb(self, scheme):
-        return self.prelog * np.log2(1.0 + self.se_user_lb[scheme])
-
-    def se_det_ss(self, scheme):
-        """Spectral efficiency at the converged (steady-state) deterministic
-        SINR; nan for schemes without a closed-form steady state."""
-        return self.prelog * np.log2(1.0 + self.sinr_det_ss[scheme])
+def _steady_state(scene_mu, plans):
+    """Per-user steady-state bound and converged deterministic SINR of one
+    scheme, nan where undefined: the bound needs every user's periodic
+    design and is taken at its envelopes, the converged state is the
+    post-training floor (zero error under perfect knowledge)."""
+    n_users = len(plans)
+    lbs = np.full(n_users, np.nan)
+    if plans[0].kind == "perfect":
+        bars = [np.zeros(len(p.lam)) for p in plans]
+    elif all(p.design is not None for p in plans):
+        profiles = [ss_profile(p.lam, p.a, p.rho, p.design.g_padded(len(p.lam))) for p in plans]
+        bars = [prof.lambda_lower for prof in profiles]
+        lbs = np.array([mu.steady_state_sinr_lower_bound(scene_mu, profiles, u)
+                        for u in range(n_users)])
+    else:
+        return lbs, np.full(n_users, np.nan)
+    traces = [mu.error_trace(p.lam, [bar], scene_mu.coupling(u))
+              for u, (p, bar) in enumerate(zip(plans, bars))]
+    return lbs, np.array([mu.deterministic_sinr_trace(scene_mu, traces, u)[0]
+                          for u in range(n_users)])
 
 
 def run_multiuser_scene(
@@ -569,75 +517,51 @@ def run_multiuser_scene(
     horizon: int,
     threads: int = 1,
 ) -> MultiuserTable:
-    """Multiuser downlink: per-user designed sounding over non-overlapping
-    slots, matched-filter data transmission, worst-case-noise SINR."""
+    """Downlink run: per-user sounding over non-overlapping slots,
+    matched-filter data transmission, worst-case-noise SINR.
+
+    Returns every scheme's deterministic traces, steady-state summaries and
+    Monte Carlo averages.  A single-user run is the one-user case; with more
+    users only the MU_SCHEMES are available.
+    """
     n_users = len(scenes)
-    if n_users * frame.m_p >= frame.m:
-        raise ValueError("U * M_p must stay below the block length M")
-    for name in schemes:
-        if name not in MU_SCHEMES:
-            raise ValueError(
-                f"scheme {name!r} is not available in the multiuser path; "
-                f"choose among {MU_SCHEMES}"
-            )
-    rng_dummy = np.random.Generator(np.random.PCG64(0))  # diag schemes draw nothing
-    users = [{p.name: p for p in _build_plans(s, frame, horizon, schemes, rng_dummy,
-                                               keep_posterior=True)}
-             for s in scenes]
     scene_mu = mu.MultiuserScene(
         users=[mu.UserLink(stats=ChannelStatistics(
             a=s.a, r_h=s.covariance, u=s.u_sim,
             lam=s.lam_sim, rank=s.r_sim)) for s in scenes],
         rho=frame.rho, m=frame.m, m_p=frame.m_p,
     )
+    unavailable = [name for name in schemes if name not in MU_SCHEMES]
+    if n_users > 1 and unavailable:
+        raise ValueError(f"schemes {unavailable} are not available in the multiuser "
+                         f"path; choose among {MU_SCHEMES}")
+    rng_scene = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[0]))
 
-    # deterministic traces
-    prelog = 1.0 - n_users * frame.m_p / frame.m
-    sinr_det = {name: np.zeros((horizon, n_users)) for name in schemes}
-    nmse = {}
+    users = [{} for _ in scenes]
+    nmse, sinr_det, sinr_lb, sinr_det_ss = {}, {}, {}, {}
     for name in schemes:
-        posts = [users[u][name].posterior for u in range(n_users)]
-        for ell in range(horizon):
-            bars = [p[ell] for p in posts]
-            for u in range(n_users):
-                sinr_det[name][ell, u] = mu.deterministic_sinr(scene_mu, bars, u)
-        nmse[name] = np.mean([users[u][name].nmse for u in range(n_users)], axis=0)
+        traces = []
+        for u, scene in enumerate(scenes):
+            users[u][name], trace = _build_plan(scene, frame, horizon, name, rng_scene,
+                                                scene_mu.coupling(u))
+            traces.append(trace)
+        plans = [per_user[name] for per_user in users]
+        nmse[name] = np.mean([p.nmse for p in plans], axis=0)
+        sinr_det[name] = np.stack([mu.deterministic_sinr_trace(scene_mu, traces, u)
+                                   for u in range(n_users)], axis=1)
+        sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans)
 
-    # steady-state quantities: the Appendix-style bound plus the converged
-    # deterministic SINR evaluated at the post-training envelope state
-    se_user_lb = {}
-    sinr_det_ss = {}
-    for name in schemes:
-        lbs = np.full(n_users, np.nan)
-        det_ss = np.full(n_users, np.nan)
-        if name == "perfect_csit":
-            bars = [np.zeros(scenes[u].r_sim) for u in range(n_users)]
-            for u in range(n_users):
-                det_ss[u] = mu.deterministic_sinr(scene_mu, bars, u)
-        elif all(users[u][name].assignment is not None for u in range(n_users)):
-            profiles = [
-                ss_profile(scenes[u].lam_sim, scenes[u].a, frame.rho,
-                           users[u][name].assignment.g_padded(scenes[u].r_sim))
-                for u in range(n_users)
-            ]
-            bars = [p.lambda_lower for p in profiles]
-            for u in range(n_users):
-                lbs[u] = mu.steady_state_sinr_lower_bound(scene_mu, profiles, u)
-                det_ss[u] = mu.deterministic_sinr(scene_mu, bars, u)
-        se_user_lb[name] = lbs
-        sinr_det_ss[name] = det_ss
-
-    # the deterministic SINRs above filled the cross-product cache, so the
-    # Monte Carlo threads only read it
+    # the couplings above filled the cross-product cache, so the Monte Carlo
+    # threads only read it
     sinr_mc, se_mc_runs = _monte_carlo(
         [(s.lam_sim, s.a) for s in scenes],
-        {name: [plans[name] for plans in users] for name in schemes},
-        seed, mc_runs, horizon, frame.rho, prelog, threads, scene_mu.cross_product)
+        {name: [per_user[name] for per_user in users] for name in schemes},
+        seed, mc_runs, horizon, frame, threads, scene_mu.cross_product)
 
     return MultiuserTable(
         schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
-        nmse=nmse, sinr_mc=sinr_mc, sinr_det=sinr_det, se_mc_runs=se_mc_runs,
-        se_user_lb=se_user_lb, prelog=prelog, sinr_det_ss=sinr_det_ss, user_plans=users,
+        nmse=nmse, sinr_mc=sinr_mc, se_mc_runs=se_mc_runs, sinr_det=sinr_det,
+        sinr_lb=sinr_lb, sinr_det_ss=sinr_det_ss, user_plans=users,
     )
 
 
@@ -667,10 +591,17 @@ def run_multiuser(config: ExperimentConfig):
     Returns (table, sweep_rows): the per-block table at the last operating
     point and a list of per-(snr, scheme, user) steady-state summaries.
     """
+    if config.basis != "eigen":
+        raise ValueError(f"basis {config.basis!r} is single-user only; "
+                         "a run with users.count > 1 sounds the eigenbasis")
+    for b in config.baselines:
+        if b not in MU_SCHEMES:
+            raise ValueError(f"baselines entry {b!r} is single-user only; with "
+                             f"users.count > 1 choose among {MU_SCHEMES}")
     scenes, _ = multiuser_scenes_from_config(config)
     gamma = scenes[0].gamma
     schemes = [config.designer]
-    schemes += [b for b in config.baselines if b in MU_SCHEMES and b not in schemes]
+    schemes += [b for b in config.baselines if b not in schemes]
     sweep = config.snr_sweep_db
     if not sweep:
         sweep = [10.0 * np.log10(gamma * config.frame.rho)]

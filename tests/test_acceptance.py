@@ -162,7 +162,7 @@ def test_kalman_sandwich():
         lam = np.sort(rng.uniform(0.1, 3.0, size=asn.n_d + 2))[::-1]
         blocks = int(np.ceil(60.0 / (1.0 - a * a)))
         blocks = (blocks // g_len + 2) * g_len  # whole frames
-        sched = np.array([seq.row(ell) - 1 for ell in range(blocks)])
+        sched = seq.c[np.arange(blocks) % g_len] - 1
         tracker = sim.Tracker("diag", m_p, lam, a, rho, sched=sched)
         history = np.empty((g_len, len(lam)))
         for ell, lam_bar in enumerate(tracker.posteriors()):
@@ -248,7 +248,7 @@ def test_appendix_bound_randomized_scenes():
             lam_pred = s.lam.copy()
             frame_bars = np.empty((g_len, s.rank))
             for ell in range(blocks):
-                idx = seq.row(ell) - 1
+                idx = seq.c[ell % g_len] - 1
                 lam_bar = lam_pred.copy()
                 lam_bar[idx] = lam_pred[idx] / (1.0 + rho * lam_pred[idx])
                 frame_bars[ell % g_len] = lam_bar

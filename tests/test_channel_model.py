@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotseq import channel_model as cm
+from pilotseq import simulate as sim
 
 
 def default_ring(**kw):
@@ -294,7 +295,7 @@ class TestGeometryValidation:
     def test_build_statistics_trace(self):
         arr = cm.ArrayGeometry.upa(3, 5)
         ring = default_ring()
-        stats = cm.build_statistics(arr, ring, block_len=5)
+        scene = sim.build_scene(arr, ring, block_len=5)
         gamma = cm.path_loss(ring)
-        assert stats.trace() == pytest.approx(15 * gamma, rel=1e-9)
-        assert stats.n_t == 15
+        assert scene.trace() == pytest.approx(15 * gamma, rel=1e-9)
+        assert scene.u_sim.shape[0] == 15

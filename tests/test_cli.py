@@ -132,6 +132,39 @@ class TestErrors:
         proc = run_cli(["design", "--preset", "not_a_preset"])
         assert proc.returncode == 1
 
+    @staticmethod
+    def error_for(command, doc, tmp_path, capsys):
+        """The one-line JSON error of ``command`` run on a config document."""
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    def test_non_finite_rho_names_field(self, tmp_path, capsys):
+        doc = preset("demo").to_dict()
+        doc["frame"]["rho"] = float("nan")
+        assert "rho" in self.error_for("design", doc, tmp_path, capsys)
+
+    def test_non_integral_m_p_names_field(self, tmp_path, capsys):
+        doc = preset("demo").to_dict()
+        doc["frame"]["m_p"] = "2"
+        assert "m_p" in self.error_for("simulate", doc, tmp_path, capsys)
+
+    def test_multiuser_dft_basis_names_field(self, tmp_path, capsys):
+        doc = preset("multiuser_ula32").to_dict()
+        doc["users"]["count"] = 2
+        doc["basis"] = "dft"
+        assert "basis" in self.error_for("simulate", doc, tmp_path, capsys)
+
+    def test_multiuser_single_user_baseline_names_field(self, tmp_path, capsys):
+        doc = preset("multiuser_ula32").to_dict()
+        doc["users"]["count"] = 2
+        doc["baselines"] = ["perfect_csit", "orthogonal"]
+        assert "baselines" in self.error_for("simulate", doc, tmp_path, capsys)
+
 
 class TestVerify:
     def test_verify_battery_passes(self):

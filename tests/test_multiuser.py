@@ -19,28 +19,6 @@ def make_scene(stats_list, rho=5.0, m=10, m_p=1):
                              rho=rho, m=m, m_p=m_p)
 
 
-class TestPrecoder:
-    def test_single_user_unit_norm(self):
-        v = mu.matched_filter_precoder([np.array([1.0 + 1j, 2.0])])
-        assert np.linalg.norm(v[:, 0]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_scale_invariance(self):
-        h = np.array([0.3, -1j, 0.7 + 0.2j])
-        v1 = mu.matched_filter_precoder([h])
-        v2 = mu.matched_filter_precoder([5.0 * h])
-        assert np.allclose(v1, v2)
-
-    def test_total_power_one(self):
-        rng = np.random.default_rng(0)
-        hats = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(4)]
-        v = mu.matched_filter_precoder(hats)
-        assert np.real(np.trace(v.conj().T @ v)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_estimate_rejected(self):
-        with pytest.raises(ValueError, match="zero estimate"):
-            mu.matched_filter_precoder([np.zeros(4, dtype=complex)])
-
-
 def sinr_reference(h_list, h_hat_list, rho, u):
     """Independent term-by-term reimplementation of the worst-case SINR."""
     n_users = len(h_list)
@@ -146,6 +124,17 @@ class TestDeterministicSinr:
                 got = mu.deterministic_sinr(scene, bars, u)
                 ref = det_sinr_reference(scene, bars, u)
                 assert got == pytest.approx(ref, rel=1e-10)
+            # the horizon-wide form over a trajectory of posterior states
+            horizon = 4
+            paths = [s.lam * rng.uniform(0.05, 0.8, size=(horizon, s.rank)) for s in stats]
+            traces = [mu.error_trace(s.lam, path, scene.coupling(v))
+                      for v, (s, path) in enumerate(zip(stats, paths))]
+            for u in range(3):
+                got = mu.deterministic_sinr_trace(scene, traces, u)
+                assert got.shape == (horizon,)
+                for ell in range(horizon):
+                    ref = det_sinr_reference(scene, [path[ell] for path in paths], u)
+                    assert got[ell] == pytest.approx(ref, rel=1e-10)
 
     def test_no_energy_rejected(self):
         stats = user_stats()
@@ -238,7 +227,8 @@ class TestSceneValidation:
                               m=10, m_p=1)
 
     def test_cross_subspace_cached(self):
+        # the cross-subspace weights live in the cached per-user coupling map
         scene = make_scene([user_stats(theta=0.1), user_stats(theta=0.5)])
-        w1 = scene.cross_subspace(0, 1)
-        w2 = scene.cross_subspace(0, 1)
+        w1 = scene.coupling(1)
+        w2 = scene.coupling(1)
         assert w1 is w2

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotseq import sequence_design as sd
+from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
 
 
@@ -289,10 +290,12 @@ class TestConstruction:
         assert np.all(seq.c == np.array([1, 2, 3]))
 
     def test_row_accessor_periodic(self):
+        # the schedule a plan sounds over its horizon repeats the matrix rows
         asn = sd.IntervalAssignment(g=(1, 2, 2, 2, 4, 4), n_d=6, objective=0.0)
         seq = sd.construct_sequence_matrix(asn, frame())
-        assert np.array_equal(seq.row(1), seq.row(5))
-        assert np.array_equal(seq.row(0), seq.row(4 * 7))
+        sched = sim._horizon_schedule(seq.c - 1, 4 * 7 + 1)
+        assert np.array_equal(sched[1], sched[5])
+        assert np.array_equal(sched[0], sched[4 * 7])
 
     def test_invalid_assignment_rejected(self):
         asn = sd.IntervalAssignment(g=(1, 2), n_d=2, objective=0.0)
@@ -310,13 +313,21 @@ class TestConstruction:
 
 
 class TestExpansion:
+    """Block ell sounds sqrt(rho) times the basis columns that row ell mod G
+    of the index matrix names."""
+
+    @staticmethod
+    def training(seq, basis, rho, blocks):
+        return [np.sqrt(rho) * basis[:, idx]
+                for idx in sim._horizon_schedule(seq.c - 1, blocks)]
+
     def test_power_and_orthogonality(self):
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8)))
         asn = sd.IntervalAssignment(g=(1, 2, 2, 2, 4, 4), n_d=6, objective=0.0)
         seq = sd.construct_sequence_matrix(asn, frame())
         rho = 3.0
-        signals = sd.expand_training_signals(seq, q, rho)
+        signals = self.training(seq, q, rho, 4)
         assert len(signals) == 4
         for s in signals:
             assert np.linalg.norm(s) ** 2 == pytest.approx(rho * 3, rel=1e-12)
@@ -328,15 +339,17 @@ class TestExpansion:
         f = np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
         asn = sd.IntervalAssignment(g=(1, 2, 2, 2, 4, 4), n_d=6, objective=0.0)
         seq = sd.construct_sequence_matrix(asn, frame())
-        signals = sd.expand_training_signals(seq, f[:, :8], 2.0)
-        for s in signals:
+        for s in self.training(seq, f[:, :8], 2.0, 4):
             assert np.allclose(s.conj().T @ s, 2.0 * np.eye(3), atol=1e-12)
 
     def test_out_of_range_index_rejected(self):
+        # a tracker whose sounding basis is narrower than the matrix's n_d
         asn = sd.IntervalAssignment(g=(1, 2, 2, 2, 4, 4), n_d=6, objective=0.0)
         seq = sd.construct_sequence_matrix(asn, frame())
-        with pytest.raises(ValueError, match="basis columns"):
-            sd.expand_training_signals(seq, np.eye(12)[:, :5], 1.0)
+        tracker = sim.Tracker("full", 3, np.ones(5), 0.9, 1.0,
+                              sched=sim._horizon_schedule(seq.c - 1, 4), s_u=np.eye(5))
+        with pytest.raises(IndexError, match="sounding basis"):
+            next(tracker.posteriors())
 
 
 class TestSerialization:

@@ -61,6 +61,8 @@ class TestEngineAgainstKalmanModule:
         state = kalman.init(stats)
         total = stats.trace()
         for ell in range(horizon):
+            # a designed plan sounds row ell mod G of its index matrix
+            assert np.array_equal(plan.sched[ell], plan.seq.c[ell % frame.g_len] - 1)
             s = np.sqrt(frame.rho) * stats.u[:, plan.sched[ell]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             assert np.real(np.trace(state.p_est)) / total == pytest.approx(
@@ -80,13 +82,19 @@ class TestEngineAgainstKalmanModule:
         r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
         stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
                                      lam=scene.lam_sim, rank=scene.r_sim)
+        det = sim.run_schemes(scene, frame, ["orthogonal"], 1, 0, horizon).sinr_det
         state = kalman.init(stats)
         total = stats.trace()
         for ell in range(horizon):
             s = np.sqrt(frame.rho) * dft[:, plan.sched[ell]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
-            assert np.real(np.trace(state.p_est)) / total == pytest.approx(
-                plan.nmse[ell], rel=1e-9)
+            p = state.p_est
+            assert np.real(np.trace(p)) / total == pytest.approx(plan.nmse[ell], rel=1e-9)
+            # deterministic SINR from the full posterior: tr^2 / (tr/rho + Re tr(P(R - P)))
+            cap = total - np.real(np.trace(p))
+            b = np.real(np.trace(p @ (r_h - p)))
+            assert det["orthogonal"][ell, 0] == pytest.approx(
+                cap**2 / (cap / frame.rho + b), rel=1e-9)
             state = kalman.time_update(state, stats)
 
     def test_dft_plan_uses_projected_spectrum_for_design(self):
@@ -208,9 +216,11 @@ class TestDftBasisBuilder:
         ring = cm.OneRingGeometry(d_s=100.0, d_r=30.0, h=60.0, theta_h=0.3,
                                   v=3 / 3.6)
         arr = cm.ArrayGeometry.upa(3, 5)
-        basis = cm.build_dft_basis(arr, ring, 6)
+        scene = sim.build_scene(arr, ring, block_len=5)
+        basis = sim._scene_dft_basis(scene)
+        assert basis.rank == scene.r_design >= 6
         r_h, _ = cm.build_covariance(arr, ring)
-        for j in range(6):
+        for j in range(basis.rank):
             col = basis.f_tilde[:, j]
             assert np.real(col.conj() @ r_h @ col) == pytest.approx(
                 basis.lambda_tilde[j], rel=1e-10)
@@ -226,7 +236,7 @@ class TestDeterminism:
                              threads=8)
         for name in t1.schemes:
             assert np.array_equal(t1.sinr_mc[name], t8.sinr_mc[name])
-            assert np.array_equal(t1.se_mc[name], t8.se_mc[name])
+            assert np.array_equal(t1.se_mc(name), t8.se_mc(name))
 
     def test_seed_changes_results(self):
         scene = small_scene()
@@ -261,8 +271,8 @@ class TestMonteCarloAgainstDeterministic:
         frame = FrameParams(g_len=16, m_p=2, m=5, n_d_max=32, rho=10.0)
         table = sim.run_schemes(scene, frame, ["min_max"], 400, 5, 160)
         tail = 32
-        mc = table.sinr_mc["min_max"][-tail:]
-        det = table.det_sinr["min_max"][-tail:]
+        mc = table.sinr_mc["min_max"][-tail:, 0]
+        det = table.sinr_det["min_max"][-tail:, 0]
         assert float(np.max(np.abs(mc - det) / det)) < 0.05
 
     def test_perfect_csit_mean_power(self):
@@ -270,22 +280,32 @@ class TestMonteCarloAgainstDeterministic:
         frame = small_frame()
         table = sim.run_schemes(scene, frame, ["perfect_csit"], 600, 3, 8)
         expected = frame.rho * scene.trace()
-        got = float(table.sinr_mc["perfect_csit"][-1])
+        got = float(table.sinr_mc["perfect_csit"][-1, 0])
         assert got == pytest.approx(expected, rel=0.1)
 
 
 class TestMultiuserEngine:
     def test_single_user_scene_degenerates(self):
+        # run_schemes is the one-user run, array for array
         scene = small_scene()
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
-        single = sim.run_schemes(scene, frame, ["min_max"], 1, 7, 32)
-        multi = sim.run_multiuser_scene([scene], frame, ["min_max"], 1, 7, 32)
-        assert np.allclose(multi.sinr_det["min_max"][:, 0],
-                           single.det_sinr["min_max"], rtol=1e-9)
-        lb_multi = multi.se_user_lb["min_max"][0]
-        plan = single.plans[0]
-        assert np.isfinite(lb_multi)
-        assert 10 ** 0 * lb_multi == pytest.approx(plan.lb_sinr, rel=1e-9)
+        schemes = ["min_max", "mp_fixed", "orthogonal", "perfect_csit"]
+        single = sim.run_schemes(scene, frame, schemes, 3, 7, 32)
+        multi = sim.run_multiuser_scene([scene], frame, schemes, 3, 7, 32)
+        assert single.schemes == multi.schemes == schemes
+        for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det", "sinr_lb", "sinr_det_ss"):
+            for name in schemes:
+                assert np.array_equal(getattr(single, key)[name], getattr(multi, key)[name],
+                                      equal_nan=True)
+        assert np.isfinite(single.sinr_lb["min_max"][0])
+        # with two users every plan with a periodic design reports its bound,
+        # the fixed-eigenvector baseline included
+        pair = sim.run_multiuser_scene([small_scene(theta_deg=-20.0, d_r=8.0),
+                                        small_scene(theta_deg=25.0, d_r=8.0)],
+                                       frame, ["mp_fixed"], 1, 7, 32)
+        lb, det_ss = pair.sinr_lb["mp_fixed"], pair.sinr_det_ss["mp_fixed"]
+        assert np.all(np.isfinite(lb))
+        assert np.all(lb <= det_ss + 1e-9)
 
     @pytest.mark.parametrize("n_users", [1, 2])
     def test_realized_sinr_matches_instantaneous_oracle(self, n_users):
@@ -325,7 +345,7 @@ class TestMultiuserEngine:
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
         table = sim.run_multiuser_scene([s0, s1], frame, ["min_max"], 1, 7, 64)
         for u in range(2):
-            lb = table.se_user_lb["min_max"][u]
+            lb = table.sinr_lb["min_max"][u]
             assert lb <= table.sinr_det_ss["min_max"][u] + 1e-9
 
     def test_bound_below_converged_dynamics(self):
@@ -336,7 +356,7 @@ class TestMultiuserEngine:
         table = sim.run_multiuser_scene([s0, s1], frame, ["min_max"], 1, 7, 2048)
         tail = table.sinr_det["min_max"][-8:]
         for u in range(2):
-            lb = table.se_user_lb["min_max"][u]
+            lb = table.sinr_lb["min_max"][u]
             assert lb <= tail[:, u].min() + 1e-9
 
     def test_rf_budget_ordering_toward_perfect_csit(self):
