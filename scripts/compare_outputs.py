@@ -1,19 +1,28 @@
 #!/usr/bin/env python3
-"""Check that the simulator's outputs are byte-identical to those of a git revision.
+"""Check that the command-line outputs are byte-identical to those of a git revision.
 
 Usage: python3 scripts/compare_outputs.py REV
 
-REV is exported with ``git archive`` into a temporary directory.
-``pilotseq simulate`` then runs there and in this working tree (HEAD plus
-any uncommitted changes) on the ``demo``, ``ci_ula32`` and
-``multiuser_ula32`` presets, and through ``--config`` on ``upa375`` and on
-``ci_ula32`` with the exhaustive designer, both with ``mc_runs`` cut to 16.
-Each of ``trace.csv``, ``design.csv`` and ``sweep.csv`` is compared byte
-for byte; a file written on one side only counts as a difference.  Prints
-one line per preset and file, and under each differing CSV the drift: every
-differing column with its largest relative difference over rows matched by
-position, a row-count mismatch, and non-numeric mismatches.  Exits 1 on any
-difference (2 if a run fails).  Temporary files go under ``$TMPDIR``.
+REV is exported with ``git archive`` into a temporary directory.  The CLI
+then runs there and in this working tree (HEAD plus any uncommitted
+changes) on the same cases:
+
+- ``pilotseq simulate`` on the ``demo``, ``ci_ula32`` and
+  ``multiuser_ula32`` presets, and through ``--config`` on ``upa375`` and
+  on ``ci_ula32`` with the exhaustive designer, both with ``mc_runs`` cut
+  to 16, comparing ``trace.csv``, ``design.csv`` and ``sweep.csv``;
+- ``pilotseq design`` on ``demo``, on ``ci_ula32`` with ``basis = "dft"``
+  and on ``multiuser_ula32``, comparing ``design.csv`` and
+  ``assignment.json``.
+
+Every run writes to the relative directory ``out`` of its own working
+directory, so the output path recorded in ``assignment.json`` is the same
+on both sides.  Files are compared byte for byte; a file written on one
+side only counts as a difference.  Prints one line per case and file, and
+under each differing file the drift: every differing column with its
+largest relative difference over rows matched by position, a row-count
+mismatch, and non-numeric mismatches.  Exits 1 on any difference (2 if a
+run fails).  Temporary files go under ``$TMPDIR``.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -30,16 +40,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("demo", "ci_ula32", "multiuser_ula32")
-FILES = ("trace.csv", "design.csv", "sweep.csv")
+FILES = {"simulate": ("trace.csv", "design.csv", "sweep.csv"),
+         "design": ("design.csv", "assignment.json")}
 CUT_RUNS = 16
 
 
-def simulate(tree: Path, args: list[str], out: Path) -> None:
+def run_cli(tree: Path, command: str, args: list[str], workdir: Path) -> Path:
+    """Run ``pilotseq COMMAND`` from ``tree``'s sources in ``workdir``;
+    returns the output directory."""
+    workdir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "pilotseq.cli", "simulate", *args, "--out", str(out)]
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    cmd = [sys.executable, "-m", "pilotseq.cli", command, *args, "--out", "out"]
+    proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} failed in {tree}:\n{proc.stderr}")
+        raise RuntimeError(f"{' '.join(cmd)} failed with {tree}:\n{proc.stderr}")
+    return workdir / "out"
 
 
 def digest(path: Path) -> str:
@@ -47,10 +62,16 @@ def digest(path: Path) -> str:
 
 
 def drift(a: Path, b: Path) -> list[str]:
-    """How two CSV files differ, rows matched by position and columns named
-    by the first line unless it is a ``#`` comment."""
+    """How two output files differ: the differing keys of a JSON object,
+    else CSV rows matched by position and columns named by the first line
+    unless it is a ``#`` comment."""
     if not (a.exists() and b.exists()):
         return ["written on one side only"]
+    if a.suffix == ".json":
+        doc_a, doc_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
+        return [f"{key}: {doc_a.get(key)!r} vs {doc_b.get(key)!r}"
+                for key in sorted(doc_a.keys() | doc_b.keys())
+                if doc_a.get(key) != doc_b.get(key)]
     rows_a, rows_b = (list(csv.reader(io.StringIO(p.read_text(encoding="utf-8"))))
                       for p in (a, b))
     header = rows_a[0] if rows_a and not rows_a[0][0].startswith("#") else []
@@ -111,27 +132,33 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base, filter="data")
         try:
-            cases = [(name, ["--preset", name]) for name in PRESETS]
-            for label, name, fields in (
-                ("upa375", "upa375", {}),
-                ("ci_ula32 exhaustive", "ci_ula32", {"designer": "exhaustive"}),
+            cases = [("simulate", name, ["--preset", name]) for name in PRESETS]
+            for command, label, name, fields in (
+                ("simulate", f"upa375 (mc_runs={CUT_RUNS})", "upa375", {}),
+                ("simulate", f"ci_ula32 exhaustive (mc_runs={CUT_RUNS})", "ci_ula32",
+                 {"designer": "exhaustive"}),
+                ("design", "demo", "demo", None),
+                ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
+                ("design", "multiuser_ula32", "multiuser_ula32", None),
             ):
+                if fields is None:
+                    cases.append((command, label, ["--preset", name]))
+                    continue
                 config = tmp / f"config{len(cases)}.json"
                 cut_config(config, name, **fields)
-                cases.append((f"{label} (mc_runs={CUT_RUNS})", ["--config", str(config)]))
+                cases.append((command, label, ["--config", str(config)]))
             differ = 0
-            for i, (label, args) in enumerate(cases):
-                outs = (tmp / f"base{i}", tmp / f"head{i}")
-                simulate(base, args, outs[0])
-                simulate(ROOT, args, outs[1])
-                for name in FILES:
+            for i, (command, label, args) in enumerate(cases):
+                outs = (run_cli(base, command, args, tmp / f"base{i}"),
+                        run_cli(ROOT, command, args, tmp / f"head{i}"))
+                for name in FILES[command]:
                     a, b = (out / name for out in outs)
                     if not a.exists() and not b.exists():
                         continue
                     same = a.exists() and b.exists() and a.read_bytes() == b.read_bytes()
                     differ += not same
-                    print(f"{'identical' if same else 'DIFFERS  '} {label:<36} {name:<10} "
-                          f"{rev}={digest(a)} tree={digest(b)}")
+                    print(f"{'identical' if same else 'DIFFERS  '} {command:<8} {label:<36} "
+                          f"{name:<15} {rev}={digest(a)} tree={digest(b)}")
                     if not same:
                         for line in drift(a, b):
                             print(f"    {line}")

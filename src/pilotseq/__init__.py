@@ -9,7 +9,7 @@ from .channel_model import (
 )
 from .config import ExperimentConfig, preset
 from .sequence_design import FrameParams, IntervalAssignment, SequenceMatrix
-from .simulate import run_multiuser, run_schemes, run_single_user
+from .simulate import run_multiuser, run_schemes
 from .steady_state import SteadyStateProfile
 
 __version__ = "0.1.0"
@@ -27,5 +27,4 @@ __all__ = [
     "preset",
     "run_multiuser",
     "run_schemes",
-    "run_single_user",
 ]

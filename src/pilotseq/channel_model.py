@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -159,7 +158,9 @@ def one_ring_covariance(
                 max_panels,
             )
             col[k] = gamma / (2.0 * delta) * integral
-    return scipy.linalg.toeplitz(col, np.conj(col))
+    # entry (p, q) is col[p - q] below the diagonal and its conjugate above
+    vals = np.concatenate((np.conj(col[:0:-1]), col))
+    return vals[lags[:, None] - lags[None, :] + (n - 1)]
 
 
 def upa_covariance(r_horizontal: np.ndarray, r_vertical: np.ndarray) -> np.ndarray:
@@ -264,11 +265,6 @@ class DftBasis:
 
     f_tilde: np.ndarray  # n_t x r selected unit-norm DFT columns
     lambda_tilde: np.ndarray  # projected covariance values, descending
-    column_indices: tuple
-
-    @property
-    def rank(self) -> int:
-        return self.f_tilde.shape[1]
 
 
 def _dft_matrix(n: int) -> np.ndarray:
@@ -289,11 +285,7 @@ def dft_approximation(r_h: np.ndarray, r_target: int) -> DftBasis:
     q = np.real(np.einsum("ij,ik,kj->j", f.conj(), r_h, f))
     order = np.argsort(-q, kind="stable")[:r_target]
     order = order[np.argsort(-q[order], kind="stable")]
-    return DftBasis(
-        f_tilde=f[:, order].copy(),
-        lambda_tilde=q[order].copy(),
-        column_indices=tuple(int(i) for i in order),
-    )
+    return DftBasis(f_tilde=f[:, order].copy(), lambda_tilde=q[order].copy())
 
 
 def dft_approximation_upa(
@@ -319,11 +311,7 @@ def dft_approximation_upa(
     for out, flat in enumerate(order):
         i, j = divmod(int(flat), n_v)
         cols[:, out] = np.kron(f_h[:, i], f_v[:, j])
-    return DftBasis(
-        f_tilde=cols,
-        lambda_tilde=q[order].copy(),
-        column_indices=tuple(int(i) for i in order),
-    )
+    return DftBasis(f_tilde=cols, lambda_tilde=q[order].copy())
 
 
 def complex_normal(rng: np.random.Generator, size) -> np.ndarray:

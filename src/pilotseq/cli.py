@@ -23,8 +23,6 @@ from .sequence_design import (
     IntervalAssignment,
     construct_sequence_matrix,
     divisor_set,
-    exhaustive_search,
-    min_max_design,
     save_sequence_csv,
     sequence_invariant_violations,
     validate_assignment,
@@ -137,7 +135,8 @@ def _trace_rows(table):
 
 
 def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
-    """Write trace.csv, design.csv, config.resolved.json and a plot script.
+    """Write trace.csv, design.csv, sweep.csv (given sweep rows),
+    config.resolved.json and a plot script.
 
     Returns the list of written paths.  Identical (config, seed) inputs
     produce byte-identical files.
@@ -147,9 +146,8 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
     written = [_write_csv(out / "trace.csv", "block,scheme,nmse,rx_snr_db,se_sum,se_det,se_lb",
                           _trace_rows(table))]
 
-    name = config.designer if config.basis == "eigen" else config.designer + "_dft"
-    plan = table.user_plans[0].get(name)
-    if plan is not None and plan.seq is not None:
+    plan = table.user_plans[0].get(config.designed_scheme)
+    if plan is not None:
         written.append(out / "design.csv")
         save_sequence_csv(written[-1], plan.seq, config.frame.build())
 
@@ -170,17 +168,12 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
 
 
 def cmd_design(args) -> int:
+    """Design the configured scheme for user 0's scene, as ``simulate``'s
+    design.csv does."""
     cfg = _load_config(args)
-    scene = sim.build_scene(cfg.array.build(), cfg.ring.build(), cfg.frame.m,
-                            cfg.rank_tol)
+    scene = sim.multiuser_scenes_from_config(cfg)[0][0]
     frame = cfg.frame.build()
-    lam = scene.lam_sim[: scene.r_design]
-    designer = min_max_design if cfg.designer == "min_max" else exhaustive_search
-    if cfg.basis == "dft":
-        basis = sim._scene_dft_basis(scene)
-        lam = basis.lambda_tilde
-    asn = designer(lam, scene.a, frame.rho, frame)
-    seq = construct_sequence_matrix(asn, frame)
+    asn, seq, _ = sim.design_scheme(scene, frame, cfg.designed_scheme)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     design_path = out / "design.csv"
@@ -192,7 +185,7 @@ def cmd_design(args) -> int:
         "g": list(asn.g),
         "objective": asn.objective,
         "temporal_coefficient": scene.a,
-        "rank": int(len(lam)),
+        "rank": scene.r_design,
         "design": str(design_path),
     }
     (out / "assignment.json").write_text(
@@ -203,10 +196,7 @@ def cmd_design(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    if cfg.users.count > 1:
-        table, rows = sim.run_multiuser(cfg)
-    else:
-        table, rows = sim.run_single_user(cfg), None
+    table, rows = sim.run_multiuser(cfg)
     for path in emit_outputs(table, cfg, sweep_rows=rows):
         print("wrote", path)
     return 0

@@ -18,6 +18,15 @@ from .sequence_design import FrameParams
 DESIGNERS = ("min_max", "exhaustive")
 BASES = ("eigen", "dft")
 BASELINES = ("orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit")
+# the schemes a run with more than one user offers
+MU_SCHEMES = (*DESIGNERS, "mp_fixed", "nd_fixed", "perfect_csit")
+
+
+def _finite_numbers(xs) -> bool:
+    """Whether xs is a list of finite real numbers (booleans and strings are not)."""
+    return isinstance(xs, (list, tuple)) and all(
+        isinstance(x, (int, float, np.number)) and not isinstance(x, bool)
+        and bool(np.isfinite(x)) for x in xs)
 
 
 @dataclass
@@ -30,6 +39,9 @@ class ArrayConfig:
 
     def build(self) -> ArrayGeometry:
         if self.kind == "upa":
+            if self.n_t != self.n_v * self.n_h:
+                raise ValueError(f"array.n_t = {self.n_t!r} must equal array.n_v * array.n_h "
+                                 f"= {self.n_v!r} * {self.n_h!r} for a UPA")
             return ArrayGeometry.upa(self.n_v, self.n_h, self.spacing_over_wavelength)
         return ArrayGeometry.ula(self.n_t, self.spacing_over_wavelength)
 
@@ -94,7 +106,25 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        self.frame.build()  # rejects bad frame values, naming the field
+        # each check names the field it rejects
+        self.frame.build()
+        self.array.build()
+        for name, value, low in (("mc_runs", self.mc_runs, 1), ("seed", self.seed, 0),
+                                 ("horizon_blocks", self.horizon_blocks, self.frame.g),
+                                 ("threads", self.threads, 1),
+                                 ("users.count", self.users.count, 1)):
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not _finite_numbers([self.rank_tol]) or self.rank_tol < 0:
+            raise ValueError(f"rank_tol must be a finite number >= 0, got {self.rank_tol!r}")
+        if self.snr_sweep_db is not None and not _finite_numbers(self.snr_sweep_db):
+            raise ValueError(f"snr_sweep_db must be a list of finite numbers, "
+                             f"got {self.snr_sweep_db!r}")
+        thetas = self.users.theta_deg
+        if thetas is not None and not (_finite_numbers(thetas)
+                                       and len(thetas) == self.users.count):
+            raise ValueError(f"users.theta_deg must list one finite angle per user "
+                             f"(users.count = {self.users.count}), got {thetas!r}")
         if self.designer not in DESIGNERS:
             raise ValueError(f"designer must be one of {DESIGNERS}")
         if self.basis not in BASES:
@@ -102,12 +132,24 @@ class ExperimentConfig:
         for b in self.baselines:
             if b not in BASELINES:
                 raise ValueError(f"unknown baseline {b!r}; known: {BASELINES}")
-        if self.mc_runs < 1:
-            raise ValueError("mc_runs must be >= 1")
-        if self.horizon_blocks < self.frame.g:
-            raise ValueError("horizon_blocks must cover at least one frame")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.users.count > 1:
+            if self.basis != "eigen":
+                raise ValueError(f"basis {self.basis!r} is single-user only; "
+                                 "a run with users.count > 1 sounds the eigenbasis")
+            for b in self.baselines:
+                if b not in MU_SCHEMES:
+                    raise ValueError(f"baselines entry {b!r} is single-user only; with "
+                                     f"users.count > 1 choose among {MU_SCHEMES}")
+
+    @property
+    def designed_scheme(self) -> str:
+        """The scheme the configured designer and basis name."""
+        return self.designer if self.basis == "eigen" else self.designer + "_dft"
+
+    @property
+    def schemes(self) -> list:
+        """The designed scheme, then each baseline once."""
+        return list(dict.fromkeys([self.designed_scheme, *self.baselines]))
 
     # -- serialization ----------------------------------------------------
 

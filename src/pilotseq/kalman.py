@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel_model import ChannelStatistics, complex_normal
 
@@ -27,10 +26,6 @@ class KalmanState:
     h_hat: np.ndarray
     p_est: np.ndarray
     p_pred: np.ndarray
-    block_index: int = 0
-
-    def nmse(self, stats: ChannelStatistics) -> float:
-        return float(np.real(np.trace(self.p_est)) / stats.trace())
 
 
 def init(stats: ChannelStatistics) -> KalmanState:
@@ -40,7 +35,6 @@ def init(stats: ChannelStatistics) -> KalmanState:
         h_hat=np.zeros(n, dtype=complex),
         p_est=stats.r_h.copy(),
         p_pred=stats.r_h.copy(),
-        block_index=0,
     )
 
 
@@ -57,21 +51,18 @@ def measurement_update(state: KalmanState, s: np.ndarray, y: np.ndarray) -> Kalm
     """Condition on one block of pilots.
 
     The innovation Gramian S^H P S + I is Hermitian positive definite by
-    construction, so it is factored by Cholesky.  A zero training matrix
-    leaves the state untouched.
+    construction, so the gain solve never meets a singular system.  A zero
+    training matrix leaves the state untouched.
     """
     if s.size == 0 or not np.any(s):
-        return KalmanState(state.h_hat.copy(), state.p_pred.copy(), state.p_pred.copy(),
-                           state.block_index)
+        return KalmanState(state.h_hat.copy(), state.p_pred.copy(), state.p_pred.copy())
     ps = state.p_pred @ s
     gram = _symmetrize(s.conj().T @ ps + np.eye(s.shape[1]))
-    cho = scipy.linalg.cho_factor(gram, lower=True)
-    gain = scipy.linalg.cho_solve(cho, ps.conj().T).conj().T  # P S (S^H P S + I)^-1
+    gain = np.linalg.solve(gram, ps.conj().T).conj().T  # P S (S^H P S + I)^-1
     innovation = y - s.conj().T @ state.h_hat
     h_hat = state.h_hat + gain @ innovation
     p_est = _symmetrize(state.p_pred - gain @ ps.conj().T)
-    return KalmanState(h_hat=h_hat, p_est=p_est, p_pred=state.p_pred.copy(),
-                       block_index=state.block_index)
+    return KalmanState(h_hat=h_hat, p_est=p_est, p_pred=state.p_pred.copy())
 
 
 def time_update(state: KalmanState, stats: ChannelStatistics) -> KalmanState:
@@ -82,5 +73,4 @@ def time_update(state: KalmanState, stats: ChannelStatistics) -> KalmanState:
         h_hat=a * state.h_hat,
         p_est=state.p_est.copy(),
         p_pred=p_pred,
-        block_index=state.block_index + 1,
     )

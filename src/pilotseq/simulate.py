@@ -30,6 +30,7 @@ are byte-identical for any thread count.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +49,7 @@ from .channel_model import (
     path_loss,
     temporal_coefficient,
 )
-from .config import ExperimentConfig
+from .config import MU_SCHEMES, ExperimentConfig
 from .sequence_design import (
     FrameParams,
     IntervalAssignment,
@@ -245,19 +246,11 @@ def _build_plan(scene, frame, horizon, name, rng_scene, coupling):
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
     kind, s_u, cycle, design, seq = "diag", None, None, None, None
-    if name in ("min_max", "exhaustive"):
-        design = _DESIGNERS[name](lam[: scene.r_design], a, rho, frame)
-        seq = construct_sequence_matrix(design, frame)
+    if name.removesuffix("_dft") in _DESIGNERS:
+        design, seq, cols = design_scheme(scene, frame, name)
         cycle = seq.c - 1
-    elif name in ("min_max_dft", "exhaustive_dft"):
-        # hybrid variant: sounding directions are restricted to the DFT
-        # surrogate basis (the analog pre-beamformer), the sequence is
-        # designed on the DFT-projected spectrum, and the tracker keeps
-        # the true covariance knowledge
-        basis = _scene_dft_basis(scene)
-        seq = construct_sequence_matrix(
-            _DESIGNERS[name.replace("_dft", "")](basis.lambda_tilde, a, rho, frame), frame)
-        kind, s_u, cycle = "full", scene.u_sim.conj().T @ basis.f_tilde, seq.c - 1
+        if cols is not None:  # the hybrid tracker keeps the true covariance knowledge
+            kind, s_u, design = "full", scene.u_sim.conj().T @ cols, None
     elif name == "mp_fixed":
         cycle = np.arange(m_p)[None, :]
         design = IntervalAssignment(g=(1,) * m_p, n_d=m_p, objective=0.0)
@@ -288,6 +281,27 @@ def _build_plan(scene, frame, horizon, name, rng_scene, coupling):
     trace = mu.error_trace(lam, posteriors, coupling)
     plan.nmse = trace.err / float(lam.sum())
     return plan, trace
+
+
+def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
+    """Design step of a designed scheme for one user.
+
+    ``name`` is a designer (``min_max``, ``exhaustive``), sounding the
+    scene's design-grade covariance eigenvectors, or its hybrid variant
+    (suffix ``_dft``), whose sounding directions are restricted to the DFT
+    surrogate basis (the analog pre-beamformer) and whose sequence is
+    designed on the DFT-projected spectrum.  Returns the interval
+    assignment, its index matrix, and the n_t x r_design sounding columns
+    of the hybrid variant (None for the eigen variant).
+    """
+    designer = name.removesuffix("_dft")
+    if name == designer:
+        lam, cols = scene.lam_sim[: scene.r_design], None
+    else:
+        basis = _scene_dft_basis(scene)
+        lam, cols = basis.lambda_tilde, basis.f_tilde
+    design = _DESIGNERS[designer](lam, scene.a, frame.rho, frame)
+    return design, construct_sequence_matrix(design, frame), cols
 
 
 def _scene_dft_basis(scene: ChannelScene):
@@ -418,9 +432,6 @@ def _monte_carlo(channels, plans, seed, mc_runs, horizon, frame, threads, cross)
 
 # -- runs ------------------------------------------------------------------
 
-MU_SCHEMES = ("min_max", "exhaustive", "mp_fixed", "nd_fixed", "perfect_csit")
-
-
 @dataclass
 class MultiuserTable:
     """Per-block traces of every scheme for each of a run's U users, plus
@@ -473,17 +484,6 @@ def run_schemes(
     """Deterministic traces plus Monte Carlo averages for a scheme list: the
     one-user run."""
     return run_multiuser_scene([scene], frame, schemes, mc_runs, seed, horizon, threads)
-
-
-def run_single_user(config: ExperimentConfig) -> MultiuserTable:
-    """Full single-user experiment from a configuration document."""
-    scene = build_scene(config.array.build(), config.ring.build(),
-                        config.frame.m, config.rank_tol)
-    frame = config.frame.build()
-    schemes = [config.designer if config.basis == "eigen" else config.designer + "_dft"]
-    schemes += [b for b in config.baselines if b not in schemes]
-    return run_schemes(scene, frame, schemes, config.mc_runs, config.seed,
-                       config.horizon_blocks, config.threads)
 
 
 def _steady_state(scene_mu, plans):
@@ -566,12 +566,15 @@ def run_multiuser_scene(
 
 
 def multiuser_scenes_from_config(config: ExperimentConfig):
-    """Per-user channel scenes: explicit angles or sector-uniform placement."""
+    """Per-user channel scenes and horizontal angles (degrees) of a
+    configuration: the explicit ``users.theta_deg`` when given, else a lone
+    user at ``ring.theta_h_deg`` and several users placed uniformly in the
+    sector (-60, 60) from the seed."""
     n_users = config.users.count
     if config.users.theta_deg is not None:
         thetas = [float(t) for t in config.users.theta_deg]
-        if len(thetas) != n_users:
-            raise ValueError("users.theta_deg must list one angle per user")
+    elif n_users == 1:
+        thetas = [float(config.ring.theta_h_deg)]
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             config.seed).spawn(2)[0]))
@@ -585,46 +588,35 @@ def multiuser_scenes_from_config(config: ExperimentConfig):
 
 
 def run_multiuser(config: ExperimentConfig):
-    """Multiuser experiment: one trace at the configured power plus a sweep
-    over snr_sweep_db (SNR = gamma * rho) when requested.
+    """The experiment of a configuration document, for any number of users.
 
-    Returns (table, sweep_rows): the per-block table at the last operating
-    point and a list of per-(snr, scheme, user) steady-state summaries.
+    The operating points are the configured ``rho`` when ``snr_sweep_db``
+    is unset, else one per swept SNR (SNR = gamma * rho).  Returns (table,
+    sweep_rows): the per-block table at the last operating point and the
+    per-(SNR, scheme, user) steady-state summaries of every point.
     """
-    if config.basis != "eigen":
-        raise ValueError(f"basis {config.basis!r} is single-user only; "
-                         "a run with users.count > 1 sounds the eigenbasis")
-    for b in config.baselines:
-        if b not in MU_SCHEMES:
-            raise ValueError(f"baselines entry {b!r} is single-user only; with "
-                             f"users.count > 1 choose among {MU_SCHEMES}")
     scenes, _ = multiuser_scenes_from_config(config)
     gamma = scenes[0].gamma
-    schemes = [config.designer]
-    schemes += [b for b in config.baselines if b not in schemes]
-    sweep = config.snr_sweep_db
-    if not sweep:
-        sweep = [10.0 * np.log10(gamma * config.frame.rho)]
+    frame = config.frame.build()
+    if config.snr_sweep_db:
+        points = [(snr_db, dataclasses.replace(frame, rho=10.0 ** (snr_db / 10.0) / gamma))
+                  for snr_db in config.snr_sweep_db]
+    else:
+        with np.errstate(divide="ignore"):
+            points = [(10.0 * np.log10(gamma * frame.rho), frame)]
     rows = []
-    table = None
-    for snr_db in sweep:
-        rho = 10.0 ** (snr_db / 10.0) / gamma
-        frame = FrameParams(g_len=config.frame.g, m_p=config.frame.m_p,
-                            m=config.frame.m, n_d_max=config.frame.n_d, rho=rho)
-        table = run_multiuser_scene(scenes, frame, schemes, config.mc_runs,
-                                    config.seed, config.horizon_blocks,
-                                    config.threads)
+    for snr_db, frame in points:
+        table = run_multiuser_scene(scenes, frame, config.schemes, config.mc_runs,
+                                    config.seed, config.horizon_blocks, config.threads)
         tail = frame.g_len * 2
-        for name in schemes:
+        for name in table.schemes:
             se_mc = table.se_mc(name)[-tail:].mean(axis=0)
             se_det_tail = table.se_det(name)[-tail:].mean(axis=0)
             se_det_ss = table.se_det_ss(name)
             se_lb = table.se_lb(name)
             for u in range(table.n_users):
                 det = se_det_ss[u] if np.isfinite(se_det_ss[u]) else se_det_tail[u]
-                rows.append(dict(
-                    snr_db=float(snr_db), scheme=name, user=u,
-                    se_mc=float(se_mc[u]), se_det=float(det),
-                    se_lb=float(se_lb[u]),
-                ))
+                rows.append(dict(snr_db=float(snr_db), scheme=name, user=u,
+                                 se_mc=float(se_mc[u]), se_det=float(det),
+                                 se_lb=float(se_lb[u])))
     return table, rows

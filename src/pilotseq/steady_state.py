@@ -82,9 +82,6 @@ class SteadyStateProfile:
     def upper_sum(self) -> float:
         return float(self.lambda_upper.sum())
 
-    def lower_sum(self) -> float:
-        return float(self.lambda_lower.sum())
-
 
 def profile(lam: np.ndarray, a: float, rho: float, g) -> SteadyStateProfile:
     """Vectorized envelopes with untrained modes padded at their full power."""
@@ -109,19 +106,6 @@ def profile(lam: np.ndarray, a: float, rho: float, g) -> SteadyStateProfile:
         rho=float(rho),
         n_d=int(np.count_nonzero(trained)),
     )
-
-
-def bound_gap(prof: SteadyStateProfile) -> float:
-    """Width of the steady-state sandwich over trained modes.
-
-    Computed as sum_i (1 - a**(2*(g_i - 1))) * (lam_i - floor_i), which
-    coincides with ||upper||_1 - ||lower||_1 restricted to trained modes.
-    """
-    t = prof.trained
-    if not t.any():
-        return 0.0
-    decay = prof.a ** (2.0 * (prof.g[t].astype(float) - 1.0))
-    return float(np.sum((1.0 - decay) * (prof.lam[t] - prof.lambda_lower[t])))
 
 
 def riccati_iterate_oracle(lam, a, rho, g, tol: float = 1e-12, max_iter: int = 10**6):

@@ -310,7 +310,7 @@ def test_determinism_across_threads(tmp_path):
     for sub, threads in (("one", 1), ("eight", 8)):
         cfg.output_dir = str(tmp_path / sub)
         cfg.threads = threads
-        table = sim.run_single_user(cfg)
+        table = sim.run_multiuser(cfg)[0]
         emit_outputs(table, cfg)
         blobs.append(tuple(
             (tmp_path / sub / name).read_bytes()

@@ -48,6 +48,20 @@ class TestDesign:
         assert summary["designer"] == "exhaustive"
         assert len(summary["g"]) == summary["n_d"]
 
+    def test_design_matches_simulate_without_sweep(self, tmp_path):
+        # both commands design for user 0's scene at the configured power
+        cfg = preset("multiuser_ula32")
+        cfg.mc_runs = 2
+        cfg.horizon_blocks = 64
+        cfg.snr_sweep_db = None
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg.to_json())
+        for command in ("design", "simulate"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 0
+        assert ((tmp_path / "design" / "design.csv").read_bytes()
+                == (tmp_path / "simulate" / "design.csv").read_bytes())
+
 
 class TestSimulate:
     def test_simulate_with_config_file(self, tmp_path):
@@ -111,6 +125,27 @@ class TestSimulate:
         assert sweep[0] == "snr_db,scheme,user,se_mc,se_det,se_lb"
         assert len(sweep) == 1 + 2 * 2  # schemes x users at one SNR
 
+    def test_single_user_honours_angle_and_sweep(self, tmp_path):
+        cfg = preset("demo")
+        cfg.mc_runs = 4
+        cfg.horizon_blocks = 8
+        cfg.snr_sweep_db = [0.0, 10.0]
+        outputs = []
+        for sub, ring_deg, user_deg in (("users", 20.0, [-25.0]), ("ring", -25.0, None)):
+            cfg.ring.theta_h_deg = ring_deg
+            cfg.users.theta_deg = user_deg
+            path = tmp_path / f"{sub}.json"
+            path.write_text(cfg.to_json())
+            assert cli.main(["simulate", "--config", str(path),
+                             "--out", str(tmp_path / sub)]) == 0
+            outputs.append([(tmp_path / sub / name).read_bytes()
+                            for name in ("trace.csv", "sweep.csv")])
+        # the explicit user angle places the user as the ring angle does
+        assert outputs[0] == outputs[1]
+        sweep = outputs[0][1].decode().splitlines()
+        assert len(sweep) == 1 + 2 * 3  # SNR points x schemes, one user
+        assert {float(row.split(",")[0]) for row in sweep[1:]} == {0.0, 10.0}
+
 
 class TestErrors:
     def test_missing_config_is_machine_readable(self):
@@ -164,6 +199,26 @@ class TestErrors:
         doc["users"]["count"] = 2
         doc["baselines"] = ["perfect_csit", "orthogonal"]
         assert "baselines" in self.error_for("simulate", doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name, field, value", [
+        ("demo", "mc_runs", "5"),
+        ("demo", "threads", "2"),
+        ("demo", "seed", 1.5),
+        ("demo", "horizon_blocks", 10.5),
+        ("demo", "users.count", "2"),
+        ("demo", "rank_tol", float("nan")),
+        ("demo", "snr_sweep_db", "5"),
+        ("demo", "users.theta_deg", [10.0, 20.0]),  # two angles for one user
+        ("upa375", "array.n_t", 100),  # 15 x 25 elements
+    ])
+    def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
+        doc = preset(name).to_dict()
+        *parents, key = field.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        assert field in self.error_for("design", doc, tmp_path, capsys)
 
 
 class TestVerify:

@@ -218,9 +218,9 @@ class TestDftBasisBuilder:
         arr = cm.ArrayGeometry.upa(3, 5)
         scene = sim.build_scene(arr, ring, block_len=5)
         basis = sim._scene_dft_basis(scene)
-        assert basis.rank == scene.r_design >= 6
+        assert basis.f_tilde.shape[1] == scene.r_design >= 6
         r_h, _ = cm.build_covariance(arr, ring)
-        for j in range(basis.rank):
+        for j in range(scene.r_design):
             col = basis.f_tilde[:, j]
             assert np.real(col.conj() @ r_h @ col) == pytest.approx(
                 basis.lambda_tilde[j], rel=1e-10)
@@ -392,6 +392,18 @@ class TestMultiuserEngine:
             if np.isfinite(row["se_lb"]) and row["scheme"] == "min_max":
                 assert row["se_lb"] <= row["se_det"] + 1e-9
 
+    @pytest.mark.parametrize("n_users", [1, 2])
+    def test_run_without_sweep_uses_configured_rho(self, n_users):
+        cfg = preset("multiuser_ula32")
+        cfg.users.count = n_users
+        cfg.users.theta_deg = [-20.0, 25.0][:n_users]
+        cfg.mc_runs = 2
+        cfg.horizon_blocks = 64
+        cfg.snr_sweep_db = None
+        table, rows = sim.run_multiuser(cfg)
+        assert table.frame.rho == cfg.frame.rho
+        assert len(rows) == 2 * n_users  # scheme x user at one operating point
+
 
 class TestOutputs:
     def test_emit_round_trip_and_shape(self, tmp_path):
@@ -399,7 +411,7 @@ class TestOutputs:
         cfg.mc_runs = 20
         cfg.horizon_blocks = 16
         cfg.output_dir = str(tmp_path / "run1")
-        table = sim.run_single_user(cfg)
+        table = sim.run_multiuser(cfg)[0]
         written = emit_outputs(table, cfg)
         names = {p.name for p in written}
         assert {"trace.csv", "design.csv", "config.resolved.json",
@@ -418,7 +430,7 @@ class TestOutputs:
         for sub, threads in (("a", 1), ("b", 8)):
             cfg.output_dir = str(tmp_path / sub)
             cfg.threads = threads
-            table = sim.run_single_user(cfg)
+            table = sim.run_multiuser(cfg)[0]
             emit_outputs(table, cfg)
             blob = (tmp_path / sub / "trace.csv").read_bytes()
             blobs.append(blob)

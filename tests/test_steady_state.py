@@ -109,37 +109,12 @@ class TestProfile:
         lam = np.geomspace(1.0, 0.01, 8)
         g = np.array([1, 1, 2, 2, 4, 4, 0, 0])
         prof = ss.profile(lam, 0.98, 10.0, g)
-        assert prof.lower_sum() <= prof.upper_sum() <= lam.sum() + 1e-12
+        assert prof.lambda_lower.sum() <= prof.upper_sum() <= lam.sum() + 1e-12
 
     def test_unit_interval_collapses(self):
         lam = np.array([1.0, 0.5])
         prof = ss.profile(lam, 0.9, 2.0, np.array([1, 1]))
         assert np.allclose(prof.lambda_lower, prof.lambda_upper)
-
-
-class TestBoundGap:
-    def test_all_ones_gap_zero(self):
-        lam = np.array([2.0, 1.0])
-        prof = ss.profile(lam, 0.9, 3.0, np.array([1, 1]))
-        assert ss.bound_gap(prof) == pytest.approx(0.0, abs=1e-15)
-
-    @given(a=a_st, rho=rho_st)
-    @settings(max_examples=80, deadline=None)
-    def test_identity_with_envelope_difference(self, a, rho):
-        lam = np.geomspace(2.0, 0.05, 6)
-        g = np.array([1, 2, 2, 4, 0, 0])
-        prof = ss.profile(lam, a, rho, g)
-        direct = (prof.lambda_upper - prof.lambda_lower)[prof.trained].sum()
-        assert ss.bound_gap(prof) == pytest.approx(direct, rel=1e-12, abs=1e-14)
-
-    def test_gap_grows_with_any_interval(self):
-        lam = np.geomspace(2.0, 0.05, 6)
-        base_g = np.array([1, 2, 2, 4, 4, 8])
-        base = ss.bound_gap(ss.profile(lam, 0.97, 5.0, base_g))
-        for i in range(6):
-            g = base_g.copy()
-            g[i] *= 2
-            assert ss.bound_gap(ss.profile(lam, 0.97, 5.0, g)) > base
 
 
 class TestRiccatiOracle:
