@@ -8,9 +8,11 @@ then runs there and in this working tree (HEAD plus any uncommitted
 changes) on the same cases:
 
 - ``pilotseq simulate`` on the ``demo``, ``ci_ula32`` and
-  ``multiuser_ula32`` presets, and through ``--config`` on ``upa375`` and
-  on ``ci_ula32`` with the exhaustive designer, both with ``mc_runs`` cut
-  to 16, comparing ``trace.csv``, ``design.csv`` and ``sweep.csv``;
+  ``multiuser_ula32`` presets, and through ``--config`` on ``upa375``, on
+  ``ci_ula32`` with the exhaustive designer and on ``multiuser_ula32``
+  with three users of unequal rank (8, 10 and 9 at -55, 0 and 35
+  degrees), each with ``mc_runs`` cut to 16, comparing ``trace.csv``,
+  ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` with ``basis = "dft"``
   and on ``multiuser_ula32``, comparing ``design.csv`` and
   ``assignment.json``.
@@ -108,15 +110,14 @@ def drift(a: Path, b: Path) -> list[str]:
 
 
 def cut_config(path: Path, name: str, **fields) -> None:
-    """Write preset ``name`` with ``mc_runs`` cut and ``fields`` overridden."""
+    """Write preset ``name`` with ``mc_runs`` cut and top-level ``fields``
+    overridden (a section such as ``users`` is replaced whole)."""
     sys.path.insert(0, str(ROOT / "src"))
     from pilotseq.config import preset
 
-    cfg = preset(name)
-    cfg.mc_runs = CUT_RUNS
-    for key, value in fields.items():
-        setattr(cfg, key, value)
-    path.write_text(cfg.to_json(), encoding="utf-8")
+    doc = preset(name).to_dict()
+    doc.update(mc_runs=CUT_RUNS, **fields)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -137,6 +138,8 @@ def main(argv: list[str]) -> int:
                 ("simulate", f"upa375 (mc_runs={CUT_RUNS})", "upa375", {}),
                 ("simulate", f"ci_ula32 exhaustive (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"designer": "exhaustive"}),
+                ("simulate", f"3 users, ranks 8/10/9 (mc_runs={CUT_RUNS})", "multiuser_ula32",
+                 {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]}}),
                 ("design", "demo", "demo", None),
                 ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),

@@ -108,13 +108,21 @@ class ExperimentConfig:
     def __post_init__(self):
         # each check names the field it rejects
         self.frame.build()
-        self.array.build()
         for name, value, low in (("mc_runs", self.mc_runs, 1), ("seed", self.seed, 0),
                                  ("horizon_blocks", self.horizon_blocks, self.frame.g),
                                  ("threads", self.threads, 1),
-                                 ("users.count", self.users.count, 1)):
-            if not isinstance(value, (int, np.integer)) or value < low:
+                                 ("users.count", self.users.count, 1),
+                                 *((f"array.{k}", getattr(self.array, k), 1)
+                                   for k in ("n_t", "n_v", "n_h"))):
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.array.kind not in ("ula", "upa"):
+            raise ValueError(f"array.kind must be 'ula' or 'upa', got {self.array.kind!r}")
+        for name, value in [("array.spacing_over_wavelength", self.array.spacing_over_wavelength),
+                            *((f"ring.{k}", v) for k, v in dataclasses.asdict(self.ring).items())]:
+            if not _finite_numbers([value]):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        self.array.build()
         if not _finite_numbers([self.rank_tol]) or self.rank_tol < 0:
             raise ValueError(f"rank_tol must be a finite number >= 0, got {self.rank_tol!r}")
         if self.snr_sweep_db is not None and not _finite_numbers(self.snr_sweep_db):
@@ -125,6 +133,11 @@ class ExperimentConfig:
                                        and len(thetas) == self.users.count):
             raise ValueError(f"users.theta_deg must list one finite angle per user "
                              f"(users.count = {self.users.count}), got {thetas!r}")
+        for name, theta in [("ring.theta_h_deg", self.ring.theta_h_deg),
+                            *((f"users.theta_deg[{u}]", t) for u, t in enumerate(thetas or ()))]:
+            if not -np.pi / 3 < np.radians(theta) < np.pi / 3:  # the one-ring sector
+                raise ValueError(f"{name} = {theta!r} lies outside the sector (-60, 60) degrees")
+        self.ring.build()
         if self.designer not in DESIGNERS:
             raise ValueError(f"designer must be one of {DESIGNERS}")
         if self.basis not in BASES:

@@ -153,10 +153,15 @@ def exhaustive_search(lam, a: float, rho: float, frame: FrameParams) -> Interval
     result comes from a depth-first walk that follows every branch whose
     partial sum plus table value stays within ``slack`` of the optimum, and
     re-scores each complete design with ``_objective``.  Ties break toward
-    fewer sounded modes, then lexicographically smallest g.
+    fewer sounded modes, then lexicographically smallest g.  At rho = 0
+    every design ties at sum(lam), so the answer is the fewest modes: M_p
+    of them at interval 1.
     """
     lam = np.asarray(lam, dtype=float)
     lo, hi = _feasible_n_d_range(lam, frame)
+    if rho == 0:
+        return IntervalAssignment((1,) * frame.m_p, frame.m_p,
+                                  _objective(lam, a, rho, np.ones(frame.m_p, dtype=int)))
     divisors = divisor_set(frame.g_len)
     n_div = len(divisors)
     budget = frame.g_len * frame.m_p

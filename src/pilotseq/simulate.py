@@ -21,6 +21,10 @@ step is the only estimate update the Monte Carlo kernel makes.  A
 single-user run is the one-user case of the multiuser run: one run path,
 one result table.
 
+Monte Carlo keeps a chunk of runs in stacked arrays zero-padded to the
+largest user rank r, channels (U, runs, r) and estimates (S, U, runs, r),
+and makes one realized-SINR call per block for every scheme and user.
+
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user), runs are processed in fixed-size
 chunks, and chunk partial sums are reduced in run-index order, so results
@@ -31,8 +35,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -320,114 +325,95 @@ def _complex_rows(gen, shape):
 
 
 def _realized_sinr(c, hats, rho, cross):
-    """Worst-case-noise matched-filter SINR of every user over a batch.
-
-    c[u] and hats[u] (runs, r_u) are user u's channels and estimates in its
-    eigencoordinates, and cross(u, v) = U_u^H U_v maps user v's coordinates
-    into user u's.  Returns one (runs,) array per user.
+    """Worst-case-noise matched-filter SINR of every scheme and user over a
+    batch: channels c (U, runs, r) and estimates hats (S, U, runs, r) in
+    each user's eigencoordinates, zero-padded to the largest rank r, and
+    cross[u, v] = U_u^H U_v into user u's coordinates.  Returns (S, U, runs).
     """
-    n_users = len(c)
-    nrm2 = [np.einsum("ij,ij->i", h.conj(), h).real for h in hats]
-    out = []
-    for u in range(n_users):
-        self_dot = np.einsum("ij,ij->i", c[u].conj(), hats[u])
-        sigma = n_users * nrm2[u] / rho + np.abs(self_dot - nrm2[u]) ** 2
-        for v in range(n_users):
-            if v == u:
-                continue
-            mixed = hats[v] @ cross(u, v).T  # into user u coordinates
-            dot_uv = np.einsum("ij,ij->i", c[u].conj(), mixed)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(nrm2[v] > 0, nrm2[u] / nrm2[v], 0.0)
-            sigma += ratio * np.abs(dot_uv) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out.append(np.where(nrm2[u] > 0, nrm2[u] ** 2 / sigma, 0.0))
-    return out
+    n_schemes, n_users, n_runs, _ = hats.shape
+    nrm2 = np.einsum("...ij,...ij->...i", hats.conj(), hats).real
+    self_dot = np.einsum("...ij,...ij->...i", c.conj(), hats)
+    sigma = n_users * nrm2 / rho + np.abs(self_dot - nrm2) ** 2
+    u_idx, v_idx = np.nonzero(~np.eye(n_users, dtype=bool))  # u-major, so v ascends per u
+    mixed = hats[:, v_idx] @ cross[u_idx, v_idx].swapaxes(-1, -2)
+    dot_uv = np.einsum("...ij,...ij->...i", c[u_idx].conj(), mixed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(nrm2[:, v_idx] > 0, nrm2[:, u_idx] / nrm2[:, v_idx], 0.0)
+        interference = (ratio * np.abs(dot_uv) ** 2).reshape(n_schemes, n_users, -1, n_runs)
+        for k in range(n_users - 1):
+            sigma += interference[:, :, k]
+        return np.where(nrm2 > 0, nrm2 ** 2 / sigma, 0.0)
 
 
-def _chunk(seed_seqs, channels, plans, horizon, frame, cross):
-    """Simulate one chunk of runs through every scheme for every user.
+def _cross_tensor(scene_mu: mu.MultiuserScene) -> np.ndarray:
+    """Read-only (U, U, r, r) stack of the cross products U_u^H U_v, zero on
+    the diagonal and in the padding to the largest rank r."""
+    n_users, r_max = scene_mu.n_users, max(len(user.stats.lam) for user in scene_mu.users)
+    cross = np.zeros((n_users, n_users, r_max, r_max), dtype=complex)
+    for u, v in itertools.permutations(range(n_users), 2):
+        x = scene_mu.cross_product(u, v)
+        cross[u, v, :x.shape[0], :x.shape[1]] = x
+    cross.flags.writeable = False
+    return cross
 
-    channels[u] = (lam, a) describes user u's channel and plans[name][u] is
-    user u's plan of a scheme.  Returns per-scheme (horizon, U) partial
-    sums of the realized SINR and spectral efficiency.
+
+def _chunk(seed_seqs, plans, horizon, frame, cross):
+    """Simulate one chunk of runs through every scheme for every user, where
+    plans[s][u] is user u's tracker of scheme s and carries the user's
+    channel spectrum and AR(1) coefficient.  Returns the (2, S, horizon, U)
+    partial sums of the realized SINR and the spectral efficiency.
     """
-    n_runs = len(seed_seqs)
-    n_users = len(channels)
-    evolve = [np.sqrt(1.0 - a * a) for _, a in channels]
-
-    c_ch = [np.empty((n_runs, len(lam)), dtype=complex) for lam, _ in channels]
-    proc = [np.empty((n_runs, horizon, len(lam)), dtype=complex) for lam, _ in channels]
-    meas = {name: [None if p.kind == "perfect"
-                   else np.empty((n_runs, horizon, p.m_p), dtype=complex) for p in per_user]
-            for name, per_user in plans.items()}
+    n_runs, n_schemes, n_users, r_max = len(seed_seqs), len(plans), len(cross), cross.shape[-1]
+    a = np.array([p.a for p in plans[0]])[:, None, None]
+    evolve = np.sqrt(1.0 - a * a)
+    c = np.zeros((n_users, n_runs, r_max), dtype=complex)
+    proc = np.zeros((n_users, n_runs, horizon, r_max), dtype=complex)
+    noise = np.empty((n_schemes, n_users, n_runs, horizon, frame.m_p), dtype=complex)
     for i, seq in enumerate(seed_seqs):
-        streams = seq.spawn(n_users * (1 + len(plans)))
-        for u, (lam, _) in enumerate(channels):
-            gen = np.random.Generator(np.random.PCG64(streams[u]))
-            z = _complex_rows(gen, (horizon + 1, len(lam)))
-            c_ch[u][i] = z[0] * np.sqrt(lam)
-            proc[u][i] = z[1:] * np.sqrt(lam)
-        pos = n_users
-        for name, per_user in plans.items():
-            for u, plan in enumerate(per_user):
-                if plan.kind != "perfect":
-                    gen = np.random.Generator(np.random.PCG64(streams[pos]))
-                    meas[name][u][i] = _complex_rows(gen, (horizon, plan.m_p))
-                pos += 1
+        # channel streams first, then one per (scheme, user); perfect
+        # knowledge consumes its stream without drawing from it
+        streams = seq.spawn(n_users * (1 + n_schemes))
+        for u, p in enumerate(plans[0]):
+            r = len(p.lam)
+            z = _complex_rows(np.random.default_rng(streams[u]), (horizon + 1, r)) * np.sqrt(p.lam)
+            c[u, i, :r], proc[u, i, :, :r] = z[0], z[1:]
+        for pos, (s, u) in enumerate(np.ndindex(n_schemes, n_users), start=n_users):
+            if plans[s][u].kind != "perfect":
+                noise[s, u, i] = _complex_rows(np.random.default_rng(streams[pos]),
+                                               (horizon, frame.m_p))
 
-    sinr_sum = {name: np.zeros((horizon, n_users)) for name in plans}
-    se_sum = {name: np.zeros((horizon, n_users)) for name in plans}
-    # estimates and channels are updated in place, so each scheme's list of
-    # per-user estimates (the channel itself under perfect knowledge) is
-    # built once
-    schemes = []
-    for name, per_user in plans.items():
-        chats = [None if p.kind == "perfect" else np.zeros((n_runs, len(p.lam)), dtype=complex)
-                 for p in per_user]
-        hats = [c_ch[u] if chat is None else chat for u, chat in enumerate(chats)]
-        schemes.append((name, list(zip(per_user, chats, meas[name])), hats))
-
+    hats = np.zeros((n_schemes, n_users, n_runs, r_max), dtype=complex)
+    perfect = np.array([row[0].kind == "perfect" for row in plans])
+    steps = [(p, hats[s, u, :, :len(p.lam)], c[u, :, :len(p.lam)], noise[s, u])
+             for s, row in enumerate(plans) for u, p in enumerate(row) if not perfect[s]]
+    sums = np.zeros((2, n_schemes, horizon, n_users))
     for ell in range(horizon):
-        for name, links, hats in schemes:
-            for u, (plan, chat, noise) in enumerate(links):
-                if chat is not None:
-                    plan.sample_step(chat, c_ch[u], noise[:, ell, :], ell)
-            sinr_acc, se_acc = sinr_sum[name][ell], se_sum[name][ell]
-            for u, sinr in enumerate(_realized_sinr(c_ch, hats, frame.rho, cross)):
-                sinr_acc[u] += sinr.sum()
-                se_acc[u] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum()
-        for u, (_, a) in enumerate(channels):
-            c_ch[u] *= a
-            c_ch[u] += evolve[u] * proc[u][:, ell, :]
-    return sinr_sum, se_sum
+        for plan, chat, chan, pilots in steps:
+            plan.sample_step(chat, chan, pilots[:, ell, :], ell)
+        hats[perfect] = c
+        sinr = _realized_sinr(c, hats, frame.rho, cross)
+        sums[0, :, ell] += sinr.sum(axis=-1)
+        sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
+        c *= a
+        c += evolve * proc[:, :, ell]
+    return sums
 
 
-def _monte_carlo(channels, plans, seed, mc_runs, horizon, frame, threads, cross):
-    """Monte Carlo means of the realized SINR and spectral efficiency, per
-    scheme as (horizon, U) arrays, from run streams spawned off ``seed``."""
+def _monte_carlo(plans, seed, mc_runs, horizon, frame, threads, cross):
+    """Monte Carlo means of the realized SINR and the spectral efficiency,
+    (2, S, horizon, U), from run streams spawned off ``seed``."""
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
     chunks = [run_seqs[i:i + CHUNK_RUNS] for i in range(0, mc_runs, CHUNK_RUNS)]
-
-    def work(chunk):
-        return _chunk(chunk, channels, plans, horizon, frame, cross)
-
+    work = partial(_chunk, plans=plans, horizon=horizon, frame=frame, cross=cross)
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(chunk) for chunk in chunks]
-
-    sinr_mc = {name: np.zeros((horizon, len(channels))) for name in plans}
-    se_mc = {name: np.zeros((horizon, len(channels))) for name in plans}
-    for sinr_part, se_part in results:
-        for name in plans:
-            sinr_mc[name] += sinr_part[name]
-            se_mc[name] += se_part[name]
-    for name in plans:
-        sinr_mc[name] /= mc_runs
-        se_mc[name] /= mc_runs
-    return sinr_mc, se_mc
+            parts = list(pool.map(work, chunks))
+    else:  # in this thread, one chunk's buffers at a time
+        parts = map(work, chunks)
+    means = np.zeros((2, len(plans), horizon, len(cross)))
+    for part in parts:  # in run order
+        means += part
+    return means / mc_runs
 
 
 # -- runs ------------------------------------------------------------------
@@ -535,33 +521,27 @@ def run_multiuser_scene(
     if n_users > 1 and unavailable:
         raise ValueError(f"schemes {unavailable} are not available in the multiuser "
                          f"path; choose among {MU_SCHEMES}")
-    rng_scene = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[0]))
+    rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
 
-    users = [{} for _ in scenes]
+    by_scheme = []  # by_scheme[s][u] is user u's plan of scheme s
     nmse, sinr_det, sinr_lb, sinr_det_ss = {}, {}, {}, {}
     for name in schemes:
-        traces = []
-        for u, scene in enumerate(scenes):
-            users[u][name], trace = _build_plan(scene, frame, horizon, name, rng_scene,
-                                                scene_mu.coupling(u))
-            traces.append(trace)
-        plans = [per_user[name] for per_user in users]
+        plans, traces = zip(*(_build_plan(scene, frame, horizon, name, rng_scene,
+                                          scene_mu.coupling(u)) for u, scene in enumerate(scenes)))
+        by_scheme.append(plans)
         nmse[name] = np.mean([p.nmse for p in plans], axis=0)
         sinr_det[name] = np.stack([mu.deterministic_sinr_trace(scene_mu, traces, u)
                                    for u in range(n_users)], axis=1)
         sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans)
 
-    # the couplings above filled the cross-product cache, so the Monte Carlo
-    # threads only read it
-    sinr_mc, se_mc_runs = _monte_carlo(
-        [(s.lam_sim, s.a) for s in scenes],
-        {name: [per_user[name] for per_user in users] for name in schemes},
-        seed, mc_runs, horizon, frame, threads, scene_mu.cross_product)
+    sinr_mc, se_mc_runs = (dict(zip(schemes, mean)) for mean in _monte_carlo(
+        by_scheme, seed, mc_runs, horizon, frame, threads, _cross_tensor(scene_mu)))
 
     return MultiuserTable(
         schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
         nmse=nmse, sinr_mc=sinr_mc, se_mc_runs=se_mc_runs, sinr_det=sinr_det,
-        sinr_lb=sinr_lb, sinr_det_ss=sinr_det_ss, user_plans=users,
+        sinr_lb=sinr_lb, sinr_det_ss=sinr_det_ss,
+        user_plans=[dict(zip(schemes, plans)) for plans in zip(*by_scheme)],
     )
 
 

@@ -210,6 +210,10 @@ class TestErrors:
         ("demo", "snr_sweep_db", "5"),
         ("demo", "users.theta_deg", [10.0, 20.0]),  # two angles for one user
         ("upa375", "array.n_t", 100),  # 15 x 25 elements
+        ("demo", "array.n_t", "16"),
+        ("demo", "ring.v_kmh", "3"),
+        ("demo", "ring.theta_h_deg", 70.0),  # outside the (-60, 60) sector
+        ("demo", "users.theta_deg", [70.0]),
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()
@@ -219,6 +223,11 @@ class TestErrors:
             node = node[parent]
         node[key] = value
         assert field in self.error_for("design", doc, tmp_path, capsys)
+
+    def test_angle_outside_sector_names_user(self, tmp_path, capsys):
+        doc = preset("multiuser_ula32").to_dict()
+        doc["users"]["theta_deg"] = [0.0, 10.0, -61.0, 20.0, 30.0]
+        assert "users.theta_deg[2]" in self.error_for("design", doc, tmp_path, capsys)
 
 
 class TestVerify:

@@ -135,6 +135,19 @@ class TestExhaustiveSearch:
         assert asn.g == (1, 1)
         assert asn.n_d == 2
 
+    def test_zero_power_takes_fewest_modes_without_search(self, monkeypatch):
+        # at rho = 0 every design ties at sum(lam): the tie-break's fewest
+        # modes, M_p at interval 1, comes back from a single scoring
+        calls = []
+        objective = sd._objective
+        monkeypatch.setattr(sd, "_objective", lambda *args: calls.append(1) or objective(*args))
+        lam = np.linspace(2.0, 0.1, 64)
+        fr = frame(g_len=32, m_p=2, m=5, n_d_max=64, rho=0.0)
+        asn = sd.exhaustive_search(lam, 0.99, 0.0, fr)
+        assert (asn.g, asn.n_d) == ((1, 1), 2)
+        assert asn.objective == pytest.approx(lam.sum(), rel=1e-12)
+        assert len(calls) <= 1
+
     def test_reference_point_is_feasible(self):
         lam = spectrum(8)
         fr = frame(g_len=4, m_p=3, m=8, n_d_max=8)

@@ -307,29 +307,38 @@ class TestMultiuserEngine:
         assert np.all(np.isfinite(lb))
         assert np.all(lb <= det_ss + 1e-9)
 
-    @pytest.mark.parametrize("n_users", [1, 2])
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
     def test_realized_sinr_matches_instantaneous_oracle(self, n_users):
-        # the kernel's batched eigencoordinate SINR against the
+        # the kernel's stacked eigencoordinate SINR against the
         # per-realization antenna-domain oracle, on random channel /
-        # estimate pairs lifted to antenna space as U c and U c_hat
-        scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 20.0)[:n_users]]
-        stats = [cm.ChannelStatistics(a=s.a, r_h=(s.u_sim * s.lam_sim) @ s.u_sim.conj().T,
-                                      u=s.u_sim, lam=s.lam_sim, rank=s.r_sim)
+        # estimate pairs lifted to antenna space as U c and U c_hat: users
+        # of unequal rank (8, 7, 7) zero-padded to the largest, and two
+        # noisy schemes plus a perfect-knowledge row in one call
+        scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)[:n_users]]
+        stats = [cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim, lam=s.lam_sim,
+                                      rank=s.r_sim)
                  for s in scenes]
-        rho, runs = 4.0, 6
+        rho, runs, r_max = 4.0, 6, max(s.r_sim for s in scenes)
         scene_mu = mu.MultiuserScene(users=[mu.UserLink(stats=st) for st in stats],
                                      rho=rho, m=10, m_p=1)
         rng = np.random.default_rng(11)
-        c = [cm.complex_normal(rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim) for s in scenes]
-        c_hat = [0.8 * x + 0.3 * cm.complex_normal(rng, x.shape) * np.sqrt(s.lam_sim)
-                 for x, s in zip(c, scenes)]
-        got = sim._realized_sinr(c, c_hat, rho, scene_mu.cross_product)
-        for i in range(runs):
-            h = [s.u_sim @ x[i] for x, s in zip(c, scenes)]
-            h_hat = [s.u_sim @ x[i] for x, s in zip(c_hat, scenes)]
-            for u in range(n_users):
-                assert got[u][i] == pytest.approx(
-                    mu.instantaneous_sinr(h, h_hat, rho, u), rel=1e-9)
+        c = np.zeros((n_users, runs, r_max), dtype=complex)
+        hats = np.zeros((3, n_users, runs, r_max), dtype=complex)
+        for u, s in enumerate(scenes):
+            c[u, :, :s.r_sim] = cm.complex_normal(rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
+            for row, (keep, noise) in enumerate(((0.8, 0.3), (0.5, 0.7))):
+                hats[row, u, :, :s.r_sim] = keep * c[u, :, :s.r_sim] + noise * cm.complex_normal(
+                    rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
+        hats[2] = c  # perfect knowledge
+        got = sim._realized_sinr(c, hats, rho, sim._cross_tensor(scene_mu))
+        assert got.shape == (3, n_users, runs)
+        for row in range(3):
+            for i in range(runs):
+                h = [s.u_sim @ c[u, i, :s.r_sim] for u, s in enumerate(scenes)]
+                h_hat = [s.u_sim @ hats[row, u, i, :s.r_sim] for u, s in enumerate(scenes)]
+                for u in range(n_users):
+                    assert got[row, u, i] == pytest.approx(
+                        mu.instantaneous_sinr(h, h_hat, rho, u), rel=1e-9)
 
     def test_interference_lowers_sinr(self):
         s0 = small_scene(theta_deg=10.0, d_r=8.0)
