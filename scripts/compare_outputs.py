@@ -9,13 +9,15 @@ changes) on the same cases:
 
 - ``pilotseq simulate`` on the ``demo``, ``ci_ula32`` and
   ``multiuser_ula32`` presets, and through ``--config`` on ``upa375``, on
-  ``ci_ula32`` with the exhaustive designer and on ``multiuser_ula32``
-  with three users of unequal rank (8, 10 and 9 at -55, 0 and 35
-  degrees), each with ``mc_runs`` cut to 16, comparing ``trace.csv``,
-  ``design.csv`` and ``sweep.csv``;
+  ``ci_ula32`` with the exhaustive designer, on ``ci_ula32`` with a static
+  user (``ring.v_kmh = 0``, so a = 1 and every trained mode's floor and
+  ceiling are zero) and on ``multiuser_ula32`` with three users of unequal
+  rank (8, 10 and 9 at -55, 0 and 35 degrees), each with ``mc_runs`` cut
+  to 16, comparing ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` with ``basis = "dft"``
   and on ``multiuser_ula32``, comparing ``design.csv`` and
-  ``assignment.json``.
+  ``assignment.json``;
+- ``pilotseq verify``, comparing its standard output.
 
 Every run writes to the relative directory ``out`` of its own working
 directory, so the output path recorded in ``assignment.json`` is the same
@@ -42,21 +44,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("demo", "ci_ula32", "multiuser_ula32")
-FILES = {"simulate": ("trace.csv", "design.csv", "sweep.csv"),
-         "design": ("design.csv", "assignment.json")}
+FILES = {"simulate": ("out/trace.csv", "out/design.csv", "out/sweep.csv"),
+         "design": ("out/design.csv", "out/assignment.json"),
+         "verify": ("stdout.txt",)}
 CUT_RUNS = 16
 
 
 def run_cli(tree: Path, command: str, args: list[str], workdir: Path) -> Path:
-    """Run ``pilotseq COMMAND`` from ``tree``'s sources in ``workdir``;
-    returns the output directory."""
+    """Run ``pilotseq COMMAND`` from ``tree``'s sources in ``workdir``, which
+    receives the outputs in ``out`` and the standard output in
+    ``stdout.txt``; returns ``workdir``."""
     workdir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "pilotseq.cli", command, *args, "--out", "out"]
+    cmd = [sys.executable, "-m", "pilotseq.cli", command, *args]
+    if command != "verify":
+        cmd += ["--out", "out"]
     proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} failed with {tree}:\n{proc.stderr}")
-    return workdir / "out"
+    (workdir / "stdout.txt").write_text(proc.stdout, encoding="utf-8")
+    return workdir
 
 
 def digest(path: Path) -> str:
@@ -111,12 +118,14 @@ def drift(a: Path, b: Path) -> list[str]:
 
 def cut_config(path: Path, name: str, **fields) -> None:
     """Write preset ``name`` with ``mc_runs`` cut and top-level ``fields``
-    overridden (a section such as ``users`` is replaced whole)."""
+    overridden (a section such as ``users`` is updated key by key)."""
     sys.path.insert(0, str(ROOT / "src"))
     from pilotseq.config import preset
 
     doc = preset(name).to_dict()
-    doc.update(mc_runs=CUT_RUNS, **fields)
+    doc["mc_runs"] = CUT_RUNS
+    for key, value in fields.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -138,14 +147,17 @@ def main(argv: list[str]) -> int:
                 ("simulate", f"upa375 (mc_runs={CUT_RUNS})", "upa375", {}),
                 ("simulate", f"ci_ula32 exhaustive (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"designer": "exhaustive"}),
+                ("simulate", f"ci_ula32 static user (mc_runs={CUT_RUNS})", "ci_ula32",
+                 {"ring": {"v_kmh": 0.0}}),
                 ("simulate", f"3 users, ranks 8/10/9 (mc_runs={CUT_RUNS})", "multiuser_ula32",
                  {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]}}),
                 ("design", "demo", "demo", None),
                 ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),
+                ("verify", "battery", None, None),
             ):
                 if fields is None:
-                    cases.append((command, label, ["--preset", name]))
+                    cases.append((command, label, [] if name is None else ["--preset", name]))
                     continue
                 config = tmp / f"config{len(cases)}.json"
                 cut_config(config, name, **fields)
@@ -161,7 +173,7 @@ def main(argv: list[str]) -> int:
                     same = a.exists() and b.exists() and a.read_bytes() == b.read_bytes()
                     differ += not same
                     print(f"{'identical' if same else 'DIFFERS  '} {command:<8} {label:<36} "
-                          f"{name:<15} {rev}={digest(a)} tree={digest(b)}")
+                          f"{Path(name).name:<15} {rev}={digest(a)} tree={digest(b)}")
                     if not same:
                         for line in drift(a, b):
                             print(f"    {line}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel_model import ArrayGeometry, OneRingGeometry
-from .sequence_design import FrameParams
+from .sequence_design import FrameParams, is_prime_power
 
 DESIGNERS = ("min_max", "exhaustive")
 BASES = ("eigen", "dft")
@@ -29,6 +29,14 @@ def _finite_numbers(xs) -> bool:
         and bool(np.isfinite(x)) for x in xs)
 
 
+def _section(cls, doc: dict, prefix: str):
+    """cls built from a config section; an unknown key fails naming it."""
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config field {prefix}{unknown[0]}")
+    return cls(**doc)
+
+
 @dataclass
 class ArrayConfig:
     kind: str = "ula"
@@ -39,9 +47,6 @@ class ArrayConfig:
 
     def build(self) -> ArrayGeometry:
         if self.kind == "upa":
-            if self.n_t != self.n_v * self.n_h:
-                raise ValueError(f"array.n_t = {self.n_t!r} must equal array.n_v * array.n_h "
-                                 f"= {self.n_v!r} * {self.n_h!r} for a UPA")
             return ArrayGeometry.upa(self.n_v, self.n_h, self.spacing_over_wavelength)
         return ArrayGeometry.ula(self.n_t, self.spacing_over_wavelength)
 
@@ -107,22 +112,23 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # each check names the field it rejects
-        self.frame.build()
-        for name, value, low in (("mc_runs", self.mc_runs, 1), ("seed", self.seed, 0),
-                                 ("horizon_blocks", self.horizon_blocks, self.frame.g),
+        frame, ring, array = self.frame, self.ring, self.array
+        for name, value, low in (*((f"frame.{k}", getattr(frame, k), 1)
+                                   for k in ("g", "m_p", "m", "n_d")),
+                                 ("mc_runs", self.mc_runs, 1), ("seed", self.seed, 0),
+                                 ("horizon_blocks", self.horizon_blocks, frame.g),
                                  ("threads", self.threads, 1),
                                  ("users.count", self.users.count, 1),
-                                 *((f"array.{k}", getattr(self.array, k), 1)
+                                 *((f"array.{k}", getattr(array, k), 1)
                                    for k in ("n_t", "n_v", "n_h"))):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.array.kind not in ("ula", "upa"):
-            raise ValueError(f"array.kind must be 'ula' or 'upa', got {self.array.kind!r}")
-        for name, value in [("array.spacing_over_wavelength", self.array.spacing_over_wavelength),
-                            *((f"ring.{k}", v) for k, v in dataclasses.asdict(self.ring).items())]:
+        if array.kind not in ("ula", "upa"):
+            raise ValueError(f"array.kind must be 'ula' or 'upa', got {array.kind!r}")
+        for name, value in [("array.spacing_over_wavelength", array.spacing_over_wavelength),
+                            *((f"ring.{k}", v) for k, v in dataclasses.asdict(ring).items())]:
             if not _finite_numbers([value]):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        self.array.build()
         if not _finite_numbers([self.rank_tol]) or self.rank_tol < 0:
             raise ValueError(f"rank_tol must be a finite number >= 0, got {self.rank_tol!r}")
         if self.snr_sweep_db is not None and not _finite_numbers(self.snr_sweep_db):
@@ -133,11 +139,29 @@ class ExperimentConfig:
                                        and len(thetas) == self.users.count):
             raise ValueError(f"users.theta_deg must list one finite angle per user "
                              f"(users.count = {self.users.count}), got {thetas!r}")
-        for name, theta in [("ring.theta_h_deg", self.ring.theta_h_deg),
-                            *((f"users.theta_deg[{u}]", t) for u, t in enumerate(thetas or ()))]:
-            if not -np.pi / 3 < np.radians(theta) < np.pi / 3:  # the one-ring sector
-                raise ValueError(f"{name} = {theta!r} lies outside the sector (-60, 60) degrees")
-        self.ring.build()
+        for name, value, ok, rule in (
+            ("frame.g", frame.g, is_prime_power(frame.g), "must be a prime power"),
+            ("frame.m", frame.m, frame.m > frame.m_p, f"must exceed frame.m_p = {frame.m_p!r}"),
+            ("frame.rho", frame.rho, _finite_numbers([frame.rho]) and frame.rho >= 0,
+             "must be a finite number >= 0"),
+            ("users.count", self.users.count, self.users.count * frame.m_p < frame.m,
+             f"times frame.m_p = {frame.m_p!r} must stay below frame.m = {frame.m!r}"),
+            ("ring.d_r", ring.d_r, 0 < ring.d_r < ring.d_s,
+             f"must lie in (0, ring.d_s = {ring.d_s!r})"),
+            ("ring.v_kmh", ring.v_kmh, ring.v_kmh >= 0, "must be >= 0"),
+            ("array.n_t", array.n_t, array.kind == "ula" or array.n_t == array.n_v * array.n_h,
+             f"must equal array.n_v * array.n_h = {array.n_v!r} * {array.n_h!r} for a UPA"),
+            *((name, value, value > 0, "must be > 0") for name, value in (
+                ("array.spacing_over_wavelength", array.spacing_over_wavelength),
+                ("ring.h", ring.h), ("ring.d_0", ring.d_0), ("ring.alpha_0", ring.alpha_0))),
+            *((name, theta, -np.pi / 3 < np.radians(theta) < np.pi / 3,  # the one-ring sector
+               "lies outside the sector (-60, 60) degrees")
+              for name, theta in [("ring.theta_h_deg", ring.theta_h_deg),
+                                  *((f"users.theta_deg[{u}]", t)
+                                    for u, t in enumerate(thetas or ()))]),
+        ):
+            if not ok:
+                raise ValueError(f"{name} = {value!r} {rule}")
         if self.designer not in DESIGNERS:
             raise ValueError(f"designer must be one of {DESIGNERS}")
         if self.basis not in BASES:
@@ -180,8 +204,8 @@ class ExperimentConfig:
         }
         for key, cls in nested.items():
             if key in doc and isinstance(doc[key], dict):
-                doc[key] = cls(**doc[key])
-        return ExperimentConfig(**doc)
+                doc[key] = _section(cls, doc[key], f"{key}.")
+        return _section(ExperimentConfig, doc, "")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,11 @@
 """Multiuser matched-filter downlink analysis.
 
 Realized SINR under worst-case uncorrelated noise (the per-realization
-oracle of the Monte Carlo kernel), its deterministic equivalent driven only
-by per-user Kalman error traces, the pre-log weighted spectral efficiency,
-and a closed-form steady-state SINR lower bound built from the
-periodic-training MSE envelopes.  A single-user link is the one-user case.
+oracle of the Monte Carlo kernel), the pre-log weighted spectral
+efficiency, and one evaluator of the deterministic equivalent over every
+user at once: the per-block trace, the converged state and the closed-form
+steady-state lower bound (its worst-case envelope state) all call it.  A
+single-user link is the one-user case.
 """
 
 from __future__ import annotations
@@ -92,71 +93,58 @@ def instantaneous_sinr(h_list, h_hat_list, rho: float, u: int) -> float:
     return float(eta / sigma)
 
 
-@dataclass
-class ErrorTrace:
-    """One user's posterior error covariances P over a horizon, reduced to
-    the deterministic SINR's inputs (eigencoordinates, Lambda = diag(lam))."""
-
-    err: np.ndarray  # (horizon,) tr P
-    self_err: np.ndarray  # (horizon,) Re tr(P (Lambda - P)), the self-error term
-    leak: np.ndarray  # (horizon, U) captured diag(Lambda - P) through coupling rows
+def error_terms(lam, err_var, lower):
+    """tr P and self-error term sum(err_var (lam - lower)) over the last axis
+    of error variances whose captured energy is lam - lower (a posterior: lower = err_var)."""
+    return err_var.sum(axis=-1), np.sum(err_var * (lam - lower), axis=-1)
 
 
-def error_trace(lam, posteriors, coupling: np.ndarray) -> ErrorTrace:
-    """Reduce a posterior trajectory block by block.  Each posterior is a
-    vector of per-mode error variances (diag tracker, envelope state, zeros
-    under perfect knowledge) or a full matrix, whose self-error term keeps
-    the off-diagonal part; ``coupling`` is the user's leakage map."""
-    err, self_err, leak = [], [], []
-    for p in posteriors:
-        if p.ndim == 1:
-            d = p
-            err.append(p.sum())
-            self_err.append(np.sum(p * (lam - p)))
-        else:
-            d = np.diag(p)
-            err.append(np.real(np.trace(p)))
-            self_err.append(np.real(np.sum(d * lam) - np.sum(np.abs(p) ** 2)))
-        leak.append(coupling @ (lam - d.real))
-    return ErrorTrace(np.array(err, dtype=float), np.array(self_err, dtype=float),
-                      np.array(leak))
+def leakage(scene: MultiuserScene, diags) -> np.ndarray:
+    """(..., V, U) leakage of user v into user u: v's captured energy
+    lam_v - diags[v], (..., r_v), through its coupling row u (zero at u = v)."""
+    return np.stack([(scene.coupling(v) @ (user.stats.lam - d)[..., None])[..., 0]
+                     for v, (user, d) in enumerate(zip(scene.users, diags))], axis=-2)
 
 
-def deterministic_sinr_trace(scene: MultiuserScene, traces: list, u: int) -> np.ndarray:
-    """Large-array deterministic equivalent of user u's matched-filter SINR
-    at every block of the per-user error traces.
+def sinr_inputs(scene: MultiuserScene, err_vars, lowers):
+    """Per-user lam_sum, tr P, self-error term and leakage of a state whose
+    errors are ``err_vars`` and whose captured energy is lam - ``lowers``."""
+    lams = [user.stats.lam for user in scene.users]
+    err, self_err = (np.stack(t, axis=-1) for t in zip(*map(error_terms, lams, err_vars, lowers)))
+    return np.array([lam.sum() for lam in lams]), err, self_err, leakage(scene, lowers)
 
-    With captured energy cap_v = sum(lam_v) - tr P_v and the normalization
-    alpha_v^2 = 1/(U cap_v), the limit of the realized 1/(U ||h_hat_v||^2):
-    cap_u^2 / (U cap_u/rho + max(b_u, 0) + sum_v (cap_u/cap_v) c_vu), with
-    self-error term b_u and leakage c_vu of user v.  It is zero where user
-    u captures nothing, a user capturing nothing leaks nothing, and an
-    exactly known channel without interference takes the form rho cap_u/U.
+
+def sinr_equivalent(lam_sum, err, self_err, leak, rho: float) -> np.ndarray:
+    """Large-array deterministic equivalent of every user's matched-filter
+    SINR, (..., U), from per-user lam_sum = sum(lam), err = tr P and
+    self-error term b, each (..., U), and the leakage leak[..., v, u] of user
+    v into user u (zero at v = u): with captured energy cap = lam_sum - err,
+    cap_u^2 / (U cap_u/rho + max(b_u, 0) + sum_v (cap_u/cap_v) leak_vu), the
+    interferers added in ascending v (alpha_v^2 = 1/(U cap_v) is the limit of
+    the realized 1/(U ||h_hat_v||^2)).  It is zero where user u captures
+    nothing, a user capturing nothing leaks nothing, and an exactly known
+    channel without interference takes the form rho cap_u/U.
     """
-    n = scene.n_users
-    rho = scene.rho
-    caps = [float(np.sum(user.stats.lam)) - t.err for user, t in zip(scene.users, traces)]
-    cap = caps[u]
-    c_term = 0.0
-    for v in range(n):
-        if v != u:
-            ratio = np.divide(cap, caps[v], out=np.zeros_like(cap), where=caps[v] > 0)
-            c_term = c_term + ratio * traces[v].leak[:, u]
-    den = n * cap / rho + np.maximum(traces[u].self_err, 0.0) + c_term
-    exact = (traces[u].err == 0) & (np.asarray(c_term) == 0)
+    cap = lam_sum - err
+    n_users = cap.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(exact, rho * cap / n, cap * cap / den)
+        terms = np.where(cap[..., :, None] > 0, cap[..., None, :] / cap[..., :, None], 0.0) * leak
+        c_term = np.zeros_like(cap)
+        for v in range(n_users):
+            c_term += terms[..., v, :]
+        den = n_users * cap / rho + np.maximum(self_err, 0.0) + c_term
+        sinr = np.where((err == 0) & (c_term == 0), rho * cap / n_users, cap * cap / den)
     return np.where(cap > 0, sinr, 0.0)
 
 
 def deterministic_sinr(scene: MultiuserScene, lambda_bars, u: int) -> float:
     """Deterministic SINR of user u for one posterior state, where
     lambda_bars[v] holds user v's per-mode error variances."""
-    traces = [error_trace(user.stats.lam, [np.asarray(bar, dtype=float)], scene.coupling(v))
-              for v, (user, bar) in enumerate(zip(scene.users, lambda_bars))]
-    if traces[u].err[0] >= float(np.sum(scene.users[u].stats.lam)):
+    bars = [np.asarray(bar, dtype=float) for bar in lambda_bars]
+    lam_sum, err, self_err, leak = sinr_inputs(scene, bars, bars)
+    if err[u] >= lam_sum[u]:
         raise ValueError("user has no captured channel energy")
-    return float(deterministic_sinr_trace(scene, traces, u)[0])
+    return float(sinr_equivalent(lam_sum, err, self_err, leak, scene.rho)[u])
 
 
 def spectral_efficiency(sinr, n_users: int, m_p: int, m: int):
@@ -173,29 +161,13 @@ def spectral_efficiency(sinr, n_users: int, m_p: int, m: int):
 def steady_state_sinr_lower_bound(
     scene: MultiuserScene, profiles: list[SteadyStateProfile], u: int
 ) -> float:
-    """Closed-form floor on the steady-state deterministic SINR of user u.
-
-    Every profile quantity enters at its least favourable envelope: the
-    captured energy at ||lam - upper||_1, the self-error term at
-    ||upper (x) (lam - lower)||_1, and the interference with the other
-    users' captured energy at its (lam - lower) ceiling.  Normalizations
-    use alpha_v^2 = 1 / (U * ||lam_v - upper_v||_1), matching the
-    deterministic-equivalent convention, and the bound is zero where the
-    upper envelope leaves user u nothing captured.
+    """Closed-form floor on the steady-state deterministic SINR of user u:
+    the deterministic SINR at the least favourable envelope state, every
+    user's error at its ceiling (captured energy ||lam - upper||_1 and
+    self-error term ||upper (x) (lam - lower)||_1) and its leakage at the
+    (lam - lower) ceiling.  Zero where user u's ceiling captures nothing.
     """
-    caps = [p.lam - p.lambda_upper for p in profiles]  # worst captured energy
-    s_min = np.array([c.sum() for c in caps])
     if not np.any(profiles[u].trained):
         raise ValueError("user trains no modes; the bound is undefined")
-    s_u = s_min[u]
-    if s_u <= 0.0:
-        return 0.0
-    p_u = profiles[u]
-    noise = scene.n_users * s_u / scene.rho
-    b_term = float(np.sum(p_u.lambda_upper * (p_u.lam - p_u.lambda_lower)))
-    c_term = 0.0
-    for v in range(scene.n_users):
-        if v != u and s_min[v] > 0.0:
-            c_term += (s_u / s_min[v]) * float(
-                scene.coupling(v)[u] @ (profiles[v].lam - profiles[v].lambda_lower))
-    return float(s_u * s_u / (noise + b_term + c_term))
+    uppers, lowers = [p.lambda_upper for p in profiles], [p.lambda_lower for p in profiles]
+    return float(sinr_equivalent(*sinr_inputs(scene, uppers, lowers), scene.rho)[u])

@@ -40,7 +40,7 @@ class FrameParams:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.rho, (int, float, np.number)) or not np.isfinite(self.rho):
             raise ValueError(f"rho must be a finite number, got {self.rho!r}")
-        if self.g_len < 1 or not _is_prime_power(self.g_len):
+        if self.g_len < 1 or not is_prime_power(self.g_len):
             raise ValueError(f"frame length {self.g_len} is not a prime power")
         if self.m_p < 1:
             raise ValueError("m_p must be >= 1")
@@ -52,7 +52,7 @@ class FrameParams:
             raise ValueError("rho must be nonnegative")
 
 
-def _is_prime_power(n: int) -> bool:
+def is_prime_power(n: int) -> bool:
     if n == 1:
         return True
     for p in range(2, n + 1):

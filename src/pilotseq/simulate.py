@@ -15,11 +15,11 @@ full     arbitrary fixed training columns through the full-matrix Kalman
 perfect  genie channel knowledge
 
 Every scheme plan is a ``Tracker``: its covariance recursion runs once,
-when the plan is built, and yields the error trace that the deterministic
-SINR of ``multiuser`` reads plus the per-block gains; its batched sample
-step is the only estimate update the Monte Carlo kernel makes.  A
-single-user run is the one-user case of the multiuser run: one run path,
-one result table.
+when the plan is built, storing the per-block gains, and its posteriors are
+reduced to the inputs of ``multiuser.sinr_equivalent``, evaluated once per
+scheme for all users; its batched sample step is the only estimate update
+the Monte Carlo kernel makes.  A single-user run is the one-user case of
+the multiuser run: one run path, one result table.
 
 Monte Carlo keeps a chunk of runs in stacked arrays zero-padded to the
 largest user rank r, channels (U, runs, r) and estimates (S, U, runs, r),
@@ -159,12 +159,11 @@ class Tracker:
         sqrt_rho = self._sqrt_rho
         horizon = len(self.sched)
         if self.kind == "diag":
-            p = np.asarray(self.lam, dtype=float)
+            p = np.array(self.lam, dtype=float)  # each block's posterior is a fresh array
             self.gains = np.zeros((horizon, self.m_p))
             for ell, idx in enumerate(self.sched):
                 pred = p[idx]
                 self.gains[ell] = sqrt_rho * pred / (1.0 + self.rho * pred)
-                p = p.copy()
                 p[idx] = pred / (1.0 + self.rho * pred)
                 yield p
                 p = self.predict(p)
@@ -240,13 +239,12 @@ def build_single_user_plans(
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
-    lone = np.zeros((1, scene.r_sim))  # a lone user leaks into nobody
-    return [_build_plan(scene, frame, horizon, name, rng_scene, lone)[0] for name in schemes]
+    return [_build_plan(scene, frame, horizon, name, rng_scene)[0] for name in schemes]
 
 
-def _build_plan(scene, frame, horizon, name, rng_scene, coupling):
-    """One scheme's plan for one user, plus the error trace of the plan's one
-    covariance recursion (``coupling`` is the user's leakage map)."""
+def _build_plan(scene, frame, horizon, name, rng_scene):
+    """One scheme's plan for one user, plus its covariance recursion reduced per
+    block to tr P, the self-error term Re tr(P (Lambda - P)) and diag P."""
     lam = scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
@@ -282,10 +280,19 @@ def _build_plan(scene, frame, horizon, name, rng_scene, coupling):
     plan = SchemePlan(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
                       sched=None if cycle is None else _horizon_schedule(cycle, horizon),
                       design=design, seq=seq)
-    posteriors = np.zeros((horizon, len(lam))) if kind == "perfect" else plan.posteriors()
-    trace = mu.error_trace(lam, posteriors, coupling)
-    plan.nmse = trace.err / float(lam.sum())
-    return plan, trace
+    if kind == "full":  # block by block; the off-diagonal part enters the self-error term
+        err, self_err, diag = np.empty(horizon), np.empty(horizon), np.empty((horizon, len(lam)))
+        for ell, p in enumerate(plan.posteriors()):
+            d = np.diag(p)  # a view of P, copied into diag
+            err[ell] = np.real(np.trace(p))
+            self_err[ell] = np.real(np.sum(d * lam) - np.sum(np.abs(p) ** 2))
+            diag[ell] = d.real
+    else:
+        diag = (np.zeros((horizon, len(lam))) if kind == "perfect"
+                else np.array(list(plan.posteriors())))
+        err, self_err = mu.error_terms(lam, diag, diag)
+    plan.nmse = err / float(lam.sum())
+    return plan, err, self_err, diag
 
 
 def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
@@ -472,26 +479,21 @@ def run_schemes(
     return run_multiuser_scene([scene], frame, schemes, mc_runs, seed, horizon, threads)
 
 
-def _steady_state(scene_mu, plans):
-    """Per-user steady-state bound and converged deterministic SINR of one
-    scheme, nan where undefined: the bound needs every user's periodic
-    design and is taken at its envelopes, the converged state is the
-    post-training floor (zero error under perfect knowledge)."""
-    n_users = len(plans)
-    lbs = np.full(n_users, np.nan)
+def _steady_state(scene_mu, plans, rho):
+    """Per-user steady-state bound (at the envelopes of every user's periodic
+    design) and converged deterministic SINR (at the post-training floor,
+    zero under perfect knowledge) of one scheme, nan where undefined."""
+    nan = np.full(len(plans), np.nan)
     if plans[0].kind == "perfect":
-        bars = [np.zeros(len(p.lam)) for p in plans]
+        lowers = uppers = [np.zeros(len(p.lam)) for p in plans]
     elif all(p.design is not None for p in plans):
         profiles = [ss_profile(p.lam, p.a, p.rho, p.design.g_padded(len(p.lam))) for p in plans]
-        bars = [prof.lambda_lower for prof in profiles]
-        lbs = np.array([mu.steady_state_sinr_lower_bound(scene_mu, profiles, u)
-                        for u in range(n_users)])
+        lowers, uppers = [p.lambda_lower for p in profiles], [p.lambda_upper for p in profiles]
     else:
-        return lbs, np.full(n_users, np.nan)
-    traces = [mu.error_trace(p.lam, [bar], scene_mu.coupling(u))
-              for u, (p, bar) in enumerate(zip(plans, bars))]
-    return lbs, np.array([mu.deterministic_sinr_trace(scene_mu, traces, u)[0]
-                          for u in range(n_users)])
+        return nan, nan
+    states = [np.stack([lower, upper]) for lower, upper in zip(lowers, uppers)]
+    det_ss, lb = mu.sinr_equivalent(*mu.sinr_inputs(scene_mu, states, lowers), rho)
+    return (nan if plans[0].kind == "perfect" else lb), det_ss
 
 
 def run_multiuser_scene(
@@ -526,13 +528,14 @@ def run_multiuser_scene(
     by_scheme = []  # by_scheme[s][u] is user u's plan of scheme s
     nmse, sinr_det, sinr_lb, sinr_det_ss = {}, {}, {}, {}
     for name in schemes:
-        plans, traces = zip(*(_build_plan(scene, frame, horizon, name, rng_scene,
-                                          scene_mu.coupling(u)) for u, scene in enumerate(scenes)))
+        plans, err, self_err, diags = zip(*(_build_plan(scene, frame, horizon, name, rng_scene)
+                                            for scene in scenes))
         by_scheme.append(plans)
         nmse[name] = np.mean([p.nmse for p in plans], axis=0)
-        sinr_det[name] = np.stack([mu.deterministic_sinr_trace(scene_mu, traces, u)
-                                   for u in range(n_users)], axis=1)
-        sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans)
+        sinr_det[name] = mu.sinr_equivalent(
+            np.array([p.lam.sum() for p in plans]), np.stack(err, axis=-1),
+            np.stack(self_err, axis=-1), mu.leakage(scene_mu, diags), frame.rho)
+        sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans, frame.rho)
 
     sinr_mc, se_mc_runs = (dict(zip(schemes, mean)) for mean in _monte_carlo(
         by_scheme, seed, mc_runs, horizon, frame, threads, _cross_tensor(scene_mu)))

@@ -214,6 +214,18 @@ class TestErrors:
         ("demo", "ring.v_kmh", "3"),
         ("demo", "ring.theta_h_deg", 70.0),  # outside the (-60, 60) sector
         ("demo", "users.theta_deg", [70.0]),
+        ("demo", "ring.d_r", 200.0),  # beyond ring.d_s
+        ("demo", "ring.d_s", 20.0),  # inside ring.d_r
+        ("demo", "ring.h", 0.0),
+        ("demo", "ring.v_kmh", -3.0),
+        ("demo", "array.spacing_over_wavelength", -0.5),
+        ("demo", "frame.g", 6),  # not a prime power
+        ("demo", "frame.m", 2),  # no data symbol after frame.m_p = 2 pilots
+        ("demo", "frame.n_d", 0),
+        ("demo", "frame.rho", -1.0),
+        ("demo", "array.bogus", 1),
+        ("demo", "ring.bogus", 1),
+        ("multiuser_ula32", "users.count", 10),  # 10 users * frame.m_p = frame.m
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()

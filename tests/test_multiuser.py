@@ -6,7 +6,9 @@ import pytest
 
 from pilotseq import channel_model as cm
 from pilotseq import multiuser as mu
+from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
+from pilotseq.config import UsersConfig, preset
 
 
 def user_stats(n=8, theta=0.3, delta=0.25, a=0.95, gamma=1.0):
@@ -124,23 +126,76 @@ class TestDeterministicSinr:
                 got = mu.deterministic_sinr(scene, bars, u)
                 ref = det_sinr_reference(scene, bars, u)
                 assert got == pytest.approx(ref, rel=1e-10)
-            # the horizon-wide form over a trajectory of posterior states
+            # the evaluator over a trajectory of posterior states, every user at once
             horizon = 4
             paths = [s.lam * rng.uniform(0.05, 0.8, size=(horizon, s.rank)) for s in stats]
-            traces = [mu.error_trace(s.lam, path, scene.coupling(v))
-                      for v, (s, path) in enumerate(zip(stats, paths))]
-            for u in range(3):
-                got = mu.deterministic_sinr_trace(scene, traces, u)
-                assert got.shape == (horizon,)
-                for ell in range(horizon):
+            got = mu.sinr_equivalent(*mu.sinr_inputs(scene, paths, paths), scene.rho)
+            assert got.shape == (horizon, 3)
+            for ell in range(horizon):
+                for u in range(3):
                     ref = det_sinr_reference(scene, [path[ell] for path in paths], u)
-                    assert got[ell] == pytest.approx(ref, rel=1e-10)
+                    assert got[ell, u] == pytest.approx(ref, rel=1e-10)
 
     def test_no_energy_rejected(self):
         stats = user_stats()
         scene = make_scene([stats])
         with pytest.raises(ValueError, match="captured"):
             mu.deterministic_sinr(scene, [stats.lam.copy()], 0)
+
+
+def bound_reference(scene, profiles, u):
+    """Elementwise reimplementation of the steady-state bound's terms: every
+    user's captured energy at lam - upper, the self-error term
+    upper (x) (lam - lower) and the leakage at lam - lower."""
+    s_min = [np.sum(p.lam - p.lambda_upper) for p in profiles]
+    p_u = profiles[u]
+    b_term = np.sum(p_u.lambda_upper * (p_u.lam - p_u.lambda_lower))
+    c_term = 0.0
+    for v in range(scene.n_users):
+        if v == u or s_min[v] <= 0:
+            continue
+        w = scene.users[u].stats.u.conj().T @ scene.users[v].stats.u
+        mat = (np.diag(p_u.lam) @ w @ np.diag(profiles[v].lam - profiles[v].lambda_lower)
+               @ w.conj().T)
+        c_term += (s_min[u] / s_min[v]) * np.real(np.trace(mat))
+    return s_min[u] ** 2 / (scene.n_users * s_min[u] / scene.rho + b_term + c_term)
+
+
+class TestProductionPathAgainstReference:
+    def test_three_users_of_unequal_rank(self):
+        # the run's deterministic traces, converged SINRs and bounds against
+        # the elementwise references, fed the plans' own posteriors and profiles
+        cfg = preset("multiuser_ula32")
+        cfg.users = UsersConfig(count=3, theta_deg=[-55.0, 0.0, 35.0])
+        scenes, _ = sim.multiuser_scenes_from_config(cfg)
+        assert len({s.r_sim for s in scenes}) == 3
+        frame, horizon = cfg.frame.build(), 2 * cfg.frame.g
+        schemes = ["min_max", "mp_fixed", "perfect_csit"]
+        table = sim.run_multiuser_scene(scenes, frame, schemes, 2, cfg.seed, horizon)
+        scene = make_scene([cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim,
+                                                 lam=s.lam_sim, rank=s.r_sim) for s in scenes],
+                           rho=frame.rho, m=frame.m, m_p=frame.m_p)
+        for name in schemes:
+            plans = [table.user_plans[u][name] for u in range(3)]
+            if name == "perfect_csit":
+                paths = [np.zeros((horizon, len(p.lam))) for p in plans]
+                floors = [np.zeros(len(p.lam)) for p in plans]
+                assert np.all(np.isnan(table.sinr_lb[name]))
+            else:
+                paths = [np.array(list(p.posteriors())) for p in plans]
+                profiles = [ss.profile(p.lam, p.a, p.rho, p.design.g_padded(len(p.lam)))
+                            for p in plans]
+                floors = [prof.lambda_lower for prof in profiles]
+            for u in range(3):
+                for ell in (0, 1, frame.g_len - 1, horizon - 1):
+                    ref = det_sinr_reference(scene, [path[ell] for path in paths], u)
+                    assert table.sinr_det[name][ell, u] == pytest.approx(ref, rel=1e-10)
+                ref = det_sinr_reference(scene, floors, u)
+                assert table.sinr_det_ss[name][u] == pytest.approx(ref, rel=1e-10)
+                if name != "perfect_csit":
+                    ref = bound_reference(scene, profiles, u)
+                    assert table.sinr_lb[name][u] == pytest.approx(ref, rel=1e-10)
+                    assert table.sinr_lb[name][u] <= table.sinr_det_ss[name][u]
 
 
 class TestSpectralEfficiency:
