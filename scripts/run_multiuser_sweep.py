@@ -3,8 +3,8 @@
 
 Sweeps SNR = gamma * rho for several RF-chain budgets N_d and prints the
 closed-form steady-state lower bound next to the deterministic and Monte
-Carlo sums, with perfect CSIT as the reference.  Writes sweep CSVs under
---out for plotting.
+Carlo sums, with perfect CSIT as the reference.  Writes each budget's
+``pilotseq simulate`` outputs, sweep.csv among them, to --out/nd{N_d}.
 """
 
 import argparse
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from pilotseq import simulate as sim
+from pilotseq.cli import emit_outputs
 from pilotseq.config import preset
 
 
@@ -25,11 +26,9 @@ def main():
                     default=[-10, -5, 0, 5, 10, 15, 20])
     ap.add_argument("--mc-runs", type=int, default=200)
     ap.add_argument("--seed", type=int, default=4242)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = f"{'SNR dB':>7}" + "".join(
         f"  Nd={nd}: lb/det/mc" + " " * 6 for nd in args.nd) + "  perfect"
     print(header)
@@ -42,15 +41,10 @@ def main():
         cfg.mc_runs = args.mc_runs
         cfg.seed = args.seed
         cfg.snr_sweep_db = list(args.snr_db)
-        cfg.threads = args.threads
-        _, rows = sim.run_multiuser(cfg)
+        cfg.output_dir = str(out / f"nd{nd}")
+        table, rows = sim.run_multiuser(cfg)
         all_rows[nd] = rows
-        path = out / f"sweep_nd{nd}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("snr_db,scheme,user,se_mc,se_det,se_lb\n")
-            for r in rows:
-                fh.write(f"{r['snr_db']},{r['scheme']},{r['user']},"
-                         f"{r['se_mc']:.6g},{r['se_det']:.6g},{r['se_lb']:.6g}\n")
+        emit_outputs(table, cfg, sweep_rows=rows)
 
     for snr in args.snr_db:
         cells = [f"{snr:7.1f}"]
@@ -68,7 +62,7 @@ def main():
                 perfect = sum(r["se_det"] for r in prows)
         cells.append(f"  {perfect:6.2f}" if perfect is not None else "")
         print("".join(cells))
-    print(f"\nwrote CSVs under {out}")
+    print(f"\nwrote outputs under {out}")
 
 
 if __name__ == "__main__":

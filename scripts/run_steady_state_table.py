@@ -22,7 +22,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--preset", default="ci_ula32")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--mc-runs", type=int, default=None)
     ap.add_argument("--skip", nargs="*", default=[],
                     help="scheme names to leave out")
@@ -42,7 +41,7 @@ def main():
           f"a = {scene.a:.6f}, trace = {scene.trace():.4f}")
     t0 = time.time()
     table = sim.run_schemes(scene, frame, schemes, cfg.mc_runs, cfg.seed,
-                            cfg.horizon_blocks, threads=args.threads)
+                            cfg.horizon_blocks)
     print(f"{cfg.mc_runs} runs x {cfg.horizon_blocks} blocks in "
           f"{time.time() - t0:.1f}s\n")
     print(f"{'scheme':<14} {'NMSE':>8} {'rx SNR (dB)':>12}")

@@ -196,6 +196,12 @@ def bessel_j0(x: float) -> float:
     return total
 
 
+def doppler_argument(v: float, f_c: float, t_s: float, block_len: int) -> float:
+    """Argument 2*pi*f_D*T_s*M of the block fading correlation, with the
+    Doppler shift f_D = v f_c / c; it must stay below the first J0 zero."""
+    return 2.0 * np.pi * (v * f_c / SPEED_OF_LIGHT) * t_s * block_len
+
+
 def temporal_coefficient(geom: OneRingGeometry, block_len: int) -> float:
     """Block-to-block fading correlation a = J0(2*pi*f_D*T_s*M).
 
@@ -205,8 +211,7 @@ def temporal_coefficient(geom: OneRingGeometry, block_len: int) -> float:
     """
     if geom.v == 0.0:
         return 1.0
-    f_d = geom.v * geom.f_c / SPEED_OF_LIGHT
-    x = 2.0 * np.pi * f_d * geom.t_s * block_len
+    x = doppler_argument(geom.v, geom.f_c, geom.t_s, block_len)
     if x >= _J0_FIRST_ZERO:
         raise ValueError(
             f"Doppler argument {x:.4g} reaches the first J0 zero: "

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_model import ArrayGeometry, OneRingGeometry
+from .channel_model import _J0_FIRST_ZERO, ArrayGeometry, OneRingGeometry, doppler_argument
 from .sequence_design import FrameParams, is_prime_power
 
 DESIGNERS = ("min_max", "exhaustive")
@@ -108,7 +108,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     rank_tol: float = 1e-6
     snr_sweep_db: list | None = None
-    threads: int = 1
 
     def __post_init__(self):
         # each check names the field it rejects
@@ -117,7 +116,6 @@ class ExperimentConfig:
                                    for k in ("g", "m_p", "m", "n_d")),
                                  ("mc_runs", self.mc_runs, 1), ("seed", self.seed, 0),
                                  ("horizon_blocks", self.horizon_blocks, frame.g),
-                                 ("threads", self.threads, 1),
                                  ("users.count", self.users.count, 1),
                                  *((f"array.{k}", getattr(array, k), 1)
                                    for k in ("n_t", "n_v", "n_h"))):
@@ -139,6 +137,7 @@ class ExperimentConfig:
                                        and len(thetas) == self.users.count):
             raise ValueError(f"users.theta_deg must list one finite angle per user "
                              f"(users.count = {self.users.count}), got {thetas!r}")
+        doppler = doppler_argument(ring.v_kmh / 3.6, ring.f_c, ring.t_s, frame.m)
         for name, value, ok, rule in (
             ("frame.g", frame.g, is_prime_power(frame.g), "must be a prime power"),
             ("frame.m", frame.m, frame.m > frame.m_p, f"must exceed frame.m_p = {frame.m_p!r}"),
@@ -149,6 +148,10 @@ class ExperimentConfig:
             ("ring.d_r", ring.d_r, 0 < ring.d_r < ring.d_s,
              f"must lie in (0, ring.d_s = {ring.d_s!r})"),
             ("ring.v_kmh", ring.v_kmh, ring.v_kmh >= 0, "must be >= 0"),
+            ("ring.v_kmh", ring.v_kmh, doppler < _J0_FIRST_ZERO,
+             f"puts the Doppler argument 2 pi (v f_c / c) t_s M at {doppler:.4g}, at or past "
+             f"the first J0 zero {_J0_FIRST_ZERO:.4g}: lower ring.v_kmh, ring.f_c = {ring.f_c!r}, "
+             f"ring.t_s = {ring.t_s!r} or frame.m = {frame.m!r}"),
             ("array.n_t", array.n_t, array.kind == "ula" or array.n_t == array.n_v * array.n_h,
              f"must equal array.n_v * array.n_h = {array.n_v!r} * {array.n_h!r} for a UPA"),
             *((name, value, value > 0, "must be > 0") for name, value in (

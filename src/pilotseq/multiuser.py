@@ -11,6 +11,7 @@ single-user link is the one-user case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,29 +42,38 @@ class MultiuserScene:
             raise ValueError("need at least one user")
         if len(self.users) * self.m_p >= self.m:
             raise ValueError("U * M_p must stay below the block length M")
-        self._cross = {}
         self._coupling = {}
 
     @property
     def n_users(self) -> int:
         return len(self.users)
 
-    def cross_product(self, u: int, v: int) -> np.ndarray:
-        """Cached U_u^H U_v, mapping user v's eigencoordinates into user u's."""
-        key = (u, v)
-        if key not in self._cross:
-            self._cross[key] = self.users[u].stats.u.conj().T @ self.users[v].stats.u
-        return self._cross[key]
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """Read-only (U, U, r, r) stack of the cross products U_u^H U_v, which
+        map user v's eigencoordinates into user u's, zero on the diagonal and
+        in the padding to the largest rank r."""
+        bases = [user.stats.u for user in self.users]
+        r_max = max(b.shape[1] for b in bases)
+        cross = np.zeros((self.n_users, self.n_users, r_max, r_max), dtype=complex)
+        for u, bu in enumerate(bases):
+            for v, bv in enumerate(bases):
+                if u != v:
+                    cross[u, v, :bu.shape[1], :bv.shape[1]] = bu.conj().T @ bv
+        cross.flags.writeable = False
+        return cross
 
     def coupling(self, v: int) -> np.ndarray:
         """Cached (U, r_v) leakage map of user v: row u = v is zero, and row u
         is lam_u^T |U_u^H U_v|^2, which weighs v's per-mode captured energy
         into the interference v's beam causes user u."""
         if v not in self._coupling:
-            out = np.zeros((self.n_users, len(self.users[v].stats.lam)))
-            for u in range(self.n_users):
+            r_v = len(self.users[v].stats.lam)
+            out = np.zeros((self.n_users, r_v))
+            for u, user in enumerate(self.users):
                 if u != v:
-                    out[u] = self.users[u].stats.lam @ np.abs(self.cross_product(u, v)) ** 2
+                    lam = user.stats.lam
+                    out[u] = lam @ np.abs(self.cross[u, v, :len(lam), :r_v]) ** 2
             self._coupling[v] = out
         return self._coupling[v]
 

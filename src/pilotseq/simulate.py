@@ -28,16 +28,14 @@ and makes one realized-SINR call per block for every scheme and user.
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user), runs are processed in fixed-size
 chunks, and chunk partial sums are reduced in run-index order, so results
-are byte-identical for any thread count.
+are byte-identical from run to run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +63,7 @@ from .sequence_design import (
 )
 from .steady_state import profile as ss_profile
 
-CHUNK_RUNS = 32  # fixed Monte Carlo chunk size; independent of thread count
+CHUNK_RUNS = 32  # runs per Monte Carlo chunk, the unit of buffering and of the reduction
 
 _DESIGNERS = {"min_max": min_max_design, "exhaustive": exhaustive_search}
 
@@ -352,18 +350,6 @@ def _realized_sinr(c, hats, rho, cross):
         return np.where(nrm2 > 0, nrm2 ** 2 / sigma, 0.0)
 
 
-def _cross_tensor(scene_mu: mu.MultiuserScene) -> np.ndarray:
-    """Read-only (U, U, r, r) stack of the cross products U_u^H U_v, zero on
-    the diagonal and in the padding to the largest rank r."""
-    n_users, r_max = scene_mu.n_users, max(len(user.stats.lam) for user in scene_mu.users)
-    cross = np.zeros((n_users, n_users, r_max, r_max), dtype=complex)
-    for u, v in itertools.permutations(range(n_users), 2):
-        x = scene_mu.cross_product(u, v)
-        cross[u, v, :x.shape[0], :x.shape[1]] = x
-    cross.flags.writeable = False
-    return cross
-
-
 def _chunk(seed_seqs, plans, horizon, frame, cross):
     """Simulate one chunk of runs through every scheme for every user, where
     plans[s][u] is user u's tracker of scheme s and carries the user's
@@ -406,20 +392,13 @@ def _chunk(seed_seqs, plans, horizon, frame, cross):
     return sums
 
 
-def _monte_carlo(plans, seed, mc_runs, horizon, frame, threads, cross):
+def _monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
     """Monte Carlo means of the realized SINR and the spectral efficiency,
     (2, S, horizon, U), from run streams spawned off ``seed``."""
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
-    chunks = [run_seqs[i:i + CHUNK_RUNS] for i in range(0, mc_runs, CHUNK_RUNS)]
-    work = partial(_chunk, plans=plans, horizon=horizon, frame=frame, cross=cross)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
-    else:  # in this thread, one chunk's buffers at a time
-        parts = map(work, chunks)
     means = np.zeros((2, len(plans), horizon, len(cross)))
-    for part in parts:  # in run order
-        means += part
+    for i in range(0, mc_runs, CHUNK_RUNS):  # in run order, one chunk's buffers at a time
+        means += _chunk(run_seqs[i:i + CHUNK_RUNS], plans, horizon, frame, cross)
     return means / mc_runs
 
 
@@ -475,8 +454,9 @@ def run_schemes(
     threads: int = 1,
 ) -> MultiuserTable:
     """Deterministic traces plus Monte Carlo averages for a scheme list: the
-    one-user run."""
-    return run_multiuser_scene([scene], frame, schemes, mc_runs, seed, horizon, threads)
+    one-user run.  ``threads`` has no effect; it stays for perfbench's call
+    sites."""
+    return run_multiuser_scene([scene], frame, schemes, mc_runs, seed, horizon)
 
 
 def _steady_state(scene_mu, plans, rho):
@@ -510,7 +490,8 @@ def run_multiuser_scene(
 
     Returns every scheme's deterministic traces, steady-state summaries and
     Monte Carlo averages.  A single-user run is the one-user case; with more
-    users only the MU_SCHEMES are available.
+    users only the MU_SCHEMES are available.  ``threads`` has no effect; it
+    stays for perfbench's call sites.
     """
     n_users = len(scenes)
     scene_mu = mu.MultiuserScene(
@@ -538,7 +519,7 @@ def run_multiuser_scene(
         sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans, frame.rho)
 
     sinr_mc, se_mc_runs = (dict(zip(schemes, mean)) for mean in _monte_carlo(
-        by_scheme, seed, mc_runs, horizon, frame, threads, _cross_tensor(scene_mu)))
+        by_scheme, seed, mc_runs, horizon, frame, scene_mu.cross))
 
     return MultiuserTable(
         schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
@@ -590,7 +571,7 @@ def run_multiuser(config: ExperimentConfig):
     rows = []
     for snr_db, frame in points:
         table = run_multiuser_scene(scenes, frame, config.schemes, config.mc_runs,
-                                    config.seed, config.horizon_blocks, config.threads)
+                                    config.seed, config.horizon_blocks)
         tail = frame.g_len * 2
         for name in table.schemes:
             se_mc = table.se_mc(name)[-tail:].mean(axis=0)

@@ -15,7 +15,6 @@ from pilotseq import multiuser as mu
 from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
 from pilotseq import sequence_design as sd
-from pilotseq.cli import emit_outputs
 from pilotseq.config import preset
 from pilotseq.sequence_design import FrameParams
 
@@ -194,8 +193,7 @@ def test_proposition4_convergence():
             ring = cm.OneRingGeometry(d_s=100.0, d_r=30.0, h=60.0,
                                       theta_h=np.radians(theta), v=3 / 3.6)
             scenes.append(sim.build_scene(cm.ArrayGeometry.ula(n_t), ring, 10))
-        table = sim.run_multiuser_scene(scenes, frame, ["min_max"], 3000, 31,
-                                        48, threads=4)
+        table = sim.run_multiuser_scene(scenes, frame, ["min_max"], 3000, 31, 48)
         tail_mc = table.sinr_mc["min_max"][-16:].mean(axis=0)
         tail_det = table.sinr_det["min_max"][-16:].mean(axis=0)
         gaps.append(float(np.mean(np.abs(tail_mc - tail_det) / tail_det)))
@@ -299,29 +297,6 @@ def test_lemma1_estimate_covariance():
     report("lemma1_estimate_covariance", elapsed, f"rel frobenius {rel:.3f}")
 
 
-def test_determinism_across_threads(tmp_path):
-    """Identical (config, seed) at 1 and 8 worker threads produce
-    byte-identical CSV outputs."""
-    t0 = time.time()
-    cfg = preset("demo")
-    cfg.mc_runs = 96
-    cfg.horizon_blocks = 32
-    blobs = []
-    for sub, threads in (("one", 1), ("eight", 8)):
-        cfg.output_dir = str(tmp_path / sub)
-        cfg.threads = threads
-        table = sim.run_multiuser(cfg)[0]
-        emit_outputs(table, cfg)
-        blobs.append(tuple(
-            (tmp_path / sub / name).read_bytes()
-            for name in ("trace.csv", "design.csv", "config.resolved.json")
-        ))
-    elapsed = time.time() - t0
-    assert blobs[0][0] == blobs[1][0]
-    assert blobs[0][1] == blobs[1][1]
-    report("determinism_across_threads", elapsed)
-
-
 def test_steady_state_ordering_ci_scale():
     """Strict NMSE ordering on the 32-antenna configuration:
     perfect < exhaustive <= min_max < nd_fixed < {orthogonal, random} <
@@ -358,8 +333,7 @@ def test_steady_state_reference_upa375():
     schemes = ["min_max", "min_max_dft", "nd_fixed", "orthogonal", "mp_fixed",
                "perfect_csit"]
     table = sim.run_schemes(scene, frame, schemes, mc_runs=cfg.mc_runs,
-                            seed=cfg.seed, horizon=cfg.horizon_blocks,
-                            threads=4)
+                            seed=cfg.seed, horizon=cfg.horizon_blocks)
     targets = {
         "min_max": (0.04, 15.3),
         "min_max_dft": (0.05, 15.2),

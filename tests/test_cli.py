@@ -167,6 +167,14 @@ class TestErrors:
         proc = run_cli(["design", "--preset", "not_a_preset"])
         assert proc.returncode == 1
 
+    def test_seed_override_fails_at_load_naming_it(self, tmp_path):
+        proc = run_cli(["simulate", "--preset", "demo", "--seed", "-1",
+                        "--out", str(tmp_path)])
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert "seed" in json.loads(lines[0])["error"]
+
     @staticmethod
     def error_for(command, doc, tmp_path, capsys):
         """The one-line JSON error of ``command`` run on a config document."""
@@ -218,6 +226,7 @@ class TestErrors:
         ("demo", "ring.d_s", 20.0),  # inside ring.d_r
         ("demo", "ring.h", 0.0),
         ("demo", "ring.v_kmh", -3.0),
+        ("demo", "ring.v_kmh", 400.0),  # Doppler argument past the first J0 zero
         ("demo", "array.spacing_over_wavelength", -0.5),
         ("demo", "frame.g", 6),  # not a prime power
         ("demo", "frame.m", 2),  # no data symbol after frame.m_p = 2 pilots
