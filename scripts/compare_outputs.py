@@ -23,9 +23,10 @@ Every run writes to the relative directory ``out`` of its own working
 directory, so the output path recorded in ``assignment.json`` is the same
 on both sides.  Files are compared byte for byte; a file written on one
 side only counts as a difference.  Prints one line per case and file, and
-under each differing file the drift: every differing column with its
-largest relative difference over rows matched by position, a row-count
-mismatch, and non-numeric mismatches.  Exits 1 on any difference (2 if a
+under each differing file the drift: for a CSV file every differing column
+with its largest relative difference over rows matched by position, a
+row-count mismatch, and non-numeric mismatches; for a JSON file the
+differing keys; for a plain-text file each differing line by number.  Exits 1 on any difference (2 if a
 run fails).  Temporary files go under ``$TMPDIR``.
 """
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -72,8 +74,8 @@ def digest(path: Path) -> str:
 
 def drift(a: Path, b: Path) -> list[str]:
     """How two output files differ: the differing keys of a JSON object,
-    else CSV rows matched by position and columns named by the first line
-    unless it is a ``#`` comment."""
+    CSV rows matched by position and columns named by the first line unless
+    it is a ``#`` comment, or the differing lines of any other text."""
     if not (a.exists() and b.exists()):
         return ["written on one side only"]
     if a.suffix == ".json":
@@ -81,6 +83,10 @@ def drift(a: Path, b: Path) -> list[str]:
         return [f"{key}: {doc_a.get(key)!r} vs {doc_b.get(key)!r}"
                 for key in sorted(doc_a.keys() | doc_b.keys())
                 if doc_a.get(key) != doc_b.get(key)]
+    if a.suffix != ".csv":
+        lines = (p.read_text(encoding="utf-8").splitlines() for p in (a, b))
+        return [f"line {i + 1}: {x!r} vs {y!r}"
+                for i, (x, y) in enumerate(itertools.zip_longest(*lines)) if x != y]
     rows_a, rows_b = (list(csv.reader(io.StringIO(p.read_text(encoding="utf-8"))))
                       for p in (a, b))
     header = rows_a[0] if rows_a and not rows_a[0][0].startswith("#") else []

@@ -14,7 +14,7 @@ import numpy as np
 
 from pilotseq import simulate as sim
 from pilotseq.cli import emit_outputs
-from pilotseq.config import preset
+from pilotseq.config import ExperimentConfig, preset
 
 
 def main():
@@ -29,19 +29,21 @@ def main():
     args = ap.parse_args()
 
     out = Path(args.out)
+    doc = preset("multiuser_ula32").to_dict()
+    try:  # the overrides go through the load checks, which name the field
+        cfgs = {nd: ExperimentConfig.from_dict({
+            **doc, "users": {**doc["users"], "count": args.users},
+            "frame": {**doc["frame"], "n_d": nd}, "mc_runs": args.mc_runs,
+            "seed": args.seed, "snr_sweep_db": list(args.snr_db),
+            "output_dir": str(out / f"nd{nd}")}) for nd in args.nd}
+    except ValueError as exc:
+        ap.error(str(exc))
     header = f"{'SNR dB':>7}" + "".join(
         f"  Nd={nd}: lb/det/mc" + " " * 6 for nd in args.nd) + "  perfect"
     print(header)
 
     all_rows = {}
-    for nd in args.nd:
-        cfg = preset("multiuser_ula32")
-        cfg.users.count = args.users
-        cfg.frame.n_d = nd
-        cfg.mc_runs = args.mc_runs
-        cfg.seed = args.seed
-        cfg.snr_sweep_db = list(args.snr_db)
-        cfg.output_dir = str(out / f"nd{nd}")
+    for nd, cfg in cfgs.items():
         table, rows = sim.run_multiuser(cfg)
         all_rows[nd] = rows
         emit_outputs(table, cfg, sweep_rows=rows)

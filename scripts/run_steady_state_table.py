@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from pilotseq import simulate as sim
-from pilotseq.config import preset
+from pilotseq.config import ExperimentConfig, preset
 
 SCHEMES = ["perfect_csit", "exhaustive", "min_max", "min_max_dft",
            "nd_fixed", "orthogonal", "random", "mp_fixed"]
@@ -27,11 +27,14 @@ def main():
                     help="scheme names to leave out")
     args = ap.parse_args()
 
-    cfg = preset(args.preset)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.mc_runs is not None:
-        cfg.mc_runs = args.mc_runs
+    doc = preset(args.preset).to_dict()
+    for key, value in (("seed", args.seed), ("mc_runs", args.mc_runs)):
+        if value is not None:
+            doc[key] = value
+    try:  # the overrides go through the load checks, which name the field
+        cfg = ExperimentConfig.from_dict(doc)
+    except ValueError as exc:
+        ap.error(str(exc))
     schemes = [s for s in SCHEMES if s not in args.skip]
 
     scene = sim.build_scene(cfg.array.build(), cfg.ring.build(), cfg.frame.m,

@@ -165,10 +165,14 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} = {value!r} {rule}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
         if self.designer not in DESIGNERS:
             raise ValueError(f"designer must be one of {DESIGNERS}")
         if self.basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}")
+        if not isinstance(self.baselines, list):
+            raise ValueError(f"baselines must be a list of scheme names, got {self.baselines!r}")
         for b in self.baselines:
             if b not in BASELINES:
                 raise ValueError(f"unknown baseline {b!r}; known: {BASELINES}")
@@ -206,7 +210,10 @@ class ExperimentConfig:
             "users": UsersConfig,
         }
         for key, cls in nested.items():
-            if key in doc and isinstance(doc[key], dict):
+            if key in doc:
+                if not isinstance(doc[key], dict):
+                    raise ValueError(f"{key} must be an object of {key}.* fields, "
+                                     f"got {doc[key]!r}")
                 doc[key] = _section(cls, doc[key], f"{key}.")
         return _section(ExperimentConfig, doc, "")
 

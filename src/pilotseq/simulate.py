@@ -142,10 +142,16 @@ class Tracker:
         """Channel covariance in the shape of the error covariance."""
         return np.diag(self.lam) if self.kind == "full" else self.lam
 
+    @cached_property
+    def _aging(self) -> tuple:
+        """a^2 and the innovation covariance (1 - a^2) Lambda of one block."""
+        a2 = self.a * self.a
+        return a2, (1.0 - a2) * self._channel_cov
+
     def predict(self, p_bar: np.ndarray) -> np.ndarray:
         """One-block AR(1) prediction of a posterior error covariance."""
-        a2 = self.a * self.a
-        return a2 * p_bar + (1.0 - a2) * self._channel_cov
+        a2, innovation = self._aging
+        return a2 * p_bar + innovation
 
     def posteriors(self):
         """Covariance recursion over the schedule: stores each block's gains
@@ -158,11 +164,13 @@ class Tracker:
         horizon = len(self.sched)
         if self.kind == "diag":
             p = np.array(self.lam, dtype=float)  # each block's posterior is a fresh array
-            self.gains = np.zeros((horizon, self.m_p))
+            self.gains = gains = np.zeros((horizon, self.m_p))
+            rho = self.rho
             for ell, idx in enumerate(self.sched):
                 pred = p[idx]
-                self.gains[ell] = sqrt_rho * pred / (1.0 + self.rho * pred)
-                p[idx] = pred / (1.0 + self.rho * pred)
+                den = 1.0 + rho * pred
+                gains[ell] = sqrt_rho * pred / den
+                p[idx] = pred / den
                 yield p
                 p = self.predict(p)
         else:

@@ -1,8 +1,10 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 Each test prints one pass/fail line (run with -s to see them on success).
-The full-scale steady-state reproduction is marked slow; everything else
-is CI-friendly.
+The five gates that ``pilotseq verify`` shares run its check functions on
+their own generators and print its value, threshold and margin line.  The
+full-scale steady-state reproduction is marked slow; everything else is
+CI-friendly.
 """
 
 import time
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from pilotseq import channel_model as cm
-from pilotseq import multiuser as mu
+from pilotseq import cli
 from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
 from pilotseq import sequence_design as sd
@@ -23,56 +25,30 @@ def report(name, elapsed, detail=""):
     print(f"[acceptance] PASS {name} ({elapsed:.2f}s) {detail}")
 
 
-def random_valid_assignment(rng, g_len, m_p):
-    """Uniform-ish random counts over the divisor set with exact budget."""
-    divisors = sd.divisor_set(g_len)
-    budget = g_len * m_p
-    counts = []
-    for d in divisors[:-1]:
-        cmax = budget // (g_len // d)
-        c = int(rng.integers(0, cmax + 1))
-        counts.append(c)
-        budget -= c * (g_len // d)
-    counts.append(budget)
-    g = tuple(int(d) for d, c in zip(divisors, counts) for _ in range(c))
-    return sd.IntervalAssignment(g=g, n_d=len(g), objective=0.0)
+def gate(name, t0, results):
+    """Assert that every result of a ``pilotseq verify`` check passes and
+    print the one with the least margin; returns the elapsed time."""
+    elapsed = time.time() - t0
+    for result in results:
+        assert result.ok, result.line(name)
+    worst = min(results, key=lambda result: result.margin)
+    print(f"[acceptance] {worst.line(name)}; least of {len(results)} call(s) ({elapsed:.2f}s)")
+    return elapsed
 
 
 def test_riccati_fixed_point_grid():
     """Closed-form steady-state MSE vs the iteration oracle on the full grid,
     1e-9 absolute, under one second."""
     t0 = time.time()
-    grid_a = np.array([0.9, 0.99, 0.999, 0.9999, 0.99999])
-    grid_lam = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
-    grid_rho = np.array([0.1, 1.0, 10.0, 100.0, 1000.0])
-    grid_g = np.array([1.0, 2.0, 4.0, 8.0])
-    aa, ll, rr, gg = np.meshgrid(grid_a, grid_lam, grid_rho, grid_g, indexing="ij")
-    closed = ss.min_ss_mse(ll, aa, rr, gg)
-    iterated, _ = ss.riccati_iterate_oracle(ll, aa, rr, gg, tol=1e-13)
-    worst = float(np.max(np.abs(closed - iterated)))
-    elapsed = time.time() - t0
-    assert worst < 1e-9
-    assert elapsed < 1.0
-    report("riccati_fixed_point_grid", elapsed, f"max abs err {worst:.2e}")
+    assert gate("riccati_closed_form_vs_iteration", t0, [cli.check_riccati_grid()]) < 1.0
 
 
 def test_interval_monotonicity():
     """Ceiling (and floor) envelopes are nondecreasing in the interval for
     1000 randomized parameter triples over every divisor pair of G=32."""
     t0 = time.time()
-    rng = np.random.default_rng(321)
-    divisors = np.array(sd.divisor_set(32), dtype=float)
-    lam = rng.uniform(1e-3, 100.0, size=1000)
-    a = rng.uniform(0.01, 0.99999, size=1000)
-    rho = rng.uniform(1e-2, 1e3, size=1000)
-    floors = ss.min_ss_mse(lam[:, None], a[:, None], rho[:, None], divisors[None, :])
-    ceils = ss.max_ss_mse(floors, lam[:, None], a[:, None], divisors[None, :])
-    viol_max = int(np.count_nonzero(np.diff(ceils, axis=1) < -1e-12))
-    viol_min = int(np.count_nonzero(np.diff(floors, axis=1) < -1e-12))
-    elapsed = time.time() - t0
-    assert viol_max == 0 and viol_min == 0
-    assert elapsed < 5.0
-    report("interval_monotonicity", elapsed, "0 violations in 1000 triples")
+    results = [cli.check_monotonicity(np.random.default_rng(321))]  # 1000 triples
+    assert gate("steady_state_monotonicity", t0, results) < 5.0
 
 
 def test_sequence_construction_randomized():
@@ -81,25 +57,8 @@ def test_sequence_construction_randomized():
     matrix is accepted by the invariant checker."""
     t0 = time.time()
     rng = np.random.default_rng(99)
-    built = 0
-    while built < 200:
-        g_len = int(rng.choice([4, 8, 16, 32]))
-        m_p = int(rng.integers(1, 4))
-        asn = random_valid_assignment(rng, g_len, m_p)
-        frame = FrameParams(g_len=g_len, m_p=m_p, m=g_len * m_p + m_p + 1,
-                            n_d_max=max(asn.n_d, 1), rho=1.0)
-        if sd.validate_assignment(asn, frame):
-            continue
-        seq = sd.construct_sequence_matrix(asn, frame)
-        assert sd.sequence_invariant_violations(seq.c, seq.g, frame) == []
-        built += 1
-    # reference layout from the worked G=4, M_p=3 example
-    c_ref = np.array([[1, 1, 1, 1], [2, 3, 2, 3], [4, 5, 4, 6]]).T
-    frame_ref = FrameParams(g_len=4, m_p=3, m=8, n_d_max=6, rho=1.0)
-    assert sd.sequence_invariant_violations(c_ref, (1, 2, 2, 2, 4, 4), frame_ref) == []
-    elapsed = time.time() - t0
-    assert elapsed < 5.0
-    report("sequence_construction_randomized", elapsed, f"{built} matrices")
+    results = [cli.check_construction(rng) for _ in range(5)]  # 40 matrices each
+    assert gate("sequence_construction_invariants", t0, results) < 5.0
 
 
 def test_exhaustive_matches_unrestricted_brute_force():
@@ -143,40 +102,11 @@ def test_exhaustive_matches_unrestricted_brute_force():
 
 def test_kalman_sandwich():
     """The diagonal tracker driven by constructed sequences settles into the
-    closed-form envelope cycle: post-training within 1e-5 of the floor,
-    within-cycle max within 1e-5 of the ceiling, for every trained mode."""
+    closed-form envelope cycle: post-training within 1e-6 of the floor,
+    within-cycle max within 1e-6 of the ceiling, for every trained mode."""
     t0 = time.time()
-    rng = np.random.default_rng(7)
-    for trial in range(4):
-        a = float(rng.choice([0.9, 0.95]))
-        rho = float(rng.uniform(1.0, 20.0))
-        g_len = int(rng.choice([4, 8]))
-        m_p = int(rng.integers(1, 3))
-        asn = random_valid_assignment(rng, g_len, m_p)
-        frame = FrameParams(g_len=g_len, m_p=m_p, m=g_len * m_p + m_p + 1,
-                            n_d_max=max(asn.n_d, 1), rho=rho)
-        if sd.validate_assignment(asn, frame):
-            continue
-        seq = sd.construct_sequence_matrix(asn, frame)
-        lam = np.sort(rng.uniform(0.1, 3.0, size=asn.n_d + 2))[::-1]
-        blocks = int(np.ceil(60.0 / (1.0 - a * a)))
-        blocks = (blocks // g_len + 2) * g_len  # whole frames
-        sched = seq.c[np.arange(blocks) % g_len] - 1
-        tracker = sim.Tracker("diag", m_p, lam, a, rho, sched=sched)
-        history = np.empty((g_len, len(lam)))
-        for ell, lam_bar in enumerate(tracker.posteriors()):
-            history[ell % g_len] = lam_bar
-        for i in range(asn.n_d):
-            g_i = asn.g[i]
-            lo = ss.min_ss_mse(lam[i], a, rho, g_i)
-            hi = ss.max_ss_mse(lo, lam[i], a, g_i)
-            rows = np.nonzero(seq.c == i + 1)[0]
-            post = history[rows, i].min()
-            peak = history[:, i].max()
-            assert abs(post - lo) < 1e-5
-            assert abs(peak - hi) < 1e-5
-    elapsed = time.time() - t0
-    report("kalman_sandwich", elapsed)
+    results = [cli.check_sandwich(np.random.default_rng(7))]  # 4 trials
+    gate("steady_state_sandwich", t0, results)
 
 
 def test_proposition4_convergence():
@@ -209,60 +139,8 @@ def test_appendix_bound_randomized_scenes():
     deterministic SINR: 50 randomized two-user scenes, zero violations."""
     t0 = time.time()
     rng = np.random.default_rng(2024)
-    worst = -np.inf
-    for _ in range(50):
-        n_t = int(rng.choice([16, 24, 32]))
-        a = float(rng.uniform(0.9, 0.99))
-        rho = float(rng.uniform(0.5, 50.0))
-        g_len = int(rng.choice([4, 8]))
-        m_p = 1
-        stats = []
-        for _u in range(2):
-            theta = float(rng.uniform(-0.9, 0.9))
-            delta = float(rng.uniform(0.05, 0.3))
-            r_h = cm.one_ring_covariance(n_t, theta, delta, 1.0)
-            u, lam, r = cm.eigendecompose(r_h, 1e-8)
-            stats.append(cm.ChannelStatistics(a=a, r_h=r_h, u=u, lam=lam, rank=r))
-        scene = mu.MultiuserScene(users=[mu.UserLink(stats=s) for s in stats],
-                                  rho=rho, m=4, m_p=m_p)
-        profiles = []
-        seqs = []
-        for s in stats:
-            while True:
-                asn = random_valid_assignment(rng, g_len, m_p)
-                frame = FrameParams(g_len=g_len, m_p=m_p, m=4,
-                                    n_d_max=max(asn.n_d, 1), rho=rho)
-                if asn.n_d <= s.rank and not sd.validate_assignment(asn, frame):
-                    break
-            g_pad = np.zeros(s.rank, dtype=int)
-            g_pad[: asn.n_d] = asn.g
-            profiles.append(ss.profile(s.lam, a, rho, g_pad))
-            seqs.append(sd.construct_sequence_matrix(asn, frame))
-        # converge the diagonal recursions, then evaluate the deterministic
-        # SINR across one trailing frame
-        blocks = int(np.ceil(60.0 / (1.0 - a * a)) // g_len + 2) * g_len
-        bars = []
-        for s, seq in zip(stats, seqs):
-            lam_pred = s.lam.copy()
-            frame_bars = np.empty((g_len, s.rank))
-            for ell in range(blocks):
-                idx = seq.c[ell % g_len] - 1
-                lam_bar = lam_pred.copy()
-                lam_bar[idx] = lam_pred[idx] / (1.0 + rho * lam_pred[idx])
-                frame_bars[ell % g_len] = lam_bar
-                lam_pred = a * a * lam_bar + (1.0 - a * a) * s.lam
-            bars.append(frame_bars)
-        for u in range(2):
-            lb = mu.steady_state_sinr_lower_bound(scene, profiles, u)
-            det_cycle = [
-                mu.deterministic_sinr(scene, [bars[0][k], bars[1][k]], u)
-                for k in range(g_len)
-            ]
-            worst = max(worst, lb - min(det_cycle))
-    elapsed = time.time() - t0
-    assert worst <= 1e-6
-    report("appendix_bound_randomized_scenes", elapsed,
-           f"max (lb - det) = {worst:.2e}")
+    results = [cli.check_sinr_bound(rng) for _ in range(10)]  # 5 scenes each
+    gate("multiuser_sinr_lower_bound", t0, results)
 
 
 def test_lemma1_estimate_covariance():

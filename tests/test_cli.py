@@ -1,8 +1,11 @@
 """Command-line surface: subcommands, flags, outputs and error reporting."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from pilotseq import cli
 from pilotseq.config import ExperimentConfig, preset
 from pilotseq.sequence_design import load_sequence_csv
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args):
@@ -178,7 +183,8 @@ class TestErrors:
     @staticmethod
     def error_for(command, doc, tmp_path, capsys):
         """The one-line JSON error of ``command`` run on a config document."""
-        doc["output_dir"] = str(tmp_path / "out")
+        if isinstance(doc.get("output_dir"), str):  # else it is the field under test
+            doc["output_dir"] = str(tmp_path / "out")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert cli.main([command, "--config", str(path)]) == 1
@@ -235,6 +241,11 @@ class TestErrors:
         ("demo", "array.bogus", 1),
         ("demo", "ring.bogus", 1),
         ("multiuser_ula32", "users.count", 10),  # 10 users * frame.m_p = frame.m
+        ("demo", "array", 5),
+        ("demo", "users", None),
+        ("demo", "frame", [1]),
+        ("demo", "baselines", "orthogonal"),
+        ("demo", "output_dir", 5),
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()
@@ -256,5 +267,34 @@ class TestVerify:
         proc = run_cli(["verify"])
         assert proc.returncode == 0
         lines = [l for l in proc.stdout.splitlines() if l]
-        assert all(l.startswith("PASS") for l in lines)
         assert len(lines) == len(cli.VERIFY_CHECKS)
+        for line, (name, _, _) in zip(lines, cli.VERIFY_CHECKS):
+            match = re.fullmatch(rf"PASS {name}: .+ = (\S+), threshold (\S+), margin (\S+)", line)
+            assert match, line
+            value, threshold, margin = map(float, match.groups())
+            assert margin >= 0, line
+            assert margin == pytest.approx(threshold - value, rel=1e-2), line
+
+    def test_settled_frames_match_one_tracker_per_user(self):
+        # the bound check runs every user's modes side by side in one tracker
+        designs = [(np.array([[1], [2], [1], [3]]), np.array([2.0, 1.0, 0.5, 0.1])),
+                   (np.array([[2], [1], [2], [1]]), np.array([1.5, 0.7]))]
+        joint = cli._settled_frames(designs, 0.95, 4.0)
+        for design, frame in zip(designs, joint):
+            assert np.array_equal(frame, cli._settled_frames([design], 0.95, 4.0)[0])
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script, args, field", [
+        ("run_steady_state_table.py", ["--preset", "demo", "--mc-runs", "0"], "mc_runs"),
+        ("run_multiuser_sweep.py", ["--users", "10"], "users.count"),
+    ])
+    def test_bad_override_fails_naming_field(self, tmp_path, script, args, field):
+        # the overrides go through the config load checks before any run
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *args], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode != 0
+        assert field in proc.stderr
