@@ -12,8 +12,10 @@ changes) on the same cases:
   ``ci_ula32`` with the exhaustive designer, on ``ci_ula32`` with a static
   user (``ring.v_kmh = 0``, so a = 1 and every trained mode's floor and
   ceiling are zero) and on ``multiuser_ula32`` with three users of unequal
-  rank (8, 10 and 9 at -55, 0 and 35 degrees), each with ``mc_runs`` cut
-  to 16, comparing ``trace.csv``, ``design.csv`` and ``sweep.csv``;
+  rank (8, 10 and 9 at -55, 0 and 35 degrees), the last also at 300
+  blocks so that its Monte Carlo draws cross a slab boundary
+  (``simulate.SLAB``), each with ``mc_runs`` cut to 16, comparing
+  ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` with ``basis = "dft"``
   and on ``multiuser_ula32``, comparing ``design.csv`` and
   ``assignment.json``;
@@ -157,6 +159,9 @@ def main(argv: list[str]) -> int:
                  {"ring": {"v_kmh": 0.0}}),
                 ("simulate", f"3 users, ranks 8/10/9 (mc_runs={CUT_RUNS})", "multiuser_ula32",
                  {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]}}),
+                ("simulate", f"3 users, 300 blocks (mc_runs={CUT_RUNS})", "multiuser_ula32",
+                 {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]},
+                  "horizon_blocks": 300}),
                 ("design", "demo", "demo", None),
                 ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),

@@ -64,6 +64,7 @@ from .sequence_design import (
 from .steady_state import profile as ss_profile
 
 CHUNK_RUNS = 32  # runs per Monte Carlo chunk, the unit of buffering and of the reduction
+SLAB = 256  # blocks of innovations and pilot noise drawn per stream at a time
 
 _DESIGNERS = {"min_max": min_max_design, "exhaustive": exhaustive_search}
 
@@ -333,8 +334,7 @@ def _scene_dft_basis(scene: ChannelScene):
 
 
 def _complex_rows(gen, shape):
-    z = gen.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return gen.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)
 
 
 def _realized_sinr(c, hats, rho, cross):
@@ -363,40 +363,51 @@ def _chunk(seed_seqs, plans, horizon, frame, cross):
     plans[s][u] is user u's tracker of scheme s and carries the user's
     channel spectrum and AR(1) coefficient.  Returns the (2, S, horizon, U)
     partial sums of the realized SINR and the spectral efficiency.
+
+    The channel innovations and pilot noise are drawn a slab of at most SLAB
+    blocks at a time into buffers reused across slabs; each stream fills
+    sequentially, so the values equal one whole-horizon draw.
     """
     n_runs, n_schemes, n_users, r_max = len(seed_seqs), len(plans), len(cross), cross.shape[-1]
     a = np.array([p.a for p in plans[0]])[:, None, None]
     evolve = np.sqrt(1.0 - a * a)
+    scale = [np.sqrt(p.lam) for p in plans[0]]
+    slab = min(SLAB, horizon)
     c = np.zeros((n_users, n_runs, r_max), dtype=complex)
-    proc = np.zeros((n_users, n_runs, horizon, r_max), dtype=complex)
-    noise = np.empty((n_schemes, n_users, n_runs, horizon, frame.m_p), dtype=complex)
+    proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
+    noise = np.empty((n_schemes, n_users, n_runs, slab, frame.m_p), dtype=complex)
+    fills = []  # (generator, the slab rows it fills, per-mode scale or None) per stream
     for i, seq in enumerate(seed_seqs):
         # channel streams first, then one per (scheme, user); perfect
         # knowledge consumes its stream without drawing from it
         streams = seq.spawn(n_users * (1 + n_schemes))
-        for u, p in enumerate(plans[0]):
-            r = len(p.lam)
-            z = _complex_rows(np.random.default_rng(streams[u]), (horizon + 1, r)) * np.sqrt(p.lam)
-            c[u, i, :r], proc[u, i, :, :r] = z[0], z[1:]
+        for u, sd in enumerate(scale):
+            gen = np.random.default_rng(streams[u])
+            c[u, i, :len(sd)] = _complex_rows(gen, (1, len(sd)))[0] * sd
+            fills.append((gen, proc[u, i, :, :len(sd)], sd))
         for pos, (s, u) in enumerate(np.ndindex(n_schemes, n_users), start=n_users):
             if plans[s][u].kind != "perfect":
-                noise[s, u, i] = _complex_rows(np.random.default_rng(streams[pos]),
-                                               (horizon, frame.m_p))
+                fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
 
     hats = np.zeros((n_schemes, n_users, n_runs, r_max), dtype=complex)
     perfect = np.array([row[0].kind == "perfect" for row in plans])
     steps = [(p, hats[s, u, :, :len(p.lam)], c[u, :, :len(p.lam)], noise[s, u])
              for s, row in enumerate(plans) for u, p in enumerate(row) if not perfect[s]]
     sums = np.zeros((2, n_schemes, horizon, n_users))
-    for ell in range(horizon):
-        for plan, chat, chan, pilots in steps:
-            plan.sample_step(chat, chan, pilots[:, ell, :], ell)
-        hats[perfect] = c
-        sinr = _realized_sinr(c, hats, frame.rho, cross)
-        sums[0, :, ell] += sinr.sum(axis=-1)
-        sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
-        c *= a
-        c += evolve * proc[:, :, ell]
+    for start in range(0, horizon, slab):
+        blocks = min(slab, horizon - start)
+        for gen, rows, sd in fills:
+            z = _complex_rows(gen, (blocks, rows.shape[-1]))
+            rows[:blocks] = z if sd is None else z * sd
+        for k, ell in enumerate(range(start, start + blocks)):
+            for plan, chat, chan, pilots in steps:
+                plan.sample_step(chat, chan, pilots[:, k, :], ell)
+            hats[perfect] = c
+            sinr = _realized_sinr(c, hats, frame.rho, cross)
+            sums[0, :, ell] += sinr.sum(axis=-1)
+            sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
+            c *= a
+            c += evolve * proc[:, :, k]
     return sums
 
 

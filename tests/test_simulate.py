@@ -1,6 +1,8 @@
 """Engine-level checks: scheme plans, determinism, agreement with the
 reference Kalman module, and output emission."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,99 @@ class TestMonteCarloAgainstDeterministic:
         expected = frame.rho * scene.trace()
         got = float(table.sinr_mc["perfect_csit"][-1, 0])
         assert got == pytest.approx(expected, rel=0.1)
+
+
+def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
+    """Oracle of ``sim._monte_carlo`` that draws each run's whole horizon of
+    channel innovations and pilot noise at once, in the arithmetic form
+    (z_re + 1j z_im) / sqrt(2), into whole-horizon buffers."""
+    def complex_rows(gen, shape):
+        z = gen.standard_normal(shape + (2,))
+        return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+
+    run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
+    n_schemes, n_users, r_max = len(plans), len(cross), cross.shape[-1]
+    a = np.array([p.a for p in plans[0]])[:, None, None]
+    evolve = np.sqrt(1.0 - a * a)
+    perfect = np.array([row[0].kind == "perfect" for row in plans])
+    means = np.zeros((2, n_schemes, horizon, n_users))
+    for first in range(0, mc_runs, sim.CHUNK_RUNS):
+        seqs = run_seqs[first:first + sim.CHUNK_RUNS]
+        n_runs = len(seqs)
+        c = np.zeros((n_users, n_runs, r_max), dtype=complex)
+        proc = np.zeros((n_users, n_runs, horizon, r_max), dtype=complex)
+        noise = np.empty((n_schemes, n_users, n_runs, horizon, frame.m_p), dtype=complex)
+        for i, seq in enumerate(seqs):
+            streams = seq.spawn(n_users * (1 + n_schemes))
+            for u, p in enumerate(plans[0]):
+                r = len(p.lam)
+                z = complex_rows(np.random.default_rng(streams[u]),
+                                 (horizon + 1, r)) * np.sqrt(p.lam)
+                c[u, i, :r], proc[u, i, :, :r] = z[0], z[1:]
+            for pos, (s, u) in enumerate(np.ndindex(n_schemes, n_users), start=n_users):
+                if plans[s][u].kind != "perfect":
+                    noise[s, u, i] = complex_rows(np.random.default_rng(streams[pos]),
+                                                  (horizon, frame.m_p))
+        hats = np.zeros((n_schemes, n_users, n_runs, r_max), dtype=complex)
+        steps = [(p, hats[s, u, :, :len(p.lam)], c[u, :, :len(p.lam)], noise[s, u])
+                 for s, row in enumerate(plans) for u, p in enumerate(row) if not perfect[s]]
+        sums = np.zeros_like(means)
+        for ell in range(horizon):
+            for plan, chat, chan, pilots in steps:
+                plan.sample_step(chat, chan, pilots[:, ell, :], ell)
+            hats[perfect] = c
+            sinr = sim._realized_sinr(c, hats, frame.rho, cross)
+            sums[0, :, ell] += sinr.sum(axis=-1)
+            sums[1, :, ell] += mu.spectral_efficiency(
+                sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
+            c *= a
+            c += evolve * proc[:, :, ell]
+        means += sums
+    return means / mc_runs
+
+
+def monte_carlo_inputs(scenes, frame, schemes, horizon):
+    """plans[s][u] and the cross tensor that ``sim._monte_carlo`` takes."""
+    rng = np.random.default_rng(0)
+    plans = [[sim._build_plan(scene, frame, horizon, name, rng)[0] for scene in scenes]
+             for name in schemes]
+    scene_mu = mu.MultiuserScene(
+        users=[mu.UserLink(stats=cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim,
+                                                      lam=s.lam_sim, rank=s.r_sim))
+               for s in scenes],
+        rho=frame.rho, m=frame.m, m_p=frame.m_p)
+    return plans, scene_mu.cross
+
+
+class TestSlabStreaming:
+    def test_slab_draws_equal_bulk_draw_oracle(self):
+        # slab boundaries fall unevenly in the horizon, and two chunks run
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        assert scenes[0].r_sim != scenes[1].r_sim
+        frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
+        horizon, runs = 2 * sim.SLAB + 37, sim.CHUNK_RUNS + 5
+        plans, cross = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
+        assert plans[0][0].kind == "diag"
+        got = sim._monte_carlo(plans, 9, runs, horizon, frame, cross)
+        want = bulk_draw_monte_carlo(plans, 9, runs, horizon, frame, cross)
+        assert got.tobytes() == want.tobytes()
+
+    def test_chunk_memory_independent_of_horizon(self):
+        # every scheme gets innovation and pilot-noise buffers; the genie
+        # scheme alone keeps the per-block kernel cheap under tracemalloc
+        cfg = preset("demo")
+        scenes, _ = sim.multiuser_scenes_from_config(cfg)
+        frame = cfg.frame.build()
+        peaks = []
+        for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
+            plans, cross = monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon)
+            tracemalloc.start()
+            try:
+                sim._monte_carlo(plans, 1, 32, horizon, frame, cross)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestMultiuserEngine:
