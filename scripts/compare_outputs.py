@@ -9,10 +9,12 @@ changes) on the same cases:
 
 - ``pilotseq simulate`` on the ``demo``, ``ci_ula32`` and
   ``multiuser_ula32`` presets, and through ``--config`` on ``upa375``, on
-  ``ci_ula32`` with the exhaustive designer, on ``ci_ula32`` with a static
-  user (``ring.v_kmh = 0``, so a = 1 and every trained mode's floor and
-  ceiling are zero) and on ``multiuser_ula32`` with three users of unequal
-  rank (8, 10 and 9 at -55, 0 and 35 degrees), the last also at 300
+  ``ci_ula32`` with the exhaustive designer, on ``ci_ula32`` with
+  ``basis = "dft"`` (the hybrid schemes of a linear array), on
+  ``ci_ula32`` with a static user (``ring.v_kmh = 0``, so a = 1 and every
+  trained mode's floor and ceiling are zero) and on ``multiuser_ula32``
+  with three users of unequal rank (8, 10 and 9 at -55, 0 and 35
+  degrees), the last also at 300
   blocks so that its Monte Carlo draws cross a slab boundary
   (``simulate.SLAB``), each with ``mc_runs`` cut to 16, comparing
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
@@ -155,6 +157,7 @@ def main(argv: list[str]) -> int:
                 ("simulate", f"upa375 (mc_runs={CUT_RUNS})", "upa375", {}),
                 ("simulate", f"ci_ula32 exhaustive (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"designer": "exhaustive"}),
+                ("simulate", f"ci_ula32 dft (mc_runs={CUT_RUNS})", "ci_ula32", {"basis": "dft"}),
                 ("simulate", f"ci_ula32 static user (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"ring": {"v_kmh": 0.0}}),
                 ("simulate", f"3 users, ranks 8/10/9 (mc_runs={CUT_RUNS})", "multiuser_ula32",

@@ -1,8 +1,10 @@
-"""Spatially correlated channel statistics for uniform linear/planar arrays.
+"""Spatially correlated channel statistics for uniform planar arrays, a
+uniform linear array being the one-row case.
 
 Builds one-ring covariance matrices, Gauss-Markov temporal correlation
-coefficients, covariance eigensystems, DFT approximations of the eigenbasis
-for large Toeplitz covariances, and time-correlated channel realizations.
+coefficients, covariance eigensystems, the per-axis DFT approximation of the
+eigenbasis of large Toeplitz covariances, and time-correlated channel
+realizations.
 """
 
 from __future__ import annotations
@@ -20,31 +22,29 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Transmit array layout: a ULA of n_t elements or an n_v x n_h UPA."""
+    """Transmit array layout: an n_v x n_h planar grid; a ULA is the one-row grid."""
 
-    kind: str  # "ula" | "upa"
-    n_t: int
-    n_v: int = 1
-    n_h: int = 1
+    n_v: int
+    n_h: int
     spacing_over_wavelength: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("ula", "upa"):
-            raise ValueError(f"unknown array kind {self.kind!r}")
-        if self.n_t < 1:
-            raise ValueError("n_t must be >= 1")
-        if self.kind == "upa" and self.n_t != self.n_v * self.n_h:
-            raise ValueError("UPA requires n_t == n_v * n_h")
+        if self.n_v < 1 or self.n_h < 1:
+            raise ValueError("n_v and n_h must be >= 1")
         if self.spacing_over_wavelength <= 0:
             raise ValueError("spacing_over_wavelength must be positive")
 
+    @property
+    def n_t(self) -> int:
+        return self.n_v * self.n_h
+
     @staticmethod
     def ula(n_t: int, spacing_over_wavelength: float = 0.5) -> "ArrayGeometry":
-        return ArrayGeometry("ula", n_t, spacing_over_wavelength=spacing_over_wavelength)
+        return ArrayGeometry(1, n_t, spacing_over_wavelength)
 
     @staticmethod
     def upa(n_v: int, n_h: int, spacing_over_wavelength: float = 0.5) -> "ArrayGeometry":
-        return ArrayGeometry("upa", n_v * n_h, n_v, n_h, spacing_over_wavelength)
+        return ArrayGeometry(n_v, n_h, spacing_over_wavelength)
 
 
 @dataclass(frozen=True)
@@ -277,22 +277,6 @@ def _dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
 
 
-def dft_approximation(r_h: np.ndarray, r_target: int) -> DftBasis:
-    """Approximate a (Toeplitz) covariance by its r_target strongest DFT modes.
-
-    Projects the covariance onto every column of the unitary n-point DFT
-    and keeps the columns with the largest quadratic form f^H R f.
-    """
-    n = r_h.shape[0]
-    if not (1 <= r_target <= n):
-        raise ValueError(f"r_target must be in [1, {n}]")
-    f = _dft_matrix(n)
-    q = np.real(np.einsum("ij,ik,kj->j", f.conj(), r_h, f))
-    order = np.argsort(-q, kind="stable")[:r_target]
-    order = order[np.argsort(-q[order], kind="stable")]
-    return DftBasis(f_tilde=f[:, order].copy(), lambda_tilde=q[order].copy())
-
-
 def dft_approximation_upa(
     r_horizontal: np.ndarray, r_vertical: np.ndarray, r_target: int
 ) -> DftBasis:
@@ -300,7 +284,8 @@ def dft_approximation_upa(
 
     The planar covariance kron(R_H, R_V) is Toeplitz along each axis only,
     so the DFT projection is taken per axis and candidate columns are
-    Kronecker products f_h(i) x f_v(j) with values q_h(i) * q_v(j).
+    Kronecker products f_h(i) x f_v(j) with values q_h(i) * q_v(j).  A ULA
+    passes the vertical factor [[1]], leaving the n_h-point projection.
     """
     n_h = r_horizontal.shape[0]
     n_v = r_vertical.shape[0]
@@ -339,24 +324,19 @@ def evolve_channel(
     return stats.a * h_prev + np.sqrt(1.0 - stats.a**2) * innovation
 
 
-def build_covariance(array: ArrayGeometry, ring: OneRingGeometry, tol: float = 1e-10):
+def build_covariance(array: ArrayGeometry, ring: OneRingGeometry):
     """One-ring covariance for the array; path loss is applied exactly once.
 
-    Returns (r_h, axes) where axes is None for a ULA and (r_h_axis, r_v_axis)
-    for a UPA.  For the planar case the horizontal factor carries the path
-    loss so that trace(r_h) = n_t * gamma matches the linear case.
+    Returns (kron(R_H, R_V), (R_H, R_V)) with the per-axis factors: the
+    horizontal one carries the path loss, so trace(r_h) = n_t * gamma, and a
+    ULA's vertical factor is the exact 1 x 1 identity.
     """
     gamma = path_loss(ring)
     delta_v, theta_v, delta_h = one_ring_params(ring)
-    if array.kind == "ula":
-        r_h = one_ring_covariance(
-            array.n_t, ring.theta_h, delta_h, gamma, array.spacing_over_wavelength, tol
-        )
-        return r_h, None
     r_axis_h = one_ring_covariance(
-        array.n_h, ring.theta_h, delta_h, gamma, array.spacing_over_wavelength, tol
+        array.n_h, ring.theta_h, delta_h, gamma, array.spacing_over_wavelength
     )
     r_axis_v = one_ring_covariance(
-        array.n_v, theta_v, delta_v, 1.0, array.spacing_over_wavelength, tol
+        array.n_v, theta_v, delta_v, 1.0, array.spacing_over_wavelength
     )
     return upa_covariance(r_axis_h, r_axis_v), (r_axis_h, r_axis_v)

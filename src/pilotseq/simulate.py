@@ -46,7 +46,6 @@ from .channel_model import (
     OneRingGeometry,
     _dft_matrix,
     build_covariance,
-    dft_approximation,
     dft_approximation_upa,
     eigendecompose,
     path_loss,
@@ -65,6 +64,8 @@ from .steady_state import profile as ss_profile
 
 CHUNK_RUNS = 32  # runs per Monte Carlo chunk, the unit of buffering and of the reduction
 SLAB = 256  # blocks of innovations and pilot noise drawn per stream at a time
+SIM_RANK_TOL = 1e-12  # relative eigenvalue floor of the simulation space
+TAIL_FRAMES = 2  # trailing frames averaged into the steady-state summaries
 
 _DESIGNERS = {"min_max": min_max_design, "exhaustive": exhaustive_search}
 
@@ -78,7 +79,7 @@ class ChannelScene:
     lam_sim: np.ndarray  # r_sim, descending
     r_design: int  # modes above the design-grade rank threshold
     gamma: float
-    axes: tuple | None  # per-axis covariances for a planar array
+    axes: tuple  # per-axis covariances (R_H, R_V); R_V = [[1]] for a ULA
 
     @property
     def r_sim(self) -> int:
@@ -101,13 +102,12 @@ def build_scene(
     ring: OneRingGeometry,
     block_len: int,
     rank_tol: float = 1e-6,
-    sim_rank_tol: float = 1e-12,
 ) -> ChannelScene:
     """Eigensystem at a loose tolerance (simulation space) plus the design
     rank at the user-facing tolerance."""
     a = temporal_coefficient(ring, block_len)
     r_h, axes = build_covariance(array, ring)
-    u, lam, _ = eigendecompose(r_h, min(sim_rank_tol, rank_tol))
+    u, lam, _ = eigendecompose(r_h, min(SIM_RANK_TOL, rank_tol))
     r_design = int(np.count_nonzero(lam > rank_tol * lam[0]))
     return ChannelScene(a=a, u_sim=u, lam_sim=lam, r_design=r_design,
                         gamma=path_loss(ring), axes=axes)
@@ -317,17 +317,10 @@ def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
     if name == designer:
         lam, cols = scene.lam_sim[: scene.r_design], None
     else:
-        basis = _scene_dft_basis(scene)
+        basis = dft_approximation_upa(*scene.axes, scene.r_design)
         lam, cols = basis.lambda_tilde, basis.f_tilde
     design = _DESIGNERS[designer](lam, scene.a, frame.rho, frame)
     return design, construct_sequence_matrix(design, frame), cols
-
-
-def _scene_dft_basis(scene: ChannelScene):
-    r_target = scene.r_design
-    if scene.axes is None:
-        return dft_approximation(scene.covariance, r_target)
-    return dft_approximation_upa(scene.axes[0], scene.axes[1], r_target)
 
 
 # -- Monte Carlo ----------------------------------------------------------
@@ -457,9 +450,9 @@ class MultiuserTable:
         SINR; nan for schemes without a closed-form steady state."""
         return self._se(self.sinr_det_ss[scheme])
 
-    def steady_state(self, key: str, scheme: str, frames: int = 2) -> float:
-        """Mean of a per-block field over the last ``frames`` frames and the users."""
-        tail = self.frame.g_len * frames
+    def steady_state(self, key: str, scheme: str) -> float:
+        """Mean of a per-block field over the last ``TAIL_FRAMES`` frames and the users."""
+        tail = self.frame.g_len * TAIL_FRAMES
         return float(np.mean(getattr(self, key)[scheme][-tail:]))
 
 
@@ -591,7 +584,7 @@ def run_multiuser(config: ExperimentConfig):
     for snr_db, frame in points:
         table = run_multiuser_scene(scenes, frame, config.schemes, config.mc_runs,
                                     config.seed, config.horizon_blocks)
-        tail = frame.g_len * 2
+        tail = frame.g_len * TAIL_FRAMES
         for name in table.schemes:
             se_mc = table.se_mc(name)[-tail:].mean(axis=0)
             se_det_tail = table.se_det(name)[-tail:].mean(axis=0)

@@ -166,9 +166,14 @@ class TestEigendecompose:
         assert np.all(np.diff(lam) <= 1e-15)
 
 
+def dft_ula(r_h, r_target):
+    """The DFT surrogate of a linear array: the one-row planar case."""
+    return cm.dft_approximation_upa(r_h, np.ones((1, 1)), r_target)
+
+
 class TestDftApproximation:
     def test_identity_covariance(self):
-        basis = cm.dft_approximation(np.eye(8), 3)
+        basis = dft_ula(np.eye(8), 3)
         assert np.allclose(basis.lambda_tilde, 1.0, atol=1e-12)
         assert np.unique(basis.f_tilde, axis=1).shape[1] == 3  # distinct columns
 
@@ -176,13 +181,13 @@ class TestDftApproximation:
         n = 8
         f3 = np.exp(-2j * np.pi * 3 * np.arange(n) / n) / np.sqrt(n)
         r_h = n * np.outer(f3, f3.conj())
-        basis = cm.dft_approximation(r_h, 1)
+        basis = dft_ula(r_h, 1)
         assert np.array_equal(basis.f_tilde, cm._dft_matrix(n)[:, [3]])
         assert basis.lambda_tilde[0] == pytest.approx(n, rel=1e-12)
 
     def test_columns_orthonormal(self):
         r_h = cm.one_ring_covariance(16, 0.3, 0.2, 1.0)
-        basis = cm.dft_approximation(r_h, 6)
+        basis = dft_ula(r_h, 6)
         gram = basis.f_tilde.conj().T @ basis.f_tilde
         assert np.allclose(gram, np.eye(6), atol=1e-12)
 
@@ -190,7 +195,7 @@ class TestDftApproximation:
         r_h = cm.one_ring_covariance(24, 0.3, 0.25, 1.0)
         resid = []
         for r_target in (2, 4, 8, 16, 24):
-            b = cm.dft_approximation(r_h, r_target)
+            b = dft_ula(r_h, r_target)
             approx = (b.f_tilde * b.lambda_tilde) @ b.f_tilde.conj().T
             resid.append(np.linalg.norm(r_h - approx))
         assert all(x >= y - 1e-12 for x, y in zip(resid, resid[1:]))
@@ -199,7 +204,7 @@ class TestDftApproximation:
         # Toeplitz eigenbasis approaches the DFT as the aperture grows
         def rel_residual(n):
             r_h = cm.one_ring_covariance(n, 0.2, np.radians(10.0), 1.0)
-            b = cm.dft_approximation(r_h, max(1, n // 4))
+            b = dft_ula(r_h, max(1, n // 4))
             approx = (b.f_tilde * b.lambda_tilde) @ b.f_tilde.conj().T
             return np.linalg.norm(r_h - approx) / np.linalg.norm(r_h)
 
@@ -207,7 +212,7 @@ class TestDftApproximation:
 
     def test_rank_too_large_rejected(self):
         with pytest.raises(ValueError):
-            cm.dft_approximation(np.eye(4), 5)
+            dft_ula(np.eye(4), 5)
 
     def test_upa_combination_matches_direct_projection(self):
         rng = np.random.default_rng(3)
@@ -280,9 +285,12 @@ class TestChannelEvolution:
 
 
 class TestGeometryValidation:
-    def test_upa_count_must_factor(self):
-        with pytest.raises(ValueError):
-            cm.ArrayGeometry("upa", 10, 3, 5)
+    def test_empty_grid_rejected(self):
+        for n_v, n_h in ((0, 5), (3, 0)):
+            with pytest.raises(ValueError, match="n_v and n_h"):
+                cm.ArrayGeometry.upa(n_v, n_h)
+        with pytest.raises(ValueError, match="n_v and n_h"):
+            cm.ArrayGeometry.ula(0)
 
     def test_ring_ordering_enforced(self):
         with pytest.raises(ValueError):

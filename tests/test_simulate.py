@@ -13,7 +13,7 @@ from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
 from pilotseq.cli import emit_outputs
 from pilotseq.config import ExperimentConfig, preset
-from pilotseq.sequence_design import FrameParams
+from pilotseq.sequence_design import FrameParams, min_max_design
 
 
 def small_scene(n=16, theta_deg=20.0, v_kmh=3.0, d_r=30.0):
@@ -219,13 +219,40 @@ class TestDftBasisBuilder:
                                   v=3 / 3.6)
         arr = cm.ArrayGeometry.upa(3, 5)
         scene = sim.build_scene(arr, ring, block_len=5)
-        basis = sim._scene_dft_basis(scene)
+        basis = cm.dft_approximation_upa(*scene.axes, scene.r_design)
         assert basis.f_tilde.shape[1] == scene.r_design >= 6
         r_h, _ = cm.build_covariance(arr, ring)
         for j in range(scene.r_design):
             col = basis.f_tilde[:, j]
             assert np.real(col.conj() @ r_h @ col) == pytest.approx(
                 basis.lambda_tilde[j], rel=1e-10)
+
+    def test_ula_scene_is_one_row_upa_scene(self):
+        ring = cm.OneRingGeometry(theta_h=0.3, v=3 / 3.6)
+        ula = sim.build_scene(cm.ArrayGeometry.ula(24), ring, block_len=5)
+        row = sim.build_scene(cm.ArrayGeometry.upa(1, 24), ring, block_len=5)
+        assert ula.u_sim.tobytes() == row.u_sim.tobytes()
+        assert ula.lam_sim.tobytes() == row.lam_sim.tobytes()
+        assert [f.tobytes() for f in ula.axes] == [f.tobytes() for f in row.axes]
+        assert np.array_equal(ula.axes[1], [[1.0]])
+
+    def test_ula_surrogate_projects_toeplitz_covariance(self):
+        """A ULA's hybrid scheme designs on the DFT projection of the
+        one-ring Toeplitz covariance itself, not of its rank-truncated
+        rebuild U diag(lam) U^H."""
+        n = 32
+        ring = cm.OneRingGeometry(theta_h=0.3, v=3 / 3.6)
+        scene = sim.build_scene(cm.ArrayGeometry.ula(n), ring, block_len=5)
+        _, _, delta_h = cm.one_ring_params(ring)
+        r_h = cm.one_ring_covariance(n, ring.theta_h, delta_h, cm.path_loss(ring))
+        f = cm._dft_matrix(n)
+        q = np.real(np.einsum("ij,ik,kj->j", f.conj(), r_h, f))
+        order = np.argsort(-q, kind="stable")[: scene.r_design]
+        frame = small_frame(g_len=8, n_d_max=scene.r_design)
+        design, _, cols = sim.design_scheme(scene, frame, "min_max_dft")
+        assert np.array_equal(cols, f[:, order])
+        expected = min_max_design(q[order], scene.a, frame.rho, frame)
+        assert design == expected
 
 
 class TestDeterminism:
