@@ -154,6 +154,8 @@ class ExperimentConfig:
              f"ring.t_s = {ring.t_s!r} or frame.m = {frame.m!r}"),
             ("array.n_t", array.n_t, array.kind == "ula" or array.n_t == array.n_v * array.n_h,
              f"must equal array.n_v * array.n_h = {array.n_v!r} * {array.n_h!r} for a UPA"),
+            *((f"array.{k}", getattr(array, k), array.kind == "upa" or getattr(array, k) == 1,
+               "must be 1 for a ULA") for k in ("n_v", "n_h")),
             *((name, value, value > 0, "must be > 0") for name, value in (
                 ("array.spacing_over_wavelength", array.spacing_over_wavelength),
                 ("ring.h", ring.h), ("ring.d_0", ring.d_0), ("ring.alpha_0", ring.alpha_0))),

@@ -109,11 +109,15 @@ def error_terms(lam, err_var, lower):
     return err_var.sum(axis=-1), np.sum(err_var * (lam - lower), axis=-1)
 
 
+def user_leakage(scene: MultiuserScene, v: int, diag) -> np.ndarray:
+    """(..., U) leakage of user v into every user u: v's captured energy
+    lam_v - diag, (..., r_v), through its coupling row u (zero at u = v)."""
+    return (scene.coupling(v) @ (scene.users[v].stats.lam - diag)[..., None])[..., 0]
+
+
 def leakage(scene: MultiuserScene, diags) -> np.ndarray:
-    """(..., V, U) leakage of user v into user u: v's captured energy
-    lam_v - diags[v], (..., r_v), through its coupling row u (zero at u = v)."""
-    return np.stack([(scene.coupling(v) @ (user.stats.lam - d)[..., None])[..., 0]
-                     for v, (user, d) in enumerate(zip(scene.users, diags))], axis=-2)
+    """(..., V, U) leakage of user v into user u, ``user_leakage`` of every v."""
+    return np.stack([user_leakage(scene, v, d) for v, d in enumerate(diags)], axis=-2)
 
 
 def sinr_inputs(scene: MultiuserScene, err_vars, lowers):

@@ -18,8 +18,11 @@ Every scheme plan is a ``Tracker``: its covariance recursion runs once,
 when the plan is built, storing the per-block gains, and its posteriors are
 reduced to the inputs of ``multiuser.sinr_equivalent``, evaluated once per
 scheme for all users; its batched sample step is the only estimate update
-the Monte Carlo kernel makes.  A single-user run is the one-user case of
-the multiuser run: one run path, one result table.
+the Monte Carlo kernel makes.  A diag plan runs its own recursion; all of
+one user's full plans run one recursion (``full_posteriors``), their error
+covariances stacked (S_full, r, r) and updated in place.  A single-user
+run is the one-user case of the multiuser run: one run path, one result
+table.
 
 Monte Carlo keeps a chunk of runs in stacked arrays zero-padded to the
 largest user rank r, channels (U, runs, r) and estimates (S, U, runs, r),
@@ -120,9 +123,11 @@ class Tracker:
     A diag tracker sounds covariance eigenvectors, so its error covariance
     stays diagonal and is carried as per-mode variances; a full tracker
     sounds the columns ``s_u`` and carries the whole matrix; a perfect
-    tracker knows the channel and runs no recursion.  ``posteriors`` runs
-    the covariance recursion over the schedule and stores the per-block
-    gains that ``sample_step`` applies to a batch of Monte Carlo estimates.
+    tracker knows the channel and runs no recursion.  The covariance
+    recursion over the schedule, ``posteriors`` for a diag tracker and
+    ``full_posteriors`` for all of a user's full trackers at once, stores
+    the per-block gains that ``sample_step`` applies to a batch of Monte
+    Carlo estimates.
     """
 
     kind: str  # diag | full | perfect
@@ -139,61 +144,46 @@ class Tracker:
         return np.sqrt(self.rho)
 
     @cached_property
-    def _channel_cov(self) -> np.ndarray:
-        """Channel covariance in the shape of the error covariance."""
-        return np.diag(self.lam) if self.kind == "full" else self.lam
-
-    @cached_property
     def _aging(self) -> tuple:
-        """a^2 and the innovation covariance (1 - a^2) Lambda of one block."""
+        """a^2 and the per-mode innovation variances (1 - a^2) lam of one block."""
         a2 = self.a * self.a
-        return a2, (1.0 - a2) * self._channel_cov
+        return a2, (1.0 - a2) * self.lam
 
     def predict(self, p_bar: np.ndarray) -> np.ndarray:
-        """One-block AR(1) prediction of a posterior error covariance."""
+        """One-block AR(1) prediction of diag posterior error variances."""
         a2, innovation = self._aging
         return a2 * p_bar + innovation
 
-    def posteriors(self):
-        """Covariance recursion over the schedule: stores each block's gains
-        and yields its posterior error covariance (per-mode variances for
-        diag, the matrix for full)."""
+    def _check_schedule(self) -> None:
         n_cols = len(self.lam) if self.kind == "diag" else self.s_u.shape[1]
         if self.sched.size and not 0 <= self.sched.min() <= self.sched.max() < n_cols:
             raise IndexError("schedule index outside the sounding basis")
-        sqrt_rho = self._sqrt_rho
-        horizon = len(self.sched)
-        if self.kind == "diag":
-            p = np.array(self.lam, dtype=float)  # each block's posterior is a fresh array
-            self.gains = gains = np.zeros((horizon, self.m_p))
-            rho = self.rho
-            for ell, idx in enumerate(self.sched):
-                pred = p[idx]
-                den = 1.0 + rho * pred
-                gains[ell] = sqrt_rho * pred / den
-                p[idx] = pred / den
-                yield p
-                p = self.predict(p)
-        else:
-            p = np.diag(self.lam).astype(complex)
-            self.gains = np.zeros((horizon, len(self.lam), self.m_p), dtype=complex)
-            for ell, idx in enumerate(self.sched):
-                s = sqrt_rho * self.s_u[:, idx]
-                ps = p @ s
-                gram = s.conj().T @ ps + np.eye(self.m_p)
-                k = np.linalg.solve(gram.conj().T, ps.conj().T).conj().T
-                p = p - k @ ps.conj().T
-                p = 0.5 * (p + p.conj().T)
-                self.gains[ell] = k
-                yield p
-                p = self.predict(p)
+
+    def posteriors(self):
+        """Covariance recursion of a diag tracker over its schedule: stores
+        each block's gains and yields its posterior per-mode error
+        variances, a fresh array per block.  Full trackers run through
+        ``full_posteriors``."""
+        if self.kind != "diag":
+            raise ValueError(f"a {self.kind} tracker has no per-mode recursion")
+        self._check_schedule()
+        p = np.array(self.lam, dtype=float)
+        self.gains = gains = np.zeros((len(self.sched), self.m_p))
+        sqrt_rho, rho = self._sqrt_rho, self.rho
+        for ell, idx in enumerate(self.sched):
+            pred = p[idx]
+            den = 1.0 + rho * pred
+            gains[ell] = sqrt_rho * pred / den
+            p[idx] = pred / den
+            yield p
+            p = self.predict(p)
 
     def sample_step(self, chat: np.ndarray, c: np.ndarray, noise: np.ndarray, ell: int) -> None:
         """Batched estimate update in place for channels c (runs, r) in
         eigencoordinates: chat (runs, r) holds the estimates after block
         ell - 1 (the zero prior at block 0); they are predicted one block
         ahead and conditioned on block ell's pilots y = S^H h + w, with w =
-        noise (runs, m_p), through the gains ``posteriors`` stored."""
+        noise (runs, m_p), through the gains the covariance recursion stored."""
         if ell:
             chat *= self.a
         sqrt_rho = self._sqrt_rho
@@ -205,6 +195,59 @@ class Tracker:
             s_conj = (sqrt_rho * self.s_u[:, self.sched[ell]]).conj()
             y = c @ s_conj + noise
             chat += (y - chat @ s_conj) @ self.gains[ell].T
+
+
+def full_posteriors(trackers) -> tuple:
+    """The covariance recursion of one user's full trackers, run as one.
+
+    The trackers share lam, a, rho, m_p and the schedule length, so their
+    error covariances advance together as one (S, r, r) stack updated in
+    place: per block one batched P S, Gram matrix and LAPACK solve.  The
+    gains are stored stacked, (S, horizon, r, m_p), each tracker's
+    ``gains`` a view.  Returns every posterior reduced to tr P, the
+    self-error term Re tr(P (Lambda - P)) and diag P, stacked (S, horizon),
+    (S, horizon) and (S, horizon, r); a single tracker is the S = 1 stack.
+    """
+    for tracker in trackers:
+        tracker._check_schedule()
+    first = trackers[0]
+    lam, m_p, horizon = first.lam, first.m_p, len(first.sched)
+    a2, innovation = first._aging
+    n, r = len(trackers), len(lam)
+    # every tracker's columns side by side, its schedule offset to its own
+    offsets = np.cumsum([0] + [t.s_u.shape[1] for t in trackers[:-1]])
+    cols = first._sqrt_rho * np.concatenate([t.s_u for t in trackers], axis=1)
+    sched = np.stack([t.sched + off for t, off in zip(trackers, offsets)], axis=1)
+    gains = np.empty((n, horizon, r, m_p), dtype=complex)
+    for tracker, tracker_gains in zip(trackers, gains):
+        tracker.gains = tracker_gains
+    err, self_err, diags = np.empty((n, horizon)), np.empty((n, horizon)), np.empty((n, horizon, r))
+    p = np.zeros((n, r, r), dtype=complex)
+    q, s, sq = np.empty_like(p), np.empty((n, r, m_p), dtype=complex), np.empty((n, r, r))
+    d = p.reshape(n, r * r)[:, :: r + 1]  # a writable view of every diagonal
+    d += lam
+    eye = np.eye(m_p)
+    # each slice keeps the memory layout of the one-plan arithmetic, so the
+    # stack makes the same BLAS, LAPACK and summation calls bit for bit
+    for ell, idx in enumerate(sched):
+        s[...] = cols[:, idx].transpose(1, 0, 2)
+        ps = p @ s
+        ps_h = ps.conj().swapaxes(1, 2)
+        gram = s.conj().swapaxes(1, 2) @ ps
+        gram += eye
+        k = np.linalg.solve(gram.conj().swapaxes(1, 2), ps_h).conj().swapaxes(1, 2)
+        p -= k @ ps_h
+        np.conjugate(p.swapaxes(1, 2), out=q)
+        q += p
+        np.multiply(q, 0.5, out=p)
+        gains[:, ell] = k
+        err[:, ell] = d.sum(axis=-1).real
+        np.square(np.abs(p, out=sq), out=sq)
+        self_err[:, ell] = (np.sum(d * lam, axis=-1) - sq.sum(axis=(1, 2))).real
+        diags[:, ell] = d.real
+        p *= a2
+        d += innovation
+    return err, self_err, diags
 
 
 @dataclass(kw_only=True)
@@ -246,12 +289,38 @@ def build_single_user_plans(
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
-    return [_build_plan(scene, frame, horizon, name, rng_scene)[0] for name in schemes]
+    return [plan for plan, *_ in _user_plans(scene, frame, horizon, schemes, rng_scene)]
 
 
-def _build_plan(scene, frame, horizon, name, rng_scene):
-    """One scheme's plan for one user, plus its covariance recursion reduced per
-    block to tr P, the self-error term Re tr(P (Lambda - P)) and diag P."""
+def _user_plans(scene, frame, horizon, names, rng_scene):
+    """Every named scheme's plan for one user and its covariance recursion.
+
+    The plans are built first, in order, so ``random`` draws its columns
+    from ``rng_scene`` in scheme order; then each diag plan runs its own
+    recursion and the full plans run one ``full_posteriors`` stack.  Yields
+    per plan, in order, the plan with its NMSE trace and its posteriors
+    reduced per block to tr P, the self-error term Re tr(P (Lambda - P))
+    and diag P, (horizon,), (horizon,) and (horizon, r).
+    """
+    lam = scene.lam_sim
+    plans = [_scheme_plan(scene, frame, horizon, name, rng_scene) for name in names]
+    full = [plan for plan in plans if plan.kind == "full"]
+    stacked = zip(*full_posteriors(full)) if full else None
+    for plan in plans:
+        if plan.kind == "full":
+            err, self_err, diag = next(stacked)
+        else:
+            diag = np.zeros((horizon, len(lam)))
+            if plan.kind == "diag":
+                for ell, p in enumerate(plan.posteriors()):
+                    diag[ell] = p
+            err, self_err = mu.error_terms(lam, diag, diag)
+        plan.nmse = err / float(lam.sum())
+        yield plan, err, self_err, diag
+
+
+def _scheme_plan(scene, frame, horizon, name, rng_scene) -> SchemePlan:
+    """One scheme's plan for one user, before its covariance recursion."""
     lam = scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
@@ -284,22 +353,9 @@ def _build_plan(scene, frame, horizon, name, rng_scene):
         kind = "perfect"
     else:
         raise ValueError(f"unknown scheme {name!r}")
-    plan = SchemePlan(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
+    return SchemePlan(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
                       sched=None if cycle is None else _horizon_schedule(cycle, horizon),
                       design=design, seq=seq)
-    if kind == "full":  # block by block; the off-diagonal part enters the self-error term
-        err, self_err, diag = np.empty(horizon), np.empty(horizon), np.empty((horizon, len(lam)))
-        for ell, p in enumerate(plan.posteriors()):
-            d = np.diag(p)  # a view of P, copied into diag
-            err[ell] = np.real(np.trace(p))
-            self_err[ell] = np.real(np.sum(d * lam) - np.sum(np.abs(p) ** 2))
-            diag[ell] = d.real
-    else:
-        diag = (np.zeros((horizon, len(lam))) if kind == "perfect"
-                else np.array(list(plan.posteriors())))
-        err, self_err = mu.error_terms(lam, diag, diag)
-    plan.nmse = err / float(lam.sum())
-    return plan, err, self_err, diag
 
 
 def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
@@ -518,16 +574,24 @@ def run_multiuser_scene(
                          f"path; choose among {MU_SCHEMES}")
     rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
 
-    by_scheme = []  # by_scheme[s][u] is user u's plan of scheme s
+    # per scheme, block and user: tr P, the self-error term and the leakage
+    # into every user, each user's diag P reduced as soon as it is produced
+    err, self_err = np.empty((2, len(schemes), horizon, n_users))
+    leak = np.empty((len(schemes), horizon, n_users, n_users))
+    by_user = []  # by_user[u][s] is user u's plan of scheme s
+    for v, scene in enumerate(scenes):
+        by_user.append([])
+        for s, (plan, err_s, self_err_s, diag) in enumerate(
+                _user_plans(scene, frame, horizon, schemes, rng_scene)):
+            by_user[v].append(plan)
+            err[s, :, v], self_err[s, :, v] = err_s, self_err_s
+            leak[s, :, v] = mu.user_leakage(scene_mu, v, diag)
+    by_scheme = list(zip(*by_user))
     nmse, sinr_det, sinr_lb, sinr_det_ss = {}, {}, {}, {}
-    for name in schemes:
-        plans, err, self_err, diags = zip(*(_build_plan(scene, frame, horizon, name, rng_scene)
-                                            for scene in scenes))
-        by_scheme.append(plans)
+    for s, (name, plans) in enumerate(zip(schemes, by_scheme)):
         nmse[name] = np.mean([p.nmse for p in plans], axis=0)
-        sinr_det[name] = mu.sinr_equivalent(
-            np.array([p.lam.sum() for p in plans]), np.stack(err, axis=-1),
-            np.stack(self_err, axis=-1), mu.leakage(scene_mu, diags), frame.rho)
+        sinr_det[name] = mu.sinr_equivalent(np.array([p.lam.sum() for p in plans]),
+                                            err[s], self_err[s], leak[s], frame.rho)
         sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans, frame.rho)
 
     sinr_mc, se_mc_runs = (dict(zip(schemes, mean)) for mean in _monte_carlo(
@@ -537,7 +601,7 @@ def run_multiuser_scene(
         schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
         nmse=nmse, sinr_mc=sinr_mc, se_mc_runs=se_mc_runs, sinr_det=sinr_det,
         sinr_lb=sinr_lb, sinr_det_ss=sinr_det_ss,
-        user_plans=[dict(zip(schemes, plans)) for plans in zip(*by_scheme)],
+        user_plans=[dict(zip(schemes, plans)) for plans in by_user],
     )
 
 

@@ -246,6 +246,8 @@ class TestErrors:
         ("demo", "frame", [1]),
         ("demo", "baselines", "orthogonal"),
         ("demo", "output_dir", 5),
+        ("demo", "array.n_v", 3),  # a ULA is one row
+        ("demo", "array.n_h", 7),
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()

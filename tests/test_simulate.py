@@ -99,6 +99,40 @@ class TestEngineAgainstKalmanModule:
                 cap**2 / (cap / frame.rho + b), rel=1e-9)
             state = kalman.time_update(state, stats)
 
+    def test_stacked_full_plans_match_single_plans_and_reference(self):
+        # the full plans' one stacked recursion equals each plan's own S = 1
+        # recursion bit for bit; its hybrid member, sounding r_design DFT
+        # columns against orthogonal's n_t, follows the reference recursion
+        scene = small_scene(n=12)
+        frame = small_frame()
+        horizon = 24
+        schemes = ["min_max_dft", "orthogonal", "random"]
+        together = sim.build_single_user_plans(scene, frame, horizon, schemes,
+                                               np.random.default_rng(0))
+        det = sim.run_schemes(scene, frame, schemes, 1, 0, horizon).sinr_det
+        for plan, name in zip(together, schemes):
+            (alone,) = sim.build_single_user_plans(scene, frame, horizon, [name],
+                                                   np.random.default_rng(0))
+            assert plan.kind == alone.kind == "full"
+            assert np.array_equal(plan.gains, alone.gains)
+            assert np.array_equal(plan.nmse, alone.nmse)
+            single = sim.run_schemes(scene, frame, [name], 1, 0, horizon)
+            assert np.array_equal(det[name], single.sinr_det[name])
+        hybrid = together[0]
+        _, _, cols = sim.design_scheme(scene, frame, "min_max_dft")
+        assert hybrid.s_u.shape[1] == cols.shape[1] == scene.r_design < 12
+        r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
+        stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
+                                     lam=scene.lam_sim, rank=scene.r_sim)
+        state = kalman.init(stats)
+        total = stats.trace()
+        for ell in range(horizon):
+            s = np.sqrt(frame.rho) * cols[:, hybrid.sched[ell]]
+            state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
+            assert np.real(np.trace(state.p_est)) / total == pytest.approx(
+                hybrid.nmse[ell], rel=1e-9)
+            state = kalman.time_update(state, stats)
+
     def test_dft_plan_uses_projected_spectrum_for_design(self):
         scene = small_scene(n=16)
         frame = small_frame(g_len=4, m_p=2, n_d_max=6)
@@ -343,8 +377,8 @@ def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
 def monte_carlo_inputs(scenes, frame, schemes, horizon):
     """plans[s][u] and the cross tensor that ``sim._monte_carlo`` takes."""
     rng = np.random.default_rng(0)
-    plans = [[sim._build_plan(scene, frame, horizon, name, rng)[0] for scene in scenes]
-             for name in schemes]
+    plans = [[sim.build_single_user_plans(scene, frame, horizon, [name], rng)[0]
+              for scene in scenes] for name in schemes]
     scene_mu = mu.MultiuserScene(
         users=[mu.UserLink(stats=cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim,
                                                       lam=s.lam_sim, rank=s.r_sim))
