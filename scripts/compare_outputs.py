@@ -23,6 +23,10 @@ changes) on the same cases:
   ``assignment.json``;
 - ``pilotseq verify``, comparing its standard output.
 
+Each side's ``--config`` documents are built from that side's own preset,
+read through its own sources, so a change of the config format does not
+stop the other side from reading them.
+
 Every run writes to the relative directory ``out`` of its own working
 directory, so the output path recorded in ``assignment.json`` is the same
 on both sides.  Files are compared byte for byte; a file written on one
@@ -126,13 +130,18 @@ def drift(a: Path, b: Path) -> list[str]:
     return out
 
 
-def cut_config(path: Path, name: str, **fields) -> None:
-    """Write preset ``name`` with ``mc_runs`` cut and top-level ``fields``
-    overridden (a section such as ``users`` is updated key by key)."""
-    sys.path.insert(0, str(ROOT / "src"))
-    from pilotseq.config import preset
-
-    doc = preset(name).to_dict()
+def cut_config(tree: Path, path: Path, name: str, fields: dict) -> None:
+    """Write preset ``name`` as ``tree``'s sources spell it, with ``mc_runs``
+    cut and top-level ``fields`` overridden (a section such as ``users`` is
+    updated key by key).  The preset is read in a subprocess on ``tree``'s
+    sources, so each side gets a document in its own config format."""
+    code = "import sys; from pilotseq.config import preset; print(preset(sys.argv[1]).to_json())"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, name], env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"reading preset {name} failed with {tree}:\n{proc.stderr}")
+    doc = json.loads(proc.stdout)
     doc["mc_runs"] = CUT_RUNS
     for key, value in fields.items():
         doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
@@ -152,8 +161,8 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(base, filter="data")
         try:
-            cases = [("simulate", name, ["--preset", name]) for name in PRESETS]
-            for command, label, name, fields in (
+            cases = [("simulate", name, name, None) for name in PRESETS]
+            cases += [
                 ("simulate", f"upa375 (mc_runs={CUT_RUNS})", "upa375", {}),
                 ("simulate", f"ci_ula32 exhaustive (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"designer": "exhaustive"}),
@@ -169,25 +178,25 @@ def main(argv: list[str]) -> int:
                 ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),
                 ("verify", "battery", None, None),
-            ):
-                if fields is None:
-                    cases.append((command, label, [] if name is None else ["--preset", name]))
-                    continue
-                config = tmp / f"config{len(cases)}.json"
-                cut_config(config, name, **fields)
-                cases.append((command, label, ["--config", str(config)]))
+            ]
             differ = 0
-            for i, (command, label, args) in enumerate(cases):
-                outs = (run_cli(base, command, args, tmp / f"base{i}"),
-                        run_cli(ROOT, command, args, tmp / f"head{i}"))
-                for name in FILES[command]:
-                    a, b = (out / name for out in outs)
+            for i, (command, label, name, fields) in enumerate(cases):
+                outs = []
+                for tree, side in ((base, "base"), (ROOT, "head")):
+                    args = [] if name is None else ["--preset", name]
+                    if fields is not None:
+                        config = tmp / f"config{i}-{side}.json"
+                        cut_config(tree, config, name, fields)
+                        args = ["--config", str(config)]
+                    outs.append(run_cli(tree, command, args, tmp / f"{side}{i}"))
+                for file in FILES[command]:
+                    a, b = (out / file for out in outs)
                     if not a.exists() and not b.exists():
                         continue
                     same = a.exists() and b.exists() and a.read_bytes() == b.read_bytes()
                     differ += not same
                     print(f"{'identical' if same else 'DIFFERS  '} {command:<8} {label:<36} "
-                          f"{Path(name).name:<15} {rev}={digest(a)} tree={digest(b)}")
+                          f"{Path(file).name:<15} {rev}={digest(a)} tree={digest(b)}")
                     if not same:
                         for line in drift(a, b):
                             print(f"    {line}")

@@ -38,7 +38,7 @@ def main():
             ring = cm.OneRingGeometry(d_s=args.d_s, d_r=30.0, h=60.0,
                                       theta_h=np.pi / 6, v=v / 3.6)
             block_len = 5
-            scene = sim.build_scene(cm.ArrayGeometry.ula(args.n_t), ring,
+            scene = sim.build_scene(cm.ArrayGeometry(1, args.n_t), ring,
                                     block_len)
             rho = 10.0 ** (snr / 10.0) / scene.gamma
             frame = sd.FrameParams(g_len=args.g, m_p=args.m_p, m=5,

@@ -38,14 +38,6 @@ class ArrayGeometry:
     def n_t(self) -> int:
         return self.n_v * self.n_h
 
-    @staticmethod
-    def ula(n_t: int, spacing_over_wavelength: float = 0.5) -> "ArrayGeometry":
-        return ArrayGeometry(1, n_t, spacing_over_wavelength)
-
-    @staticmethod
-    def upa(n_v: int, n_h: int, spacing_over_wavelength: float = 0.5) -> "ArrayGeometry":
-        return ArrayGeometry(n_v, n_h, spacing_over_wavelength)
-
 
 @dataclass(frozen=True)
 class OneRingGeometry:

@@ -39,16 +39,14 @@ def _section(cls, doc: dict, prefix: str):
 
 @dataclass
 class ArrayConfig:
-    kind: str = "ula"
-    n_t: int = 32
+    """An n_v x n_h planar array; a ULA is the one-row array (n_v = 1)."""
+
     n_v: int = 1
-    n_h: int = 1
+    n_h: int = 32
     spacing_over_wavelength: float = 0.5
 
     def build(self) -> ArrayGeometry:
-        if self.kind == "upa":
-            return ArrayGeometry.upa(self.n_v, self.n_h, self.spacing_over_wavelength)
-        return ArrayGeometry.ula(self.n_t, self.spacing_over_wavelength)
+        return ArrayGeometry(self.n_v, self.n_h, self.spacing_over_wavelength)
 
 
 @dataclass
@@ -118,17 +116,16 @@ class ExperimentConfig:
                                  ("horizon_blocks", self.horizon_blocks, frame.g),
                                  ("users.count", self.users.count, 1),
                                  *((f"array.{k}", getattr(array, k), 1)
-                                   for k in ("n_t", "n_v", "n_h"))):
+                                   for k in ("n_v", "n_h"))):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if array.kind not in ("ula", "upa"):
-            raise ValueError(f"array.kind must be 'ula' or 'upa', got {array.kind!r}")
         for name, value in [("array.spacing_over_wavelength", array.spacing_over_wavelength),
                             *((f"ring.{k}", v) for k, v in dataclasses.asdict(ring).items())]:
             if not _finite_numbers([value]):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not _finite_numbers([self.rank_tol]) or self.rank_tol < 0:
-            raise ValueError(f"rank_tol must be a finite number >= 0, got {self.rank_tol!r}")
+        if not _finite_numbers([self.rank_tol]) or not 0 <= self.rank_tol < 1:
+            raise ValueError(f"rank_tol must be a finite number in [0, 1), "
+                             f"got {self.rank_tol!r}")
         if self.snr_sweep_db is not None and not _finite_numbers(self.snr_sweep_db):
             raise ValueError(f"snr_sweep_db must be a list of finite numbers, "
                              f"got {self.snr_sweep_db!r}")
@@ -141,6 +138,8 @@ class ExperimentConfig:
         for name, value, ok, rule in (
             ("frame.g", frame.g, is_prime_power(frame.g), "must be a prime power"),
             ("frame.m", frame.m, frame.m > frame.m_p, f"must exceed frame.m_p = {frame.m_p!r}"),
+            ("frame.n_d", frame.n_d, frame.n_d >= frame.m_p,
+             f"must be >= frame.m_p = {frame.m_p!r}"),
             ("frame.rho", frame.rho, _finite_numbers([frame.rho]) and frame.rho >= 0,
              "must be a finite number >= 0"),
             ("users.count", self.users.count, self.users.count * frame.m_p < frame.m,
@@ -148,14 +147,12 @@ class ExperimentConfig:
             ("ring.d_r", ring.d_r, 0 < ring.d_r < ring.d_s,
              f"must lie in (0, ring.d_s = {ring.d_s!r})"),
             ("ring.v_kmh", ring.v_kmh, ring.v_kmh >= 0, "must be >= 0"),
+            ("ring.f_c", ring.f_c, ring.f_c > 0, "must be > 0"),
+            ("ring.t_s", ring.t_s, ring.t_s > 0, "must be > 0"),
             ("ring.v_kmh", ring.v_kmh, doppler < _J0_FIRST_ZERO,
              f"puts the Doppler argument 2 pi (v f_c / c) t_s M at {doppler:.4g}, at or past "
              f"the first J0 zero {_J0_FIRST_ZERO:.4g}: lower ring.v_kmh, ring.f_c = {ring.f_c!r}, "
              f"ring.t_s = {ring.t_s!r} or frame.m = {frame.m!r}"),
-            ("array.n_t", array.n_t, array.kind == "ula" or array.n_t == array.n_v * array.n_h,
-             f"must equal array.n_v * array.n_h = {array.n_v!r} * {array.n_h!r} for a UPA"),
-            *((f"array.{k}", getattr(array, k), array.kind == "upa" or getattr(array, k) == 1,
-               "must be 1 for a ULA") for k in ("n_v", "n_h")),
             *((name, value, value > 0, "must be > 0") for name, value in (
                 ("array.spacing_over_wavelength", array.spacing_over_wavelength),
                 ("ring.h", ring.h), ("ring.d_0", ring.d_0), ("ring.alpha_0", ring.alpha_0))),
@@ -222,24 +219,11 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(json.loads(text))
-
-    @staticmethod
-    def load(path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ExperimentConfig.from_json(fh.read())
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_json())
-
 
 PRESETS: dict = {
     # full-scale planar array, steady-state comparison of all schemes
     "upa375": dict(
-        array=dict(kind="upa", n_t=375, n_v=15, n_h=25),
+        array=dict(n_v=15, n_h=25),
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=30.0, v_kmh=3.0),
         frame=dict(g=32, m_p=2, m=5, n_d=64, rho=10.0),
         designer="min_max",
@@ -251,7 +235,7 @@ PRESETS: dict = {
     ),
     # CI-scale linear array keeping the same scheme comparison
     "ci_ula32": dict(
-        array=dict(kind="ula", n_t=32),
+        array=dict(n_v=1, n_h=32),
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=30.0, v_kmh=3.0),
         frame=dict(g=16, m_p=2, m=5, n_d=32, rho=10.0),
         designer="min_max",
@@ -263,7 +247,7 @@ PRESETS: dict = {
     ),
     # multiuser sum-rate sweep on the sector ULA
     "multiuser_ula32": dict(
-        array=dict(kind="ula", n_t=32),
+        array=dict(n_v=1, n_h=32),
         ring=dict(d_s=100.0, d_r=8.0, theta_h_deg=0.0, v_kmh=3.0),
         frame=dict(g=32, m_p=1, m=10, n_d=8, rho=10.0),
         designer="min_max",
@@ -277,7 +261,7 @@ PRESETS: dict = {
     ),
     # small smoke preset for quick CLI checks
     "demo": dict(
-        array=dict(kind="ula", n_t=16),
+        array=dict(n_v=1, n_h=16),
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=20.0, v_kmh=3.0),
         frame=dict(g=4, m_p=2, m=5, n_d=8, rho=10.0),
         designer="min_max",

@@ -395,11 +395,11 @@ def _realized_sinr(c, hats, rho, cross):
     n_schemes, n_users, n_runs, _ = hats.shape
     nrm2 = np.einsum("...ij,...ij->...i", hats.conj(), hats).real
     self_dot = np.einsum("...ij,...ij->...i", c.conj(), hats)
-    sigma = n_users * nrm2 / rho + np.abs(self_dot - nrm2) ** 2
     u_idx, v_idx = np.nonzero(~np.eye(n_users, dtype=bool))  # u-major, so v ascends per u
     mixed = hats[:, v_idx] @ cross[u_idx, v_idx].swapaxes(-1, -2)
     dot_uv = np.einsum("...ij,...ij->...i", c[u_idx].conj(), mixed)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 gives sigma = inf
+        sigma = n_users * nrm2 / rho + np.abs(self_dot - nrm2) ** 2
         ratio = np.where(nrm2[:, v_idx] > 0, nrm2[:, u_idx] / nrm2[:, v_idx], 0.0)
         interference = (ratio * np.abs(dot_uv) ** 2).reshape(n_schemes, n_users, -1, n_runs)
         for k in range(n_users - 1):

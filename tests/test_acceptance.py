@@ -124,7 +124,7 @@ def test_proposition4_convergence():
         for theta in (-8.0, 8.0):
             ring = cm.OneRingGeometry(d_s=100.0, d_r=30.0, h=60.0,
                                       theta_h=np.radians(theta), v=3 / 3.6)
-            scenes.append(sim.build_scene(cm.ArrayGeometry.ula(n_t), ring, 10))
+            scenes.append(sim.build_scene(cm.ArrayGeometry(1, n_t), ring, 10))
         table = sim.run_multiuser_scene(scenes, frame, ["min_max"], 3000, 31, 48)
         tail_mc = table.sinr_mc["min_max"][-16:].mean(axis=0)
         tail_det = table.sinr_det["min_max"][-16:].mean(axis=0)
@@ -152,7 +152,7 @@ def test_lemma1_estimate_covariance():
     t0 = time.time()
     ring = cm.OneRingGeometry(d_s=100.0, d_r=30.0, h=60.0, theta_h=0.3,
                               v=30 / 3.6)
-    scene = sim.build_scene(cm.ArrayGeometry.ula(16), ring, block_len=5)
+    scene = sim.build_scene(cm.ArrayGeometry(1, 16), ring, block_len=5)
     frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=5.0)
     plans = sim.build_single_user_plans(scene, frame, 8, ["min_max"],
                                         np.random.default_rng(0))

@@ -75,7 +75,7 @@ class TestSimulate:
         cfg.horizon_blocks = 8
         cfg.output_dir = str(tmp_path / "sim")
         cfg_path = tmp_path / "cfg.json"
-        cfg.save(cfg_path)
+        cfg_path.write_text(cfg.to_json())
         proc = run_cli(["simulate", "--config", str(cfg_path)])
         assert proc.returncode == 0
         trace = (tmp_path / "sim" / "trace.csv").read_text().splitlines()
@@ -89,7 +89,7 @@ class TestSimulate:
         traces = []
         for seed, sub in ((1, "s1"), (2, "s2")):
             cfg.output_dir = str(tmp_path / sub)
-            cfg.save(cfg_path)
+            cfg_path.write_text(cfg.to_json())
             proc = run_cli(["simulate", "--config", str(cfg_path),
                             "--seed", str(seed)])
             assert proc.returncode == 0
@@ -102,13 +102,13 @@ class TestSimulate:
         cfg.horizon_blocks = 8
         cfg.output_dir = str(tmp_path / "first")
         cfg_path = tmp_path / "cfg.json"
-        cfg.save(cfg_path)
+        cfg_path.write_text(cfg.to_json())
         assert run_cli(["simulate", "--config", str(cfg_path)]).returncode == 0
         resolved = tmp_path / "first" / "config.resolved.json"
-        loaded = ExperimentConfig.load(resolved)
+        loaded = ExperimentConfig.from_dict(json.loads(resolved.read_text()))
         loaded.output_dir = str(tmp_path / "second")
         second_cfg = tmp_path / "cfg2.json"
-        loaded.save(second_cfg)
+        second_cfg.write_text(loaded.to_json())
         assert run_cli(["simulate", "--config", str(second_cfg)]).returncode == 0
         first = (tmp_path / "first" / "trace.csv").read_bytes()
         second = (tmp_path / "second" / "trace.csv").read_bytes()
@@ -123,7 +123,7 @@ class TestSimulate:
         cfg.snr_sweep_db = [5.0]
         cfg.output_dir = str(tmp_path / "mu")
         cfg_path = tmp_path / "mu.json"
-        cfg.save(cfg_path)
+        cfg_path.write_text(cfg.to_json())
         proc = run_cli(["simulate", "--config", str(cfg_path)])
         assert proc.returncode == 0
         sweep = (tmp_path / "mu" / "sweep.csv").read_text().splitlines()
@@ -161,7 +161,7 @@ class TestErrors:
 
     def test_conflicting_sources_rejected(self, tmp_path):
         cfg_path = tmp_path / "c.json"
-        preset("demo").save(cfg_path)
+        cfg_path.write_text(preset("demo").to_json())
         proc = run_cli(["simulate", "--config", str(cfg_path),
                         "--preset", "demo"])
         assert proc.returncode == 1
@@ -223,7 +223,7 @@ class TestErrors:
         ("demo", "rank_tol", float("nan")),
         ("demo", "snr_sweep_db", "5"),
         ("demo", "users.theta_deg", [10.0, 20.0]),  # two angles for one user
-        ("upa375", "array.n_t", 100),  # 15 x 25 elements
+        ("upa375", "array.n_t", 100),  # not a field: the element count is n_v * n_h
         ("demo", "array.n_t", "16"),
         ("demo", "ring.v_kmh", "3"),
         ("demo", "ring.theta_h_deg", 70.0),  # outside the (-60, 60) sector
@@ -246,8 +246,12 @@ class TestErrors:
         ("demo", "frame", [1]),
         ("demo", "baselines", "orthogonal"),
         ("demo", "output_dir", 5),
-        ("demo", "array.n_v", 3),  # a ULA is one row
-        ("demo", "array.n_h", 7),
+        ("demo", "array.kind", "ula"),  # an array is n_v x n_h, with no kind
+        ("demo", "array.n_h", 0),
+        ("demo", "ring.f_c", -2.5e9),
+        ("demo", "ring.t_s", 0.0),
+        ("demo", "frame.n_d", 1),  # fewer than frame.m_p = 2 sounding vectors
+        ("demo", "rank_tol", 1.0),  # keeps no eigenmode
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()
@@ -257,6 +261,17 @@ class TestErrors:
             node = node[parent]
         node[key] = value
         assert field in self.error_for("design", doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    @pytest.mark.parametrize("key, value", [("kind", "upa"), ("n_t", 375)])
+    def test_old_array_spelling_fails_at_load_naming_it(self, tmp_path, capsys, command,
+                                                        key, value):
+        """An array is n_v x n_h: a document that still spells it with a kind
+        or an element count fails at load, naming the field."""
+        doc = preset("upa375").to_dict()
+        doc["array"][key] = value
+        assert (self.error_for(command, doc, tmp_path, capsys)
+                == f"unknown config field array.{key}")
 
     def test_angle_outside_sector_names_user(self, tmp_path, capsys):
         doc = preset("multiuser_ula32").to_dict()

@@ -1,7 +1,9 @@
 """Engine-level checks: scheme plans, determinism, agreement with the
 reference Kalman module, and output emission."""
 
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from pilotseq.sequence_design import FrameParams, min_max_design
 def small_scene(n=16, theta_deg=20.0, v_kmh=3.0, d_r=30.0):
     ring = cm.OneRingGeometry(d_s=100.0, d_r=d_r, h=60.0,
                               theta_h=np.radians(theta_deg), v=v_kmh / 3.6)
-    return sim.build_scene(cm.ArrayGeometry.ula(n), ring, block_len=5)
+    return sim.build_scene(cm.ArrayGeometry(1, n), ring, block_len=5)
 
 
 def small_frame(**kw):
@@ -251,7 +253,7 @@ class TestDftBasisBuilder:
     def test_build_dft_basis_matches_scene_scaling(self):
         ring = cm.OneRingGeometry(d_s=100.0, d_r=30.0, h=60.0, theta_h=0.3,
                                   v=3 / 3.6)
-        arr = cm.ArrayGeometry.upa(3, 5)
+        arr = cm.ArrayGeometry(3, 5)
         scene = sim.build_scene(arr, ring, block_len=5)
         basis = cm.dft_approximation_upa(*scene.axes, scene.r_design)
         assert basis.f_tilde.shape[1] == scene.r_design >= 6
@@ -262,13 +264,17 @@ class TestDftBasisBuilder:
                 basis.lambda_tilde[j], rel=1e-10)
 
     def test_ula_scene_is_one_row_upa_scene(self):
+        """A linear array is the one-row planar array: its covariance is the
+        linear one-ring covariance itself and its vertical factor is [[1]]."""
         ring = cm.OneRingGeometry(theta_h=0.3, v=3 / 3.6)
-        ula = sim.build_scene(cm.ArrayGeometry.ula(24), ring, block_len=5)
-        row = sim.build_scene(cm.ArrayGeometry.upa(1, 24), ring, block_len=5)
-        assert ula.u_sim.tobytes() == row.u_sim.tobytes()
-        assert ula.lam_sim.tobytes() == row.lam_sim.tobytes()
-        assert [f.tobytes() for f in ula.axes] == [f.tobytes() for f in row.axes]
-        assert np.array_equal(ula.axes[1], [[1.0]])
+        row = sim.build_scene(cm.ArrayGeometry(1, 24), ring, block_len=5)
+        _, _, delta_h = cm.one_ring_params(ring)
+        linear = cm.one_ring_covariance(24, ring.theta_h, delta_h, cm.path_loss(ring))
+        assert row.axes[0].tobytes() == linear.tobytes()
+        assert np.array_equal(row.axes[1], [[1.0]])
+        u, lam, _ = cm.eigendecompose(linear, sim.SIM_RANK_TOL)
+        assert row.u_sim.tobytes() == u.tobytes()
+        assert row.lam_sim.tobytes() == lam.tobytes()
 
     def test_ula_surrogate_projects_toeplitz_covariance(self):
         """A ULA's hybrid scheme designs on the DFT projection of the
@@ -276,7 +282,7 @@ class TestDftBasisBuilder:
         rebuild U diag(lam) U^H."""
         n = 32
         ring = cm.OneRingGeometry(theta_h=0.3, v=3 / 3.6)
-        scene = sim.build_scene(cm.ArrayGeometry.ula(n), ring, block_len=5)
+        scene = sim.build_scene(cm.ArrayGeometry(1, n), ring, block_len=5)
         _, _, delta_h = cm.one_ring_params(ring)
         r_h = cm.one_ring_covariance(n, ring.theta_h, delta_h, cm.path_loss(ring))
         f = cm._dft_matrix(n)
@@ -308,7 +314,7 @@ class TestMonteCarloAgainstDeterministic:
         per block, for a 256-antenna array."""
         ring = cm.OneRingGeometry(d_s=100.0, d_r=17.6, h=60.0, theta_h=0.35,
                                   v=3 / 3.6)
-        scene = sim.build_scene(cm.ArrayGeometry.ula(256), ring, block_len=5)
+        scene = sim.build_scene(cm.ArrayGeometry(1, 256), ring, block_len=5)
         frame = FrameParams(g_len=16, m_p=2, m=5, n_d_max=32, rho=10.0)
         table = sim.run_schemes(scene, frame, ["min_max"], 400, 5, 160)
         tail = 32
@@ -323,6 +329,18 @@ class TestMonteCarloAgainstDeterministic:
         expected = frame.rho * scene.trace()
         got = float(table.sinr_mc["perfect_csit"][-1, 0])
         assert got == pytest.approx(expected, rel=0.1)
+
+    def test_zero_power_gives_zero_sinr_without_warnings(self):
+        """At rho = 0 no scheme receives anything: every realized SINR is
+        zero, and the 0/0 and x/0 of the noise term warn about nothing."""
+        scene = small_scene()
+        frame = small_frame(rho=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = sim.run_schemes(scene, frame, ["min_max", "mp_fixed", "perfect_csit"],
+                                    4, 3, 8)
+        for sinr in table.sinr_mc.values():
+            assert not np.any(sinr)
 
 
 def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
@@ -562,7 +580,8 @@ class TestOutputs:
         text = (tmp_path / "run1" / "trace.csv").read_text().splitlines()
         assert text[0] == "block,scheme,nmse,rx_snr_db,se_sum,se_det,se_lb"
         assert len(text) - 1 == cfg.horizon_blocks * len(table.schemes)
-        loaded = ExperimentConfig.load(tmp_path / "run1" / "config.resolved.json")
+        loaded = ExperimentConfig.from_dict(
+            json.loads((tmp_path / "run1" / "config.resolved.json").read_text()))
         assert loaded == cfg
 
     def test_identical_seed_byte_identical_outputs(self, tmp_path):
@@ -580,5 +599,5 @@ class TestOutputs:
 
     def test_config_json_round_trip(self):
         cfg = preset("upa375")
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
         assert again == cfg
