@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -42,7 +43,8 @@ _FMT = "%.12g"
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
+    """A float in the output format; blank for None, nan and inf."""
+    if x is None or not math.isfinite(x):
         return ""
     return _FMT % x
 
@@ -126,15 +128,19 @@ def _trace_rows(table):
     columns = {}
     for name in table.schemes:
         lb = table.se_lb(name)
-        columns[name] = (table.nmse[name], table.sinr_mc[name].mean(axis=1),
-                         table.se_mc(name).sum(axis=1), table.se_det(name).sum(axis=1),
-                         None if np.all(np.isnan(lb)) else float(np.nansum(lb)))
+        sinr = table.sinr_mc[name].mean(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rx_snr_db = np.where(sinr > 0, 10.0 * np.log10(sinr), np.nan)
+        # Python floats: formatting them is cheaper than formatting numpy scalars
+        columns[name] = (table.nmse[name].tolist(), rx_snr_db.tolist(),
+                         table.se_mc(name).sum(axis=1).tolist(),
+                         table.se_det(name).sum(axis=1).tolist(),
+                         _fmt(None if np.all(np.isnan(lb)) else float(np.nansum(lb))))
     for ell in range(table.horizon):
         for name in table.schemes:
-            nmse, sinr, se_mc, se_det, se_lb = columns[name]
-            yield [str(ell), name, _fmt(nmse[ell]),
-                   _fmt(10.0 * np.log10(sinr[ell]) if sinr[ell] > 0 else None),
-                   _fmt(se_mc[ell]), _fmt(se_det[ell]), _fmt(se_lb)]
+            nmse, rx_snr_db, se_mc, se_det, se_lb = columns[name]
+            yield [str(ell), name, _fmt(nmse[ell]), _fmt(rx_snr_db[ell]),
+                   _fmt(se_mc[ell]), _fmt(se_det[ell]), se_lb]
 
 
 def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:

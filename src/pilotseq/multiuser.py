@@ -28,14 +28,16 @@ class UserLink:
 
 @dataclass
 class MultiuserScene:
-    """Downlink scene: U single-antenna users sharing data symbols of power
-    rho, with per-user pilots sounded over non-overlapping slots.  A
-    single-user link is the one-user scene."""
+    """Downlink scene: U single-antenna users sharing data symbols, with
+    per-user pilots sounded over non-overlapping slots.  A single-user link
+    is the one-user scene.  Only the scalar wrappers ``deterministic_sinr``
+    and ``steady_state_sinr_lower_bound`` read the data power ``rho``; the
+    run path passes rho per call, so one scene serves a whole SNR sweep."""
 
     users: list
-    rho: float
     m: int
     m_p: int
+    rho: float | None = None
 
     def __post_init__(self):
         if len(self.users) < 1:

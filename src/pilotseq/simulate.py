@@ -17,21 +17,28 @@ perfect  genie channel knowledge
 Every scheme plan is a ``Tracker``: its covariance recursion runs once,
 when the plan is built, storing the per-block gains, and its posteriors are
 reduced to the inputs of ``multiuser.sinr_equivalent``, evaluated once per
-scheme for all users; its batched sample step is the only estimate update
-the Monte Carlo kernel makes.  A diag plan runs its own recursion; all of
-one user's full plans run one recursion (``full_posteriors``), their error
+scheme for all users.  A diag plan runs its own recursion; all of one
+user's full plans run one recursion (``full_posteriors``), their error
 covariances stacked (S_full, r, r) and updated in place.  A single-user
-run is the one-user case of the multiuser run: one run path, one result
-table.
+run is the one-user case of the multiuser run, and a run at one operating
+point is the one-point case of an SNR sweep: one run path, one result
+table per point.
 
-Monte Carlo keeps a chunk of runs in stacked arrays zero-padded to the
-largest user rank r, channels (U, runs, r) and estimates (S, U, runs, r),
-and makes one realized-SINR call per block for every scheme and user.
+Monte Carlo runs a whole sweep in one pass.  Its rows are the (operating
+point, scheme) pairs, ordered by tracker kind: diag rows, then full, then
+perfect.  The kernel keeps a chunk of runs in stacked arrays zero-padded
+to the largest user rank r, channels (U, runs, r) and estimates (K, U,
+runs, r) for K rows, so each kind's estimates are a contiguous block of
+rows.  Per block it draws and evolves the channel once, makes one stacked
+step per tracker kind (``TrackerStack.step``, the only estimate update)
+and one realized-SINR call for every row and user, with each row's rho.
 
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
-channel, then one per scheme and user), runs are processed in fixed-size
-chunks, and chunk partial sums are reduced in run-index order, so results
-are byte-identical from run to run.
+channel, then one per scheme and user, whatever the number of points; the
+rows of a scheme at every point read its one noise stream), runs are
+processed in fixed-size chunks, and chunk partial sums are reduced in
+run-index order, so results are byte-identical from run to run, and each
+point of a sweep equals its one-point run.
 """
 
 from __future__ import annotations
@@ -126,8 +133,10 @@ class Tracker:
     tracker knows the channel and runs no recursion.  The covariance
     recursion over the schedule, ``posteriors`` for a diag tracker and
     ``full_posteriors`` for all of a user's full trackers at once, stores
-    the per-block gains that ``sample_step`` applies to a batch of Monte
-    Carlo estimates.
+    the per-block gains in ``gains``: a fresh array, or the tracker's slice
+    of a ``TrackerStack`` laid out before the recursion ran.  Estimates
+    move only through ``TrackerStack.step``, the Monte Carlo kernel's one
+    update per tracker kind; ``sample_step`` is its one-row call.
     """
 
     kind: str  # diag | full | perfect
@@ -159,6 +168,11 @@ class Tracker:
         if self.sched.size and not 0 <= self.sched.min() <= self.sched.max() < n_cols:
             raise IndexError("schedule index outside the sounding basis")
 
+    def _gain_buffer(self, shape, dtype) -> np.ndarray:
+        if self.gains is None:
+            self.gains = np.empty(shape, dtype=dtype)
+        return self.gains
+
     def posteriors(self):
         """Covariance recursion of a diag tracker over its schedule: stores
         each block's gains and yields its posterior per-mode error
@@ -168,7 +182,7 @@ class Tracker:
             raise ValueError(f"a {self.kind} tracker has no per-mode recursion")
         self._check_schedule()
         p = np.array(self.lam, dtype=float)
-        self.gains = gains = np.zeros((len(self.sched), self.m_p))
+        gains = self._gain_buffer((len(self.sched), self.m_p), float)
         sqrt_rho, rho = self._sqrt_rho, self.rho
         for ell, idx in enumerate(self.sched):
             pred = p[idx]
@@ -179,22 +193,111 @@ class Tracker:
             p = self.predict(p)
 
     def sample_step(self, chat: np.ndarray, c: np.ndarray, noise: np.ndarray, ell: int) -> None:
-        """Batched estimate update in place for channels c (runs, r) in
-        eigencoordinates: chat (runs, r) holds the estimates after block
-        ell - 1 (the zero prior at block 0); they are predicted one block
-        ahead and conditioned on block ell's pilots y = S^H h + w, with w =
-        noise (runs, m_p), through the gains the covariance recursion stored."""
-        if ell:
-            chat *= self.a
-        sqrt_rho = self._sqrt_rho
+        """``TrackerStack.step`` on this diag or full tracker alone: chat
+        (runs, r) in place, for channels c (runs, r) and pilot noise (runs,
+        m_p).  The one-row stack holds views of the tracker's arrays."""
         if self.kind == "diag":
-            idx = self.sched[ell]
-            y = sqrt_rho * c[:, idx] + noise
-            chat[:, idx] += self.gains[ell] * (y - sqrt_rho * chat[:, idx])
+            gains, cols = self.gains[:, None, None], None
         else:
-            s_conj = (sqrt_rho * self.s_u[:, self.sched[ell]]).conj()
+            gains, cols = self.gains[None, None], (self._sqrt_rho * self.s_u).conj()
+        stack = TrackerStack(self.kind, np.full((1, 1, 1), self.a),
+                             np.full((1, 1, 1, 1), self._sqrt_rho), self.sched[:, None, None],
+                             gains, cols)
+        stack.step(chat[None, None], c[None], noise[None, None], ell)
+
+
+@dataclass
+class TrackerStack:
+    """The trackers of one kind in K rows for U users, stepped as one.
+
+    A row is one (operating point, scheme) pair of a run.  diag: ``sched``
+    and ``gains`` (horizon, K, U, m_p), each tracker's mode indices and
+    real gains.  full: ``cols`` (r, n) holds every tracker's conjugated
+    training columns conj(sqrt(rho) s_u) side by side, zero-padded to the
+    largest rank r, ``sched`` (horizon, K, U, m_p) indexes them, and
+    ``gains`` is (K, U, horizon, r, m_p).  perfect: no state.
+    """
+
+    kind: str
+    a: np.ndarray  # (U, 1, 1) the users' AR(1) coefficients
+    sqrt_rho: np.ndarray | None = None  # (K, 1, 1, 1)
+    sched: np.ndarray | None = None
+    gains: np.ndarray | None = None
+    cols: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, rows, r_max: int) -> TrackerStack:
+        """Stack rows[k][u], user u's tracker in row k, all of one kind.
+
+        Lays out the stacked gains and points each tracker's ``gains`` at
+        its slice; gains a recursion already stored are copied in, and a
+        recursion run afterwards fills the slice in place.
+        """
+        first = rows[0]
+        kind = first[0].kind
+        a = np.array([t.a for t in first])[:, None, None]
+        if kind == "perfect":
+            return cls(kind, a)
+        n_rows, n_users = len(rows), len(first)
+        horizon, m_p = first[0].sched.shape
+        sqrt_rho = np.array([row[0]._sqrt_rho for row in rows])[:, None, None, None]
+        sched = np.empty((horizon, n_rows, n_users, m_p), dtype=first[0].sched.dtype)
+        cols = None
+        if kind == "diag":
+            gains = np.zeros((horizon, n_rows, n_users, m_p))
+            slices = gains.transpose(1, 2, 0, 3)
+        else:
+            gains = np.zeros((n_rows, n_users, horizon, r_max, m_p), dtype=complex)
+            slices = gains
+            cols = np.zeros((r_max, sum(t.s_u.shape[1] for row in rows for t in row)),
+                            dtype=complex)
+        offset = 0
+        for k, row in enumerate(rows):
+            for u, tracker in enumerate(row):
+                r = len(tracker.lam)
+                view = slices[k, u] if kind == "diag" else slices[k, u, :, :r]
+                if tracker.gains is not None:
+                    view[...] = tracker.gains
+                tracker.gains = view
+                sched[:, k, u] = tracker.sched + offset
+                if kind == "full":
+                    n_cols = tracker.s_u.shape[1]
+                    cols[:r, offset:offset + n_cols] = (tracker._sqrt_rho * tracker.s_u).conj()
+                    offset += n_cols
+        return cls(kind, a, sqrt_rho, sched, gains, cols)
+
+    @cached_property
+    def _grid(self) -> tuple:
+        """Row and user index arrays that broadcast against (K, U, m_p)."""
+        _, n_rows, n_users, _ = self.sched.shape
+        return np.arange(n_rows)[:, None, None], np.arange(n_users)[None, :, None]
+
+    def step(self, hats: np.ndarray, c: np.ndarray, noise: np.ndarray | None, ell: int) -> None:
+        """Batched estimate update in place of every row and user: hats (K,
+        U, runs, r) holds the estimates after block ell - 1 (the zero prior
+        at block 0) of channels c (U, runs, r) in eigencoordinates; they are
+        predicted one block ahead and conditioned on block ell's pilots y =
+        S^H h + w, with w = noise (K, U, runs, m_p), through the gains the
+        covariance recursion stored.  Perfect rows copy the channel.
+
+        Every row and user goes through the arithmetic of a one-tracker
+        update in the same memory layout, so the stack changes no bit.
+        """
+        if self.kind == "perfect":
+            hats[...] = c
+            return
+        if ell:
+            hats *= self.a
+        sqrt_rho, idx = self.sqrt_rho, self.sched[ell]
+        if self.kind == "diag":
+            k, u = self._grid  # the advanced indices go first: (K, U, m_p, runs)
+            y = sqrt_rho * c[u, :, idx] + noise.swapaxes(-1, -2)
+            chat = hats[k, u, :, idx]
+            hats[k, u, :, idx] = chat + self.gains[ell][..., None] * (y - sqrt_rho * chat)
+        else:
+            s_conj = np.ascontiguousarray(self.cols[:, idx].transpose(1, 2, 0, 3))
             y = c @ s_conj + noise
-            chat += (y - chat @ s_conj) @ self.gains[ell].T
+            hats += (y - hats @ s_conj) @ self.gains[:, :, ell].swapaxes(-1, -2)
 
 
 def full_posteriors(trackers) -> tuple:
@@ -202,11 +305,11 @@ def full_posteriors(trackers) -> tuple:
 
     The trackers share lam, a, rho, m_p and the schedule length, so their
     error covariances advance together as one (S, r, r) stack updated in
-    place: per block one batched P S, Gram matrix and LAPACK solve.  The
-    gains are stored stacked, (S, horizon, r, m_p), each tracker's
-    ``gains`` a view.  Returns every posterior reduced to tr P, the
-    self-error term Re tr(P (Lambda - P)) and diag P, stacked (S, horizon),
-    (S, horizon) and (S, horizon, r); a single tracker is the S = 1 stack.
+    place: per block one batched P S, Gram matrix and LAPACK solve.  Each
+    block's gains go to every tracker's ``gains`` (horizon, r, m_p).
+    Returns every posterior reduced to tr P, the self-error term
+    Re tr(P (Lambda - P)) and diag P, stacked (S, horizon), (S, horizon)
+    and (S, horizon, r); a single tracker is the S = 1 stack.
     """
     for tracker in trackers:
         tracker._check_schedule()
@@ -218,9 +321,7 @@ def full_posteriors(trackers) -> tuple:
     offsets = np.cumsum([0] + [t.s_u.shape[1] for t in trackers[:-1]])
     cols = first._sqrt_rho * np.concatenate([t.s_u for t in trackers], axis=1)
     sched = np.stack([t.sched + off for t, off in zip(trackers, offsets)], axis=1)
-    gains = np.empty((n, horizon, r, m_p), dtype=complex)
-    for tracker, tracker_gains in zip(trackers, gains):
-        tracker.gains = tracker_gains
+    gains = [t._gain_buffer((horizon, r, m_p), complex) for t in trackers]
     err, self_err, diags = np.empty((n, horizon)), np.empty((n, horizon)), np.empty((n, horizon, r))
     p = np.zeros((n, r, r), dtype=complex)
     q, s, sq = np.empty_like(p), np.empty((n, r, m_p), dtype=complex), np.empty((n, r, r))
@@ -240,7 +341,8 @@ def full_posteriors(trackers) -> tuple:
         np.conjugate(p.swapaxes(1, 2), out=q)
         q += p
         np.multiply(q, 0.5, out=p)
-        gains[:, ell] = k
+        for tracker_gains, k_s in zip(gains, k):
+            tracker_gains[ell] = k_s
         err[:, ell] = d.sum(axis=-1).real
         np.square(np.abs(p, out=sq), out=sq)
         self_err[:, ell] = (np.sum(d * lam, axis=-1) - sq.sum(axis=(1, 2))).real
@@ -289,21 +391,20 @@ def build_single_user_plans(
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
-    return [plan for plan, *_ in _user_plans(scene, frame, horizon, schemes, rng_scene)]
+    plans = [_scheme_plan(scene, frame, horizon, name, rng_scene) for name in schemes]
+    for _ in _recursions(plans, horizon):
+        pass
+    return plans
 
 
-def _user_plans(scene, frame, horizon, names, rng_scene):
-    """Every named scheme's plan for one user and its covariance recursion.
-
-    The plans are built first, in order, so ``random`` draws its columns
-    from ``rng_scene`` in scheme order; then each diag plan runs its own
-    recursion and the full plans run one ``full_posteriors`` stack.  Yields
-    per plan, in order, the plan with its NMSE trace and its posteriors
-    reduced per block to tr P, the self-error term Re tr(P (Lambda - P))
-    and diag P, (horizon,), (horizon,) and (horizon, r).
+def _recursions(plans, horizon):
+    """The covariance recursions of one user's plans: each diag plan runs
+    its own and the full plans one ``full_posteriors`` stack.  Yields per
+    plan, in order, its posteriors reduced per block to tr P, the
+    self-error term Re tr(P (Lambda - P)) and diag P, (horizon,), (horizon,)
+    and (horizon, r), after setting the plan's NMSE trace.
     """
-    lam = scene.lam_sim
-    plans = [_scheme_plan(scene, frame, horizon, name, rng_scene) for name in names]
+    lam = plans[0].lam
     full = [plan for plan in plans if plan.kind == "full"]
     stacked = zip(*full_posteriors(full)) if full else None
     for plan in plans:
@@ -316,7 +417,7 @@ def _user_plans(scene, frame, horizon, names, rng_scene):
                     diag[ell] = p
             err, self_err = mu.error_terms(lam, diag, diag)
         plan.nmse = err / float(lam.sum())
-        yield plan, err, self_err, diag
+        yield err, self_err, diag
 
 
 def _scheme_plan(scene, frame, horizon, name, rng_scene) -> SchemePlan:
@@ -387,72 +488,117 @@ def _complex_rows(gen, shape):
 
 
 def _realized_sinr(c, hats, rho, cross):
-    """Worst-case-noise matched-filter SINR of every scheme and user over a
-    batch: channels c (U, runs, r) and estimates hats (S, U, runs, r) in
-    each user's eigencoordinates, zero-padded to the largest rank r, and
-    cross[u, v] = U_u^H U_v into user u's coordinates.  Returns (S, U, runs).
+    """Worst-case-noise matched-filter SINR of every row and user over a
+    batch: channels c (U, runs, r) and estimates hats (K, U, runs, r) in
+    each user's eigencoordinates, zero-padded to the largest rank r, each
+    row's data power rho (K, 1, 1) or one for all, and cross[u, v] =
+    U_u^H U_v into user u's coordinates.  Returns (K, U, runs).
     """
-    n_schemes, n_users, n_runs, _ = hats.shape
+    n_rows, n_users, n_runs, _ = hats.shape
     nrm2 = np.einsum("...ij,...ij->...i", hats.conj(), hats).real
     self_dot = np.einsum("...ij,...ij->...i", c.conj(), hats)
     u_idx, v_idx = np.nonzero(~np.eye(n_users, dtype=bool))  # u-major, so v ascends per u
-    mixed = hats[:, v_idx] @ cross[u_idx, v_idx].swapaxes(-1, -2)
-    dot_uv = np.einsum("...ij,...ij->...i", c[u_idx].conj(), mixed)
+    # h_u^H h_hat_v of every pair, one user u at a time: the mapped
+    # estimates of one u are (K, U - 1, runs, r), not (K, U(U - 1), runs, r)
+    dot_uv = np.empty((n_rows, len(u_idx), n_runs), dtype=complex)
+    for u in range(n_users if n_users > 1 else 0):  # a lone user has no pair
+        pairs = u_idx == u
+        mixed = hats[:, v_idx[pairs]] @ cross[u, v_idx[pairs]].swapaxes(-1, -2)
+        dot_uv[:, pairs] = np.einsum("...ij,...ij->...i", c[u].conj(), mixed)
     with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 gives sigma = inf
         sigma = n_users * nrm2 / rho + np.abs(self_dot - nrm2) ** 2
         ratio = np.where(nrm2[:, v_idx] > 0, nrm2[:, u_idx] / nrm2[:, v_idx], 0.0)
-        interference = (ratio * np.abs(dot_uv) ** 2).reshape(n_schemes, n_users, -1, n_runs)
+        interference = (ratio * np.abs(dot_uv) ** 2).reshape(n_rows, n_users, -1, n_runs)
         for k in range(n_users - 1):
             sigma += interference[:, :, k]
         return np.where(nrm2 > 0, nrm2 ** 2 / sigma, 0.0)
 
 
-def _chunk(seed_seqs, plans, horizon, frame, cross):
-    """Simulate one chunk of runs through every scheme for every user, where
-    plans[s][u] is user u's tracker of scheme s and carries the user's
-    channel spectrum and AR(1) coefficient.  Returns the (2, S, horizon, U)
-    partial sums of the realized SINR and the spectral efficiency.
+@dataclass
+class MonteCarloRows:
+    """The Monte Carlo kernel's rows: every (operating point, scheme) pair of
+    a run, ordered by tracker kind (diag, then full, then perfect; by point,
+    then scheme, within a kind), so that each kind's estimates are one
+    contiguous block of rows, stepped by one ``TrackerStack``."""
+
+    plans: list  # plans[p][s][u], user u's plan of scheme s at point p
+    order: list  # (p, s) of every row
+    stacks: list  # (stack, its rows as a slice, the scheme of each noisy row) per kind
+
+    @classmethod
+    def of(cls, plans) -> MonteCarloRows:
+        """The rows of plans[p][s][u]; lays out every stack's gains (see
+        ``TrackerStack.of``), so the recursions may run before or after."""
+        r_max = max(len(t.lam) for t in plans[0][0])
+        order, stacks = [], []
+        for kind in ("diag", "full", "perfect"):
+            rows = [(p, s) for p, point in enumerate(plans)
+                    for s, row in enumerate(point) if row[0].kind == kind]
+            if rows:
+                stack = TrackerStack.of([plans[p][s] for p, s in rows], r_max)
+                schemes = None if kind == "perfect" else np.array([s for _, s in rows])
+                stacks.append((stack, slice(len(order), len(order) + len(rows)), schemes))
+                order += rows
+        return cls(plans, order, stacks)
+
+    @property
+    def users(self) -> list:
+        """One tracker per user, carrying its channel spectrum and AR(1) coefficient."""
+        return self.plans[0][0]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return np.array([self.plans[p][s][0].rho for p, s in self.order])[:, None, None]
+
+
+def _chunk(seed_seqs, rows, horizon, frame, cross):
+    """Simulate one chunk of runs through every row for every user.  Returns
+    the (2, K, horizon, U) partial sums of the realized SINR and the
+    spectral efficiency of the K rows.
+
+    Each run spawns its streams in one layout, whatever the points: one per
+    user channel, then one per (scheme, user).  Every point's row of a
+    scheme reads that scheme's pilot noise, and the channel is drawn and
+    evolved once per block for all rows.  Perfect knowledge consumes its
+    streams without drawing from them.  Per block, each tracker kind makes
+    one stacked step and one realized-SINR call covers every row and user.
 
     The channel innovations and pilot noise are drawn a slab of at most SLAB
     blocks at a time into buffers reused across slabs; each stream fills
     sequentially, so the values equal one whole-horizon draw.
     """
-    n_runs, n_schemes, n_users, r_max = len(seed_seqs), len(plans), len(cross), cross.shape[-1]
-    a = np.array([p.a for p in plans[0]])[:, None, None]
+    n_runs, n_users, r_max = len(seed_seqs), len(cross), cross.shape[-1]
+    by_scheme = rows.plans[0]  # by_scheme[s][u] at the first point
+    a = np.array([t.a for t in rows.users])[:, None, None]
     evolve = np.sqrt(1.0 - a * a)
-    scale = [np.sqrt(p.lam) for p in plans[0]]
+    scale = [np.sqrt(t.lam) for t in rows.users]
     slab = min(SLAB, horizon)
     c = np.zeros((n_users, n_runs, r_max), dtype=complex)
     proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
-    noise = np.empty((n_schemes, n_users, n_runs, slab, frame.m_p), dtype=complex)
+    noise = np.empty((len(by_scheme), n_users, n_runs, slab, frame.m_p), dtype=complex)
     fills = []  # (generator, the slab rows it fills, per-mode scale or None) per stream
     for i, seq in enumerate(seed_seqs):
-        # channel streams first, then one per (scheme, user); perfect
-        # knowledge consumes its stream without drawing from it
-        streams = seq.spawn(n_users * (1 + n_schemes))
+        streams = seq.spawn(n_users * (1 + len(by_scheme)))
         for u, sd in enumerate(scale):
             gen = np.random.default_rng(streams[u])
             c[u, i, :len(sd)] = _complex_rows(gen, (1, len(sd)))[0] * sd
             fills.append((gen, proc[u, i, :, :len(sd)], sd))
-        for pos, (s, u) in enumerate(np.ndindex(n_schemes, n_users), start=n_users):
-            if plans[s][u].kind != "perfect":
+        for pos, (s, u) in enumerate(np.ndindex(len(by_scheme), n_users), start=n_users):
+            if by_scheme[s][u].kind != "perfect":
                 fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
 
-    hats = np.zeros((n_schemes, n_users, n_runs, r_max), dtype=complex)
-    perfect = np.array([row[0].kind == "perfect" for row in plans])
-    steps = [(p, hats[s, u, :, :len(p.lam)], c[u, :, :len(p.lam)], noise[s, u])
-             for s, row in enumerate(plans) for u, p in enumerate(row) if not perfect[s]]
-    sums = np.zeros((2, n_schemes, horizon, n_users))
+    hats = np.zeros((len(rows.order), n_users, n_runs, r_max), dtype=complex)
+    sums = np.zeros((2, len(rows.order), horizon, n_users))
     for start in range(0, horizon, slab):
         blocks = min(slab, horizon - start)
-        for gen, rows, sd in fills:
-            z = _complex_rows(gen, (blocks, rows.shape[-1]))
-            rows[:blocks] = z if sd is None else z * sd
+        for gen, buf, sd in fills:
+            z = _complex_rows(gen, (blocks, buf.shape[-1]))
+            buf[:blocks] = z if sd is None else z * sd
         for k, ell in enumerate(range(start, start + blocks)):
-            for plan, chat, chan, pilots in steps:
-                plan.sample_step(chat, chan, pilots[:, k, :], ell)
-            hats[perfect] = c
-            sinr = _realized_sinr(c, hats, frame.rho, cross)
+            pilots = noise[:, :, :, k]
+            for stack, block, schemes in rows.stacks:
+                stack.step(hats[block], c, None if schemes is None else pilots[schemes], ell)
+            sinr = _realized_sinr(c, hats, rows.rho, cross)
             sums[0, :, ell] += sinr.sum(axis=-1)
             sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
             c *= a
@@ -460,14 +606,18 @@ def _chunk(seed_seqs, plans, horizon, frame, cross):
     return sums
 
 
-def _monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
+def _monte_carlo(rows, seed, mc_runs, horizon, frame, cross):
     """Monte Carlo means of the realized SINR and the spectral efficiency,
-    (2, S, horizon, U), from run streams spawned off ``seed``."""
+    (2, P, S, horizon, U), of the rows' plans[p][s], from run streams
+    spawned off ``seed``."""
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
-    means = np.zeros((2, len(plans), horizon, len(cross)))
+    sums = np.zeros((2, len(rows.order), horizon, len(cross)))
     for i in range(0, mc_runs, CHUNK_RUNS):  # in run order, one chunk's buffers at a time
-        means += _chunk(run_seqs[i:i + CHUNK_RUNS], plans, horizon, frame, cross)
-    return means / mc_runs
+        sums += _chunk(run_seqs[i:i + CHUNK_RUNS], rows, horizon, frame, cross)
+    points, schemes = np.array(rows.order).T
+    means = np.empty((2, len(rows.plans), len(rows.plans[0]), horizon, len(cross)))
+    means[:, points, schemes] = sums / mc_runs
+    return means
 
 
 # -- runs ------------------------------------------------------------------
@@ -553,56 +703,84 @@ def run_multiuser_scene(
     horizon: int,
     threads: int = 1,
 ) -> MultiuserTable:
-    """Downlink run: per-user sounding over non-overlapping slots,
-    matched-filter data transmission, worst-case-noise SINR.
+    """Downlink run at one operating point: the one-point sweep.  A
+    single-user run is the one-user case; with more users only the
+    MU_SCHEMES are available.  ``threads`` has no effect; it stays for
+    perfbench's call sites.
+    """
+    return run_multiuser_sweep(scenes, [frame], schemes, mc_runs, seed, horizon)[0]
 
-    Returns every scheme's deterministic traces, steady-state summaries and
-    Monte Carlo averages.  A single-user run is the one-user case; with more
-    users only the MU_SCHEMES are available.  ``threads`` has no effect; it
-    stays for perfbench's call sites.
+
+def run_multiuser_sweep(
+    scenes: list,
+    frames: list,
+    schemes,
+    mc_runs: int,
+    seed: int,
+    horizon: int,
+) -> list[MultiuserTable]:
+    """Downlink runs at several operating points, frames that differ only in
+    rho: per-user sounding over non-overlapping slots, matched-filter data
+    transmission, worst-case-noise SINR.
+
+    Returns one table per point: every scheme's deterministic traces,
+    steady-state summaries and Monte Carlo averages, each equal to the
+    one-point run's.  The scene, its cross tensor and coupling maps are
+    built once.  Each point builds its plans with a fresh scene generator,
+    so ``random`` draws the same columns at every point; then one Monte
+    Carlo pass runs every (point, scheme) pair on the same draws.
     """
     n_users = len(scenes)
-    scene_mu = mu.MultiuserScene(
-        users=[mu.UserLink(stats=ChannelStatistics(
-            a=s.a, r_h=s.covariance, u=s.u_sim,
-            lam=s.lam_sim, rank=s.r_sim)) for s in scenes],
-        rho=frame.rho, m=frame.m, m_p=frame.m_p,
-    )
+    if any(dataclasses.replace(f, rho=frames[0].rho) != frames[0] for f in frames):
+        raise ValueError("the operating points of a sweep may differ only in rho")
     unavailable = [name for name in schemes if name not in MU_SCHEMES]
     if n_users > 1 and unavailable:
         raise ValueError(f"schemes {unavailable} are not available in the multiuser "
                          f"path; choose among {MU_SCHEMES}")
-    rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-
-    # per scheme, block and user: tr P, the self-error term and the leakage
-    # into every user, each user's diag P reduced as soon as it is produced
-    err, self_err = np.empty((2, len(schemes), horizon, n_users))
-    leak = np.empty((len(schemes), horizon, n_users, n_users))
-    by_user = []  # by_user[u][s] is user u's plan of scheme s
-    for v, scene in enumerate(scenes):
-        by_user.append([])
-        for s, (plan, err_s, self_err_s, diag) in enumerate(
-                _user_plans(scene, frame, horizon, schemes, rng_scene)):
-            by_user[v].append(plan)
-            err[s, :, v], self_err[s, :, v] = err_s, self_err_s
-            leak[s, :, v] = mu.user_leakage(scene_mu, v, diag)
-    by_scheme = list(zip(*by_user))
-    nmse, sinr_det, sinr_lb, sinr_det_ss = {}, {}, {}, {}
-    for s, (name, plans) in enumerate(zip(schemes, by_scheme)):
-        nmse[name] = np.mean([p.nmse for p in plans], axis=0)
-        sinr_det[name] = mu.sinr_equivalent(np.array([p.lam.sum() for p in plans]),
-                                            err[s], self_err[s], leak[s], frame.rho)
-        sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans, frame.rho)
-
-    sinr_mc, se_mc_runs = (dict(zip(schemes, mean)) for mean in _monte_carlo(
-        by_scheme, seed, mc_runs, horizon, frame, scene_mu.cross))
-
-    return MultiuserTable(
-        schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
-        nmse=nmse, sinr_mc=sinr_mc, se_mc_runs=se_mc_runs, sinr_det=sinr_det,
-        sinr_lb=sinr_lb, sinr_det_ss=sinr_det_ss,
-        user_plans=[dict(zip(schemes, plans)) for plans in by_user],
+    scene_mu = mu.MultiuserScene(
+        users=[mu.UserLink(stats=ChannelStatistics(
+            a=s.a, r_h=s.covariance, u=s.u_sim,
+            lam=s.lam_sim, rank=s.r_sim)) for s in scenes],
+        m=frames[0].m, m_p=frames[0].m_p,
     )
+    by_user = []  # by_user[p][u][s] is user u's plan of scheme s at point p
+    for frame in frames:
+        rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        by_user.append([[_scheme_plan(scene, frame, horizon, name, rng_scene)
+                         for name in schemes] for scene in scenes])
+    rows = MonteCarloRows.of([list(zip(*point)) for point in by_user])
+
+    dets = []
+    for frame, point in zip(frames, by_user):
+        # per scheme, block and user: tr P, the self-error term and the
+        # leakage into every user, each user's diag P reduced as soon as it
+        # is produced
+        err, self_err = np.empty((2, len(schemes), horizon, n_users))
+        leak = np.empty((len(schemes), horizon, n_users, n_users))
+        for v, plans in enumerate(point):
+            for s, (err_s, self_err_s, diag) in enumerate(_recursions(plans, horizon)):
+                err[s, :, v], self_err[s, :, v] = err_s, self_err_s
+                leak[s, :, v] = mu.user_leakage(scene_mu, v, diag)
+        nmse, sinr_det, sinr_lb, sinr_det_ss = {}, {}, {}, {}
+        for s, (name, plans) in enumerate(zip(schemes, zip(*point))):
+            nmse[name] = np.mean([p.nmse for p in plans], axis=0)
+            sinr_det[name] = mu.sinr_equivalent(np.array([p.lam.sum() for p in plans]),
+                                                err[s], self_err[s], leak[s], frame.rho)
+            sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans, frame.rho)
+        dets.append((nmse, sinr_det, sinr_lb, sinr_det_ss))
+
+    means = _monte_carlo(rows, seed, mc_runs, horizon, frames[0], scene_mu.cross)
+    return [
+        MultiuserTable(
+            schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
+            nmse=nmse, sinr_mc=dict(zip(schemes, sinr_mc)),
+            se_mc_runs=dict(zip(schemes, se_mc)), sinr_det=sinr_det,
+            sinr_lb=sinr_lb, sinr_det_ss=sinr_det_ss,
+            user_plans=[dict(zip(schemes, plans)) for plans in point],
+        )
+        for frame, point, (nmse, sinr_det, sinr_lb, sinr_det_ss), sinr_mc, se_mc
+        in zip(frames, by_user, dets, means[0], means[1])
+    ]
 
 
 def multiuser_scenes_from_config(config: ExperimentConfig):
@@ -631,9 +809,10 @@ def run_multiuser(config: ExperimentConfig):
     """The experiment of a configuration document, for any number of users.
 
     The operating points are the configured ``rho`` when ``snr_sweep_db``
-    is unset, else one per swept SNR (SNR = gamma * rho).  Returns (table,
-    sweep_rows): the per-block table at the last operating point and the
-    per-(SNR, scheme, user) steady-state summaries of every point.
+    is unset, else one per swept SNR (SNR = gamma * rho); they run as one
+    sweep.  Returns (table, sweep_rows): the per-block table at the last
+    operating point and the per-(SNR, scheme, user) steady-state summaries
+    of every point.
     """
     scenes, _ = multiuser_scenes_from_config(config)
     gamma = scenes[0].gamma
@@ -644,10 +823,10 @@ def run_multiuser(config: ExperimentConfig):
     else:
         with np.errstate(divide="ignore"):
             points = [(10.0 * np.log10(gamma * frame.rho), frame)]
+    tables = run_multiuser_sweep(scenes, [frame for _, frame in points], config.schemes,
+                                 config.mc_runs, config.seed, config.horizon_blocks)
     rows = []
-    for snr_db, frame in points:
-        table = run_multiuser_scene(scenes, frame, config.schemes, config.mc_runs,
-                                    config.seed, config.horizon_blocks)
+    for (snr_db, frame), table in zip(points, tables):
         tail = frame.g_len * TAIL_FRAMES
         for name in table.schemes:
             se_mc = table.se_mc(name)[-tail:].mean(axis=0)
@@ -659,4 +838,4 @@ def run_multiuser(config: ExperimentConfig):
                 rows.append(dict(snr_db=float(snr_db), scheme=name, user=u,
                                  se_mc=float(se_mc[u]), se_det=float(det),
                                  se_lb=float(se_lb[u])))
-    return table, rows
+    return tables[-1], rows

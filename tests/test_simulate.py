@@ -1,6 +1,8 @@
 """Engine-level checks: scheme plans, determinism, agreement with the
 reference Kalman module, and output emission."""
 
+import dataclasses
+import functools
 import json
 import tracemalloc
 import warnings
@@ -344,7 +346,8 @@ class TestMonteCarloAgainstDeterministic:
 
 
 def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
-    """Oracle of ``sim._monte_carlo`` that draws each run's whole horizon of
+    """Oracle of ``sim._monte_carlo`` at one operating point, stepping each
+    plan on its own (``sample_step``), that draws each run's whole horizon of
     channel innovations and pilot noise at once, in the arithmetic form
     (z_re + 1j z_im) / sqrt(2), into whole-horizon buffers."""
     def complex_rows(gen, shape):
@@ -414,7 +417,7 @@ class TestSlabStreaming:
         horizon, runs = 2 * sim.SLAB + 37, sim.CHUNK_RUNS + 5
         plans, cross = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
         assert plans[0][0].kind == "diag"
-        got = sim._monte_carlo(plans, 9, runs, horizon, frame, cross)
+        got = sim._monte_carlo(sim.MonteCarloRows.of([plans]), 9, runs, horizon, frame, cross)[:, 0]
         want = bulk_draw_monte_carlo(plans, 9, runs, horizon, frame, cross)
         assert got.tobytes() == want.tobytes()
 
@@ -427,13 +430,97 @@ class TestSlabStreaming:
         peaks = []
         for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
             plans, cross = monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon)
+            rows = sim.MonteCarloRows.of([plans])
             tracemalloc.start()
             try:
-                sim._monte_carlo(plans, 1, 32, horizon, frame, cross)
+                sim._monte_carlo(rows, 1, 32, horizon, frame, cross)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+class TestSweep:
+    """A sweep is one Monte Carlo pass over every (point, scheme) row."""
+
+    @pytest.mark.parametrize("case", ["three users", "one user, full kinds"])
+    def test_sweep_equals_one_point_runs(self, case):
+        # byte for byte, over two chunks of runs and a slab boundary
+        if case == "three users":
+            scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)]
+            assert len({s.r_sim for s in scenes}) > 1
+            schemes = ["min_max", "mp_fixed", "perfect_csit"]
+            frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
+        else:
+            scenes = [small_scene()]
+            schemes = ["min_max_dft", "orthogonal", "random", "mp_fixed", "perfect_csit"]
+            frame = small_frame()
+        frames = [dataclasses.replace(frame, rho=rho) for rho in (0.5, 4.0, 30.0)]
+        runs, horizon = sim.CHUNK_RUNS + 3, sim.SLAB + 13
+        sweep = sim.run_multiuser_sweep(scenes, frames, schemes, runs, 5, horizon)
+        for frame, got in zip(frames, sweep):
+            want = sim.run_multiuser_scene(scenes, frame, schemes, runs, 5, horizon)
+            for key in ("sinr_mc", "se_mc_runs", "sinr_det", "nmse"):
+                for name in schemes:
+                    got_bytes, want_bytes = (getattr(t, key)[name].tobytes() for t in (got, want))
+                    assert got_bytes == want_bytes, (key, name)
+            for key in ("sinr_lb", "sinr_det_ss"):
+                for name in schemes:
+                    assert np.array_equal(getattr(got, key)[name], getattr(want, key)[name],
+                                          equal_nan=True)
+
+    def test_sweep_builds_the_scene_once(self, monkeypatch):
+        # the cross tensor and the coupling maps do not depend on rho
+        built = []
+        cross = mu.MultiuserScene.cross
+
+        def counted(scene):
+            built.append(scene)
+            return cross.func(scene)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(mu.MultiuserScene, "cross")
+        monkeypatch.setattr(mu.MultiuserScene, "cross", prop)
+        cfg = ExperimentConfig.from_dict({**preset("multiuser_ula32").to_dict(),
+                                          "mc_runs": 2, "horizon_blocks": 64})
+        assert len(cfg.snr_sweep_db) == 7
+        _, rows = sim.run_multiuser(cfg)
+        assert len({row["snr_db"] for row in rows}) == 7
+        assert len(built) == 1
+        assert sorted(built[0]._coupling) == list(range(cfg.users.count))
+
+    def test_sweep_points_differ_only_in_rho(self):
+        frame = small_frame()
+        with pytest.raises(ValueError, match="only in rho"):
+            sim.run_multiuser_sweep([small_scene()], [frame, small_frame(g_len=8)],
+                                    ["min_max"], 1, 0, 8)
+
+    def test_full_stack_pads_unequal_ranks(self):
+        # full rows of users of unequal rank, zero-padded to the largest,
+        # step as each tracker does alone
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        r = [s.r_sim for s in scenes]
+        assert r[0] != r[1]
+        frame, horizon, runs = small_frame(), 6, 3
+        rows = [[sim.build_single_user_plans(s, dataclasses.replace(frame, rho=rho), horizon,
+                                             ["orthogonal"], np.random.default_rng(0))[0]
+                 for s in scenes] for rho in (1.0, 8.0)]
+        stack = sim.TrackerStack.of(rows, max(r))
+        rng = np.random.default_rng(3)
+        c = np.zeros((2, runs, max(r)), dtype=complex)
+        hats = np.zeros((2, 2, runs, max(r)), dtype=complex)
+        alone = [[np.zeros((runs, r_u), dtype=complex) for r_u in r] for _ in rows]
+        for ell in range(horizon):
+            for u, r_u in enumerate(r):
+                c[u, :, :r_u] = cm.complex_normal(rng, (runs, r_u))
+            noise = cm.complex_normal(rng, (2, 2, runs, frame.m_p))
+            stack.step(hats, c, noise, ell)
+            for k, row in enumerate(rows):
+                for u, plan in enumerate(row):
+                    plan.sample_step(alone[k][u], c[u, :, :r[u]], noise[k, u], ell)
+                    np.testing.assert_allclose(hats[k, u, :, :r[u]], alone[k][u], rtol=1e-12,
+                                               atol=1e-14)
+                    assert not np.any(hats[k, u, :, r[u]:])
 
 
 class TestMultiuserEngine:
