@@ -35,8 +35,11 @@ side only counts as a difference.  Prints one line per case and file, and
 under each differing file the drift: for a CSV file every differing column
 with its largest relative difference over rows matched by position, a
 row-count mismatch, and non-numeric mismatches; for a JSON file the
-differing keys; for a plain-text file each differing line by number.  Exits 1 on any difference (2 if a
-run fails).  Temporary files go under ``$TMPDIR``.
+differing keys; for a plain-text file each differing line by number.
+The last line gives the largest relative difference over every differing
+CSV column, with its case, file and column, so an intended float-order
+change can quote one bound.  Exits 1 on any difference (2 if a run
+fails).  Temporary files go under ``$TMPDIR``.
 """
 
 from __future__ import annotations
@@ -81,21 +84,23 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16] if path.exists() else "absent"
 
 
-def drift(a: Path, b: Path) -> list[str]:
+def drift(a: Path, b: Path) -> tuple[list[str], dict[str, float]]:
     """How two output files differ: the differing keys of a JSON object,
     CSV rows matched by position and columns named by the first line unless
-    it is a ``#`` comment, or the differing lines of any other text."""
+    it is a ``#`` comment, or the differing lines of any other text.  Also
+    returns each differing numeric CSV column's largest relative
+    difference (empty for other files)."""
     if not (a.exists() and b.exists()):
-        return ["written on one side only"]
+        return ["written on one side only"], {}
     if a.suffix == ".json":
         doc_a, doc_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
         return [f"{key}: {doc_a.get(key)!r} vs {doc_b.get(key)!r}"
                 for key in sorted(doc_a.keys() | doc_b.keys())
-                if doc_a.get(key) != doc_b.get(key)]
+                if doc_a.get(key) != doc_b.get(key)], {}
     if a.suffix != ".csv":
         lines = (p.read_text(encoding="utf-8").splitlines() for p in (a, b))
         return [f"line {i + 1}: {x!r} vs {y!r}"
-                for i, (x, y) in enumerate(itertools.zip_longest(*lines)) if x != y]
+                for i, (x, y) in enumerate(itertools.zip_longest(*lines)) if x != y], {}
     rows_a, rows_b = (list(csv.reader(io.StringIO(p.read_text(encoding="utf-8"))))
                       for p in (a, b))
     header = rows_a[0] if rows_a and not rows_a[0][0].startswith("#") else []
@@ -128,7 +133,7 @@ def drift(a: Path, b: Path) -> list[str]:
         out.append(f"{col}: largest relative difference {rel:.3g} ({count} values differ)")
     for col, (i, x, y) in text.items():
         out.append(f"{col}: non-numeric mismatch at line {i + 1}: {x!r} vs {y!r}")
-    return out
+    return out, {col: rel for col, (rel, _) in worst.items()}
 
 
 def cut_config(tree: Path, path: Path, name: str, fields: dict) -> None:
@@ -183,6 +188,7 @@ def main(argv: list[str]) -> int:
                 ("verify", "battery", None, None),
             ]
             differ = 0
+            largest = None  # (relative difference, case, file, column)
             for i, (command, label, name, fields) in enumerate(cases):
                 outs = []
                 for tree, side in ((base, "base"), (ROOT, "head")):
@@ -201,12 +207,21 @@ def main(argv: list[str]) -> int:
                     print(f"{'identical' if same else 'DIFFERS  '} {command:<8} {label:<36} "
                           f"{Path(file).name:<15} {rev}={digest(a)} tree={digest(b)}")
                     if not same:
-                        for line in drift(a, b):
+                        lines, columns = drift(a, b)
+                        for line in lines:
                             print(f"    {line}")
+                        for col, rel in columns.items():
+                            if largest is None or rel > largest[0]:
+                                largest = (rel, label, Path(file).name, col)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 2
     print(f"{differ} file(s) differ" if differ else "all outputs identical")
+    if largest is None:
+        print("largest relative drift: none (no numeric CSV value differs)")
+    else:
+        rel, label, name, col = largest
+        print(f"largest relative drift: {rel:.3g} ({label}, {name}, column {col})")
     return 1 if differ else 0
 
 

@@ -20,6 +20,10 @@ BASES = ("eigen", "dft")
 BASELINES = ("orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit")
 # the schemes a run with more than one user offers
 MU_SCHEMES = (*DESIGNERS, "mp_fixed", "nd_fixed", "perfect_csit")
+# a full-kind scheme (a designer's hybrid "_dft" variant, orthogonal, random)
+# stores complex (horizon, r, M_p) Kalman gains for each user and SNR point
+FULL_BASELINES = ("orthogonal", "random")
+GAIN_BUDGET_BYTES = 2 * 10**9
 
 
 def _finite_numbers(xs) -> bool:
@@ -183,6 +187,18 @@ class ExperimentConfig:
                 if b not in MU_SCHEMES:
                     raise ValueError(f"baselines entry {b!r} is single-user only; with "
                                      f"users.count > 1 choose among {MU_SCHEMES}")
+        # the gains' rank r is at most n_t, and a sweep holds every point's plans
+        n_full = sum(s.endswith("_dft") or s in FULL_BASELINES for s in self.schemes)
+        points = max(1, len(self.snr_sweep_db or ()))
+        n_t = array.n_v * array.n_h
+        gain_bytes = (n_full * self.users.count * points * self.horizon_blocks
+                      * n_t * frame.m_p * 16)
+        if gain_bytes > GAIN_BUDGET_BYTES:
+            raise ValueError(
+                f"horizon_blocks = {self.horizon_blocks} needs {gain_bytes / 1e9:.3g} GB of "
+                f"full-kind gains ({n_full} schemes x {self.users.count} users x {points} "
+                f"points x n_t = {n_t} x frame.m_p = {frame.m_p} x 16 B per block), over the "
+                f"{GAIN_BUDGET_BYTES / 1e9:g} GB budget")
 
     @property
     def designed_scheme(self) -> str:

@@ -252,6 +252,7 @@ class TestErrors:
         ("demo", "ring.t_s", 0.0),
         ("demo", "frame.n_d", 1),  # fewer than frame.m_p = 2 sounding vectors
         ("demo", "rank_tol", 1.0),  # keeps no eigenmode
+        ("upa375", "horizon_blocks", 100_000),  # 2.4 GB of full-kind gains
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()

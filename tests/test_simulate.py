@@ -137,6 +137,44 @@ class TestEngineAgainstKalmanModule:
                 hybrid.nmse[ell], rel=1e-9)
             state = kalman.time_update(state, stats)
 
+    def test_unsymmetrized_recursion_holds_over_a_long_horizon(self):
+        # full_posteriors never re-symmetrizes P; the reference does every
+        # step.  Over 3000 blocks of a slowly fading (a > 0.9999) rank-26
+        # channel the two must still agree per block.
+        scene = small_scene(n=32, d_r=60.0, v_kmh=1.0)
+        assert scene.r_sim >= 24 and scene.a >= 0.9999
+        frame = small_frame()
+        horizon = 3000
+        plan = sim._scheme_plan(scene, frame, horizon, "orthogonal", np.random.default_rng(0))
+        (err,), (self_err,), _ = sim.full_posteriors([plan])
+        dft = cm._dft_matrix(32)
+        r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
+        stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
+                                     lam=scene.lam_sim, rank=scene.r_sim)
+        state = kalman.init(stats)
+        total = stats.trace()
+        drift = 0.0
+        for ell in range(horizon):
+            s = np.sqrt(frame.rho) * dft[:, plan.sched[ell]]
+            state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
+            p = state.p_est
+            ref_err = np.real(np.trace(p))
+            ref_self = np.real(np.trace(p @ (r_h - p)))
+            assert err[ell] / total == pytest.approx(ref_err / total, rel=1e-9)
+            assert self_err[ell] == pytest.approx(ref_self, rel=1e-9)
+            drift = max(drift, abs(err[ell] / ref_err - 1), abs(self_err[ell] / ref_self - 1))
+            state = kalman.time_update(state, stats)
+        print(f"largest relative drift over {horizon} blocks: {drift:.3g}")
+
+    def test_stacked_trackers_must_share_their_model(self):
+        scene = small_scene(n=12)
+        frame = small_frame()
+        plans = [sim._scheme_plan(scene, frame, 8, name, np.random.default_rng(0))
+                 for name in ("orthogonal", "random")]
+        plans[1].rho = 2 * frame.rho
+        with pytest.raises(ValueError, match="share rho"):
+            sim.full_posteriors(plans)
+
     def test_dft_plan_uses_projected_spectrum_for_design(self):
         scene = small_scene(n=16)
         frame = small_frame(g_len=4, m_p=2, n_d_max=6)
