@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,10 +59,9 @@ def _load_config(args) -> ExperimentConfig:
         doc = preset(args.preset).to_dict()
     else:
         raise ValueError("one of --config or --preset is required")
-    for key, value in (("seed", args.seed), ("output_dir", args.out)):
-        if value is not None:
-            doc[key] = value
-    return ExperimentConfig.from_dict(doc)
+    overrides = {key: value for key, value in (("seed", args.seed), ("output_dir", args.out))
+                 if value is not None}
+    return ExperimentConfig.from_dict(doc, **overrides)
 
 
 PLOT_SCRIPT = """\
@@ -255,15 +253,15 @@ def _settled_frames(designs, a: float, rho: float) -> list:
     about 60 / (1 - a^2) blocks of diagonal tracking, for (c, lam) in
     designs: index matrix c (G, M_p) sounding spectrum lam.  Eigenmode
     sounding keeps every mode's recursion separate, so one tracker runs the
-    users' modes side by side."""
+    users' modes side by side in a one-row stack."""
     offsets = np.cumsum([0] + [len(lam) for _, lam in designs])
     c = np.hstack([c - 1 + offset for (c, _), offset in zip(designs, offsets)])
     g_len, m_p = c.shape
     blocks = (int(np.ceil(60.0 / (1.0 - a * a))) // g_len + 2) * g_len  # whole frames
     tracker = sim.Tracker("diag", m_p, np.concatenate([lam for _, lam in designs]), a, rho,
                           sched=c[np.arange(blocks) % g_len])
-    frame = np.array(deque(tracker.posteriors(), maxlen=g_len))  # fresh arrays, kept as yielded
-    return np.split(frame, offsets[1:-1], axis=1)
+    ((_, _, diag),) = sim.TrackerStack.of([[tracker]], offsets[-1]).posteriors(blocks)
+    return np.split(diag[0, -g_len:], offsets[1:-1], axis=1)
 
 
 def check_riccati_grid() -> Measured:
@@ -321,11 +319,12 @@ def check_diag_full_equivalence(rng) -> Measured:
     stats = cm.ChannelStatistics.from_covariance(0.95, r_h)
     sched = np.array([[step % stats.rank, (step + 1) % stats.rank] for step in range(12)])
     diag = sim.Tracker("diag", 2, stats.lam, stats.a, 3.0, sched=sched)
+    ((_, _, lam_bars),) = sim.TrackerStack.of([[diag]], stats.rank).posteriors(len(sched))
     full = kalman.init(stats)
     chat = np.zeros((1, stats.rank), dtype=complex)
     h = cm.stationary_channel(stats, rng)
     worst = 0.0
-    for step, lam_bar in enumerate(diag.posteriors()):
+    for step, lam_bar in enumerate(lam_bars[0]):
         s = np.sqrt(3.0) * stats.u[:, sched[step]]
         w = cm.complex_normal(rng, 2)
         full = kalman.measurement_update(full, s, s.conj().T @ h + w)

@@ -21,7 +21,8 @@ BASELINES = ("orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit")
 # the schemes a run with more than one user offers
 MU_SCHEMES = (*DESIGNERS, "mp_fixed", "nd_fixed", "perfect_csit")
 # a full-kind scheme (a designer's hybrid "_dft" variant, orthogonal, random)
-# stores complex (horizon, r, M_p) Kalman gains for each user and SNR point
+# stores complex (horizon, r, M_p) Kalman gains for each user and SNR point,
+# and every scheme's covariance recursion holds its real (horizon, r) diag P
 FULL_BASELINES = ("orthogonal", "random")
 GAIN_BUDGET_BYTES = 2 * 10**9
 
@@ -144,6 +145,9 @@ class ExperimentConfig:
             ("frame.m", frame.m, frame.m > frame.m_p, f"must exceed frame.m_p = {frame.m_p!r}"),
             ("frame.n_d", frame.n_d, frame.n_d >= frame.m_p,
              f"must be >= frame.m_p = {frame.m_p!r}"),
+            ("frame.m_p", frame.m_p, frame.m_p <= array.n_v * array.n_h,
+             f"exceeds the array.n_v * array.n_h = {array.n_v * array.n_h!r} elements, "
+             "which bound the channel rank"),
             ("frame.rho", frame.rho, _finite_numbers([frame.rho]) and frame.rho >= 0,
              "must be a finite number >= 0"),
             ("users.count", self.users.count, self.users.count * frame.m_p < frame.m,
@@ -187,18 +191,19 @@ class ExperimentConfig:
                 if b not in MU_SCHEMES:
                     raise ValueError(f"baselines entry {b!r} is single-user only; with "
                                      f"users.count > 1 choose among {MU_SCHEMES}")
-        # the gains' rank r is at most n_t, and a sweep holds every point's plans
+        # the rank r is at most n_t, and a sweep holds every point's plans
         n_full = sum(s.endswith("_dft") or s in FULL_BASELINES for s in self.schemes)
         points = max(1, len(self.snr_sweep_db or ()))
         n_t = array.n_v * array.n_h
-        gain_bytes = (n_full * self.users.count * points * self.horizon_blocks
-                      * n_t * frame.m_p * 16)
+        gain_bytes = (self.users.count * points * self.horizon_blocks * n_t
+                      * (n_full * frame.m_p * 16 + len(self.schemes) * 8))
         if gain_bytes > GAIN_BUDGET_BYTES:
             raise ValueError(
                 f"horizon_blocks = {self.horizon_blocks} needs {gain_bytes / 1e9:.3g} GB of "
-                f"full-kind gains ({n_full} schemes x {self.users.count} users x {points} "
-                f"points x n_t = {n_t} x frame.m_p = {frame.m_p} x 16 B per block), over the "
-                f"{GAIN_BUDGET_BYTES / 1e9:g} GB budget")
+                f"gains and diag P trajectories, over the {GAIN_BUDGET_BYTES / 1e9:g} GB budget: "
+                f"{self.users.count} users x {points} points x n_t = {n_t} x ({n_full} full-kind "
+                f"schemes x frame.m_p = {frame.m_p} x 16 B + {len(self.schemes)} schemes x 8 B) "
+                "per block")
 
     @property
     def designed_scheme(self) -> str:
@@ -216,8 +221,11 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
+    def from_dict(doc: dict, **overrides) -> "ExperimentConfig":
+        """The configuration of a document, top-level ``overrides`` merged in."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config document must be an object of fields, got {doc!r}")
+        doc = {**doc, **overrides}
         nested = {
             "array": ArrayConfig,
             "ring": RingConfig,

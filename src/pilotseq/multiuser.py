@@ -117,24 +117,22 @@ def user_leakage(scene: MultiuserScene, v: int, diag) -> np.ndarray:
     return (scene.coupling(v) @ (scene.users[v].stats.lam - diag)[..., None])[..., 0]
 
 
-def leakage(scene: MultiuserScene, diags) -> np.ndarray:
-    """(..., V, U) leakage of user v into user u, ``user_leakage`` of every v."""
-    return np.stack([user_leakage(scene, v, d) for v, d in enumerate(diags)], axis=-2)
-
-
 def sinr_inputs(scene: MultiuserScene, err_vars, lowers):
-    """Per-user lam_sum, tr P, self-error term and leakage of a state whose
-    errors are ``err_vars`` and whose captured energy is lam - ``lowers``."""
+    """Per-user lam_sum, tr P, self-error term and (..., V, U) leakage of user
+    v into user u of a state whose errors are ``err_vars`` and whose
+    captured energy is lam - ``lowers``."""
     lams = [user.stats.lam for user in scene.users]
     err, self_err = (np.stack(t, axis=-1) for t in zip(*map(error_terms, lams, err_vars, lowers)))
-    return np.array([lam.sum() for lam in lams]), err, self_err, leakage(scene, lowers)
+    leak = np.stack([user_leakage(scene, v, lower) for v, lower in enumerate(lowers)], axis=-2)
+    return np.array([lam.sum() for lam in lams]), err, self_err, leak
 
 
-def sinr_equivalent(lam_sum, err, self_err, leak, rho: float) -> np.ndarray:
+def sinr_equivalent(lam_sum, err, self_err, leak, rho) -> np.ndarray:
     """Large-array deterministic equivalent of every user's matched-filter
     SINR, (..., U), from per-user lam_sum = sum(lam), err = tr P and
-    self-error term b, each (..., U), and the leakage leak[..., v, u] of user
-    v into user u (zero at v = u): with captured energy cap = lam_sum - err,
+    self-error term b, each (..., U), the leakage leak[..., v, u] of user v
+    into user u (zero at v = u) and the data power rho, a scalar or an array
+    that broadcasts against (..., U): with captured energy cap = lam_sum - err,
     cap_u^2 / (U cap_u/rho + max(b_u, 0) + sum_v (cap_u/cap_v) leak_vu), the
     interferers added in ascending v (alpha_v^2 = 1/(U cap_v) is the limit of
     the realized 1/(U ||h_hat_v||^2)).  It is zero where user u captures

@@ -14,18 +14,19 @@ full     arbitrary fixed training columns through the full-matrix Kalman
          while the tracker keeps the true covariance knowledge
 perfect  genie channel knowledge
 
-Every scheme plan is a ``Tracker``: its covariance recursion runs once,
-when the plan is built, storing the per-block gains, and its posteriors are
-reduced to the inputs of ``multiuser.sinr_equivalent``, evaluated once per
-scheme for all users.  A diag plan runs its own recursion; all of one
-user's full plans run one recursion (``full_posteriors``), their error
-covariances stacked (S_full, r, r) and updated in place by a rank-M_p
+Every scheme plan is a ``Tracker``, and the ``TrackerStack`` of its kind
+does its arithmetic: one stack holds every (operating point, scheme) row of
+a kind for all users.  Its covariance recursion (``posteriors``) runs once
+per run, storing the per-block gains, and reduces each user's posteriors
+to the inputs of ``multiuser.sinr_equivalent``, evaluated once per sweep
+for every point, scheme and user.  The diag rows of all users advance as
+one flat vector of per-mode variances; a user's full rows advance as one
+(K, r, r) stack of error covariances, updated in place by a rank-M_p
 Hermitian update without per-block re-symmetrization: it agrees with the
-symmetrized ``kalman`` oracle to rounding, and each plan's outputs equal
-its own one-plan recursion bit for bit.  A single-user
-run is the one-user case of the multiuser run, and a run at one operating
-point is the one-point case of an SNR sweep: one run path, one result
-table per point.
+symmetrized ``kalman`` oracle to rounding, and each row's outputs equal
+its own one-row recursion bit for bit.  A single-user run is the one-user
+case of the multiuser run, and a run at one operating point is the
+one-point case of an SNR sweep: one run path, one result table per point.
 
 Monte Carlo runs a whole sweep in one pass.  Its rows are the (operating
 point, scheme) pairs, ordered by tracker kind: diag rows, then full, then
@@ -133,13 +134,9 @@ class Tracker:
     A diag tracker sounds covariance eigenvectors, so its error covariance
     stays diagonal and is carried as per-mode variances; a full tracker
     sounds the columns ``s_u`` and carries the whole matrix; a perfect
-    tracker knows the channel and runs no recursion.  The covariance
-    recursion over the schedule, ``posteriors`` for a diag tracker and
-    ``full_posteriors`` for all of a user's full trackers at once, stores
-    the per-block gains in ``gains``: a fresh array, or the tracker's slice
-    of a ``TrackerStack`` laid out before the recursion ran.  Estimates
-    move only through ``TrackerStack.step``, the Monte Carlo kernel's one
-    update per tracker kind; ``sample_step`` is its one-row call.
+    tracker knows the channel and runs no recursion.  A tracker holds its
+    model, schedule and gains; ``TrackerStack`` does its arithmetic, and
+    ``sample_step`` is the one-row ``TrackerStack.step``.
     """
 
     kind: str  # diag | full | perfect
@@ -151,50 +148,6 @@ class Tracker:
     s_u: np.ndarray | None = None  # (r, n_cols) training columns in U coords (full)
     gains: np.ndarray | None = None  # (horizon, m_p) diag, (horizon, r, m_p) full
 
-    @cached_property
-    def _sqrt_rho(self) -> float:
-        return np.sqrt(self.rho)
-
-    @cached_property
-    def _aging(self) -> tuple:
-        """a^2 and the per-mode innovation variances (1 - a^2) lam of one block."""
-        a2 = self.a * self.a
-        return a2, (1.0 - a2) * self.lam
-
-    def predict(self, p_bar: np.ndarray) -> np.ndarray:
-        """One-block AR(1) prediction of diag posterior error variances."""
-        a2, innovation = self._aging
-        return a2 * p_bar + innovation
-
-    def _check_schedule(self) -> None:
-        n_cols = len(self.lam) if self.kind == "diag" else self.s_u.shape[1]
-        if self.sched.size and not 0 <= self.sched.min() <= self.sched.max() < n_cols:
-            raise IndexError("schedule index outside the sounding basis")
-
-    def _gain_buffer(self, shape, dtype) -> np.ndarray:
-        if self.gains is None:
-            self.gains = np.empty(shape, dtype=dtype)
-        return self.gains
-
-    def posteriors(self):
-        """Covariance recursion of a diag tracker over its schedule: stores
-        each block's gains and yields its posterior per-mode error
-        variances, a fresh array per block.  Full trackers run through
-        ``full_posteriors``."""
-        if self.kind != "diag":
-            raise ValueError(f"a {self.kind} tracker has no per-mode recursion")
-        self._check_schedule()
-        p = np.array(self.lam, dtype=float)
-        gains = self._gain_buffer((len(self.sched), self.m_p), float)
-        sqrt_rho, rho = self._sqrt_rho, self.rho
-        for ell, idx in enumerate(self.sched):
-            pred = p[idx]
-            den = 1.0 + rho * pred
-            gains[ell] = sqrt_rho * pred / den
-            p[idx] = pred / den
-            yield p
-            p = self.predict(p)
-
     def sample_step(self, chat: np.ndarray, c: np.ndarray, noise: np.ndarray, ell: int) -> None:
         """``TrackerStack.step`` on this diag or full tracker alone: chat
         (runs, r) in place, for channels c (runs, r) and pilot noise (runs,
@@ -202,28 +155,34 @@ class Tracker:
         if self.kind == "diag":
             gains, cols = self.gains[:, None, None], None
         else:
-            gains, cols = self.gains[None, None], (self._sqrt_rho * self.s_u).conj()
-        stack = TrackerStack(self.kind, np.full((1, 1, 1), self.a),
-                             np.full((1, 1, 1, 1), self._sqrt_rho), self.sched[:, None, None],
-                             gains, cols)
+            gains, cols = self.gains[None, None], (np.sqrt(self.rho) * self.s_u).conj()
+        stack = TrackerStack(self.kind, np.full((1, 1, 1), self.a), [self.lam],
+                             np.full(1, self.rho), self.sched[:, None, None], gains, cols)
         stack.step(chat[None, None], c[None], noise[None, None], ell)
 
 
 @dataclass
 class TrackerStack:
-    """The trackers of one kind in K rows for U users, stepped as one.
+    """The trackers of one kind in K rows for U users, advanced as one.
 
-    A row is one (operating point, scheme) pair of a run.  diag: ``sched``
-    and ``gains`` (horizon, K, U, m_p), each tracker's mode indices and
-    real gains.  full: ``cols`` (r, n) holds every tracker's conjugated
-    training columns conj(sqrt(rho) s_u) side by side, zero-padded to the
-    largest rank r, ``sched`` (horizon, K, U, m_p) indexes them, and
-    ``gains`` is (K, U, horizon, r, m_p).  perfect: no state.
+    A row is one (operating point, scheme) pair of a run; a user's rows
+    share its spectrum and AR(1) coefficient, and all rows the number of
+    pilots m_p and the horizon.  diag: ``sched`` and ``gains`` (horizon,
+    K, U, m_p), each tracker's mode indices and real gains.  full:
+    ``cols`` (r, n) holds every tracker's conjugated training columns
+    conj(sqrt(rho) s_u) side by side, zero-padded to the largest rank r,
+    ``sched`` (horizon, K, U, m_p) indexes them, and ``gains`` is (K, U,
+    horizon, r, m_p).  perfect: no state.
+
+    The stack does all tracker arithmetic: ``posteriors`` runs the
+    covariance recursion of every row and user and stores the gains,
+    ``step`` moves the estimates of a Monte Carlo batch.
     """
 
     kind: str
     a: np.ndarray  # (U, 1, 1) the users' AR(1) coefficients
-    sqrt_rho: np.ndarray | None = None  # (K, 1, 1, 1)
+    lams: list  # per user, its channel spectrum
+    rho: np.ndarray  # (K,) each row's data power
     sched: np.ndarray | None = None
     gains: np.ndarray | None = None
     cols: np.ndarray | None = None
@@ -232,42 +191,61 @@ class TrackerStack:
     def of(cls, rows, r_max: int) -> TrackerStack:
         """Stack rows[k][u], user u's tracker in row k, all of one kind.
 
-        Lays out the stacked gains and points each tracker's ``gains`` at
-        its slice; gains a recursion already stored are copied in, and a
-        recursion run afterwards fills the slice in place.
+        Checks that a user's rows share lam and a, and that all rows share
+        m_p and the schedule length (a ``ValueError`` names the field that
+        differs), and that every schedule index lies in its sounding basis
+        (an ``IndexError``).  Lays out the stacked gains and points each
+        tracker's ``gains`` at its slice; gains a recursion already stored
+        are copied in, and ``posteriors`` fills the slice in place.
         """
         first = rows[0]
         kind = first[0].kind
-        a = np.array([t.a for t in first])[:, None, None]
-        if kind == "perfect":
-            return cls(kind, a)
-        n_rows, n_users = len(rows), len(first)
-        horizon, m_p = first[0].sched.shape
-        sqrt_rho = np.array([row[0]._sqrt_rho for row in rows])[:, None, None, None]
-        sched = np.empty((horizon, n_rows, n_users, m_p), dtype=first[0].sched.dtype)
-        cols = None
-        if kind == "diag":
-            gains = np.zeros((horizon, n_rows, n_users, m_p))
-            slices = gains.transpose(1, 2, 0, 3)
-        else:
-            gains = np.zeros((n_rows, n_users, horizon, r_max, m_p), dtype=complex)
-            slices = gains
-            cols = np.zeros((r_max, sum(t.s_u.shape[1] for row in rows for t in row)),
-                            dtype=complex)
+        stack = cls(kind, np.array([t.a for t in first])[:, None, None], [t.lam for t in first],
+                    np.array([row[0].rho for row in rows]))
+        if kind != "perfect":
+            (horizon, m_p), n_rows, n_users = first[0].sched.shape, len(rows), len(first)
+            stack.sched = np.empty((horizon, n_rows, n_users, m_p), dtype=first[0].sched.dtype)
+            if kind == "diag":
+                stack.gains = np.zeros((horizon, n_rows, n_users, m_p))
+                slices = stack.gains.transpose(1, 2, 0, 3)
+            else:
+                stack.gains = slices = np.zeros((n_rows, n_users, horizon, r_max, m_p),
+                                                dtype=complex)
+                stack.cols = np.zeros((r_max, sum(t.s_u.shape[1] for row in rows for t in row)),
+                                      dtype=complex)
         offset = 0
         for k, row in enumerate(rows):
             for u, tracker in enumerate(row):
+                for field, same in (("lam", np.array_equal(tracker.lam, first[u].lam)),
+                                    ("a", tracker.a == first[u].a),
+                                    ("m_p", tracker.m_p == first[0].m_p),
+                                    ("schedule length",
+                                     kind == "perfect" or len(tracker.sched) == horizon)):
+                    if not same:
+                        raise ValueError(f"stacked trackers must share {field}, but row {k} "
+                                         f"of user {u} differs")
+                if kind == "perfect":
+                    continue
                 r = len(tracker.lam)
+                n_cols = r if kind == "diag" else tracker.s_u.shape[1]
+                if tracker.sched.size and not (0 <= tracker.sched.min()
+                                               <= tracker.sched.max() < n_cols):
+                    raise IndexError("schedule index outside the sounding basis")
                 view = slices[k, u] if kind == "diag" else slices[k, u, :, :r]
                 if tracker.gains is not None:
                     view[...] = tracker.gains
                 tracker.gains = view
-                sched[:, k, u] = tracker.sched + offset
+                stack.sched[:, k, u] = tracker.sched + offset
                 if kind == "full":
-                    n_cols = tracker.s_u.shape[1]
-                    cols[:r, offset:offset + n_cols] = (tracker._sqrt_rho * tracker.s_u).conj()
+                    stack.cols[:r, offset:offset + n_cols] = (np.sqrt(tracker.rho)
+                                                              * tracker.s_u).conj()
                     offset += n_cols
-        return cls(kind, a, sqrt_rho, sched, gains, cols)
+        return stack
+
+    @cached_property
+    def sqrt_rho(self) -> np.ndarray:
+        """(K, 1, 1, 1) each row's sqrt(rho)."""
+        return np.sqrt(self.rho)[:, None, None, None]
 
     @cached_property
     def _grid(self) -> tuple:
@@ -302,76 +280,106 @@ class TrackerStack:
             y = c @ s_conj + noise
             hats += (y - hats @ s_conj) @ self.gains[:, :, ell].swapaxes(-1, -2)
 
+    def posteriors(self, horizon: int):
+        """The covariance recursion of every row and user over the schedule.
 
-def full_posteriors(trackers) -> tuple:
-    """The covariance recursion of one user's full trackers, run as one.
+        Stores each block's gains in ``gains`` and yields, per user u, its
+        K rows' posteriors reduced per block to tr P, the self-error term
+        Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2 and diag P, (K,
+        horizon), (K, horizon) and (K, horizon, r_u).  Every reduction sums
+        the user's own r_u modes, never the padding.  Perfect knowledge
+        leaves no error: P = 0.  The gains are complete once the generator
+        is exhausted.
+        """
+        if self.kind == "full":
+            yield from map(self._full_posteriors, range(len(self.lams)))
+            return
+        shape = (len(self.rho), len(self.lams), horizon, max(map(len, self.lams)))
+        diags = self._diag_posteriors(shape) if self.kind == "diag" else np.zeros(shape)
+        for u, lam in enumerate(self.lams):
+            diag = np.ascontiguousarray(diags[:, u, :, :len(lam)])
+            yield (*mu.error_terms(lam, diag, diag), diag)
 
-    The trackers must share lam, a, rho, m_p and the schedule length (a
-    ``ValueError`` names the first that differs), so their error
-    covariances advance together as one (S_full, r, r) stack updated in
-    place.  Per block, with S the block's columns and I the m_p x m_p
-    identity:
+    def _diag_posteriors(self, shape) -> np.ndarray:
+        """Eigenmode sounding keeps every mode's recursion separate, so all
+        rows and users advance as one flat vector of per-mode error
+        variances, zero-padded to the largest rank r: per block, the sounded
+        modes' posteriors p / (1 + rho p) and gains sqrt(rho) p / (1 + rho
+        p), then the AR(1) prediction a^2 p + (1 - a^2) lam of every mode.
+        Returns the posteriors, ``shape`` = (K, U, horizon, r)."""
+        n_rows, n_users, horizon, r_max = shape
+        p = np.zeros((n_rows, n_users, r_max))  # the priors lam, then each block's state
+        for u, lam in enumerate(self.lams):
+            p[:, u, :len(lam)] = lam
+        a2 = (self.a * self.a)[:, :, 0]  # (U, 1)
+        innovation, a2 = ((1.0 - a2) * p).ravel(), np.broadcast_to(a2, p.shape).ravel()
+        # flat indices of every row's and user's sounded modes, and the
+        # matching per-element rho and sqrt(rho)
+        idx = self.sched + r_max * np.arange(n_rows * n_users).reshape(n_rows, n_users, 1)
+        rho = np.repeat(self.rho, n_users * self.sched.shape[-1])
+        sqrt_rho, gains = np.sqrt(rho), self.gains.reshape(horizon, -1)
+        flat, diags = p.reshape(-1), np.empty(shape)  # flat is a view of p
+        for ell, i in enumerate(idx.reshape(horizon, -1)):
+            pred = flat.take(i)
+            den = 1.0 + rho * pred
+            np.divide(sqrt_rho * pred, den, out=gains[ell])
+            flat.put(i, pred / den)
+            diags[:, :, ell] = p
+            flat *= a2
+            flat += innovation
+        return diags
 
-        P S, its conjugate transpose (P S)^H and the Gram matrix
-        G = (P S)^H S + I; K^H = solve(G, (P S)^H); P -= K (P S)^H;
-        ||P||_F^2 as one real dot of P's float64 view with itself;
-        P *= a^2 and the innovation (1 - a^2) lam added to the diagonal.
+    def _full_posteriors(self, u: int) -> tuple:
+        """The covariance recursion of user u's rows, run as one, reduced as
+        ``posteriors`` yields it.
 
-    That is five passes over the stack.  P is not re-symmetrized: the
-    rank-m_p update keeps it Hermitian to rounding, and the aging factor
-    a^2 < 1 damps what rounding leaves, so the reduced outputs stay within
-    1e-9 relative of the per-block symmetrized ``kalman`` oracle over
-    thousands of blocks.  Every slice of the stack makes the same BLAS,
-    LAPACK and dot calls as a one-tracker run, so a tracker's outputs and
-    gains do not depend on its stack, bit for bit.
+        Their error covariances advance together as one (K, r, r) stack
+        updated in place.  Per block, with S the block's columns sqrt(rho)
+        s_u, conjugated back out of ``cols``, and I the m_p x m_p identity:
 
-    Each block's gains K go to every tracker's ``gains`` (horizon, r, m_p).
-    Returns every posterior reduced to tr P, the self-error term
-    Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2 and diag P, stacked
-    (S_full, horizon), (S_full, horizon) and (S_full, horizon, r).
-    """
-    first = trackers[0]
-    for tracker in trackers:
-        tracker._check_schedule()
-        for field, same in (("lam", np.array_equal(tracker.lam, first.lam)),
-                            ("a", tracker.a == first.a), ("rho", tracker.rho == first.rho),
-                            ("m_p", tracker.m_p == first.m_p),
-                            ("schedule length", len(tracker.sched) == len(first.sched))):
-            if not same:
-                raise ValueError(f"stacked full trackers must share {field}")
-    lam, m_p, horizon = first.lam, first.m_p, len(first.sched)
-    a2, innovation = first._aging
-    n, r = len(trackers), len(lam)
-    # every tracker's columns side by side, its schedule offset to its own
-    offsets = np.cumsum([0] + [t.s_u.shape[1] for t in trackers[:-1]])
-    cols = first._sqrt_rho * np.concatenate([t.s_u for t in trackers], axis=1)
-    sched = np.stack([t.sched + off for t, off in zip(trackers, offsets)], axis=1)
-    gains = [t._gain_buffer((horizon, r, m_p), complex) for t in trackers]
-    err, self_err, diags = np.empty((n, horizon)), np.empty((n, horizon)), np.empty((n, horizon, r))
-    p = np.zeros((n, r, r), dtype=complex)
-    p_flat = p.view(float).reshape(n, 2 * r * r)  # ||P||_F^2 is its real dot with itself
-    d = p.reshape(n, r * r)[:, :: r + 1]  # a writable view of every diagonal
-    d += lam
-    s, k = np.empty((n, r, m_p), dtype=complex), np.empty((n, r, m_p), dtype=complex)
-    ps_h, update = np.empty((n, m_p, r), dtype=complex), np.empty_like(p)
-    eye = np.eye(m_p)
-    for ell, idx in enumerate(sched):
-        s[...] = cols[:, idx].transpose(1, 0, 2)
-        ps = p @ s
-        np.conjugate(ps.swapaxes(1, 2), out=ps_h)
-        gram = ps_h @ s
-        gram += eye
-        np.conjugate(np.linalg.solve(gram, ps_h).swapaxes(1, 2), out=k)
-        np.matmul(k, ps_h, out=update)
-        p -= update
-        for tracker_gains, k_s in zip(gains, k):
-            tracker_gains[ell] = k_s
-        err[:, ell] = d.sum(axis=-1).real
-        self_err[:, ell] = np.sum(d * lam, axis=-1).real - np.vecdot(p_flat, p_flat)
-        diags[:, ell] = d.real
-        p *= a2
-        d += innovation
-    return err, self_err, diags
+            P S, its conjugate transpose (P S)^H and the Gram matrix
+            G = (P S)^H S + I; K^H = solve(G, (P S)^H); P -= K (P S)^H;
+            ||P||_F^2 as one real dot of P's float64 view with itself;
+            P *= a^2 and the innovation (1 - a^2) lam added to the diagonal.
+
+        That is five passes over the stack.  P is not re-symmetrized: the
+        rank-m_p update keeps it Hermitian to rounding, and the aging factor
+        a^2 < 1 damps what rounding leaves, so the reduced outputs stay
+        within 1e-9 relative of the per-block symmetrized ``kalman`` oracle
+        over thousands of blocks.  Every slice of the stack makes the same
+        BLAS, LAPACK and dot calls as a one-row run, so a row's outputs and
+        gains do not depend on its stack, bit for bit.
+        """
+        lam = self.lams[u]
+        a2 = self.a[u, 0, 0] * self.a[u, 0, 0]
+        innovation = (1.0 - a2) * lam
+        horizon, n, _, m_p = self.sched.shape
+        r = len(lam)
+        cols = self.cols[:r]
+        (err, self_err), diags = np.empty((2, n, horizon)), np.empty((n, horizon, r))
+        p = np.zeros((n, r, r), dtype=complex)
+        p_flat = p.view(float).reshape(n, 2 * r * r)  # ||P||_F^2 is its real dot with itself
+        d = p.reshape(n, r * r)[:, :: r + 1]  # a writable view of every diagonal
+        d += lam
+        s, k = np.empty((n, r, m_p), dtype=complex), np.empty((n, r, m_p), dtype=complex)
+        ps_h, update = np.empty((n, m_p, r), dtype=complex), np.empty_like(p)
+        eye = np.eye(m_p)
+        for ell, idx in enumerate(self.sched[:, :, u]):
+            np.conjugate(cols[:, idx].transpose(1, 0, 2), out=s)
+            ps = p @ s
+            np.conjugate(ps.swapaxes(1, 2), out=ps_h)
+            gram = ps_h @ s
+            gram += eye
+            np.conjugate(np.linalg.solve(gram, ps_h).swapaxes(1, 2), out=k)
+            np.matmul(k, ps_h, out=update)
+            p -= update
+            self.gains[:, u, ell, :r] = k
+            err[:, ell] = d.sum(axis=-1).real
+            self_err[:, ell] = np.sum(d * lam, axis=-1).real - np.vecdot(p_flat, p_flat)
+            diags[:, ell] = d.real
+            p *= a2
+            d += innovation
+        return err, self_err, diags
 
 
 @dataclass(kw_only=True)
@@ -414,32 +422,9 @@ def build_single_user_plans(
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
     plans = [_scheme_plan(scene, frame, horizon, name, rng_scene) for name in schemes]
-    for _ in _recursions(plans, horizon):
+    for _ in MonteCarloRows.of([[[plan] for plan in plans]]).posteriors(horizon):
         pass
     return plans
-
-
-def _recursions(plans, horizon):
-    """The covariance recursions of one user's plans: each diag plan runs
-    its own and the full plans one ``full_posteriors`` stack.  Yields per
-    plan, in order, its posteriors reduced per block to tr P, the
-    self-error term Re tr(P (Lambda - P)) and diag P, (horizon,), (horizon,)
-    and (horizon, r), after setting the plan's NMSE trace.
-    """
-    lam = plans[0].lam
-    full = [plan for plan in plans if plan.kind == "full"]
-    stacked = zip(*full_posteriors(full)) if full else None
-    for plan in plans:
-        if plan.kind == "full":
-            err, self_err, diag = next(stacked)
-        else:
-            diag = np.zeros((horizon, len(lam)))
-            if plan.kind == "diag":
-                for ell, p in enumerate(plan.posteriors()):
-                    diag[ell] = p
-            err, self_err = mu.error_terms(lam, diag, diag)
-        plan.nmse = err / float(lam.sum())
-        yield err, self_err, diag
 
 
 def _scheme_plan(scene, frame, horizon, name, rng_scene) -> SchemePlan:
@@ -550,7 +535,7 @@ class MonteCarloRows:
     @classmethod
     def of(cls, plans) -> MonteCarloRows:
         """The rows of plans[p][s][u]; lays out every stack's gains (see
-        ``TrackerStack.of``), so the recursions may run before or after."""
+        ``TrackerStack.of``)."""
         r_max = max(len(t.lam) for t in plans[0][0])
         order, stacks = [], []
         for kind in ("diag", "full", "perfect"):
@@ -563,14 +548,22 @@ class MonteCarloRows:
                 order += rows
         return cls(plans, order, stacks)
 
-    @property
-    def users(self) -> list:
-        """One tracker per user, carrying its channel spectrum and AR(1) coefficient."""
-        return self.plans[0][0]
-
     @cached_property
     def rho(self) -> np.ndarray:
         return np.array([self.plans[p][s][0].rho for p, s in self.order])[:, None, None]
+
+    def posteriors(self, horizon: int):
+        """Runs every stack's covariance recursion, storing the gains and
+        each plan's NMSE trace.  Yields, per kind and user v, the points p
+        and schemes s of the kind's rows, v and what the kind's
+        ``TrackerStack.posteriors`` yields for v."""
+        for stack, block, _ in self.stacks:
+            points, schemes = np.array(self.order[block]).T
+            for v, post in enumerate(stack.posteriors(horizon)):
+                for p, s, nmse in zip(points, schemes, post[0] / float(stack.lams[v].sum())):
+                    self.plans[p][s][v].nmse = nmse
+                yield points, schemes, v, post
+                del post  # free this diag P before the next recursion runs
 
 
 def _chunk(seed_seqs, rows, horizon, frame, cross):
@@ -591,9 +584,9 @@ def _chunk(seed_seqs, rows, horizon, frame, cross):
     """
     n_runs, n_users, r_max = len(seed_seqs), len(cross), cross.shape[-1]
     by_scheme = rows.plans[0]  # by_scheme[s][u] at the first point
-    a = np.array([t.a for t in rows.users])[:, None, None]
+    a = np.array([t.a for t in by_scheme[0]])[:, None, None]
     evolve = np.sqrt(1.0 - a * a)
-    scale = [np.sqrt(t.lam) for t in rows.users]
+    scale = [np.sqrt(t.lam) for t in by_scheme[0]]
     slab = min(SLAB, horizon)
     c = np.zeros((n_users, n_runs, r_max), dtype=complex)
     proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
@@ -772,37 +765,32 @@ def run_multiuser_sweep(
                          for name in schemes] for scene in scenes])
     rows = MonteCarloRows.of([list(zip(*point)) for point in by_user])
 
-    dets = []
-    for frame, point in zip(frames, by_user):
-        # per scheme, block and user: tr P, the self-error term and the
-        # leakage into every user, each user's diag P reduced as soon as it
-        # is produced
-        err, self_err = np.empty((2, len(schemes), horizon, n_users))
-        leak = np.empty((len(schemes), horizon, n_users, n_users))
-        for v, plans in enumerate(point):
-            for s, (err_s, self_err_s, diag) in enumerate(_recursions(plans, horizon)):
-                err[s, :, v], self_err[s, :, v] = err_s, self_err_s
-                leak[s, :, v] = mu.user_leakage(scene_mu, v, diag)
-        nmse, sinr_det, sinr_lb, sinr_det_ss = {}, {}, {}, {}
-        for s, (name, plans) in enumerate(zip(schemes, zip(*point))):
-            nmse[name] = np.mean([p.nmse for p in plans], axis=0)
-            sinr_det[name] = mu.sinr_equivalent(np.array([p.lam.sum() for p in plans]),
-                                                err[s], self_err[s], leak[s], frame.rho)
-            sinr_lb[name], sinr_det_ss[name] = _steady_state(scene_mu, plans, frame.rho)
-        dets.append((nmse, sinr_det, sinr_lb, sinr_det_ss))
+    # per point, scheme, block and user: tr P, the self-error term and the
+    # leakage into every user, each user's diag P reduced as its stack yields it
+    err, self_err = np.empty((2, len(frames), len(schemes), horizon, n_users))
+    leak = np.empty((*err.shape, n_users))
+    for p, s, v, (err_v, self_err_v, diag) in rows.posteriors(horizon):
+        err[p, s, :, v], self_err[p, s, :, v] = err_v, self_err_v
+        leak[p, s, :, v] = mu.user_leakage(scene_mu, v, diag)
+        del diag  # free it before the next recursion runs
+    det = mu.sinr_equivalent(np.array([s.lam_sim.sum() for s in scenes]), err, self_err, leak,
+                             np.array([frame.rho for frame in frames])[:, None, None, None])
 
     means = _monte_carlo(rows, seed, mc_runs, horizon, frames[0], scene_mu.cross)
-    return [
-        MultiuserTable(
+    tables = []
+    for frame, point, det_p, sinr_mc, se_mc in zip(frames, by_user, det, *means):
+        by_scheme = list(zip(*point))
+        lb, det_ss = zip(*(_steady_state(scene_mu, plans, frame.rho) for plans in by_scheme))
+        tables.append(MultiuserTable(
             schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
-            nmse=nmse, sinr_mc=dict(zip(schemes, sinr_mc)),
-            se_mc_runs=dict(zip(schemes, se_mc)), sinr_det=sinr_det,
-            sinr_lb=sinr_lb, sinr_det_ss=sinr_det_ss,
+            nmse={name: np.mean([p.nmse for p in plans], axis=0)
+                  for name, plans in zip(schemes, by_scheme)},
+            sinr_mc=dict(zip(schemes, sinr_mc)), se_mc_runs=dict(zip(schemes, se_mc)),
+            sinr_det=dict(zip(schemes, det_p)), sinr_lb=dict(zip(schemes, lb)),
+            sinr_det_ss=dict(zip(schemes, det_ss)),
             user_plans=[dict(zip(schemes, plans)) for plans in point],
-        )
-        for frame, point, (nmse, sinr_det, sinr_lb, sinr_det_ss), sinr_mc, se_mc
-        in zip(frames, by_user, dets, means[0], means[1])
-    ]
+        ))
+    return tables
 
 
 def multiuser_scenes_from_config(config: ExperimentConfig):
@@ -820,11 +808,14 @@ def multiuser_scenes_from_config(config: ExperimentConfig):
             config.seed).spawn(2)[0]))
         thetas = np.degrees(rng.uniform(-np.pi / 3, np.pi / 3, size=n_users)).tolist()
     array = config.array.build()
-    return [
-        build_scene(array, config.ring.build(theta_h_deg=t), config.frame.m,
-                    config.rank_tol)
-        for t in thetas
-    ], thetas
+    scenes = [build_scene(array, config.ring.build(theta_h_deg=t), config.frame.m,
+                          config.rank_tol) for t in thetas]
+    for u, scene in enumerate(scenes):
+        if scene.r_design < config.frame.m_p:
+            raise ValueError(f"user {u} keeps {scene.r_design} eigenmodes above rank_tol = "
+                             f"{config.rank_tol!r}, fewer than the frame.m_p = "
+                             f"{config.frame.m_p} it sounds per block: lower either")
+    return scenes, thetas
 
 
 def run_multiuser(config: ExperimentConfig):

@@ -164,7 +164,8 @@ def test_lemma1_estimate_covariance():
     c = cm.complex_normal(rng, (runs, r)) * np.sqrt(lam)
     chat = np.zeros((runs, r), dtype=complex)
     blocks = 8  # fixed block index 2G
-    lam_bar = list(plan.posteriors())[blocks - 1]
+    ((_, _, diag),) = sim.TrackerStack.of([[plan]], r).posteriors(8)
+    lam_bar = diag[0, blocks - 1]
     for ell in range(blocks):
         plan.sample_step(chat, c, cm.complex_normal(rng, (runs, frame.m_p)), ell)
         if ell < blocks - 1:

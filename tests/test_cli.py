@@ -251,8 +251,10 @@ class TestErrors:
         ("demo", "ring.f_c", -2.5e9),
         ("demo", "ring.t_s", 0.0),
         ("demo", "frame.n_d", 1),  # fewer than frame.m_p = 2 sounding vectors
+        ("demo", "array.n_h", 1),  # one element has rank 1 < frame.m_p = 2
         ("demo", "rank_tol", 1.0),  # keeps no eigenmode
-        ("upa375", "horizon_blocks", 100_000),  # 2.4 GB of full-kind gains
+        ("upa375", "horizon_blocks", 100_000),  # 4.2 GB of gains and diag P trajectories
+        ("multiuser_ula32", "horizon_blocks", 200_000),  # 3.6 GB of diag P trajectories
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()
@@ -273,6 +275,26 @@ class TestErrors:
         doc["array"][key] = value
         assert (self.error_for(command, doc, tmp_path, capsys)
                 == f"unknown config field array.{key}")
+
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_design_rank_below_pilots_names_fields(self, tmp_path, capsys, command):
+        # a loose rank_tol keeps one eigenmode, fewer than frame.m_p = 2
+        doc = preset("demo").to_dict()
+        doc["rank_tol"] = 0.99
+        error = self.error_for(command, doc, tmp_path, capsys)
+        assert error.startswith("user 0 keeps 1 eigenmodes")
+        assert "rank_tol = 0.99" in error and "frame.m_p = 2" in error
+
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    @pytest.mark.parametrize("doc", [[], "demo", 5])
+    def test_document_must_be_an_object(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {
+            "error": f"a config document must be an object of fields, got {doc!r}",
+            "type": "ValueError"}
 
     def test_angle_outside_sector_names_user(self, tmp_path, capsys):
         doc = preset("multiuser_ula32").to_dict()

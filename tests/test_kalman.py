@@ -161,13 +161,21 @@ def diag_tracker(stats, sched, rho, a=None):
                        stats.a if a is None else a, rho, sched=sched)
 
 
+def posteriors(tracker):
+    """The tracker's (horizon, r) posterior error variances from its
+    one-row stack's recursion, which also stores its gains."""
+    stack = sim.TrackerStack.of([[tracker]], len(tracker.lam))
+    ((_, _, diag),) = stack.posteriors(len(tracker.sched))
+    return diag[0]
+
+
 class TestDiagonalPath:
     """The engine's diag tracker against the full-matrix reference."""
 
     def test_empty_update_is_identity(self):
         stats = make_stats()
         tracker = diag_tracker(stats, [[]], rho=2.0)
-        (lam_bar,) = tracker.posteriors()
+        (lam_bar,) = posteriors(tracker)
         chat = np.arange(stats.rank, dtype=complex)[None, :]
         before = chat.copy()
         tracker.sample_step(chat, np.ones((1, stats.rank), dtype=complex),
@@ -177,14 +185,14 @@ class TestDiagonalPath:
 
     def test_zero_power_keeps_prediction(self):
         stats = make_stats()
-        (lam_bar,) = diag_tracker(stats, [[0, 1]], rho=0.0).posteriors()
+        (lam_bar,) = posteriors(diag_tracker(stats, [[0, 1]], rho=0.0))
         assert np.allclose(lam_bar, stats.lam)
 
     def test_out_of_range_mode_rejected(self):
         stats = make_stats()
         for mode in (stats.rank, -1):
             with pytest.raises(IndexError):
-                list(diag_tracker(stats, [[mode]], rho=1.0).posteriors())
+                posteriors(diag_tracker(stats, [[mode]], rho=1.0))
 
     def test_matches_full_path_trajectories(self):
         """Eigenvector training keeps both paths identical to 1e-10."""
@@ -196,7 +204,7 @@ class TestDiagonalPath:
         diag = diag_tracker(stats, schedule, rho)
         chat = np.zeros((1, stats.rank), dtype=complex)
         h = cm.stationary_channel(stats, rng)
-        for ell, lam_bar in enumerate(diag.posteriors()):
+        for ell, lam_bar in enumerate(posteriors(diag)):
             s = np.sqrt(rho) * stats.u[:, schedule[ell]]
             w = cm.complex_normal(rng, 2)
             full = kalman.measurement_update(full, s, s.conj().T @ h + w)
@@ -215,21 +223,25 @@ class TestDiagonalPath:
         stats = make_stats(n=10, a=0.95)
         rng = np.random.default_rng(8)
         sched = [list(rng.choice(stats.rank, size=2, replace=False)) for _ in range(50)]
-        diag = diag_tracker(stats, sched, rho=3.0)
         lam_pred = stats.lam
-        for lam_bar in diag.posteriors():
+        for ell, lam_bar in enumerate(posteriors(diag_tracker(stats, sched, rho=3.0))):
             assert np.all(lam_bar <= lam_pred + 1e-14)
             assert np.all(lam_bar >= 0)
-            lam_pred = diag.predict(lam_bar)
+            # a mode the next block does not sound keeps its prediction
+            lam_pred = stats.a**2 * lam_bar + (1 - stats.a**2) * stats.lam
             assert np.all(lam_pred <= stats.lam + 1e-12)
 
     def test_diagonal_time_update_limits(self):
+        # mode 0, sounded at block 0 only: a = 1 freezes its posterior into
+        # block 1, a = 0 resets it to the prior
         stats = make_stats()
-        lam_bar = 0.5 * stats.lam
-        frozen = diag_tracker(stats, [[0]], rho=1.0, a=1.0).predict(lam_bar)
-        assert np.allclose(frozen, lam_bar)
-        reset = diag_tracker(stats, [[0]], rho=1.0, a=0.0).predict(lam_bar)
-        assert np.allclose(reset, stats.lam)
+        frozen = posteriors(diag_tracker(stats, [[0], [1]], rho=1.0, a=1.0))
+        assert frozen[0, 0] < stats.lam[0]
+        assert frozen[1, 0] == frozen[0, 0]
+        reset = posteriors(diag_tracker(stats, [[0], [1]], rho=1.0, a=0.0))
+        assert reset[0, 0] == frozen[0, 0]
+        assert reset[1, 0] == stats.lam[0]
+        assert np.array_equal(reset[1, 2:], stats.lam[2:])
 
 
 class TestEstimatorStatistics:

@@ -182,7 +182,8 @@ class TestProductionPathAgainstReference:
                 floors = [np.zeros(len(p.lam)) for p in plans]
                 assert np.all(np.isnan(table.sinr_lb[name]))
             else:
-                paths = [np.array(list(p.posteriors())) for p in plans]
+                paths = [next(sim.TrackerStack.of([[p]], len(p.lam)).posteriors(horizon))[2][0]
+                         for p in plans]
                 profiles = [ss.profile(p.lam, p.a, p.rho, p.design.g_padded(len(p.lam)))
                             for p in plans]
                 floors = [prof.lambda_lower for prof in profiles]

@@ -138,7 +138,7 @@ class TestEngineAgainstKalmanModule:
             state = kalman.time_update(state, stats)
 
     def test_unsymmetrized_recursion_holds_over_a_long_horizon(self):
-        # full_posteriors never re-symmetrizes P; the reference does every
+        # the stack's full recursion never re-symmetrizes P; the reference does every
         # step.  Over 3000 blocks of a slowly fading (a > 0.9999) rank-26
         # channel the two must still agree per block.
         scene = small_scene(n=32, d_r=60.0, v_kmh=1.0)
@@ -146,7 +146,8 @@ class TestEngineAgainstKalmanModule:
         frame = small_frame()
         horizon = 3000
         plan = sim._scheme_plan(scene, frame, horizon, "orthogonal", np.random.default_rng(0))
-        (err,), (self_err,), _ = sim.full_posteriors([plan])
+        ((err, self_err, _),) = sim.TrackerStack.of([[plan]], scene.r_sim).posteriors(horizon)
+        (err,), (self_err,) = err, self_err
         dft = cm._dft_matrix(32)
         r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
         stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
@@ -167,13 +168,28 @@ class TestEngineAgainstKalmanModule:
         print(f"largest relative drift over {horizon} blocks: {drift:.3g}")
 
     def test_stacked_trackers_must_share_their_model(self):
-        scene = small_scene(n=12)
+        # a user's rows share its spectrum and a, all rows m_p and the
+        # horizon; the rows' rho may differ
+        scenes = [small_scene(n=12), small_scene(n=12, theta_deg=35.0)]
         frame = small_frame()
-        plans = [sim._scheme_plan(scene, frame, 8, name, np.random.default_rng(0))
-                 for name in ("orthogonal", "random")]
-        plans[1].rho = 2 * frame.rho
-        with pytest.raises(ValueError, match="share rho"):
-            sim.full_posteriors(plans)
+
+        def plan(scene, name="orthogonal", horizon=8, **changes):
+            return sim._scheme_plan(scene, dataclasses.replace(frame, **changes), horizon,
+                                    name, np.random.default_rng(0))
+
+        sim.TrackerStack.of([[plan(scenes[0])], [plan(scenes[0], "random", rho=2.0)]], 12)
+        for rows, field in (([[plan(scenes[0])], [plan(scenes[1])]], "lam"),
+                            ([[plan(scenes[0])], [plan(scenes[0], horizon=9)]],
+                             "schedule length"),
+                            ([[plan(scenes[0])], [plan(scenes[0], m_p=1)]], "m_p"),
+                            ([[plan(scenes[0], "min_max")], [plan(scenes[0], "mp_fixed",
+                                                                  m_p=1)]], "m_p")):
+            with pytest.raises(ValueError, match=f"share {field}, but row 1 of user 0"):
+                sim.TrackerStack.of(rows, 12)
+        moved = plan(scenes[0])
+        moved.a = 0.5
+        with pytest.raises(ValueError, match="share a,"):
+            sim.TrackerStack.of([[plan(scenes[0])], [moved]], 12)
 
     def test_dft_plan_uses_projected_spectrum_for_design(self):
         scene = small_scene(n=16)
