@@ -33,9 +33,11 @@ directory, so the output path recorded in ``assignment.json`` is the same
 on both sides.  Files are compared byte for byte; a file written on one
 side only counts as a difference.  Prints one line per case and file, and
 under each differing file the drift: for a CSV file every differing column
-with its largest relative difference over rows matched by position, a
-row-count mismatch, and non-numeric mismatches; for a JSON file the
-differing keys; for a plain-text file each differing line by number.
+with its largest relative and largest absolute difference over rows
+matched by position (a value near zero reads a large relative drift at a
+tiny absolute one), a row-count mismatch, and non-numeric mismatches; for
+a JSON file the differing keys; for a plain-text file each differing line
+by number.
 The last line gives the largest relative difference over every differing
 CSV column, with its case, file and column, so an intended float-order
 change can quote one bound.  Exits 1 on any difference (2 if a run
@@ -107,7 +109,7 @@ def drift(a: Path, b: Path) -> tuple[list[str], dict[str, float]]:
     out = []
     if len(rows_a) != len(rows_b):
         out.append(f"row count differs: {len(rows_a)} vs {len(rows_b)} lines")
-    worst: dict[str, list] = {}  # column -> [largest relative difference, values differing]
+    worst: dict[str, list] = {}  # column -> [largest relative, largest absolute, values differing]
     text: dict[str, tuple[int, str, str]] = {}  # column -> first non-numeric mismatch
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         if len(ra) != len(rb):
@@ -125,15 +127,17 @@ def drift(a: Path, b: Path) -> tuple[list[str], dict[str, float]]:
             except ValueError:
                 text.setdefault(col, (i, x, y))
                 continue
-            entry = worst.setdefault(col, [0.0, 0])
+            entry = worst.setdefault(col, [0.0, 0.0, 0])
             if fx != fy:
                 entry[0] = max(entry[0], abs(fx - fy) / max(abs(fx), abs(fy)))
-            entry[1] += 1
-    for col, (rel, count) in worst.items():
-        out.append(f"{col}: largest relative difference {rel:.3g} ({count} values differ)")
+                entry[1] = max(entry[1], abs(fx - fy))
+            entry[2] += 1
+    for col, (rel, absolute, count) in worst.items():
+        out.append(f"{col}: largest relative difference {rel:.3g}, absolute {absolute:.3g} "
+                   f"({count} values differ)")
     for col, (i, x, y) in text.items():
         out.append(f"{col}: non-numeric mismatch at line {i + 1}: {x!r} vs {y!r}")
-    return out, {col: rel for col, (rel, _) in worst.items()}
+    return out, {col: rel for col, (rel, _, _) in worst.items()}
 
 
 def cut_config(tree: Path, path: Path, name: str, fields: dict) -> None:

@@ -490,8 +490,17 @@ def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
 # -- Monte Carlo ----------------------------------------------------------
 
 
-def _complex_rows(gen, shape):
-    return gen.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)
+def _draw_complex(gen, buf, sd, scratch):
+    """Fill buf with circular complex normals (z_re + 1j z_im) / sqrt(2),
+    the parts drawn in turn from gen, times the per-mode scale sd unless it
+    is None.  The float64 view of buf takes the draws and the scaling runs
+    in place; a strided buf (a user below the largest rank) is drawn into
+    the contiguous ``scratch`` first."""
+    z = buf if buf.flags.c_contiguous else scratch[:buf.size].reshape(buf.shape)
+    gen.standard_normal(out=z.view(float))
+    np.divide(z, np.sqrt(2.0), out=z)
+    if sd is not None:
+        np.multiply(z, sd, out=buf)
 
 
 def _realized_sinr(c, hats, rho, cross):
@@ -499,25 +508,34 @@ def _realized_sinr(c, hats, rho, cross):
     batch: channels c (U, runs, r) and estimates hats (K, U, runs, r) in
     each user's eigencoordinates, zero-padded to the largest rank r, each
     row's data power rho (K, 1, 1) or one for all, and cross[u, v] =
-    U_u^H U_v into user u's coordinates.  Returns (K, U, runs).
+    U_u^H U_v into user u's coordinates (its diagonal is never read).
+    Returns (K, U, runs).
+
+    The pair term h_u^H (X_uv h_hat_v) is taken as (X_uv^H h_u)^H h_hat_v:
+    the channel-side projections are U(U - 1) matmuls of (runs, r) by (r,
+    r) per call whatever the row count K, and each row's pair dots are one
+    gemv per (row, v, run), so a row's bits do not depend on the rows
+    beside it.
     """
-    n_rows, n_users, n_runs, _ = hats.shape
-    nrm2 = np.einsum("...ij,...ij->...i", hats.conj(), hats).real
-    self_dot = np.einsum("...ij,...ij->...i", c.conj(), hats)
-    u_idx, v_idx = np.nonzero(~np.eye(n_users, dtype=bool))  # u-major, so v ascends per u
-    # h_u^H h_hat_v of every pair, one user u at a time: the mapped
-    # estimates of one u are (K, U - 1, runs, r), not (K, U(U - 1), runs, r)
-    dot_uv = np.empty((n_rows, len(u_idx), n_runs), dtype=complex)
-    for u in range(n_users if n_users > 1 else 0):  # a lone user has no pair
-        pairs = u_idx == u
-        mixed = hats[:, v_idx[pairs]] @ cross[u, v_idx[pairs]].swapaxes(-1, -2)
-        dot_uv[:, pairs] = np.einsum("...ij,...ij->...i", c[u].conj(), mixed)
+    n_users = hats.shape[1]
+    flat = hats.view(float)
+    nrm2 = np.vecdot(flat, flat)
+    err = np.vecdot(c, hats) - nrm2  # h_u^H h_hat_u - ||h_hat_u||^2
     with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 gives sigma = inf
-        sigma = n_users * nrm2 / rho + np.abs(self_dot - nrm2) ** 2
-        ratio = np.where(nrm2[:, v_idx] > 0, nrm2[:, u_idx] / nrm2[:, v_idx], 0.0)
-        interference = (ratio * np.abs(dot_uv) ** 2).reshape(n_rows, n_users, -1, n_runs)
-        for k in range(n_users - 1):
-            sigma += interference[:, :, k]
+        sigma = n_users * nrm2 / rho + (err.real * err.real + err.imag * err.imag)
+        if n_users > 1:  # a lone user has no pair
+            # proj[u, v] = (X_uv^H h_u)^H, zero at v = u: no interferer, so it adds +0.0
+            c_conj, proj = c.conj(), np.zeros((n_users, *c.shape), dtype=complex)
+            for u in range(n_users):
+                for v in range(n_users):
+                    if v != u:
+                        np.matmul(c_conj[u], cross[u, v], out=proj[u, v])
+            dot = (proj.transpose(1, 2, 0, 3) @ hats[..., None])[..., 0]  # (K, V, runs, U)
+            power = (dot.real * dot.real + dot.imag * dot.imag).transpose(0, 3, 1, 2)
+            ratio = np.where(nrm2[:, None] > 0, nrm2[:, :, None] / nrm2[:, None], 0.0)
+            interference = ratio * power  # (K, U, V, runs)
+            for v in range(n_users):  # in ascending v
+                sigma += interference[:, :, v]
         return np.where(nrm2 > 0, nrm2 ** 2 / sigma, 0.0)
 
 
@@ -589,6 +607,7 @@ def _chunk(seed_seqs, rows, horizon, frame, cross):
     scale = [np.sqrt(t.lam) for t in by_scheme[0]]
     slab = min(SLAB, horizon)
     c = np.zeros((n_users, n_runs, r_max), dtype=complex)
+    scratch = np.empty(slab * r_max, dtype=complex)  # the draws of a user below rank r_max
     proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
     noise = np.empty((len(by_scheme), n_users, n_runs, slab, frame.m_p), dtype=complex)
     fills = []  # (generator, the slab rows it fills, per-mode scale or None) per stream
@@ -596,7 +615,7 @@ def _chunk(seed_seqs, rows, horizon, frame, cross):
         streams = seq.spawn(n_users * (1 + len(by_scheme)))
         for u, sd in enumerate(scale):
             gen = np.random.default_rng(streams[u])
-            c[u, i, :len(sd)] = _complex_rows(gen, (1, len(sd)))[0] * sd
+            _draw_complex(gen, c[u, i:i + 1, :len(sd)], sd, scratch)
             fills.append((gen, proc[u, i, :, :len(sd)], sd))
         for pos, (s, u) in enumerate(np.ndindex(len(by_scheme), n_users), start=n_users):
             if by_scheme[s][u].kind != "perfect":
@@ -607,8 +626,7 @@ def _chunk(seed_seqs, rows, horizon, frame, cross):
     for start in range(0, horizon, slab):
         blocks = min(slab, horizon - start)
         for gen, buf, sd in fills:
-            z = _complex_rows(gen, (blocks, buf.shape[-1]))
-            buf[:blocks] = z if sd is None else z * sd
+            _draw_complex(gen, buf[:blocks], sd, scratch)
         for k, ell in enumerate(range(start, start + blocks)):
             pilots = noise[:, :, :, k]
             for stack, block, schemes in rows.stacks:

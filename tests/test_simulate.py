@@ -462,6 +462,29 @@ def monte_carlo_inputs(scenes, frame, schemes, horizon):
     return plans, scene_mu.cross
 
 
+def realized_sinr_batch(n_users, n_rows):
+    """Scenes, cross tensor, channels (U, runs, r) and estimates (K, U, runs,
+    r) for ``sim._realized_sinr``: users of unequal rank (8, 7, 7) zero-padded
+    to the largest; rows 0 and 1 are noisy estimates, every later row knows
+    the channel."""
+    scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)[:n_users]]
+    stats = [cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim, lam=s.lam_sim,
+                                  rank=s.r_sim)
+             for s in scenes]
+    runs, r_max = 6, max(s.r_sim for s in scenes)
+    cross = mu.MultiuserScene(users=[mu.UserLink(stats=st) for st in stats], m=10, m_p=1).cross
+    rng = np.random.default_rng(11)
+    c = np.zeros((n_users, runs, r_max), dtype=complex)
+    hats = np.zeros((n_rows, n_users, runs, r_max), dtype=complex)
+    for u, s in enumerate(scenes):
+        c[u, :, :s.r_sim] = cm.complex_normal(rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
+        for row, (keep, noise) in enumerate(((0.8, 0.3), (0.5, 0.7))):
+            hats[row, u, :, :s.r_sim] = keep * c[u, :, :s.r_sim] + noise * cm.complex_normal(
+                rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
+    hats[2:] = c
+    return scenes, cross, c, hats
+
+
 class TestSlabStreaming:
     def test_slab_draws_equal_bulk_draw_oracle(self):
         # slab boundaries fall unevenly in the horizon, and two chunks run
@@ -605,33 +628,51 @@ class TestMultiuserEngine:
         # the kernel's stacked eigencoordinate SINR against the
         # per-realization antenna-domain oracle, on random channel /
         # estimate pairs lifted to antenna space as U c and U c_hat: users
-        # of unequal rank (8, 7, 7) zero-padded to the largest, and two
-        # noisy schemes plus a perfect-knowledge row in one call
-        scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)[:n_users]]
-        stats = [cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim, lam=s.lam_sim,
-                                      rank=s.r_sim)
-                 for s in scenes]
-        rho, runs, r_max = 4.0, 6, max(s.r_sim for s in scenes)
-        scene_mu = mu.MultiuserScene(users=[mu.UserLink(stats=st) for st in stats],
-                                     rho=rho, m=10, m_p=1)
-        rng = np.random.default_rng(11)
-        c = np.zeros((n_users, runs, r_max), dtype=complex)
-        hats = np.zeros((3, n_users, runs, r_max), dtype=complex)
-        for u, s in enumerate(scenes):
-            c[u, :, :s.r_sim] = cm.complex_normal(rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
-            for row, (keep, noise) in enumerate(((0.8, 0.3), (0.5, 0.7))):
-                hats[row, u, :, :s.r_sim] = keep * c[u, :, :s.r_sim] + noise * cm.complex_normal(
-                    rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
-        hats[2] = c  # perfect knowledge
-        got = sim._realized_sinr(c, hats, rho, scene_mu.cross)
-        assert got.shape == (3, n_users, runs)
-        for row in range(3):
+        # of unequal rank (8, 7, 7) zero-padded to the largest, two noisy
+        # schemes, a perfect-knowledge row and a row where the last user's
+        # estimate is zero, each row at its own rho, in one call
+        scenes, cross, c, hats = realized_sinr_batch(n_users, 4)
+        hats[3, -1] = 0.0
+        rho = np.array([4.0, 0.5, 30.0, 2.0])[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sim._realized_sinr(c, hats, rho, cross)
+        runs = c.shape[1]
+        assert got.shape == (4, n_users, runs)
+        assert not np.any(got[3, -1])
+        for row in range(4):
             for i in range(runs):
                 h = [s.u_sim @ c[u, i, :s.r_sim] for u, s in enumerate(scenes)]
                 h_hat = [s.u_sim @ hats[row, u, i, :s.r_sim] for u, s in enumerate(scenes)]
-                for u in range(n_users):
-                    assert got[row, u, i] == pytest.approx(
-                        mu.instantaneous_sinr(h, h_hat, rho, u), rel=1e-9)
+                users, scale = range(n_users), 1.0
+                if row == 3:
+                    # a user estimating nothing causes no interference: the
+                    # others' oracle without it, at the same noise term
+                    users, scale = range(n_users - 1), (n_users - 1) / n_users
+                for u in users:
+                    want = mu.instantaneous_sinr([h[v] for v in users], [h_hat[v] for v in users],
+                                                 rho[row, 0, 0] * scale, u)
+                    assert got[row, u, i] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n_users", [1, 3])
+    def test_realized_sinr_rows_do_not_depend_on_their_stack(self, n_users):
+        # each row of a K-row call equals that row computed alone, byte for
+        # byte, so a sweep's rows equal its one-point runs
+        _, cross, c, hats = realized_sinr_batch(n_users, 5)
+        rho = np.array([0.5, 4.0, 30.0, 2.0, 8.0])[:, None, None]
+        got = sim._realized_sinr(c, hats, rho, cross)
+        for k in range(len(hats)):
+            alone = sim._realized_sinr(c, hats[k:k + 1].copy(), rho[k:k + 1], cross)
+            assert alone.tobytes() == got[k:k + 1].tobytes(), k
+
+    def test_realized_sinr_ignores_the_cross_diagonal(self):
+        # v = u is no interferer whatever cross[u, u] holds
+        _, cross, c, hats = realized_sinr_batch(3, 3)
+        filled = cross.copy()
+        for u in range(3):
+            filled[u, u] = np.eye(cross.shape[-1]) + 0.5j
+        got, want = (sim._realized_sinr(c, hats, 4.0, x) for x in (filled, cross))
+        assert got.tobytes() == want.tobytes()
 
     def test_interference_lowers_sinr(self):
         s0 = small_scene(theta_deg=10.0, d_r=8.0)
