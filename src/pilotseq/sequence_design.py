@@ -123,6 +123,17 @@ def _objective(lam: np.ndarray, a: float, rho: float, g: np.ndarray) -> float:
     return float(np.sum(upper) + np.sum(lam[n_d:]))
 
 
+def _ceiling_table(lam: np.ndarray, a: float, rho: float, divisors) -> np.ndarray:
+    """(mode, divisor) table of steady-state ceilings max_ss_mse(min_ss_mse(
+    lam_i, a, rho, d), lam_i, a, d).  One array call per divisor, with d a
+    scalar, so every entry has the bits of the scalar call (a grid that
+    broadcasts d along a second axis may differ from it in the last bit)."""
+    table = np.empty((len(lam), len(divisors)))
+    for k, d in enumerate(divisors):
+        table[:, k] = max_ss_mse(min_ss_mse(lam, a, rho, d), lam, a, d)
+    return table
+
+
 def _feasible_n_d_range(lam, frame: FrameParams) -> tuple[int, int]:
     lam = np.asarray(lam)
     if lam.size and np.any(np.diff(lam) > 1e-9 * max(float(lam[0]), 1e-300)):
@@ -167,9 +178,7 @@ def exhaustive_search(lam, a: float, rho: float, frame: FrameParams) -> Interval
     budget = frame.g_len * frame.m_p
     cost = [frame.g_len // d for d in divisors]  # blocks consumed per use
 
-    lam_col = lam[:hi, None]
-    d_row = np.asarray(divisors, dtype=float)[None, :]
-    excess = max_ss_mse(min_ss_mse(lam_col, a, rho, d_row), lam_col, a, d_row) - lam_col
+    excess = _ceiling_table(lam[:hi], a, rho, divisors) - lam[:hi, None]
 
     # value[i, n_div] is the stop column: modes i.. stay untrained
     value = np.full((hi + 1, n_div + 1, budget + 1), np.inf)
@@ -217,20 +226,23 @@ def min_max_design(lam, a: float, rho: float, frame: FrameParams) -> IntervalAss
     """Greedy design that repeatedly shortens the interval of the mode with
     the worst steady-state ceiling.
 
-    State per mode: current interval (G+1 marks "not yet sounded"), its
-    upper envelope, and an allocation flag.  Each round picks the candidate
-    with the largest ceiling and the largest divisor strictly below its
-    interval; the move is taken when the freed plus remaining block budget
-    covers it, otherwise the mode is frozen out.  Runs in O(G * M_p) rounds.
+    State per mode: the index of its current interval among the divisors
+    of G (one past the last marks "not yet sounded") and its upper
+    envelope.  Each round picks the candidate with the largest ceiling and
+    the largest divisor strictly below its interval; the move is taken when
+    the freed plus remaining block budget covers it, otherwise the mode is
+    frozen out.  Runs in O(G * M_p) rounds, each reading the ceiling table
+    that ``_ceiling_table`` builds once per design.
     """
     lam = np.asarray(lam, dtype=float)
     lo, hi = _feasible_n_d_range(lam, frame)
     divisors = divisor_set(frame.g_len)
+    n_div = len(divisors)
     n_cand = hi  # candidate modes: the hi strongest (never exceeds rank)
+    table = _ceiling_table(lam[:n_cand], a, rho, divisors).tolist()
 
-    g = np.full(n_cand, frame.g_len + 1, dtype=int)
-    allocated = np.zeros(n_cand, dtype=bool)
-    ceiling = lam[:n_cand].astype(float).copy()
+    k = [n_div] * n_cand
+    ceiling = lam[:n_cand].tolist()
     active = list(range(n_cand))
     n_blk = frame.g_len * frame.m_p
 
@@ -241,24 +253,21 @@ def min_max_design(lam, a: float, rho: float, frame: FrameParams) -> IntervalAss
                 "this cannot happen when N_d >= M_p"
             )
         i = max(active, key=lambda j: (ceiling[j], -j))
-        smaller = [d for d in divisors if d < g[i]]
-        if not smaller:
+        if k[i] == 0:
             active.remove(i)  # already at g = 1; nothing tighter exists
             continue
-        d_star = smaller[-1]
-        freed = frame.g_len // g[i] if allocated[i] else 0
-        need = frame.g_len // d_star
+        k_star = k[i] - 1
+        freed = frame.g_len // divisors[k[i]] if k[i] < n_div else 0
+        need = frame.g_len // divisors[k_star]
         if n_blk + freed >= need:
             n_blk = n_blk + freed - need
-            g[i] = d_star
-            allocated[i] = True
-            floor_i = min_ss_mse(lam[i], a, rho, d_star)
-            ceiling[i] = max_ss_mse(floor_i, lam[i], a, d_star)
+            k[i] = k_star
+            ceiling[i] = table[i][k_star]
         else:
             active.remove(i)
 
-    chosen = np.flatnonzero(allocated)
-    g_out = g[chosen]
+    chosen = np.flatnonzero(np.array(k) < n_div)
+    g_out = np.array([divisors[k[i]] for i in chosen], dtype=int)
     order = np.argsort(g_out, kind="stable")
     g_sorted = g_out[order]
     if not np.array_equal(chosen, np.arange(len(chosen))):

@@ -494,13 +494,17 @@ def _draw_complex(gen, buf, sd, scratch):
     """Fill buf with circular complex normals (z_re + 1j z_im) / sqrt(2),
     the parts drawn in turn from gen, times the per-mode scale sd unless it
     is None.  The float64 view of buf takes the draws and the scaling runs
-    in place; a strided buf (a user below the largest rank) is drawn into
-    the contiguous ``scratch`` first."""
+    in place on float64 views; a strided buf (a user below the largest rank)
+    is drawn into the contiguous ``scratch`` first.  numpy divides a complex
+    number by a real one by multiplying both parts by the reciprocal, so
+    scaling the parts by 1/sqrt(2) gives the bits of the complex division
+    (signed zeros aside)."""
     z = buf if buf.flags.c_contiguous else scratch[:buf.size].reshape(buf.shape)
-    gen.standard_normal(out=z.view(float))
-    np.divide(z, np.sqrt(2.0), out=z)
+    parts = z.view(float)
+    gen.standard_normal(out=parts)
+    np.multiply(parts, 1.0 / np.sqrt(2.0), out=parts)
     if sd is not None:
-        np.multiply(z, sd, out=buf)
+        np.multiply(parts, np.repeat(sd, 2), out=buf.view(float))
 
 
 def _realized_sinr(c, hats, rho, cross):

@@ -230,7 +230,54 @@ class TestExhaustiveSearch:
         assert asn.objective <= sd.min_max_design(lam, 0.99, 5.0, fr).objective
 
 
+class TestCeilingTable:
+    @pytest.mark.parametrize("g_len", [27, 81, 128])
+    @pytest.mark.parametrize("a, rho", [(0.0, 3.0), (1.0, 3.0), (0.97, 0.0), (0.5, 0.2),
+                                        (0.9999, 40.0), (1.0, 0.0)])
+    def test_entries_equal_scalar_calls(self, g_len, a, rho):
+        lam = spectrum(24, decay=0.8)
+        divisors = sd.divisor_set(g_len)
+        table = sd._ceiling_table(lam, a, rho, divisors)
+        want = np.array([[ss.max_ss_mse(ss.min_ss_mse(x, a, rho, d), x, a, d) for d in divisors]
+                         for x in lam])
+        assert table.shape == (24, len(divisors))
+        assert table.tobytes() == want.tobytes()
+
+
+def greedy_by_scalar_calls(lam, a, rho, fr):
+    """The min-max greedy's interval vector, each ceiling from one scalar
+    min_ss_mse / max_ss_mse call per round."""
+    divisors = sd.divisor_set(fr.g_len)
+    n_cand = min(fr.g_len * fr.m_p, fr.n_d_max, len(lam))
+    g, ceiling = [fr.g_len + 1] * n_cand, [float(x) for x in lam[:n_cand]]
+    active, n_blk = list(range(n_cand)), fr.g_len * fr.m_p
+    while n_blk > 0:
+        i = max(active, key=lambda j: (ceiling[j], -j))
+        smaller = [d for d in divisors if d < g[i]]
+        if not smaller:
+            active.remove(i)
+            continue
+        freed = fr.g_len // g[i] if g[i] <= fr.g_len else 0
+        need = fr.g_len // smaller[-1]
+        if n_blk + freed < need:
+            active.remove(i)
+            continue
+        n_blk, g[i] = n_blk + freed - need, smaller[-1]
+        ceiling[i] = ss.max_ss_mse(ss.min_ss_mse(lam[i], a, rho, g[i]), lam[i], a, g[i])
+    return tuple(sorted(x for x in g if x <= fr.g_len))
+
+
 class TestMinMaxDesign:
+    def test_table_rounds_equal_scalar_call_rounds(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            r = int(rng.integers(4, 40))
+            lam = np.sort(rng.uniform(1e-3, 5.0, size=r))[::-1]
+            fr = frame(g_len=int(rng.choice([4, 8, 9, 16, 27, 32])), m_p=int(rng.integers(1, 4)),
+                       m=200, n_d_max=int(rng.integers(3, 40)))
+            a, rho = float(rng.uniform(0.3, 0.9999)), float(rng.uniform(0.1, 100.0))
+            assert sd.min_max_design(lam, a, rho, fr).g == greedy_by_scalar_calls(lam, a, rho, fr)
+
     def test_tight_cap_forces_every_block_training(self):
         lam = spectrum(6)
         fr = frame(g_len=8, m_p=2, m=6, n_d_max=2)

@@ -1,5 +1,7 @@
 """Steady-state MSE closed forms against the brute-force Riccati iteration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,38 @@ lam_st = st.floats(min_value=1e-3, max_value=1e3)
 a_st = st.floats(min_value=0.05, max_value=0.99999)
 rho_st = st.floats(min_value=1e-3, max_value=1e4)
 g_st = st.sampled_from([1, 2, 4, 8, 16, 32])
+
+
+def cell_by_cell(lam, a, rho, g, tol):
+    """The Riccati iteration one cell at a time on Python floats, from the
+    oracle's a**(2g) (same expression, same input shapes).  Returns the
+    values and each cell's iteration count."""
+    a2g = np.asarray(a, dtype=float) ** (2.0 * np.asarray(g, dtype=float))
+    lam, a2g, rho = np.broadcast_arrays(np.asarray(lam, dtype=float), a2g,
+                                        np.asarray(rho, dtype=float))
+    values, counts = np.empty(lam.shape), np.empty(lam.shape, dtype=int)
+    for idx in np.ndindex(lam.shape):
+        x, k, r = float(lam[idx]), float(a2g[idx]), float(rho[idx])
+        drift = (1.0 - k) * x
+        for n in itertools.count(1):
+            z = k * x + drift
+            x_next = z / (r * z + 1.0)
+            if abs(x_next - x) < tol:
+                break
+            x = x_next
+        values[idx], counts[idx] = x_next, n
+    return values, counts
+
+
+# the whole grid starts with more live cells than the oracle's switch to
+# per-cell iteration, its corner with fewer
+WHOLE, CORNER = np.s_[...], np.s_[:1, :2, :2]
+
+
+def oracle_grid():
+    """4 x 4 x 5 x 2 (a, lam, rho, g) cells, most settling within a few hundred steps."""
+    return np.meshgrid([0.3, 0.9, 0.99, 0.999], [0.05, 1.0, 20.0, 300.0],
+                       [0.2, 3.0, 50.0, 900.0, 1e4], [1.0, 2.0], indexing="ij")
 
 
 class TestMinSsMse:
@@ -58,6 +92,13 @@ class TestMinSsMse:
     def test_decreasing_in_correlation(self, lam, rho, g):
         vals = [ss.min_ss_mse(lam, a, rho, g) for a in (0.1, 0.5, 0.9, 0.99)]
         assert all(x >= y * (1 - 1e-12) for x, y in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.9, 1.0, 1), (1.0, np.nan, 1.0, 1),
+                                     (1.0, 0.9, np.nan, 1), (1.0, 0.9, 1.0, np.nan),
+                                     (np.array([1.0, np.nan]), 0.9, 1.0, 1)])
+    def test_nan_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ss.min_ss_mse(*bad)
 
 
 class TestMaxSsMse:
@@ -153,3 +194,57 @@ class TestRiccatiOracle:
         vals, _ = ss.riccati_iterate_oracle(lam, 0.9, 2.0, 1, tol=1e-14)
         for i in range(3):
             assert vals[i] == pytest.approx(ss.min_ss_mse(lam[i], 0.9, 2.0, 1), abs=1e-11)
+
+    def test_scalar_input_equals_float_loop(self):
+        val, iters = ss.riccati_iterate_oracle(1.0, 0.99, 10.0, 2, tol=1e-13)
+        want, counts = cell_by_cell(1.0, 0.99, 10.0, 2, tol=1e-13)
+        assert type(val) is float
+        assert val.hex() == float(want).hex() and iters == counts
+
+    def test_broadcast_shapes_equal_float_loop(self):
+        lam = np.array([[0.1], [2.0], [40.0]])
+        a = np.array([0.5, 0.95, 0.995, 0.9995])
+        g = np.array([1.0, 4.0])[:, None, None]
+        vals, iters = ss.riccati_iterate_oracle(lam, a, 7.0, g, tol=1e-13)
+        want, counts = cell_by_cell(lam, a, 7.0, g, tol=1e-13)
+        assert vals.shape == (2, 3, 4) and vals.size <= ss._TAIL_CELLS
+        assert vals.tobytes() == want.tobytes() and iters == counts.max()
+
+    @pytest.mark.parametrize("cells", [WHOLE, CORNER])
+    def test_grid_equals_float_loop_either_side_of_the_switch(self, cells):
+        aa, ll, rr, gg = (x[cells] for x in oracle_grid())
+        assert (aa.size > ss._TAIL_CELLS) == (cells is WHOLE)
+        vals, iters = ss.riccati_iterate_oracle(ll, aa, rr, gg, tol=1e-13)
+        want, counts = cell_by_cell(ll, aa, rr, gg, tol=1e-13)
+        assert vals.tobytes() == want.tobytes() and iters == counts.max()
+
+    @pytest.mark.parametrize("cells", [WHOLE, CORNER])
+    def test_max_iter_met_exactly_or_missed_by_one(self, cells):
+        aa, ll, rr, gg = (x[cells] for x in oracle_grid())
+        _, counts = cell_by_cell(ll, aa, rr, gg, tol=1e-13)
+        slowest = int(counts.max())
+        _, iters = ss.riccati_iterate_oracle(ll, aa, rr, gg, tol=1e-13, max_iter=slowest)
+        assert iters == slowest
+        with pytest.raises(RuntimeError, match="converge"):
+            ss.riccati_iterate_oracle(ll, aa, rr, gg, tol=1e-13, max_iter=slowest - 1)
+
+    def test_max_iter_hit_while_too_many_cells_move_for_the_tail(self):
+        aa, ll, rr, gg = oracle_grid()
+        _, counts = cell_by_cell(ll, aa, rr, gg, tol=1e-13)
+        # more than _TAIL_CELLS cells are still moving after max_iter steps
+        max_iter = int(np.sort(counts, axis=None)[::-1][ss._TAIL_CELLS]) - 1
+        with pytest.raises(RuntimeError, match="converge"):
+            ss.riccati_iterate_oracle(ll, aa, rr, gg, tol=1e-13, max_iter=max_iter)
+
+    @pytest.mark.parametrize("cells", [WHOLE, CORNER])
+    def test_nan_cell_never_converges(self, cells):
+        aa, ll, rr, gg = (x[cells].copy() for x in oracle_grid())
+        ll.flat[1] = np.nan
+        with pytest.raises(RuntimeError, match="converge"):
+            ss.riccati_iterate_oracle(ll, aa, rr, gg, tol=1e-13, max_iter=5000)
+
+    @pytest.mark.parametrize("kwargs, name", [({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+                                              ({"tol": 0.0}, "tol"), ({"max_iter": 0}, "max_iter")])
+    def test_bad_settings_fail_fast(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            ss.riccati_iterate_oracle(1.0, 0.9, 2.0, 1, **kwargs)
