@@ -19,9 +19,10 @@ changes) on the same cases:
   Carlo draws cross a slab boundary (``simulate.SLAB``), each with
   ``mc_runs`` cut to 16, comparing
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
-- ``pilotseq design`` on ``demo``, on ``ci_ula32`` with ``basis = "dft"``
-  and on ``multiuser_ula32``, comparing ``design.csv`` and
-  ``assignment.json``;
+- ``pilotseq design`` on ``demo``, on ``ci_ula32`` and ``upa375`` with
+  ``basis = "dft"`` (the hybrid design of a linear and of a planar array,
+  whose DFT surrogate is per axis) and on ``multiuser_ula32``, comparing
+  ``design.csv`` and ``assignment.json``;
 - ``pilotseq verify``, comparing its standard output.
 
 Each side's ``--config`` documents are built from that side's own preset,
@@ -188,6 +189,7 @@ def main(argv: list[str]) -> int:
                   "horizon_blocks": 300}),
                 ("design", "demo", "demo", None),
                 ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
+                ("design", "upa375 dft", "upa375", {"basis": "dft"}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),
                 ("verify", "battery", None, None),
             ]

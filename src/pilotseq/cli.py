@@ -260,8 +260,8 @@ def _settled_frames(designs, a: float, rho: float) -> list:
     blocks = (int(np.ceil(60.0 / (1.0 - a * a))) // g_len + 2) * g_len  # whole frames
     tracker = sim.Tracker("diag", m_p, np.concatenate([lam for _, lam in designs]), a, rho,
                           sched=c[np.arange(blocks) % g_len])
-    ((_, _, diag),) = sim.TrackerStack.of([[tracker]], offsets[-1]).posteriors(blocks)
-    return np.split(diag[0, -g_len:], offsets[1:-1], axis=1)
+    _, _, diag = sim.TrackerStack.of([[tracker]]).posteriors(blocks)
+    return np.split(diag[0, 0, -g_len:], offsets[1:-1], axis=1)
 
 
 def check_riccati_grid() -> Measured:
@@ -313,24 +313,25 @@ def check_construction(rng) -> Measured:
 
 
 def check_diag_full_equivalence(rng) -> Measured:
-    """The diagonal tracker's posteriors and estimates against the
-    full-matrix Kalman reference on a channel it samples."""
+    """The diagonal tracker's posteriors and estimates, from the run's own
+    recursion and step on its one-row stack, against the full-matrix Kalman
+    reference on a channel it samples."""
     r_h = cm.one_ring_covariance(8, 0.3, 0.25, 1.0)
     stats = cm.ChannelStatistics.from_covariance(0.95, r_h)
     sched = np.array([[step % stats.rank, (step + 1) % stats.rank] for step in range(12)])
-    diag = sim.Tracker("diag", 2, stats.lam, stats.a, 3.0, sched=sched)
-    ((_, _, lam_bars),) = sim.TrackerStack.of([[diag]], stats.rank).posteriors(len(sched))
+    diag = sim.TrackerStack.of([[sim.Tracker("diag", 2, stats.lam, stats.a, 3.0, sched=sched)]])
+    _, _, lam_bars = diag.posteriors(len(sched))
     full = kalman.init(stats)
-    chat = np.zeros((1, stats.rank), dtype=complex)
+    chat = np.zeros((1, 1, 1, stats.rank), dtype=complex)  # one row, user and run
     h = cm.stationary_channel(stats, rng)
     worst = 0.0
-    for step, lam_bar in enumerate(lam_bars[0]):
+    for step, lam_bar in enumerate(lam_bars[0, 0]):
         s = np.sqrt(3.0) * stats.u[:, sched[step]]
         w = cm.complex_normal(rng, 2)
         full = kalman.measurement_update(full, s, s.conj().T @ h + w)
-        diag.sample_step(chat, (stats.u.conj().T @ h)[None, :], w[None, :], step)
+        diag.step(chat, (stats.u.conj().T @ h)[None, None], w[None, None, None], step)
         p_diag = np.real(np.diag(stats.u.conj().T @ full.p_est @ stats.u))
-        est_gap = np.abs(stats.u.conj().T @ full.h_hat - chat[0])
+        est_gap = np.abs(stats.u.conj().T @ full.h_hat - chat[0, 0, 0])
         worst = max(worst, float(np.max(np.abs(p_diag - lam_bar))), float(np.max(est_gap)))
         full = kalman.time_update(full, stats)
         h = cm.evolve_channel(h, stats, rng)
@@ -366,9 +367,10 @@ def check_sandwich(rng) -> Measured:
 
 
 def check_sinr_bound(rng) -> Measured:
-    """The closed-form steady-state SINR lower bound stays below the
-    deterministic SINR over the converged trailing frame of the diagonal
-    trackers, for each user of random two-user scenes with random designs."""
+    """The closed-form steady-state SINR lower bound, as the run computes it
+    (``simulate.steady_state``), stays below the deterministic SINR over the
+    converged trailing frame of the diagonal trackers, for each user of
+    random two-user scenes with random designs."""
     worst = -np.inf
     for _ in range(5):
         n_t = int(rng.choice([16, 24, 32]))
@@ -381,21 +383,21 @@ def check_sinr_bound(rng) -> Measured:
             delta = float(rng.uniform(0.05, 0.3))
             stats.append(cm.ChannelStatistics.from_covariance(
                 a, cm.one_ring_covariance(n_t, theta, delta, 1.0), 1e-8))
-        scene = mu.MultiuserScene(users=[mu.UserLink(stats=s) for s in stats],
-                                  rho=rho, m=4, m_p=1)
-        profiles, designs = [], []
+        scene = mu.MultiuserScene(users=[mu.UserLink(stats=s) for s in stats], m=4, m_p=1)
+        trackers, designs = [], []
         for s in stats:
             while True:
                 asn = random_valid_assignment(rng, g_len, 1)
                 frame = FrameParams(g_len=g_len, m_p=1, m=4, n_d_max=max(asn.n_d, 1), rho=rho)
                 if asn.n_d <= s.rank and not validate_assignment(asn, frame):
                     break
-            profiles.append(profile(s.lam, a, rho, asn.g_padded(s.rank)))
+            trackers.append(sim.Tracker("diag", 1, s.lam, a, rho, design=asn))
             designs.append((construct_sequence_matrix(asn, frame).c, s.lam))
         frames = _settled_frames(designs, a, rho)
         det = mu.sinr_equivalent(*mu.sinr_inputs(scene, frames, frames), rho).min(axis=0)
+        lb, _ = sim.steady_state(scene, trackers, rho)
         for u in range(2):
-            worst = max(worst, mu.steady_state_sinr_lower_bound(scene, profiles, u) - det[u])
+            worst = max(worst, lb[u] - det[u])
     return Measured("max (bound - min deterministic SINR over the converged frame) over "
                     "10 users", float(worst), 1e-6)
 

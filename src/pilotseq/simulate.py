@@ -14,12 +14,13 @@ full     arbitrary fixed training columns through the full-matrix Kalman
          while the tracker keeps the true covariance knowledge
 perfect  genie channel knowledge
 
-Every scheme plan is a ``Tracker``, and the ``TrackerStack`` of its kind
-does its arithmetic: one stack holds every (operating point, scheme) row of
-a kind for all users.  Its covariance recursion (``posteriors``) runs once
-per run, storing the per-block gains, and reduces each user's posteriors
-to the inputs of ``multiuser.sinr_equivalent``, evaluated once per sweep
-for every point, scheme and user.  The diag rows of all users advance as
+Every scheme plan is a ``Tracker``, a description; the ``TrackerStack`` of
+its kind owns its state and does its arithmetic: one stack holds every
+(operating point, scheme) row of a kind for all users.  Its covariance
+recursion (``posteriors``) runs once per run, storing the per-block gains,
+and returns every row's and user's posteriors as arrays, reduced to the
+inputs of ``multiuser.sinr_equivalent``, evaluated once per sweep for every
+point, scheme and user.  The diag rows of all users advance as
 one flat vector of per-mode variances; a user's full rows advance as one
 (K, r, r) stack of error covariances, updated in place by a rank-M_p
 Hermitian update without per-block re-symmetrization: it agrees with the
@@ -129,14 +130,16 @@ def build_scene(
 
 @dataclass
 class Tracker:
-    """Kalman tracker of one user's channel in its eigencoordinates.
+    """One scheme's Kalman tracker of one user's channel in its
+    eigencoordinates: a description, whose arithmetic and state belong to
+    the ``TrackerStack`` it is stacked in.
 
     A diag tracker sounds covariance eigenvectors, so its error covariance
     stays diagonal and is carried as per-mode variances; a full tracker
     sounds the columns ``s_u`` and carries the whole matrix; a perfect
-    tracker knows the channel and runs no recursion.  A tracker holds its
-    model, schedule and gains; ``TrackerStack`` does its arithmetic, and
-    ``sample_step`` is the one-row ``TrackerStack.step``.
+    tracker knows the channel and runs no recursion.  A scheme's plan also
+    names its scheme and carries its design and, once the run's recursion
+    has run, its NMSE trace.
     """
 
     kind: str  # diag | full | perfect
@@ -146,19 +149,10 @@ class Tracker:
     rho: float
     sched: np.ndarray | None = None  # (horizon, m_p) mode/column indices
     s_u: np.ndarray | None = None  # (r, n_cols) training columns in U coords (full)
-    gains: np.ndarray | None = None  # (horizon, m_p) diag, (horizon, r, m_p) full
-
-    def sample_step(self, chat: np.ndarray, c: np.ndarray, noise: np.ndarray, ell: int) -> None:
-        """``TrackerStack.step`` on this diag or full tracker alone: chat
-        (runs, r) in place, for channels c (runs, r) and pilot noise (runs,
-        m_p).  The one-row stack holds views of the tracker's arrays."""
-        if self.kind == "diag":
-            gains, cols = self.gains[:, None, None], None
-        else:
-            gains, cols = self.gains[None, None], (np.sqrt(self.rho) * self.s_u).conj()
-        stack = TrackerStack(self.kind, np.full((1, 1, 1), self.a), [self.lam],
-                             np.full(1, self.rho), self.sched[:, None, None], gains, cols)
-        stack.step(chat[None, None], c[None], noise[None, None], ell)
+    name: str | None = None
+    nmse: np.ndarray | None = None  # (horizon,) NMSE trace
+    design: IntervalAssignment | None = None  # periodic eigenmode design the bound reads
+    seq: SequenceMatrix | None = None
 
 
 @dataclass
@@ -167,16 +161,17 @@ class TrackerStack:
 
     A row is one (operating point, scheme) pair of a run; a user's rows
     share its spectrum and AR(1) coefficient, and all rows the number of
-    pilots m_p and the horizon.  diag: ``sched`` and ``gains`` (horizon,
-    K, U, m_p), each tracker's mode indices and real gains.  full:
-    ``cols`` (r, n) holds every tracker's conjugated training columns
-    conj(sqrt(rho) s_u) side by side, zero-padded to the largest rank r,
-    ``sched`` (horizon, K, U, m_p) indexes them, and ``gains`` is (K, U,
-    horizon, r, m_p).  perfect: no state.
+    pilots m_p and the horizon.  diag: ``sched`` (horizon, K, U, m_p) holds
+    each tracker's mode indices.  full: ``cols`` (r, n) holds every
+    tracker's conjugated training columns conj(sqrt(rho) s_u) side by side,
+    zero-padded to the largest rank r, and ``sched`` (horizon, K, U, m_p)
+    indexes them.  perfect: no state.
 
-    The stack does all tracker arithmetic: ``posteriors`` runs the
-    covariance recursion of every row and user and stores the gains,
-    ``step`` moves the estimates of a Monte Carlo batch.
+    The stack does all tracker arithmetic and owns its state:
+    ``posteriors`` runs the covariance recursion of every row and user and
+    stores the gains, (horizon, K, U, m_p) real for diag and (K, U,
+    horizon, r, m_p) for full, and ``step`` moves the estimates of a Monte
+    Carlo batch through them.  A lone tracker is the one-row stack.
     """
 
     kind: str
@@ -188,15 +183,13 @@ class TrackerStack:
     cols: np.ndarray | None = None
 
     @classmethod
-    def of(cls, rows, r_max: int) -> TrackerStack:
+    def of(cls, rows) -> TrackerStack:
         """Stack rows[k][u], user u's tracker in row k, all of one kind.
 
         Checks that a user's rows share lam and a, and that all rows share
         m_p and the schedule length (a ``ValueError`` names the field that
         differs), and that every schedule index lies in its sounding basis
-        (an ``IndexError``).  Lays out the stacked gains and points each
-        tracker's ``gains`` at its slice; gains a recursion already stored
-        are copied in, and ``posteriors`` fills the slice in place.
+        (an ``IndexError``).
         """
         first = rows[0]
         kind = first[0].kind
@@ -205,13 +198,9 @@ class TrackerStack:
         if kind != "perfect":
             (horizon, m_p), n_rows, n_users = first[0].sched.shape, len(rows), len(first)
             stack.sched = np.empty((horizon, n_rows, n_users, m_p), dtype=first[0].sched.dtype)
-            if kind == "diag":
-                stack.gains = np.zeros((horizon, n_rows, n_users, m_p))
-                slices = stack.gains.transpose(1, 2, 0, 3)
-            else:
-                stack.gains = slices = np.zeros((n_rows, n_users, horizon, r_max, m_p),
-                                                dtype=complex)
-                stack.cols = np.zeros((r_max, sum(t.s_u.shape[1] for row in rows for t in row)),
+            if kind == "full":
+                stack.cols = np.zeros((max(map(len, stack.lams)),
+                                       sum(t.s_u.shape[1] for row in rows for t in row)),
                                       dtype=complex)
         offset = 0
         for k, row in enumerate(rows):
@@ -231,10 +220,6 @@ class TrackerStack:
                 if tracker.sched.size and not (0 <= tracker.sched.min()
                                                <= tracker.sched.max() < n_cols):
                     raise IndexError("schedule index outside the sounding basis")
-                view = slices[k, u] if kind == "diag" else slices[k, u, :, :r]
-                if tracker.gains is not None:
-                    view[...] = tracker.gains
-                tracker.gains = view
                 stack.sched[:, k, u] = tracker.sched + offset
                 if kind == "full":
                     stack.cols[:r, offset:offset + n_cols] = (np.sqrt(tracker.rho)
@@ -280,34 +265,39 @@ class TrackerStack:
             y = c @ s_conj + noise
             hats += (y - hats @ s_conj) @ self.gains[:, :, ell].swapaxes(-1, -2)
 
-    def posteriors(self, horizon: int):
+    def posteriors(self, horizon: int) -> tuple:
         """The covariance recursion of every row and user over the schedule.
 
-        Stores each block's gains in ``gains`` and yields, per user u, its
-        K rows' posteriors reduced per block to tr P, the self-error term
-        Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2 and diag P, (K,
-        horizon), (K, horizon) and (K, horizon, r_u).  Every reduction sums
-        the user's own r_u modes, never the padding.  Perfect knowledge
-        leaves no error: P = 0.  The gains are complete once the generator
-        is exhausted.
+        Stores each block's gains in ``gains`` and returns every row's and
+        user's posteriors reduced per block: tr P and the self-error term
+        Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2, (K, U, horizon)
+        each, and diag P, (K, U, horizon, r) zero-padded to the largest
+        rank r.  Every reduction sums the user's own r_u modes, never the
+        padding.  Perfect knowledge leaves no error: P = 0.
         """
+        n_rows, n_users = len(self.rho), len(self.lams)
+        err, self_err = np.empty((2, n_rows, n_users, horizon))
+        diag = np.zeros((n_rows, n_users, horizon, max(map(len, self.lams))))
         if self.kind == "full":
-            yield from map(self._full_posteriors, range(len(self.lams)))
-            return
-        shape = (len(self.rho), len(self.lams), horizon, max(map(len, self.lams)))
-        diags = self._diag_posteriors(shape) if self.kind == "diag" else np.zeros(shape)
+            self.gains = np.zeros((*diag.shape, self.sched.shape[-1]), dtype=complex)
+            for u in range(n_users):
+                self._full_posteriors(u, err[:, u], self_err[:, u], diag[:, u])
+            return err, self_err, diag
+        if self.kind == "diag":
+            self._diag_posteriors(diag)
         for u, lam in enumerate(self.lams):
-            diag = np.ascontiguousarray(diags[:, u, :, :len(lam)])
-            yield (*mu.error_terms(lam, diag, diag), diag)
+            diag_u = diag[:, u, :, :len(lam)]
+            err[:, u], self_err[:, u] = mu.error_terms(lam, diag_u, diag_u)
+        return err, self_err, diag
 
-    def _diag_posteriors(self, shape) -> np.ndarray:
+    def _diag_posteriors(self, diags: np.ndarray) -> None:
         """Eigenmode sounding keeps every mode's recursion separate, so all
         rows and users advance as one flat vector of per-mode error
         variances, zero-padded to the largest rank r: per block, the sounded
         modes' posteriors p / (1 + rho p) and gains sqrt(rho) p / (1 + rho
         p), then the AR(1) prediction a^2 p + (1 - a^2) lam of every mode.
-        Returns the posteriors, ``shape`` = (K, U, horizon, r)."""
-        n_rows, n_users, horizon, r_max = shape
+        Writes the posteriors into ``diags`` (K, U, horizon, r)."""
+        n_rows, n_users, horizon, r_max = diags.shape
         p = np.zeros((n_rows, n_users, r_max))  # the priors lam, then each block's state
         for u, lam in enumerate(self.lams):
             p[:, u, :len(lam)] = lam
@@ -317,8 +307,9 @@ class TrackerStack:
         # matching per-element rho and sqrt(rho)
         idx = self.sched + r_max * np.arange(n_rows * n_users).reshape(n_rows, n_users, 1)
         rho = np.repeat(self.rho, n_users * self.sched.shape[-1])
+        self.gains = np.zeros((horizon, n_rows, n_users, self.sched.shape[-1]))
         sqrt_rho, gains = np.sqrt(rho), self.gains.reshape(horizon, -1)
-        flat, diags = p.reshape(-1), np.empty(shape)  # flat is a view of p
+        flat = p.reshape(-1)  # a view of p
         for ell, i in enumerate(idx.reshape(horizon, -1)):
             pred = flat.take(i)
             den = 1.0 + rho * pred
@@ -327,11 +318,11 @@ class TrackerStack:
             diags[:, :, ell] = p
             flat *= a2
             flat += innovation
-        return diags
 
-    def _full_posteriors(self, u: int) -> tuple:
+    def _full_posteriors(self, u: int, err, self_err, diags) -> None:
         """The covariance recursion of user u's rows, run as one, reduced as
-        ``posteriors`` yields it.
+        ``posteriors`` returns it into err and self_err (K, horizon) and
+        diags (K, horizon, r), that user's slices.
 
         Their error covariances advance together as one (K, r, r) stack
         updated in place.  Per block, with S the block's columns sqrt(rho)
@@ -353,10 +344,9 @@ class TrackerStack:
         lam = self.lams[u]
         a2 = self.a[u, 0, 0] * self.a[u, 0, 0]
         innovation = (1.0 - a2) * lam
-        horizon, n, _, m_p = self.sched.shape
+        _, n, _, m_p = self.sched.shape
         r = len(lam)
         cols = self.cols[:r]
-        (err, self_err), diags = np.empty((2, n, horizon)), np.empty((n, horizon, r))
         p = np.zeros((n, r, r), dtype=complex)
         p_flat = p.view(float).reshape(n, 2 * r * r)  # ||P||_F^2 is its real dot with itself
         d = p.reshape(n, r * r)[:, :: r + 1]  # a writable view of every diagonal
@@ -376,20 +366,9 @@ class TrackerStack:
             self.gains[:, u, ell, :r] = k
             err[:, ell] = d.sum(axis=-1).real
             self_err[:, ell] = np.sum(d * lam, axis=-1).real - np.vecdot(p_flat, p_flat)
-            diags[:, ell] = d.real
+            diags[:, ell, :r] = d.real
             p *= a2
             d += innovation
-        return err, self_err, diags
-
-
-@dataclass(kw_only=True)
-class SchemePlan(Tracker):
-    """One scheme's tracker plus its design and NMSE trace."""
-
-    name: str
-    nmse: np.ndarray | None = None  # (horizon,) NMSE trace
-    design: IntervalAssignment | None = None  # periodic eigenmode design the bound reads
-    seq: SequenceMatrix | None = None
 
 
 def _horizon_schedule(cycle: np.ndarray, horizon: int) -> np.ndarray:
@@ -409,25 +388,34 @@ def _round_robin_cycle(n_cols: int, m_p: int) -> np.ndarray:
     return flat.reshape(length, m_p)
 
 
+def _multiuser_scene(scenes, frame: FrameParams) -> mu.MultiuserScene:
+    """The rho-free multiuser scene of per-user channel scenes."""
+    return mu.MultiuserScene(
+        users=[mu.UserLink(stats=ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim,
+                                                   lam=s.lam_sim, rank=s.r_sim)) for s in scenes],
+        m=frame.m, m_p=frame.m_p)
+
+
 def build_single_user_plans(
     scene: ChannelScene,
     frame: FrameParams,
     horizon: int,
     schemes,
     rng_scene: np.random.Generator,
-) -> list[SchemePlan]:
-    """Instantiate and precompute every requested scheme.
+) -> list[Tracker]:
+    """Instantiate every requested scheme and run its covariance recursion,
+    which sets its NMSE trace.
 
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
     plans = [_scheme_plan(scene, frame, horizon, name, rng_scene) for name in schemes]
-    for _ in MonteCarloRows.of([[[plan] for plan in plans]]).posteriors(horizon):
-        pass
+    MonteCarloRows.of([[[plan] for plan in plans]]).posteriors(horizon,
+                                                                _multiuser_scene([scene], frame))
     return plans
 
 
-def _scheme_plan(scene, frame, horizon, name, rng_scene) -> SchemePlan:
+def _scheme_plan(scene, frame, horizon, name, rng_scene) -> Tracker:
     """One scheme's plan for one user, before its covariance recursion."""
     lam = scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
@@ -461,9 +449,9 @@ def _scheme_plan(scene, frame, horizon, name, rng_scene) -> SchemePlan:
         kind = "perfect"
     else:
         raise ValueError(f"unknown scheme {name!r}")
-    return SchemePlan(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
-                      sched=None if cycle is None else _horizon_schedule(cycle, horizon),
-                      design=design, seq=seq)
+    return Tracker(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
+                   sched=None if cycle is None else _horizon_schedule(cycle, horizon),
+                   design=design, seq=seq)
 
 
 def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
@@ -556,15 +544,13 @@ class MonteCarloRows:
 
     @classmethod
     def of(cls, plans) -> MonteCarloRows:
-        """The rows of plans[p][s][u]; lays out every stack's gains (see
-        ``TrackerStack.of``)."""
-        r_max = max(len(t.lam) for t in plans[0][0])
+        """The rows of plans[p][s][u]."""
         order, stacks = [], []
         for kind in ("diag", "full", "perfect"):
             rows = [(p, s) for p, point in enumerate(plans)
                     for s, row in enumerate(point) if row[0].kind == kind]
             if rows:
-                stack = TrackerStack.of([plans[p][s] for p, s in rows], r_max)
+                stack = TrackerStack.of([plans[p][s] for p, s in rows])
                 schemes = None if kind == "perfect" else np.array([s for _, s in rows])
                 stacks.append((stack, slice(len(order), len(order) + len(rows)), schemes))
                 order += rows
@@ -574,18 +560,27 @@ class MonteCarloRows:
     def rho(self) -> np.ndarray:
         return np.array([self.plans[p][s][0].rho for p, s in self.order])[:, None, None]
 
-    def posteriors(self, horizon: int):
-        """Runs every stack's covariance recursion, storing the gains and
-        each plan's NMSE trace.  Yields, per kind and user v, the points p
-        and schemes s of the kind's rows, v and what the kind's
-        ``TrackerStack.posteriors`` yields for v."""
+    def posteriors(self, horizon: int, scene_mu: mu.MultiuserScene) -> tuple:
+        """Runs every stack's covariance recursion, which stores the stack's
+        gains, and sets each plan's NMSE trace.  Returns, per point, scheme,
+        block and user, tr P and the self-error term, (P, S, horizon, U)
+        each, and the leakage into every user, (P, S, horizon, U, U): each
+        kind's diag P is reduced to its leakage, user v's r_v modes at a
+        time, before the next kind's recursion runs."""
+        n_users = len(self.plans[0][0])
+        err, self_err = np.empty((2, len(self.plans), len(self.plans[0]), horizon, n_users))
+        leak = np.empty((*err.shape, n_users))
         for stack, block, _ in self.stacks:
-            points, schemes = np.array(self.order[block]).T
-            for v, post in enumerate(stack.posteriors(horizon)):
-                for p, s, nmse in zip(points, schemes, post[0] / float(stack.lams[v].sum())):
-                    self.plans[p][s][v].nmse = nmse
-                yield points, schemes, v, post
-                del post  # free this diag P before the next recursion runs
+            at = tuple(np.array(self.order[block]).T)  # the rows' points and schemes
+            err_k, self_err_k, diag = stack.posteriors(horizon)
+            err[at], self_err[at] = err_k.swapaxes(1, 2), self_err_k.swapaxes(1, 2)
+            for v, lam in enumerate(stack.lams):
+                leak[(*at, slice(None), v)] = mu.user_leakage(scene_mu, v,
+                                                              diag[:, v, :, :len(lam)])
+            del diag  # free it before the next kind's recursion runs
+        for (p, s, u), plan in np.ndenumerate(np.array(self.plans, dtype=object)):
+            plan.nmse = err[p, s, :, u] / float(plan.lam.sum())
+        return err, self_err, leak
 
 
 def _chunk(seed_seqs, rows, horizon, frame, cross):
@@ -674,7 +669,7 @@ class MultiuserTable:
     sinr_det: dict  # (horizon, U) deterministic equivalent
     sinr_lb: dict  # (U,) steady-state lower bound, nan where undefined
     sinr_det_ss: dict  # (U,) deterministic SINR at the converged state, nan where undefined
-    user_plans: list  # per user, {scheme: SchemePlan}
+    user_plans: list  # per user, {scheme: Tracker}
 
     def _se(self, sinr):
         return mu.spectral_efficiency(sinr, self.n_users, self.frame.m_p, self.frame.m)
@@ -714,7 +709,7 @@ def run_schemes(
     return run_multiuser_scene([scene], frame, schemes, mc_runs, seed, horizon)
 
 
-def _steady_state(scene_mu, plans, rho):
+def steady_state(scene_mu, plans, rho):
     """Per-user steady-state bound (at the envelopes of every user's periodic
     design) and converged deterministic SINR (at the post-training floor,
     zero under perfect knowledge) of one scheme, nan where undefined."""
@@ -774,35 +769,22 @@ def run_multiuser_sweep(
     if n_users > 1 and unavailable:
         raise ValueError(f"schemes {unavailable} are not available in the multiuser "
                          f"path; choose among {MU_SCHEMES}")
-    scene_mu = mu.MultiuserScene(
-        users=[mu.UserLink(stats=ChannelStatistics(
-            a=s.a, r_h=s.covariance, u=s.u_sim,
-            lam=s.lam_sim, rank=s.r_sim)) for s in scenes],
-        m=frames[0].m, m_p=frames[0].m_p,
-    )
+    scene_mu = _multiuser_scene(scenes, frames[0])
     by_user = []  # by_user[p][u][s] is user u's plan of scheme s at point p
     for frame in frames:
         rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
         by_user.append([[_scheme_plan(scene, frame, horizon, name, rng_scene)
                          for name in schemes] for scene in scenes])
     rows = MonteCarloRows.of([list(zip(*point)) for point in by_user])
-
-    # per point, scheme, block and user: tr P, the self-error term and the
-    # leakage into every user, each user's diag P reduced as its stack yields it
-    err, self_err = np.empty((2, len(frames), len(schemes), horizon, n_users))
-    leak = np.empty((*err.shape, n_users))
-    for p, s, v, (err_v, self_err_v, diag) in rows.posteriors(horizon):
-        err[p, s, :, v], self_err[p, s, :, v] = err_v, self_err_v
-        leak[p, s, :, v] = mu.user_leakage(scene_mu, v, diag)
-        del diag  # free it before the next recursion runs
-    det = mu.sinr_equivalent(np.array([s.lam_sim.sum() for s in scenes]), err, self_err, leak,
+    det = mu.sinr_equivalent(np.array([s.lam_sim.sum() for s in scenes]),
+                             *rows.posteriors(horizon, scene_mu),
                              np.array([frame.rho for frame in frames])[:, None, None, None])
 
     means = _monte_carlo(rows, seed, mc_runs, horizon, frames[0], scene_mu.cross)
     tables = []
     for frame, point, det_p, sinr_mc, se_mc in zip(frames, by_user, det, *means):
         by_scheme = list(zip(*point))
-        lb, det_ss = zip(*(_steady_state(scene_mu, plans, frame.rho) for plans in by_scheme))
+        lb, det_ss = zip(*(steady_state(scene_mu, plans, frame.rho) for plans in by_scheme))
         tables.append(MultiuserTable(
             schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
             nmse={name: np.mean([p.nmse for p in plans], axis=0)

@@ -29,8 +29,8 @@ def min_ss_mse(lam, a, rho, g):
     rho = np.asarray(rho, dtype=float)
     g = np.asarray(g, dtype=float)
     # each check is written to fail on nan
-    if not (lam > 0).all():
-        raise ValueError("eigenvalue must be positive")
+    if not ((lam > 0) & (lam < np.inf)).all():
+        raise ValueError("eigenvalue must be positive and finite")
     if not ((a >= 0) & (a <= 1)).all():
         raise ValueError("temporal coefficient must lie in [0, 1]")
     if not (rho >= 0).all():
@@ -56,6 +56,15 @@ def max_ss_mse(lam_floor, lam, a, g):
     lam = np.asarray(lam, dtype=float)
     a = np.asarray(a, dtype=float)
     g = np.asarray(g, dtype=float)
+    # each check is written to fail on nan
+    if not ((lam_floor >= 0) & (lam_floor < np.inf)).all():
+        raise ValueError("lam_floor must be finite and nonnegative")
+    if not ((lam > 0) & (lam < np.inf)).all():
+        raise ValueError("eigenvalue lam must be positive and finite")
+    if not ((a >= 0) & (a <= 1)).all():
+        raise ValueError("temporal coefficient a must lie in [0, 1]")
+    if not (g >= 1).all():
+        raise ValueError("training interval g must be >= 1")
     decay = a ** (2.0 * (g - 1.0))
     out = decay * lam_floor + (1.0 - decay) * lam
     return float(out) if out.ndim == 0 else out

@@ -164,10 +164,12 @@ def test_lemma1_estimate_covariance():
     c = cm.complex_normal(rng, (runs, r)) * np.sqrt(lam)
     chat = np.zeros((runs, r), dtype=complex)
     blocks = 8  # fixed block index 2G
-    ((_, _, diag),) = sim.TrackerStack.of([[plan]], r).posteriors(8)
-    lam_bar = diag[0, blocks - 1]
+    stack = sim.TrackerStack.of([[plan]])
+    _, _, diag = stack.posteriors(8)
+    lam_bar = diag[0, 0, blocks - 1]
     for ell in range(blocks):
-        plan.sample_step(chat, c, cm.complex_normal(rng, (runs, frame.m_p)), ell)
+        stack.step(chat[None, None], c[None], cm.complex_normal(rng, (runs, frame.m_p))[None, None],
+                   ell)
         if ell < blocks - 1:
             c = scene.a * c + np.sqrt(1 - scene.a**2) * (
                 cm.complex_normal(rng, (runs, r)) * np.sqrt(lam))

@@ -161,12 +161,16 @@ def diag_tracker(stats, sched, rho, a=None):
                        stats.a if a is None else a, rho, sched=sched)
 
 
+def one_row(tracker):
+    """The tracker's one-row stack, whose recursion has stored its gains,
+    and its (horizon, r) posterior error variances."""
+    stack = sim.TrackerStack.of([[tracker]])
+    _, _, diag = stack.posteriors(len(tracker.sched))
+    return stack, diag[0, 0]
+
+
 def posteriors(tracker):
-    """The tracker's (horizon, r) posterior error variances from its
-    one-row stack's recursion, which also stores its gains."""
-    stack = sim.TrackerStack.of([[tracker]], len(tracker.lam))
-    ((_, _, diag),) = stack.posteriors(len(tracker.sched))
-    return diag[0]
+    return one_row(tracker)[1]
 
 
 class TestDiagonalPath:
@@ -174,12 +178,11 @@ class TestDiagonalPath:
 
     def test_empty_update_is_identity(self):
         stats = make_stats()
-        tracker = diag_tracker(stats, [[]], rho=2.0)
-        (lam_bar,) = posteriors(tracker)
+        stack, (lam_bar,) = one_row(diag_tracker(stats, [[]], rho=2.0))
         chat = np.arange(stats.rank, dtype=complex)[None, :]
         before = chat.copy()
-        tracker.sample_step(chat, np.ones((1, stats.rank), dtype=complex),
-                            np.zeros((1, 0), dtype=complex), 0)
+        stack.step(chat[None, None], np.ones((1, 1, stats.rank), dtype=complex),
+                   np.zeros((1, 1, 1, 0), dtype=complex), 0)
         assert np.allclose(lam_bar, stats.lam)  # the prior of block 0
         assert np.allclose(chat, before)
 
@@ -201,14 +204,15 @@ class TestDiagonalPath:
         rng = np.random.default_rng(5)
         schedule = [[0, 1], [2, 3], [0, 4], [1, 2], [0, 3], [4, 5]]
         full = kalman.init(stats)
-        diag = diag_tracker(stats, schedule, rho)
+        diag, lam_bars = one_row(diag_tracker(stats, schedule, rho))
         chat = np.zeros((1, stats.rank), dtype=complex)
         h = cm.stationary_channel(stats, rng)
-        for ell, lam_bar in enumerate(posteriors(diag)):
+        for ell, lam_bar in enumerate(lam_bars):
             s = np.sqrt(rho) * stats.u[:, schedule[ell]]
             w = cm.complex_normal(rng, 2)
             full = kalman.measurement_update(full, s, s.conj().T @ h + w)
-            diag.sample_step(chat, (stats.u.conj().T @ h)[None, :], w[None, :], ell)
+            diag.step(chat[None, None], (stats.u.conj().T @ h)[None, None], w[None, None, None],
+                      ell)
             # posterior covariance stays simultaneously diagonalizable
             p_in_basis = stats.u.conj().T @ full.p_est @ stats.u
             assert np.allclose(np.diag(p_in_basis), lam_bar, atol=1e-10)

@@ -182,7 +182,7 @@ class TestProductionPathAgainstReference:
                 floors = [np.zeros(len(p.lam)) for p in plans]
                 assert np.all(np.isnan(table.sinr_lb[name]))
             else:
-                paths = [next(sim.TrackerStack.of([[p]], len(p.lam)).posteriors(horizon))[2][0]
+                paths = [sim.TrackerStack.of([[p]]).posteriors(horizon)[2][0, 0]
                          for p in plans]
                 profiles = [ss.profile(p.lam, p.a, p.rho, p.design.g_padded(len(p.lam)))
                             for p in plans]

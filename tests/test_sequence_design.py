@@ -409,7 +409,7 @@ class TestExpansion:
         tracker = sim.Tracker("full", 3, np.ones(5), 0.9, 1.0,
                               sched=sim._horizon_schedule(seq.c - 1, 4), s_u=np.eye(5))
         with pytest.raises(IndexError, match="sounding basis"):
-            sim.TrackerStack.of([[tracker]], 5)
+            sim.TrackerStack.of([[tracker]])
 
 
 class TestSerialization:

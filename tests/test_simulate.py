@@ -113,12 +113,16 @@ class TestEngineAgainstKalmanModule:
         schemes = ["min_max_dft", "orthogonal", "random"]
         together = sim.build_single_user_plans(scene, frame, horizon, schemes,
                                                np.random.default_rng(0))
+        stacked = sim.TrackerStack.of([[plan] for plan in together])
+        stacked.posteriors(horizon)
         det = sim.run_schemes(scene, frame, schemes, 1, 0, horizon).sinr_det
-        for plan, name in zip(together, schemes):
+        for k, (plan, name) in enumerate(zip(together, schemes)):
             (alone,) = sim.build_single_user_plans(scene, frame, horizon, [name],
                                                    np.random.default_rng(0))
+            one_row = sim.TrackerStack.of([[alone]])
+            one_row.posteriors(horizon)
             assert plan.kind == alone.kind == "full"
-            assert np.array_equal(plan.gains, alone.gains)
+            assert np.array_equal(stacked.gains[k], one_row.gains[0])
             assert np.array_equal(plan.nmse, alone.nmse)
             single = sim.run_schemes(scene, frame, [name], 1, 0, horizon)
             assert np.array_equal(det[name], single.sinr_det[name])
@@ -146,8 +150,8 @@ class TestEngineAgainstKalmanModule:
         frame = small_frame()
         horizon = 3000
         plan = sim._scheme_plan(scene, frame, horizon, "orthogonal", np.random.default_rng(0))
-        ((err, self_err, _),) = sim.TrackerStack.of([[plan]], scene.r_sim).posteriors(horizon)
-        (err,), (self_err,) = err, self_err
+        err, self_err, _ = sim.TrackerStack.of([[plan]]).posteriors(horizon)
+        ((err,),), ((self_err,),) = err, self_err
         dft = cm._dft_matrix(32)
         r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
         stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
@@ -177,7 +181,7 @@ class TestEngineAgainstKalmanModule:
             return sim._scheme_plan(scene, dataclasses.replace(frame, **changes), horizon,
                                     name, np.random.default_rng(0))
 
-        sim.TrackerStack.of([[plan(scenes[0])], [plan(scenes[0], "random", rho=2.0)]], 12)
+        sim.TrackerStack.of([[plan(scenes[0])], [plan(scenes[0], "random", rho=2.0)]])
         for rows, field in (([[plan(scenes[0])], [plan(scenes[1])]], "lam"),
                             ([[plan(scenes[0])], [plan(scenes[0], horizon=9)]],
                              "schedule length"),
@@ -185,11 +189,11 @@ class TestEngineAgainstKalmanModule:
                             ([[plan(scenes[0], "min_max")], [plan(scenes[0], "mp_fixed",
                                                                   m_p=1)]], "m_p")):
             with pytest.raises(ValueError, match=f"share {field}, but row 1 of user 0"):
-                sim.TrackerStack.of(rows, 12)
+                sim.TrackerStack.of(rows)
         moved = plan(scenes[0])
         moved.a = 0.5
         with pytest.raises(ValueError, match="share a,"):
-            sim.TrackerStack.of([[plan(scenes[0])], [moved]], 12)
+            sim.TrackerStack.of([[plan(scenes[0])], [moved]])
 
     def test_dft_plan_uses_projected_spectrum_for_design(self):
         scene = small_scene(n=16)
@@ -401,7 +405,7 @@ class TestMonteCarloAgainstDeterministic:
 
 def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
     """Oracle of ``sim._monte_carlo`` at one operating point, stepping each
-    plan on its own (``sample_step``), that draws each run's whole horizon of
+    plan on its own (its one-row ``TrackerStack``), that draws each run's whole horizon of
     channel innovations and pilot noise at once, in the arithmetic form
     (z_re + 1j z_im) / sqrt(2), into whole-horizon buffers."""
     def complex_rows(gen, shape):
@@ -413,6 +417,10 @@ def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
     a = np.array([p.a for p in plans[0]])[:, None, None]
     evolve = np.sqrt(1.0 - a * a)
     perfect = np.array([row[0].kind == "perfect" for row in plans])
+    stacks = [[sim.TrackerStack.of([[p]]) for p in row] for row in plans]
+    for row in stacks:
+        for stack in row:
+            stack.posteriors(horizon)
     means = np.zeros((2, n_schemes, horizon, n_users))
     for first in range(0, mc_runs, sim.CHUNK_RUNS):
         seqs = run_seqs[first:first + sim.CHUNK_RUNS]
@@ -432,12 +440,12 @@ def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
                     noise[s, u, i] = complex_rows(np.random.default_rng(streams[pos]),
                                                   (horizon, frame.m_p))
         hats = np.zeros((n_schemes, n_users, n_runs, r_max), dtype=complex)
-        steps = [(p, hats[s, u, :, :len(p.lam)], c[u, :, :len(p.lam)], noise[s, u])
+        steps = [(stacks[s][u], hats[s, u, :, :len(p.lam)], c[u, :, :len(p.lam)], noise[s, u])
                  for s, row in enumerate(plans) for u, p in enumerate(row) if not perfect[s]]
         sums = np.zeros_like(means)
         for ell in range(horizon):
-            for plan, chat, chan, pilots in steps:
-                plan.sample_step(chat, chan, pilots[:, ell, :], ell)
+            for stack, chat, chan, pilots in steps:
+                stack.step(chat[None, None], chan[None], pilots[None, None, :, ell, :], ell)
             hats[perfect] = c
             sinr = sim._realized_sinr(c, hats, frame.rho, cross)
             sums[0, :, ell] += sinr.sum(axis=-1)
@@ -450,7 +458,8 @@ def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
 
 
 def monte_carlo_inputs(scenes, frame, schemes, horizon):
-    """plans[s][u] and the cross tensor that ``sim._monte_carlo`` takes."""
+    """The rows of plans[s][u], their recursions run, and the cross tensor
+    that ``sim._monte_carlo`` takes."""
     rng = np.random.default_rng(0)
     plans = [[sim.build_single_user_plans(scene, frame, horizon, [name], rng)[0]
               for scene in scenes] for name in schemes]
@@ -459,7 +468,9 @@ def monte_carlo_inputs(scenes, frame, schemes, horizon):
                                                       lam=s.lam_sim, rank=s.r_sim))
                for s in scenes],
         rho=frame.rho, m=frame.m, m_p=frame.m_p)
-    return plans, scene_mu.cross
+    rows = sim.MonteCarloRows.of([plans])
+    rows.posteriors(horizon, scene_mu)
+    return rows, scene_mu.cross
 
 
 def realized_sinr_batch(n_users, n_rows):
@@ -492,9 +503,10 @@ class TestSlabStreaming:
         assert scenes[0].r_sim != scenes[1].r_sim
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
         horizon, runs = 2 * sim.SLAB + 37, sim.CHUNK_RUNS + 5
-        plans, cross = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
+        rows, cross = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
+        plans = rows.plans[0]
         assert plans[0][0].kind == "diag"
-        got = sim._monte_carlo(sim.MonteCarloRows.of([plans]), 9, runs, horizon, frame, cross)[:, 0]
+        got = sim._monte_carlo(rows, 9, runs, horizon, frame, cross)[:, 0]
         want = bulk_draw_monte_carlo(plans, 9, runs, horizon, frame, cross)
         assert got.tobytes() == want.tobytes()
 
@@ -506,8 +518,7 @@ class TestSlabStreaming:
         frame = cfg.frame.build()
         peaks = []
         for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
-            plans, cross = monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon)
-            rows = sim.MonteCarloRows.of([plans])
+            rows, cross = monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon)
             tracemalloc.start()
             try:
                 sim._monte_carlo(rows, 1, 32, horizon, frame, cross)
@@ -572,6 +583,36 @@ class TestSweep:
             sim.run_multiuser_sweep([small_scene()], [frame, small_frame(g_len=8)],
                                     ["min_max"], 1, 0, 8)
 
+    @pytest.mark.parametrize("scheme, kind", [("min_max", "diag"), ("orthogonal", "full")])
+    def test_posteriors_pad_unequal_ranks(self, scheme, kind):
+        # a stack of users of unequal rank returns arrays zero-padded to the
+        # largest; every user's slice, and its gains, equal its one-user
+        # stack's bit for bit
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        r = [s.r_sim for s in scenes]
+        assert r[0] != r[1]
+        frame, horizon = small_frame(), 6
+        rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), horizon, scheme,
+                                  np.random.default_rng(0)) for s in scenes] for rho in (1.0, 8.0)]
+        assert rows[0][0].kind == kind
+        stack = sim.TrackerStack.of(rows)
+        err, self_err, diag = stack.posteriors(horizon)
+        assert err.shape == self_err.shape == (2, 2, horizon)
+        assert diag.shape == (2, 2, horizon, max(r))
+        for k, row in enumerate(rows):
+            for u, plan in enumerate(row):
+                one_row = sim.TrackerStack.of([[plan]])
+                alone = one_row.posteriors(horizon)
+                for got, want in zip((err[k, u], self_err[k, u], diag[k, u, :, :r[u]]), alone):
+                    assert got.tobytes() == want[0, 0].tobytes()
+                assert not np.any(diag[k, u, :, r[u]:])
+                if kind == "diag":
+                    assert stack.gains[:, k, u].tobytes() == one_row.gains[:, 0, 0].tobytes()
+                else:
+                    assert (stack.gains[k, u, :, :r[u]].tobytes()
+                            == one_row.gains[0, 0].tobytes())
+                    assert not np.any(stack.gains[k, u, :, r[u]:])
+
     def test_full_stack_pads_unequal_ranks(self):
         # full rows of users of unequal rank, zero-padded to the largest,
         # step as each tracker does alone
@@ -582,7 +623,12 @@ class TestSweep:
         rows = [[sim.build_single_user_plans(s, dataclasses.replace(frame, rho=rho), horizon,
                                              ["orthogonal"], np.random.default_rng(0))[0]
                  for s in scenes] for rho in (1.0, 8.0)]
-        stack = sim.TrackerStack.of(rows, max(r))
+        stack = sim.TrackerStack.of(rows)
+        stack.posteriors(horizon)
+        one_rows = [[sim.TrackerStack.of([[plan]]) for plan in row] for row in rows]
+        for row in one_rows:
+            for one_row in row:
+                one_row.posteriors(horizon)
         rng = np.random.default_rng(3)
         c = np.zeros((2, runs, max(r)), dtype=complex)
         hats = np.zeros((2, 2, runs, max(r)), dtype=complex)
@@ -594,7 +640,8 @@ class TestSweep:
             stack.step(hats, c, noise, ell)
             for k, row in enumerate(rows):
                 for u, plan in enumerate(row):
-                    plan.sample_step(alone[k][u], c[u, :, :r[u]], noise[k, u], ell)
+                    one_rows[k][u].step(alone[k][u][None, None], c[None, u, :, :r[u]],
+                                        noise[None, None, k, u], ell)
                     np.testing.assert_allclose(hats[k, u, :, :r[u]], alone[k][u], rtol=1e-12,
                                                atol=1e-14)
                     assert not np.any(hats[k, u, :, r[u]:])

@@ -100,6 +100,12 @@ class TestMinSsMse:
         with pytest.raises(ValueError):
             ss.min_ss_mse(*bad)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.array([1.0, np.inf])])
+    def test_infinite_eigenvalue_rejected(self, lam):
+        # the closed form reads inf / inf = nan there
+        with pytest.raises(ValueError, match="eigenvalue"):
+            ss.min_ss_mse(lam, 0.9, 1.0, 1)
+
 
 class TestMaxSsMse:
     def test_every_block_training_collapses_envelope(self):
@@ -108,6 +114,18 @@ class TestMaxSsMse:
 
     def test_static_channel_collapses_envelope(self):
         assert ss.max_ss_mse(0.3, 1.0, 1.0, 7) == pytest.approx(0.3, rel=1e-14)
+
+    @pytest.mark.parametrize("bad, name", [
+        ((-0.1, 1.0, 0.9, 2), "lam_floor"), ((np.inf, 1.0, 0.9, 2), "lam_floor"),
+        ((np.nan, 1.0, 0.9, 2), "lam_floor"), ((0.5, 0.0, 0.9, 2), "lam"),
+        ((0.5, np.inf, 0.9, 2), "lam"), ((0.5, np.nan, 0.9, 2), "lam"),
+        ((0.5, 1.0, 1.5, 2), "a"), ((0.5, 1.0, -0.1, 2), "a"), ((0.5, 1.0, np.nan, 2), "a"),
+        ((0.5, 1.0, 0.9, 0), "g"), ((0.5, 1.0, 0.9, np.nan), "g"),
+        ((np.array([0.5, np.nan]), 1.0, 0.9, 2), "lam_floor")])
+    def test_out_of_range_input_rejected(self, bad, name):
+        # a = 1.5 once aged the floor to a negative ceiling, -0.125
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            ss.max_ss_mse(*bad)
 
     def test_long_interval_approaches_channel_power(self):
         floor = ss.min_ss_mse(2.0, 0.7, 5.0, 1)
