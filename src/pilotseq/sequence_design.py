@@ -301,7 +301,8 @@ def sequence_invariant_violations(c: np.ndarray, g, frame: FrameParams):
     Returns a list of violation strings: rows must hold M_p distinct
     entries; index i must appear exactly G/g_i times inside one fixed
     column, at rows forming an arithmetic progression of step g_i; and the
-    entries must cover exactly 1..n_d.
+    entries must cover exactly 1..n_d.  One row-major walk over the matrix's
+    Python values collects every entry's cells.
     """
     problems = []
     g_len, m_p = c.shape
@@ -309,25 +310,31 @@ def sequence_invariant_violations(c: np.ndarray, g, frame: FrameParams):
         problems.append(f"shape {c.shape} != ({frame.g_len}, {frame.m_p})")
         return problems
     n_d = len(g)
-    values = set(int(v) for v in c.ravel())
+    cells = c.tolist()
+    values = {int(v) for row in cells for v in row}
     if values != set(range(1, n_d + 1)):
         problems.append(f"entries cover {sorted(values)} instead of 1..{n_d}")
         return problems
-    for row in c:
-        if len(set(int(v) for v in row)) != m_p:
-            problems.append(f"row {row} repeats an index")
-    for i in range(1, n_d + 1):
-        rows, cols = np.nonzero(c == i)
-        expected = frame.g_len // g[i - 1]
+    rows_of, cols_of = {}, {}  # each entry's rows, ascending, and columns
+    for q, row in enumerate(cells):
+        if len({int(v) for v in row}) != m_p:
+            problems.append(f"row {c[q]} repeats an index")
+        for j, v in enumerate(row):
+            if v in rows_of:
+                rows_of[v].append(q)
+                cols_of[v].add(j)
+            else:
+                rows_of[v], cols_of[v] = [q], {j}
+    for i, g_i in enumerate(g, start=1):
+        rows = rows_of.get(i, [])
+        expected = frame.g_len // g_i
         if len(rows) != expected:
             problems.append(f"index {i} appears {len(rows)} times, expected {expected}")
             continue
-        if len(set(cols.tolist())) != 1:
-            problems.append(f"index {i} appears in multiple columns {sorted(set(cols.tolist()))}")
-        if len(rows) > 1:
-            steps = np.diff(np.sort(rows))
-            if not np.all(steps == g[i - 1]):
-                problems.append(f"index {i} rows {sorted(rows.tolist())} not {g[i-1]}-periodic")
+        if len(cols_of[i]) != 1:
+            problems.append(f"index {i} appears in multiple columns {sorted(cols_of[i])}")
+        if any(q_next - q != g_i for q, q_next in zip(rows, rows[1:])):
+            problems.append(f"index {i} rows {rows} not {g_i}-periodic")
     return problems
 
 
@@ -338,20 +345,20 @@ def construct_sequence_matrix(asn: IntervalAssignment, frame: FrameParams) -> Se
     still-empty column and its right neighbours receive consecutive new
     indices, each replicated down its column at the stride given by its
     interval.  Completion for every feasible ordered assignment is
-    guaranteed by the prime-power frame length.
+    guaranteed by the prime-power frame length.  The walk runs on Python
+    ints, 0 marking an empty entry.
     """
     problems = validate_assignment(asn, frame)
     if problems:
         raise ValueError("invalid assignment: " + "; ".join(problems))
     g_len, m_p = frame.g_len, frame.m_p
-    c = np.zeros((g_len, m_p), dtype=int)
+    cells = [[0] * m_p for _ in range(g_len)]
     next_index = 1
-    for q in range(g_len):
-        empty = np.flatnonzero(c[q] == 0)
-        if empty.size == 0:
+    for q, row in enumerate(cells):
+        if 0 not in row:
             continue
-        j_first = int(empty[0])
-        if not np.all(c[q, j_first:] == 0):
+        j_first = row.index(0)
+        if any(row[j_first:]):
             raise RuntimeError(
                 "construction met a determined entry right of the first empty "
                 "column; assignment should not have passed validation"
@@ -361,20 +368,21 @@ def construct_sequence_matrix(asn: IntervalAssignment, frame: FrameParams) -> Se
             if idx > asn.n_d:
                 raise RuntimeError("construction ran out of mode indices")
             stride = asn.g[idx - 1]
-            rows = np.arange(q, g_len, stride)
-            if len(rows) != g_len // stride or np.any(c[rows, j] != 0):
+            rows = range(q, g_len, stride)
+            if len(rows) != g_len // stride or any(cells[p][j] for p in rows):
                 raise RuntimeError(
                     f"column {j} cannot host index {idx} at stride {stride}"
                 )
-            c[rows, j] = idx
+            for p in rows:
+                cells[p][j] = idx
         next_index += m_p - j_first
-    if np.any(c == 0) or next_index != asn.n_d + 1:
+    if any(0 in row for row in cells) or next_index != asn.n_d + 1:
         raise RuntimeError("construction terminated with undetermined entries")
-    seq = SequenceMatrix(c=c, g=asn.g, n_d=asn.n_d)
+    c = np.array(cells, dtype=int)
     problems = sequence_invariant_violations(c, asn.g, frame)
     if problems:
         raise RuntimeError("constructed matrix violates invariants: " + "; ".join(problems))
-    return seq
+    return SequenceMatrix(c=c, g=asn.g, n_d=asn.n_d)
 
 
 def save_sequence_csv(path, seq: SequenceMatrix, frame: FrameParams) -> None:

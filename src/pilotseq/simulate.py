@@ -29,14 +29,18 @@ its own one-row recursion bit for bit.  A single-user run is the one-user
 case of the multiuser run, and a run at one operating point is the
 one-point case of an SNR sweep: one run path, one result table per point.
 
-Monte Carlo runs a whole sweep in one pass.  Its rows are the (operating
-point, scheme) pairs, ordered by tracker kind: diag rows, then full, then
-perfect.  The kernel keeps a chunk of runs in stacked arrays zero-padded
-to the largest user rank r, channels (U, runs, r) and estimates (K, U,
-runs, r) for K rows, so each kind's estimates are a contiguous block of
-rows.  Per block it draws and evolves the channel once, makes one stacked
-step per tracker kind (``TrackerStack.step``, the only estimate update)
-and one realized-SINR call for every row and user, with each row's rho.
+Monte Carlo runs a whole sweep in one pass.  Its K output rows are the
+(operating point, scheme) pairs, ordered by tracker kind: diag rows, then
+full, then perfect.  Its E estimate rows are the noisy output rows, each
+owning its estimate, and one row per perfect scheme, which every point's
+row of that scheme reads: perfect knowledge is the channel itself,
+whatever the rho.  The kernel keeps a chunk of runs in stacked arrays
+zero-padded to the largest user rank r, channels (U, runs, r) and
+estimates (E, U, runs, r), so each kind's estimates are a contiguous block
+of rows.  Per block it draws and evolves the channel once, makes one
+stacked step per tracker kind (``TrackerStack.step``, the only estimate
+update) and one realized-SINR call for every output row and user: the
+estimate-only terms once per estimate row, then each output row's rho.
 
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user, whatever the number of points; the
@@ -159,7 +163,8 @@ class Tracker:
 class TrackerStack:
     """The trackers of one kind in K rows for U users, advanced as one.
 
-    A row is one (operating point, scheme) pair of a run; a user's rows
+    A row is one (operating point, scheme) pair of a run, or one perfect
+    scheme at every point (see ``MonteCarloRows``); a user's rows
     share its spectrum and AR(1) coefficient, and all rows the number of
     pilots m_p and the horizon.  diag: ``sched`` (horizon, K, U, m_p) holds
     each tracker's mode indices.  full: ``cols`` (r, n) holds every
@@ -495,66 +500,98 @@ def _draw_complex(gen, buf, sd, scratch):
         np.multiply(parts, np.repeat(sd, 2), out=buf.view(float))
 
 
-def _realized_sinr(c, hats, rho, cross):
-    """Worst-case-noise matched-filter SINR of every row and user over a
-    batch: channels c (U, runs, r) and estimates hats (K, U, runs, r) in
-    each user's eigencoordinates, zero-padded to the largest rank r, each
-    row's data power rho (K, 1, 1) or one for all, and cross[u, v] =
-    U_u^H U_v into user u's coordinates (its diagonal is never read).
-    Returns (K, U, runs).
+def _cross_pairs(cross):
+    """The off-diagonal user pairs (u, v), u != v, of a (U, U, r, r) cross
+    tensor in row-major order, as index arrays us and vs, and their (U(U -
+    1), r, r) stack cross[us, vs]."""
+    us, vs = np.nonzero(~np.eye(len(cross), dtype=bool))
+    return us, vs, cross[us, vs]
 
-    The pair term h_u^H (X_uv h_hat_v) is taken as (X_uv^H h_u)^H h_hat_v:
-    the channel-side projections are U(U - 1) matmuls of (runs, r) by (r,
-    r) per call whatever the row count K, and each row's pair dots are one
+
+def _realized_sinr(c, hats, rho, cross, est=None, pairs=None):
+    """Worst-case-noise matched-filter SINR of every output row and user
+    over a batch: channels c (U, runs, r) and estimates hats (E, U, runs, r)
+    in each user's eigencoordinates, zero-padded to the largest rank r, the
+    estimate row est (K,) of each of the K output rows (None when output
+    row k reads estimate row k), each output row's data power rho (K, 1, 1)
+    or one for all, and cross[u, v] = U_u^H U_v into user u's coordinates
+    (its diagonal is never read); pairs, ``_cross_pairs(cross)``, may be
+    passed in built once for many calls.  Returns (K, U, runs).
+
+    The estimate-only terms, ||h_hat||^2, the self-error |h^H h_hat -
+    ||h_hat||^2|^2 and the pair interference, are taken once per estimate
+    row; each output row then adds its own noise term U ||h_hat||^2 / rho
+    and its interferers in ascending v, so an output row has the bits of
+    its estimate row's call at its rho.  The pair term h_u^H (X_uv h_hat_v)
+    is taken as (X_uv^H h_u)^H h_hat_v: the U(U - 1) channel-side
+    projections are one stacked matmul, a (runs, r) by (r, r) gemm per
+    pair whatever the row count, and each estimate row's pair dots are one
     gemv per (row, v, run), so a row's bits do not depend on the rows
     beside it.
     """
     n_users = hats.shape[1]
+    at = slice(None) if est is None else est  # a view, or the gather of each output row
     flat = hats.view(float)
     nrm2 = np.vecdot(flat, flat)
     err = np.vecdot(c, hats) - nrm2  # h_u^H h_hat_u - ||h_hat_u||^2
+    norm = nrm2[at]
     with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 gives sigma = inf
-        sigma = n_users * nrm2 / rho + (err.real * err.real + err.imag * err.imag)
+        sigma = n_users * norm / rho + (err.real * err.real + err.imag * err.imag)[at]
         if n_users > 1:  # a lone user has no pair
             # proj[u, v] = (X_uv^H h_u)^H, zero at v = u: no interferer, so it adds +0.0
-            c_conj, proj = c.conj(), np.zeros((n_users, *c.shape), dtype=complex)
-            for u in range(n_users):
-                for v in range(n_users):
-                    if v != u:
-                        np.matmul(c_conj[u], cross[u, v], out=proj[u, v])
-            dot = (proj.transpose(1, 2, 0, 3) @ hats[..., None])[..., 0]  # (K, V, runs, U)
+            us, vs, x = _cross_pairs(cross) if pairs is None else pairs
+            c_conj, proj = c[us], np.zeros((n_users, *c.shape), dtype=complex)
+            proj[us, vs] = np.matmul(np.conjugate(c_conj, out=c_conj), x)
+            dot = (proj.transpose(1, 2, 0, 3) @ hats[..., None])[..., 0]  # (E, V, runs, U)
             power = (dot.real * dot.real + dot.imag * dot.imag).transpose(0, 3, 1, 2)
             ratio = np.where(nrm2[:, None] > 0, nrm2[:, :, None] / nrm2[:, None], 0.0)
-            interference = ratio * power  # (K, U, V, runs)
+            interference = (ratio * power)[at]  # (K, U, V, runs)
             for v in range(n_users):  # in ascending v
                 sigma += interference[:, :, v]
-        return np.where(nrm2 > 0, nrm2 ** 2 / sigma, 0.0)
+        return np.where(norm > 0, norm ** 2 / sigma, 0.0)
 
 
 @dataclass
 class MonteCarloRows:
     """The Monte Carlo kernel's rows: every (operating point, scheme) pair of
-    a run, ordered by tracker kind (diag, then full, then perfect; by point,
-    then scheme, within a kind), so that each kind's estimates are one
-    contiguous block of rows, stepped by one ``TrackerStack``."""
+    a run is an output row, ordered by tracker kind (diag, then full, then
+    perfect; by point, then scheme, within a kind).  The estimates live in
+    estimate rows, each kind's one contiguous block stepped by one
+    ``TrackerStack``: a noisy row owns its estimate, while perfect knowledge
+    is the channel itself at every point, so the perfect stack holds one
+    estimate row per perfect scheme, read by that scheme's output row at
+    every point.  ``est`` maps each output row to its estimate row; it is
+    None when every output row owns its estimate (every one-point run)."""
 
     plans: list  # plans[p][s][u], user u's plan of scheme s at point p
-    order: list  # (p, s) of every row
-    stacks: list  # (stack, its rows as a slice, the scheme of each noisy row) per kind
+    order: list  # (p, s) of every output row
+    stacks: list  # (stack, its estimate rows as a slice, the scheme of each noisy row) per kind
+    est: np.ndarray | None  # (K,) the estimate row of each output row, or None
 
     @classmethod
     def of(cls, plans) -> MonteCarloRows:
         """The rows of plans[p][s][u]."""
-        order, stacks = [], []
+        order, stacks, est, n_est = [], [], [], 0
         for kind in ("diag", "full", "perfect"):
             rows = [(p, s) for p, point in enumerate(plans)
                     for s, row in enumerate(point) if row[0].kind == kind]
-            if rows:
-                stack = TrackerStack.of([plans[p][s] for p, s in rows])
-                schemes = None if kind == "perfect" else np.array([s for _, s in rows])
-                stacks.append((stack, slice(len(order), len(order) + len(rows)), schemes))
-                order += rows
-        return cls(plans, order, stacks)
+            if not rows:
+                continue
+            # every point's perfect row of a scheme reads its first point's estimate row
+            keys = [(0, s) if kind == "perfect" else (p, s) for p, s in rows]
+            stack_rows = list(dict.fromkeys(keys))
+            stack = TrackerStack.of([plans[p][s] for p, s in stack_rows])
+            schemes = None if kind == "perfect" else np.array([s for _, s in stack_rows])
+            stacks.append((stack, slice(n_est, n_est + len(stack_rows)), schemes))
+            est += [n_est + stack_rows.index(key) for key in keys]
+            order += rows
+            n_est += len(stack_rows)
+        return cls(plans, order, stacks, None if est == list(range(n_est)) else np.array(est))
+
+    @property
+    def n_est(self) -> int:
+        """The number of estimate rows."""
+        return self.stacks[-1][1].stop
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -566,34 +603,43 @@ class MonteCarloRows:
         block and user, tr P and the self-error term, (P, S, horizon, U)
         each, and the leakage into every user, (P, S, horizon, U, U): each
         kind's diag P is reduced to its leakage, user v's r_v modes at a
-        time, before the next kind's recursion runs."""
+        time, before the next kind's recursion runs, and only the reduced
+        terms of an estimate row are copied to the output rows that read
+        it."""
         n_users = len(self.plans[0][0])
         err, self_err = np.empty((2, len(self.plans), len(self.plans[0]), horizon, n_users))
         leak = np.empty((*err.shape, n_users))
+        est = np.arange(len(self.order)) if self.est is None else self.est
         for stack, block, _ in self.stacks:
-            at = tuple(np.array(self.order[block]).T)  # the rows' points and schemes
+            outputs = (block.start <= est) & (est < block.stop)
+            at = tuple(np.array(self.order)[outputs].T)  # the output rows' points and schemes
+            # their rows of the stack, a slice when each output row owns one
+            own = slice(None) if self.est is None else est[outputs] - block.start
             err_k, self_err_k, diag = stack.posteriors(horizon)
-            err[at], self_err[at] = err_k.swapaxes(1, 2), self_err_k.swapaxes(1, 2)
+            err[at], self_err[at] = err_k[own].swapaxes(1, 2), self_err_k[own].swapaxes(1, 2)
             for v, lam in enumerate(stack.lams):
                 leak[(*at, slice(None), v)] = mu.user_leakage(scene_mu, v,
-                                                              diag[:, v, :, :len(lam)])
+                                                              diag[:, v, :, :len(lam)])[own]
             del diag  # free it before the next kind's recursion runs
         for (p, s, u), plan in np.ndenumerate(np.array(self.plans, dtype=object)):
             plan.nmse = err[p, s, :, u] / float(plan.lam.sum())
         return err, self_err, leak
 
 
-def _chunk(seed_seqs, rows, horizon, frame, cross):
-    """Simulate one chunk of runs through every row for every user.  Returns
-    the (2, K, horizon, U) partial sums of the realized SINR and the
-    spectral efficiency of the K rows.
+def _chunk(seed_seqs, rows, horizon, frame, cross, pairs):
+    """Simulate one chunk of runs through every row for every user, with
+    ``_cross_pairs(cross)`` built once in ``pairs``.  Returns the (2, K,
+    horizon, U) partial sums of the realized SINR and the spectral
+    efficiency of the K output rows.
 
     Each run spawns its streams in one layout, whatever the points: one per
     user channel, then one per (scheme, user).  Every point's row of a
     scheme reads that scheme's pilot noise, and the channel is drawn and
     evolved once per block for all rows.  Perfect knowledge consumes its
-    streams without drawing from them.  Per block, each tracker kind makes
-    one stacked step and one realized-SINR call covers every row and user.
+    streams without drawing from them.  The estimates are (E, U, runs, r)
+    for the E estimate rows.  Per block, each tracker kind makes one
+    stacked step of its estimate rows, and one realized-SINR call covers
+    every output row and user, reading each output row's estimate row.
 
     The channel innovations and pilot noise are drawn a slab of at most SLAB
     blocks at a time into buffers reused across slabs; each stream fills
@@ -620,7 +666,7 @@ def _chunk(seed_seqs, rows, horizon, frame, cross):
             if by_scheme[s][u].kind != "perfect":
                 fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
 
-    hats = np.zeros((len(rows.order), n_users, n_runs, r_max), dtype=complex)
+    hats = np.zeros((rows.n_est, n_users, n_runs, r_max), dtype=complex)
     sums = np.zeros((2, len(rows.order), horizon, n_users))
     for start in range(0, horizon, slab):
         blocks = min(slab, horizon - start)
@@ -630,7 +676,7 @@ def _chunk(seed_seqs, rows, horizon, frame, cross):
             pilots = noise[:, :, :, k]
             for stack, block, schemes in rows.stacks:
                 stack.step(hats[block], c, None if schemes is None else pilots[schemes], ell)
-            sinr = _realized_sinr(c, hats, rows.rho, cross)
+            sinr = _realized_sinr(c, hats, rows.rho, cross, rows.est, pairs)
             sums[0, :, ell] += sinr.sum(axis=-1)
             sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
             c *= a
@@ -643,9 +689,9 @@ def _monte_carlo(rows, seed, mc_runs, horizon, frame, cross):
     (2, P, S, horizon, U), of the rows' plans[p][s], from run streams
     spawned off ``seed``."""
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
-    sums = np.zeros((2, len(rows.order), horizon, len(cross)))
+    sums, pairs = np.zeros((2, len(rows.order), horizon, len(cross))), _cross_pairs(cross)
     for i in range(0, mc_runs, CHUNK_RUNS):  # in run order, one chunk's buffers at a time
-        sums += _chunk(run_seqs[i:i + CHUNK_RUNS], rows, horizon, frame, cross)
+        sums += _chunk(run_seqs[i:i + CHUNK_RUNS], rows, horizon, frame, cross, pairs)
     points, schemes = np.array(rows.order).T
     means = np.empty((2, len(rows.plans), len(rows.plans[0]), horizon, len(cross)))
     means[:, points, schemes] = sums / mc_runs

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotseq import cli
 from pilotseq import sequence_design as sd
 from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
@@ -331,6 +332,58 @@ class TestMinMaxDesign:
         assert gaps and float(np.mean(gaps)) < 0.05
 
 
+def per_index_scan_violations(c, g, frame):
+    """The invariant checker as one ``np.nonzero(c == i)`` scan per index,
+    the oracle of ``sd.sequence_invariant_violations``'s one walk."""
+    problems = []
+    g_len, m_p = c.shape
+    if g_len != frame.g_len or m_p != frame.m_p:
+        problems.append(f"shape {c.shape} != ({frame.g_len}, {frame.m_p})")
+        return problems
+    n_d = len(g)
+    values = set(int(v) for v in c.ravel())
+    if values != set(range(1, n_d + 1)):
+        problems.append(f"entries cover {sorted(values)} instead of 1..{n_d}")
+        return problems
+    for row in c:
+        if len(set(int(v) for v in row)) != m_p:
+            problems.append(f"row {row} repeats an index")
+    for i in range(1, n_d + 1):
+        rows, cols = np.nonzero(c == i)
+        expected = frame.g_len // g[i - 1]
+        if len(rows) != expected:
+            problems.append(f"index {i} appears {len(rows)} times, expected {expected}")
+            continue
+        if len(set(cols.tolist())) != 1:
+            problems.append(f"index {i} appears in multiple columns {sorted(set(cols.tolist()))}")
+        if len(rows) > 1:
+            steps = np.diff(np.sort(rows))
+            if not np.all(steps == g[i - 1]):
+                problems.append(f"index {i} rows {sorted(rows.tolist())} not {g[i-1]}-periodic")
+    return problems
+
+
+def corruptions(c, rng):
+    """Copies of a valid index matrix c, each broken one way: one entry
+    overwritten by another index, by 0 or by n_d + 1, two entries or two
+    rows swapped, a row dropped."""
+    n_d, (g_len, m_p) = int(c.max()), c.shape
+    out = []
+    for value in (int(rng.integers(1, n_d + 1)), 0, n_d + 1):
+        bad = c.copy()
+        bad[rng.integers(g_len), rng.integers(m_p)] = value
+        out.append(bad)
+    bad = c.copy().ravel()
+    i, j = rng.choice(bad.size, size=2, replace=False)
+    bad[[i, j]] = bad[[j, i]]
+    out.append(bad.reshape(c.shape))
+    bad = c.copy()
+    q, p = rng.integers(g_len, size=2)
+    bad[[q, p]] = bad[[p, q]]
+    out += [bad, c[1:]]
+    return out
+
+
 class TestConstruction:
     def test_reference_matrix_shape_and_content(self):
         asn = sd.IntervalAssignment(g=(1, 2, 2, 2, 4, 4), n_d=6, objective=0.0)
@@ -370,6 +423,27 @@ class TestConstruction:
         assert sd.sequence_invariant_violations(seq.c, seq.g, fr) == []
         # resource accounting: every slot of C is consumed exactly once
         assert sum(fr.g_len // gi for gi in asn.g) == fr.g_len * fr.m_p
+
+
+    def test_one_walk_checker_equals_per_index_scan(self):
+        # random valid matrices and their corruptions: the same violation
+        # strings in the same order, every kind of string among them
+        rng = np.random.default_rng(3)
+        kinds = ("shape", "entries cover", "repeats an index", "times, expected",
+                 "multiple columns", "-periodic")
+        seen = set()
+        for _ in range(150):
+            g_len, m_p = int(rng.choice([4, 8, 16, 32])), int(rng.integers(1, 4))
+            asn = cli.random_valid_assignment(rng, g_len, m_p)
+            fr = frame(g_len=g_len, m_p=m_p, m=g_len * m_p + m_p + 1, n_d_max=asn.n_d)
+            if sd.validate_assignment(asn, fr):
+                continue
+            c = sd.construct_sequence_matrix(asn, fr).c
+            for matrix in [c, *corruptions(c, rng)]:
+                got = sd.sequence_invariant_violations(matrix, asn.g, fr)
+                assert got == per_index_scan_violations(matrix, asn.g, fr), matrix
+                seen.update(kind for kind in kinds for problem in got if kind in problem)
+        assert seen == set(kinds), seen
 
 
 class TestExpansion:

@@ -473,11 +473,13 @@ def monte_carlo_inputs(scenes, frame, schemes, horizon):
     return rows, scene_mu.cross
 
 
-def realized_sinr_batch(n_users, n_rows):
+def realized_sinr_batch(n_users, n_rows, shared=False):
     """Scenes, cross tensor, channels (U, runs, r) and estimates (K, U, runs,
     r) for ``sim._realized_sinr``: users of unequal rank (8, 7, 7) zero-padded
     to the largest; rows 0 and 1 are noisy estimates, every later row knows
-    the channel."""
+    the channel.  With ``shared`` the K rows are estimate rows, and an
+    estimate map (2K + 1,) follows: output rows that read every estimate row
+    out of order, most of them more than once."""
     scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)[:n_users]]
     stats = [cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim, lam=s.lam_sim,
                                   rank=s.r_sim)
@@ -493,6 +495,8 @@ def realized_sinr_batch(n_users, n_rows):
             hats[row, u, :, :s.r_sim] = keep * c[u, :, :s.r_sim] + noise * cm.complex_normal(
                 rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
     hats[2:] = c
+    if shared:
+        return scenes, cross, c, hats, np.array([n_rows - 1, 0, *range(n_rows), 1, *range(n_rows)])
     return scenes, cross, c, hats
 
 
@@ -556,6 +560,29 @@ class TestSweep:
                 for name in schemes:
                     assert np.array_equal(getattr(got, key)[name], getattr(want, key)[name],
                                           equal_nan=True)
+
+    def test_perfect_schemes_hold_one_estimate_row_each(self, monkeypatch):
+        # a 3-point sweep allocates P S_noisy + S_perfect estimate rows, every
+        # point's perfect row of a scheme reading the same one; a one-point
+        # run owns one estimate row per output row and builds no map
+        calls, realized_sinr = [], sim._realized_sinr
+
+        def spy(c, hats, rho, cross, est=None, pairs=None):
+            calls.append((len(hats), est))
+            return realized_sinr(c, hats, rho, cross, est, pairs)
+
+        monkeypatch.setattr(sim, "_realized_sinr", spy)
+        scenes = [small_scene()]
+        schemes = ["min_max", "perfect_csit", "mp_fixed"]
+        frames = [dataclasses.replace(small_frame(), rho=rho) for rho in (0.5, 4.0, 30.0)]
+        sim.run_multiuser_sweep(scenes, frames, schemes, 2, 5, 8)
+        assert len(calls) == 8
+        for n_est, est in calls:
+            assert n_est == 3 * 2 + 1
+            assert est.tolist() == [0, 1, 2, 3, 4, 5, 6, 6, 6]
+        calls.clear()
+        sim.run_multiuser_scene(scenes, frames[0], schemes, 2, 5, 8)
+        assert calls and all(n_est == 3 and est is None for n_est, est in calls)
 
     def test_sweep_builds_the_scene_once(self, monkeypatch):
         # the cross tensor and the coupling maps do not depend on rho
@@ -711,6 +738,23 @@ class TestMultiuserEngine:
         for k in range(len(hats)):
             alone = sim._realized_sinr(c, hats[k:k + 1].copy(), rho[k:k + 1], cross)
             assert alone.tobytes() == got[k:k + 1].tobytes(), k
+
+    @pytest.mark.parametrize("n_users", [1, 3])
+    def test_realized_sinr_shared_rows_equal_expanded_rows(self, n_users):
+        # output rows that read shared estimate rows through the map, each
+        # at its own rho (0 among them), equal the call on the estimate rows
+        # duplicated to one per output row, byte for byte, with the pair
+        # stack built inside the call or passed in; a user estimating
+        # nothing included
+        _, cross, c, hats, est = realized_sinr_batch(n_users, 4, shared=True)
+        hats[2, -1] = 0.0
+        rho = np.linspace(0.0, 12.0, len(est))[:, None, None]
+        got = sim._realized_sinr(c, hats, rho, cross, est)
+        want = sim._realized_sinr(c, hats[est], rho, cross)
+        assert got.shape == (len(est), n_users, c.shape[1])
+        assert got.tobytes() == want.tobytes()
+        passed = sim._realized_sinr(c, hats, rho, cross, est, sim._cross_pairs(cross))
+        assert passed.tobytes() == want.tobytes()
 
     def test_realized_sinr_ignores_the_cross_diagonal(self):
         # v = u is no interferer whatever cross[u, u] holds
