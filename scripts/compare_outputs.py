@@ -16,8 +16,10 @@ changes) on the same cases:
   0, 10 and 20 dB (a one-user sweep with full-kind schemes) and on
   ``multiuser_ula32`` with three users of unequal rank (8, 10 and 9 at
   -55, 0 and 35 degrees), the last also at 300 blocks so that its Monte
-  Carlo draws cross a slab boundary (``simulate.SLAB``), each with
-  ``mc_runs`` cut to 16, comparing
+  Carlo draws cross a slab boundary (``simulate.SLAB``) and with the
+  baselines ``mp_fixed``, ``perfect_csit`` and ``nd_fixed`` (a perfect row
+  between diag rows at every SNR point), each with ``mc_runs`` cut to 16,
+  comparing
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` and ``upa375`` with
   ``basis = "dft"`` (the hybrid design of a linear and of a planar array,
@@ -187,6 +189,9 @@ def main(argv: list[str]) -> int:
                 ("simulate", f"3 users, 300 blocks (mc_runs={CUT_RUNS})", "multiuser_ula32",
                  {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]},
                   "horizon_blocks": 300}),
+                ("simulate", f"3 users, mp/perfect/nd (mc_runs={CUT_RUNS})",
+                 "multiuser_ula32", {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]},
+                                     "baselines": ["mp_fixed", "perfect_csit", "nd_fixed"]}),
                 ("design", "demo", "demo", None),
                 ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
                 ("design", "upa375 dft", "upa375", {"basis": "dft"}),

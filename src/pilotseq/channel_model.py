@@ -2,9 +2,8 @@
 uniform linear array being the one-row case.
 
 Builds one-ring covariance matrices, Gauss-Markov temporal correlation
-coefficients, covariance eigensystems, the per-axis DFT approximation of the
-eigenbasis of large Toeplitz covariances, and time-correlated channel
-realizations.
+coefficients, covariance eigensystems and the per-axis DFT approximation of
+the eigenbasis of large Toeplitz covariances.
 """
 
 from __future__ import annotations
@@ -294,26 +293,6 @@ def dft_approximation_upa(
         i, j = divmod(int(flat), n_v)
         cols[:, out] = np.kron(f_h[:, i], f_v[:, j])
     return DftBasis(f_tilde=cols, lambda_tilde=q[order].copy())
-
-
-def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Circular CN(0, 1) samples: variance split equally over re/im parts."""
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
-
-
-def stationary_channel(stats: ChannelStatistics, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the stationary distribution CN(0, R_h)."""
-    b = complex_normal(rng, stats.rank)
-    return stats.u @ (np.sqrt(stats.lam) * b)
-
-
-def evolve_channel(
-    h_prev: np.ndarray, stats: ChannelStatistics, rng: np.random.Generator
-) -> np.ndarray:
-    """Advance the AR(1) channel by one block, preserving CN(0, R_h)."""
-    b = complex_normal(rng, stats.rank)
-    innovation = stats.u @ (np.sqrt(stats.lam) * b)
-    return stats.a * h_prev + np.sqrt(1.0 - stats.a**2) * innovation
 
 
 def build_covariance(array: ArrayGeometry, ring: OneRingGeometry):

@@ -323,18 +323,18 @@ def check_diag_full_equivalence(rng) -> Measured:
     _, _, lam_bars = diag.posteriors(len(sched))
     full = kalman.init(stats)
     chat = np.zeros((1, 1, 1, stats.rank), dtype=complex)  # one row, user and run
-    h = cm.stationary_channel(stats, rng)
+    h = kalman.stationary_channel(stats, rng)
     worst = 0.0
     for step, lam_bar in enumerate(lam_bars[0, 0]):
         s = np.sqrt(3.0) * stats.u[:, sched[step]]
-        w = cm.complex_normal(rng, 2)
+        w = kalman.complex_normal(rng, 2)
         full = kalman.measurement_update(full, s, s.conj().T @ h + w)
         diag.step(chat, (stats.u.conj().T @ h)[None, None], w[None, None, None], step)
         p_diag = np.real(np.diag(stats.u.conj().T @ full.p_est @ stats.u))
         est_gap = np.abs(stats.u.conj().T @ full.h_hat - chat[0, 0, 0])
         worst = max(worst, float(np.max(np.abs(p_diag - lam_bar))), float(np.max(est_gap)))
         full = kalman.time_update(full, stats)
-        h = cm.evolve_channel(h, stats, rng)
+        h = kalman.evolve_channel(h, stats, rng)
     return Measured("max |diag - full| posterior variance or estimate over 12 blocks",
                     worst, 1e-10)
 

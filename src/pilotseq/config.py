@@ -18,12 +18,18 @@ from .sequence_design import FrameParams, is_prime_power
 DESIGNERS = ("min_max", "exhaustive")
 BASES = ("eigen", "dft")
 BASELINES = ("orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit")
-# the schemes a run with more than one user offers
-MU_SCHEMES = (*DESIGNERS, "mp_fixed", "nd_fixed", "perfect_csit")
-# a full-kind scheme (a designer's hybrid "_dft" variant, orthogonal, random)
-# stores complex (horizon, r, M_p) Kalman gains for each user and SNR point,
-# and every scheme's covariance recursion holds its real (horizon, r) diag P
-FULL_BASELINES = ("orthogonal", "random")
+# every scheme's tracker kind: diag sounds covariance eigenvectors, full
+# sounds other columns (a designer's hybrid "_dft" variant, orthogonal,
+# random) through the full-matrix recursion, perfect knows the channel
+SCHEME_KINDS = {"min_max": "diag", "exhaustive": "diag", "min_max_dft": "full",
+                "exhaustive_dft": "full", "orthogonal": "full", "random": "full",
+                "mp_fixed": "diag", "nd_fixed": "diag", "perfect_csit": "perfect"}
+# the schemes a run with more than one user offers: the leakage of a user's
+# estimate into the others is exact only for a diagonal error covariance
+MU_SCHEMES = tuple(name for name, kind in SCHEME_KINDS.items() if kind != "full")
+# a full-kind scheme stores complex (horizon, r, M_p) Kalman gains for each
+# user and SNR point, and every scheme's covariance recursion holds its real
+# (horizon, r) diag P
 GAIN_BUDGET_BYTES = 2 * 10**9
 
 
@@ -192,7 +198,7 @@ class ExperimentConfig:
                     raise ValueError(f"baselines entry {b!r} is single-user only; with "
                                      f"users.count > 1 choose among {MU_SCHEMES}")
         # the rank r is at most n_t, and a sweep holds every point's plans
-        n_full = sum(s.endswith("_dft") or s in FULL_BASELINES for s in self.schemes)
+        n_full = sum(SCHEME_KINDS[s] == "full" for s in self.schemes)
         points = max(1, len(self.snr_sweep_db or ()))
         n_t = array.n_v * array.n_h
         gain_bytes = (self.users.count * points * self.horizon_blocks * n_t

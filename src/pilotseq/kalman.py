@@ -1,9 +1,9 @@
 """Reference Kalman channel tracker for the block-fading AR(1) state-space
-model.
+model, and the antenna-space channel samplers it is driven with.
 
 The full-matrix recursion in antenna space accepts arbitrary training
 matrices.  It is the oracle that tests and ``pilotseq verify`` check the
-engine's eigencoordinate tracker (``simulate.Tracker``) against.
+engine's eigencoordinate tracker (``simulate.TrackerStack``) against.
 """
 
 from __future__ import annotations
@@ -12,7 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ChannelStatistics, complex_normal
+from .channel_model import ChannelStatistics
+
+
+def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
+    """Circular CN(0, 1) samples: variance split equally over re/im parts."""
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+
+
+def stationary_channel(stats: ChannelStatistics, rng: np.random.Generator) -> np.ndarray:
+    """One draw from the stationary distribution CN(0, R_h)."""
+    b = complex_normal(rng, stats.rank)
+    return stats.u @ (np.sqrt(stats.lam) * b)
+
+
+def evolve_channel(
+    h_prev: np.ndarray, stats: ChannelStatistics, rng: np.random.Generator
+) -> np.ndarray:
+    """Advance the AR(1) channel by one block, preserving CN(0, R_h)."""
+    b = complex_normal(rng, stats.rank)
+    innovation = stats.u @ (np.sqrt(stats.lam) * b)
+    return stats.a * h_prev + np.sqrt(1.0 - stats.a**2) * innovation
 
 
 @dataclass
@@ -36,11 +56,6 @@ def init(stats: ChannelStatistics) -> KalmanState:
         p_est=stats.r_h.copy(),
         p_pred=stats.r_h.copy(),
     )
-
-
-def simulate_received(h: np.ndarray, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Noisy pilot observations y = S^H h + w with unit-variance noise."""
-    return s.conj().T @ h + complex_normal(rng, s.shape[1])
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:

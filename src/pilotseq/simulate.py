@@ -29,18 +29,20 @@ its own one-row recursion bit for bit.  A single-user run is the one-user
 case of the multiuser run, and a run at one operating point is the
 one-point case of an SNR sweep: one run path, one result table per point.
 
-Monte Carlo runs a whole sweep in one pass.  Its K output rows are the
-(operating point, scheme) pairs, ordered by tracker kind: diag rows, then
-full, then perfect.  Its E estimate rows are the noisy output rows, each
-owning its estimate, and one row per perfect scheme, which every point's
-row of that scheme reads: perfect knowledge is the channel itself,
-whatever the rho.  The kernel keeps a chunk of runs in stacked arrays
-zero-padded to the largest user rank r, channels (U, runs, r) and
-estimates (E, U, runs, r), so each kind's estimates are a contiguous block
-of rows.  Per block it draws and evolves the channel once, makes one
-stacked step per tracker kind (``TrackerStack.step``, the only estimate
-update) and one realized-SINR call for every output row and user: the
-estimate-only terms once per estimate row, then each output row's rho.
+Monte Carlo runs a whole sweep in one pass.  Its K = P S output rows are
+the (operating point, scheme) pairs in (point, scheme) order.  Its E
+estimate rows, ordered by tracker kind (diag, then full, then perfect), are
+the noisy output rows, each owning its estimate, and one row per perfect
+scheme, which every point's row of that scheme reads: perfect knowledge is
+the channel itself, whatever the rho.  One map takes each output row to its
+estimate row.  The kernel keeps a chunk of runs in stacked arrays
+zero-padded to the largest user rank r, channels (U, runs, r), evolved with
+the scene's own AR(1) coefficients and spectra, and estimates (E, U, runs,
+r), so each kind's estimates are a contiguous block of rows.  Per block it
+draws and evolves the channel once, makes one stacked step per tracker kind
+(``TrackerStack.step``, the only estimate update) and one realized-SINR
+call for every output row and user: the estimate-only terms once per
+estimate row, then each output row's rho.
 
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user, whatever the number of points; the
@@ -70,7 +72,7 @@ from .channel_model import (
     path_loss,
     temporal_coefficient,
 )
-from .config import MU_SCHEMES, ExperimentConfig
+from .config import MU_SCHEMES, SCHEME_KINDS, ExperimentConfig
 from .sequence_design import (
     FrameParams,
     IntervalAssignment,
@@ -142,8 +144,7 @@ class Tracker:
     stays diagonal and is carried as per-mode variances; a full tracker
     sounds the columns ``s_u`` and carries the whole matrix; a perfect
     tracker knows the channel and runs no recursion.  A scheme's plan also
-    names its scheme and carries its design and, once the run's recursion
-    has run, its NMSE trace.
+    carries its design.
     """
 
     kind: str  # diag | full | perfect
@@ -153,8 +154,6 @@ class Tracker:
     rho: float
     sched: np.ndarray | None = None  # (horizon, m_p) mode/column indices
     s_u: np.ndarray | None = None  # (r, n_cols) training columns in U coords (full)
-    name: str | None = None
-    nmse: np.ndarray | None = None  # (horizon,) NMSE trace
     design: IntervalAssignment | None = None  # periodic eigenmode design the bound reads
     seq: SequenceMatrix | None = None
 
@@ -407,30 +406,33 @@ def build_single_user_plans(
     horizon: int,
     schemes,
     rng_scene: np.random.Generator,
-) -> list[Tracker]:
-    """Instantiate every requested scheme and run its covariance recursion,
-    which sets its NMSE trace.
+) -> tuple:
+    """Instantiate every requested scheme and run its covariance recursion.
+    Returns (plans, nmse): the plans and their NMSE traces, (S, horizon).
 
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
     plans = [_scheme_plan(scene, frame, horizon, name, rng_scene) for name in schemes]
-    MonteCarloRows.of([[[plan] for plan in plans]]).posteriors(horizon,
-                                                                _multiuser_scene([scene], frame))
-    return plans
+    rows = MonteCarloRows.of([[[plan] for plan in plans]], _multiuser_scene([scene], frame))
+    err, _, _ = rows.posteriors(horizon)
+    return plans, err[0, :, :, 0] / scene.trace()
 
 
 def _scheme_plan(scene, frame, horizon, name, rng_scene) -> Tracker:
-    """One scheme's plan for one user, before its covariance recursion."""
-    lam = scene.lam_sim
+    """One scheme's plan for one user, before its covariance recursion; its
+    kind comes from ``SCHEME_KINDS``, and the branches build its training."""
+    if name not in SCHEME_KINDS:
+        raise ValueError(f"unknown scheme {name!r}")
+    kind, lam = SCHEME_KINDS[name], scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
-    kind, s_u, cycle, design, seq = "diag", None, None, None, None
+    s_u, cycle, design, seq = None, None, None, None
     if name.removesuffix("_dft") in _DESIGNERS:
         design, seq, cols = design_scheme(scene, frame, name)
         cycle = seq.c - 1
-        if cols is not None:  # the hybrid tracker keeps the true covariance knowledge
-            kind, s_u, design = "full", scene.u_sim.conj().T @ cols, None
+        if kind == "full":  # the hybrid tracker keeps the true covariance knowledge
+            s_u, design = scene.u_sim.conj().T @ cols, None
     elif name == "mp_fixed":
         cycle = np.arange(m_p)[None, :]
         design = IntervalAssignment(g=(1,) * m_p, n_d=m_p, objective=0.0)
@@ -448,13 +450,9 @@ def _scheme_plan(scene, frame, horizon, name, rng_scene) -> Tracker:
             cols = (rng_scene.standard_normal((n_t, n_t))
                     + 1j * rng_scene.standard_normal((n_t, n_t)))
             cols /= np.linalg.norm(cols, axis=0, keepdims=True)
-        kind, s_u = "full", scene.u_sim.conj().T @ cols
+        s_u = scene.u_sim.conj().T @ cols
         cycle = _round_robin_cycle(n_t, m_p)
-    elif name == "perfect_csit":
-        kind = "perfect"
-    else:
-        raise ValueError(f"unknown scheme {name!r}")
-    return Tracker(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, name=name, s_u=s_u,
+    return Tracker(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, s_u=s_u,
                    sched=None if cycle is None else _horizon_schedule(cycle, horizon),
                    design=design, seq=seq)
 
@@ -508,15 +506,14 @@ def _cross_pairs(cross):
     return us, vs, cross[us, vs]
 
 
-def _realized_sinr(c, hats, rho, cross, est=None, pairs=None):
+def _realized_sinr(c, hats, rho, est, pairs):
     """Worst-case-noise matched-filter SINR of every output row and user
     over a batch: channels c (U, runs, r) and estimates hats (E, U, runs, r)
     in each user's eigencoordinates, zero-padded to the largest rank r, the
-    estimate row est (K,) of each of the K output rows (None when output
-    row k reads estimate row k), each output row's data power rho (K, 1, 1)
-    or one for all, and cross[u, v] = U_u^H U_v into user u's coordinates
-    (its diagonal is never read); pairs, ``_cross_pairs(cross)``, may be
-    passed in built once for many calls.  Returns (K, U, runs).
+    estimate row est (K,) of each of the K output rows, each output row's
+    data power rho (K, 1, 1) or one for all, and pairs, ``_cross_pairs`` of
+    the cross products X_uv = U_u^H U_v into user u's coordinates.  Returns
+    (K, U, runs).
 
     The estimate-only terms, ||h_hat||^2, the self-error |h^H h_hat -
     ||h_hat||^2|^2 and the pair interference, are taken once per estimate
@@ -530,22 +527,21 @@ def _realized_sinr(c, hats, rho, cross, est=None, pairs=None):
     beside it.
     """
     n_users = hats.shape[1]
-    at = slice(None) if est is None else est  # a view, or the gather of each output row
     flat = hats.view(float)
     nrm2 = np.vecdot(flat, flat)
     err = np.vecdot(c, hats) - nrm2  # h_u^H h_hat_u - ||h_hat_u||^2
-    norm = nrm2[at]
+    norm = nrm2[est]
     with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 gives sigma = inf
-        sigma = n_users * norm / rho + (err.real * err.real + err.imag * err.imag)[at]
+        sigma = n_users * norm / rho + (err.real * err.real + err.imag * err.imag)[est]
         if n_users > 1:  # a lone user has no pair
             # proj[u, v] = (X_uv^H h_u)^H, zero at v = u: no interferer, so it adds +0.0
-            us, vs, x = _cross_pairs(cross) if pairs is None else pairs
+            us, vs, x = pairs
             c_conj, proj = c[us], np.zeros((n_users, *c.shape), dtype=complex)
             proj[us, vs] = np.matmul(np.conjugate(c_conj, out=c_conj), x)
             dot = (proj.transpose(1, 2, 0, 3) @ hats[..., None])[..., 0]  # (E, V, runs, U)
             power = (dot.real * dot.real + dot.imag * dot.imag).transpose(0, 3, 1, 2)
             ratio = np.where(nrm2[:, None] > 0, nrm2[:, :, None] / nrm2[:, None], 0.0)
-            interference = (ratio * power)[at]  # (K, U, V, runs)
+            interference = (ratio * power)[est]  # (K, U, V, runs)
             for v in range(n_users):  # in ascending v
                 sigma += interference[:, :, v]
         return np.where(norm > 0, norm ** 2 / sigma, 0.0)
@@ -553,40 +549,39 @@ def _realized_sinr(c, hats, rho, cross, est=None, pairs=None):
 
 @dataclass
 class MonteCarloRows:
-    """The Monte Carlo kernel's rows: every (operating point, scheme) pair of
-    a run is an output row, ordered by tracker kind (diag, then full, then
-    perfect; by point, then scheme, within a kind).  The estimates live in
-    estimate rows, each kind's one contiguous block stepped by one
-    ``TrackerStack``: a noisy row owns its estimate, while perfect knowledge
-    is the channel itself at every point, so the perfect stack holds one
-    estimate row per perfect scheme, read by that scheme's output row at
-    every point.  ``est`` maps each output row to its estimate row; it is
-    None when every output row owns its estimate (every one-point run)."""
+    """The Monte Carlo kernel's rows for the users of one multiuser scene:
+    every (operating point, scheme) pair of a run is an output row, in
+    (point, scheme) order.  The estimates live in estimate rows, ordered by
+    tracker kind (diag, then full, then perfect), each kind's one
+    contiguous block stepped by one ``TrackerStack``: a noisy row owns its
+    estimate, while perfect knowledge is the channel itself at every point,
+    so the perfect stack holds one estimate row per perfect scheme, read by
+    that scheme's output row at every point.  ``est`` maps each output row
+    to its estimate row."""
 
     plans: list  # plans[p][s][u], user u's plan of scheme s at point p
-    order: list  # (p, s) of every output row
+    scene: mu.MultiuserScene  # the users' channels, which Monte Carlo draws and evolves
     stacks: list  # (stack, its estimate rows as a slice, the scheme of each noisy row) per kind
-    est: np.ndarray | None  # (K,) the estimate row of each output row, or None
+    est: np.ndarray  # (P S,) the estimate row of each output row
 
     @classmethod
-    def of(cls, plans) -> MonteCarloRows:
-        """The rows of plans[p][s][u]."""
-        order, stacks, est, n_est = [], [], [], 0
+    def of(cls, plans, scene: mu.MultiuserScene) -> MonteCarloRows:
+        """The rows of plans[p][s][u] for the users of ``scene``."""
+        # each output row's estimate key: (p, s), or (0, s) for a perfect
+        # scheme, whose every point's row reads its first point's estimate row
+        keys = [(0 if row[0].kind == "perfect" else p, s)
+                for p, point in enumerate(plans) for s, row in enumerate(point)]
+        stacks, index = [], {}  # index: each key's estimate row
         for kind in ("diag", "full", "perfect"):
-            rows = [(p, s) for p, point in enumerate(plans)
-                    for s, row in enumerate(point) if row[0].kind == kind]
-            if not rows:
+            stack_rows = list(dict.fromkeys(k for k in keys if plans[k[0]][k[1]][0].kind == kind))
+            if not stack_rows:
                 continue
-            # every point's perfect row of a scheme reads its first point's estimate row
-            keys = [(0, s) if kind == "perfect" else (p, s) for p, s in rows]
-            stack_rows = list(dict.fromkeys(keys))
-            stack = TrackerStack.of([plans[p][s] for p, s in stack_rows])
+            start = len(index)
+            index.update({key: start + i for i, key in enumerate(stack_rows)})
             schemes = None if kind == "perfect" else np.array([s for _, s in stack_rows])
-            stacks.append((stack, slice(n_est, n_est + len(stack_rows)), schemes))
-            est += [n_est + stack_rows.index(key) for key in keys]
-            order += rows
-            n_est += len(stack_rows)
-        return cls(plans, order, stacks, None if est == list(range(n_est)) else np.array(est))
+            stacks.append((TrackerStack.of([plans[p][s] for p, s in stack_rows]),
+                           slice(start, len(index)), schemes))
+        return cls(plans, scene, stacks, np.array([index[key] for key in keys]))
 
     @property
     def n_est(self) -> int:
@@ -595,79 +590,80 @@ class MonteCarloRows:
 
     @cached_property
     def rho(self) -> np.ndarray:
-        return np.array([self.plans[p][s][0].rho for p, s in self.order])[:, None, None]
+        return np.array([row[0].rho for point in self.plans for row in point])[:, None, None]
 
-    def posteriors(self, horizon: int, scene_mu: mu.MultiuserScene) -> tuple:
+    @cached_property
+    def pairs(self) -> tuple:
+        """The scene's off-diagonal pair stack, ``_cross_pairs`` of its cross tensor."""
+        return _cross_pairs(self.scene.cross)
+
+    def posteriors(self, horizon: int) -> tuple:
         """Runs every stack's covariance recursion, which stores the stack's
-        gains, and sets each plan's NMSE trace.  Returns, per point, scheme,
-        block and user, tr P and the self-error term, (P, S, horizon, U)
-        each, and the leakage into every user, (P, S, horizon, U, U): each
-        kind's diag P is reduced to its leakage, user v's r_v modes at a
-        time, before the next kind's recursion runs, and only the reduced
-        terms of an estimate row are copied to the output rows that read
-        it."""
-        n_users = len(self.plans[0][0])
-        err, self_err = np.empty((2, len(self.plans), len(self.plans[0]), horizon, n_users))
-        leak = np.empty((*err.shape, n_users))
-        est = np.arange(len(self.order)) if self.est is None else self.est
+        gains.  Returns, per point, scheme, block and user, tr P and the
+        self-error term, (P, S, horizon, U) each, and the leakage into every
+        user, (P, S, horizon, U, U): each kind's diag P is reduced to its
+        leakage, user v's r_v modes at a time, before the next kind's
+        recursion runs, and only the reduced terms of an estimate row are
+        copied to the output rows that read it."""
+        shape = (len(self.plans), len(self.plans[0]), horizon, self.scene.n_users)
+        err, self_err = np.empty((2, len(self.est), *shape[2:]))
+        leak = np.empty((*err.shape, shape[-1]))
         for stack, block, _ in self.stacks:
-            outputs = (block.start <= est) & (est < block.stop)
-            at = tuple(np.array(self.order)[outputs].T)  # the output rows' points and schemes
-            # their rows of the stack, a slice when each output row owns one
-            own = slice(None) if self.est is None else est[outputs] - block.start
+            outputs = (block.start <= self.est) & (self.est < block.stop)
+            own = self.est[outputs] - block.start  # the output rows' rows of the stack
             err_k, self_err_k, diag = stack.posteriors(horizon)
-            err[at], self_err[at] = err_k[own].swapaxes(1, 2), self_err_k[own].swapaxes(1, 2)
+            err[outputs] = err_k[own].swapaxes(1, 2)
+            self_err[outputs] = self_err_k[own].swapaxes(1, 2)
             for v, lam in enumerate(stack.lams):
-                leak[(*at, slice(None), v)] = mu.user_leakage(scene_mu, v,
-                                                              diag[:, v, :, :len(lam)])[own]
+                leak[outputs, :, v] = mu.user_leakage(self.scene, v, diag[:, v, :, :len(lam)])[own]
             del diag  # free it before the next kind's recursion runs
-        for (p, s, u), plan in np.ndenumerate(np.array(self.plans, dtype=object)):
-            plan.nmse = err[p, s, :, u] / float(plan.lam.sum())
-        return err, self_err, leak
+        return err.reshape(shape), self_err.reshape(shape), leak.reshape(*shape, shape[-1])
 
 
-def _chunk(seed_seqs, rows, horizon, frame, cross, pairs):
-    """Simulate one chunk of runs through every row for every user, with
-    ``_cross_pairs(cross)`` built once in ``pairs``.  Returns the (2, K,
-    horizon, U) partial sums of the realized SINR and the spectral
-    efficiency of the K output rows.
+def _chunk(seed_seqs, rows, horizon, frame):
+    """Simulate one chunk of runs through every row for every user.  Returns
+    the (2, K, horizon, U) partial sums of the realized SINR and the
+    spectral efficiency of the K output rows.
 
-    Each run spawns its streams in one layout, whatever the points: one per
-    user channel, then one per (scheme, user).  Every point's row of a
-    scheme reads that scheme's pilot noise, and the channel is drawn and
-    evolved once per block for all rows.  Perfect knowledge consumes its
-    streams without drawing from them.  The estimates are (E, U, runs, r)
-    for the E estimate rows.  Per block, each tracker kind makes one
-    stacked step of its estimate rows, and one realized-SINR call covers
-    every output row and user, reading each output row's estimate row.
+    The channel is the scene's: each user's AR(1) coefficient and spectrum
+    come from its channel statistics, whatever the plans assume.  Each run
+    spawns its streams in one layout, whatever the points: one per user
+    channel, then one per (scheme, user).  Every point's row of a scheme
+    reads that scheme's pilot noise, and the channel is drawn and evolved
+    once per block for all rows.  Perfect knowledge consumes its streams
+    without drawing from them.  The estimates are (E, U, runs, r) for the E
+    estimate rows.  Per block, each tracker kind makes one stacked step of
+    its estimate rows, and one realized-SINR call covers every output row
+    and user, reading each output row's estimate row.
 
     The channel innovations and pilot noise are drawn a slab of at most SLAB
     blocks at a time into buffers reused across slabs; each stream fills
     sequentially, so the values equal one whole-horizon draw.
     """
-    n_runs, n_users, r_max = len(seed_seqs), len(cross), cross.shape[-1]
-    by_scheme = rows.plans[0]  # by_scheme[s][u] at the first point
-    a = np.array([t.a for t in by_scheme[0]])[:, None, None]
+    users = [user.stats for user in rows.scene.users]
+    n_runs, n_users = len(seed_seqs), len(users)
+    a = np.array([stats.a for stats in users])[:, None, None]
     evolve = np.sqrt(1.0 - a * a)
-    scale = [np.sqrt(t.lam) for t in by_scheme[0]]
-    slab = min(SLAB, horizon)
+    scale = [np.sqrt(stats.lam) for stats in users]
+    noisy = [row[0].kind != "perfect" for row in rows.plans[0]]  # per scheme
+    slab, r_max = min(SLAB, horizon), max(map(len, scale))
     c = np.zeros((n_users, n_runs, r_max), dtype=complex)
     scratch = np.empty(slab * r_max, dtype=complex)  # the draws of a user below rank r_max
     proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
-    noise = np.empty((len(by_scheme), n_users, n_runs, slab, frame.m_p), dtype=complex)
+    noise = np.empty((len(noisy), n_users, n_runs, slab, frame.m_p), dtype=complex)
     fills = []  # (generator, the slab rows it fills, per-mode scale or None) per stream
     for i, seq in enumerate(seed_seqs):
-        streams = seq.spawn(n_users * (1 + len(by_scheme)))
+        streams = seq.spawn(n_users * (1 + len(noisy)))
         for u, sd in enumerate(scale):
             gen = np.random.default_rng(streams[u])
             _draw_complex(gen, c[u, i:i + 1, :len(sd)], sd, scratch)
             fills.append((gen, proc[u, i, :, :len(sd)], sd))
-        for pos, (s, u) in enumerate(np.ndindex(len(by_scheme), n_users), start=n_users):
-            if by_scheme[s][u].kind != "perfect":
+        for pos, (s, u) in enumerate(np.ndindex(len(noisy), n_users), start=n_users):
+            if noisy[s]:
                 fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
 
     hats = np.zeros((rows.n_est, n_users, n_runs, r_max), dtype=complex)
-    sums = np.zeros((2, len(rows.order), horizon, n_users))
+    sums = np.zeros((2, len(rows.est), horizon, n_users))
     for start in range(0, horizon, slab):
         blocks = min(slab, horizon - start)
         for gen, buf, sd in fills:
@@ -676,7 +672,7 @@ def _chunk(seed_seqs, rows, horizon, frame, cross, pairs):
             pilots = noise[:, :, :, k]
             for stack, block, schemes in rows.stacks:
                 stack.step(hats[block], c, None if schemes is None else pilots[schemes], ell)
-            sinr = _realized_sinr(c, hats, rows.rho, cross, rows.est, pairs)
+            sinr = _realized_sinr(c, hats, rows.rho, rows.est, rows.pairs)
             sums[0, :, ell] += sinr.sum(axis=-1)
             sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
             c *= a
@@ -684,18 +680,16 @@ def _chunk(seed_seqs, rows, horizon, frame, cross, pairs):
     return sums
 
 
-def _monte_carlo(rows, seed, mc_runs, horizon, frame, cross):
+def _monte_carlo(rows, seed, mc_runs, horizon, frame):
     """Monte Carlo means of the realized SINR and the spectral efficiency,
     (2, P, S, horizon, U), of the rows' plans[p][s], from run streams
     spawned off ``seed``."""
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
-    sums, pairs = np.zeros((2, len(rows.order), horizon, len(cross))), _cross_pairs(cross)
+    shape = (len(rows.plans), len(rows.plans[0]), horizon, rows.scene.n_users)
+    sums = np.zeros((2, len(rows.est), *shape[2:]))
     for i in range(0, mc_runs, CHUNK_RUNS):  # in run order, one chunk's buffers at a time
-        sums += _chunk(run_seqs[i:i + CHUNK_RUNS], rows, horizon, frame, cross, pairs)
-    points, schemes = np.array(rows.order).T
-    means = np.empty((2, len(rows.plans), len(rows.plans[0]), horizon, len(cross)))
-    means[:, points, schemes] = sums / mc_runs
-    return means
+        sums += _chunk(run_seqs[i:i + CHUNK_RUNS], rows, horizon, frame)
+    return (sums / mc_runs).reshape(2, *shape)
 
 
 # -- runs ------------------------------------------------------------------
@@ -815,30 +809,32 @@ def run_multiuser_sweep(
     if n_users > 1 and unavailable:
         raise ValueError(f"schemes {unavailable} are not available in the multiuser "
                          f"path; choose among {MU_SCHEMES}")
-    scene_mu = _multiuser_scene(scenes, frames[0])
-    by_user = []  # by_user[p][u][s] is user u's plan of scheme s at point p
+    scene = _multiuser_scene(scenes, frames[0])
+    plans = []  # plans[p][s][u] is user u's plan of scheme s at point p
     for frame in frames:
         rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-        by_user.append([[_scheme_plan(scene, frame, horizon, name, rng_scene)
-                         for name in schemes] for scene in scenes])
-    rows = MonteCarloRows.of([list(zip(*point)) for point in by_user])
-    det = mu.sinr_equivalent(np.array([s.lam_sim.sum() for s in scenes]),
-                             *rows.posteriors(horizon, scene_mu),
+        plans.append([[_scheme_plan(user, frame, horizon, name, rng_scene) for user in scenes]
+                      for name in schemes])
+    rows = MonteCarloRows.of(plans, scene)
+    lam_sum = np.array([s.lam_sim.sum() for s in scenes])
+    err, self_err, leak = rows.posteriors(horizon)
+    det = mu.sinr_equivalent(lam_sum, err, self_err, leak,
                              np.array([frame.rho for frame in frames])[:, None, None, None])
+    # the mean over users along a leading axis: user by user, in ascending u
+    nmse = np.ascontiguousarray(np.moveaxis(err / lam_sum, -1, 0)).mean(axis=0)
+    del err, self_err, leak  # free them before the Monte Carlo pass
 
-    means = _monte_carlo(rows, seed, mc_runs, horizon, frames[0], scene_mu.cross)
+    means = _monte_carlo(rows, seed, mc_runs, horizon, frames[0])
     tables = []
-    for frame, point, det_p, sinr_mc, se_mc in zip(frames, by_user, det, *means):
-        by_scheme = list(zip(*point))
-        lb, det_ss = zip(*(steady_state(scene_mu, plans, frame.rho) for plans in by_scheme))
+    for frame, point, det_p, nmse_p, sinr_mc, se_mc in zip(frames, plans, det, nmse, *means):
+        lb, det_ss = zip(*(steady_state(scene, by_user, frame.rho) for by_user in point))
         tables.append(MultiuserTable(
             schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
-            nmse={name: np.mean([p.nmse for p in plans], axis=0)
-                  for name, plans in zip(schemes, by_scheme)},
+            nmse=dict(zip(schemes, nmse_p)),
             sinr_mc=dict(zip(schemes, sinr_mc)), se_mc_runs=dict(zip(schemes, se_mc)),
             sinr_det=dict(zip(schemes, det_p)), sinr_lb=dict(zip(schemes, lb)),
             sinr_det_ss=dict(zip(schemes, det_ss)),
-            user_plans=[dict(zip(schemes, plans)) for plans in point],
+            user_plans=[dict(zip(schemes, by_scheme)) for by_scheme in zip(*point)],
         ))
     return tables
 

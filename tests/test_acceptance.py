@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pilotseq import channel_model as cm
+from pilotseq import kalman
 from pilotseq import cli
 from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
@@ -154,25 +155,24 @@ def test_lemma1_estimate_covariance():
                               v=30 / 3.6)
     scene = sim.build_scene(cm.ArrayGeometry(1, 16), ring, block_len=5)
     frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=5.0)
-    plans = sim.build_single_user_plans(scene, frame, 8, ["min_max"],
-                                        np.random.default_rng(0))
-    plan = plans[0]
+    (plan,), _ = sim.build_single_user_plans(scene, frame, 8, ["min_max"],
+                                             np.random.default_rng(0))
     runs = 10_000
     rng = np.random.default_rng(606)
     r = scene.r_sim
     lam = scene.lam_sim
-    c = cm.complex_normal(rng, (runs, r)) * np.sqrt(lam)
+    c = kalman.complex_normal(rng, (runs, r)) * np.sqrt(lam)
     chat = np.zeros((runs, r), dtype=complex)
     blocks = 8  # fixed block index 2G
     stack = sim.TrackerStack.of([[plan]])
     _, _, diag = stack.posteriors(8)
     lam_bar = diag[0, 0, blocks - 1]
     for ell in range(blocks):
-        stack.step(chat[None, None], c[None], cm.complex_normal(rng, (runs, frame.m_p))[None, None],
-                   ell)
+        noise = kalman.complex_normal(rng, (runs, frame.m_p))
+        stack.step(chat[None, None], c[None], noise[None, None], ell)
         if ell < blocks - 1:
             c = scene.a * c + np.sqrt(1 - scene.a**2) * (
-                cm.complex_normal(rng, (runs, r)) * np.sqrt(lam))
+                kalman.complex_normal(rng, (runs, r)) * np.sqrt(lam))
     emp = (chat.T @ chat.conj()) / runs
     expected = np.diag(lam - lam_bar)
     rel = np.linalg.norm(emp - expected) / np.linalg.norm(expected)

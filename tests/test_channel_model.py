@@ -1,5 +1,6 @@
 """Channel statistics: one-ring covariances, Doppler coefficient, eigensystem,
-DFT surrogate basis, and AR(1) realizations."""
+DFT surrogate basis, and the AR(1) realizations the reference tracker is
+driven with."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotseq import channel_model as cm
+from pilotseq import kalman
 from pilotseq import simulate as sim
 
 
@@ -236,8 +238,8 @@ class TestChannelEvolution:
     def test_static_channel_untouched(self):
         stats = self.make_stats(a=1.0)
         rng = np.random.default_rng(0)
-        h = cm.stationary_channel(stats, rng)
-        assert np.allclose(cm.evolve_channel(h, stats, rng), h)
+        h = kalman.stationary_channel(stats, rng)
+        assert np.allclose(kalman.evolve_channel(h, stats, rng), h)
 
     def test_memoryless_limit_draws_fresh(self):
         # a -> 0 keeps none of the previous state
@@ -245,21 +247,21 @@ class TestChannelEvolution:
         stats = cm.ChannelStatistics.from_covariance(1e-12, r_h)
         rng = np.random.default_rng(1)
         h = 1e6 * np.ones(4, dtype=complex)
-        out = cm.evolve_channel(h, stats, rng)
+        out = kalman.evolve_channel(h, stats, rng)
         assert np.max(np.abs(out)) < 100.0
 
     def test_stationary_covariance_preserved(self):
         stats = self.make_stats(a=0.9)
         rng = np.random.default_rng(2)
         draws = 100_000
-        h = np.stack([cm.stationary_channel(stats, rng) for _ in range(64)])
+        h = np.stack([kalman.stationary_channel(stats, rng) for _ in range(64)])
         # vectorized AR(1) evolution of 64 parallel chains, pooled over time
         acc = np.zeros((stats.n_t, stats.n_t), dtype=complex)
         count = 0
         scale = np.sqrt(1 - stats.a**2)
         root = stats.u * np.sqrt(stats.lam)
         for _ in range(draws // 64):
-            b = cm.complex_normal(rng, (64, stats.rank))
+            b = kalman.complex_normal(rng, (64, stats.rank))
             h = stats.a * h + scale * (b @ root.T)
             acc += h.T @ h.conj()
             count += 64
@@ -271,12 +273,12 @@ class TestChannelEvolution:
         stats = self.make_stats(a=0.8)
         rng = np.random.default_rng(3)
         chains = 4096
-        h0 = np.stack([cm.stationary_channel(stats, rng) for _ in range(chains)])
+        h0 = np.stack([kalman.stationary_channel(stats, rng) for _ in range(chains)])
         h = h0.copy()
         scale = np.sqrt(1 - stats.a**2)
         root = stats.u * np.sqrt(stats.lam)
         for k in (1, 2, 3):
-            b = cm.complex_normal(rng, (chains, stats.rank))
+            b = kalman.complex_normal(rng, (chains, stats.rank))
             h = stats.a * h + scale * (b @ root.T)
             cross = (h.T @ h0.conj()) / chains
             expected = stats.a**k * stats.r_h

@@ -15,6 +15,11 @@ def make_stats(n=8, a=0.9, theta=0.3, delta=0.25, seed=None):
     return cm.ChannelStatistics.from_covariance(a, r_h)
 
 
+def simulate_received(h: np.ndarray, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Noisy pilot observations y = S^H h + w with unit-variance noise."""
+    return s.conj().T @ h + kalman.complex_normal(rng, s.shape[1])
+
+
 class TestInit:
     def test_prior_is_channel_covariance(self):
         stats = make_stats()
@@ -34,7 +39,7 @@ class TestSimulateReceived:
     def test_zero_channel_gives_pure_noise(self):
         rng = np.random.default_rng(0)
         s = np.eye(4)[:, :2]
-        y = kalman.simulate_received(np.zeros(4, dtype=complex), s, rng)
+        y = simulate_received(np.zeros(4, dtype=complex), s, rng)
         assert y.shape == (2,)
         assert np.abs(y).max() < 6.0
 
@@ -44,7 +49,7 @@ class TestSimulateReceived:
                 return np.zeros(size)
 
         s = np.sqrt(5.0) * np.eye(3)[:, :1]
-        y = kalman.simulate_received(np.eye(3)[:, 0].astype(complex), s, NoNoise())
+        y = simulate_received(np.eye(3)[:, 0].astype(complex), s, NoNoise())
         assert y[0] == pytest.approx(np.sqrt(5.0))
 
     def test_second_moment_matches_model(self):
@@ -52,9 +57,9 @@ class TestSimulateReceived:
         rng = np.random.default_rng(1)
         s = np.sqrt(2.0) * stats.u[:, :2]
         draws = 100_000
-        b = cm.complex_normal(rng, (draws, stats.rank))
+        b = kalman.complex_normal(rng, (draws, stats.rank))
         h = (stats.u * np.sqrt(stats.lam)) @ b.conj().T  # CN(0, R_h) columns
-        w = cm.complex_normal(rng, (2, draws))
+        w = kalman.complex_normal(rng, (2, draws))
         y = s.conj().T @ h + w
         emp = (y @ y.conj().T) / draws
         expected = s.conj().T @ stats.r_h @ s + np.eye(2)
@@ -83,7 +88,7 @@ class TestMeasurementUpdate:
         rng = np.random.default_rng(3)
         state = kalman.init(stats)
         s = np.sqrt(3.0) * stats.u[:, :2]
-        y = kalman.simulate_received(cm.stationary_channel(stats, rng), s, rng)
+        y = simulate_received(kalman.stationary_channel(stats, rng), s, rng)
         out = kalman.measurement_update(state, s, y)
         assert np.real(np.trace(out.p_est)) <= np.real(np.trace(state.p_pred)) + 1e-12
 
@@ -93,14 +98,14 @@ class TestMeasurementUpdate:
         stats = make_stats(n=n, a=0.85)
         rng = np.random.default_rng(7)
         signals = [
-            np.sqrt(rho) * np.linalg.qr(cm.complex_normal(rng, (n, m_p)))[0]
+            np.sqrt(rho) * np.linalg.qr(kalman.complex_normal(rng, (n, m_p)))[0]
             for _ in range(3)
         ]
         # simulate channel + measurements
-        h = [cm.stationary_channel(stats, rng)]
+        h = [kalman.stationary_channel(stats, rng)]
         for _ in range(2):
-            h.append(cm.evolve_channel(h[-1], stats, rng))
-        ys = [kalman.simulate_received(h[ell], signals[ell], rng) for ell in range(3)]
+            h.append(kalman.evolve_channel(h[-1], stats, rng))
+        ys = [simulate_received(h[ell], signals[ell], rng) for ell in range(3)]
 
         state = kalman.init(stats)
         for ell in range(3):
@@ -206,10 +211,10 @@ class TestDiagonalPath:
         full = kalman.init(stats)
         diag, lam_bars = one_row(diag_tracker(stats, schedule, rho))
         chat = np.zeros((1, stats.rank), dtype=complex)
-        h = cm.stationary_channel(stats, rng)
+        h = kalman.stationary_channel(stats, rng)
         for ell, lam_bar in enumerate(lam_bars):
             s = np.sqrt(rho) * stats.u[:, schedule[ell]]
-            w = cm.complex_normal(rng, 2)
+            w = kalman.complex_normal(rng, 2)
             full = kalman.measurement_update(full, s, s.conj().T @ h + w)
             diag.step(chat[None, None], (stats.u.conj().T @ h)[None, None], w[None, None, None],
                       ell)
@@ -221,7 +226,7 @@ class TestDiagonalPath:
             est_full_coeff = stats.u.conj().T @ full.h_hat
             assert np.allclose(est_full_coeff, chat[0], atol=1e-10)
             full = kalman.time_update(full, stats)
-            h = cm.evolve_channel(h, stats, rng)
+            h = kalman.evolve_channel(h, stats, rng)
 
     def test_variance_ordering_invariant(self):
         stats = make_stats(n=10, a=0.95)
@@ -262,15 +267,15 @@ class TestEstimatorStatistics:
         cross_acc = np.zeros((6, 6), dtype=complex)
         final_state = None
         for _ in range(runs):
-            h = cm.stationary_channel(stats, rng)
+            h = kalman.stationary_channel(stats, rng)
             state = kalman.init(stats)
             for ell in range(blocks):
                 s = np.sqrt(rho) * stats.u[:, schedule[ell]]
-                y = kalman.simulate_received(h, s, rng)
+                y = simulate_received(h, s, rng)
                 state = kalman.measurement_update(state, s, y)
                 if ell < blocks - 1:
                     state = kalman.time_update(state, stats)
-                    h = cm.evolve_channel(h, stats, rng)
+                    h = kalman.evolve_channel(h, stats, rng)
             acc += np.outer(state.h_hat, state.h_hat.conj())
             mean_acc += state.h_hat
             err = h - state.h_hat
@@ -289,15 +294,15 @@ class TestEstimatorStatistics:
         stats = make_stats(n=8, a=0.93)
         rng = np.random.default_rng(17)
         state = kalman.init(stats)
-        h = cm.stationary_channel(stats, rng)
+        h = kalman.stationary_channel(stats, rng)
         for _ in range(60):
             k = int(rng.integers(0, 3))
             if k:
-                s = np.sqrt(2.0) * np.linalg.qr(cm.complex_normal(rng, (8, k)))[0]
-                y = kalman.simulate_received(h, s, rng)
+                s = np.sqrt(2.0) * np.linalg.qr(kalman.complex_normal(rng, (8, k)))[0]
+                y = simulate_received(h, s, rng)
                 state = kalman.measurement_update(state, s, y)
             for p in (state.p_est, state.p_pred):
                 evals = np.linalg.eigvalsh(p)
                 assert evals.min() >= -1e-9 * max(np.real(np.trace(p)) / 8, 1e-30)
             state = kalman.time_update(state, stats)
-            h = cm.evolve_channel(h, stats, rng)
+            h = kalman.evolve_channel(h, stats, rng)

@@ -47,9 +47,9 @@ class TestSchedules:
     def test_nd_fixed_sounds_each_vector_once_per_frame(self):
         scene = small_scene()
         frame = small_frame(n_d_max=8)  # N_d = G * M_p
-        plans = sim.build_single_user_plans(scene, frame, 8, ["nd_fixed"],
-                                            np.random.default_rng(0))
-        sched = plans[0].sched[:4]  # one frame
+        (plan,), _ = sim.build_single_user_plans(scene, frame, 8, ["nd_fixed"],
+                                                 np.random.default_rng(0))
+        sched = plan.sched[:4]  # one frame
         assert sorted(sched.ravel().tolist()) == list(range(8))
 
 
@@ -58,9 +58,8 @@ class TestEngineAgainstKalmanModule:
         scene = small_scene()
         frame = small_frame()
         horizon = 40
-        plans = sim.build_single_user_plans(scene, frame, horizon, ["min_max"],
-                                            np.random.default_rng(0))
-        plan = plans[0]
+        (plan,), (nmse,) = sim.build_single_user_plans(scene, frame, horizon, ["min_max"],
+                                                       np.random.default_rng(0))
         stats = cm.ChannelStatistics(
             a=scene.a, r_h=(scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T,
             u=scene.u_sim, lam=scene.lam_sim, rank=scene.r_sim)
@@ -72,16 +71,15 @@ class TestEngineAgainstKalmanModule:
             s = np.sqrt(frame.rho) * stats.u[:, plan.sched[ell]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             assert np.real(np.trace(state.p_est)) / total == pytest.approx(
-                plan.nmse[ell], rel=1e-12)
+                nmse[ell], rel=1e-12)
             state = kalman.time_update(state, stats)
 
     def test_full_trace_matches_reference_recursion(self):
         scene = small_scene(n=12)
         frame = small_frame()
         horizon = 24
-        plans = sim.build_single_user_plans(scene, frame, horizon, ["orthogonal"],
-                                            np.random.default_rng(0))
-        plan = plans[0]
+        (plan,), (nmse,) = sim.build_single_user_plans(scene, frame, horizon, ["orthogonal"],
+                                                       np.random.default_rng(0))
         n_t = 12
         grid = np.arange(n_t)
         dft = np.exp(-2j * np.pi * np.outer(grid, grid) / n_t) / np.sqrt(n_t)
@@ -95,7 +93,7 @@ class TestEngineAgainstKalmanModule:
             s = np.sqrt(frame.rho) * dft[:, plan.sched[ell]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             p = state.p_est
-            assert np.real(np.trace(p)) / total == pytest.approx(plan.nmse[ell], rel=1e-9)
+            assert np.real(np.trace(p)) / total == pytest.approx(nmse[ell], rel=1e-9)
             # deterministic SINR from the full posterior: tr^2 / (tr/rho + Re tr(P(R - P)))
             cap = total - np.real(np.trace(p))
             b = np.real(np.trace(p @ (r_h - p)))
@@ -111,19 +109,19 @@ class TestEngineAgainstKalmanModule:
         frame = small_frame()
         horizon = 24
         schemes = ["min_max_dft", "orthogonal", "random"]
-        together = sim.build_single_user_plans(scene, frame, horizon, schemes,
-                                               np.random.default_rng(0))
+        together, nmse = sim.build_single_user_plans(scene, frame, horizon, schemes,
+                                                     np.random.default_rng(0))
         stacked = sim.TrackerStack.of([[plan] for plan in together])
         stacked.posteriors(horizon)
         det = sim.run_schemes(scene, frame, schemes, 1, 0, horizon).sinr_det
         for k, (plan, name) in enumerate(zip(together, schemes)):
-            (alone,) = sim.build_single_user_plans(scene, frame, horizon, [name],
-                                                   np.random.default_rng(0))
+            (alone,), alone_nmse = sim.build_single_user_plans(scene, frame, horizon, [name],
+                                                               np.random.default_rng(0))
             one_row = sim.TrackerStack.of([[alone]])
             one_row.posteriors(horizon)
             assert plan.kind == alone.kind == "full"
             assert np.array_equal(stacked.gains[k], one_row.gains[0])
-            assert np.array_equal(plan.nmse, alone.nmse)
+            assert np.array_equal(nmse[k], alone_nmse[0])
             single = sim.run_schemes(scene, frame, [name], 1, 0, horizon)
             assert np.array_equal(det[name], single.sinr_det[name])
         hybrid = together[0]
@@ -138,7 +136,7 @@ class TestEngineAgainstKalmanModule:
             s = np.sqrt(frame.rho) * cols[:, hybrid.sched[ell]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             assert np.real(np.trace(state.p_est)) / total == pytest.approx(
-                hybrid.nmse[ell], rel=1e-9)
+                nmse[0, ell], rel=1e-9)
             state = kalman.time_update(state, stats)
 
     def test_unsymmetrized_recursion_holds_over_a_long_horizon(self):
@@ -198,10 +196,9 @@ class TestEngineAgainstKalmanModule:
     def test_dft_plan_uses_projected_spectrum_for_design(self):
         scene = small_scene(n=16)
         frame = small_frame(g_len=4, m_p=2, n_d_max=6)
-        plans = sim.build_single_user_plans(scene, frame, 8,
-                                            ["min_max", "min_max_dft"],
-                                            np.random.default_rng(0))
-        eig, dft = plans
+        (eig, dft), _ = sim.build_single_user_plans(scene, frame, 8,
+                                                    ["min_max", "min_max_dft"],
+                                                    np.random.default_rng(0))
         assert dft.kind == "full"
         # sounding columns are unit-norm and orthonormal in antenna space
         gram = dft.s_u.conj().T @ dft.s_u
@@ -214,20 +211,19 @@ class TestFloorsAndEnvelopes:
         scene = small_scene()
         frame = small_frame()
         horizon = 4000
-        plans = sim.build_single_user_plans(scene, frame, horizon, ["mp_fixed"],
-                                            np.random.default_rng(0))
+        _, (nmse,) = sim.build_single_user_plans(scene, frame, horizon, ["mp_fixed"],
+                                                 np.random.default_rng(0))
         lam = scene.lam_sim
         floor = ss.min_ss_mse(lam[: frame.m_p], scene.a, frame.rho, 1.0)
         expected = (floor.sum() + lam[frame.m_p:].sum()) / lam.sum()
-        assert plans[0].nmse[-1] == pytest.approx(expected, abs=1e-7)
+        assert nmse[-1] == pytest.approx(expected, abs=1e-7)
 
     def test_designed_scheme_beats_mp_fixed(self):
         scene = small_scene()
         frame = small_frame()
-        plans = sim.build_single_user_plans(scene, frame, 600,
-                                            ["min_max", "mp_fixed"],
-                                            np.random.default_rng(0))
-        assert plans[0].nmse[-1] < plans[1].nmse[-1]
+        _, nmse = sim.build_single_user_plans(scene, frame, 600, ["min_max", "mp_fixed"],
+                                              np.random.default_rng(0))
+        assert nmse[0, -1] < nmse[1, -1]
 
 
 def antenna_training(scene, plan, block):
@@ -241,8 +237,8 @@ class TestBaselineTraining:
         scene = small_scene(n=4)
         assert scene.r_sim == 4
         frame = FrameParams(g_len=4, m_p=4, m=6, n_d_max=4, rho=2.0)
-        (plan,) = sim.build_single_user_plans(scene, frame, 2, ["orthogonal"],
-                                              np.random.default_rng(0))
+        (plan,), _ = sim.build_single_user_plans(scene, frame, 2, ["orthogonal"],
+                                                 np.random.default_rng(0))
         s0 = antenna_training(scene, plan, 0)
         s1 = antenna_training(scene, plan, 1)
         assert np.allclose(s0, s1)  # N_t == M_p: every block sounds all
@@ -251,8 +247,8 @@ class TestBaselineTraining:
     def test_nd_fixed_covers_budget_once_per_frame(self):
         scene = small_scene()
         frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=1.0)
-        (plan,) = sim.build_single_user_plans(scene, frame, 4, ["nd_fixed"],
-                                              np.random.default_rng(0))
+        (plan,), _ = sim.build_single_user_plans(scene, frame, 4, ["nd_fixed"],
+                                                 np.random.default_rng(0))
         assert plan.kind == "diag"  # sounds eigenvectors u_i directly
         seen = plan.sched.ravel().tolist()
         assert sorted(seen) == list(range(8))
@@ -263,7 +259,7 @@ class TestBaselineTraining:
         frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=3.0)
         plan_a, plan_b = (
             sim.build_single_user_plans(scene, frame, 4, ["random"],
-                                        np.random.default_rng(5))[0]
+                                        np.random.default_rng(5))[0][0]
             for _ in range(2))
         s_a = antenna_training(scene, plan_a, 2)
         s_b = antenna_training(scene, plan_b, 2)
@@ -285,9 +281,8 @@ class TestTrajectoryPeriodicity:
         scene = small_scene(v_kmh=30.0)
         frame = small_frame(g_len=8)
         horizon = 8 * 60
-        plans = sim.build_single_user_plans(scene, frame, horizon, ["min_max"],
-                                            np.random.default_rng(0))
-        nm = plans[0].nmse
+        _, (nm,) = sim.build_single_user_plans(scene, frame, horizon, ["min_max"],
+                                             np.random.default_rng(0))
         tail = nm[-5 * 8:]
         for k in range(4 * 8):
             assert tail[k] == pytest.approx(tail[k + 8], abs=1e-9)
@@ -403,18 +398,20 @@ class TestMonteCarloAgainstDeterministic:
             assert not np.any(sinr)
 
 
-def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
+def bulk_draw_monte_carlo(plans, scene, seed, mc_runs, horizon, frame):
     """Oracle of ``sim._monte_carlo`` at one operating point, stepping each
     plan on its own (its one-row ``TrackerStack``), that draws each run's whole horizon of
     channel innovations and pilot noise at once, in the arithmetic form
-    (z_re + 1j z_im) / sqrt(2), into whole-horizon buffers."""
+    (z_re + 1j z_im) / sqrt(2), into whole-horizon buffers, for the users
+    of the multiuser ``scene``."""
     def complex_rows(gen, shape):
         z = gen.standard_normal(shape + (2,))
         return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
-    n_schemes, n_users, r_max = len(plans), len(cross), cross.shape[-1]
-    a = np.array([p.a for p in plans[0]])[:, None, None]
+    users = [user.stats for user in scene.users]
+    n_schemes, n_users, r_max = len(plans), len(users), scene.cross.shape[-1]
+    a = np.array([stats.a for stats in users])[:, None, None]
     evolve = np.sqrt(1.0 - a * a)
     perfect = np.array([row[0].kind == "perfect" for row in plans])
     stacks = [[sim.TrackerStack.of([[p]]) for p in row] for row in plans]
@@ -430,10 +427,10 @@ def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
         noise = np.empty((n_schemes, n_users, n_runs, horizon, frame.m_p), dtype=complex)
         for i, seq in enumerate(seqs):
             streams = seq.spawn(n_users * (1 + n_schemes))
-            for u, p in enumerate(plans[0]):
-                r = len(p.lam)
+            for u, stats in enumerate(users):
+                r = len(stats.lam)
                 z = complex_rows(np.random.default_rng(streams[u]),
-                                 (horizon + 1, r)) * np.sqrt(p.lam)
+                                 (horizon + 1, r)) * np.sqrt(stats.lam)
                 c[u, i, :r], proc[u, i, :, :r] = z[0], z[1:]
             for pos, (s, u) in enumerate(np.ndindex(n_schemes, n_users), start=n_users):
                 if plans[s][u].kind != "perfect":
@@ -447,7 +444,8 @@ def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
             for stack, chat, chan, pilots in steps:
                 stack.step(chat[None, None], chan[None], pilots[None, None, :, ell, :], ell)
             hats[perfect] = c
-            sinr = sim._realized_sinr(c, hats, frame.rho, cross)
+            sinr = sim._realized_sinr(c, hats, frame.rho, np.arange(n_schemes),
+                                      sim._cross_pairs(scene.cross))
             sums[0, :, ell] += sinr.sum(axis=-1)
             sums[1, :, ell] += mu.spectral_efficiency(
                 sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
@@ -457,29 +455,30 @@ def bulk_draw_monte_carlo(plans, seed, mc_runs, horizon, frame, cross):
     return means / mc_runs
 
 
-def monte_carlo_inputs(scenes, frame, schemes, horizon):
-    """The rows of plans[s][u], their recursions run, and the cross tensor
-    that ``sim._monte_carlo`` takes."""
+def monte_carlo_inputs(scenes, frame, schemes, horizon, a=None):
+    """The rows of plans[s][u] for the users of ``scenes`` at one point,
+    their recursions run, as ``sim._monte_carlo`` takes them; with ``a``
+    every plan assumes that AR(1) coefficient instead of its user's."""
     rng = np.random.default_rng(0)
-    plans = [[sim.build_single_user_plans(scene, frame, horizon, [name], rng)[0]
-              for scene in scenes] for name in schemes]
-    scene_mu = mu.MultiuserScene(
-        users=[mu.UserLink(stats=cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim,
-                                                      lam=s.lam_sim, rank=s.r_sim))
-               for s in scenes],
-        rho=frame.rho, m=frame.m, m_p=frame.m_p)
-    rows = sim.MonteCarloRows.of([plans])
-    rows.posteriors(horizon, scene_mu)
-    return rows, scene_mu.cross
+    plans = [[sim._scheme_plan(scene, frame, horizon, name, rng) for scene in scenes]
+             for name in schemes]
+    if a is not None:
+        for row in plans:
+            for plan in row:
+                plan.a = a
+    rows = sim.MonteCarloRows.of([plans], sim._multiuser_scene(scenes, frame))
+    rows.posteriors(horizon)
+    return rows
 
 
 def realized_sinr_batch(n_users, n_rows, shared=False):
-    """Scenes, cross tensor, channels (U, runs, r) and estimates (K, U, runs,
-    r) for ``sim._realized_sinr``: users of unequal rank (8, 7, 7) zero-padded
-    to the largest; rows 0 and 1 are noisy estimates, every later row knows
-    the channel.  With ``shared`` the K rows are estimate rows, and an
-    estimate map (2K + 1,) follows: output rows that read every estimate row
-    out of order, most of them more than once."""
+    """Scenes, cross tensor, channels (U, runs, r), estimates (K, U, runs,
+    r) and an estimate map for ``sim._realized_sinr``: users of unequal rank
+    (8, 7, 7) zero-padded to the largest; rows 0 and 1 are noisy estimates,
+    every later row knows the channel.  The map is ``np.arange(K)``, output
+    row k reading estimate row k, or with ``shared`` (2K + 1,): output rows
+    that read every estimate row out of order, most of them more than
+    once."""
     scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)[:n_users]]
     stats = [cm.ChannelStatistics(a=s.a, r_h=s.covariance, u=s.u_sim, lam=s.lam_sim,
                                   rank=s.r_sim)
@@ -490,14 +489,13 @@ def realized_sinr_batch(n_users, n_rows, shared=False):
     c = np.zeros((n_users, runs, r_max), dtype=complex)
     hats = np.zeros((n_rows, n_users, runs, r_max), dtype=complex)
     for u, s in enumerate(scenes):
-        c[u, :, :s.r_sim] = cm.complex_normal(rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
+        c[u, :, :s.r_sim] = kalman.complex_normal(rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
         for row, (keep, noise) in enumerate(((0.8, 0.3), (0.5, 0.7))):
-            hats[row, u, :, :s.r_sim] = keep * c[u, :, :s.r_sim] + noise * cm.complex_normal(
+            hats[row, u, :, :s.r_sim] = keep * c[u, :, :s.r_sim] + noise * kalman.complex_normal(
                 rng, (runs, s.r_sim)) * np.sqrt(s.lam_sim)
     hats[2:] = c
-    if shared:
-        return scenes, cross, c, hats, np.array([n_rows - 1, 0, *range(n_rows), 1, *range(n_rows)])
-    return scenes, cross, c, hats
+    est = [n_rows - 1, 0, *range(n_rows), 1, *range(n_rows)] if shared else range(n_rows)
+    return scenes, cross, c, hats, np.array(est)
 
 
 class TestSlabStreaming:
@@ -507,11 +505,11 @@ class TestSlabStreaming:
         assert scenes[0].r_sim != scenes[1].r_sim
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
         horizon, runs = 2 * sim.SLAB + 37, sim.CHUNK_RUNS + 5
-        rows, cross = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
+        rows = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
         plans = rows.plans[0]
         assert plans[0][0].kind == "diag"
-        got = sim._monte_carlo(rows, 9, runs, horizon, frame, cross)[:, 0]
-        want = bulk_draw_monte_carlo(plans, 9, runs, horizon, frame, cross)
+        got = sim._monte_carlo(rows, 9, runs, horizon, frame)[:, 0]
+        want = bulk_draw_monte_carlo(plans, rows.scene, 9, runs, horizon, frame)
         assert got.tobytes() == want.tobytes()
 
     def test_chunk_memory_independent_of_horizon(self):
@@ -522,14 +520,28 @@ class TestSlabStreaming:
         frame = cfg.frame.build()
         peaks = []
         for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
-            rows, cross = monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon)
+            rows = monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon)
             tracemalloc.start()
             try:
-                sim._monte_carlo(rows, 1, 32, horizon, frame, cross)
+                sim._monte_carlo(rows, 1, 32, horizon, frame)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_channel_evolves_with_the_scene_statistics(self):
+        # perfect knowledge reads no tracker a, so rows whose plans all
+        # assume another a draw and evolve the same channel, byte for byte
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0, v_kmh=30.0),
+                  small_scene(theta_deg=35.0, d_r=8.0, v_kmh=30.0)]
+        assert all(s.a != 0.5 for s in scenes)
+        frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
+        horizon = 24
+        rows, moved = (monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon, a)
+                       for a in (None, 0.5))
+        assert all(plan.a == 0.5 for plan in moved.plans[0][0])
+        got, want = (sim._monte_carlo(r, 3, 5, horizon, frame) for r in (moved, rows))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSweep:
@@ -563,13 +575,14 @@ class TestSweep:
 
     def test_perfect_schemes_hold_one_estimate_row_each(self, monkeypatch):
         # a 3-point sweep allocates P S_noisy + S_perfect estimate rows, every
-        # point's perfect row of a scheme reading the same one; a one-point
-        # run owns one estimate row per output row and builds no map
+        # point's perfect row of a scheme reading the same one; the output
+        # rows stay in (point, scheme) order, and the map takes each to its
+        # estimate row, diag rows first, at one point too
         calls, realized_sinr = [], sim._realized_sinr
 
-        def spy(c, hats, rho, cross, est=None, pairs=None):
+        def spy(c, hats, rho, est, pairs):
             calls.append((len(hats), est))
-            return realized_sinr(c, hats, rho, cross, est, pairs)
+            return realized_sinr(c, hats, rho, est, pairs)
 
         monkeypatch.setattr(sim, "_realized_sinr", spy)
         scenes = [small_scene()]
@@ -579,10 +592,10 @@ class TestSweep:
         assert len(calls) == 8
         for n_est, est in calls:
             assert n_est == 3 * 2 + 1
-            assert est.tolist() == [0, 1, 2, 3, 4, 5, 6, 6, 6]
+            assert est.tolist() == [0, 6, 1, 2, 6, 3, 4, 6, 5]
         calls.clear()
         sim.run_multiuser_scene(scenes, frames[0], schemes, 2, 5, 8)
-        assert calls and all(n_est == 3 and est is None for n_est, est in calls)
+        assert calls and all(n_est == 3 and est.tolist() == [0, 2, 1] for n_est, est in calls)
 
     def test_sweep_builds_the_scene_once(self, monkeypatch):
         # the cross tensor and the coupling maps do not depend on rho
@@ -648,7 +661,7 @@ class TestSweep:
         assert r[0] != r[1]
         frame, horizon, runs = small_frame(), 6, 3
         rows = [[sim.build_single_user_plans(s, dataclasses.replace(frame, rho=rho), horizon,
-                                             ["orthogonal"], np.random.default_rng(0))[0]
+                                             ["orthogonal"], np.random.default_rng(0))[0][0]
                  for s in scenes] for rho in (1.0, 8.0)]
         stack = sim.TrackerStack.of(rows)
         stack.posteriors(horizon)
@@ -662,8 +675,8 @@ class TestSweep:
         alone = [[np.zeros((runs, r_u), dtype=complex) for r_u in r] for _ in rows]
         for ell in range(horizon):
             for u, r_u in enumerate(r):
-                c[u, :, :r_u] = cm.complex_normal(rng, (runs, r_u))
-            noise = cm.complex_normal(rng, (2, 2, runs, frame.m_p))
+                c[u, :, :r_u] = kalman.complex_normal(rng, (runs, r_u))
+            noise = kalman.complex_normal(rng, (2, 2, runs, frame.m_p))
             stack.step(hats, c, noise, ell)
             for k, row in enumerate(rows):
                 for u, plan in enumerate(row):
@@ -705,12 +718,12 @@ class TestMultiuserEngine:
         # of unequal rank (8, 7, 7) zero-padded to the largest, two noisy
         # schemes, a perfect-knowledge row and a row where the last user's
         # estimate is zero, each row at its own rho, in one call
-        scenes, cross, c, hats = realized_sinr_batch(n_users, 4)
+        scenes, cross, c, hats, est = realized_sinr_batch(n_users, 4)
         hats[3, -1] = 0.0
         rho = np.array([4.0, 0.5, 30.0, 2.0])[:, None, None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sim._realized_sinr(c, hats, rho, cross)
+            got = sim._realized_sinr(c, hats, rho, est, sim._cross_pairs(cross))
         runs = c.shape[1]
         assert got.shape == (4, n_users, runs)
         assert not np.any(got[3, -1])
@@ -732,37 +745,37 @@ class TestMultiuserEngine:
     def test_realized_sinr_rows_do_not_depend_on_their_stack(self, n_users):
         # each row of a K-row call equals that row computed alone, byte for
         # byte, so a sweep's rows equal its one-point runs
-        _, cross, c, hats = realized_sinr_batch(n_users, 5)
+        _, cross, c, hats, est = realized_sinr_batch(n_users, 5)
         rho = np.array([0.5, 4.0, 30.0, 2.0, 8.0])[:, None, None]
-        got = sim._realized_sinr(c, hats, rho, cross)
+        pairs = sim._cross_pairs(cross)
+        got = sim._realized_sinr(c, hats, rho, est, pairs)
         for k in range(len(hats)):
-            alone = sim._realized_sinr(c, hats[k:k + 1].copy(), rho[k:k + 1], cross)
+            alone = sim._realized_sinr(c, hats[k:k + 1].copy(), rho[k:k + 1], est[:1], pairs)
             assert alone.tobytes() == got[k:k + 1].tobytes(), k
 
     @pytest.mark.parametrize("n_users", [1, 3])
     def test_realized_sinr_shared_rows_equal_expanded_rows(self, n_users):
         # output rows that read shared estimate rows through the map, each
         # at its own rho (0 among them), equal the call on the estimate rows
-        # duplicated to one per output row, byte for byte, with the pair
-        # stack built inside the call or passed in; a user estimating
-        # nothing included
+        # duplicated to one per output row, byte for byte; a user
+        # estimating nothing included
         _, cross, c, hats, est = realized_sinr_batch(n_users, 4, shared=True)
         hats[2, -1] = 0.0
         rho = np.linspace(0.0, 12.0, len(est))[:, None, None]
-        got = sim._realized_sinr(c, hats, rho, cross, est)
-        want = sim._realized_sinr(c, hats[est], rho, cross)
+        pairs = sim._cross_pairs(cross)
+        got = sim._realized_sinr(c, hats, rho, est, pairs)
+        want = sim._realized_sinr(c, hats[est], rho, np.arange(len(est)), pairs)
         assert got.shape == (len(est), n_users, c.shape[1])
         assert got.tobytes() == want.tobytes()
-        passed = sim._realized_sinr(c, hats, rho, cross, est, sim._cross_pairs(cross))
-        assert passed.tobytes() == want.tobytes()
 
     def test_realized_sinr_ignores_the_cross_diagonal(self):
         # v = u is no interferer whatever cross[u, u] holds
-        _, cross, c, hats = realized_sinr_batch(3, 3)
+        _, cross, c, hats, est = realized_sinr_batch(3, 3)
         filled = cross.copy()
         for u in range(3):
             filled[u, u] = np.eye(cross.shape[-1]) + 0.5j
-        got, want = (sim._realized_sinr(c, hats, 4.0, x) for x in (filled, cross))
+        got, want = (sim._realized_sinr(c, hats, 4.0, est, sim._cross_pairs(x))
+                     for x in (filled, cross))
         assert got.tobytes() == want.tobytes()
 
     def test_interference_lowers_sinr(self):
