@@ -23,8 +23,11 @@ changes) on the same cases:
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` and ``upa375`` with
   ``basis = "dft"`` (the hybrid design of a linear and of a planar array,
-  whose DFT surrogate is per axis) and on ``multiuser_ula32``, comparing
-  ``design.csv`` and ``assignment.json``;
+  whose DFT surrogate is per axis), on ``multiuser_ula32`` and on
+  ``ci_ula32`` as a 128-element array at one wavelength spacing with the
+  user at 55 degrees (one-ring lags up to 8192 panels, so the quadrature
+  runs its lags in several groups), comparing ``design.csv`` and
+  ``assignment.json``;
 - ``pilotseq verify``, comparing its standard output.
 
 Each side's ``--config`` documents are built from that side's own preset,
@@ -196,6 +199,9 @@ def main(argv: list[str]) -> int:
                 ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
                 ("design", "upa375 dft", "upa375", {"basis": "dft"}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),
+                ("design", "ula128 1λ 55°", "ci_ula32",
+                 {"array": {"n_h": 128, "spacing_over_wavelength": 1.0},
+                  "ring": {"theta_h_deg": 55.0}}),
                 ("verify", "battery", None, None),
             ]
             differ = 0

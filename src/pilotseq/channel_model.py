@@ -82,31 +82,66 @@ def one_ring_params(geom: OneRingGeometry) -> tuple[float, float, float]:
     return float(delta_v), float(theta_v), float(delta_h)
 
 
-def _simpson_sum(values: np.ndarray, h: float) -> complex:
-    # composite Simpson over an even number of panels
+# Bytes of integrand values one group of lags may hold: at m panels a group
+# holds two (lags, m + 1) complex arrays at once, so it keeps at most
+# _QUADRATURE_GROUP_BYTES // (32 * (m + 1)) lags.
+_QUADRATURE_GROUP_BYTES = 8 << 20
+
+
+def _simpson_rows(values: np.ndarray, h: float) -> np.ndarray:
+    # composite Simpson of each row over an even number of panels
     return (h / 3.0) * (
-        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
+        values[:, 0]
+        + values[:, -1]
+        + 4.0 * values[:, 1:-1:2].sum(axis=1)
+        + 2.0 * values[:, 2:-2:2].sum(axis=1)
     )
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_panels: int) -> complex:
-    """Composite Simpson with panel doubling until the Richardson estimate
-    of the error drops below ``tol`` (absolute).  Returns the extrapolated
-    value, whose residual error is an order smaller than the estimate."""
-    n = 16
-    xs = np.linspace(a, b, n + 1)
-    s_prev = _simpson_sum(f(xs), (b - a) / n)
-    while True:
-        n *= 2
-        if n > max_panels:
-            raise QuadratureError(
-                f"quadrature did not converge within {max_panels} panels"
-            )
-        xs = np.linspace(a, b, n + 1)
-        s = _simpson_sum(f(xs), (b - a) / n)
-        if abs(s - s_prev) / 15.0 < tol:
-            return s + (s - s_prev) / 15.0
-        s_prev = s
+def _one_ring_integrals(
+    n: int, kappa: float, lo: float, hi: float, tol: float, max_panels: int
+) -> np.ndarray:
+    """Integrals over [lo, hi] of exp(-j*pi*k*kappa*sin(xi)) for k = 1..n-1,
+    entry k - 1 for lag k (see one_ring_covariance)."""
+    out = np.empty(n - 1, dtype=complex)
+    todo = np.arange(1, n)
+    width = _QUADRATURE_GROUP_BYTES // (32 * 17)  # the most lags that fit at 16 panels
+    while todo.size:
+        lags, todo = todo[:width], todo[width:]
+        coef = -1j * np.pi * lags * kappa
+        m = 16
+        vals = np.multiply(coef[:, None], np.sin(np.linspace(lo, hi, m + 1)))
+        np.exp(vals, out=vals)
+        s_prev = _simpson_rows(vals, (hi - lo) / m)
+        while lags.size:
+            m *= 2
+            if m > max_panels:
+                raise QuadratureError(
+                    f"quadrature did not converge within {max_panels} panels"
+                )
+            cap = max(1, _QUADRATURE_GROUP_BYTES // (32 * (m + 1)))
+            if lags.size > cap:
+                # the highest live lags start over in a later, narrower group
+                todo = np.concatenate((lags[cap:], todo))
+                width = cap
+                lags, coef, vals, s_prev = lags[:cap], coef[:cap], vals[:cap], s_prev[:cap]
+            # the even points of m panels are the points of m / 2 panels
+            fine = np.empty((lags.size, m + 1), dtype=complex)
+            fine[:, ::2] = vals
+            del vals  # the dels free each level before the next one is made
+            sin_odd = np.sin(np.linspace(lo, hi, m + 1))[1::2]
+            np.multiply(coef[:, None], sin_odd, out=fine[:, 1::2])
+            np.exp(fine[:, 1::2], out=fine[:, 1::2])
+            s = _simpson_rows(fine, (hi - lo) / m)
+            step = s - s_prev
+            # abs() of one complex value is libm's hypot; np.abs of a complex
+            # array can differ from it in the last bit, np.hypot cannot
+            done = np.hypot(step.real, step.imag) / 15.0 < tol
+            out[lags[done] - 1] = s[done] + step[done] / 15.0
+            live = ~done
+            lags, coef, s_prev, vals = lags[live], coef[live], s[live], fine[live]
+            del fine
+    return out
 
 
 def one_ring_covariance(
@@ -125,6 +160,18 @@ def one_ring_covariance(
     with kappa = 2 * spacing_over_wavelength.  Only the first column is
     integrated; the Toeplitz structure fills the rest.
 
+    Every lag k >= 1 runs composite Simpson on the same nested grids of 16,
+    32, 64, ... panels.  A level evaluates the integrand only at its new odd
+    points, its even points being the previous level's.  Each lag stops at
+    the first level where the Richardson estimate |s - s_prev| / 15 falls
+    below ``tol`` (absolute) and returns the extrapolated s + (s - s_prev) / 15,
+    whose residual error is an order smaller; QuadratureError is raised if a
+    lag needs more than ``max_panels``.  Lags run as groups whose live
+    integrand values stay under _QUADRATURE_GROUP_BYTES: when a level would
+    exceed it, the group's highest live lags start over in a later group.
+    Each lag takes the same values and operations as a quadrature of its
+    own, so the result does not depend on the grouping.
+
     The degenerate delta = 0 case returns the rank-one steering outer
     product times gamma.
     """
@@ -132,23 +179,18 @@ def one_ring_covariance(
         raise ValueError("n must be >= 1")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     kappa = 2.0 * spacing_over_wavelength
     lags = np.arange(n)
     if delta == 0.0:
         col = gamma * np.exp(-1j * np.pi * lags * kappa * np.sin(theta))
     else:
-        lo, hi = theta - delta, theta + delta
         col = np.empty(n, dtype=complex)
         col[0] = gamma  # integrand has unit magnitude on the diagonal
-        for k in range(1, n):
-            integral = _adaptive_simpson(
-                lambda xi: np.exp(-1j * np.pi * k * kappa * np.sin(xi)),
-                lo,
-                hi,
-                tol,
-                max_panels,
-            )
-            col[k] = gamma / (2.0 * delta) * integral
+        col[1:] = gamma / (2.0 * delta) * _one_ring_integrals(
+            n, kappa, theta - delta, theta + delta, tol, max_panels
+        )
     # entry (p, q) is col[p - q] below the diagonal and its conjugate above
     vals = np.concatenate((np.conj(col[:0:-1]), col))
     return vals[lags[:, None] - lags[None, :] + (n - 1)]

@@ -2,6 +2,8 @@
 DFT surrogate basis, and the AR(1) realizations the reference tracker is
 driven with."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
@@ -50,6 +52,55 @@ class TestOneRingParams:
         assert abs(dv) < 1e-13 and abs(dh) < 1e-13
 
 
+def _simpson_sum(values: np.ndarray, h: float) -> complex:
+    # composite Simpson over an even number of panels
+    return (h / 3.0) * (
+        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
+    )
+
+
+def _adaptive_simpson(f, a: float, b: float, tol: float, max_panels: int) -> complex:
+    """Composite Simpson with panel doubling until the Richardson estimate
+    of the error drops below ``tol`` (absolute).  Returns the extrapolated
+    value, whose residual error is an order smaller than the estimate."""
+    n = 16
+    xs = np.linspace(a, b, n + 1)
+    s_prev = _simpson_sum(f(xs), (b - a) / n)
+    while True:
+        n *= 2
+        if n > max_panels:
+            raise cm.QuadratureError(
+                f"quadrature did not converge within {max_panels} panels"
+            )
+        xs = np.linspace(a, b, n + 1)
+        s = _simpson_sum(f(xs), (b - a) / n)
+        if abs(s - s_prev) / 15.0 < tol:
+            return s + (s - s_prev) / 15.0
+        s_prev = s
+
+
+def oracle_covariance(n, theta, delta, gamma, spacing_over_wavelength=0.5, tol=1e-10,
+                      max_panels=1 << 22):
+    """The one-ring covariance with one adaptive Simpson of its own per lag,
+    each level evaluating the integrand on its whole grid: the oracle of
+    cm.one_ring_covariance, which must match it bit for bit."""
+    kappa = 2.0 * spacing_over_wavelength
+    lags = np.arange(n)
+    if delta == 0.0:
+        col = gamma * np.exp(-1j * np.pi * lags * kappa * np.sin(theta))
+    else:
+        col = np.empty(n, dtype=complex)
+        col[0] = gamma
+        for k in range(1, n):
+            integral = _adaptive_simpson(
+                lambda xi: np.exp(-1j * np.pi * k * kappa * np.sin(xi)),
+                theta - delta, theta + delta, tol, max_panels,
+            )
+            col[k] = gamma / (2.0 * delta) * integral
+    vals = np.concatenate((np.conj(col[:0:-1]), col))
+    return vals[lags[:, None] - lags[None, :] + (n - 1)]
+
+
 class TestOneRingCovariance:
     def test_diagonal_equals_gamma(self):
         r = cm.one_ring_covariance(6, theta=0.3, delta=0.2, gamma=0.7)
@@ -86,6 +137,56 @@ class TestOneRingCovariance:
     def test_panel_budget_reported(self):
         with pytest.raises(cm.QuadratureError):
             cm.one_ring_covariance(16, theta=0.0, delta=0.3, gamma=1.0, max_panels=16)
+
+    def test_bits_match_per_lag_oracle(self):
+        # 200 drawn spreads in [0.01, 0.5], then 10 draws at delta = 0; n = 1 leads
+        rng = np.random.default_rng(20140601)
+        cases = [(1, 0.3, 0.2, 0.7, 0.5, 1e-10), (1, 0.3, 0.0, 0.7, 0.5, 1e-10)]
+        for i in range(210):
+            cases.append((
+                int(rng.integers(1, 65)),
+                float(rng.uniform(-1.0, 1.0)),
+                float(rng.uniform(0.01, 0.5)) if i < 200 else 0.0,
+                float(rng.uniform(0.01, 2.0)),
+                float(rng.choice([0.25, 0.5, 1.0])),
+                float(10.0 ** rng.uniform(-12.0, -6.0)),
+            ))
+        for n, theta, delta, gamma, spacing, tol in cases:
+            got = cm.one_ring_covariance(n, theta, delta, gamma, spacing, tol)
+            want = oracle_covariance(n, theta, delta, gamma, spacing, tol)
+            assert got.shape == (n, n)
+            assert np.array_equal(got, want), (n, theta, delta, gamma, spacing, tol)
+
+    def test_large_array_bits_and_group_budget(self, monkeypatch):
+        # n = 512 runs lags up to 16384 panels, past what one group may hold
+        n, theta, delta, gamma = 512, np.pi / 6, 0.29, 0.01
+        want = oracle_covariance(n, theta, delta, gamma)
+        assert np.array_equal(cm.one_ring_covariance(n, theta, delta, gamma), want)
+        # a 2 MB budget splits the lags into narrower groups: the same bits,
+        # and a traced peak under the budget plus 0.25 MB for the per-level
+        # grids, the lag bookkeeping and numpy's cast buffers
+        budget = 2 << 20
+        monkeypatch.setattr(cm, "_QUADRATURE_GROUP_BYTES", budget)
+        tracemalloc.start()
+        try:
+            integrals = cm._one_ring_integrals(
+                n, 1.0, theta - delta, theta + delta, 1e-10, 1 << 22
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget + (1 << 18)
+        assert np.array_equal(gamma / (2.0 * delta) * integrals, want[1:, 0])
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_tolerance_rejected_before_quadrature(self, tol, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(cm, "_one_ring_integrals", no_quadrature)
+        for delta in (0.2, 0.0):
+            with pytest.raises(ValueError, match="tol"):
+                cm.one_ring_covariance(8, theta=0.3, delta=delta, gamma=1.0, tol=tol)
 
 
 class TestUpaCovariance:
