@@ -10,7 +10,7 @@ changes) on the same cases:
 - ``pilotseq simulate`` on the ``demo``, ``ci_ula32`` and
   ``multiuser_ula32`` presets, and through ``--config`` on ``upa375``, on
   ``ci_ula32`` with the exhaustive designer, on ``ci_ula32`` with
-  ``basis = "dft"`` (the hybrid schemes of a linear array), on
+  ``designer = "min_max_dft"`` (the hybrid schemes of a linear array), on
   ``ci_ula32`` with a static user (``ring.v_kmh = 0``, so a = 1 and every
   trained mode's floor and ceiling are zero), on ``ci_ula32`` swept over
   0, 10 and 20 dB (a one-user sweep with full-kind schemes) and on
@@ -22,8 +22,8 @@ changes) on the same cases:
   comparing
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` and ``upa375`` with
-  ``basis = "dft"`` (the hybrid design of a linear and of a planar array,
-  whose DFT surrogate is per axis), on ``multiuser_ula32`` and on
+  ``designer = "min_max_dft"`` (the hybrid design of a linear and of a
+  planar array, whose DFT surrogate is per axis), on ``multiuser_ula32`` and on
   ``ci_ula32`` as a 128-element array at one wavelength spacing with the
   user at 55 degrees (one-ring lags up to 8192 panels, so the quadrature
   runs its lags in several groups), comparing ``design.csv`` and
@@ -32,7 +32,9 @@ changes) on the same cases:
 
 Each side's ``--config`` documents are built from that side's own preset,
 read through its own sources, so a change of the config format does not
-stop the other side from reading them.
+stop the other side from reading them.  A side whose config still has a
+``basis`` field names a DFT scheme as ``designer = "min_max"`` with
+``basis = "dft"``.
 
 Every run writes to the relative directory ``out`` of its own working
 directory, so the output path recorded in ``assignment.json`` is the same
@@ -161,6 +163,9 @@ def cut_config(tree: Path, path: Path, name: str, fields: dict) -> None:
     doc["mc_runs"] = CUT_RUNS
     for key, value in fields.items():
         doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    if "basis" in doc and doc["designer"].endswith("_dft"):  # a side from before designer
+        doc["designer"] = doc["designer"].removesuffix("_dft")  # named the hybrid scheme
+        doc["basis"] = "dft"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -182,7 +187,8 @@ def main(argv: list[str]) -> int:
                 ("simulate", f"upa375 (mc_runs={CUT_RUNS})", "upa375", {}),
                 ("simulate", f"ci_ula32 exhaustive (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"designer": "exhaustive"}),
-                ("simulate", f"ci_ula32 dft (mc_runs={CUT_RUNS})", "ci_ula32", {"basis": "dft"}),
+                ("simulate", f"ci_ula32 dft (mc_runs={CUT_RUNS})", "ci_ula32",
+                 {"designer": "min_max_dft"}),
                 ("simulate", f"ci_ula32 static user (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"ring": {"v_kmh": 0.0}}),
                 ("simulate", f"ci_ula32 at 0/10/20 dB (mc_runs={CUT_RUNS})", "ci_ula32",
@@ -196,8 +202,8 @@ def main(argv: list[str]) -> int:
                  "multiuser_ula32", {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]},
                                      "baselines": ["mp_fixed", "perfect_csit", "nd_fixed"]}),
                 ("design", "demo", "demo", None),
-                ("design", "ci_ula32 dft", "ci_ula32", {"basis": "dft"}),
-                ("design", "upa375 dft", "upa375", {"basis": "dft"}),
+                ("design", "ci_ula32 dft", "ci_ula32", {"designer": "min_max_dft"}),
+                ("design", "upa375 dft", "upa375", {"designer": "min_max_dft"}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),
                 ("design", "ula128 1λ 55°", "ci_ula32",
                  {"array": {"n_h": 128, "spacing_over_wavelength": 1.0},

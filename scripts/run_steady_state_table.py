@@ -3,7 +3,10 @@
 
 Tabulates steady-state performance at the full-scale planar array
 (--preset upa375, minutes) or the CI-scale linear array
-(--preset ci_ula32, seconds).  Prints NMSE and received SNR per scheme.
+(--preset ci_ula32, seconds).  The schemes form one config document: the
+first designed scheme left after --skip is its ``designer`` and the rest
+its ``baselines``, run as ``pilotseq simulate`` runs it.  Prints NMSE and
+received SNR per scheme (the dB of the tail-mean SINR).
 """
 
 import argparse
@@ -12,7 +15,7 @@ import time
 import numpy as np
 
 from pilotseq import simulate as sim
-from pilotseq.config import ExperimentConfig, preset
+from pilotseq.config import DESIGNED_SCHEMES, ExperimentConfig, preset
 
 SCHEMES = ["perfect_csit", "exhaustive", "min_max", "min_max_dft",
            "nd_fixed", "orthogonal", "random", "mp_fixed"]
@@ -27,7 +30,13 @@ def main():
                     help="scheme names to leave out")
     args = ap.parse_args()
 
+    schemes = [s for s in SCHEMES if s not in args.skip]
+    designer = next((s for s in schemes if s in DESIGNED_SCHEMES), None)
+    if designer is None:
+        ap.error(f"--skip leaves no designed scheme; keep one of {DESIGNED_SCHEMES}")
     doc = preset(args.preset).to_dict()
+    doc["designer"] = designer
+    doc["baselines"] = [s for s in schemes if s != designer]
     for key, value in (("seed", args.seed), ("mc_runs", args.mc_runs)):
         if value is not None:
             doc[key] = value
@@ -35,16 +44,11 @@ def main():
         cfg = ExperimentConfig.from_dict(doc)
     except ValueError as exc:
         ap.error(str(exc))
-    schemes = [s for s in SCHEMES if s not in args.skip]
 
-    scene = sim.build_scene(cfg.array.build(), cfg.ring.build(), cfg.frame.m,
-                            cfg.rank_tol)
-    frame = cfg.frame.build()
-    print(f"array rank {scene.r_sim} (design rank {scene.r_design}), "
-          f"a = {scene.a:.6f}, trace = {scene.trace():.4f}")
     t0 = time.time()
-    table = sim.run_schemes(scene, frame, schemes, cfg.mc_runs, cfg.seed,
-                            cfg.horizon_blocks)
+    table, _ = sim.run_multiuser(cfg)
+    plan = table.user_plans[0][designer]
+    print(f"array rank {len(plan.lam)}, a = {plan.a:.6f}, trace = {plan.lam.sum():.4f}")
     print(f"{cfg.mc_runs} runs x {cfg.horizon_blocks} blocks in "
           f"{time.time() - t0:.1f}s\n")
     print(f"{'scheme':<14} {'NMSE':>8} {'rx SNR (dB)':>12}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -191,9 +192,10 @@ def one_ring_covariance(
         col[1:] = gamma / (2.0 * delta) * _one_ring_integrals(
             n, kappa, theta - delta, theta + delta, tol, max_panels
         )
-    # entry (p, q) is col[p - q] below the diagonal and its conjugate above
+    # entry (p, q) is col[p - q] below the diagonal and its conjugate above:
+    # vals[n - 1 + p - q], row p a window of the reversed vals, copied once
     vals = np.concatenate((np.conj(col[:0:-1]), col))
-    return vals[lags[:, None] - lags[None, :] + (n - 1)]
+    return sliding_window_view(vals[::-1], n)[::-1].copy()
 
 
 def upa_covariance(r_horizontal: np.ndarray, r_vertical: np.ndarray) -> np.ndarray:

@@ -153,7 +153,7 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
     written = [_write_csv(out / "trace.csv", "block,scheme,nmse,rx_snr_db,se_sum,se_det,se_lb",
                           _trace_rows(table))]
 
-    plan = table.user_plans[0].get(config.designed_scheme)
+    plan = table.user_plans[0].get(config.designer)
     if plan is not None:
         written.append(out / "design.csv")
         save_sequence_csv(written[-1], plan.seq, config.frame.build())
@@ -180,14 +180,13 @@ def cmd_design(args) -> int:
     cfg = _load_config(args)
     scene = sim.multiuser_scenes_from_config(cfg)[0][0]
     frame = cfg.frame.build()
-    asn, seq, _ = sim.design_scheme(scene, frame, cfg.designed_scheme)
+    asn, seq, _ = sim.design_scheme(scene, frame, cfg.designer)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     design_path = out / "design.csv"
     save_sequence_csv(design_path, seq, frame)
     summary = {
         "designer": cfg.designer,
-        "basis": cfg.basis,
         "n_d": asn.n_d,
         "g": list(asn.g),
         "objective": asn.objective,
@@ -251,17 +250,14 @@ def random_valid_assignment(rng, g_len: int, m_p: int) -> IntervalAssignment:
 def _settled_frames(designs, a: float, rho: float) -> list:
     """Each user's (G, r) posterior error variances over the last frame of
     about 60 / (1 - a^2) blocks of diagonal tracking, for (c, lam) in
-    designs: index matrix c (G, M_p) sounding spectrum lam.  Eigenmode
-    sounding keeps every mode's recursion separate, so one tracker runs the
-    users' modes side by side in a one-row stack."""
-    offsets = np.cumsum([0] + [len(lam) for _, lam in designs])
-    c = np.hstack([c - 1 + offset for (c, _), offset in zip(designs, offsets)])
-    g_len, m_p = c.shape
+    designs: index matrix c (G, M_p) sounding spectrum lam.  The users run
+    side by side on a one-row stack, one tracker each."""
+    g_len, m_p = designs[0][0].shape
     blocks = (int(np.ceil(60.0 / (1.0 - a * a))) // g_len + 2) * g_len  # whole frames
-    tracker = sim.Tracker("diag", m_p, np.concatenate([lam for _, lam in designs]), a, rho,
-                          sched=c[np.arange(blocks) % g_len])
-    _, _, diag = sim.TrackerStack.of([[tracker]]).posteriors(blocks)
-    return np.split(diag[0, 0, -g_len:], offsets[1:-1], axis=1)
+    row = [sim.Tracker("diag", m_p, lam, a, rho, sched=(c - 1)[np.arange(blocks) % g_len])
+           for c, lam in designs]
+    _, _, diag = sim.TrackerStack.of([row]).posteriors(blocks)
+    return [diag[0, u, -g_len:, :len(lam)] for u, (_, lam) in enumerate(designs)]
 
 
 def check_riccati_grid() -> Measured:

@@ -6,6 +6,7 @@ radians / m/s at the geometry boundary); everything else is SI.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -15,9 +16,9 @@ import numpy as np
 from .channel_model import _J0_FIRST_ZERO, ArrayGeometry, OneRingGeometry, doppler_argument
 from .sequence_design import FrameParams, is_prime_power
 
-DESIGNERS = ("min_max", "exhaustive")
-BASES = ("eigen", "dft")
-BASELINES = ("orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit")
+# the schemes a designer builds: min_max or exhaustive on the covariance
+# eigenvectors, or its hybrid "_dft" variant on the DFT surrogate columns
+DESIGNED_SCHEMES = ("min_max", "exhaustive", "min_max_dft", "exhaustive_dft")
 # every scheme's tracker kind: diag sounds covariance eigenvectors, full
 # sounds other columns (a designer's hybrid "_dft" variant, orthogonal,
 # random) through the full-matrix recursion, perfect knows the channel
@@ -107,9 +108,8 @@ class ExperimentConfig:
     array: ArrayConfig = field(default_factory=ArrayConfig)
     ring: RingConfig = field(default_factory=RingConfig)
     frame: FrameConfig = field(default_factory=FrameConfig)
-    designer: str = "min_max"
-    basis: str = "eigen"
-    baselines: list = field(default_factory=lambda: ["perfect_csit"])
+    designer: str = "min_max"  # one of DESIGNED_SCHEMES
+    baselines: list = field(default_factory=lambda: ["perfect_csit"])  # SCHEME_KINDS names
     users: UsersConfig = field(default_factory=UsersConfig)
     mc_runs: int = 100
     seed: int = 12345
@@ -180,23 +180,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} = {value!r} {rule}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
-        if self.designer not in DESIGNERS:
-            raise ValueError(f"designer must be one of {DESIGNERS}")
-        if self.basis not in BASES:
-            raise ValueError(f"basis must be one of {BASES}")
+        if self.designer not in DESIGNED_SCHEMES:
+            raise ValueError(f"designer must be one of {DESIGNED_SCHEMES}, got {self.designer!r}")
         if not isinstance(self.baselines, list):
             raise ValueError(f"baselines must be a list of scheme names, got {self.baselines!r}")
         for b in self.baselines:
-            if b not in BASELINES:
-                raise ValueError(f"unknown baseline {b!r}; known: {BASELINES}")
-        if self.users.count > 1:
-            if self.basis != "eigen":
-                raise ValueError(f"basis {self.basis!r} is single-user only; "
-                                 "a run with users.count > 1 sounds the eigenbasis")
-            for b in self.baselines:
-                if b not in MU_SCHEMES:
-                    raise ValueError(f"baselines entry {b!r} is single-user only; with "
-                                     f"users.count > 1 choose among {MU_SCHEMES}")
+            if not isinstance(b, str) or b not in SCHEME_KINDS:
+                raise ValueError(f"baselines entry {b!r} is not a scheme; known: "
+                                 f"{tuple(SCHEME_KINDS)}")
+        for name, scheme in [("designer", self.designer),
+                             *(("baselines", b) for b in self.baselines)]:
+            if self.users.count > 1 and scheme not in MU_SCHEMES:
+                raise ValueError(f"{name} names {scheme!r}, a single-user scheme; with "
+                                 f"users.count > 1 choose among {MU_SCHEMES}")
         # the rank r is at most n_t, and a sweep holds every point's plans
         n_full = sum(SCHEME_KINDS[s] == "full" for s in self.schemes)
         points = max(1, len(self.snr_sweep_db or ()))
@@ -212,14 +208,9 @@ class ExperimentConfig:
                 "per block")
 
     @property
-    def designed_scheme(self) -> str:
-        """The scheme the configured designer and basis name."""
-        return self.designer if self.basis == "eigen" else self.designer + "_dft"
-
-    @property
     def schemes(self) -> list:
         """The designed scheme, then each baseline once."""
-        return list(dict.fromkeys([self.designed_scheme, *self.baselines]))
+        return list(dict.fromkeys([self.designer, *self.baselines]))
 
     # -- serialization ----------------------------------------------------
 
@@ -257,7 +248,6 @@ PRESETS: dict = {
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=30.0, v_kmh=3.0),
         frame=dict(g=32, m_p=2, m=5, n_d=64, rho=10.0),
         designer="min_max",
-        basis="eigen",
         baselines=["orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"],
         mc_runs=500,
         seed=20240,
@@ -269,7 +259,6 @@ PRESETS: dict = {
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=30.0, v_kmh=3.0),
         frame=dict(g=16, m_p=2, m=5, n_d=32, rho=10.0),
         designer="min_max",
-        basis="eigen",
         baselines=["orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"],
         mc_runs=200,
         seed=777,
@@ -281,7 +270,6 @@ PRESETS: dict = {
         ring=dict(d_s=100.0, d_r=8.0, theta_h_deg=0.0, v_kmh=3.0),
         frame=dict(g=32, m_p=1, m=10, n_d=8, rho=10.0),
         designer="min_max",
-        basis="eigen",
         baselines=["perfect_csit"],
         users=dict(count=5, theta_deg=None),
         mc_runs=200,
@@ -295,7 +283,6 @@ PRESETS: dict = {
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=20.0, v_kmh=3.0),
         frame=dict(g=4, m_p=2, m=5, n_d=8, rho=10.0),
         designer="min_max",
-        basis="eigen",
         baselines=["mp_fixed", "perfect_csit"],
         mc_runs=50,
         seed=1,
@@ -307,4 +294,4 @@ PRESETS: dict = {
 def preset(name: str) -> ExperimentConfig:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return ExperimentConfig.from_dict(PRESETS[name])
+    return ExperimentConfig.from_dict(copy.deepcopy(PRESETS[name]))  # PRESETS keeps its lists

@@ -178,6 +178,18 @@ class TestOneRingCovariance:
         assert peak < budget + (1 << 18)
         assert np.array_equal(gamma / (2.0 * delta) * integrals, want[1:, 0])
 
+    def test_toeplitz_fill_holds_only_the_result(self, monkeypatch):
+        # with the quadrature held to 2 MB, the n = 512 call peaks at its
+        # 4.19 MB complex result plus the first column, no index arrays
+        monkeypatch.setattr(cm, "_QUADRATURE_GROUP_BYTES", 2 << 20)
+        tracemalloc.start()
+        try:
+            r_h = cm.one_ring_covariance(512, np.pi / 6, 0.29, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r_h.nbytes < peak < 4.5e6
+
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
     def test_bad_tolerance_rejected_before_quadrature(self, tol, monkeypatch):
         def no_quadrature(*args):

@@ -205,8 +205,8 @@ class TestErrors:
     def test_multiuser_dft_basis_names_field(self, tmp_path, capsys):
         doc = preset("multiuser_ula32").to_dict()
         doc["users"]["count"] = 2
-        doc["basis"] = "dft"
-        assert "basis" in self.error_for("simulate", doc, tmp_path, capsys)
+        doc["designer"] = "min_max_dft"
+        assert "designer" in self.error_for("simulate", doc, tmp_path, capsys)
 
     def test_multiuser_single_user_baseline_names_field(self, tmp_path, capsys):
         doc = preset("multiuser_ula32").to_dict()
@@ -255,6 +255,11 @@ class TestErrors:
         ("demo", "rank_tol", 1.0),  # keeps no eigenmode
         ("upa375", "horizon_blocks", 100_000),  # 4.2 GB of gains and diag P trajectories
         ("multiuser_ula32", "horizon_blocks", 200_000),  # 3.6 GB of diag P trajectories
+        ("demo", "basis", "eigen"),  # a DFT design is named by designer = "<designer>_dft"
+        ("demo", "designer", "orthogonal"),  # a baseline, not a designed scheme
+        ("demo", "baselines", [{}]),
+        ("demo", "baselines", [1]),
+        ("multiuser_ula32", "baselines", ["min_max_dft"]),  # single-user only
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()

@@ -852,6 +852,42 @@ class TestMultiuserEngine:
         assert len(rows) == 2 * n_users  # scheme x user at one operating point
 
 
+class TestSchemeList:
+    """A config names designed schemes and baselines side by side."""
+
+    SCHEMES = ["min_max", "exhaustive", "min_max_dft", "nd_fixed", "orthogonal", "random",
+               "mp_fixed", "perfect_csit"]
+
+    def test_each_scheme_row_equals_its_own_run(self):
+        # a row's Monte Carlo streams follow its list position, so every
+        # trace equals that of the list cut after it; the deterministic
+        # traces equal the scheme's one-scheme run
+        doc = {**preset("demo").to_dict(), "designer": "min_max", "baselines": self.SCHEMES[1:]}
+        cfg = ExperimentConfig.from_dict(doc)
+        table, _ = sim.run_multiuser(cfg)
+        assert table.schemes == self.SCHEMES
+        scenes, _ = sim.multiuser_scenes_from_config(cfg)
+        for i, name in enumerate(self.SCHEMES):
+            cut, _ = sim.run_multiuser(ExperimentConfig.from_dict(
+                {**doc, "baselines": self.SCHEMES[1:i + 1]}))
+            alone = sim.run_multiuser_sweep(scenes, [cfg.frame.build()], [name], cfg.mc_runs,
+                                            cfg.seed, cfg.horizon_blocks)[0]
+            for other, keys in ((cut, ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")),
+                                (alone, ("nmse", "sinr_det"))):
+                for key in keys:
+                    got, want = (getattr(t, key)[name].tobytes() for t in (table, other))
+                    assert got == want, (key, name)
+
+    def test_preset_lists_are_its_own(self):
+        # a preset's lists are copies: changing one leaves the next preset as written
+        cfg = preset("multiuser_ula32")
+        want = (list(cfg.baselines), list(cfg.snr_sweep_db))
+        cfg.baselines.append("mp_fixed")
+        cfg.snr_sweep_db.append(25.0)
+        again = preset("multiuser_ula32")
+        assert (again.baselines, again.snr_sweep_db) == want
+
+
 class TestOutputs:
     def test_emit_round_trip_and_shape(self, tmp_path):
         cfg = preset("demo")
