@@ -2,8 +2,9 @@
 uniform linear array being the one-row case.
 
 Builds one-ring covariance matrices, Gauss-Markov temporal correlation
-coefficients, covariance eigensystems and the per-axis DFT approximation of
-the eigenbasis of large Toeplitz covariances.
+coefficients, covariance eigensystems (a planar array's from the eigensystems
+of its two axis factors) and the per-axis DFT approximation of the eigenbasis
+of large Toeplitz covariances.
 """
 
 from __future__ import annotations
@@ -255,19 +256,43 @@ def temporal_coefficient(geom: OneRingGeometry, block_len: int) -> float:
     return min(bessel_j0(x), 1.0)
 
 
-def eigendecompose(r_h: np.ndarray, rank_tol: float = 1e-6):
-    """Rank-truncated eigensystem (U, lam, r) of a Hermitian PSD covariance.
+def _descending_eigh(r: np.ndarray):
+    # eigenpairs of the Hermitian part, eigenvalues descending
+    w, v = np.linalg.eigh(0.5 * (r + r.conj().T))
+    return w[::-1], v[:, ::-1]
 
-    Keeps eigenvalues above rank_tol relative to the largest, sorted
-    descending.  Raises on an all-zero matrix.
+
+def eigendecompose(r_h: np.ndarray, rank_tol: float = 1e-6, *, r_vertical=None):
+    """Rank-truncated eigensystem (U, lam, r) of the Hermitian PSD covariance
+    kron(r_h, r_vertical), a planar array's horizontal and vertical factors.
+    The default vertical factor [[1]] leaves r_h itself: a dense covariance,
+    or a ULA's.
+
+    Each factor is diagonalized on its own.  The eigenvalues are the products
+    lam_H[i] * lam_V[j] of the factors' eigenvalues, each factor's in
+    descending order, and the eigenvectors the matching columns
+    kron(v_H[:, i], v_V[:, j]).  A stable sort orders them descending, so
+    ties go by the flat index i * n_v + j, the order of kron and of
+    dft_approximation_upa.  Keeps the products above rank_tol relative to
+    the largest, lam_H[0] * lam_V[0], and builds the C-contiguous n_t x r
+    eigenvectors of those alone: O(n_h^3 + n_v^3 + n_t r) work, no n_t x n_t
+    matrix.  With the 1 x 1 factor [[1]] every product is r_h's own
+    eigenvalue and every column its eigenvector, bit for bit.  Raises on an
+    all-zero matrix.
     """
-    w, v = np.linalg.eigh(0.5 * (r_h + r_h.conj().T))
-    w = w[::-1]
-    v = v[:, ::-1]
+    w_h, v_h = _descending_eigh(r_h)
+    w_v, v_v = _descending_eigh(np.ones((1, 1)) if r_vertical is None else r_vertical)
+    w = np.multiply.outer(w_h, w_v).ravel()  # flat index i * n_v + j
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
     if w[0] <= 0.0:
         raise ValueError("covariance has no positive eigenvalue (rank 0)")
     r = int(np.count_nonzero(w > rank_tol * w[0]))
-    return v[:, :r].copy(), w[:r].copy(), r
+    i, j = np.divmod(order[:r], len(w_v))
+    # a 1 x 1 factor's eigenvector is [1], so the columns are r_h's own; the
+    # product would turn a -0.0 part into +0.0
+    cols = v_h[:, i] if len(w_v) == 1 else v_h[:, None, i] * v_v[None, :, j]
+    return np.ascontiguousarray(cols).reshape(len(w), r), w[:r].copy(), r
 
 
 @dataclass(frozen=True)
@@ -339,13 +364,11 @@ def dft_approximation_upa(
     return DftBasis(f_tilde=cols, lambda_tilde=q[order].copy())
 
 
-def build_covariance(array: ArrayGeometry, ring: OneRingGeometry):
-    """One-ring covariance for the array; path loss is applied exactly once.
-
-    Returns (kron(R_H, R_V), (R_H, R_V)) with the per-axis factors: the
-    horizontal one carries the path loss, so trace(r_h) = n_t * gamma, and a
-    ULA's vertical factor is the exact 1 x 1 identity.
-    """
+def axis_covariances(array: ArrayGeometry, ring: OneRingGeometry):
+    """Per-axis one-ring covariances (R_H, R_V) of the array, whose Kronecker
+    product is its covariance.  Path loss is applied exactly once: the
+    horizontal factor carries it, so trace(kron(R_H, R_V)) = n_t * gamma, and
+    a ULA's vertical factor is the exact 1 x 1 identity."""
     gamma = path_loss(ring)
     delta_v, theta_v, delta_h = one_ring_params(ring)
     r_axis_h = one_ring_covariance(
@@ -354,4 +377,11 @@ def build_covariance(array: ArrayGeometry, ring: OneRingGeometry):
     r_axis_v = one_ring_covariance(
         array.n_v, theta_v, delta_v, 1.0, array.spacing_over_wavelength
     )
-    return upa_covariance(r_axis_h, r_axis_v), (r_axis_h, r_axis_v)
+    return r_axis_h, r_axis_v
+
+
+def build_covariance(array: ArrayGeometry, ring: OneRingGeometry):
+    """The dense n_t x n_t one-ring covariance and its factors,
+    (kron(R_H, R_V), (R_H, R_V)); see axis_covariances."""
+    axes = axis_covariances(array, ring)
+    return upa_covariance(*axes), axes

@@ -178,7 +178,7 @@ def cmd_design(args) -> int:
     """Design the configured scheme for user 0's scene, as ``simulate``'s
     design.csv does."""
     cfg = _load_config(args)
-    scene = sim.multiuser_scenes_from_config(cfg)[0][0]
+    scene = sim.user_scene(cfg, 0, sim.user_angles(cfg)[0])
     frame = cfg.frame.build()
     asn, seq, _ = sim.design_scheme(scene, frame, cfg.designer)
     out = Path(cfg.output_dir)

@@ -66,7 +66,7 @@ from .channel_model import (
     ChannelStatistics,
     OneRingGeometry,
     _dft_matrix,
-    build_covariance,
+    axis_covariances,
     dft_approximation_upa,
     eigendecompose,
     path_loss,
@@ -125,10 +125,12 @@ def build_scene(
     rank_tol: float = 1e-6,
 ) -> ChannelScene:
     """Eigensystem at a loose tolerance (simulation space) plus the design
-    rank at the user-facing tolerance."""
+    rank at the user-facing tolerance, from the eigensystems of the two axis
+    factors: the n_t x n_t covariance is not formed (it is
+    ``ChannelScene.covariance``, and ``upa_covariance(*scene.axes)``)."""
     a = temporal_coefficient(ring, block_len)
-    r_h, axes = build_covariance(array, ring)
-    u, lam, _ = eigendecompose(r_h, min(SIM_RANK_TOL, rank_tol))
+    axes = axis_covariances(array, ring)
+    u, lam, _ = eigendecompose(axes[0], min(SIM_RANK_TOL, rank_tol), r_vertical=axes[1])
     r_design = int(np.count_nonzero(lam > rank_tol * lam[0]))
     return ChannelScene(a=a, u_sim=u, lam_sim=lam, r_design=r_design,
                         gamma=path_loss(ring), axes=axes)
@@ -481,21 +483,22 @@ def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
 # -- Monte Carlo ----------------------------------------------------------
 
 
-def _draw_complex(gen, buf, sd, scratch):
+def _draw_complex(gen, buf, part_sd, scratch):
     """Fill buf with circular complex normals (z_re + 1j z_im) / sqrt(2),
-    the parts drawn in turn from gen, times the per-mode scale sd unless it
-    is None.  The float64 view of buf takes the draws and the scaling runs
-    in place on float64 views; a strided buf (a user below the largest rank)
-    is drawn into the contiguous ``scratch`` first.  numpy divides a complex
-    number by a real one by multiplying both parts by the reciprocal, so
-    scaling the parts by 1/sqrt(2) gives the bits of the complex division
-    (signed zeros aside)."""
+    the parts drawn in turn from gen, times the per-part scale part_sd
+    unless it is None: each mode's scale twice, once for its real and once
+    for its imaginary part (``np.repeat(sd, 2)``).  The float64 view of buf
+    takes the draws and the scaling runs in place on float64 views; a
+    strided buf (a user below the largest rank) is drawn into the contiguous
+    ``scratch`` first.  numpy divides a complex number by a real one by
+    multiplying both parts by the reciprocal, so scaling the parts by
+    1/sqrt(2) gives the bits of the complex division (signed zeros aside)."""
     z = buf if buf.flags.c_contiguous else scratch[:buf.size].reshape(buf.shape)
     parts = z.view(float)
     gen.standard_normal(out=parts)
     np.multiply(parts, 1.0 / np.sqrt(2.0), out=parts)
-    if sd is not None:
-        np.multiply(parts, np.repeat(sd, 2), out=buf.view(float))
+    if part_sd is not None:
+        np.multiply(parts, part_sd, out=buf.view(float))
 
 
 def _cross_pairs(cross):
@@ -644,20 +647,20 @@ def _chunk(seed_seqs, rows, horizon, frame):
     n_runs, n_users = len(seed_seqs), len(users)
     a = np.array([stats.a for stats in users])[:, None, None]
     evolve = np.sqrt(1.0 - a * a)
-    scale = [np.sqrt(stats.lam) for stats in users]
+    scale = [np.repeat(np.sqrt(stats.lam), 2) for stats in users]  # per float64 part
     noisy = [row[0].kind != "perfect" for row in rows.plans[0]]  # per scheme
-    slab, r_max = min(SLAB, horizon), max(map(len, scale))
+    slab, r_max = min(SLAB, horizon), max(len(stats.lam) for stats in users)
     c = np.zeros((n_users, n_runs, r_max), dtype=complex)
     scratch = np.empty(slab * r_max, dtype=complex)  # the draws of a user below rank r_max
     proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
     noise = np.empty((len(noisy), n_users, n_runs, slab, frame.m_p), dtype=complex)
-    fills = []  # (generator, the slab rows it fills, per-mode scale or None) per stream
+    fills = []  # (generator, the slab rows it fills, per-part scale or None) per stream
     for i, seq in enumerate(seed_seqs):
         streams = seq.spawn(n_users * (1 + len(noisy)))
-        for u, sd in enumerate(scale):
-            gen = np.random.default_rng(streams[u])
-            _draw_complex(gen, c[u, i:i + 1, :len(sd)], sd, scratch)
-            fills.append((gen, proc[u, i, :, :len(sd)], sd))
+        for u, part_sd in enumerate(scale):
+            gen, r = np.random.default_rng(streams[u]), len(part_sd) // 2
+            _draw_complex(gen, c[u, i:i + 1, :r], part_sd, scratch)
+            fills.append((gen, proc[u, i, :, :r], part_sd))
         for pos, (s, u) in enumerate(np.ndindex(len(noisy), n_users), start=n_users):
             if noisy[s]:
                 fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
@@ -666,8 +669,8 @@ def _chunk(seed_seqs, rows, horizon, frame):
     sums = np.zeros((2, len(rows.est), horizon, n_users))
     for start in range(0, horizon, slab):
         blocks = min(slab, horizon - start)
-        for gen, buf, sd in fills:
-            _draw_complex(gen, buf[:blocks], sd, scratch)
+        for gen, buf, part_sd in fills:
+            _draw_complex(gen, buf[:blocks], part_sd, scratch)
         for k, ell in enumerate(range(start, start + blocks)):
             pilots = noise[:, :, :, k]
             for stack, block, schemes in rows.stacks:
@@ -839,29 +842,38 @@ def run_multiuser_sweep(
     return tables
 
 
+def user_angles(config: ExperimentConfig) -> list[float]:
+    """Horizontal angles (degrees) of a configuration's users: the explicit
+    ``users.theta_deg`` when given, else a lone user at ``ring.theta_h_deg``
+    and several users placed uniformly in the sector (-60, 60) from the
+    seed."""
+    if config.users.theta_deg is not None:
+        return [float(t) for t in config.users.theta_deg]
+    if config.users.count == 1:
+        return [float(config.ring.theta_h_deg)]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        config.seed).spawn(2)[0]))
+    return np.degrees(rng.uniform(-np.pi / 3, np.pi / 3, size=config.users.count)).tolist()
+
+
+def user_scene(config: ExperimentConfig, u: int, theta_deg: float) -> ChannelScene:
+    """The channel scene of a configuration's user u at horizontal angle
+    ``theta_deg``, checked to keep at least the ``frame.m_p`` eigenmodes it
+    sounds per block."""
+    scene = build_scene(config.array.build(), config.ring.build(theta_h_deg=theta_deg),
+                        config.frame.m, config.rank_tol)
+    if scene.r_design < config.frame.m_p:
+        raise ValueError(f"user {u} keeps {scene.r_design} eigenmodes above rank_tol = "
+                         f"{config.rank_tol!r}, fewer than the frame.m_p = "
+                         f"{config.frame.m_p} it sounds per block: lower either")
+    return scene
+
+
 def multiuser_scenes_from_config(config: ExperimentConfig):
     """Per-user channel scenes and horizontal angles (degrees) of a
-    configuration: the explicit ``users.theta_deg`` when given, else a lone
-    user at ``ring.theta_h_deg`` and several users placed uniformly in the
-    sector (-60, 60) from the seed."""
-    n_users = config.users.count
-    if config.users.theta_deg is not None:
-        thetas = [float(t) for t in config.users.theta_deg]
-    elif n_users == 1:
-        thetas = [float(config.ring.theta_h_deg)]
-    else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            config.seed).spawn(2)[0]))
-        thetas = np.degrees(rng.uniform(-np.pi / 3, np.pi / 3, size=n_users)).tolist()
-    array = config.array.build()
-    scenes = [build_scene(array, config.ring.build(theta_h_deg=t), config.frame.m,
-                          config.rank_tol) for t in thetas]
-    for u, scene in enumerate(scenes):
-        if scene.r_design < config.frame.m_p:
-            raise ValueError(f"user {u} keeps {scene.r_design} eigenmodes above rank_tol = "
-                             f"{config.rank_tol!r}, fewer than the frame.m_p = "
-                             f"{config.frame.m_p} it sounds per block: lower either")
-    return scenes, thetas
+    configuration (see ``user_angles`` and ``user_scene``)."""
+    thetas = user_angles(config)
+    return [user_scene(config, u, t) for u, t in enumerate(thetas)], thetas
 
 
 def run_multiuser(config: ExperimentConfig):

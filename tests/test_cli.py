@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pilotseq import cli
+from pilotseq import simulate as sim
 from pilotseq.config import ExperimentConfig, preset
 from pilotseq.sequence_design import load_sequence_csv
 
@@ -66,6 +67,31 @@ class TestDesign:
                              "--out", str(tmp_path / command)]) == 0
         assert ((tmp_path / "design" / "design.csv").read_bytes()
                 == (tmp_path / "simulate" / "design.csv").read_bytes())
+
+
+    def test_design_builds_user_zero_scene_alone(self, tmp_path, monkeypatch):
+        """``design`` builds and rank-checks user 0's scene alone, and writes
+        the bytes it writes from user 0's scene among every user's."""
+        cfg = preset("multiuser_ula32")
+        every_user = sim.multiuser_scenes_from_config(cfg)[0]
+        assert len(every_user) > 1
+        out = tmp_path / "d"
+        args = ["design", "--preset", "multiuser_ula32", "--out", str(out)]
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "user_scene", lambda config, u, theta: every_user[u])
+            assert cli.main(args) == 0
+        expected = [(out / name).read_bytes() for name in ("design.csv", "assignment.json")]
+        calls = []
+        build_scene = sim.build_scene
+
+        def counting_build_scene(*a, **kw):
+            calls.append(a)
+            return build_scene(*a, **kw)
+
+        monkeypatch.setattr(sim, "build_scene", counting_build_scene)
+        assert cli.main(args) == 0
+        assert len(calls) == 1
+        assert [(out / name).read_bytes() for name in ("design.csv", "assignment.json")] == expected
 
 
 class TestSimulate:

@@ -331,6 +331,25 @@ class TestDftBasisBuilder:
         assert row.u_sim.tobytes() == u.tobytes()
         assert row.lam_sim.tobytes() == lam.tobytes()
 
+    def test_planar_scene_diagonalizes_axis_factors_alone(self, monkeypatch):
+        """build_scene never diagonalizes the n_t x n_t covariance: on upa375
+        its two eigh calls see the axis factors, none larger than
+        max(n_h, n_v)."""
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            sizes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        cfg = preset("upa375")
+        array = cfg.array.build()
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        scene = sim.build_scene(array, cfg.ring.build(), cfg.frame.m, cfg.rank_tol)
+        assert sorted(sizes) == sorted([(array.n_h, array.n_h), (array.n_v, array.n_v)])
+        assert max(max(s) for s in sizes) <= max(array.n_h, array.n_v) < array.n_t
+        assert scene.u_sim.shape == (array.n_t, scene.r_sim)
+
     def test_ula_surrogate_projects_toeplitz_covariance(self):
         """A ULA's hybrid scheme designs on the DFT projection of the
         one-ring Toeplitz covariance itself, not of its rank-truncated
