@@ -18,7 +18,9 @@ changes) on the same cases:
   -55, 0 and 35 degrees), the last also at 300 blocks so that its Monte
   Carlo draws cross a slab boundary (``simulate.SLAB``) and with the
   baselines ``mp_fixed``, ``perfect_csit`` and ``nd_fixed`` (a perfect row
-  between diag rows at every SNR point), each with ``mc_runs`` cut to 16,
+  between diag rows at every SNR point), and on ``multiuser_ula32`` with the
+  exhaustive designer (its five users at seven SNR points designed in one
+  batch), each with ``mc_runs`` cut to 16,
   comparing
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` and ``upa375`` with
@@ -201,6 +203,8 @@ def main(argv: list[str]) -> int:
                 ("simulate", f"3 users, mp/perfect/nd (mc_runs={CUT_RUNS})",
                  "multiuser_ula32", {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]},
                                      "baselines": ["mp_fixed", "perfect_csit", "nd_fixed"]}),
+                ("simulate", f"multiuser_ula32 exhaustive (mc_runs={CUT_RUNS})",
+                 "multiuser_ula32", {"designer": "exhaustive"}),
                 ("design", "demo", "demo", None),
                 ("design", "ci_ula32 dft", "ci_ula32", {"designer": "min_max_dft"}),
                 ("design", "upa375 dft", "upa375", {"designer": "min_max_dft"}),

@@ -9,7 +9,9 @@ during block ell's training period.
 
 from __future__ import annotations
 
+import heapq
 import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,22 +117,51 @@ def validate_assignment(asn: IntervalAssignment, frame: FrameParams, rank: int |
     return problems
 
 
+DESIGNERS = ("min_max", "exhaustive")
+
+
+def _flat(rows, a, rho) -> tuple:
+    """The rows laid end to end, each entry beside its own row's a and rho,
+    and the rows' lengths.  The closed forms run on such 1-D arrays, and
+    every entry gets the bits of a one-row call."""
+    sizes = [len(row) for row in rows]
+    return np.concatenate(rows), np.repeat(a, sizes), np.repeat(rho, sizes), sizes
+
+
+def _split(flat: np.ndarray, sizes) -> list:
+    """Each row's contiguous slice of ``_flat``'s layout."""
+    ends = itertools.accumulate(sizes)
+    return [flat[end - size: end] for size, end in zip(sizes, ends)]
+
+
+def _objectives(lams, a, rho, gs) -> list[float]:
+    """l1 norms of the upper steady-state envelopes of R designs, untrained
+    modes padded: design j sounds the first len(gs[j]) modes of lams[j] at
+    intervals gs[j] under a[j] and rho[j].  One min_ss_mse and one
+    max_ss_mse call over every design's entries, and one sum per design
+    over its own, so each value has the bits of the one-design call."""
+    lam_t, a_t, rho_t, sizes = _flat([lam[: len(g)] for lam, g in zip(lams, gs)], a, rho)
+    g_t = np.concatenate(gs)
+    upper = max_ss_mse(min_ss_mse(lam_t, a_t, rho_t, g_t), lam_t, a_t, g_t)
+    return [float(np.sum(row) + np.sum(lam[len(row):]))
+            for row, lam in zip(_split(upper, sizes), lams)]
+
+
 def _objective(lam: np.ndarray, a: float, rho: float, g: np.ndarray) -> float:
     """l1 norm of the upper steady-state envelope, untrained modes padded."""
-    n_d = len(g)
-    lower = min_ss_mse(lam[:n_d], a, rho, g)
-    upper = max_ss_mse(lower, lam[:n_d], a, g)
-    return float(np.sum(upper) + np.sum(lam[n_d:]))
+    return _objectives([np.asarray(lam, dtype=float)], [a], [rho], [g])[0]
 
 
-def _ceiling_table(lam: np.ndarray, a: float, rho: float, divisors) -> np.ndarray:
-    """(mode, divisor) table of steady-state ceilings max_ss_mse(min_ss_mse(
-    lam_i, a, rho, d), lam_i, a, d).  One array call per divisor, with d a
-    scalar, so every entry has the bits of the scalar call (a grid that
+def _ceiling_table(lam: np.ndarray, a, rho, divisors) -> np.ndarray:
+    """(..., mode, divisor) table of steady-state ceilings max_ss_mse(
+    min_ss_mse(lam_i, a, rho, d), lam_i, a, d); ``a`` and ``rho`` are
+    scalars or arrays of ``lam``'s shape, so the modes of many cells laid
+    end to end (``_flat``) tabulate at once.  One array call per divisor, with
+    d a scalar, so every entry has the bits of the scalar call (a grid that
     broadcasts d along a second axis may differ from it in the last bit)."""
-    table = np.empty((len(lam), len(divisors)))
+    table = np.empty(np.shape(lam) + (len(divisors),))
     for k, d in enumerate(divisors):
-        table[:, k] = max_ss_mse(min_ss_mse(lam, a, rho, d), lam, a, d)
+        table[..., k] = max_ss_mse(min_ss_mse(lam, a, rho, d), lam, a, d)
     return table
 
 
@@ -149,8 +180,66 @@ def _feasible_n_d_range(lam, frame: FrameParams) -> tuple[int, int]:
     return lo, hi
 
 
+def design_cells(designer: str, lams, a, rho, frame: FrameParams) -> list[IntervalAssignment]:
+    """Design C cells that share the frame's G, M_p and N_d: cell c has its
+    own descending spectrum lams[c], fading coefficient a[c] and training
+    power rho[c] (``frame.rho`` is not read).  ``designer`` is ``min_max``
+    (``min_max_design``) or ``exhaustive`` (``exhaustive_search``); each of
+    those is the one-cell call of this one.
+
+    Every cell is checked first, in cell order, so an infeasible cell
+    raises the one-cell message of the first failing cell.  One
+    ``_ceiling_table`` call then tabulates every cell's candidate modes,
+    each cell walks its own slice of the table, and one ``_objectives``
+    call scores every cell's candidates.  Each entry and objective has the
+    bits of the one-cell call, so a cell's design does not depend on its
+    batch.
+    """
+    if designer not in DESIGNERS:
+        raise ValueError(f"unknown designer {designer!r}; choose among {DESIGNERS}")
+    lams = [np.asarray(lam, dtype=float) for lam in lams]
+    a = np.asarray(a, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    ranges = [_feasible_n_d_range(lam, frame) for lam in lams]
+    if not lams:
+        return []
+    divisors = divisor_set(frame.g_len)
+    caps = [hi for _, hi in ranges]
+    lam_t, a_t, rho_t, _ = _flat([lam[:hi] for lam, hi in zip(lams, caps)], a, rho)
+    tables = _split(_ceiling_table(lam_t, a_t, rho_t, divisors), caps)
+    if designer == "min_max":
+        candidates = [[_min_max_walk(table.tolist(), lam, frame, divisors)]
+                      for table, lam in zip(tables, lams)]
+    else:
+        candidates = [
+            [(1,) * frame.m_p] if rho_c == 0
+            else _exhaustive_walk(table - lam[:hi, None], lam, lo, frame, divisors)
+            for table, lam, (lo, hi), rho_c in zip(tables, lams, ranges, rho)]
+    cells = [c for c, found in enumerate(candidates) for _ in found]
+    flat = [g for found in candidates for g in found]
+    scores = iter(_objectives([lams[c] for c in cells], a[cells], rho[cells], flat))
+    out = []
+    for lam, found in zip(lams, candidates):
+        obj, n_d, g = min((next(scores), len(g), g) for g in found)
+        asn = IntervalAssignment(g=g, n_d=n_d, objective=obj)
+        if designer == "min_max":
+            problems = validate_assignment(asn, frame, rank=len(lam))
+            if problems:
+                raise RuntimeError("min-max design produced an invalid assignment: "
+                                   + "; ".join(problems))
+        out.append(asn)
+    return out
+
+
 def exhaustive_search(lam, a: float, rho: float, frame: FrameParams) -> IntervalAssignment:
-    """Global minimizer of the upper-envelope objective over ordered designs.
+    """Global minimizer of the upper-envelope objective over ordered designs
+    (the one-cell ``design_cells``; the search is ``_exhaustive_walk``)."""
+    return design_cells("exhaustive", [lam], [a], [rho], frame)[0]
+
+
+def _exhaustive_walk(excess, lam, lo: int, frame: FrameParams, divisors) -> list:
+    """Candidate designs of the exhaustive search, from the (mode, divisor)
+    ceiling excess table of its hi candidate modes, the strongest of lam.
 
     The objective is sum(lam) + sum_{i < n_d} f_i(g_i) with the ceiling
     excess f_i(d) = max_ss_mse(lam_i, d) - lam_i, and a design pairs a
@@ -160,56 +249,48 @@ def exhaustive_search(lam, a: float, rho: float, frame: FrameParams) -> Interval
     in O(n_d * |D| * G * M_p) with D the divisors of G.  Sounding may stop
     only with the budget spent exactly (b = 0) and M_p <= i <= the cap.
 
-    The table fixes the optimum only up to its own float sums, so the
-    result comes from a depth-first walk that follows every branch whose
-    partial sum plus table value stays within ``slack`` of the optimum, and
-    re-scores each complete design with ``_objective``.  Ties break toward
-    fewer sounded modes, then lexicographically smallest g.  At rho = 0
-    every design ties at sum(lam), so the answer is the fewest modes: M_p
-    of them at interval 1.
+    The table fixes the optimum only up to its own float sums, so the walk
+    returns every design reached by a depth-first walk that follows every
+    branch whose partial sum plus table value stays within ``slack`` of the
+    optimum; ``design_cells`` re-scores each with ``_objectives`` and keeps
+    the best, ties broken toward fewer sounded modes, then lexicographically
+    smallest g.  At rho = 0 every design ties at sum(lam), so
+    ``design_cells`` takes the fewest modes, M_p of them at interval 1,
+    without the walk.
     """
-    lam = np.asarray(lam, dtype=float)
-    lo, hi = _feasible_n_d_range(lam, frame)
-    if rho == 0:
-        return IntervalAssignment((1,) * frame.m_p, frame.m_p,
-                                  _objective(lam, a, rho, np.ones(frame.m_p, dtype=int)))
-    divisors = divisor_set(frame.g_len)
-    n_div = len(divisors)
+    hi, n_div = excess.shape
     budget = frame.g_len * frame.m_p
     cost = [frame.g_len // d for d in divisors]  # blocks consumed per use
 
-    excess = _ceiling_table(lam[:hi], a, rho, divisors) - lam[:hi, None]
-
-    # value[i, n_div] is the stop column: modes i.. stay untrained
+    # value[i, n_div] is the stop column: modes i.. stay untrained; value[i, k]
+    # is the least over k' >= k of that column and of mode i taking divisor
+    # k' (excess plus the best completion of the blocks left), one suffix
+    # minimum over k per mode
     value = np.full((hi + 1, n_div + 1, budget + 1), np.inf)
     for i in range(hi, -1, -1):
         if i >= lo:
             value[i, n_div, 0] = 0.0
-        for k in range(n_div - 1, -1, -1):
-            value[i, k] = value[i, k + 1]
-            if i < hi:
-                c = cost[k]
-                np.minimum(value[i, k, c:], excess[i, k] + value[i + 1, k, : budget + 1 - c],
-                           out=value[i, k, c:])
+        if i < hi:
+            for k, c in enumerate(cost):
+                np.add(excess[i, k], value[i + 1, k, : budget + 1 - c], out=value[i, k, c:])
+        value[i] = np.minimum.accumulate(value[i, ::-1], axis=0)[::-1]
     optimum = value[0, 0, budget]
     if not np.isfinite(optimum):
         raise ValueError("no feasible interval vector under the given frame")
 
     # the table's backward sums, the walk's forward partial sums and
-    # _objective's np.sum each add at most len(lam) + 1 terms bounded by
+    # _objectives' np.sum each add at most len(lam) + 1 terms bounded by
     # lam_i, so two of them differ by under 2 (len(lam) + 1) eps sum(lam);
     # the slack covers that gap for both the winner and the table's optimum,
-    # plus few-ulp differences between the grid's and _objective's envelopes
+    # plus few-ulp differences between the grid's and _objectives' envelopes
     slack = 16.0 * (len(lam) + 2) * np.finfo(float).eps * float(np.sum(lam))
     limit = optimum + slack
-    best = None
+    found = []
     stack = [(0, 0, budget, 0.0, ())]
     while stack:
         i, k, b, partial, g = stack.pop()
         if b == 0:
-            key = (_objective(lam, a, rho, np.asarray(g)), len(g), g)
-            if best is None or key < best:
-                best = key
+            found.append(g)
             continue
         for kk in range(k, n_div):
             c = cost[kk]
@@ -218,32 +299,34 @@ def exhaustive_search(lam, a: float, rho: float, frame: FrameParams) -> Interval
             s = partial + excess[i, kk]
             if s + value[i + 1, kk, b - c] <= limit:
                 stack.append((i + 1, kk, b - c, s, g + (divisors[kk],)))
-    obj, n_d, g = best
-    return IntervalAssignment(g=g, n_d=n_d, objective=obj)
+    return found
 
 
 def min_max_design(lam, a: float, rho: float, frame: FrameParams) -> IntervalAssignment:
     """Greedy design that repeatedly shortens the interval of the mode with
-    the worst steady-state ceiling.
+    the worst steady-state ceiling (the one-cell ``design_cells``; the
+    greedy is ``_min_max_walk``)."""
+    return design_cells("min_max", [lam], [a], [rho], frame)[0]
+
+
+def _min_max_walk(table: list, lam, frame: FrameParams, divisors) -> tuple:
+    """The min-max greedy's ascending interval vector, from the (mode,
+    divisor) ceiling table, as lists, of its candidate modes, the strongest
+    of lam.
 
     State per mode: the index of its current interval among the divisors
     of G (one past the last marks "not yet sounded") and its upper
-    envelope.  Each round picks the candidate with the largest ceiling and
-    the largest divisor strictly below its interval; the move is taken when
-    the freed plus remaining block budget covers it, otherwise the mode is
-    frozen out.  Runs in O(G * M_p) rounds, each reading the ceiling table
-    that ``_ceiling_table`` builds once per design.
+    envelope.  Each round pops the candidate with the largest ceiling (ties
+    to the stronger mode) off a heap and tries the largest divisor strictly
+    below its interval; the move is taken, and the mode pushed back at its
+    new ceiling, when the freed plus remaining block budget covers it,
+    otherwise the mode stays out.  Runs in O(G * M_p) rounds, each reading
+    the table instead of calling the closed forms.
     """
-    lam = np.asarray(lam, dtype=float)
-    lo, hi = _feasible_n_d_range(lam, frame)
-    divisors = divisor_set(frame.g_len)
-    n_div = len(divisors)
-    n_cand = hi  # candidate modes: the hi strongest (never exceeds rank)
-    table = _ceiling_table(lam[:n_cand], a, rho, divisors).tolist()
-
+    n_div, n_cand = len(divisors), len(table)
     k = [n_div] * n_cand
-    ceiling = lam[:n_cand].tolist()
-    active = list(range(n_cand))
+    active = [(-x, i) for i, x in enumerate(lam[:n_cand].tolist())]  # a heap: worst ceiling first
+    heapq.heapify(active)
     n_blk = frame.g_len * frame.m_p
 
     while n_blk > 0:
@@ -252,37 +335,23 @@ def min_max_design(lam, a: float, rho: float, frame: FrameParams) -> IntervalAss
                 "min-max design exhausted its candidates with blocks left; "
                 "this cannot happen when N_d >= M_p"
             )
-        i = max(active, key=lambda j: (ceiling[j], -j))
+        _, i = heapq.heappop(active)  # the largest ceiling, ties to the stronger mode
         if k[i] == 0:
-            active.remove(i)  # already at g = 1; nothing tighter exists
-            continue
+            continue  # already at g = 1; nothing tighter exists
         k_star = k[i] - 1
         freed = frame.g_len // divisors[k[i]] if k[i] < n_div else 0
         need = frame.g_len // divisors[k_star]
         if n_blk + freed >= need:
             n_blk = n_blk + freed - need
             k[i] = k_star
-            ceiling[i] = table[i][k_star]
-        else:
-            active.remove(i)
+            heapq.heappush(active, (-table[i][k_star], i))
 
-    chosen = np.flatnonzero(np.array(k) < n_div)
-    g_out = np.array([divisors[k[i]] for i in chosen], dtype=int)
-    order = np.argsort(g_out, kind="stable")
-    g_sorted = g_out[order]
-    if not np.array_equal(chosen, np.arange(len(chosen))):
+    chosen = [i for i in range(n_cand) if k[i] < n_div]
+    if chosen != list(range(len(chosen))):
         # allocation always proceeds from the strongest ceiling downward,
         # so the allocated set is a prefix of the candidate list
         raise RuntimeError("min-max design allocated a non-prefix mode set")
-    asn = IntervalAssignment(
-        g=tuple(int(x) for x in g_sorted),
-        n_d=len(chosen),
-        objective=_objective(lam, a, rho, g_sorted),
-    )
-    problems = validate_assignment(asn, frame, rank=len(lam))
-    if problems:
-        raise RuntimeError("min-max design produced an invalid assignment: " + "; ".join(problems))
-    return asn
+    return tuple(sorted(divisors[k[i]] for i in chosen))
 
 
 @dataclass(frozen=True)

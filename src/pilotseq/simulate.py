@@ -74,21 +74,19 @@ from .channel_model import (
 )
 from .config import MU_SCHEMES, SCHEME_KINDS, ExperimentConfig
 from .sequence_design import (
+    DESIGNERS,
     FrameParams,
     IntervalAssignment,
     SequenceMatrix,
     construct_sequence_matrix,
-    exhaustive_search,
-    min_max_design,
+    design_cells,
 )
-from .steady_state import profile as ss_profile
+from .steady_state import profiles as ss_profiles
 
 CHUNK_RUNS = 32  # runs per Monte Carlo chunk, the unit of buffering and of the reduction
 SLAB = 256  # blocks of innovations and pilot noise drawn per stream at a time
 SIM_RANK_TOL = 1e-12  # relative eigenvalue floor of the simulation space
 TAIL_FRAMES = 2  # trailing frames averaged into the steady-state summaries
-
-_DESIGNERS = {"min_max": min_max_design, "exhaustive": exhaustive_search}
 
 
 @dataclass
@@ -421,17 +419,19 @@ def build_single_user_plans(
     return plans, err[0, :, :, 0] / scene.trace()
 
 
-def _scheme_plan(scene, frame, horizon, name, rng_scene) -> Tracker:
+def _scheme_plan(scene, frame, horizon, name, rng_scene, designed=None) -> Tracker:
     """One scheme's plan for one user, before its covariance recursion; its
-    kind comes from ``SCHEME_KINDS``, and the branches build its training."""
+    kind comes from ``SCHEME_KINDS``, and the branches build its training.
+    A designed scheme takes the cell's ``design_sweep`` entry as
+    ``designed``, or designs the cell alone (``design_scheme``) without it."""
     if name not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {name!r}")
     kind, lam = SCHEME_KINDS[name], scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
     s_u, cycle, design, seq = None, None, None, None
-    if name.removesuffix("_dft") in _DESIGNERS:
-        design, seq, cols = design_scheme(scene, frame, name)
+    if name.removesuffix("_dft") in DESIGNERS:
+        design, seq, cols = designed or design_scheme(scene, frame, name)
         cycle = seq.c - 1
         if kind == "full":  # the hybrid tracker keeps the true covariance knowledge
             s_u, design = scene.u_sim.conj().T @ cols, None
@@ -460,24 +460,53 @@ def _scheme_plan(scene, frame, horizon, name, rng_scene) -> Tracker:
 
 
 def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
-    """Design step of a designed scheme for one user.
+    """Design step of a designed scheme for one user: the one-cell
+    ``design_sweep``.  Returns the interval assignment, its index matrix,
+    and the n_t x r_design sounding columns of the hybrid variant (None for
+    the eigen variant)."""
+    return design_sweep([scene], [frame], name)[0][0]
+
+
+def design_sweep(scenes: list, frames: list, name: str) -> list:
+    """Design step of a designed scheme for every (point, user) cell of a
+    sweep whose frames differ only in rho; ``designs[p][u]`` is user u's
+    (assignment, index matrix, sounding columns) at point p.
 
     ``name`` is a designer (``min_max``, ``exhaustive``), sounding the
-    scene's design-grade covariance eigenvectors, or its hybrid variant
-    (suffix ``_dft``), whose sounding directions are restricted to the DFT
-    surrogate basis (the analog pre-beamformer) and whose sequence is
-    designed on the DFT-projected spectrum.  Returns the interval
-    assignment, its index matrix, and the n_t x r_design sounding columns
-    of the hybrid variant (None for the eigen variant).
+    scene's design-grade covariance eigenvectors (columns None), or its
+    hybrid variant (suffix ``_dft``), which sounds the DFT surrogate basis
+    (the analog pre-beamformer) and is designed on the DFT-projected
+    spectrum.  One ``design_cells`` call designs all P x U cells, and each
+    distinct interval vector's index matrix is constructed once and shared.
     """
+    frame = _shared_frame(frames)
     designer = name.removesuffix("_dft")
     if name == designer:
-        lam, cols = scene.lam_sim[: scene.r_design], None
+        spectra = [(s.lam_sim[: s.r_design], None) for s in scenes]
     else:
-        basis = dft_approximation_upa(*scene.axes, scene.r_design)
-        lam, cols = basis.lambda_tilde, basis.f_tilde
-    design = _DESIGNERS[designer](lam, scene.a, frame.rho, frame)
-    return design, construct_sequence_matrix(design, frame), cols
+        bases = [dft_approximation_upa(*s.axes, s.r_design) for s in scenes]
+        spectra = [(basis.lambda_tilde, basis.f_tilde) for basis in bases]
+    asns = iter(design_cells(designer, [lam for _ in frames for lam, _ in spectra],
+                             [s.a for _ in frames for s in scenes],
+                             [f.rho for f in frames for _ in scenes], frame))
+    seqs = {}  # interval vector -> its index matrix
+    designs = []
+    for _ in frames:
+        point = []
+        for _, cols in spectra:
+            asn = next(asns)
+            if asn.g not in seqs:
+                seqs[asn.g] = construct_sequence_matrix(asn, frame)
+            point.append((asn, seqs[asn.g], cols))
+        designs.append(point)
+    return designs
+
+
+def _shared_frame(frames: list) -> FrameParams:
+    """The first of frames that may differ only in rho."""
+    if any(dataclasses.replace(f, rho=frames[0].rho) != frames[0] for f in frames):
+        raise ValueError("the operating points of a sweep may differ only in rho")
+    return frames[0]
 
 
 # -- Monte Carlo ----------------------------------------------------------
@@ -755,18 +784,35 @@ def run_schemes(
 def steady_state(scene_mu, plans, rho):
     """Per-user steady-state bound (at the envelopes of every user's periodic
     design) and converged deterministic SINR (at the post-training floor,
-    zero under perfect knowledge) of one scheme, nan where undefined."""
-    nan = np.full(len(plans), np.nan)
-    if plans[0].kind == "perfect":
-        lowers = uppers = [np.zeros(len(p.lam)) for p in plans]
-    elif all(p.design is not None for p in plans):
-        profiles = [ss_profile(p.lam, p.a, p.rho, p.design.g_padded(len(p.lam))) for p in plans]
-        lowers, uppers = [p.lambda_lower for p in profiles], [p.lambda_upper for p in profiles]
+    zero under perfect knowledge) of one scheme, nan where undefined: the
+    one-point ``steady_states``."""
+    return steady_states(scene_mu, [plans], [rho])[0]
+
+
+def steady_states(scene_mu, points, rhos) -> list:
+    """``steady_state`` of one scheme at every point, whose per-user plans
+    at point p are points[p] and whose data power is rhos[p]: a list of
+    (bound, deterministic SINR), nan throughout unless every plan carries a
+    periodic design (or the scheme is perfect).  The envelopes of every
+    (point, user) design come from one ``steady_state.profiles`` call."""
+    cells = [p for plans in points for p in plans]
+    perfect = cells[0].kind == "perfect"
+    nan = np.full(len(points[0]), np.nan)
+    if perfect:
+        envelopes = [(np.zeros(len(p.lam)),) * 2 for p in cells]
+    elif all(p.design is not None for p in cells):
+        envelopes = [(q.lambda_lower, q.lambda_upper) for q in ss_profiles(
+            [p.lam for p in cells], [p.a for p in cells], [p.rho for p in cells],
+            [p.design.g_padded(len(p.lam)) for p in cells])]
     else:
-        return nan, nan
-    states = [np.stack([lower, upper]) for lower, upper in zip(lowers, uppers)]
-    det_ss, lb = mu.sinr_equivalent(*mu.sinr_inputs(scene_mu, states, lowers), rho)
-    return (nan if plans[0].kind == "perfect" else lb), det_ss
+        return [(nan, nan)] * len(points)
+    out, n_users = [], len(points[0])
+    for k, rho in enumerate(rhos):
+        lowers, uppers = zip(*envelopes[k * n_users: (k + 1) * n_users])
+        states = [np.stack(pair) for pair in zip(lowers, uppers)]
+        det_ss, lb = mu.sinr_equivalent(*mu.sinr_inputs(scene_mu, states, lowers), rho)
+        out.append((nan if perfect else lb, det_ss))
+    return out
 
 
 def run_multiuser_scene(
@@ -801,23 +847,27 @@ def run_multiuser_sweep(
     Returns one table per point: every scheme's deterministic traces,
     steady-state summaries and Monte Carlo averages, each equal to the
     one-point run's.  The scene, its cross tensor and coupling maps are
-    built once.  Each point builds its plans with a fresh scene generator,
-    so ``random`` draws the same columns at every point; then one Monte
-    Carlo pass runs every (point, scheme) pair on the same draws.
+    built once, and each designed scheme's P x U cells are designed in one
+    ``design_sweep`` call.  Each point builds its plans with a fresh scene
+    generator, so ``random`` draws the same columns at every point; then
+    one Monte Carlo pass runs every (point, scheme) pair on the same draws.
     """
     n_users = len(scenes)
-    if any(dataclasses.replace(f, rho=frames[0].rho) != frames[0] for f in frames):
-        raise ValueError("the operating points of a sweep may differ only in rho")
+    _shared_frame(frames)
     unavailable = [name for name in schemes if name not in MU_SCHEMES]
     if n_users > 1 and unavailable:
         raise ValueError(f"schemes {unavailable} are not available in the multiuser "
                          f"path; choose among {MU_SCHEMES}")
     scene = _multiuser_scene(scenes, frames[0])
+    designs = {name: design_sweep(scenes, frames, name) for name in schemes
+               if name.removesuffix("_dft") in DESIGNERS}
     plans = []  # plans[p][s][u] is user u's plan of scheme s at point p
-    for frame in frames:
+    for p, frame in enumerate(frames):
         rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-        plans.append([[_scheme_plan(user, frame, horizon, name, rng_scene) for user in scenes]
-                      for name in schemes])
+        plans.append([[_scheme_plan(user, frame, horizon, name, rng_scene,
+                                    designs[name][p][u] if name in designs else None)
+                       for u, user in enumerate(scenes)] for name in schemes])
+    del designs  # a hybrid scheme's n_t x r sounding columns live on only in its plans' s_u
     rows = MonteCarloRows.of(plans, scene)
     lam_sum = np.array([s.lam_sim.sum() for s in scenes])
     err, self_err, leak = rows.posteriors(horizon)
@@ -828,9 +878,12 @@ def run_multiuser_sweep(
     del err, self_err, leak  # free them before the Monte Carlo pass
 
     means = _monte_carlo(rows, seed, mc_runs, horizon, frames[0])
+    bounds = [steady_states(scene, [point[s] for point in plans], [f.rho for f in frames])
+              for s in range(len(schemes))]
     tables = []
-    for frame, point, det_p, nmse_p, sinr_mc, se_mc in zip(frames, plans, det, nmse, *means):
-        lb, det_ss = zip(*(steady_state(scene, by_user, frame.rho) for by_user in point))
+    for p, (frame, point, det_p, nmse_p, sinr_mc, se_mc) in enumerate(
+            zip(frames, plans, det, nmse, *means)):
+        lb, det_ss = zip(*(by_scheme[p] for by_scheme in bounds))
         tables.append(MultiuserTable(
             schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
             nmse=dict(zip(schemes, nmse_p)),

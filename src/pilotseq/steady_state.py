@@ -94,29 +94,39 @@ class SteadyStateProfile:
         return float(self.lambda_upper.sum())
 
 
-def profile(lam: np.ndarray, a: float, rho: float, g) -> SteadyStateProfile:
-    """Vectorized envelopes with untrained modes padded at their full power."""
-    lam = np.asarray(lam, dtype=float)
-    g = np.asarray(g, dtype=int)
-    if g.shape != lam.shape:
+def profiles(lams, a, rho, gs) -> list[SteadyStateProfile]:
+    """Envelopes of C cells, cell c with its own spectrum lams[c], a[c],
+    rho[c] and per-mode intervals gs[c], untrained modes padded at their
+    full power.  One min_ss_mse and one max_ss_mse call over every cell's
+    trained modes laid end to end, each beside its own cell's a and rho, so
+    each cell's envelopes have the bits of its one-cell call."""
+    if not lams:
+        return []
+    lams = [np.asarray(lam, dtype=float) for lam in lams]
+    gs = [np.asarray(g, dtype=int) for g in gs]
+    if any(g.shape != lam.shape for lam, g in zip(lams, gs)):
         raise ValueError("g must have one entry per eigenmode")
-    trained = g > 0
-    lower = lam.copy()
-    upper = lam.copy()
-    if np.any(trained):
-        gt = g[trained].astype(float)
-        lower_t = min_ss_mse(lam[trained], a, rho, gt)
-        lower[trained] = lower_t
-        upper[trained] = max_ss_mse(lower_t, lam[trained], a, gt)
-    return SteadyStateProfile(
-        lam=lam,
-        lambda_lower=lower,
-        lambda_upper=upper,
-        g=g,
-        a=float(a),
-        rho=float(rho),
-        n_d=int(np.count_nonzero(trained)),
-    )
+    trained = [g > 0 for g in gs]
+    counts = [int(np.count_nonzero(t)) for t in trained]
+    lam_t = np.concatenate([lam[t] for lam, t in zip(lams, trained)])
+    g_t = np.concatenate([g[t] for g, t in zip(gs, trained)]).astype(float)
+    a_t = np.repeat(np.asarray(a, dtype=float), counts)
+    lower_t = min_ss_mse(lam_t, a_t, np.repeat(np.asarray(rho, dtype=float), counts), g_t)
+    upper_t = max_ss_mse(lower_t, lam_t, a_t, g_t)
+    out, end = [], 0
+    for lam, g, t, n, a_c, rho_c in zip(lams, gs, trained, counts, a, rho):
+        lower, upper = lam.copy(), lam.copy()
+        lower[t], upper[t] = lower_t[end: end + n], upper_t[end: end + n]
+        end += n
+        out.append(SteadyStateProfile(lam=lam, lambda_lower=lower, lambda_upper=upper, g=g,
+                                      a=float(a_c), rho=float(rho_c), n_d=n))
+    return out
+
+
+def profile(lam: np.ndarray, a: float, rho: float, g) -> SteadyStateProfile:
+    """Vectorized envelopes with untrained modes padded at their full power
+    (the one-cell ``profiles``)."""
+    return profiles([lam], [a], [rho], [g])[0]
 
 
 # live cells at or below which the oracle iterates each cell alone on

@@ -140,14 +140,19 @@ class TestExhaustiveSearch:
         # at rho = 0 every design ties at sum(lam): the tie-break's fewest
         # modes, M_p at interval 1, comes back from a single scoring
         calls = []
-        objective = sd._objective
-        monkeypatch.setattr(sd, "_objective", lambda *args: calls.append(1) or objective(*args))
+        objectives = sd._objectives
+
+        def scored(lams, a, rho, gs):
+            calls.append(list(gs))
+            return objectives(lams, a, rho, gs)
+
+        monkeypatch.setattr(sd, "_objectives", scored)
         lam = np.linspace(2.0, 0.1, 64)
         fr = frame(g_len=32, m_p=2, m=5, n_d_max=64, rho=0.0)
         asn = sd.exhaustive_search(lam, 0.99, 0.0, fr)
         assert (asn.g, asn.n_d) == ((1, 1), 2)
         assert asn.objective == pytest.approx(lam.sum(), rel=1e-12)
-        assert len(calls) <= 1
+        assert calls == [[(1, 1)]]
 
     def test_reference_point_is_feasible(self):
         lam = spectrum(8)
@@ -243,6 +248,102 @@ class TestCeilingTable:
                          for x in lam])
         assert table.shape == (24, len(divisors))
         assert table.tobytes() == want.tobytes()
+
+
+def random_cell(rng):
+    """A seeded random (lam, a, rho) cell: a rank of 1 to 10, repeated
+    eigenvalues in about a third of the draws, a in {0, 1} or inside, rho = 0
+    in about a third."""
+    r = int(rng.integers(1, 11))
+    lam = np.sort(rng.uniform(0.05, 3.0, size=r))[::-1]
+    if rng.random() < 0.35:
+        lam = np.sort(rng.choice([0.25, 1.0, 2.5], size=r))[::-1]
+    a = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0), rng.uniform(0.9, 0.9999)]))
+    rho = float(rng.choice([0.0, rng.uniform(0.1, 30.0), rng.uniform(0.1, 30.0)]))
+    return lam, a, rho
+
+
+class TestDesignCells:
+    """The batched designer is the one-cell designers' batch: each cell's
+    design, objective bits included, does not depend on its batch."""
+
+    @pytest.mark.parametrize("designer", sd.DESIGNERS)
+    @pytest.mark.parametrize("g_len", [4, 8, 9, 16, 27, 32])
+    def test_batch_equals_one_cell_calls(self, designer, g_len, monkeypatch):
+        one_cell = sd.min_max_design if designer == "min_max" else sd.exhaustive_search
+        tables, ceiling_table = [], sd._ceiling_table
+
+        def recorded(lam, a, rho, divisors):
+            tables.append((lam, a, rho, divisors, ceiling_table(lam, a, rho, divisors)))
+            return tables[-1][-1]
+
+        rng = np.random.default_rng([g_len, len(designer)])
+        kept = []
+        for m_p in (1, 2, 3, 4):
+            fr = frame(g_len=g_len, m_p=m_p, m=200, n_d_max=int(rng.integers(m_p, 11)))
+            cells, want = [], []
+            while len(cells) < 10:
+                cell = random_cell(rng)
+                try:
+                    want.append(one_cell(*cell, fr))
+                except (ValueError, RuntimeError):
+                    continue  # infeasible, or a known greedy dead end (G = 9, few modes)
+                cells.append(cell)
+            monkeypatch.setattr(sd, "_ceiling_table", recorded)
+            got = sd.design_cells(designer, *zip(*cells), fr)
+            monkeypatch.undo()
+            assert got == want
+            assert [x.objective.hex() for x in got] == [x.objective.hex() for x in want]
+            # the one table holds every cell's candidate modes, each entry
+            # with the bits of the scalar call
+            lam_t, a_t, rho_t, divisors, table = tables.pop()
+            assert not tables
+            assert len(lam_t) == sum(min(g_len * m_p, fr.n_d_max, len(lam)) for lam, _, _ in cells)
+            entries = [ss.max_ss_mse(ss.min_ss_mse(x, a, rho, d), x, a, d)
+                       for x, a, rho in zip(lam_t.tolist(), a_t.tolist(), rho_t.tolist())
+                       for d in divisors]
+            assert table.ravel().tolist() == entries
+            kept += cells
+        ranks = {len(lam) for lam, _, _ in kept}
+        assert len(ranks) > 1
+        assert any(len(set(lam.tolist())) < len(lam) for lam, _, _ in kept)
+        assert {0.0, 1.0} <= {a for _, a, _ in kept}
+        assert 0.0 in {rho for _, _, rho in kept}
+
+    @pytest.mark.parametrize("designer", sd.DESIGNERS)
+    def test_closed_form_calls_do_not_grow_with_cells(self, designer, monkeypatch):
+        calls, min_ss_mse = [], ss.min_ss_mse
+        monkeypatch.setattr(sd, "min_ss_mse", lambda *args: calls.append(1) or min_ss_mse(*args))
+        fr = frame(g_len=16, m_p=2, m=40, n_d_max=8)
+        rng = np.random.default_rng(3)
+        cells = [(spectrum(int(rng.integers(2, 10)), decay=float(rng.uniform(0.3, 0.9))),
+                  float(rng.uniform(0.5, 0.999)), float(rng.uniform(0.5, 20.0)))
+                 for _ in range(9)]
+        counts = []
+        for batch in (cells[:1], cells):
+            calls.clear()
+            sd.design_cells(designer, *zip(*batch), fr)
+            counts.append(len(calls))
+        assert counts == [len(sd.divisor_set(16)) + 1] * 2
+
+    @pytest.mark.parametrize("designer", sd.DESIGNERS)
+    def test_first_failing_cell_names_the_error(self, designer):
+        one_cell = sd.min_max_design if designer == "min_max" else sd.exhaustive_search
+        fr = frame(g_len=8, m_p=3, m=40, n_d_max=8)
+        ok = (spectrum(6), 0.9, 2.0)
+        short, shorter = (spectrum(2), 0.9, 2.0), (spectrum(1), 0.9, 2.0)
+        unsorted = (spectrum(6)[::-1].copy(), 0.9, 2.0)
+        for cells, first in (([ok, short, shorter, unsorted], short),
+                             ([ok, shorter, short], shorter),
+                             ([unsorted, ok, short], unsorted)):
+            with pytest.raises(ValueError) as alone:
+                one_cell(*first, fr)
+            with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+                sd.design_cells(designer, *zip(*cells), fr)
+
+    def test_unknown_designer_rejected(self):
+        with pytest.raises(ValueError, match="unknown designer"):
+            sd.design_cells("greedy", [spectrum(4)], [0.9], [1.0], frame())
 
 
 def greedy_by_scalar_calls(lam, a, rho, fr):

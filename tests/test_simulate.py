@@ -13,6 +13,7 @@ import pytest
 from pilotseq import channel_model as cm
 from pilotseq import kalman
 from pilotseq import multiuser as mu
+from pilotseq import sequence_design as sd
 from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
 from pilotseq.cli import emit_outputs
@@ -635,6 +636,73 @@ class TestSweep:
         assert len({row["snr_db"] for row in rows}) == 7
         assert len(built) == 1
         assert sorted(built[0]._coupling) == list(range(cfg.users.count))
+
+    @staticmethod
+    def multiuser_sweep_inputs(n_points):
+        """multiuser_ula32's five scenes and the frames of its first
+        ``n_points`` SNR points, as ``run_multiuser`` builds them."""
+        cfg = preset("multiuser_ula32")
+        scenes, _ = sim.multiuser_scenes_from_config(cfg)
+        frame = cfg.frame.build()
+        return scenes, [dataclasses.replace(frame, rho=10.0 ** (snr / 10.0) / scenes[0].gamma)
+                        for snr in cfg.snr_sweep_db[:n_points]]
+
+    def test_closed_form_calls_do_not_grow_with_points(self, monkeypatch):
+        # the designs and the steady-state envelopes of every (point, user)
+        # cell take one min_ss_mse call per divisor and per scoring, however
+        # many points the sweep has
+        calls, min_ss_mse = [], ss.min_ss_mse
+
+        def counted(*args):
+            calls.append(1)
+            return min_ss_mse(*args)
+
+        for module in (sd, ss):
+            monkeypatch.setattr(module, "min_ss_mse", counted)
+        counts = []
+        for n_points in (2, 7):
+            scenes, frames = self.multiuser_sweep_inputs(n_points)
+            calls.clear()
+            sim.run_multiuser_sweep(scenes, frames, ["min_max", "perfect_csit"], 1, 3, 8)
+            counts.append(len(calls))
+        # G = 32: six divisors, then one scoring call and one envelope call
+        assert counts == [6 + 1 + 1] * 2
+
+    def test_index_matrix_built_once_per_distinct_design(self, monkeypatch):
+        built = []
+        construct = sim.construct_sequence_matrix
+
+        def counted(asn, frame):
+            built.append(asn.g)
+            return construct(asn, frame)
+
+        monkeypatch.setattr(sim, "construct_sequence_matrix", counted)
+        scenes, frames = self.multiuser_sweep_inputs(7)
+        tables = sim.run_multiuser_sweep(scenes, frames, ["min_max", "perfect_csit"], 1, 3, 8)
+        plans = [by_user["min_max"] for t in tables for by_user in t.user_plans]
+        assert len(plans) == 35
+        distinct = {plan.design.g for plan in plans}
+        assert sorted(built) == sorted(distinct)
+        assert len(distinct) < len(plans)
+        for plan in plans:
+            assert plan.seq.g == plan.design.g
+
+    @pytest.mark.parametrize("name", ["min_max", "exhaustive", "min_max_dft"])
+    def test_sweep_designs_equal_one_cell_designs(self, name):
+        scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)]
+        frames = [small_frame(g_len=8, m_p=1, m=10, n_d_max=8, rho=rho)
+                  for rho in (0.0, 0.5, 4.0, 30.0)]
+        designs = sim.design_sweep(scenes, frames, name)
+        assert len(designs) == len(frames)
+        for frame, point in zip(frames, designs):
+            for scene, (asn, seq, cols) in zip(scenes, point):
+                want_asn, want_seq, want_cols = sim.design_scheme(scene, frame, name)
+                assert asn == want_asn
+                assert asn.objective.hex() == want_asn.objective.hex()
+                assert seq.c.tobytes() == want_seq.c.tobytes()
+                assert (cols is None) == (want_cols is None)
+                if cols is not None:
+                    assert cols.tobytes() == want_cols.tobytes()
 
     def test_sweep_points_differ_only_in_rho(self):
         frame = small_frame()

@@ -170,6 +170,28 @@ class TestProfile:
         prof = ss.profile(lam, 0.98, 10.0, g)
         assert prof.lambda_lower.sum() <= prof.upper_sum() <= lam.sum() + 1e-12
 
+    def test_batch_equals_one_cell_profiles(self):
+        # cells of unequal rank, untrained modes anywhere, a in {0, 1},
+        # rho = 0 and a cell with nothing trained: each cell's envelopes
+        # have the bits of its one-cell profile
+        rng = np.random.default_rng(11)
+        cells = []
+        for _ in range(40):
+            r = int(rng.integers(1, 12))
+            lam = np.sort(rng.uniform(0.05, 3.0, size=r))[::-1]
+            g = rng.choice([0, 1, 2, 4, 9, 27], size=r)
+            a = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+            cells.append((lam, a, float(rng.choice([0.0, rng.uniform(0.1, 30.0)])), g))
+        cells.append((np.array([2.0, 1.0]), 0.9, 3.0, np.zeros(2, dtype=int)))
+        got = ss.profiles(*zip(*cells))
+        assert len(got) == len(cells)
+        for prof, cell in zip(got, cells):
+            want = ss.profile(*cell)
+            for field in ("lam", "lambda_lower", "lambda_upper", "g"):
+                assert getattr(prof, field).tobytes() == getattr(want, field).tobytes()
+            assert (prof.a, prof.rho, prof.n_d) == (want.a, want.rho, want.n_d)
+        assert ss.profiles([], [], [], []) == []
+
     def test_unit_interval_collapses(self):
         lam = np.array([1.0, 0.5])
         prof = ss.profile(lam, 0.9, 2.0, np.array([1, 1]))
