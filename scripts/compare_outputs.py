@@ -13,14 +13,17 @@ changes) on the same cases:
   ``designer = "min_max_dft"`` (the hybrid schemes of a linear array), on
   ``ci_ula32`` with a static user (``ring.v_kmh = 0``, so a = 1 and every
   trained mode's floor and ceiling are zero), on ``ci_ula32`` swept over
-  0, 10 and 20 dB (a one-user sweep with full-kind schemes) and on
+  0, 10 and 20 dB (a one-user sweep with full-kind schemes), on
+  ``ci_ula32`` at ``mc_runs`` = 40 (two chunks of runs, the second
+  partial, over its 480 blocks, so each chunk crosses a slab boundary
+  with ``orthogonal`` and ``random`` among its schemes) and on
   ``multiuser_ula32`` with three users of unequal rank (8, 10 and 9 at
   -55, 0 and 35 degrees), the last also at 300 blocks so that its Monte
   Carlo draws cross a slab boundary (``simulate.SLAB``) and with the
   baselines ``mp_fixed``, ``perfect_csit`` and ``nd_fixed`` (a perfect row
   between diag rows at every SNR point), and on ``multiuser_ula32`` with the
   exhaustive designer (its five users at seven SNR points designed in one
-  batch), each with ``mc_runs`` cut to 16,
+  batch), each with ``mc_runs`` cut to 16 unless stated,
   comparing
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` and ``upa375`` with
@@ -74,6 +77,7 @@ FILES = {"simulate": ("out/trace.csv", "out/design.csv", "out/sweep.csv"),
          "design": ("out/design.csv", "out/assignment.json"),
          "verify": ("stdout.txt",)}
 CUT_RUNS = 16
+CHUNKED_RUNS = 40  # two chunks of simulate.CHUNK_RUNS = 32 runs, the second partial
 
 
 def run_cli(tree: Path, command: str, args: list[str], workdir: Path) -> Path:
@@ -195,6 +199,8 @@ def main(argv: list[str]) -> int:
                  {"ring": {"v_kmh": 0.0}}),
                 ("simulate", f"ci_ula32 at 0/10/20 dB (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"snr_sweep_db": [0.0, 10.0, 20.0]}),
+                ("simulate", f"ci_ula32 (mc_runs={CHUNKED_RUNS}, two chunks)", "ci_ula32",
+                 {"mc_runs": CHUNKED_RUNS}),
                 ("simulate", f"3 users, ranks 8/10/9 (mc_runs={CUT_RUNS})", "multiuser_ula32",
                  {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]}}),
                 ("simulate", f"3 users, 300 blocks (mc_runs={CUT_RUNS})", "multiuser_ula32",

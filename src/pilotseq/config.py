@@ -28,9 +28,11 @@ SCHEME_KINDS = {"min_max": "diag", "exhaustive": "diag", "min_max_dft": "full",
 # the schemes a run with more than one user offers: the leakage of a user's
 # estimate into the others is exact only for a diagonal error covariance
 MU_SCHEMES = tuple(name for name, kind in SCHEME_KINDS.items() if kind != "full")
-# a full-kind scheme stores complex (horizon, r, M_p) Kalman gains for each
-# user and SNR point, and every scheme's covariance recursion holds its real
-# (horizon, r) diag P
+# the most a configured run may hold.  It keeps every (point, scheme,
+# user)'s per-block traces and schedules for the whole horizon, and every
+# run's channel, estimates and generators at once, but the Kalman gains
+# and diag P of one recursion window of simulate.SLAB blocks only, beside
+# one chunk's slab of drawn innovations and pilot noise
 GAIN_BUDGET_BYTES = 2 * 10**9
 
 
@@ -193,19 +195,39 @@ class ExperimentConfig:
             if self.users.count > 1 and scheme not in MU_SCHEMES:
                 raise ValueError(f"{name} names {scheme!r}, a single-user scheme; with "
                                  f"users.count > 1 choose among {MU_SCHEMES}")
-        # the rank r is at most n_t, and a sweep holds every point's plans
-        n_full = sum(SCHEME_KINDS[s] == "full" for s in self.schemes)
-        points = max(1, len(self.snr_sweep_db or ()))
-        n_t = array.n_v * array.n_h
-        gain_bytes = (self.users.count * points * self.horizon_blocks * n_t
-                      * (n_full * frame.m_p * 16 + len(self.schemes) * 8))
-        if gain_bytes > GAIN_BUDGET_BYTES:
+        self._check_memory()
+
+    def _check_memory(self) -> None:
+        """Fails naming horizon_blocks and mc_runs when the run would hold
+        more than GAIN_BUDGET_BYTES, with n_t bounding each user's rank.
+        Per block and (point, scheme, user): 2 U + 8 float64 traces (the
+        Monte Carlo sums, tr P, the self-error, the leakage into every user
+        and its weighted copy in the deterministic equivalent, the returned
+        traces) and two copies of a noisy plan's schedule.  Per run: the
+        channel and every estimate row, and a ~1 KB generator per drawing
+        stream.  Per slab: one chunk's innovations and pilot noise, the
+        full-kind gains and every estimate row's diag P."""
+        from .simulate import CHUNK_RUNS, SLAB  # simulate imports this module
+
+        kinds = [SCHEME_KINDS[s] for s in self.schemes]
+        n_noisy, n_full = sum(k != "perfect" for k in kinds), kinds.count("full")
+        points, users, m_p = max(1, len(self.snr_sweep_db or ())), self.users.count, self.frame.m_p
+        n_t = self.array.n_v * self.array.n_h
+        est = points * n_noisy + len(kinds) - n_noisy  # a perfect scheme's one estimate row
+        per_block = users * points * (len(kinds) * (2 * users + 8) * 8 + n_noisy * m_p * 16)
+        per_run = users * ((1 + est) * n_t * 16 + (1 + n_noisy) * 1024)
+        runs = min(self.mc_runs, CHUNK_RUNS)  # the draw buffers hold one chunk
+        per_slab = SLAB * users * (16 * runs * (n_t + len(kinds) * m_p)
+                                   + 16 * points * n_full * n_t * m_p + 8 * est * n_t)
+        need = self.horizon_blocks * per_block + self.mc_runs * per_run + per_slab
+        if need > GAIN_BUDGET_BYTES:
             raise ValueError(
-                f"horizon_blocks = {self.horizon_blocks} needs {gain_bytes / 1e9:.3g} GB of "
-                f"gains and diag P trajectories, over the {GAIN_BUDGET_BYTES / 1e9:g} GB budget: "
-                f"{self.users.count} users x {points} points x n_t = {n_t} x ({n_full} full-kind "
-                f"schemes x frame.m_p = {frame.m_p} x 16 B + {len(self.schemes)} schemes x 8 B) "
-                "per block")
+                f"horizon_blocks = {self.horizon_blocks} and mc_runs = {self.mc_runs} need "
+                f"{need / 1e9:.3g} GB, over the {GAIN_BUDGET_BYTES / 1e9:g} GB budget: "
+                f"{per_block} B per block of traces and schedules, {per_run} B per run of "
+                f"channel, estimates and generators, and {per_slab / 1e6:.3g} MB of slab "
+                f"buffers, for {users} users x {points} points x {len(kinds)} schemes at "
+                f"n_t = {n_t}")
 
     @property
     def schemes(self) -> list:

@@ -17,10 +17,12 @@ perfect  genie channel knowledge
 Every scheme plan is a ``Tracker``, a description; the ``TrackerStack`` of
 its kind owns its state and does its arithmetic: one stack holds every
 (operating point, scheme) row of a kind for all users.  Its covariance
-recursion (``posteriors``) runs once per run, storing the per-block gains,
-and returns every row's and user's posteriors as arrays, reduced to the
-inputs of ``multiuser.sinr_equivalent``, evaluated once per sweep for every
-point, scheme and user.  The diag rows of all users advance as
+recursion (``posteriors``) is resumable: each call advances it one window
+of blocks from where it stopped, stores that window's gains only, and
+returns every row's and user's posteriors as arrays, reduced to the inputs
+of ``multiuser.sinr_equivalent``, evaluated once per sweep for every point,
+scheme and user.  The Monte Carlo pass advances it one slab at a time, so
+no run holds the whole horizon's gains.  The diag rows of all users advance as
 one flat vector of per-mode variances; a user's full rows advance as one
 (K, r, r) stack of error covariances, updated in place by a rank-M_p
 Hermitian update without per-block re-symmetrization: it agrees with the
@@ -29,7 +31,9 @@ its own one-row recursion bit for bit.  A single-user run is the one-user
 case of the multiuser run, and a run at one operating point is the
 one-point case of an SNR sweep: one run path, one result table per point.
 
-Monte Carlo runs a whole sweep in one pass.  Its K = P S output rows are
+Monte Carlo runs a whole sweep in one slab-major pass: per slab of blocks
+the recursion advances once, then every chunk of runs steps the slab's
+blocks.  Its K = P S output rows are
 the (operating point, scheme) pairs in (point, scheme) order.  Its E
 estimate rows, ordered by tracker kind (diag, then full, then perfect), are
 the noisy output rows, each owning its estimate, and one row per perfect
@@ -47,9 +51,9 @@ estimate row, then each output row's rho.
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user, whatever the number of points; the
 rows of a scheme at every point read its one noise stream), runs are
-processed in fixed-size chunks, and chunk partial sums are reduced in
-run-index order, so results are byte-identical from run to run, and each
-point of a sweep equals its one-point run.
+processed in fixed-size chunks, and each block's chunk partial sums are
+reduced in run-index order, so results are byte-identical from run to run,
+and each point of a sweep equals its one-point run.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ from .sequence_design import (
 from .steady_state import profiles as ss_profiles
 
 CHUNK_RUNS = 32  # runs per Monte Carlo chunk, the unit of buffering and of the reduction
-SLAB = 256  # blocks of innovations and pilot noise drawn per stream at a time
+SLAB = 256  # blocks per recursion window and per draw of innovations and pilot noise
 SIM_RANK_TOL = 1e-12  # relative eigenvalue floor of the simulation space
 TAIL_FRAMES = 2  # trailing frames averaged into the steady-state summaries
 
@@ -171,11 +175,14 @@ class TrackerStack:
     zero-padded to the largest rank r, and ``sched`` (horizon, K, U, m_p)
     indexes them.  perfect: no state.
 
-    The stack does all tracker arithmetic and owns its state:
-    ``posteriors`` runs the covariance recursion of every row and user and
-    stores the gains, (horizon, K, U, m_p) real for diag and (K, U,
-    horizon, r, m_p) for full, and ``step`` moves the estimates of a Monte
-    Carlo batch through them.  A lone tracker is the one-row stack.
+    The stack does all tracker arithmetic and owns its state.
+    ``posteriors(blocks)`` advances the covariance recursion of every row
+    and user by ``blocks`` blocks from where it stopped, keeping the
+    recursion's state between calls, and stores the gains of those blocks
+    only, its ``window``: (blocks, K, U, m_p) real for diag and (K, U,
+    blocks, r, m_p) for full.  ``step`` moves the estimates of a Monte Carlo
+    batch through the window's gains.  One call over the whole horizon is
+    the one-window case, and a lone tracker is the one-row stack.
     """
 
     kind: str
@@ -183,8 +190,12 @@ class TrackerStack:
     lams: list  # per user, its channel spectrum
     rho: np.ndarray  # (K,) each row's data power
     sched: np.ndarray | None = None
-    gains: np.ndarray | None = None
+    gains: np.ndarray | None = None  # the gains of the blocks in ``window``
     cols: np.ndarray | None = None
+    window: range = range(0)  # the blocks of the last ``posteriors`` call
+    # the recursion's priors at block window.stop: diag, the (K, U, r)
+    # per-mode variances; full, each user's (K, r_u, r_u) error covariances
+    state: object = None
 
     @classmethod
     def of(cls, rows) -> TrackerStack:
@@ -248,7 +259,8 @@ class TrackerStack:
         at block 0) of channels c (U, runs, r) in eigencoordinates; they are
         predicted one block ahead and conditioned on block ell's pilots y =
         S^H h + w, with w = noise (K, U, runs, m_p), through the gains the
-        covariance recursion stored.  Perfect rows copy the channel.
+        covariance recursion stored for block ell, which must lie in its
+        ``window`` (else an ``IndexError``).  Perfect rows copy the channel.
 
         Every row and user goes through the arithmetic of a one-tracker
         update in the same memory layout, so the stack changes no bit.
@@ -256,65 +268,92 @@ class TrackerStack:
         if self.kind == "perfect":
             hats[...] = c
             return
+        if ell not in self.window:
+            raise IndexError(f"block {ell} lies outside the gains window "
+                             f"[{self.window.start}, {self.window.stop})")
         if ell:
             hats *= self.a
-        sqrt_rho, idx = self.sqrt_rho, self.sched[ell]
+        sqrt_rho, idx, i = self.sqrt_rho, self.sched[ell], ell - self.window.start
         if self.kind == "diag":
             k, u = self._grid  # the advanced indices go first: (K, U, m_p, runs)
             y = sqrt_rho * c[u, :, idx] + noise.swapaxes(-1, -2)
             chat = hats[k, u, :, idx]
-            hats[k, u, :, idx] = chat + self.gains[ell][..., None] * (y - sqrt_rho * chat)
+            hats[k, u, :, idx] = chat + self.gains[i][..., None] * (y - sqrt_rho * chat)
         else:
             s_conj = np.ascontiguousarray(self.cols[:, idx].transpose(1, 2, 0, 3))
             y = c @ s_conj + noise
-            hats += (y - hats @ s_conj) @ self.gains[:, :, ell].swapaxes(-1, -2)
+            hats += (y - hats @ s_conj) @ self.gains[:, :, i].swapaxes(-1, -2)
 
-    def posteriors(self, horizon: int) -> tuple:
-        """The covariance recursion of every row and user over the schedule.
+    def posteriors(self, blocks: int) -> tuple:
+        """The covariance recursion of every row and user over the next
+        ``blocks`` blocks of the schedule, from where the last call stopped
+        (block 0 at first); a ``ValueError`` if fewer blocks are left.
 
-        Stores each block's gains in ``gains`` and returns every row's and
+        Stores those blocks' gains in ``gains`` and returns every row's and
         user's posteriors reduced per block: tr P and the self-error term
-        Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2, (K, U, horizon)
-        each, and diag P, (K, U, horizon, r) zero-padded to the largest
+        Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2, (K, U, blocks)
+        each, and diag P, (K, U, blocks, r) zero-padded to the largest
         rank r.  Every reduction sums the user's own r_u modes, never the
-        padding.  Perfect knowledge leaves no error: P = 0.
+        padding.  Perfect knowledge leaves no error: P = 0.  The state
+        carried between calls is the recursion's own, so any split of the
+        horizon into windows gives the bits of one call.
         """
+        start = self.window.stop
+        if self.sched is not None and start + blocks > len(self.sched):
+            raise ValueError(f"the schedule has {len(self.sched) - start} blocks left, "
+                             f"fewer than the {blocks} asked")
+        self.window = range(start, start + blocks)
         n_rows, n_users = len(self.rho), len(self.lams)
-        err, self_err = np.empty((2, n_rows, n_users, horizon))
-        diag = np.zeros((n_rows, n_users, horizon, max(map(len, self.lams))))
+        err, self_err = np.empty((2, n_rows, n_users, blocks))
+        diag = np.zeros((n_rows, n_users, blocks, max(map(len, self.lams))))
         if self.kind == "full":
+            if self.state is None:  # the priors lam at block 0
+                self.state = [np.zeros((n_rows, len(lam), len(lam)), dtype=complex)
+                              for lam in self.lams]
+                for p, lam in zip(self.state, self.lams):
+                    p.reshape(n_rows, -1)[:, :: len(lam) + 1] += lam
             self.gains = np.zeros((*diag.shape, self.sched.shape[-1]), dtype=complex)
             for u in range(n_users):
                 self._full_posteriors(u, err[:, u], self_err[:, u], diag[:, u])
             return err, self_err, diag
         if self.kind == "diag":
+            if self.state is None:  # the priors lam at block 0
+                self.state = self._lam.copy()
             self._diag_posteriors(diag)
         for u, lam in enumerate(self.lams):
             diag_u = diag[:, u, :, :len(lam)]
             err[:, u], self_err[:, u] = mu.error_terms(lam, diag_u, diag_u)
         return err, self_err, diag
 
+    @cached_property
+    def _lam(self) -> np.ndarray:
+        """(K, U, r) every row's and user's spectrum, zero-padded to the largest rank r."""
+        lam = np.zeros((len(self.rho), len(self.lams), max(map(len, self.lams))))
+        for u, lam_u in enumerate(self.lams):
+            lam[:, u, :len(lam_u)] = lam_u
+        return lam
+
     def _diag_posteriors(self, diags: np.ndarray) -> None:
         """Eigenmode sounding keeps every mode's recursion separate, so all
         rows and users advance as one flat vector of per-mode error
-        variances, zero-padded to the largest rank r: per block, the sounded
+        variances, zero-padded to the largest rank r, that the stack keeps
+        between windows: per block, the sounded
         modes' posteriors p / (1 + rho p) and gains sqrt(rho) p / (1 + rho
         p), then the AR(1) prediction a^2 p + (1 - a^2) lam of every mode.
-        Writes the posteriors into ``diags`` (K, U, horizon, r)."""
-        n_rows, n_users, horizon, r_max = diags.shape
-        p = np.zeros((n_rows, n_users, r_max))  # the priors lam, then each block's state
-        for u, lam in enumerate(self.lams):
-            p[:, u, :len(lam)] = lam
+        Writes the window's posteriors into ``diags`` (K, U, blocks, r)."""
+        n_rows, n_users, blocks, r_max = diags.shape
+        p = self.state
         a2 = (self.a * self.a)[:, :, 0]  # (U, 1)
-        innovation, a2 = ((1.0 - a2) * p).ravel(), np.broadcast_to(a2, p.shape).ravel()
-        # flat indices of every row's and user's sounded modes, and the
-        # matching per-element rho and sqrt(rho)
-        idx = self.sched + r_max * np.arange(n_rows * n_users).reshape(n_rows, n_users, 1)
-        rho = np.repeat(self.rho, n_users * self.sched.shape[-1])
-        self.gains = np.zeros((horizon, n_rows, n_users, self.sched.shape[-1]))
-        sqrt_rho, gains = np.sqrt(rho), self.gains.reshape(horizon, -1)
+        innovation, a2 = ((1.0 - a2) * self._lam).ravel(), np.broadcast_to(a2, p.shape).ravel()
+        # flat indices of every row's and user's sounded modes in the window,
+        # and the matching per-element rho and sqrt(rho)
+        sched = self.sched[self.window.start:self.window.stop]
+        idx = sched + r_max * np.arange(n_rows * n_users).reshape(n_rows, n_users, 1)
+        rho = np.repeat(self.rho, n_users * sched.shape[-1])
+        self.gains = np.zeros((blocks, n_rows, n_users, sched.shape[-1]))
+        sqrt_rho, gains = np.sqrt(rho), self.gains.reshape(blocks, -1)
         flat = p.reshape(-1)  # a view of p
-        for ell, i in enumerate(idx.reshape(horizon, -1)):
+        for ell, i in enumerate(idx.reshape(blocks, -1)):
             pred = flat.take(i)
             den = 1.0 + rho * pred
             np.divide(sqrt_rho * pred, den, out=gains[ell])
@@ -324,13 +363,14 @@ class TrackerStack:
             flat += innovation
 
     def _full_posteriors(self, u: int, err, self_err, diags) -> None:
-        """The covariance recursion of user u's rows, run as one, reduced as
-        ``posteriors`` returns it into err and self_err (K, horizon) and
-        diags (K, horizon, r), that user's slices.
+        """The covariance recursion of user u's rows over the window, run as
+        one, reduced as ``posteriors`` returns it into err and self_err (K,
+        blocks) and diags (K, blocks, r), that user's slices.
 
         Their error covariances advance together as one (K, r, r) stack
-        updated in place.  Per block, with S the block's columns sqrt(rho)
-        s_u, conjugated back out of ``cols``, and I the m_p x m_p identity:
+        updated in place, kept between windows.  Per block, with S the
+        block's columns sqrt(rho) s_u, conjugated back out of ``cols``, and
+        I the m_p x m_p identity:
 
             P S, its conjugate transpose (P S)^H and the Gram matrix
             G = (P S)^H S + I; K^H = solve(G, (P S)^H); P -= K (P S)^H;
@@ -351,14 +391,14 @@ class TrackerStack:
         _, n, _, m_p = self.sched.shape
         r = len(lam)
         cols = self.cols[:r]
-        p = np.zeros((n, r, r), dtype=complex)
+        p = self.state[u]
         p_flat = p.view(float).reshape(n, 2 * r * r)  # ||P||_F^2 is its real dot with itself
         d = p.reshape(n, r * r)[:, :: r + 1]  # a writable view of every diagonal
-        d += lam
         s, k = np.empty((n, r, m_p), dtype=complex), np.empty((n, r, m_p), dtype=complex)
         ps_h, update = np.empty((n, m_p, r), dtype=complex), np.empty_like(p)
         eye = np.eye(m_p)
-        for ell, idx in enumerate(self.sched[:, :, u]):
+        sched = self.sched[self.window.start:self.window.stop, :, u]
+        for ell, idx in enumerate(sched):
             np.conjugate(cols[:, idx].transpose(1, 0, 2), out=s)
             ps = p @ s
             np.conjugate(ps.swapaxes(1, 2), out=ps_h)
@@ -629,21 +669,22 @@ class MonteCarloRows:
         """The scene's off-diagonal pair stack, ``_cross_pairs`` of its cross tensor."""
         return _cross_pairs(self.scene.cross)
 
-    def posteriors(self, horizon: int) -> tuple:
-        """Runs every stack's covariance recursion, which stores the stack's
-        gains.  Returns, per point, scheme, block and user, tr P and the
-        self-error term, (P, S, horizon, U) each, and the leakage into every
-        user, (P, S, horizon, U, U): each kind's diag P is reduced to its
-        leakage, user v's r_v modes at a time, before the next kind's
-        recursion runs, and only the reduced terms of an estimate row are
-        copied to the output rows that read it."""
-        shape = (len(self.plans), len(self.plans[0]), horizon, self.scene.n_users)
+    def posteriors(self, blocks: int) -> tuple:
+        """Advances every stack's covariance recursion by ``blocks`` blocks,
+        which stores the stack's gains of those blocks.  Returns, per point,
+        scheme, block and user, tr P and the self-error term, (P, S, blocks,
+        U) each, and the leakage into every user, (P, S, blocks, U, U): each
+        kind's diag P is reduced to its leakage, user v's r_v modes at a
+        time, before the next kind's recursion runs, and only the reduced
+        terms of an estimate row are copied to the output rows that read
+        it."""
+        shape = (len(self.plans), len(self.plans[0]), blocks, self.scene.n_users)
         err, self_err = np.empty((2, len(self.est), *shape[2:]))
         leak = np.empty((*err.shape, shape[-1]))
         for stack, block, _ in self.stacks:
             outputs = (block.start <= self.est) & (self.est < block.stop)
             own = self.est[outputs] - block.start  # the output rows' rows of the stack
-            err_k, self_err_k, diag = stack.posteriors(horizon)
+            err_k, self_err_k, diag = stack.posteriors(blocks)
             err[outputs] = err_k[own].swapaxes(1, 2)
             self_err[outputs] = self_err_k[own].swapaxes(1, 2)
             for v, lam in enumerate(stack.lams):
@@ -652,76 +693,119 @@ class MonteCarloRows:
         return err.reshape(shape), self_err.reshape(shape), leak.reshape(*shape, shape[-1])
 
 
-def _chunk(seed_seqs, rows, horizon, frame):
-    """Simulate one chunk of runs through every row for every user.  Returns
-    the (2, K, horizon, U) partial sums of the realized SINR and the
-    spectral efficiency of the K output rows.
+@dataclass
+class _Chunk:
+    """One chunk of Monte Carlo runs between slabs: channels c (U, runs, r)
+    about to enter the next block, estimates hats (E, U, runs, r) after the
+    last, per drawing stream (generator, its rows of the shared slab
+    buffers, per-part scale or None), and the chunk's runs of those
+    buffers, proc (U, runs, slab, r) and noise (S, U, runs, slab, m_p)."""
 
-    The channel is the scene's: each user's AR(1) coefficient and spectrum
-    come from its channel statistics, whatever the plans assume.  Each run
-    spawns its streams in one layout, whatever the points: one per user
-    channel, then one per (scheme, user).  Every point's row of a scheme
-    reads that scheme's pilot noise, and the channel is drawn and evolved
-    once per block for all rows.  Perfect knowledge consumes its streams
-    without drawing from them.  The estimates are (E, U, runs, r) for the E
-    estimate rows.  Per block, each tracker kind makes one stacked step of
-    its estimate rows, and one realized-SINR call covers every output row
-    and user, reading each output row's estimate row.
+    c: np.ndarray
+    hats: np.ndarray
+    fills: list
+    proc: np.ndarray
+    noise: np.ndarray
+    scratch: np.ndarray  # the draws of a user below the largest rank
 
-    The channel innovations and pilot noise are drawn a slab of at most SLAB
-    blocks at a time into buffers reused across slabs; each stream fills
-    sequentially, so the values equal one whole-horizon draw.
-    """
-    users = [user.stats for user in rows.scene.users]
-    n_runs, n_users = len(seed_seqs), len(users)
-    a = np.array([stats.a for stats in users])[:, None, None]
-    evolve = np.sqrt(1.0 - a * a)
-    scale = [np.repeat(np.sqrt(stats.lam), 2) for stats in users]  # per float64 part
-    noisy = [row[0].kind != "perfect" for row in rows.plans[0]]  # per scheme
-    slab, r_max = min(SLAB, horizon), max(len(stats.lam) for stats in users)
-    c = np.zeros((n_users, n_runs, r_max), dtype=complex)
-    scratch = np.empty(slab * r_max, dtype=complex)  # the draws of a user below rank r_max
-    proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
-    noise = np.empty((len(noisy), n_users, n_runs, slab, frame.m_p), dtype=complex)
-    fills = []  # (generator, the slab rows it fills, per-part scale or None) per stream
-    for i, seq in enumerate(seed_seqs):
-        streams = seq.spawn(n_users * (1 + len(noisy)))
-        for u, part_sd in enumerate(scale):
-            gen, r = np.random.default_rng(streams[u]), len(part_sd) // 2
-            _draw_complex(gen, c[u, i:i + 1, :r], part_sd, scratch)
-            fills.append((gen, proc[u, i, :, :r], part_sd))
-        for pos, (s, u) in enumerate(np.ndindex(len(noisy), n_users), start=n_users):
-            if noisy[s]:
-                fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
+    @classmethod
+    def of(cls, seed_seqs, rows, proc, noise, scratch) -> _Chunk:
+        """The chunk of runs seed_seqs at block 0.  Each run spawns its
+        streams in one layout, whatever the points: one per user channel,
+        which draws the run's first channel at once, then one per (scheme,
+        user).  Every point's row of a scheme reads that scheme's pilot
+        noise; perfect knowledge consumes its streams without drawing from
+        them.  Run i fills run i of the shared innovation buffer proc (U,
+        CHUNK_RUNS, slab, r) and pilot-noise buffer noise (S, U, CHUNK_RUNS,
+        slab, m_p)."""
+        users = [user.stats for user in rows.scene.users]
+        n_runs, n_users = len(seed_seqs), len(users)
+        noisy = [row[0].kind != "perfect" for row in rows.plans[0]]  # per scheme
+        scale = [np.repeat(np.sqrt(stats.lam), 2) for stats in users]  # per float64 part
+        c = np.zeros((n_users, n_runs, proc.shape[-1]), dtype=complex)
+        fills = []
+        for i, seq in enumerate(seed_seqs):
+            streams = seq.spawn(n_users * (1 + len(noisy)))
+            for u, part_sd in enumerate(scale):
+                gen, r = np.random.default_rng(streams[u]), len(part_sd) // 2
+                _draw_complex(gen, c[u, i:i + 1, :r], part_sd, scratch)
+                fills.append((gen, proc[u, i, :, :r], part_sd))
+            for pos, (s, u) in enumerate(np.ndindex(len(noisy), n_users), start=n_users):
+                if noisy[s]:
+                    fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
+        return cls(c, np.zeros((rows.n_est, *c.shape), dtype=complex), fills,
+                   proc[:, :n_runs], noise[:, :, :n_runs], scratch)
 
-    hats = np.zeros((rows.n_est, n_users, n_runs, r_max), dtype=complex)
-    sums = np.zeros((2, len(rows.est), horizon, n_users))
-    for start in range(0, horizon, slab):
-        blocks = min(slab, horizon - start)
-        for gen, buf, part_sd in fills:
-            _draw_complex(gen, buf[:blocks], part_sd, scratch)
+    def advance(self, rows, start, blocks, sums, frame) -> None:
+        """Draws the chunk's next ``blocks`` blocks into the shared buffers
+        and simulates blocks start, ..., start + blocks - 1, adding each
+        block's sums over the chunk's runs of the realized SINR and the
+        spectral efficiency of the K output rows to sums (2, K, horizon, U).
+        Per block the channel is drawn and evolved once for all rows, with
+        each user's AR(1) coefficient and spectrum from the scene, whatever
+        the plans assume; each tracker kind makes one stacked step of its
+        estimate rows, and one realized-SINR call covers every output row
+        and user, reading each output row's estimate row."""
+        c, hats, n_users = self.c, self.hats, len(self.c)
+        a = np.array([user.stats.a for user in rows.scene.users])[:, None, None]
+        evolve = np.sqrt(1.0 - a * a)
+        for gen, buf, part_sd in self.fills:
+            _draw_complex(gen, buf[:blocks], part_sd, self.scratch)
         for k, ell in enumerate(range(start, start + blocks)):
-            pilots = noise[:, :, :, k]
+            pilots = self.noise[:, :, :, k]
             for stack, block, schemes in rows.stacks:
                 stack.step(hats[block], c, None if schemes is None else pilots[schemes], ell)
             sinr = _realized_sinr(c, hats, rows.rho, rows.est, rows.pairs)
             sums[0, :, ell] += sinr.sum(axis=-1)
             sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
             c *= a
-            c += evolve * proc[:, :, k]
-    return sums
+            c += evolve * self.proc[:, :, k]
 
 
 def _monte_carlo(rows, seed, mc_runs, horizon, frame):
-    """Monte Carlo means of the realized SINR and the spectral efficiency,
-    (2, P, S, horizon, U), of the rows' plans[p][s], from run streams
-    spawned off ``seed``."""
-    run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
+    """The Monte Carlo pass over the rows' plans[p][s], from run streams
+    spawned off ``seed``, with their covariance recursion run beside it.
+    Returns the means of the realized SINR and the spectral efficiency, (2,
+    P, S, horizon, U), and the recursion's tr P, self-error term and
+    leakage, as ``MonteCarloRows.posteriors`` gives them for the horizon.
+
+    The pass is slab-major.  Per slab of at most SLAB blocks the recursion
+    advances once, storing that slab's gains only, then each chunk of at
+    most CHUNK_RUNS runs, in run order, draws the slab's channel
+    innovations and pilot noise into buffers that every chunk shares and
+    steps its blocks; each stream fills sequentially, so the values equal
+    one whole-horizon draw.  Every chunk's channels, estimates and
+    generators persist across slabs.  Each block's total over the runs is
+    ((0 + chunk 0) + chunk 1) + ..., the run-order reduction.
+    """
     shape = (len(rows.plans), len(rows.plans[0]), horizon, rows.scene.n_users)
+    slab = min(SLAB, horizon)
     sums = np.zeros((2, len(rows.est), *shape[2:]))
-    for i in range(0, mc_runs, CHUNK_RUNS):  # in run order, one chunk's buffers at a time
-        sums += _chunk(run_seqs[i:i + CHUNK_RUNS], rows, horizon, frame)
-    return (sums / mc_runs).reshape(2, *shape)
+    err, self_err = np.empty((2, *shape))
+    leak = np.empty((*shape, shape[-1]))
+    chunks = None
+    for start in range(0, horizon, slab):
+        blocks = min(slab, horizon - start)
+        window = slice(start, start + blocks)
+        err[:, :, window], self_err[:, :, window], leak[:, :, window] = rows.posteriors(blocks)
+        if chunks is None:  # built after the first window: a one-window run's
+            chunks = _chunks(rows, seed, mc_runs, slab, frame)  # recursion holds no draws
+        for chunk in chunks:  # in run order
+            chunk.advance(rows, start, blocks, sums, frame)
+    return (sums / mc_runs).reshape(2, *shape), err, self_err, leak
+
+
+def _chunks(rows, seed, mc_runs, slab, frame) -> list:
+    """The chunks, in run order and at block 0, of the runs spawned off
+    ``seed``, sharing slab buffers sized for one chunk."""
+    run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
+    n_users, n_runs = rows.scene.n_users, min(mc_runs, CHUNK_RUNS)
+    r_max = max(len(user.stats.lam) for user in rows.scene.users)
+    proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
+    noise = np.empty((len(rows.plans[0]), n_users, n_runs, slab, frame.m_p), dtype=complex)
+    scratch = np.empty(slab * r_max, dtype=complex)
+    return [_Chunk.of(run_seqs[i:i + CHUNK_RUNS], rows, proc, noise, scratch)
+            for i in range(0, mc_runs, CHUNK_RUNS)]
 
 
 # -- runs ------------------------------------------------------------------
@@ -868,16 +952,14 @@ def run_multiuser_sweep(
                                     designs[name][p][u] if name in designs else None)
                        for u, user in enumerate(scenes)] for name in schemes])
     del designs  # a hybrid scheme's n_t x r sounding columns live on only in its plans' s_u
-    rows = MonteCarloRows.of(plans, scene)
+    means, err, self_err, leak = _monte_carlo(MonteCarloRows.of(plans, scene), seed, mc_runs,
+                                              horizon, frames[0])
     lam_sum = np.array([s.lam_sim.sum() for s in scenes])
-    err, self_err, leak = rows.posteriors(horizon)
     det = mu.sinr_equivalent(lam_sum, err, self_err, leak,
                              np.array([frame.rho for frame in frames])[:, None, None, None])
     # the mean over users along a leading axis: user by user, in ascending u
     nmse = np.ascontiguousarray(np.moveaxis(err / lam_sum, -1, 0)).mean(axis=0)
-    del err, self_err, leak  # free them before the Monte Carlo pass
-
-    means = _monte_carlo(rows, seed, mc_runs, horizon, frames[0])
+    del err, self_err, leak
     bounds = [steady_states(scene, [point[s] for point in plans], [f.rho for f in frames])
               for s in range(len(schemes))]
     tables = []

@@ -279,13 +279,14 @@ class TestErrors:
         ("demo", "frame.n_d", 1),  # fewer than frame.m_p = 2 sounding vectors
         ("demo", "array.n_h", 1),  # one element has rank 1 < frame.m_p = 2
         ("demo", "rank_tol", 1.0),  # keeps no eigenmode
-        ("upa375", "horizon_blocks", 100_000),  # 4.2 GB of gains and diag P trajectories
-        ("multiuser_ula32", "horizon_blocks", 200_000),  # 3.6 GB of diag P trajectories
+        ("upa375", "horizon_blocks", 5_000_000),  # 3.3 GB, mostly per-block traces
+        ("multiuser_ula32", "horizon_blocks", 200_000),  # 2.2 GB of per-block traces
         ("demo", "basis", "eigen"),  # a DFT design is named by designer = "<designer>_dft"
         ("demo", "designer", "orthogonal"),  # a baseline, not a designed scheme
         ("demo", "baselines", [{}]),
         ("demo", "baselines", [1]),
         ("multiuser_ula32", "baselines", ["min_max_dft"]),  # single-user only
+        ("upa375", "mc_runs", 1_000_000),  # 48 GB of per-run channels, estimates, generators
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()
@@ -306,6 +307,14 @@ class TestErrors:
         doc["array"][key] = value
         assert (self.error_for(command, doc, tmp_path, capsys)
                 == f"unknown config field array.{key}")
+
+    def test_memory_guard_names_both_sizes_and_admits_long_horizons(self):
+        # the run keeps one slab's gains, so 100 000 upa375 blocks need about
+        # 0.15 GB; the message names both fields that size the run
+        ExperimentConfig.from_dict({**preset("upa375").to_dict(), "horizon_blocks": 100_000})
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_dict({**preset("upa375").to_dict(), "mc_runs": 10**6})
+        assert "horizon_blocks = 2560 and mc_runs = 1000000 need 48.2 GB" in str(err.value)
 
     @pytest.mark.parametrize("command", ["design", "simulate"])
     def test_design_rank_below_pilots_names_fields(self, tmp_path, capsys, command):

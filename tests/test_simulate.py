@@ -476,9 +476,9 @@ def bulk_draw_monte_carlo(plans, scene, seed, mc_runs, horizon, frame):
 
 
 def monte_carlo_inputs(scenes, frame, schemes, horizon, a=None):
-    """The rows of plans[s][u] for the users of ``scenes`` at one point,
-    their recursions run, as ``sim._monte_carlo`` takes them; with ``a``
-    every plan assumes that AR(1) coefficient instead of its user's."""
+    """The rows of plans[s][u] for the users of ``scenes`` at one point, as
+    ``sim._monte_carlo`` takes them, their recursions not yet run; with
+    ``a`` every plan assumes that AR(1) coefficient instead of its user's."""
     rng = np.random.default_rng(0)
     plans = [[sim._scheme_plan(scene, frame, horizon, name, rng) for scene in scenes]
              for name in schemes]
@@ -486,9 +486,7 @@ def monte_carlo_inputs(scenes, frame, schemes, horizon, a=None):
         for row in plans:
             for plan in row:
                 plan.a = a
-    rows = sim.MonteCarloRows.of([plans], sim._multiuser_scene(scenes, frame))
-    rows.posteriors(horizon)
-    return rows
+    return sim.MonteCarloRows.of([plans], sim._multiuser_scene(scenes, frame))
 
 
 def realized_sinr_batch(n_users, n_rows, shared=False):
@@ -528,9 +526,22 @@ class TestSlabStreaming:
         rows = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
         plans = rows.plans[0]
         assert plans[0][0].kind == "diag"
-        got = sim._monte_carlo(rows, 9, runs, horizon, frame)[:, 0]
+        got = sim._monte_carlo(rows, 9, runs, horizon, frame)[0][:, 0]
         want = bulk_draw_monte_carlo(plans, rows.scene, 9, runs, horizon, frame)
         assert got.tobytes() == want.tobytes()
+
+    def test_pass_returns_the_one_window_posteriors(self):
+        # the slab-major pass fills its horizon-long tr P, self-error and
+        # leakage from one window per slab, with the bits of one window
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
+        horizon = 2 * sim.SLAB + 37
+        schemes = ["min_max", "orthogonal", "perfect_csit"]
+        _, *got = sim._monte_carlo(monte_carlo_inputs(scenes, frame, schemes, horizon), 9, 3,
+                                   horizon, frame)
+        want = monte_carlo_inputs(scenes, frame, schemes, horizon).posteriors(horizon)
+        for got_t, want_t in zip(got, want):
+            assert got_t.tobytes() == want_t.tobytes()
 
     def test_chunk_memory_independent_of_horizon(self):
         # every scheme gets innovation and pilot-noise buffers; the genie
@@ -549,6 +560,29 @@ class TestSlabStreaming:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
 
+    def test_run_memory_grows_only_with_its_outputs(self):
+        # a run of a diag and a full-kind scheme holds no horizon-long gains
+        # or diag P: from 2 to 16 slabs its traced peak grows by less than
+        # twice the per-block arrays it returns (every trace and plan
+        # schedule), 0.69 MB.  Holding every block's gains and diag P, as a
+        # whole-horizon recursion does, grows it by 2.5 MB here.
+        cfg = preset("demo")
+        scenes, _ = sim.multiuser_scenes_from_config(cfg)
+        frame, schemes = cfg.frame.build(), ["min_max", "orthogonal"]
+        sim.run_multiuser_sweep(scenes, [frame], schemes, 2, 1, 8)  # fills the scene's caches
+        peaks, returned = [], []
+        for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
+            tracemalloc.start()
+            try:
+                (table,) = sim.run_multiuser_sweep(scenes, [frame], schemes, 2, 1, horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            returned.append(sum(trace.nbytes for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")
+                                for trace in getattr(table, key).values())
+                            + sum(plan.sched.nbytes for plan in table.user_plans[0].values()))
+        assert peaks[1] - peaks[0] < 2 * (returned[1] - returned[0]), (peaks, returned)
+
     def test_channel_evolves_with_the_scene_statistics(self):
         # perfect knowledge reads no tracker a, so rows whose plans all
         # assume another a draw and evolve the same channel, byte for byte
@@ -560,7 +594,7 @@ class TestSlabStreaming:
         rows, moved = (monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon, a)
                        for a in (None, 0.5))
         assert all(plan.a == 0.5 for plan in moved.plans[0][0])
-        got, want = (sim._monte_carlo(r, 3, 5, horizon, frame) for r in (moved, rows))
+        got, want = (sim._monte_carlo(r, 3, 5, horizon, frame)[0] for r in (moved, rows))
         assert got.tobytes() == want.tobytes()
 
 
@@ -739,6 +773,44 @@ class TestSweep:
                     assert (stack.gains[k, u, :, :r[u]].tobytes()
                             == one_row.gains[0, 0].tobytes())
                     assert not np.any(stack.gains[k, u, :, r[u]:])
+
+    @pytest.mark.parametrize("scheme, kind", [("min_max", "diag"), ("orthogonal", "full")])
+    def test_windows_equal_one_whole_horizon_call(self, scheme, kind):
+        # the recursion resumed over uneven windows gives the bits of one
+        # whole-horizon call, each window holding its own blocks' gains only,
+        # and step reads no block outside the window
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        r = [s.r_sim for s in scenes]
+        assert r[0] != r[1]
+        frame, horizon = small_frame(), 2 * sim.SLAB + 5
+        rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), horizon, scheme,
+                                  np.random.default_rng(0)) for s in scenes] for rho in (1.0, 8.0)]
+        assert rows[0][0].kind == kind
+        whole = sim.TrackerStack.of(rows)
+        want = whole.posteriors(horizon)
+        stack = sim.TrackerStack.of(rows)
+        hats = np.zeros((2, 2, 1, max(r)), dtype=complex)
+        c = np.ones((2, 1, max(r)), dtype=complex)
+        noise = np.zeros((2, 2, 1, frame.m_p), dtype=complex)
+        with pytest.raises(IndexError, match="outside the gains window"):
+            stack.step(hats, c, noise, 0)  # no window yet
+        got, start = [], 0
+        for blocks in (37, sim.SLAB, horizon - 37 - sim.SLAB):
+            got.append(stack.posteriors(blocks))
+            assert stack.window == range(start, start + blocks)
+            window = slice(start, start + blocks)
+            gains = whole.gains[window] if kind == "diag" else whole.gains[:, :, window]
+            assert stack.gains.shape == gains.shape
+            assert stack.gains.tobytes() == gains.tobytes()
+            for ell in (start - 1, start + blocks):
+                with pytest.raises(IndexError, match="outside the gains window"):
+                    stack.step(hats, c, noise, ell)
+            stack.step(hats, c, noise, start + blocks - 1)
+            start += blocks
+        for got_t, want_t in zip(zip(*got), want):  # err, self-err and diag P
+            assert np.concatenate(got_t, axis=2).tobytes() == want_t.tobytes()
+        with pytest.raises(ValueError, match="0 blocks left"):
+            stack.posteriors(1)
 
     def test_full_stack_pads_unequal_ranks(self):
         # full rows of users of unequal rank, zero-padded to the largest,
