@@ -254,8 +254,7 @@ def _settled_frames(designs, a: float, rho: float) -> list:
     side by side on a one-row stack, one tracker each."""
     g_len, m_p = designs[0][0].shape
     blocks = (int(np.ceil(60.0 / (1.0 - a * a))) // g_len + 2) * g_len  # whole frames
-    row = [sim.Tracker("diag", m_p, lam, a, rho, sched=(c - 1)[np.arange(blocks) % g_len])
-           for c, lam in designs]
+    row = [sim.Tracker("diag", m_p, lam, a, rho, sched=c - 1) for c, lam in designs]
     _, _, diag = sim.TrackerStack.of([row]).posteriors(blocks)
     return [diag[0, u, -g_len:, :len(lam)] for u, (_, lam) in enumerate(designs)]
 

@@ -142,10 +142,9 @@ def sinr_equivalent(lam_sum, err, self_err, leak, rho) -> np.ndarray:
     cap = lam_sum - err
     n_users = cap.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(cap[..., :, None] > 0, cap[..., None, :] / cap[..., :, None], 0.0) * leak
         c_term = np.zeros_like(cap)
-        for v in range(n_users):
-            c_term += terms[..., v, :]
+        for v, leak_v in enumerate(np.moveaxis(leak, -2, 0)):  # one interferer at a time
+            c_term += np.where(cap[..., v, None] > 0, cap / cap[..., v, None], 0.0) * leak_v
         den = n_users * cap / rho + np.maximum(self_err, 0.0) + c_term
         sinr = np.where((err == 0) & (c_term == 0), rho * cap / n_users, cap * cap / den)
     return np.where(cap > 0, sinr, 0.0)

@@ -193,7 +193,8 @@ def design_cells(designer: str, lams, a, rho, frame: FrameParams) -> list[Interv
     each cell walks its own slice of the table, and one ``_objectives``
     call scores every cell's candidates.  Each entry and objective has the
     bits of the one-cell call, so a cell's design does not depend on its
-    batch.
+    batch.  A min-max cell whose greedy reaches a dead end takes the
+    exhaustive walk's candidates instead.
     """
     if designer not in DESIGNERS:
         raise ValueError(f"unknown designer {designer!r}; choose among {DESIGNERS}")
@@ -207,14 +208,17 @@ def design_cells(designer: str, lams, a, rho, frame: FrameParams) -> list[Interv
     caps = [hi for _, hi in ranges]
     lam_t, a_t, rho_t, _ = _flat([lam[:hi] for lam, hi in zip(lams, caps)], a, rho)
     tables = _split(_ceiling_table(lam_t, a_t, rho_t, divisors), caps)
+
+    def exhaustive(c):  # cell c's candidates of the exhaustive search
+        (lo, hi), lam = ranges[c], lams[c]
+        return ([(1,) * frame.m_p] if rho[c] == 0
+                else _exhaustive_walk(tables[c] - lam[:hi, None], lam, lo, frame, divisors))
+
     if designer == "min_max":
-        candidates = [[_min_max_walk(table.tolist(), lam, frame, divisors)]
-                      for table, lam in zip(tables, lams)]
+        walks = (_min_max_walk(t.tolist(), lam, frame, divisors) for t, lam in zip(tables, lams))
+        candidates = [exhaustive(c) if g is None else [g] for c, g in enumerate(walks)]
     else:
-        candidates = [
-            [(1,) * frame.m_p] if rho_c == 0
-            else _exhaustive_walk(table - lam[:hi, None], lam, lo, frame, divisors)
-            for table, lam, (lo, hi), rho_c in zip(tables, lams, ranges, rho)]
+        candidates = [exhaustive(c) for c in range(len(lams))]
     cells = [c for c, found in enumerate(candidates) for _ in found]
     flat = [g for found in candidates for g in found]
     scores = iter(_objectives([lams[c] for c in cells], a[cells], rho[cells], flat))
@@ -322,6 +326,9 @@ def _min_max_walk(table: list, lam, frame: FrameParams, divisors) -> tuple:
     new ceiling, when the freed plus remaining block budget covers it,
     otherwise the mode stays out.  Runs in O(G * M_p) rounds, each reading
     the table instead of calling the closed forms.
+
+    Returns None at a dead end, every candidate out with blocks left (G =
+    9, two modes at g = 3 leave 3 blocks, and g = 1 costs 9).
     """
     n_div, n_cand = len(divisors), len(table)
     k = [n_div] * n_cand
@@ -331,10 +338,7 @@ def _min_max_walk(table: list, lam, frame: FrameParams, divisors) -> tuple:
 
     while n_blk > 0:
         if not active:
-            raise RuntimeError(
-                "min-max design exhausted its candidates with blocks left; "
-                "this cannot happen when N_d >= M_p"
-            )
+            return None  # a dead end: no candidate's next move fits the blocks left
         _, i = heapq.heappop(active)  # the largest ceiling, ties to the stronger mode
         if k[i] == 0:
             continue  # already at g = 1; nothing tighter exists

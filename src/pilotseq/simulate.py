@@ -14,15 +14,15 @@ full     arbitrary fixed training columns through the full-matrix Kalman
          while the tracker keeps the true covariance knowledge
 perfect  genie channel knowledge
 
-Every scheme plan is a ``Tracker``, a description; the ``TrackerStack`` of
-its kind owns its state and does its arithmetic: one stack holds every
-(operating point, scheme) row of a kind for all users.  Its covariance
-recursion (``posteriors``) is resumable: each call advances it one window
-of blocks from where it stopped, stores that window's gains only, and
-returns every row's and user's posteriors as arrays, reduced to the inputs
-of ``multiuser.sinr_equivalent``, evaluated once per sweep for every point,
-scheme and user.  The Monte Carlo pass advances it one slab at a time, so
-no run holds the whole horizon's gains.  The diag rows of all users advance as
+Every scheme plan is a ``Tracker``, a description holding one period of
+its schedule; the ``TrackerStack`` of its kind owns its state and does its
+arithmetic: one stack holds every (operating point, scheme) row of a kind
+for all users.  Its covariance recursion (``posteriors``) is resumable:
+each call advances it one window of blocks from where it stopped, keeping
+that window's schedule and gains only.  ``MonteCarloRows.posteriors``
+reduces a window's posteriors at once to its NMSE and deterministic SINR,
+and the Monte Carlo pass advances it one slab at a time, so a run holds
+over the horizon only what it returns.  The diag rows of all users advance as
 one flat vector of per-mode variances; a user's full rows advance as one
 (K, r, r) stack of error covariances, updated in place by a rank-M_p
 Hermitian update without per-block re-symmetrization: it agrees with the
@@ -147,8 +147,8 @@ class Tracker:
     A diag tracker sounds covariance eigenvectors, so its error covariance
     stays diagonal and is carried as per-mode variances; a full tracker
     sounds the columns ``s_u`` and carries the whole matrix; a perfect
-    tracker knows the channel and runs no recursion.  A scheme's plan also
-    carries its design.
+    tracker knows the channel and runs no recursion.  Block ell sounds row
+    ell mod L of ``sched``.  A scheme's plan also carries its design.
     """
 
     kind: str  # diag | full | perfect
@@ -156,7 +156,7 @@ class Tracker:
     lam: np.ndarray  # channel spectrum, the prior error variances
     a: float
     rho: float
-    sched: np.ndarray | None = None  # (horizon, m_p) mode/column indices
+    sched: np.ndarray | None = None  # (L, m_p) one period of 0-based mode/column indices
     s_u: np.ndarray | None = None  # (r, n_cols) training columns in U coords (full)
     design: IntervalAssignment | None = None  # periodic eigenmode design the bound reads
     seq: SequenceMatrix | None = None
@@ -169,20 +169,21 @@ class TrackerStack:
     A row is one (operating point, scheme) pair of a run, or one perfect
     scheme at every point (see ``MonteCarloRows``); a user's rows
     share its spectrum and AR(1) coefficient, and all rows the number of
-    pilots m_p and the horizon.  diag: ``sched`` (horizon, K, U, m_p) holds
-    each tracker's mode indices.  full: ``cols`` (r, n) holds every
+    pilots m_p.  ``sched`` (L, K, U, m_p) holds each tracker's period,
+    zero-padded to the longest, and ``period`` (K, U) their lengths: mode
+    indices (diag) or indices into ``cols`` (r, n) (full), every full
     tracker's conjugated training columns conj(sqrt(rho) s_u) side by side,
-    zero-padded to the largest rank r, and ``sched`` (horizon, K, U, m_p)
-    indexes them.  perfect: no state.
+    zero-padded to the largest rank r.  perfect: no state.
 
     The stack does all tracker arithmetic and owns its state.
     ``posteriors(blocks)`` advances the covariance recursion of every row
     and user by ``blocks`` blocks from where it stopped, keeping the
-    recursion's state between calls, and stores the gains of those blocks
-    only, its ``window``: (blocks, K, U, m_p) real for diag and (K, U,
-    blocks, r, m_p) for full.  ``step`` moves the estimates of a Monte Carlo
-    batch through the window's gains.  One call over the whole horizon is
-    the one-window case, and a lone tracker is the one-row stack.
+    recursion's state between calls, and stores the schedule and gains of
+    those blocks only, its ``window``: ``window_sched`` (blocks, K, U,
+    m_p), and gains (blocks, K, U, m_p) real for diag and (K, U, blocks, r,
+    m_p) for full.  ``step`` moves the estimates of a Monte Carlo batch
+    through them.  One call over the whole horizon is the one-window case,
+    and a lone tracker is the one-row stack.
     """
 
     kind: str
@@ -190,9 +191,11 @@ class TrackerStack:
     lams: list  # per user, its channel spectrum
     rho: np.ndarray  # (K,) each row's data power
     sched: np.ndarray | None = None
-    gains: np.ndarray | None = None  # the gains of the blocks in ``window``
+    period: np.ndarray | None = None
     cols: np.ndarray | None = None
     window: range = range(0)  # the blocks of the last ``posteriors`` call
+    window_sched: np.ndarray | None = None  # the schedule of the blocks in ``window``
+    gains: np.ndarray | None = None  # the gains of the blocks in ``window``
     # the recursion's priors at block window.stop: diag, the (K, U, r)
     # per-mode variances; full, each user's (K, r_u, r_u) error covariances
     state: object = None
@@ -202,17 +205,17 @@ class TrackerStack:
         """Stack rows[k][u], user u's tracker in row k, all of one kind.
 
         Checks that a user's rows share lam and a, and that all rows share
-        m_p and the schedule length (a ``ValueError`` names the field that
-        differs), and that every schedule index lies in its sounding basis
-        (an ``IndexError``).
+        m_p (a ``ValueError`` names the field that differs), and that every
+        schedule index lies in its sounding basis (an ``IndexError``).
         """
         first = rows[0]
         kind = first[0].kind
         stack = cls(kind, np.array([t.a for t in first])[:, None, None], [t.lam for t in first],
                     np.array([row[0].rho for row in rows]))
         if kind != "perfect":
-            (horizon, m_p), n_rows, n_users = first[0].sched.shape, len(rows), len(first)
-            stack.sched = np.empty((horizon, n_rows, n_users, m_p), dtype=first[0].sched.dtype)
+            stack.period = np.array([[len(t.sched) for t in row] for row in rows])
+            stack.sched = np.zeros((stack.period.max(), len(rows), len(first), first[0].m_p),
+                                   dtype=first[0].sched.dtype)
             if kind == "full":
                 stack.cols = np.zeros((max(map(len, stack.lams)),
                                        sum(t.s_u.shape[1] for row in rows for t in row)),
@@ -222,9 +225,7 @@ class TrackerStack:
             for u, tracker in enumerate(row):
                 for field, same in (("lam", np.array_equal(tracker.lam, first[u].lam)),
                                     ("a", tracker.a == first[u].a),
-                                    ("m_p", tracker.m_p == first[0].m_p),
-                                    ("schedule length",
-                                     kind == "perfect" or len(tracker.sched) == horizon)):
+                                    ("m_p", tracker.m_p == first[0].m_p)):
                     if not same:
                         raise ValueError(f"stacked trackers must share {field}, but row {k} "
                                          f"of user {u} differs")
@@ -235,7 +236,7 @@ class TrackerStack:
                 if tracker.sched.size and not (0 <= tracker.sched.min()
                                                <= tracker.sched.max() < n_cols):
                     raise IndexError("schedule index outside the sounding basis")
-                stack.sched[:, k, u] = tracker.sched + offset
+                stack.sched[:len(tracker.sched), k, u] = tracker.sched + offset
                 if kind == "full":
                     stack.cols[:r, offset:offset + n_cols] = (np.sqrt(tracker.rho)
                                                               * tracker.s_u).conj()
@@ -250,7 +251,7 @@ class TrackerStack:
     @cached_property
     def _grid(self) -> tuple:
         """Row and user index arrays that broadcast against (K, U, m_p)."""
-        _, n_rows, n_users, _ = self.sched.shape
+        n_rows, n_users = self.period.shape
         return np.arange(n_rows)[:, None, None], np.arange(n_users)[None, :, None]
 
     def step(self, hats: np.ndarray, c: np.ndarray, noise: np.ndarray | None, ell: int) -> None:
@@ -258,8 +259,8 @@ class TrackerStack:
         U, runs, r) holds the estimates after block ell - 1 (the zero prior
         at block 0) of channels c (U, runs, r) in eigencoordinates; they are
         predicted one block ahead and conditioned on block ell's pilots y =
-        S^H h + w, with w = noise (K, U, runs, m_p), through the gains the
-        covariance recursion stored for block ell, which must lie in its
+        S^H h + w, with w = noise (K, U, runs, m_p), through the schedule
+        and gains stored for block ell, which must lie in the recursion's
         ``window`` (else an ``IndexError``).  Perfect rows copy the channel.
 
         Every row and user goes through the arithmetic of a one-tracker
@@ -273,7 +274,8 @@ class TrackerStack:
                              f"[{self.window.start}, {self.window.stop})")
         if ell:
             hats *= self.a
-        sqrt_rho, idx, i = self.sqrt_rho, self.sched[ell], ell - self.window.start
+        i = ell - self.window.start
+        sqrt_rho, idx = self.sqrt_rho, self.window_sched[i]
         if self.kind == "diag":
             k, u = self._grid  # the advanced indices go first: (K, U, m_p, runs)
             y = sqrt_rho * c[u, :, idx] + noise.swapaxes(-1, -2)
@@ -286,23 +288,24 @@ class TrackerStack:
 
     def posteriors(self, blocks: int) -> tuple:
         """The covariance recursion of every row and user over the next
-        ``blocks`` blocks of the schedule, from where the last call stopped
-        (block 0 at first); a ``ValueError`` if fewer blocks are left.
+        ``blocks`` blocks, from where the last call stopped (block 0 at
+        first).
 
-        Stores those blocks' gains in ``gains`` and returns every row's and
-        user's posteriors reduced per block: tr P and the self-error term
-        Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2, (K, U, blocks)
-        each, and diag P, (K, U, blocks, r) zero-padded to the largest
-        rank r.  Every reduction sums the user's own r_u modes, never the
+        Gathers those blocks' schedule from the periods into
+        ``window_sched``, stores their gains in ``gains`` and returns every
+        row's and user's posteriors reduced per block: tr P and the
+        self-error term Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2,
+        (K, U, blocks) each, and diag P, (K, U, blocks, r) zero-padded to
+        the largest rank r.  Every reduction sums the user's own r_u modes, never the
         padding.  Perfect knowledge leaves no error: P = 0.  The state
         carried between calls is the recursion's own, so any split of the
         horizon into windows gives the bits of one call.
         """
         start = self.window.stop
-        if self.sched is not None and start + blocks > len(self.sched):
-            raise ValueError(f"the schedule has {len(self.sched) - start} blocks left, "
-                             f"fewer than the {blocks} asked")
         self.window = range(start, start + blocks)
+        if self.sched is not None:  # block ell sounds row ell mod L of its period
+            rows = np.arange(start, start + blocks)[:, None, None, None] % self.period[..., None]
+            self.window_sched = np.take_along_axis(self.sched, rows, axis=0)
         n_rows, n_users = len(self.rho), len(self.lams)
         err, self_err = np.empty((2, n_rows, n_users, blocks))
         diag = np.zeros((n_rows, n_users, blocks, max(map(len, self.lams))))
@@ -337,9 +340,9 @@ class TrackerStack:
         """Eigenmode sounding keeps every mode's recursion separate, so all
         rows and users advance as one flat vector of per-mode error
         variances, zero-padded to the largest rank r, that the stack keeps
-        between windows: per block, the sounded
-        modes' posteriors p / (1 + rho p) and gains sqrt(rho) p / (1 + rho
-        p), then the AR(1) prediction a^2 p + (1 - a^2) lam of every mode.
+        between windows: per block, the sounded modes' posteriors p / (1 +
+        rho p) and gains sqrt(rho) p / (1 + rho p), then the AR(1)
+        prediction a^2 p + (1 - a^2) lam of every mode.
         Writes the window's posteriors into ``diags`` (K, U, blocks, r)."""
         n_rows, n_users, blocks, r_max = diags.shape
         p = self.state
@@ -347,10 +350,10 @@ class TrackerStack:
         innovation, a2 = ((1.0 - a2) * self._lam).ravel(), np.broadcast_to(a2, p.shape).ravel()
         # flat indices of every row's and user's sounded modes in the window,
         # and the matching per-element rho and sqrt(rho)
-        sched = self.sched[self.window.start:self.window.stop]
-        idx = sched + r_max * np.arange(n_rows * n_users).reshape(n_rows, n_users, 1)
-        rho = np.repeat(self.rho, n_users * sched.shape[-1])
-        self.gains = np.zeros((blocks, n_rows, n_users, sched.shape[-1]))
+        idx = self.window_sched + r_max * np.arange(n_rows * n_users).reshape(n_rows, -1, 1)
+        m_p = idx.shape[-1]
+        rho = np.repeat(self.rho, n_users * m_p)
+        self.gains = np.zeros((blocks, n_rows, n_users, m_p))
         sqrt_rho, gains = np.sqrt(rho), self.gains.reshape(blocks, -1)
         flat = p.reshape(-1)  # a view of p
         for ell, i in enumerate(idx.reshape(blocks, -1)):
@@ -388,7 +391,7 @@ class TrackerStack:
         lam = self.lams[u]
         a2 = self.a[u, 0, 0] * self.a[u, 0, 0]
         innovation = (1.0 - a2) * lam
-        _, n, _, m_p = self.sched.shape
+        n, m_p = len(self.rho), self.sched.shape[-1]
         r = len(lam)
         cols = self.cols[:r]
         p = self.state[u]
@@ -397,8 +400,7 @@ class TrackerStack:
         s, k = np.empty((n, r, m_p), dtype=complex), np.empty((n, r, m_p), dtype=complex)
         ps_h, update = np.empty((n, m_p, r), dtype=complex), np.empty_like(p)
         eye = np.eye(m_p)
-        sched = self.sched[self.window.start:self.window.stop, :, u]
-        for ell, idx in enumerate(sched):
+        for ell, idx in enumerate(self.window_sched[:, :, u]):
             np.conjugate(cols[:, idx].transpose(1, 0, 2), out=s)
             ps = p @ s
             np.conjugate(ps.swapaxes(1, 2), out=ps_h)
@@ -413,11 +415,6 @@ class TrackerStack:
             diags[:, ell, :r] = d.real
             p *= a2
             d += innovation
-
-
-def _horizon_schedule(cycle: np.ndarray, horizon: int) -> np.ndarray:
-    reps = -(-horizon // cycle.shape[0])
-    return np.tile(cycle, (reps, 1))[:horizon]
 
 
 def _round_robin_cycle(n_cols: int, m_p: int) -> np.ndarray:
@@ -447,19 +444,20 @@ def build_single_user_plans(
     schemes,
     rng_scene: np.random.Generator,
 ) -> tuple:
-    """Instantiate every requested scheme and run its covariance recursion.
-    Returns (plans, nmse): the plans and their NMSE traces, (S, horizon).
+    """Instantiate every requested scheme and run its covariance recursion
+    over ``horizon`` blocks.  Returns (plans, nmse): the plans and their
+    NMSE traces, (S, horizon).
 
     schemes: iterable of names among min_max, exhaustive, min_max_dft,
     exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
     """
-    plans = [_scheme_plan(scene, frame, horizon, name, rng_scene) for name in schemes]
+    plans = [_scheme_plan(scene, frame, name, rng_scene) for name in schemes]
     rows = MonteCarloRows.of([[[plan] for plan in plans]], _multiuser_scene([scene], frame))
-    err, _, _ = rows.posteriors(horizon)
-    return plans, err[0, :, :, 0] / scene.trace()
+    nmse, _ = rows.posteriors(horizon)
+    return plans, nmse[0]
 
 
-def _scheme_plan(scene, frame, horizon, name, rng_scene, designed=None) -> Tracker:
+def _scheme_plan(scene, frame, name, rng_scene, designed=None) -> Tracker:
     """One scheme's plan for one user, before its covariance recursion; its
     kind comes from ``SCHEME_KINDS``, and the branches build its training.
     A designed scheme takes the cell's ``design_sweep`` entry as
@@ -494,8 +492,7 @@ def _scheme_plan(scene, frame, horizon, name, rng_scene, designed=None) -> Track
             cols /= np.linalg.norm(cols, axis=0, keepdims=True)
         s_u = scene.u_sim.conj().T @ cols
         cycle = _round_robin_cycle(n_t, m_p)
-    return Tracker(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, s_u=s_u,
-                   sched=None if cycle is None else _horizon_schedule(cycle, horizon),
+    return Tracker(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, s_u=s_u, sched=cycle,
                    design=design, seq=seq)
 
 
@@ -670,17 +667,18 @@ class MonteCarloRows:
         return _cross_pairs(self.scene.cross)
 
     def posteriors(self, blocks: int) -> tuple:
-        """Advances every stack's covariance recursion by ``blocks`` blocks,
-        which stores the stack's gains of those blocks.  Returns, per point,
-        scheme, block and user, tr P and the self-error term, (P, S, blocks,
-        U) each, and the leakage into every user, (P, S, blocks, U, U): each
-        kind's diag P is reduced to its leakage, user v's r_v modes at a
-        time, before the next kind's recursion runs, and only the reduced
+        """Advances every stack's covariance recursion by ``blocks`` blocks
+        and returns their NMSE, (P, S, blocks), the mean over users of tr
+        P / sum(lam) summed in ascending u, and deterministic SINR, (P, S,
+        blocks, U), one ``sinr_equivalent`` call at each output row's rho.
+        Each kind's diag P is reduced to its leakage, user v's r_v modes at
+        a time, before the next kind's recursion runs, and only the reduced
         terms of an estimate row are copied to the output rows that read
-        it."""
-        shape = (len(self.plans), len(self.plans[0]), blocks, self.scene.n_users)
-        err, self_err = np.empty((2, len(self.est), *shape[2:]))
-        leak = np.empty((*err.shape, shape[-1]))
+        it.  Both outputs are elementwise over blocks, so any split of the
+        horizon into windows gives the bits of one call."""
+        shape = (len(self.plans), len(self.plans[0]), blocks)
+        err, self_err = np.empty((2, len(self.est), blocks, self.scene.n_users))
+        leak = np.empty((*err.shape, self.scene.n_users))
         for stack, block, _ in self.stacks:
             outputs = (block.start <= self.est) & (self.est < block.stop)
             own = self.est[outputs] - block.start  # the output rows' rows of the stack
@@ -690,7 +688,10 @@ class MonteCarloRows:
             for v, lam in enumerate(stack.lams):
                 leak[outputs, :, v] = mu.user_leakage(self.scene, v, diag[:, v, :, :len(lam)])[own]
             del diag  # free it before the next kind's recursion runs
-        return err.reshape(shape), self_err.reshape(shape), leak.reshape(*shape, shape[-1])
+        lam_sum = np.array([user.stats.lam.sum() for user in self.scene.users])
+        det = mu.sinr_equivalent(lam_sum, err, self_err, leak, self.rho)
+        nmse = np.ascontiguousarray(np.moveaxis(err / lam_sum, -1, 0)).mean(axis=0)
+        return nmse.reshape(shape), det.reshape(*shape, -1)
 
 
 @dataclass
@@ -766,11 +767,12 @@ def _monte_carlo(rows, seed, mc_runs, horizon, frame):
     """The Monte Carlo pass over the rows' plans[p][s], from run streams
     spawned off ``seed``, with their covariance recursion run beside it.
     Returns the means of the realized SINR and the spectral efficiency, (2,
-    P, S, horizon, U), and the recursion's tr P, self-error term and
-    leakage, as ``MonteCarloRows.posteriors`` gives them for the horizon.
+    P, S, horizon, U), which the sums become in place, and the NMSE and
+    deterministic SINR of ``MonteCarloRows.posteriors``: all it holds over
+    the horizon.
 
     The pass is slab-major.  Per slab of at most SLAB blocks the recursion
-    advances once, storing that slab's gains only, then each chunk of at
+    advances once, filling the slab's NMSE and SINR, then each chunk of at
     most CHUNK_RUNS runs, in run order, draws the slab's channel
     innovations and pilot noise into buffers that every chunk shares and
     steps its blocks; each stream fills sequentially, so the values equal
@@ -778,21 +780,21 @@ def _monte_carlo(rows, seed, mc_runs, horizon, frame):
     generators persist across slabs.  Each block's total over the runs is
     ((0 + chunk 0) + chunk 1) + ..., the run-order reduction.
     """
-    shape = (len(rows.plans), len(rows.plans[0]), horizon, rows.scene.n_users)
+    shape = (len(rows.plans), len(rows.plans[0]), horizon)
     slab = min(SLAB, horizon)
-    sums = np.zeros((2, len(rows.est), *shape[2:]))
-    err, self_err = np.empty((2, *shape))
-    leak = np.empty((*shape, shape[-1]))
+    sums = np.zeros((2, len(rows.est), horizon, rows.scene.n_users))
+    nmse = np.empty(shape)
+    det = np.empty((*shape, rows.scene.n_users))
     chunks = None
     for start in range(0, horizon, slab):
         blocks = min(slab, horizon - start)
-        window = slice(start, start + blocks)
-        err[:, :, window], self_err[:, :, window], leak[:, :, window] = rows.posteriors(blocks)
+        nmse[:, :, start:start + blocks], det[:, :, start:start + blocks] = rows.posteriors(blocks)
         if chunks is None:  # built after the first window: a one-window run's
             chunks = _chunks(rows, seed, mc_runs, slab, frame)  # recursion holds no draws
         for chunk in chunks:  # in run order
             chunk.advance(rows, start, blocks, sums, frame)
-    return (sums / mc_runs).reshape(2, *shape), err, self_err, leak
+    sums /= mc_runs
+    return sums.reshape(2, *shape, -1), nmse, det
 
 
 def _chunks(rows, seed, mc_runs, slab, frame) -> list:
@@ -948,18 +950,12 @@ def run_multiuser_sweep(
     plans = []  # plans[p][s][u] is user u's plan of scheme s at point p
     for p, frame in enumerate(frames):
         rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-        plans.append([[_scheme_plan(user, frame, horizon, name, rng_scene,
+        plans.append([[_scheme_plan(user, frame, name, rng_scene,
                                     designs[name][p][u] if name in designs else None)
                        for u, user in enumerate(scenes)] for name in schemes])
     del designs  # a hybrid scheme's n_t x r sounding columns live on only in its plans' s_u
-    means, err, self_err, leak = _monte_carlo(MonteCarloRows.of(plans, scene), seed, mc_runs,
-                                              horizon, frames[0])
-    lam_sum = np.array([s.lam_sim.sum() for s in scenes])
-    det = mu.sinr_equivalent(lam_sum, err, self_err, leak,
-                             np.array([frame.rho for frame in frames])[:, None, None, None])
-    # the mean over users along a leading axis: user by user, in ascending u
-    nmse = np.ascontiguousarray(np.moveaxis(err / lam_sum, -1, 0)).mean(axis=0)
-    del err, self_err, leak
+    means, nmse, det = _monte_carlo(MonteCarloRows.of(plans, scene), seed, mc_runs, horizon,
+                                    frames[0])
     bounds = [steady_states(scene, [point[s] for point in plans], [f.rho for f in frames])
               for s in range(len(schemes))]
     tables = []

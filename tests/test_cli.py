@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pilotseq import cli
+from pilotseq import sequence_design as sd
 from pilotseq import simulate as sim
 from pilotseq.config import ExperimentConfig, preset
 from pilotseq.sequence_design import load_sequence_csv
@@ -156,6 +157,23 @@ class TestSimulate:
         assert sweep[0] == "snr_db,scheme,user,se_mc,se_det,se_lb"
         assert len(sweep) == 1 + 2 * 2  # schemes x users at one SNR
 
+    def test_multiuser_simulates_at_an_odd_prime_frame(self, tmp_path, monkeypatch):
+        # at frame.g = 7 the min-max greedy of some (SNR point, user) cells
+        # strands blocks no move fits; those cells take the exhaustive
+        # walk's design on the same table, and the whole sweep simulates
+        walks, exhaustive_walk = [], sd._exhaustive_walk
+        monkeypatch.setattr(sd, "_exhaustive_walk",
+                            lambda *args: walks.append(1) or exhaustive_walk(*args))
+        cfg = preset("multiuser_ula32")
+        cfg.frame.g = 7
+        cfg.mc_runs, cfg.horizon_blocks = 4, 28
+        path = tmp_path / "g7.json"
+        path.write_text(cfg.to_json())
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "g7")]) == 0
+        assert walks
+        sweep = (tmp_path / "g7" / "sweep.csv").read_text().splitlines()
+        assert len(sweep) == 1 + 7 * 2 * 5  # SNR points x schemes x users
+
     def test_single_user_honours_angle_and_sweep(self, tmp_path):
         cfg = preset("demo")
         cfg.mc_runs = 4
@@ -279,8 +297,8 @@ class TestErrors:
         ("demo", "frame.n_d", 1),  # fewer than frame.m_p = 2 sounding vectors
         ("demo", "array.n_h", 1),  # one element has rank 1 < frame.m_p = 2
         ("demo", "rank_tol", 1.0),  # keeps no eigenmode
-        ("upa375", "horizon_blocks", 5_000_000),  # 3.3 GB, mostly per-block traces
-        ("multiuser_ula32", "horizon_blocks", 200_000),  # 2.2 GB of per-block traces
+        ("upa375", "horizon_blocks", 20_000_000),  # 3.9 GB, mostly per-block traces
+        ("multiuser_ula32", "horizon_blocks", 3_000_000),  # 5.4 GB of per-block traces
         ("demo", "basis", "eigen"),  # a DFT design is named by designer = "<designer>_dft"
         ("demo", "designer", "orthogonal"),  # a baseline, not a designed scheme
         ("demo", "baselines", [{}]),
@@ -309,8 +327,9 @@ class TestErrors:
                 == f"unknown config field array.{key}")
 
     def test_memory_guard_names_both_sizes_and_admits_long_horizons(self):
-        # the run keeps one slab's gains, so 100 000 upa375 blocks need about
-        # 0.15 GB; the message names both fields that size the run
+        # the run keeps one slab's gains and holds over the horizon only its
+        # traces, so 100 000 upa375 blocks need about 0.1 GB; the message
+        # names both fields that size the run
         ExperimentConfig.from_dict({**preset("upa375").to_dict(), "horizon_blocks": 100_000})
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_dict({**preset("upa375").to_dict(), "mc_runs": 10**6})

@@ -160,15 +160,17 @@ class TestTimeUpdate:
 
 
 def diag_tracker(stats, sched, rho, a=None):
-    """The engine's diagonal tracker over an explicit per-block schedule."""
+    """The engine's diagonal tracker whose schedule period is an explicit
+    per-block schedule, one row per block."""
     sched = np.asarray(sched, dtype=int).reshape(len(sched), -1)
     return sim.Tracker("diag", sched.shape[1], stats.lam,
                        stats.a if a is None else a, rho, sched=sched)
 
 
 def one_row(tracker):
-    """The tracker's one-row stack, whose recursion has stored its gains,
-    and its (horizon, r) posterior error variances."""
+    """The tracker's one-row stack, whose recursion has run one period of
+    its schedule and stored its gains, and its (period, r) posterior error
+    variances."""
     stack = sim.TrackerStack.of([[tracker]])
     _, _, diag = stack.posteriors(len(tracker.sched))
     return stack, diag[0, 0]

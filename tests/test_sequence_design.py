@@ -286,8 +286,8 @@ class TestDesignCells:
                 cell = random_cell(rng)
                 try:
                     want.append(one_cell(*cell, fr))
-                except (ValueError, RuntimeError):
-                    continue  # infeasible, or a known greedy dead end (G = 9, few modes)
+                except ValueError:
+                    continue  # infeasible
                 cells.append(cell)
             monkeypatch.setattr(sd, "_ceiling_table", recorded)
             got = sd.design_cells(designer, *zip(*cells), fr)
@@ -309,6 +309,35 @@ class TestDesignCells:
         assert any(len(set(lam.tolist())) < len(lam) for lam, _, _ in kept)
         assert {0.0, 1.0} <= {a for _, a, _ in kept}
         assert 0.0 in {rho for _, _, rho in kept}
+
+    @pytest.mark.parametrize("g_len", [5, 7, 9, 25, 27, 49])
+    def test_min_max_designs_every_feasible_cell(self, g_len, monkeypatch):
+        # at an odd prime-power G the greedy can strand blocks no move fits;
+        # such a cell takes the exhaustive walk's candidates, so every cell
+        # the exhaustive search accepts gets a valid min-max design no
+        # better than the exact one
+        rng = np.random.default_rng([g_len, 27])
+        walks, exhaustive_walk = [], sd._exhaustive_walk
+        monkeypatch.setattr(sd, "_exhaustive_walk",
+                            lambda *args: walks.append(1) or exhaustive_walk(*args))
+        designed = 0
+        for m_p in (1, 2, 3):
+            fr = frame(g_len=g_len, m_p=m_p, m=200, n_d_max=int(rng.integers(m_p, 11)))
+            cells, exact = [], []
+            for _ in range(40):
+                cell = random_cell(rng)
+                try:
+                    exact.append(sd.exhaustive_search(*cell, fr))
+                except ValueError:
+                    continue  # infeasible
+                cells.append(cell)
+            walks.clear()
+            got = sd.design_cells("min_max", *zip(*cells), fr)
+            designed += len(walks)  # the cells whose greedy reached a dead end
+            for (lam, _, _), asn, best in zip(cells, got, exact):
+                assert sd.validate_assignment(asn, fr, rank=len(lam)) == []
+                assert asn.objective >= best.objective
+        assert designed > 0  # the draw reaches the dead end
 
     @pytest.mark.parametrize("designer", sd.DESIGNERS)
     def test_closed_form_calls_do_not_grow_with_cells(self, designer, monkeypatch):
@@ -504,12 +533,18 @@ class TestConstruction:
         assert np.all(seq.c == np.array([1, 2, 3]))
 
     def test_row_accessor_periodic(self):
-        # the schedule a plan sounds over its horizon repeats the matrix rows
+        # a plan keeps one period, the matrix rows; the schedule its stack
+        # sounds over any horizon repeats them, row ell mod G at block ell
         asn = sd.IntervalAssignment(g=(1, 2, 2, 2, 4, 4), n_d=6, objective=0.0)
         seq = sd.construct_sequence_matrix(asn, frame())
-        sched = sim._horizon_schedule(seq.c - 1, 4 * 7 + 1)
+        stack = sim.TrackerStack.of([[sim.Tracker("diag", 3, np.ones(6), 0.9, 1.0,
+                                                  sched=seq.c - 1)]])
+        stack.posteriors(4 * 7 + 1)
+        sched = stack.window_sched[:, 0, 0]
         assert np.array_equal(sched[1], sched[5])
         assert np.array_equal(sched[0], sched[4 * 7])
+        for ell, idx in enumerate(sched):
+            assert np.array_equal(idx, seq.c[ell % 4] - 1)
 
     def test_invalid_assignment_rejected(self):
         asn = sd.IntervalAssignment(g=(1, 2), n_d=2, objective=0.0)
@@ -553,8 +588,7 @@ class TestExpansion:
 
     @staticmethod
     def training(seq, basis, rho, blocks):
-        return [np.sqrt(rho) * basis[:, idx]
-                for idx in sim._horizon_schedule(seq.c - 1, blocks)]
+        return [np.sqrt(rho) * basis[:, seq.c[ell % len(seq.c)] - 1] for ell in range(blocks)]
 
     def test_power_and_orthogonality(self):
         rng = np.random.default_rng(2)
@@ -582,7 +616,7 @@ class TestExpansion:
         asn = sd.IntervalAssignment(g=(1, 2, 2, 2, 4, 4), n_d=6, objective=0.0)
         seq = sd.construct_sequence_matrix(asn, frame())
         tracker = sim.Tracker("full", 3, np.ones(5), 0.9, 1.0,
-                              sched=sim._horizon_schedule(seq.c - 1, 4), s_u=np.eye(5))
+                              sched=seq.c - 1, s_u=np.eye(5))
         with pytest.raises(IndexError, match="sounding basis"):
             sim.TrackerStack.of([[tracker]])
 

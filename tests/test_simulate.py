@@ -66,10 +66,12 @@ class TestEngineAgainstKalmanModule:
             u=scene.u_sim, lam=scene.lam_sim, rank=scene.r_sim)
         state = kalman.init(stats)
         total = stats.trace()
+        assert len(plan.sched) == frame.g_len  # the plan keeps one period
         for ell in range(horizon):
             # a designed plan sounds row ell mod G of its index matrix
-            assert np.array_equal(plan.sched[ell], plan.seq.c[ell % frame.g_len] - 1)
-            s = np.sqrt(frame.rho) * stats.u[:, plan.sched[ell]]
+            idx = plan.sched[ell % len(plan.sched)]
+            assert np.array_equal(idx, plan.seq.c[ell % frame.g_len] - 1)
+            s = np.sqrt(frame.rho) * stats.u[:, idx]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             assert np.real(np.trace(state.p_est)) / total == pytest.approx(
                 nmse[ell], rel=1e-12)
@@ -91,7 +93,7 @@ class TestEngineAgainstKalmanModule:
         state = kalman.init(stats)
         total = stats.trace()
         for ell in range(horizon):
-            s = np.sqrt(frame.rho) * dft[:, plan.sched[ell]]
+            s = np.sqrt(frame.rho) * dft[:, plan.sched[ell % len(plan.sched)]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             p = state.p_est
             assert np.real(np.trace(p)) / total == pytest.approx(nmse[ell], rel=1e-9)
@@ -134,7 +136,7 @@ class TestEngineAgainstKalmanModule:
         state = kalman.init(stats)
         total = stats.trace()
         for ell in range(horizon):
-            s = np.sqrt(frame.rho) * cols[:, hybrid.sched[ell]]
+            s = np.sqrt(frame.rho) * cols[:, hybrid.sched[ell % len(hybrid.sched)]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             assert np.real(np.trace(state.p_est)) / total == pytest.approx(
                 nmse[0, ell], rel=1e-9)
@@ -148,7 +150,7 @@ class TestEngineAgainstKalmanModule:
         assert scene.r_sim >= 24 and scene.a >= 0.9999
         frame = small_frame()
         horizon = 3000
-        plan = sim._scheme_plan(scene, frame, horizon, "orthogonal", np.random.default_rng(0))
+        plan = sim._scheme_plan(scene, frame, "orthogonal", np.random.default_rng(0))
         err, self_err, _ = sim.TrackerStack.of([[plan]]).posteriors(horizon)
         ((err,),), ((self_err,),) = err, self_err
         dft = cm._dft_matrix(32)
@@ -159,7 +161,7 @@ class TestEngineAgainstKalmanModule:
         total = stats.trace()
         drift = 0.0
         for ell in range(horizon):
-            s = np.sqrt(frame.rho) * dft[:, plan.sched[ell]]
+            s = np.sqrt(frame.rho) * dft[:, plan.sched[ell % len(plan.sched)]]
             state = kalman.measurement_update(state, s, np.zeros(frame.m_p, complex))
             p = state.p_est
             ref_err = np.real(np.trace(p))
@@ -171,19 +173,17 @@ class TestEngineAgainstKalmanModule:
         print(f"largest relative drift over {horizon} blocks: {drift:.3g}")
 
     def test_stacked_trackers_must_share_their_model(self):
-        # a user's rows share its spectrum and a, all rows m_p and the
-        # horizon; the rows' rho may differ
+        # a user's rows share its spectrum and a, all rows m_p; the rows'
+        # rho and schedule periods may differ
         scenes = [small_scene(n=12), small_scene(n=12, theta_deg=35.0)]
         frame = small_frame()
 
-        def plan(scene, name="orthogonal", horizon=8, **changes):
-            return sim._scheme_plan(scene, dataclasses.replace(frame, **changes), horizon,
-                                    name, np.random.default_rng(0))
+        def plan(scene, name="orthogonal", **changes):
+            return sim._scheme_plan(scene, dataclasses.replace(frame, **changes), name,
+                                    np.random.default_rng(0))
 
         sim.TrackerStack.of([[plan(scenes[0])], [plan(scenes[0], "random", rho=2.0)]])
         for rows, field in (([[plan(scenes[0])], [plan(scenes[1])]], "lam"),
-                            ([[plan(scenes[0])], [plan(scenes[0], horizon=9)]],
-                             "schedule length"),
                             ([[plan(scenes[0])], [plan(scenes[0], m_p=1)]], "m_p"),
                             ([[plan(scenes[0], "min_max")], [plan(scenes[0], "mp_fixed",
                                                                   m_p=1)]], "m_p")):
@@ -230,7 +230,7 @@ class TestFloorsAndEnvelopes:
 def antenna_training(scene, plan, block):
     """Antenna-domain training matrix S_ell of a full-kind plan; exact when
     the scene's eigenbasis spans the whole array."""
-    return np.sqrt(plan.rho) * scene.u_sim @ plan.s_u[:, plan.sched[block]]
+    return np.sqrt(plan.rho) * scene.u_sim @ plan.s_u[:, plan.sched[block % len(plan.sched)]]
 
 
 class TestBaselineTraining:
@@ -475,12 +475,12 @@ def bulk_draw_monte_carlo(plans, scene, seed, mc_runs, horizon, frame):
     return means / mc_runs
 
 
-def monte_carlo_inputs(scenes, frame, schemes, horizon, a=None):
+def monte_carlo_inputs(scenes, frame, schemes, a=None):
     """The rows of plans[s][u] for the users of ``scenes`` at one point, as
     ``sim._monte_carlo`` takes them, their recursions not yet run; with
     ``a`` every plan assumes that AR(1) coefficient instead of its user's."""
     rng = np.random.default_rng(0)
-    plans = [[sim._scheme_plan(scene, frame, horizon, name, rng) for scene in scenes]
+    plans = [[sim._scheme_plan(scene, frame, name, rng) for scene in scenes]
              for name in schemes]
     if a is not None:
         for row in plans:
@@ -523,7 +523,7 @@ class TestSlabStreaming:
         assert scenes[0].r_sim != scenes[1].r_sim
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
         horizon, runs = 2 * sim.SLAB + 37, sim.CHUNK_RUNS + 5
-        rows = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"], horizon)
+        rows = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"])
         plans = rows.plans[0]
         assert plans[0][0].kind == "diag"
         got = sim._monte_carlo(rows, 9, runs, horizon, frame)[0][:, 0]
@@ -531,15 +531,16 @@ class TestSlabStreaming:
         assert got.tobytes() == want.tobytes()
 
     def test_pass_returns_the_one_window_posteriors(self):
-        # the slab-major pass fills its horizon-long tr P, self-error and
-        # leakage from one window per slab, with the bits of one window
+        # the slab-major pass fills its NMSE and deterministic SINR from one
+        # window per slab, with the bits of one whole-horizon window
         scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
         horizon = 2 * sim.SLAB + 37
         schemes = ["min_max", "orthogonal", "perfect_csit"]
-        _, *got = sim._monte_carlo(monte_carlo_inputs(scenes, frame, schemes, horizon), 9, 3,
+        _, *got = sim._monte_carlo(monte_carlo_inputs(scenes, frame, schemes), 9, 3,
                                    horizon, frame)
-        want = monte_carlo_inputs(scenes, frame, schemes, horizon).posteriors(horizon)
+        want = monte_carlo_inputs(scenes, frame, schemes).posteriors(horizon)
+        assert len(got) == len(want) == 2
         for got_t, want_t in zip(got, want):
             assert got_t.tobytes() == want_t.tobytes()
 
@@ -551,7 +552,7 @@ class TestSlabStreaming:
         frame = cfg.frame.build()
         peaks = []
         for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
-            rows = monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon)
+            rows = monte_carlo_inputs(scenes, frame, ["perfect_csit"])
             tracemalloc.start()
             try:
                 sim._monte_carlo(rows, 1, 32, horizon, frame)
@@ -561,27 +562,32 @@ class TestSlabStreaming:
         assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_run_memory_grows_only_with_its_outputs(self):
-        # a run of a diag and a full-kind scheme holds no horizon-long gains
-        # or diag P: from 2 to 16 slabs its traced peak grows by less than
-        # twice the per-block arrays it returns (every trace and plan
-        # schedule), 0.69 MB.  Holding every block's gains and diag P, as a
-        # whole-horizon recursion does, grows it by 2.5 MB here.
-        cfg = preset("demo")
-        scenes, _ = sim.multiuser_scenes_from_config(cfg)
-        frame, schemes = cfg.frame.build(), ["min_max", "orthogonal"]
-        sim.run_multiuser_sweep(scenes, [frame], schemes, 2, 1, 8)  # fills the scene's caches
-        peaks, returned = [], []
-        for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
-            tracemalloc.start()
-            try:
-                (table,) = sim.run_multiuser_sweep(scenes, [frame], schemes, 2, 1, horizon)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            returned.append(sum(trace.nbytes for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")
-                                for trace in getattr(table, key).values())
-                            + sum(plan.sched.nbytes for plan in table.user_plans[0].values()))
-        assert peaks[1] - peaks[0] < 2 * (returned[1] - returned[0]), (peaks, returned)
+        # a run holds over the horizon only the traces it returns and its
+        # Monte Carlo sums: from 2 to 16 slabs its traced peak grows by less
+        # than twice the per-block arrays it returns, for a diag and a
+        # full-kind scheme of one user, and for multiuser_ula32's five users
+        # at three SNR points.  Holding every block's gains and diag P grows
+        # the first by 2.5 MB here; holding every block's tr P, self-error
+        # and (U, U) leakage grows the second by six times what it returns.
+        for name, schemes, n_points in (("demo", ["min_max", "orthogonal"], 1),
+                                        ("multiuser_ula32", ["min_max", "perfect_csit"], 3)):
+            cfg = preset(name)
+            scenes, _ = sim.multiuser_scenes_from_config(cfg)
+            frames = [dataclasses.replace(cfg.frame.build(), rho=rho)
+                      for rho in (1.0, 10.0, 100.0)[:n_points]]
+            sim.run_multiuser_sweep(scenes, frames, schemes, 2, 1, 8)  # fills the scene's caches
+            peaks, returned = [], []
+            for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
+                tracemalloc.start()
+                try:
+                    tables = sim.run_multiuser_sweep(scenes, frames, schemes, 2, 1, horizon)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                returned.append(sum(trace.nbytes for table in tables
+                                    for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")
+                                    for trace in getattr(table, key).values()))
+            assert peaks[1] - peaks[0] < 2 * (returned[1] - returned[0]), (name, peaks, returned)
 
     def test_channel_evolves_with_the_scene_statistics(self):
         # perfect knowledge reads no tracker a, so rows whose plans all
@@ -591,7 +597,7 @@ class TestSlabStreaming:
         assert all(s.a != 0.5 for s in scenes)
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
         horizon = 24
-        rows, moved = (monte_carlo_inputs(scenes, frame, ["perfect_csit"], horizon, a)
+        rows, moved = (monte_carlo_inputs(scenes, frame, ["perfect_csit"], a)
                        for a in (None, 0.5))
         assert all(plan.a == 0.5 for plan in moved.plans[0][0])
         got, want = (sim._monte_carlo(r, 3, 5, horizon, frame)[0] for r in (moved, rows))
@@ -753,7 +759,7 @@ class TestSweep:
         r = [s.r_sim for s in scenes]
         assert r[0] != r[1]
         frame, horizon = small_frame(), 6
-        rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), horizon, scheme,
+        rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), scheme,
                                   np.random.default_rng(0)) for s in scenes] for rho in (1.0, 8.0)]
         assert rows[0][0].kind == kind
         stack = sim.TrackerStack.of(rows)
@@ -783,7 +789,7 @@ class TestSweep:
         r = [s.r_sim for s in scenes]
         assert r[0] != r[1]
         frame, horizon = small_frame(), 2 * sim.SLAB + 5
-        rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), horizon, scheme,
+        rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), scheme,
                                   np.random.default_rng(0)) for s in scenes] for rho in (1.0, 8.0)]
         assert rows[0][0].kind == kind
         whole = sim.TrackerStack.of(rows)
@@ -802,6 +808,7 @@ class TestSweep:
             gains = whole.gains[window] if kind == "diag" else whole.gains[:, :, window]
             assert stack.gains.shape == gains.shape
             assert stack.gains.tobytes() == gains.tobytes()
+            assert stack.window_sched.tobytes() == whole.window_sched[window].tobytes()
             for ell in (start - 1, start + blocks):
                 with pytest.raises(IndexError, match="outside the gains window"):
                     stack.step(hats, c, noise, ell)
@@ -809,8 +816,6 @@ class TestSweep:
             start += blocks
         for got_t, want_t in zip(zip(*got), want):  # err, self-err and diag P
             assert np.concatenate(got_t, axis=2).tobytes() == want_t.tobytes()
-        with pytest.raises(ValueError, match="0 blocks left"):
-            stack.posteriors(1)
 
     def test_full_stack_pads_unequal_ranks(self):
         # full rows of users of unequal rank, zero-padded to the largest,
