@@ -16,8 +16,9 @@ changes) on the same cases:
   0, 10 and 20 dB (a one-user sweep with full-kind schemes), on
   ``ci_ula32`` at ``mc_runs`` = 40 (two chunks of runs, the second
   partial, over its 480 blocks, so each chunk crosses a slab boundary
-  with ``orthogonal`` and ``random`` among its schemes) and on
-  ``multiuser_ula32`` with three users of unequal rank (8, 10 and 9 at
+  with ``orthogonal`` and ``random`` among its schemes), on
+  ``multiuser_ula32`` with two users at -8 and 8 degrees (the two-user
+  realized-SINR kernel) and with three users of unequal rank (8, 10 and 9 at
   -55, 0 and 35 degrees), the last also at 300 blocks so that its Monte
   Carlo draws cross a slab boundary (``simulate.SLAB``) and with the
   baselines ``mp_fixed``, ``perfect_csit`` and ``nd_fixed`` (a perfect row
@@ -201,6 +202,8 @@ def main(argv: list[str]) -> int:
                  {"snr_sweep_db": [0.0, 10.0, 20.0]}),
                 ("simulate", f"ci_ula32 (mc_runs={CHUNKED_RUNS}, two chunks)", "ci_ula32",
                  {"mc_runs": CHUNKED_RUNS}),
+                ("simulate", f"2 users at ±8° (mc_runs={CUT_RUNS})", "multiuser_ula32",
+                 {"users": {"count": 2, "theta_deg": [-8.0, 8.0]}}),
                 ("simulate", f"3 users, ranks 8/10/9 (mc_runs={CUT_RUNS})", "multiuser_ula32",
                  {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]}}),
                 ("simulate", f"3 users, 300 blocks (mc_runs={CUT_RUNS})", "multiuser_ula32",

@@ -569,10 +569,13 @@ def _draw_complex(gen, buf, part_sd, scratch):
 
 def _cross_pairs(cross):
     """The off-diagonal user pairs (u, v), u != v, of a (U, U, r, r) cross
-    tensor in row-major order, as index arrays us and vs, and their (U(U -
-    1), r, r) stack cross[us, vs]."""
-    us, vs = np.nonzero(~np.eye(len(cross), dtype=bool))
-    return us, vs, cross[us, vs]
+    tensor in row-major order: their users u as the index array us, their
+    flat slots u U + v in a (U U, ...) stack of pair slots, their (U(U - 1),
+    r, r) stack cross[us, vs], and the (V, 1, U) mask that is 1.0 at v !=
+    u and 0.0 at v = u."""
+    off = 1.0 - np.eye(len(cross))
+    us, vs = np.nonzero(off)
+    return us, us * len(cross) + vs, cross[us, vs], off[:, None, :]
 
 
 def _realized_sinr(c, hats, rho, est, pairs):
@@ -584,35 +587,44 @@ def _realized_sinr(c, hats, rho, est, pairs):
     the cross products X_uv = U_u^H U_v into user u's coordinates.  Returns
     (K, U, runs).
 
-    The estimate-only terms, ||h_hat||^2, the self-error |h^H h_hat -
-    ||h_hat||^2|^2 and the pair interference, are taken once per estimate
-    row; each output row then adds its own noise term U ||h_hat||^2 / rho
-    and its interferers in ascending v, so an output row has the bits of
-    its estimate row's call at its rho.  The pair term h_u^H (X_uv h_hat_v)
-    is taken as (X_uv^H h_u)^H h_hat_v: the U(U - 1) channel-side
-    projections are one stacked matmul, a (runs, r) by (r, r) gemm per
-    pair whatever the row count, and each estimate row's pair dots are one
+    With n_u = ||h_hat_u||^2 and d_uv = h_u^H X_uv h_hat_v, user u's
+    noise-plus-interference is sigma_u = U n_u / rho + (|d_uu - n_u|^2 +
+    n_u sum_{v != u} |d_uv|^2 / n_v), where an interferer estimating nothing
+    (n_v = 0) adds nothing.  The bracket, the self-error plus the
+    interference, depends on the estimate row only, so it is taken once per
+    estimate row and reduced over v before each output row adds it to its
+    own noise term.  One user has no pair: its d_uu - n_u is np.vecdot(c,
+    hats) - n_u.  With more, d_uv is taken as (X_uv^H h_u)^H h_hat_v, X_uu
+    = I: slot v = u of the pair tensor holds conj(h_u) and slot u U + v
+    (v != u) the channel-side projection, one stacked matmul, a (runs, r)
+    by (r, r) gemm per off-diagonal pair whatever the row count; each
+    estimate row's dots, the self term's among them, are then one (U x r)
     gemv per (row, v, run), so a row's bits do not depend on the rows
     beside it.
     """
     n_users = hats.shape[1]
     flat = hats.view(float)
     nrm2 = np.vecdot(flat, flat)
-    err = np.vecdot(c, hats) - nrm2  # h_u^H h_hat_u - ||h_hat_u||^2
+    if n_users == 1:  # a lone user has no pair
+        err = np.vecdot(c, hats) - nrm2  # h_u^H h_hat_u - ||h_hat_u||^2
+        terms = err.real * err.real + err.imag * err.imag
+    else:
+        us, slots, x, off = pairs
+        proj = np.empty((n_users * n_users, *c.shape[1:]), dtype=complex)
+        c_conj = np.conjugate(c, out=proj[::n_users + 1])  # slots u U + u: X_uu = I
+        proj[slots] = np.matmul(c_conj[us], x)
+        proj = proj.reshape(n_users, *c.shape).transpose(1, 2, 0, 3)  # (V, runs, U, r)
+        dot = (proj @ hats[..., None])[..., 0]  # d_uv at (E, V, runs, U)
+        err = np.diagonal(dot, axis1=1, axis2=3).transpose(0, 2, 1) - nrm2
+        power = dot.real * dot.real + dot.imag * dot.imag
+        inv = np.divide(1.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 > 0)
+        power *= inv[..., None]
+        power *= off  # v = u is no interferer
+        terms = err.real * err.real + err.imag * err.imag
+        terms += nrm2 * power.sum(axis=1).transpose(0, 2, 1)
     norm = nrm2[est]
     with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 gives sigma = inf
-        sigma = n_users * norm / rho + (err.real * err.real + err.imag * err.imag)[est]
-        if n_users > 1:  # a lone user has no pair
-            # proj[u, v] = (X_uv^H h_u)^H, zero at v = u: no interferer, so it adds +0.0
-            us, vs, x = pairs
-            c_conj, proj = c[us], np.zeros((n_users, *c.shape), dtype=complex)
-            proj[us, vs] = np.matmul(np.conjugate(c_conj, out=c_conj), x)
-            dot = (proj.transpose(1, 2, 0, 3) @ hats[..., None])[..., 0]  # (E, V, runs, U)
-            power = (dot.real * dot.real + dot.imag * dot.imag).transpose(0, 3, 1, 2)
-            ratio = np.where(nrm2[:, None] > 0, nrm2[:, :, None] / nrm2[:, None], 0.0)
-            interference = (ratio * power)[est]  # (K, U, V, runs)
-            for v in range(n_users):  # in ascending v
-                sigma += interference[:, :, v]
+        sigma = n_users * norm / rho + terms[est]
         return np.where(norm > 0, norm ** 2 / sigma, 0.0)
 
 
@@ -1013,8 +1025,9 @@ def run_multiuser(config: ExperimentConfig):
     The operating points are the configured ``rho`` when ``snr_sweep_db``
     is unset, else one per swept SNR (SNR = gamma * rho); they run as one
     sweep.  Returns (table, sweep_rows): the per-block table at the last
-    operating point and the per-(SNR, scheme, user) steady-state summaries
-    of every point.
+    operating point, whose traces are copies so that the other points'
+    traces can be freed, and the per-(SNR, scheme, user) steady-state
+    summaries of every point.
     """
     scenes, _ = multiuser_scenes_from_config(config)
     gamma = scenes[0].gamma
@@ -1040,4 +1053,7 @@ def run_multiuser(config: ExperimentConfig):
                 rows.append(dict(snr_db=float(snr_db), scheme=name, user=u,
                                  se_mc=float(se_mc[u]), se_det=float(det),
                                  se_lb=float(se_lb[u])))
-    return tables[-1], rows
+    last = tables[-1]
+    return dataclasses.replace(last, **{
+        key: {name: trace.copy() for name, trace in getattr(last, key).items()}
+        for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")}), rows

@@ -905,11 +905,13 @@ class TestMultiuserEngine:
                                                  rho[row, 0, 0] * scale, u)
                     assert got[row, u, i] == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("n_users", [1, 3])
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
     def test_realized_sinr_rows_do_not_depend_on_their_stack(self, n_users):
         # each row of a K-row call equals that row computed alone, byte for
-        # byte, so a sweep's rows equal its one-point runs
+        # byte, so a sweep's rows equal its one-point runs; row 1 estimates
+        # nothing for the last user, an interferer of the others
         _, cross, c, hats, est = realized_sinr_batch(n_users, 5)
+        hats[1, -1] = 0.0
         rho = np.array([0.5, 4.0, 30.0, 2.0, 8.0])[:, None, None]
         pairs = sim._cross_pairs(cross)
         got = sim._realized_sinr(c, hats, rho, est, pairs)
@@ -917,7 +919,7 @@ class TestMultiuserEngine:
             alone = sim._realized_sinr(c, hats[k:k + 1].copy(), rho[k:k + 1], est[:1], pairs)
             assert alone.tobytes() == got[k:k + 1].tobytes(), k
 
-    @pytest.mark.parametrize("n_users", [1, 3])
+    @pytest.mark.parametrize("n_users", [1, 2, 3])
     def test_realized_sinr_shared_rows_equal_expanded_rows(self, n_users):
         # output rows that read shared estimate rows through the map, each
         # at its own rho (0 among them), equal the call on the estimate rows
@@ -1014,6 +1016,26 @@ class TestMultiuserEngine:
         table, rows = sim.run_multiuser(cfg)
         assert table.frame.rho == cfg.frame.rho
         assert len(rows) == 2 * n_users  # scheme x user at one operating point
+
+    def test_run_keeps_only_the_last_points_traces(self, monkeypatch):
+        # the returned traces own their memory, so the other points' traces
+        # can be freed, and keep the bytes of the sweep's last table
+        cfg = preset("multiuser_ula32")
+        cfg.users.count = 2
+        cfg.users.theta_deg = [-20.0, 25.0]
+        cfg.mc_runs = 2
+        cfg.horizon_blocks = 64
+        cfg.snr_sweep_db = [0.0, 10.0, 20.0]
+        sweeps, run_sweep = [], sim.run_multiuser_sweep
+        monkeypatch.setattr(sim, "run_multiuser_sweep",
+                            lambda *args: sweeps.append(run_sweep(*args)) or sweeps[-1])
+        table, _ = sim.run_multiuser(cfg)
+        last = sweeps[0][-1]
+        for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det"):
+            for name in table.schemes:
+                got, want = getattr(table, key)[name], getattr(last, key)[name]
+                assert got.flags.owndata, (key, name)
+                assert got.tobytes() == want.tobytes(), (key, name)
 
 
 class TestSchemeList:
