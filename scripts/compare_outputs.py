@@ -34,7 +34,14 @@ changes) on the same cases:
   user at 55 degrees (one-ring lags up to 8192 panels, so the quadrature
   runs its lags in several groups), comparing ``design.csv`` and
   ``assignment.json``;
-- ``pilotseq verify``, comparing its standard output.
+- ``pilotseq verify``, comparing its standard output;
+- in memory, the arrays that ``simulate.run_schemes`` returns on
+  ``upa375`` (``mc_runs`` = 16) and that ``simulate.run_multiuser_sweep``
+  returns on ``multiuser_ula32`` (its seven SNR points, ``mc_runs`` = 16):
+  every point's and scheme's NMSE, Monte Carlo SINR and spectral
+  efficiency and deterministic SINR, each saved with ``np.save`` and
+  compared as raw bytes.  The CSV files' 12 significant digits hide
+  last-bit drift; these do not.
 
 Each side's ``--config`` documents are built from that side's own preset,
 read through its own sources, so a change of the config format does not
@@ -50,12 +57,13 @@ under each differing file the drift: for a CSV file every differing column
 with its largest relative and largest absolute difference over rows
 matched by position (a value near zero reads a large relative drift at a
 tiny absolute one), a row-count mismatch, and non-numeric mismatches; for
-a JSON file the differing keys; for a plain-text file each differing line
-by number.
+a JSON file the differing keys; for a ``.npy`` array its largest relative
+and absolute difference; for a plain-text file each differing line by
+number.
 The last line gives the largest relative difference over every differing
-CSV column, with its case, file and column, so an intended float-order
-change can quote one bound.  Exits 1 on any difference (2 if a run
-fails).  Temporary files go under ``$TMPDIR``.
+CSV column and array, with its case, file and column, so an intended
+float-order change can quote one bound.  Exits 1 on any difference (2 if a
+run fails).  Temporary files go under ``$TMPDIR``.
 """
 
 from __future__ import annotations
@@ -72,6 +80,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("demo", "ci_ula32", "multiuser_ula32")
 FILES = {"simulate": ("out/trace.csv", "out/design.csv", "out/sweep.csv"),
@@ -79,16 +89,45 @@ FILES = {"simulate": ("out/trace.csv", "out/design.csv", "out/sweep.csv"),
          "verify": ("stdout.txt",)}
 CUT_RUNS = 16
 CHUNKED_RUNS = 40  # two chunks of simulate.CHUNK_RUNS = 32 runs, the second partial
+ARRAYS = """\
+import dataclasses, sys
+from pathlib import Path
+import numpy as np
+from pilotseq import simulate as sim
+from pilotseq.config import preset
+
+out = Path("out/arrays")
+out.mkdir(parents=True)
+cfg = preset(sys.argv[1])
+scenes, _ = sim.multiuser_scenes_from_config(cfg)
+frame = cfg.frame.build()
+if sys.argv[1] == "upa375":
+    tables = [sim.run_schemes(scenes[0], frame, cfg.schemes, RUNS, cfg.seed,
+                              cfg.horizon_blocks)]
+else:
+    frames = [dataclasses.replace(frame, rho=10.0 ** (snr / 10.0) / scenes[0].gamma)
+              for snr in cfg.snr_sweep_db]
+    tables = sim.run_multiuser_sweep(scenes, frames, cfg.schemes, RUNS, cfg.seed,
+                                     cfg.horizon_blocks)
+for p, table in enumerate(tables):
+    for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det"):
+        for name, trace in getattr(table, key).items():
+            np.save(out / f"p{p}-{key}-{name}.npy", trace)
+""".replace("RUNS", str(CUT_RUNS))
 
 
 def run_cli(tree: Path, command: str, args: list[str], workdir: Path) -> Path:
     """Run ``pilotseq COMMAND`` from ``tree``'s sources in ``workdir``, which
     receives the outputs in ``out`` and the standard output in
-    ``stdout.txt``; returns ``workdir``."""
+    ``stdout.txt``; returns ``workdir``.  The command ``arrays`` runs
+    ``ARRAYS`` on the preset ``args[1]`` instead."""
     workdir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "pilotseq.cli", command, *args]
-    if command != "verify":
+    if command == "arrays":
+        cmd = [sys.executable, "-c", ARRAYS, args[1]]
+    else:
+        cmd = [sys.executable, "-m", "pilotseq.cli", command, *args]
+    if command not in ("verify", "arrays"):
         cmd += ["--out", "out"]
     proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -102,13 +141,22 @@ def digest(path: Path) -> str:
 
 
 def drift(a: Path, b: Path) -> tuple[list[str], dict[str, float]]:
-    """How two output files differ: the differing keys of a JSON object,
-    CSV rows matched by position and columns named by the first line unless
-    it is a ``#`` comment, or the differing lines of any other text.  Also
-    returns each differing numeric CSV column's largest relative
-    difference (empty for other files)."""
+    """How two output files differ: the largest difference of a ``.npy``
+    array, the differing keys of a JSON object, CSV rows matched by
+    position and columns named by the first line unless it is a ``#``
+    comment, or the differing lines of any other text.  Also
+    returns each differing numeric CSV column's or array's largest
+    relative difference (empty for other files)."""
     if not (a.exists() and b.exists()):
         return ["written on one side only"], {}
+    if a.suffix == ".npy":
+        x, y = np.load(a), np.load(b)
+        if x.shape != y.shape or x.dtype != y.dtype:
+            return [f"shape or dtype differs: {x.shape} {x.dtype} vs {y.shape} {y.dtype}"], {}
+        gap = np.abs(x - y)
+        rel = np.max(gap / np.maximum(np.maximum(np.abs(x), np.abs(y)), np.finfo(float).tiny))
+        return [f"largest relative difference {rel:.3g}, absolute {np.max(gap):.3g} "
+                f"({np.count_nonzero(x != y)} values differ)"], {"(all)": float(rel)}
     if a.suffix == ".json":
         doc_a, doc_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
         return [f"{key}: {doc_a.get(key)!r} vs {doc_b.get(key)!r}"
@@ -222,6 +270,8 @@ def main(argv: list[str]) -> int:
                  {"array": {"n_h": 128, "spacing_over_wavelength": 1.0},
                   "ring": {"theta_h_deg": 55.0}}),
                 ("verify", "battery", None, None),
+                ("arrays", f"upa375 (mc_runs={CUT_RUNS})", "upa375", None),
+                ("arrays", f"multiuser_ula32 (mc_runs={CUT_RUNS})", "multiuser_ula32", None),
             ]
             differ = 0
             largest = None  # (relative difference, case, file, column)
@@ -234,7 +284,9 @@ def main(argv: list[str]) -> int:
                         cut_config(tree, config, name, fields)
                         args = ["--config", str(config)]
                     outs.append(run_cli(tree, command, args, tmp / f"{side}{i}"))
-                for file in FILES[command]:
+                files = FILES.get(command) or sorted({f"out/arrays/{p.name}" for out in outs
+                                                      for p in (out / "out/arrays").glob("*")})
+                for file in files:
                     a, b = (out / file for out in outs)
                     if not a.exists() and not b.exists():
                         continue

@@ -43,10 +43,13 @@ estimate row.  The kernel keeps a chunk of runs in stacked arrays
 zero-padded to the largest user rank r, channels (U, runs, r), evolved with
 the scene's own AR(1) coefficients and spectra, and estimates (E, U, runs,
 r), so each kind's estimates are a contiguous block of rows.  Per block it
-draws and evolves the channel once, makes one stacked step per tracker kind
-(``TrackerStack.step``, the only estimate update) and one realized-SINR
-call for every output row and user: the estimate-only terms once per
-estimate row, then each output row's rho.
+evolves the channel once, makes one stacked step per tracker kind
+(``TrackerStack.step``, the only estimate update) and takes the
+realized-SINR terms of every estimate row and user.  What is elementwise
+over blocks runs outside the per-block loops: the channel draws and their
+scaling once per slab, and once per group of blocks each output row's SINR
+at its rho, the spectral efficiency and their sums over the runs; the
+full-kind recursion likewise reduces its posteriors once per group.
 
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user, whatever the number of points; the
@@ -89,6 +92,7 @@ from .steady_state import profiles as ss_profiles
 
 CHUNK_RUNS = 32  # runs per Monte Carlo chunk, the unit of buffering and of the reduction
 SLAB = 256  # blocks per recursion window and per draw of innovations and pilot noise
+GROUP_BYTES = 64 * 1024  # per-block buffer a group of blocks fills before one reduction
 SIM_RANK_TOL = 1e-12  # relative eigenvalue floor of the simulation space
 TAIL_FRAMES = 2  # trailing frames averaged into the steady-state summaries
 
@@ -387,6 +391,11 @@ class TrackerStack:
         over thousands of blocks.  Every slice of the stack makes the same
         BLAS, LAPACK and dot calls as a one-row run, so a row's outputs and
         gains do not depend on its stack, bit for bit.
+
+        K^H's conjugate is solved straight into the block's gains.  The loop
+        keeps only what the next block needs: each block copies diag P and
+        ||P||_F^2 into buffers of at most GROUP_BYTES, and each group of
+        blocks is reduced at once, with the per-block ops' arithmetic.
         """
         lam = self.lams[u]
         a2 = self.a[u, 0, 0] * self.a[u, 0, 0]
@@ -397,24 +406,38 @@ class TrackerStack:
         p = self.state[u]
         p_flat = p.view(float).reshape(n, 2 * r * r)  # ||P||_F^2 is its real dot with itself
         d = p.reshape(n, r * r)[:, :: r + 1]  # a writable view of every diagonal
-        s, k = np.empty((n, r, m_p), dtype=complex), np.empty((n, r, m_p), dtype=complex)
+        s = np.empty((n, r, m_p), dtype=complex)
         ps_h, update = np.empty((n, m_p, r), dtype=complex), np.empty_like(p)
         eye = np.eye(m_p)
+        group = _group_blocks(16 * n * r, len(self.window))
+        d_group, fro = np.empty((group, n, r), dtype=complex), np.empty((group, n))
         for ell, idx in enumerate(self.window_sched[:, :, u]):
             np.conjugate(cols[:, idx].transpose(1, 0, 2), out=s)
             ps = p @ s
             np.conjugate(ps.swapaxes(1, 2), out=ps_h)
             gram = ps_h @ s
             gram += eye
+            k = self.gains[:, u, ell, :r]
             np.conjugate(np.linalg.solve(gram, ps_h).swapaxes(1, 2), out=k)
             np.matmul(k, ps_h, out=update)
             p -= update
-            self.gains[:, u, ell, :r] = k
-            err[:, ell] = d.sum(axis=-1).real
-            self_err[:, ell] = np.sum(d * lam, axis=-1).real - np.vecdot(p_flat, p_flat)
-            diags[:, ell, :r] = d.real
+            i = ell % group
+            d_group[i] = d
+            np.vecdot(p_flat, p_flat, out=fro[i])
             p *= a2
             d += innovation
+            if i == group - 1 or ell == len(self.window) - 1:  # reduce the group's blocks
+                blocks = slice(ell - i, ell + 1)
+                err[:, blocks] = d_group[:i + 1].sum(axis=-1).real.T
+                self_err[:, blocks] = (np.sum(d_group[:i + 1] * lam, axis=-1).real
+                                       - fro[:i + 1]).T
+                diags[:, blocks, :r] = d_group[:i + 1].real.swapaxes(0, 1)
+
+
+def _group_blocks(block_bytes: int, blocks: int) -> int:
+    """Blocks per group: as many as fit GROUP_BYTES at block_bytes per
+    block, at least one and at most ``blocks``."""
+    return max(1, min(blocks, GROUP_BYTES // block_bytes))
 
 
 def _round_robin_cycle(n_cols: int, m_p: int) -> np.ndarray:
@@ -585,7 +608,7 @@ def _realized_sinr(c, hats, rho, est, pairs):
     estimate row est (K,) of each of the K output rows, each output row's
     data power rho (K, 1, 1) or one for all, and pairs, ``_cross_pairs`` of
     the cross products X_uv = U_u^H U_v into user u's coordinates.  Returns
-    (K, U, runs).
+    (K, U, runs): ``_sinr_tail`` of ``_sinr_terms``.
 
     With n_u = ||h_hat_u||^2 and d_uv = h_u^H X_uv h_hat_v, user u's
     noise-plus-interference is sigma_u = U n_u / rho + (|d_uu - n_u|^2 +
@@ -593,38 +616,68 @@ def _realized_sinr(c, hats, rho, est, pairs):
     (n_v = 0) adds nothing.  The bracket, the self-error plus the
     interference, depends on the estimate row only, so it is taken once per
     estimate row and reduced over v before each output row adds it to its
-    own noise term.  One user has no pair: its d_uu - n_u is np.vecdot(c,
-    hats) - n_u.  With more, d_uv is taken as (X_uv^H h_u)^H h_hat_v, X_uu
-    = I: slot v = u of the pair tensor holds conj(h_u) and slot u U + v
-    (v != u) the channel-side projection, one stacked matmul, a (runs, r)
-    by (r, r) gemm per off-diagonal pair whatever the row count; each
-    estimate row's dots, the self term's among them, are then one (U x r)
-    gemv per (row, v, run), so a row's bits do not depend on the rows
-    beside it.
+    own noise term.
+    """
+    nrm2 = np.empty(hats.shape[:-1])
+    terms = np.empty_like(nrm2, dtype=_terms_dtype(hats.shape[1]))
+    _sinr_terms(c, hats, pairs, nrm2, terms)
+    return _sinr_tail(nrm2, terms, rho, est, hats.shape[1])
+
+
+def _terms_dtype(n_users: int) -> type:
+    """The dtype of ``_sinr_terms``' terms: complex d_uu for one user, else
+    the real bracket."""
+    return complex if n_users == 1 else float
+
+
+def _sinr_terms(c, hats, pairs, nrm2, terms) -> None:
+    """The part of ``_realized_sinr`` that reads the block's channels and
+    estimates, written into nrm2 and terms (E, U, runs): n_u, and for one
+    user its d_uu = np.vecdot(c, hats), else the bracket |d_uu - n_u|^2 +
+    n_u sum_{v != u} |d_uv|^2 / n_v.
+
+    One user has no pair, and the rest of its bracket is elementwise, left
+    to ``_sinr_tail``.  With more users, d_uv is taken as (X_uv^H h_u)^H
+    h_hat_v, X_uu = I: slot v = u of the pair tensor holds conj(h_u) and
+    slot u U + v (v != u) the channel-side projection, one stacked matmul,
+    a (runs, r) by (r, r) gemm per off-diagonal pair whatever the row
+    count; each estimate row's dots, the self term's among them, are then
+    one (U x r) gemv per (row, v, run), so a row's bits do not depend on
+    the rows beside it.
     """
     n_users = hats.shape[1]
     flat = hats.view(float)
-    nrm2 = np.vecdot(flat, flat)
+    np.vecdot(flat, flat, out=nrm2)
     if n_users == 1:  # a lone user has no pair
-        err = np.vecdot(c, hats) - nrm2  # h_u^H h_hat_u - ||h_hat_u||^2
+        np.vecdot(c, hats, out=terms)  # h_u^H h_hat_u
+        return
+    us, slots, x, off = pairs
+    proj = np.empty((n_users * n_users, *c.shape[1:]), dtype=complex)
+    c_conj = np.conjugate(c, out=proj[::n_users + 1])  # slots u U + u: X_uu = I
+    proj[slots] = np.matmul(c_conj[us], x)
+    proj = proj.reshape(n_users, *c.shape).transpose(1, 2, 0, 3)  # (V, runs, U, r)
+    dot = (proj @ hats[..., None])[..., 0]  # d_uv at (E, V, runs, U)
+    err = np.diagonal(dot, axis1=1, axis2=3).transpose(0, 2, 1) - nrm2
+    power = dot.real * dot.real + dot.imag * dot.imag
+    inv = np.divide(1.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 > 0)
+    power *= inv[..., None]
+    power *= off  # v = u is no interferer
+    np.multiply(err.real, err.real, out=terms)
+    terms += err.imag * err.imag
+    terms += nrm2 * power.sum(axis=1).transpose(0, 2, 1)
+
+
+def _sinr_tail(nrm2, terms, rho, est, n_users):
+    """The rest of ``_realized_sinr``, elementwise over any leading axes of
+    ``_sinr_terms``' nrm2 and terms (..., E, U, runs): one user's bracket
+    |d_uu - n_u|^2, then each output row's estimate row's terms, est (K,),
+    at its own rho.  Returns (..., K, U, runs)."""
+    if n_users == 1:
+        err = terms - nrm2  # h_u^H h_hat_u - ||h_hat_u||^2
         terms = err.real * err.real + err.imag * err.imag
-    else:
-        us, slots, x, off = pairs
-        proj = np.empty((n_users * n_users, *c.shape[1:]), dtype=complex)
-        c_conj = np.conjugate(c, out=proj[::n_users + 1])  # slots u U + u: X_uu = I
-        proj[slots] = np.matmul(c_conj[us], x)
-        proj = proj.reshape(n_users, *c.shape).transpose(1, 2, 0, 3)  # (V, runs, U, r)
-        dot = (proj @ hats[..., None])[..., 0]  # d_uv at (E, V, runs, U)
-        err = np.diagonal(dot, axis1=1, axis2=3).transpose(0, 2, 1) - nrm2
-        power = dot.real * dot.real + dot.imag * dot.imag
-        inv = np.divide(1.0, nrm2, out=np.zeros_like(nrm2), where=nrm2 > 0)
-        power *= inv[..., None]
-        power *= off  # v = u is no interferer
-        terms = err.real * err.real + err.imag * err.imag
-        terms += nrm2 * power.sum(axis=1).transpose(0, 2, 1)
-    norm = nrm2[est]
+    norm = nrm2[..., est, :, :]
     with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 gives sigma = inf
-        sigma = n_users * norm / rho + terms[est]
+        sigma = n_users * norm / rho + terms[..., est, :, :]
         return np.where(norm > 0, norm ** 2 / sigma, 0.0)
 
 
@@ -712,7 +765,8 @@ class _Chunk:
     about to enter the next block, estimates hats (E, U, runs, r) after the
     last, per drawing stream (generator, its rows of the shared slab
     buffers, per-part scale or None), and the chunk's runs of those
-    buffers, proc (U, runs, slab, r) and noise (S, U, runs, slab, m_p)."""
+    buffers, proc (U, runs, slab, r) and noise (S, U, runs, slab, m_p), and
+    of the realized-SINR group buffers."""
 
     c: np.ndarray
     hats: np.ndarray
@@ -720,9 +774,10 @@ class _Chunk:
     proc: np.ndarray
     noise: np.ndarray
     scratch: np.ndarray  # the draws of a user below the largest rank
+    sinr_terms: tuple  # ``_sinr_terms``' nrm2 and terms of a group of blocks, (blocks, E, U, runs)
 
     @classmethod
-    def of(cls, seed_seqs, rows, proc, noise, scratch) -> _Chunk:
+    def of(cls, seed_seqs, rows, proc, noise, scratch, sinr_terms) -> _Chunk:
         """The chunk of runs seed_seqs at block 0.  Each run spawns its
         streams in one layout, whatever the points: one per user channel,
         which draws the run's first channel at once, then one per (scheme,
@@ -730,7 +785,7 @@ class _Chunk:
         noise; perfect knowledge consumes its streams without drawing from
         them.  Run i fills run i of the shared innovation buffer proc (U,
         CHUNK_RUNS, slab, r) and pilot-noise buffer noise (S, U, CHUNK_RUNS,
-        slab, m_p)."""
+        slab, m_p), and the group buffers sinr_terms (blocks, E, U, CHUNK_RUNS)."""
         users = [user.stats for user in rows.scene.users]
         n_runs, n_users = len(seed_seqs), len(users)
         noisy = [row[0].kind != "perfect" for row in rows.plans[0]]  # per scheme
@@ -747,7 +802,8 @@ class _Chunk:
                 if noisy[s]:
                     fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
         return cls(c, np.zeros((rows.n_est, *c.shape), dtype=complex), fills,
-                   proc[:, :n_runs], noise[:, :, :n_runs], scratch)
+                   proc[:, :n_runs], noise[:, :, :n_runs], scratch,
+                   tuple(buf[..., :n_runs] for buf in sinr_terms))
 
     def advance(self, rows, start, blocks, sums, frame) -> None:
         """Draws the chunk's next ``blocks`` blocks into the shared buffers
@@ -757,22 +813,34 @@ class _Chunk:
         Per block the channel is drawn and evolved once for all rows, with
         each user's AR(1) coefficient and spectrum from the scene, whatever
         the plans assume; each tracker kind makes one stacked step of its
-        estimate rows, and one realized-SINR call covers every output row
-        and user, reading each output row's estimate row."""
+        estimate rows, and ``_sinr_terms`` fills the block's slot of the
+        group buffers.  The rest is elementwise over blocks, so it runs once
+        per slab or group: the innovations are scaled by sqrt(1 - a^2) once
+        per slab, and one ``_sinr_tail`` covers every output row, user and
+        block of a group, whose SINR and spectral-efficiency sums over the
+        runs are added at once."""
         c, hats, n_users = self.c, self.hats, len(self.c)
+        nrm2, terms = self.sinr_terms
+        group = len(nrm2)
         a = np.array([user.stats.a for user in rows.scene.users])[:, None, None]
         evolve = np.sqrt(1.0 - a * a)
         for gen, buf, part_sd in self.fills:
             _draw_complex(gen, buf[:blocks], part_sd, self.scratch)
+        innovations = self.proc[:, :, :blocks]
+        np.multiply(evolve[..., None], innovations, out=innovations)
         for k, ell in enumerate(range(start, start + blocks)):
             pilots = self.noise[:, :, :, k]
             for stack, block, schemes in rows.stacks:
                 stack.step(hats[block], c, None if schemes is None else pilots[schemes], ell)
-            sinr = _realized_sinr(c, hats, rows.rho, rows.est, rows.pairs)
-            sums[0, :, ell] += sinr.sum(axis=-1)
-            sums[1, :, ell] += mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m).sum(axis=-1)
+            i = k % group
+            _sinr_terms(c, hats, rows.pairs, nrm2[i], terms[i])
             c *= a
-            c += evolve * self.proc[:, :, k]
+            c += innovations[:, :, k]
+            if i == group - 1 or k == blocks - 1:  # the group's tail, (blocks, K, U, runs)
+                sinr = _sinr_tail(nrm2[:i + 1], terms[:i + 1], rows.rho, rows.est, n_users)
+                se = mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m)
+                sums[0, :, ell - i:ell + 1] += sinr.sum(axis=-1).swapaxes(0, 1)
+                sums[1, :, ell - i:ell + 1] += se.sum(axis=-1).swapaxes(0, 1)
 
 
 def _monte_carlo(rows, seed, mc_runs, horizon, frame):
@@ -811,14 +879,20 @@ def _monte_carlo(rows, seed, mc_runs, horizon, frame):
 
 def _chunks(rows, seed, mc_runs, slab, frame) -> list:
     """The chunks, in run order and at block 0, of the runs spawned off
-    ``seed``, sharing slab buffers sized for one chunk."""
+    ``seed``, sharing slab buffers sized for one chunk and group buffers
+    of as many blocks as GROUP_BYTES holds of the tail's (K, U, runs)
+    float64 arrays, a block's largest but one user's complex terms (E, U,
+    runs), E <= K."""
     run_seqs = np.random.SeedSequence(seed).spawn(2)[1].spawn(mc_runs)
     n_users, n_runs = rows.scene.n_users, min(mc_runs, CHUNK_RUNS)
     r_max = max(len(user.stats.lam) for user in rows.scene.users)
     proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
     noise = np.empty((len(rows.plans[0]), n_users, n_runs, slab, frame.m_p), dtype=complex)
     scratch = np.empty(slab * r_max, dtype=complex)
-    return [_Chunk.of(run_seqs[i:i + CHUNK_RUNS], rows, proc, noise, scratch)
+    slot = (_group_blocks(8 * len(rows.est) * n_users * n_runs, slab),
+            rows.n_est, n_users, n_runs)
+    sinr_terms = (np.empty(slot), np.empty(slot, dtype=_terms_dtype(n_users)))
+    return [_Chunk.of(run_seqs[i:i + CHUNK_RUNS], rows, proc, noise, scratch, sinr_terms)
             for i in range(0, mc_runs, CHUNK_RUNS)]
 
 

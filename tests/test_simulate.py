@@ -516,6 +516,38 @@ def realized_sinr_batch(n_users, n_rows, shared=False):
     return scenes, cross, c, hats, np.array(est)
 
 
+def full_reductions_per_block(stack, states):
+    """Oracle of the reductions of a full stack's last ``posteriors`` call:
+    replays each user's error covariances from ``states``, the stack's state
+    before the call, through the window's stored gains (P S, (P S)^H and P
+    -= K (P S)^H in the recursion's layouts), and reduces every block's
+    posterior on its own: tr P, lam . diag P - ||P||_F^2 and diag P, (K, U,
+    blocks) and (K, U, blocks, r).  Also returns the replayed states."""
+    n_rows, n_users, blocks, r_max, m_p = stack.gains.shape
+    err, self_err = np.zeros((2, n_rows, n_users, blocks))
+    diag = np.zeros((n_rows, n_users, blocks, r_max))
+    out = []
+    for u, lam in enumerate(stack.lams):
+        r, a2 = len(lam), stack.a[u, 0, 0] * stack.a[u, 0, 0]
+        p = states[u].copy()
+        p_flat = p.view(float).reshape(n_rows, -1)
+        d = p.reshape(n_rows, r * r)[:, :: r + 1]
+        s = np.empty((n_rows, r, m_p), dtype=complex)
+        ps_h, update = np.empty((n_rows, m_p, r), dtype=complex), np.empty_like(p)
+        for ell, idx in enumerate(stack.window_sched[:, :, u]):
+            np.conjugate(stack.cols[:r, idx].transpose(1, 0, 2), out=s)
+            np.conjugate((p @ s).swapaxes(1, 2), out=ps_h)
+            np.matmul(stack.gains[:, u, ell, :r], ps_h, out=update)
+            p -= update
+            err[:, u, ell] = d.sum(axis=-1).real
+            self_err[:, u, ell] = np.sum(d * lam, axis=-1).real - np.vecdot(p_flat, p_flat)
+            diag[:, u, ell, :r] = d.real
+            p *= a2
+            d += (1.0 - a2) * lam
+        out.append(p)
+    return (err, self_err, diag), out
+
+
 class TestSlabStreaming:
     def test_slab_draws_equal_bulk_draw_oracle(self):
         # slab boundaries fall unevenly in the horizon, and two chunks run
@@ -589,6 +621,43 @@ class TestSlabStreaming:
                                     for trace in getattr(table, key).values()))
             assert peaks[1] - peaks[0] < 2 * (returned[1] - returned[0]), (name, peaks, returned)
 
+    @pytest.mark.parametrize("case", ["one user, every kind", "three users, two chunks"])
+    def test_group_size_keeps_the_bits(self, case, monkeypatch):
+        # groups of one block, of seven and of the default budget give the
+        # bits of each other, over a slab boundary: the Monte Carlo means,
+        # NMSE and deterministic SINR
+        if case == "one user, every kind":
+            scenes, runs = [small_scene()], 3
+            schemes = ["min_max", "orthogonal", "perfect_csit"]
+            frame = small_frame()
+        else:
+            scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)]
+            assert len({s.r_sim for s in scenes}) > 1
+            schemes, runs = ["min_max", "mp_fixed", "perfect_csit"], sim.CHUNK_RUNS + 3
+            frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
+        horizon = sim.SLAB + 13
+        # a block's (K, U, runs) float64 SINR, one output row per scheme
+        slot = 8 * len(schemes) * len(scenes) * min(runs, sim.CHUNK_RUNS)
+        sizes, group_blocks = {}, sim._group_blocks
+
+        def spy(block_bytes, blocks):
+            sizes[block_bytes] = group_blocks(block_bytes, blocks)
+            return sizes[block_bytes]
+
+        monkeypatch.setattr(sim, "_group_blocks", spy)
+        outs = []
+        for budget, group in ((sim.GROUP_BYTES, min(sim.SLAB, sim.GROUP_BYTES // slot)),
+                              (7 * slot, 7), (1, 1)):
+            monkeypatch.setattr(sim, "GROUP_BYTES", budget)
+            sizes.clear()
+            outs.append(sim._monte_carlo(monte_carlo_inputs(scenes, frame, schemes), 9, runs,
+                                         horizon, frame))
+            assert sizes[slot] == group
+        assert len(outs[0]) == 3
+        for got in outs[1:]:
+            for got_t, want_t in zip(got, outs[0]):
+                assert got_t.tobytes() == want_t.tobytes()
+
     def test_channel_evolves_with_the_scene_statistics(self):
         # perfect knowledge reads no tracker a, so rows whose plans all
         # assume another a draw and evolve the same channel, byte for byte
@@ -637,25 +706,36 @@ class TestSweep:
         # a 3-point sweep allocates P S_noisy + S_perfect estimate rows, every
         # point's perfect row of a scheme reading the same one; the output
         # rows stay in (point, scheme) order, and the map takes each to its
-        # estimate row, diag rows first, at one point too
-        calls, realized_sinr = [], sim._realized_sinr
+        # estimate row, diag rows first, at one point too: every block's
+        # estimate-row terms hold the E estimate rows, and each group's tail
+        # maps the K output rows onto them
+        blocks, tails = [], []
+        sinr_terms, sinr_tail = sim._sinr_terms, sim._sinr_tail
 
-        def spy(c, hats, rho, est, pairs):
-            calls.append((len(hats), est))
-            return realized_sinr(c, hats, rho, est, pairs)
+        def spy_terms(c, hats, pairs, nrm2, terms):
+            blocks.append(len(hats))
+            return sinr_terms(c, hats, pairs, nrm2, terms)
 
-        monkeypatch.setattr(sim, "_realized_sinr", spy)
+        def spy_tail(nrm2, terms, rho, est, n_users):
+            tails.append((nrm2.shape[-3], len(nrm2), est))
+            return sinr_tail(nrm2, terms, rho, est, n_users)
+
+        monkeypatch.setattr(sim, "_sinr_terms", spy_terms)
+        monkeypatch.setattr(sim, "_sinr_tail", spy_tail)
         scenes = [small_scene()]
         schemes = ["min_max", "perfect_csit", "mp_fixed"]
         frames = [dataclasses.replace(small_frame(), rho=rho) for rho in (0.5, 4.0, 30.0)]
         sim.run_multiuser_sweep(scenes, frames, schemes, 2, 5, 8)
-        assert len(calls) == 8
-        for n_est, est in calls:
+        assert blocks == [3 * 2 + 1] * 8
+        assert sum(n_blocks for _, n_blocks, _ in tails) == 8
+        for n_est, _, est in tails:
             assert n_est == 3 * 2 + 1
             assert est.tolist() == [0, 6, 1, 2, 6, 3, 4, 6, 5]
-        calls.clear()
+        blocks.clear()
+        tails.clear()
         sim.run_multiuser_scene(scenes, frames[0], schemes, 2, 5, 8)
-        assert calls and all(n_est == 3 and est.tolist() == [0, 2, 1] for n_est, est in calls)
+        assert blocks == [3] * 8
+        assert tails and all(n_est == 3 and est.tolist() == [0, 2, 1] for n_est, _, est in tails)
 
     def test_sweep_builds_the_scene_once(self, monkeypatch):
         # the cross tensor and the coupling maps do not depend on rho
@@ -816,6 +896,31 @@ class TestSweep:
             start += blocks
         for got_t, want_t in zip(zip(*got), want):  # err, self-err and diag P
             assert np.concatenate(got_t, axis=2).tobytes() == want_t.tobytes()
+
+    @pytest.mark.parametrize("group", [1, 7, None])
+    def test_full_group_reductions_equal_per_block_reductions(self, group, monkeypatch):
+        # each window's tr P, self-error and diag P, reduced a group of
+        # blocks at a time, equal a per-block reduction of the same P
+        # trajectory bit for bit, for users of unequal rank over two windows
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        r = [s.r_sim for s in scenes]
+        assert r[0] != r[1]
+        frame = small_frame()
+        rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), scheme,
+                                  np.random.default_rng(0)) for s in scenes]
+                for rho, scheme in ((1.0, "orthogonal"), (8.0, "random"))]
+        if group is not None:  # user 0's group holds that many blocks
+            monkeypatch.setattr(sim, "GROUP_BYTES", group * 16 * len(rows) * r[0])
+        stack = sim.TrackerStack.of(rows)
+        stack.posteriors(3)
+        for blocks in (37, 2 * sim.SLAB // 3):
+            states = [p.copy() for p in stack.state]
+            got = stack.posteriors(blocks)
+            want, replayed = full_reductions_per_block(stack, states)
+            for got_t, want_t in zip(got, want):
+                assert got_t.tobytes() == want_t.tobytes()
+            for p, q in zip(stack.state, replayed):
+                assert p.tobytes() == q.tobytes()
 
     def test_full_stack_pads_unequal_ranks(self):
         # full rows of users of unequal rank, zero-padded to the largest,
