@@ -10,8 +10,8 @@ changes) on the same cases:
 - ``pilotseq simulate`` on the ``demo``, ``ci_ula32`` and
   ``multiuser_ula32`` presets, and through ``--config`` on ``upa375``, on
   ``ci_ula32`` with the exhaustive designer, on ``ci_ula32`` with
-  ``designer = "min_max_dft"`` (the hybrid schemes of a linear array), on
-  ``ci_ula32`` with a static user (``ring.v_kmh = 0``, so a = 1 and every
+  ``min_max_dft`` leading its schemes (the hybrid schemes of a linear
+  array), on ``ci_ula32`` with a static user (``ring.v_kmh = 0``, so a = 1 and every
   trained mode's floor and ceiling are zero), on ``ci_ula32`` swept over
   0, 10 and 20 dB (a one-user sweep with full-kind schemes), on
   ``ci_ula32`` at ``mc_runs`` = 40 (two chunks of runs, the second
@@ -21,14 +21,14 @@ changes) on the same cases:
   realized-SINR kernel) and with three users of unequal rank (8, 10 and 9 at
   -55, 0 and 35 degrees), the last also at 300 blocks so that its Monte
   Carlo draws cross a slab boundary (``simulate.SLAB``) and with the
-  baselines ``mp_fixed``, ``perfect_csit`` and ``nd_fixed`` (a perfect row
-  between diag rows at every SNR point), and on ``multiuser_ula32`` with the
+  schemes ``min_max``, ``mp_fixed``, ``perfect_csit`` and ``nd_fixed`` (a
+  perfect row between diag rows at every SNR point), and on ``multiuser_ula32`` with the
   exhaustive designer (its five users at seven SNR points designed in one
   batch), each with ``mc_runs`` cut to 16 unless stated,
   comparing
   ``trace.csv``, ``design.csv`` and ``sweep.csv``;
 - ``pilotseq design`` on ``demo``, on ``ci_ula32`` and ``upa375`` with
-  ``designer = "min_max_dft"`` (the hybrid design of a linear and of a
+  ``min_max_dft`` leading its schemes (the hybrid design of a linear and of a
   planar array, whose DFT surrogate is per axis), on ``multiuser_ula32`` and on
   ``ci_ula32`` as a 128-element array at one wavelength spacing with the
   user at 55 degrees (one-ring lags up to 8192 panels, so the quadrature
@@ -45,9 +45,9 @@ changes) on the same cases:
 
 Each side's ``--config`` documents are built from that side's own preset,
 read through its own sources, so a change of the config format does not
-stop the other side from reading them.  A side whose config still has a
-``basis`` field names a DFT scheme as ``designer = "min_max"`` with
-``basis = "dft"``.
+stop the other side from reading them.  A side whose config still names
+its schemes in two fields gets a case's ``schemes`` list as ``designer``,
+the first entry, and ``baselines``, the rest, which it runs in that order.
 
 Every run writes to the relative directory ``out`` of its own working
 directory, so the output path recorded in ``assignment.json`` is the same
@@ -89,6 +89,7 @@ FILES = {"simulate": ("out/trace.csv", "out/design.csv", "out/sweep.csv"),
          "verify": ("stdout.txt",)}
 CUT_RUNS = 16
 CHUNKED_RUNS = 40  # two chunks of simulate.CHUNK_RUNS = 32 runs, the second partial
+BASELINES = ["orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"]  # ci_ula32, upa375
 ARRAYS = """\
 import dataclasses, sys
 from pathlib import Path
@@ -218,9 +219,8 @@ def cut_config(tree: Path, path: Path, name: str, fields: dict) -> None:
     doc["mc_runs"] = CUT_RUNS
     for key, value in fields.items():
         doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
-    if "basis" in doc and doc["designer"].endswith("_dft"):  # a side from before designer
-        doc["designer"] = doc["designer"].removesuffix("_dft")  # named the hybrid scheme
-        doc["basis"] = "dft"
+    if "designer" in doc and "schemes" in doc:  # a side from before the schemes list
+        doc["designer"], *doc["baselines"] = doc.pop("schemes")
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -241,9 +241,9 @@ def main(argv: list[str]) -> int:
             cases += [
                 ("simulate", f"upa375 (mc_runs={CUT_RUNS})", "upa375", {}),
                 ("simulate", f"ci_ula32 exhaustive (mc_runs={CUT_RUNS})", "ci_ula32",
-                 {"designer": "exhaustive"}),
+                 {"schemes": ["exhaustive", *BASELINES]}),
                 ("simulate", f"ci_ula32 dft (mc_runs={CUT_RUNS})", "ci_ula32",
-                 {"designer": "min_max_dft"}),
+                 {"schemes": ["min_max_dft", *BASELINES]}),
                 ("simulate", f"ci_ula32 static user (mc_runs={CUT_RUNS})", "ci_ula32",
                  {"ring": {"v_kmh": 0.0}}),
                 ("simulate", f"ci_ula32 at 0/10/20 dB (mc_runs={CUT_RUNS})", "ci_ula32",
@@ -259,12 +259,13 @@ def main(argv: list[str]) -> int:
                   "horizon_blocks": 300}),
                 ("simulate", f"3 users, mp/perfect/nd (mc_runs={CUT_RUNS})",
                  "multiuser_ula32", {"users": {"count": 3, "theta_deg": [-55.0, 0.0, 35.0]},
-                                     "baselines": ["mp_fixed", "perfect_csit", "nd_fixed"]}),
+                                     "schemes": ["min_max", "mp_fixed", "perfect_csit",
+                                                 "nd_fixed"]}),
                 ("simulate", f"multiuser_ula32 exhaustive (mc_runs={CUT_RUNS})",
-                 "multiuser_ula32", {"designer": "exhaustive"}),
+                 "multiuser_ula32", {"schemes": ["exhaustive", "perfect_csit"]}),
                 ("design", "demo", "demo", None),
-                ("design", "ci_ula32 dft", "ci_ula32", {"designer": "min_max_dft"}),
-                ("design", "upa375 dft", "upa375", {"designer": "min_max_dft"}),
+                ("design", "ci_ula32 dft", "ci_ula32", {"schemes": ["min_max_dft", *BASELINES]}),
+                ("design", "upa375 dft", "upa375", {"schemes": ["min_max_dft", *BASELINES]}),
                 ("design", "multiuser_ula32", "multiuser_ula32", None),
                 ("design", "ula128 1λ 55°", "ci_ula32",
                  {"array": {"n_h": 128, "spacing_over_wavelength": 1.0},

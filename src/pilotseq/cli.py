@@ -153,10 +153,9 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
     written = [_write_csv(out / "trace.csv", "block,scheme,nmse,rx_snr_db,se_sum,se_det,se_lb",
                           _trace_rows(table))]
 
-    plan = table.user_plans[0].get(config.designer)
-    if plan is not None:
-        written.append(out / "design.csv")
-        save_sequence_csv(written[-1], plan.seq, config.frame.build())
+    written.append(out / "design.csv")
+    save_sequence_csv(written[-1], table.user_plans[0][config.designer].seq,
+                      config.frame.build())
 
     if sweep_rows:
         written.append(_write_csv(
@@ -175,12 +174,12 @@ def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:
 
 
 def cmd_design(args) -> int:
-    """Design the configured scheme for user 0's scene, as ``simulate``'s
-    design.csv does."""
+    """Design the configuration's first designed scheme for user 0's scene
+    at the last operating point, as ``simulate``'s design.csv does."""
     cfg = _load_config(args)
     scene = sim.user_scene(cfg, 0, sim.user_angles(cfg)[0])
-    frame = cfg.frame.build()
-    asn, seq, _ = sim.design_scheme(scene, frame, cfg.designer)
+    _, frame = cfg.operating_points(scene.gamma)[-1]
+    asn, seq, _ = sim.design_sweep([scene], [frame], cfg.designer)[0][0]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     design_path = out / "design.csv"

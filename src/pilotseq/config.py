@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel_model import _J0_FIRST_ZERO, ArrayGeometry, OneRingGeometry, doppler_argument
-from .sequence_design import FrameParams, is_prime_power
+from .sequence_design import DESIGNERS, FrameParams, is_prime_power
 
-# the schemes a designer builds: min_max or exhaustive on the covariance
-# eigenvectors, or its hybrid "_dft" variant on the DFT surrogate columns
-DESIGNED_SCHEMES = ("min_max", "exhaustive", "min_max_dft", "exhaustive_dft")
 # every scheme's tracker kind: diag sounds covariance eigenvectors, full
 # sounds other columns (a designer's hybrid "_dft" variant, orthogonal,
 # random) through the full-matrix recursion, perfect knows the channel
 SCHEME_KINDS = {"min_max": "diag", "exhaustive": "diag", "min_max_dft": "full",
                 "exhaustive_dft": "full", "orthogonal": "full", "random": "full",
                 "mp_fixed": "diag", "nd_fixed": "diag", "perfect_csit": "perfect"}
+# the schemes a designer builds: min_max or exhaustive on the covariance
+# eigenvectors, or its hybrid "_dft" variant on the DFT surrogate columns
+DESIGNED_SCHEMES = tuple(name for name in SCHEME_KINDS if name.removesuffix("_dft") in DESIGNERS)
 # the schemes a run with more than one user offers: the leakage of a user's
 # estimate into the others is exact only for a diagonal error covariance
 MU_SCHEMES = tuple(name for name, kind in SCHEME_KINDS.items() if kind != "full")
@@ -109,8 +109,8 @@ class ExperimentConfig:
     array: ArrayConfig = field(default_factory=ArrayConfig)
     ring: RingConfig = field(default_factory=RingConfig)
     frame: FrameConfig = field(default_factory=FrameConfig)
-    designer: str = "min_max"  # one of DESIGNED_SCHEMES
-    baselines: list = field(default_factory=lambda: ["perfect_csit"])  # SCHEME_KINDS names
+    # SCHEME_KINDS names, run in this order; at least one is designed
+    schemes: list = field(default_factory=lambda: ["min_max", "perfect_csit"])
     users: UsersConfig = field(default_factory=UsersConfig)
     mc_runs: int = 100
     seed: int = 12345
@@ -181,19 +181,20 @@ class ExperimentConfig:
                 raise ValueError(f"{name} = {value!r} {rule}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
-        if self.designer not in DESIGNED_SCHEMES:
-            raise ValueError(f"designer must be one of {DESIGNED_SCHEMES}, got {self.designer!r}")
-        if not isinstance(self.baselines, list):
-            raise ValueError(f"baselines must be a list of scheme names, got {self.baselines!r}")
-        for b in self.baselines:
-            if not isinstance(b, str) or b not in SCHEME_KINDS:
-                raise ValueError(f"baselines entry {b!r} is not a scheme; known: "
+        if not isinstance(self.schemes, list):
+            raise ValueError(f"schemes must be a list of scheme names, got {self.schemes!r}")
+        for i, name in enumerate(self.schemes):
+            if not isinstance(name, str) or name not in SCHEME_KINDS:
+                raise ValueError(f"schemes[{i}] = {name!r} is not a scheme; known: "
                                  f"{tuple(SCHEME_KINDS)}")
-        for name, scheme in [("designer", self.designer),
-                             *(("baselines", b) for b in self.baselines)]:
-            if self.users.count > 1 and scheme not in MU_SCHEMES:
-                raise ValueError(f"{name} names {scheme!r}, a single-user scheme; with "
+            if name in self.schemes[:i]:
+                raise ValueError(f"schemes[{i}] = {name!r} repeats an earlier entry")
+            if self.users.count > 1 and name not in MU_SCHEMES:
+                raise ValueError(f"schemes[{i}] = {name!r} is a single-user scheme; with "
                                  f"users.count > 1 choose among {MU_SCHEMES}")
+        if not set(self.schemes) & set(DESIGNED_SCHEMES):
+            raise ValueError(f"schemes must list a designed scheme, one of {DESIGNED_SCHEMES}; "
+                             f"got {self.schemes!r}")
         self._check_memory()
 
     def _check_memory(self) -> None:
@@ -236,10 +237,26 @@ class ExperimentConfig:
                 f"buffers, for {users} users x {points} points x {len(kinds)} schemes at "
                 f"n_t = {n_t}")
 
+    def operating_points(self, gamma: float) -> list:
+        """The (SNR in dB, frame) operating points at path gain ``gamma``:
+        the configured ``frame.rho`` when ``snr_sweep_db`` is unset, else
+        one per swept SNR (SNR = gamma * rho)."""
+        frame = self.frame.build()
+        if not self.snr_sweep_db:
+            with np.errstate(divide="ignore"):
+                return [(10.0 * np.log10(gamma * frame.rho), frame)]
+        return [(snr_db, dataclasses.replace(frame, rho=10.0 ** (snr_db / 10.0) / gamma))
+                for snr_db in self.snr_sweep_db]
+
     @property
-    def schemes(self) -> list:
-        """The designed scheme, then each baseline once."""
-        return list(dict.fromkeys([self.designer, *self.baselines]))
+    def designer(self) -> str:
+        """The first designed scheme: what design.csv and ``pilotseq design`` report."""
+        return next(name for name in self.schemes if name in DESIGNED_SCHEMES)
+
+    @property
+    def baselines(self) -> list:
+        """The schemes other than ``designer``, for callers that still read two fields."""
+        return [name for name in self.schemes if name != self.designer]
 
     # -- serialization ----------------------------------------------------
 
@@ -276,8 +293,7 @@ PRESETS: dict = {
         array=dict(n_v=15, n_h=25),
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=30.0, v_kmh=3.0),
         frame=dict(g=32, m_p=2, m=5, n_d=64, rho=10.0),
-        designer="min_max",
-        baselines=["orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"],
+        schemes=["min_max", "orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"],
         mc_runs=500,
         seed=20240,
         horizon_blocks=2560,
@@ -287,8 +303,7 @@ PRESETS: dict = {
         array=dict(n_v=1, n_h=32),
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=30.0, v_kmh=3.0),
         frame=dict(g=16, m_p=2, m=5, n_d=32, rho=10.0),
-        designer="min_max",
-        baselines=["orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"],
+        schemes=["min_max", "orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"],
         mc_runs=200,
         seed=777,
         horizon_blocks=480,
@@ -298,8 +313,7 @@ PRESETS: dict = {
         array=dict(n_v=1, n_h=32),
         ring=dict(d_s=100.0, d_r=8.0, theta_h_deg=0.0, v_kmh=3.0),
         frame=dict(g=32, m_p=1, m=10, n_d=8, rho=10.0),
-        designer="min_max",
-        baselines=["perfect_csit"],
+        schemes=["min_max", "perfect_csit"],
         users=dict(count=5, theta_deg=None),
         mc_runs=200,
         seed=4242,
@@ -311,8 +325,7 @@ PRESETS: dict = {
         array=dict(n_v=1, n_h=16),
         ring=dict(d_s=100.0, d_r=30.0, theta_h_deg=20.0, v_kmh=3.0),
         frame=dict(g=4, m_p=2, m=5, n_d=8, rho=10.0),
-        designer="min_max",
-        baselines=["mp_fixed", "perfect_csit"],
+        schemes=["min_max", "mp_fixed", "perfect_csit"],
         mc_runs=50,
         seed=1,
         horizon_blocks=64,

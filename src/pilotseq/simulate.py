@@ -79,9 +79,8 @@ from .channel_model import (
     path_loss,
     temporal_coefficient,
 )
-from .config import MU_SCHEMES, SCHEME_KINDS, ExperimentConfig
+from .config import DESIGNED_SCHEMES, MU_SCHEMES, SCHEME_KINDS, ExperimentConfig
 from .sequence_design import (
-    DESIGNERS,
     FrameParams,
     IntervalAssignment,
     SequenceMatrix,
@@ -484,15 +483,15 @@ def _scheme_plan(scene, frame, name, rng_scene, designed=None) -> Tracker:
     """One scheme's plan for one user, before its covariance recursion; its
     kind comes from ``SCHEME_KINDS``, and the branches build its training.
     A designed scheme takes the cell's ``design_sweep`` entry as
-    ``designed``, or designs the cell alone (``design_scheme``) without it."""
+    ``designed``, or designs the cell alone without it."""
     if name not in SCHEME_KINDS:
         raise ValueError(f"unknown scheme {name!r}")
     kind, lam = SCHEME_KINDS[name], scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
     s_u, cycle, design, seq = None, None, None, None
-    if name.removesuffix("_dft") in DESIGNERS:
-        design, seq, cols = designed or design_scheme(scene, frame, name)
+    if name in DESIGNED_SCHEMES:
+        design, seq, cols = designed or design_sweep([scene], [frame], name)[0][0]
         cycle = seq.c - 1
         if kind == "full":  # the hybrid tracker keeps the true covariance knowledge
             s_u, design = scene.u_sim.conj().T @ cols, None
@@ -517,14 +516,6 @@ def _scheme_plan(scene, frame, name, rng_scene, designed=None) -> Tracker:
         cycle = _round_robin_cycle(n_t, m_p)
     return Tracker(kind=kind, m_p=m_p, lam=lam, a=a, rho=rho, s_u=s_u, sched=cycle,
                    design=design, seq=seq)
-
-
-def design_scheme(scene: ChannelScene, frame: FrameParams, name: str):
-    """Design step of a designed scheme for one user: the one-cell
-    ``design_sweep``.  Returns the interval assignment, its index matrix,
-    and the n_t x r_design sounding columns of the hybrid variant (None for
-    the eigen variant)."""
-    return design_sweep([scene], [frame], name)[0][0]
 
 
 def design_sweep(scenes: list, frames: list, name: str) -> list:
@@ -1032,7 +1023,7 @@ def run_multiuser_sweep(
                          f"path; choose among {MU_SCHEMES}")
     scene = _multiuser_scene(scenes, frames[0])
     designs = {name: design_sweep(scenes, frames, name) for name in schemes
-               if name.removesuffix("_dft") in DESIGNERS}
+               if name in DESIGNED_SCHEMES}
     plans = []  # plans[p][s][u] is user u's plan of scheme s at point p
     for p, frame in enumerate(frames):
         rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
@@ -1096,22 +1087,13 @@ def multiuser_scenes_from_config(config: ExperimentConfig):
 def run_multiuser(config: ExperimentConfig):
     """The experiment of a configuration document, for any number of users.
 
-    The operating points are the configured ``rho`` when ``snr_sweep_db``
-    is unset, else one per swept SNR (SNR = gamma * rho); they run as one
-    sweep.  Returns (table, sweep_rows): the per-block table at the last
-    operating point, whose traces are copies so that the other points'
-    traces can be freed, and the per-(SNR, scheme, user) steady-state
-    summaries of every point.
+    The configuration's ``operating_points`` run as one sweep.  Returns
+    (table, sweep_rows): the per-block table at the last operating point,
+    whose traces are copies so that the other points' traces can be freed,
+    and the per-(SNR, scheme, user) steady-state summaries of every point.
     """
     scenes, _ = multiuser_scenes_from_config(config)
-    gamma = scenes[0].gamma
-    frame = config.frame.build()
-    if config.snr_sweep_db:
-        points = [(snr_db, dataclasses.replace(frame, rho=10.0 ** (snr_db / 10.0) / gamma))
-                  for snr_db in config.snr_sweep_db]
-    else:
-        with np.errstate(divide="ignore"):
-            points = [(10.0 * np.log10(gamma * frame.rho), frame)]
+    points = config.operating_points(scenes[0].gamma)
     tables = run_multiuser_sweep(scenes, [frame for _, frame in points], config.schemes,
                                  config.mc_runs, config.seed, config.horizon_blocks)
     rows = []

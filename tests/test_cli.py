@@ -45,7 +45,7 @@ class TestDesign:
 
     def test_exhaustive_design_summary(self, tmp_path):
         cfg = preset("demo")
-        cfg.designer = "exhaustive"
+        cfg.schemes = ["exhaustive", "mp_fixed", "perfect_csit"]
         cfg.output_dir = str(tmp_path / "d")
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
@@ -56,18 +56,44 @@ class TestDesign:
         assert len(summary["g"]) == summary["n_d"]
 
     def test_design_matches_simulate_without_sweep(self, tmp_path):
-        # both commands design for user 0's scene at the configured power
+        # both commands design for user 0's scene at the last operating
+        # point: the configured power, or the preset's last swept SNR
         cfg = preset("multiuser_ula32")
         cfg.mc_runs = 2
         cfg.horizon_blocks = 64
-        cfg.snr_sweep_db = None
+        for sweep in (None, cfg.snr_sweep_db):
+            cfg.snr_sweep_db = sweep
+            path = tmp_path / f"cfg{sweep is None}.json"
+            path.write_text(cfg.to_json())
+            outs = [tmp_path / f"{command}{sweep is None}" for command in ("design", "simulate")]
+            for command, out in zip(("design", "simulate"), outs):
+                assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+            assert (outs[0] / "design.csv").read_bytes() == (outs[1] / "design.csv").read_bytes()
+
+    def test_first_designed_scheme_is_reported(self, tmp_path):
+        # a baseline may come first: the trace follows the list order, and
+        # both commands report the first designed scheme, which here
+        # designs otherwise than the second
+        cfg = preset("upa375")
+        cfg.schemes = ["mp_fixed", "exhaustive", "min_max", "perfect_csit"]
+        cfg.mc_runs = 2
+        cfg.horizon_blocks = 64
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         for command in ("design", "simulate"):
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / command)]) == 0
+        summary = json.loads((tmp_path / "design" / "assignment.json").read_text())
+        assert summary["designer"] == "exhaustive"
+        design = load_sequence_csv(tmp_path / "simulate" / "design.csv")
+        assert list(design.g) == summary["g"]
+        scene = sim.user_scene(cfg, 0, cfg.ring.theta_h_deg)
+        greedy = sim.design_sweep([scene], [cfg.frame.build()], "min_max")[0][0][0]
+        assert greedy.g != design.g
         assert ((tmp_path / "design" / "design.csv").read_bytes()
                 == (tmp_path / "simulate" / "design.csv").read_bytes())
+        trace = (tmp_path / "simulate" / "trace.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in trace[1:5]] == cfg.schemes
 
 
     def test_design_builds_user_zero_scene_alone(self, tmp_path, monkeypatch):
@@ -249,14 +275,14 @@ class TestErrors:
     def test_multiuser_dft_basis_names_field(self, tmp_path, capsys):
         doc = preset("multiuser_ula32").to_dict()
         doc["users"]["count"] = 2
-        doc["designer"] = "min_max_dft"
-        assert "designer" in self.error_for("simulate", doc, tmp_path, capsys)
+        doc["schemes"] = ["min_max_dft", "perfect_csit"]
+        assert "schemes[0]" in self.error_for("simulate", doc, tmp_path, capsys)
 
     def test_multiuser_single_user_baseline_names_field(self, tmp_path, capsys):
         doc = preset("multiuser_ula32").to_dict()
         doc["users"]["count"] = 2
-        doc["baselines"] = ["perfect_csit", "orthogonal"]
-        assert "baselines" in self.error_for("simulate", doc, tmp_path, capsys)
+        doc["schemes"] = ["min_max", "perfect_csit", "orthogonal"]
+        assert "schemes[2]" in self.error_for("simulate", doc, tmp_path, capsys)
 
     @pytest.mark.parametrize("name, field, value", [
         ("demo", "mc_runs", "5"),
@@ -288,7 +314,7 @@ class TestErrors:
         ("demo", "array", 5),
         ("demo", "users", None),
         ("demo", "frame", [1]),
-        ("demo", "baselines", "orthogonal"),
+        ("demo", "baselines", "orthogonal"),  # an old field: schemes lists every scheme
         ("demo", "output_dir", 5),
         ("demo", "array.kind", "ula"),  # an array is n_v x n_h, with no kind
         ("demo", "array.n_h", 0),
@@ -299,12 +325,17 @@ class TestErrors:
         ("demo", "rank_tol", 1.0),  # keeps no eigenmode
         ("upa375", "horizon_blocks", 20_000_000),  # 3.9 GB, mostly per-block traces
         ("multiuser_ula32", "horizon_blocks", 3_000_000),  # 5.4 GB of per-block traces
-        ("demo", "basis", "eigen"),  # a DFT design is named by designer = "<designer>_dft"
-        ("demo", "designer", "orthogonal"),  # a baseline, not a designed scheme
-        ("demo", "baselines", [{}]),
-        ("demo", "baselines", [1]),
-        ("multiuser_ula32", "baselines", ["min_max_dft"]),  # single-user only
+        ("demo", "basis", "eigen"),  # a DFT design is the scheme "<designer>_dft"
+        ("demo", "designer", "orthogonal"),  # an old field: schemes lists every scheme
+        ("demo", "schemes", [{}]),
+        ("demo", "schemes", ["min_max", 1]),
+        ("multiuser_ula32", "schemes", ["min_max", "min_max_dft"]),  # single-user only
         ("upa375", "mc_runs", 1_000_000),  # 48 GB of per-run channels, estimates, generators
+        ("demo", "schemes", "min_max"),  # not a list
+        ("demo", "schemes", ["min_max", "bogus"]),
+        ("demo", "schemes", ["min_max", "perfect_csit", "min_max"]),  # a duplicate
+        ("demo", "schemes", ["mp_fixed", "perfect_csit"]),  # no designed scheme
+        ("demo", "schemes", []),
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()
@@ -314,6 +345,15 @@ class TestErrors:
             node = node[parent]
         node[key] = value
         assert field in self.error_for("design", doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("schemes, error", [
+        (["min_max", "bogus"], "schemes[1] = 'bogus' is not a scheme"),
+        (["min_max", "perfect_csit", "min_max"], "schemes[2] = 'min_max' repeats"),
+    ])
+    def test_scheme_list_error_names_the_entry(self, schemes, error):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_dict({**preset("demo").to_dict(), "schemes": schemes})
+        assert str(exc.value).startswith(error)
 
     @pytest.mark.parametrize("command", ["design", "simulate"])
     @pytest.mark.parametrize("key, value", [("kind", "upa"), ("n_t", 375)])
@@ -387,6 +427,8 @@ class TestScripts:
     @pytest.mark.parametrize("script, args, field", [
         ("run_steady_state_table.py", ["--preset", "demo", "--mc-runs", "0"], "mc_runs"),
         ("run_multiuser_sweep.py", ["--users", "10"], "users.count"),
+        ("run_steady_state_table.py", ["--preset", "demo", "--skip", "min_max", "exhaustive",
+                                       "min_max_dft"], "schemes"),  # no designed scheme left
     ])
     def test_bad_override_fails_naming_field(self, tmp_path, script, args, field):
         # the overrides go through the config load checks before any run

@@ -17,7 +17,7 @@ from pilotseq import sequence_design as sd
 from pilotseq import simulate as sim
 from pilotseq import steady_state as ss
 from pilotseq.cli import emit_outputs
-from pilotseq.config import ExperimentConfig, preset
+from pilotseq.config import PRESETS, ExperimentConfig, preset
 from pilotseq.sequence_design import FrameParams, min_max_design
 
 
@@ -128,7 +128,7 @@ class TestEngineAgainstKalmanModule:
             single = sim.run_schemes(scene, frame, [name], 1, 0, horizon)
             assert np.array_equal(det[name], single.sinr_det[name])
         hybrid = together[0]
-        _, _, cols = sim.design_scheme(scene, frame, "min_max_dft")
+        _, _, cols = sim.design_sweep([scene], [frame], "min_max_dft")[0][0]
         assert hybrid.s_u.shape[1] == cols.shape[1] == scene.r_design < 12
         r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
         stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
@@ -364,7 +364,7 @@ class TestDftBasisBuilder:
         q = np.real(np.einsum("ij,ik,kj->j", f.conj(), r_h, f))
         order = np.argsort(-q, kind="stable")[: scene.r_design]
         frame = small_frame(g_len=8, n_d_max=scene.r_design)
-        design, _, cols = sim.design_scheme(scene, frame, "min_max_dft")
+        design, _, cols = sim.design_sweep([scene], [frame], "min_max_dft")[0][0]
         assert np.array_equal(cols, f[:, order])
         expected = min_max_design(q[order], scene.a, frame.rho, frame)
         assert design == expected
@@ -816,7 +816,7 @@ class TestSweep:
         assert len(designs) == len(frames)
         for frame, point in zip(frames, designs):
             for scene, (asn, seq, cols) in zip(scenes, point):
-                want_asn, want_seq, want_cols = sim.design_scheme(scene, frame, name)
+                want_asn, want_seq, want_cols = sim.design_sweep([scene], [frame], name)[0][0]
                 assert asn == want_asn
                 assert asn.objective.hex() == want_asn.objective.hex()
                 assert seq.c.tobytes() == want_seq.c.tobytes()
@@ -1144,7 +1144,7 @@ class TestMultiuserEngine:
 
 
 class TestSchemeList:
-    """A config names designed schemes and baselines side by side."""
+    """A config lists the schemes it compares, designed or not, side by side."""
 
     SCHEMES = ["min_max", "exhaustive", "min_max_dft", "nd_fixed", "orthogonal", "random",
                "mp_fixed", "perfect_csit"]
@@ -1153,14 +1153,14 @@ class TestSchemeList:
         # a row's Monte Carlo streams follow its list position, so every
         # trace equals that of the list cut after it; the deterministic
         # traces equal the scheme's one-scheme run
-        doc = {**preset("demo").to_dict(), "designer": "min_max", "baselines": self.SCHEMES[1:]}
+        doc = {**preset("demo").to_dict(), "schemes": self.SCHEMES}
         cfg = ExperimentConfig.from_dict(doc)
         table, _ = sim.run_multiuser(cfg)
         assert table.schemes == self.SCHEMES
         scenes, _ = sim.multiuser_scenes_from_config(cfg)
         for i, name in enumerate(self.SCHEMES):
             cut, _ = sim.run_multiuser(ExperimentConfig.from_dict(
-                {**doc, "baselines": self.SCHEMES[1:i + 1]}))
+                {**doc, "schemes": self.SCHEMES[:i + 1]}))
             alone = sim.run_multiuser_sweep(scenes, [cfg.frame.build()], [name], cfg.mc_runs,
                                             cfg.seed, cfg.horizon_blocks)[0]
             for other, keys in ((cut, ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")),
@@ -1172,11 +1172,19 @@ class TestSchemeList:
     def test_preset_lists_are_its_own(self):
         # a preset's lists are copies: changing one leaves the next preset as written
         cfg = preset("multiuser_ula32")
-        want = (list(cfg.baselines), list(cfg.snr_sweep_db))
-        cfg.baselines.append("mp_fixed")
+        want = (list(cfg.schemes), list(cfg.snr_sweep_db))
+        cfg.schemes.append("mp_fixed")
         cfg.snr_sweep_db.append(25.0)
         again = preset("multiuser_ula32")
-        assert (again.baselines, again.snr_sweep_db) == want
+        assert (again.schemes, again.snr_sweep_db) == want
+
+    def test_preset_schemes_keep_their_order(self):
+        # a scheme's list position picks its Monte Carlo streams, so each
+        # preset's order is part of its outputs
+        six = ["min_max", "orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"]
+        assert {name: preset(name).schemes for name in PRESETS} == {
+            "upa375": six, "ci_ula32": six, "multiuser_ula32": ["min_max", "perfect_csit"],
+            "demo": ["min_max", "mp_fixed", "perfect_csit"]}
 
 
 class TestOutputs:
