@@ -41,7 +41,9 @@ changes) on the same cases:
   every point's and scheme's NMSE, Monte Carlo SINR and spectral
   efficiency and deterministic SINR, each saved with ``np.save`` and
   compared as raw bytes.  The CSV files' 12 significant digits hide
-  last-bit drift; these do not.
+  last-bit drift; these do not.  Each side calls its own sweep signature
+  with its own ``ExperimentConfig.operating_points``: one frame per point,
+  or the frame and one data power per point.
 
 Each side's ``--config`` documents are built from that side's own preset,
 read through its own sources, so a change of the config format does not
@@ -91,7 +93,7 @@ CUT_RUNS = 16
 CHUNKED_RUNS = 40  # two chunks of simulate.CHUNK_RUNS = 32 runs, the second partial
 BASELINES = ["orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"]  # ci_ula32, upa375
 ARRAYS = """\
-import dataclasses, sys
+import sys
 from pathlib import Path
 import numpy as np
 from pilotseq import simulate as sim
@@ -106,9 +108,11 @@ if sys.argv[1] == "upa375":
     tables = [sim.run_schemes(scenes[0], frame, cfg.schemes, RUNS, cfg.seed,
                               cfg.horizon_blocks)]
 else:
-    frames = [dataclasses.replace(frame, rho=10.0 ** (snr / 10.0) / scenes[0].gamma)
-              for snr in cfg.snr_sweep_db]
-    tables = sim.run_multiuser_sweep(scenes, frames, cfg.schemes, RUNS, cfg.seed,
+    # a tree's operating points are what its sweep takes: one frame per
+    # point, or one data power per point beside the one frame
+    points = [point for _, point in cfg.operating_points(scenes[0].gamma)]
+    layout = [points] if hasattr(points[0], "rho") else [frame, points]
+    tables = sim.run_multiuser_sweep(scenes, *layout, cfg.schemes, RUNS, cfg.seed,
                                      cfg.horizon_blocks)
 for p, table in enumerate(tables):
     for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det"):

@@ -178,8 +178,9 @@ def cmd_design(args) -> int:
     at the last operating point, as ``simulate``'s design.csv does."""
     cfg = _load_config(args)
     scene = sim.user_scene(cfg, 0, sim.user_angles(cfg)[0])
-    _, frame = cfg.operating_points(scene.gamma)[-1]
-    asn, seq, _ = sim.design_sweep([scene], [frame], cfg.designer)[0][0]
+    _, rho = cfg.operating_points(scene.gamma)[-1]
+    frame = cfg.frame.build()
+    asn, seq, _ = sim.design_sweep([scene], frame, [rho], cfg.designer)[0][0]
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     design_path = out / "design.csv"
@@ -362,7 +363,7 @@ def check_sandwich(rng) -> Measured:
 
 def check_sinr_bound(rng) -> Measured:
     """The closed-form steady-state SINR lower bound, as the run computes it
-    (``simulate.steady_state``), stays below the deterministic SINR over the
+    (``simulate.steady_states``), stays below the deterministic SINR over the
     converged trailing frame of the diagonal trackers, for each user of
     random two-user scenes with random designs."""
     worst = -np.inf
@@ -389,7 +390,7 @@ def check_sinr_bound(rng) -> Measured:
             designs.append((construct_sequence_matrix(asn, frame).c, s.lam))
         frames = _settled_frames(designs, a, rho)
         det = mu.sinr_equivalent(*mu.sinr_inputs(scene, frames, frames), rho).min(axis=0)
-        lb, _ = sim.steady_state(scene, trackers, rho)
+        lb, _ = sim.steady_states(scene, [trackers], [rho])[0]
         for u in range(2):
             worst = max(worst, lb[u] - det[u])
     return Measured("max (bound - min deterministic SINR over the converged frame) over "

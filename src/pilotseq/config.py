@@ -42,6 +42,21 @@ def _finite_numbers(xs) -> bool:
         and bool(np.isfinite(x)) for x in xs)
 
 
+def check_schemes(schemes, n_users: int) -> None:
+    """The rules of a run's scheme list, each failure naming ``schemes[i]``:
+    every entry a known name, none repeated, and with more than one user
+    only ``MU_SCHEMES``."""
+    for i, name in enumerate(schemes):
+        if not isinstance(name, str) or name not in SCHEME_KINDS:
+            raise ValueError(f"schemes[{i}] = {name!r} is not a scheme; known: "
+                             f"{tuple(SCHEME_KINDS)}")
+        if name in schemes[:i]:
+            raise ValueError(f"schemes[{i}] = {name!r} repeats an earlier entry")
+        if n_users > 1 and name not in MU_SCHEMES:
+            raise ValueError(f"schemes[{i}] = {name!r} is a single-user scheme; with "
+                             f"{n_users} users choose among {MU_SCHEMES}")
+
+
 def _section(cls, doc: dict, prefix: str):
     """cls built from a config section; an unknown key fails naming it."""
     unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
@@ -138,9 +153,10 @@ class ExperimentConfig:
         if not _finite_numbers([self.rank_tol]) or not 0 <= self.rank_tol < 1:
             raise ValueError(f"rank_tol must be a finite number in [0, 1), "
                              f"got {self.rank_tol!r}")
-        if self.snr_sweep_db is not None and not _finite_numbers(self.snr_sweep_db):
-            raise ValueError(f"snr_sweep_db must be a list of finite numbers, "
-                             f"got {self.snr_sweep_db!r}")
+        if self.snr_sweep_db is not None and not (_finite_numbers(self.snr_sweep_db)
+                                                  and len(self.snr_sweep_db)):
+            raise ValueError(f"snr_sweep_db must be null or a non-empty list of finite "
+                             f"numbers, got {self.snr_sweep_db!r}")
         thetas = self.users.theta_deg
         if thetas is not None and not (_finite_numbers(thetas)
                                        and len(thetas) == self.users.count):
@@ -183,23 +199,15 @@ class ExperimentConfig:
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
         if not isinstance(self.schemes, list):
             raise ValueError(f"schemes must be a list of scheme names, got {self.schemes!r}")
-        for i, name in enumerate(self.schemes):
-            if not isinstance(name, str) or name not in SCHEME_KINDS:
-                raise ValueError(f"schemes[{i}] = {name!r} is not a scheme; known: "
-                                 f"{tuple(SCHEME_KINDS)}")
-            if name in self.schemes[:i]:
-                raise ValueError(f"schemes[{i}] = {name!r} repeats an earlier entry")
-            if self.users.count > 1 and name not in MU_SCHEMES:
-                raise ValueError(f"schemes[{i}] = {name!r} is a single-user scheme; with "
-                                 f"users.count > 1 choose among {MU_SCHEMES}")
+        check_schemes(self.schemes, self.users.count)
         if not set(self.schemes) & set(DESIGNED_SCHEMES):
             raise ValueError(f"schemes must list a designed scheme, one of {DESIGNED_SCHEMES}; "
                              f"got {self.schemes!r}")
         self._check_memory()
 
-    def _check_memory(self) -> None:
-        """Fails naming horizon_blocks and mc_runs when the run would hold
-        more than GAIN_BUDGET_BYTES, with n_t bounding each user's rank.
+    def _check_memory(self) -> int:
+        """The bytes the run may hold, n_t bounding each user's rank; over
+        GAIN_BUDGET_BYTES it fails naming horizon_blocks and mc_runs.
         Per block, the returned traces: 3 float64 per (point, scheme, user),
         the Monte Carlo means and the deterministic SINR, and the NMSE per
         (point, scheme), a run's whole tracemalloc growth.  Per run: the
@@ -236,17 +244,16 @@ class ExperimentConfig:
                 f"channel, estimates and generators, and {per_slab / 1e6:.3g} MB of slab "
                 f"buffers, for {users} users x {points} points x {len(kinds)} schemes at "
                 f"n_t = {n_t}")
+        return need
 
     def operating_points(self, gamma: float) -> list:
-        """The (SNR in dB, frame) operating points at path gain ``gamma``:
-        the configured ``frame.rho`` when ``snr_sweep_db`` is unset, else
-        one per swept SNR (SNR = gamma * rho)."""
-        frame = self.frame.build()
-        if not self.snr_sweep_db:
+        """The (SNR in dB, data power rho) operating points at path gain
+        ``gamma``: the configured ``frame.rho`` when ``snr_sweep_db`` is
+        null, else one per swept SNR (SNR = gamma * rho)."""
+        if self.snr_sweep_db is None:
             with np.errstate(divide="ignore"):
-                return [(10.0 * np.log10(gamma * frame.rho), frame)]
-        return [(snr_db, dataclasses.replace(frame, rho=10.0 ** (snr_db / 10.0) / gamma))
-                for snr_db in self.snr_sweep_db]
+                return [(10.0 * np.log10(gamma * self.frame.rho), self.frame.rho)]
+        return [(snr_db, 10.0 ** (snr_db / 10.0) / gamma) for snr_db in self.snr_sweep_db]
 
     @property
     def designer(self) -> str:

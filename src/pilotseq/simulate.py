@@ -79,7 +79,8 @@ from .channel_model import (
     path_loss,
     temporal_coefficient,
 )
-from .config import DESIGNED_SCHEMES, MU_SCHEMES, SCHEME_KINDS, ExperimentConfig
+# perfbench reads MU_SCHEMES from this module
+from .config import DESIGNED_SCHEMES, MU_SCHEMES, SCHEME_KINDS, ExperimentConfig, check_schemes
 from .sequence_design import (
     FrameParams,
     IntervalAssignment,
@@ -470,9 +471,11 @@ def build_single_user_plans(
     over ``horizon`` blocks.  Returns (plans, nmse): the plans and their
     NMSE traces, (S, horizon).
 
-    schemes: iterable of names among min_max, exhaustive, min_max_dft,
-    exhaustive_dft, mp_fixed, nd_fixed, orthogonal, random, perfect_csit.
+    schemes: names among min_max, exhaustive, min_max_dft, exhaustive_dft,
+    mp_fixed, nd_fixed, orthogonal, random, perfect_csit, checked by
+    ``config.check_schemes``.
     """
+    check_schemes(schemes, 1)
     plans = [_scheme_plan(scene, frame, name, rng_scene) for name in schemes]
     rows = MonteCarloRows.of([[[plan] for plan in plans]], _multiuser_scene([scene], frame))
     nmse, _ = rows.posteriors(horizon)
@@ -484,14 +487,12 @@ def _scheme_plan(scene, frame, name, rng_scene, designed=None) -> Tracker:
     kind comes from ``SCHEME_KINDS``, and the branches build its training.
     A designed scheme takes the cell's ``design_sweep`` entry as
     ``designed``, or designs the cell alone without it."""
-    if name not in SCHEME_KINDS:
-        raise ValueError(f"unknown scheme {name!r}")
     kind, lam = SCHEME_KINDS[name], scene.lam_sim
     a, rho, m_p = scene.a, frame.rho, frame.m_p
     n_t = scene.u_sim.shape[0]
     s_u, cycle, design, seq = None, None, None, None
     if name in DESIGNED_SCHEMES:
-        design, seq, cols = designed or design_sweep([scene], [frame], name)[0][0]
+        design, seq, cols = designed or design_sweep([scene], frame, [rho], name)[0][0]
         cycle = seq.c - 1
         if kind == "full":  # the hybrid tracker keeps the true covariance knowledge
             s_u, design = scene.u_sim.conj().T @ cols, None
@@ -518,10 +519,11 @@ def _scheme_plan(scene, frame, name, rng_scene, designed=None) -> Tracker:
                    design=design, seq=seq)
 
 
-def design_sweep(scenes: list, frames: list, name: str) -> list:
+def design_sweep(scenes: list, frame: FrameParams, rhos, name: str) -> list:
     """Design step of a designed scheme for every (point, user) cell of a
-    sweep whose frames differ only in rho; ``designs[p][u]`` is user u's
-    (assignment, index matrix, sounding columns) at point p.
+    sweep of ``frame`` over the data powers ``rhos`` (``frame.rho`` is not
+    read); ``designs[p][u]`` is user u's (assignment, index matrix,
+    sounding columns) at point p.
 
     ``name`` is a designer (``min_max``, ``exhaustive``), sounding the
     scene's design-grade covariance eigenvectors (columns None), or its
@@ -530,19 +532,18 @@ def design_sweep(scenes: list, frames: list, name: str) -> list:
     spectrum.  One ``design_cells`` call designs all P x U cells, and each
     distinct interval vector's index matrix is constructed once and shared.
     """
-    frame = _shared_frame(frames)
     designer = name.removesuffix("_dft")
     if name == designer:
         spectra = [(s.lam_sim[: s.r_design], None) for s in scenes]
     else:
         bases = [dft_approximation_upa(*s.axes, s.r_design) for s in scenes]
         spectra = [(basis.lambda_tilde, basis.f_tilde) for basis in bases]
-    asns = iter(design_cells(designer, [lam for _ in frames for lam, _ in spectra],
-                             [s.a for _ in frames for s in scenes],
-                             [f.rho for f in frames for _ in scenes], frame))
+    asns = iter(design_cells(designer, [lam for _ in rhos for lam, _ in spectra],
+                             [s.a for _ in rhos for s in scenes],
+                             [rho for rho in rhos for _ in scenes], frame))
     seqs = {}  # interval vector -> its index matrix
     designs = []
-    for _ in frames:
+    for _ in rhos:
         point = []
         for _, cols in spectra:
             asn = next(asns)
@@ -551,13 +552,6 @@ def design_sweep(scenes: list, frames: list, name: str) -> list:
             point.append((asn, seqs[asn.g], cols))
         designs.append(point)
     return designs
-
-
-def _shared_frame(frames: list) -> FrameParams:
-    """The first of frames that may differ only in rho."""
-    if any(dataclasses.replace(f, rho=frames[0].rho) != frames[0] for f in frames):
-        raise ValueError("the operating points of a sweep may differ only in rho")
-    return frames[0]
 
 
 # -- Monte Carlo ----------------------------------------------------------
@@ -685,7 +679,7 @@ class MonteCarloRows:
     to its estimate row."""
 
     plans: list  # plans[p][s][u], user u's plan of scheme s at point p
-    scene: mu.MultiuserScene  # the users' channels, which Monte Carlo draws and evolves
+    scene: mu.MultiuserScene  # the users' channels, drawn and evolved, and the block's m, m_p
     stacks: list  # (stack, its estimate rows as a slice, the scheme of each noisy row) per kind
     est: np.ndarray  # (P S,) the estimate row of each output row
 
@@ -796,7 +790,7 @@ class _Chunk:
                    proc[:, :n_runs], noise[:, :, :n_runs], scratch,
                    tuple(buf[..., :n_runs] for buf in sinr_terms))
 
-    def advance(self, rows, start, blocks, sums, frame) -> None:
+    def advance(self, rows, start, blocks, sums) -> None:
         """Draws the chunk's next ``blocks`` blocks into the shared buffers
         and simulates blocks start, ..., start + blocks - 1, adding each
         block's sums over the chunk's runs of the realized SINR and the
@@ -829,12 +823,12 @@ class _Chunk:
             c += innovations[:, :, k]
             if i == group - 1 or k == blocks - 1:  # the group's tail, (blocks, K, U, runs)
                 sinr = _sinr_tail(nrm2[:i + 1], terms[:i + 1], rows.rho, rows.est, n_users)
-                se = mu.spectral_efficiency(sinr, n_users, frame.m_p, frame.m)
+                se = mu.spectral_efficiency(sinr, n_users, rows.scene.m_p, rows.scene.m)
                 sums[0, :, ell - i:ell + 1] += sinr.sum(axis=-1).swapaxes(0, 1)
                 sums[1, :, ell - i:ell + 1] += se.sum(axis=-1).swapaxes(0, 1)
 
 
-def _monte_carlo(rows, seed, mc_runs, horizon, frame):
+def _monte_carlo(rows, seed, mc_runs, horizon):
     """The Monte Carlo pass over the rows' plans[p][s], from run streams
     spawned off ``seed``, with their covariance recursion run beside it.
     Returns the means of the realized SINR and the spectral efficiency, (2,
@@ -861,14 +855,14 @@ def _monte_carlo(rows, seed, mc_runs, horizon, frame):
         blocks = min(slab, horizon - start)
         nmse[:, :, start:start + blocks], det[:, :, start:start + blocks] = rows.posteriors(blocks)
         if chunks is None:  # built after the first window: a one-window run's
-            chunks = _chunks(rows, seed, mc_runs, slab, frame)  # recursion holds no draws
+            chunks = _chunks(rows, seed, mc_runs, slab)  # recursion holds no draws
         for chunk in chunks:  # in run order
-            chunk.advance(rows, start, blocks, sums, frame)
+            chunk.advance(rows, start, blocks, sums)
     sums /= mc_runs
     return sums.reshape(2, *shape, -1), nmse, det
 
 
-def _chunks(rows, seed, mc_runs, slab, frame) -> list:
+def _chunks(rows, seed, mc_runs, slab) -> list:
     """The chunks, in run order and at block 0, of the runs spawned off
     ``seed``, sharing slab buffers sized for one chunk and group buffers
     of as many blocks as GROUP_BYTES holds of the tail's (K, U, runs)
@@ -878,7 +872,8 @@ def _chunks(rows, seed, mc_runs, slab, frame) -> list:
     n_users, n_runs = rows.scene.n_users, min(mc_runs, CHUNK_RUNS)
     r_max = max(len(user.stats.lam) for user in rows.scene.users)
     proc = np.zeros((n_users, n_runs, slab, r_max), dtype=complex)
-    noise = np.empty((len(rows.plans[0]), n_users, n_runs, slab, frame.m_p), dtype=complex)
+    noise = np.empty((len(rows.plans[0]), n_users, n_runs, slab, rows.scene.m_p),
+                     dtype=complex)
     scratch = np.empty(slab * r_max, dtype=complex)
     slot = (_group_blocks(8 * len(rows.est) * n_users * n_runs, slab),
             rows.n_est, n_users, n_runs)
@@ -944,20 +939,14 @@ def run_schemes(
     return run_multiuser_scene([scene], frame, schemes, mc_runs, seed, horizon)
 
 
-def steady_state(scene_mu, plans, rho):
-    """Per-user steady-state bound (at the envelopes of every user's periodic
-    design) and converged deterministic SINR (at the post-training floor,
-    zero under perfect knowledge) of one scheme, nan where undefined: the
-    one-point ``steady_states``."""
-    return steady_states(scene_mu, [plans], [rho])[0]
-
-
 def steady_states(scene_mu, points, rhos) -> list:
-    """``steady_state`` of one scheme at every point, whose per-user plans
-    at point p are points[p] and whose data power is rhos[p]: a list of
-    (bound, deterministic SINR), nan throughout unless every plan carries a
-    periodic design (or the scheme is perfect).  The envelopes of every
-    (point, user) design come from one ``steady_state.profiles`` call."""
+    """One scheme's (bound, deterministic SINR) at each point p, whose
+    per-user plans are points[p] and data power rhos[p]: per user, the
+    steady-state bound at the envelopes of its periodic design and the
+    converged deterministic SINR at the post-training floor (zero under
+    perfect knowledge), nan throughout unless every plan carries a periodic
+    design (or the scheme is perfect).  The envelopes of every (point,
+    user) design come from one ``steady_state.profiles`` call."""
     cells = [p for plans in points for p in plans]
     perfect = cells[0].kind == "perfect"
     nan = np.full(len(points[0]), np.nan)
@@ -992,20 +981,22 @@ def run_multiuser_scene(
     MU_SCHEMES are available.  ``threads`` has no effect; it stays for
     perfbench's call sites.
     """
-    return run_multiuser_sweep(scenes, [frame], schemes, mc_runs, seed, horizon)[0]
+    return run_multiuser_sweep(scenes, frame, [frame.rho], schemes, mc_runs, seed, horizon)[0]
 
 
 def run_multiuser_sweep(
     scenes: list,
-    frames: list,
+    frame: FrameParams,
+    rhos,
     schemes,
     mc_runs: int,
     seed: int,
     horizon: int,
 ) -> list[MultiuserTable]:
-    """Downlink runs at several operating points, frames that differ only in
-    rho: per-user sounding over non-overlapping slots, matched-filter data
-    transmission, worst-case-noise SINR.
+    """Downlink runs of ``frame``'s block layout at one operating point per
+    data power in ``rhos`` (``frame.rho`` is not read): per-user sounding
+    over non-overlapping slots, matched-filter data transmission,
+    worst-case-noise SINR.  ``config.check_schemes`` checks the schemes.
 
     Returns one table per point: every scheme's deterministic traces,
     steady-state summaries and Monte Carlo averages, each equal to the
@@ -1016,31 +1007,27 @@ def run_multiuser_sweep(
     one Monte Carlo pass runs every (point, scheme) pair on the same draws.
     """
     n_users = len(scenes)
-    _shared_frame(frames)
-    unavailable = [name for name in schemes if name not in MU_SCHEMES]
-    if n_users > 1 and unavailable:
-        raise ValueError(f"schemes {unavailable} are not available in the multiuser "
-                         f"path; choose among {MU_SCHEMES}")
-    scene = _multiuser_scene(scenes, frames[0])
-    designs = {name: design_sweep(scenes, frames, name) for name in schemes
+    check_schemes(schemes, n_users)
+    scene = _multiuser_scene(scenes, frame)
+    designs = {name: design_sweep(scenes, frame, rhos, name) for name in schemes
                if name in DESIGNED_SCHEMES}
+    frames = [dataclasses.replace(frame, rho=rho) for rho in rhos]
     plans = []  # plans[p][s][u] is user u's plan of scheme s at point p
-    for p, frame in enumerate(frames):
+    for p, point_frame in enumerate(frames):
         rng_scene = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-        plans.append([[_scheme_plan(user, frame, name, rng_scene,
+        plans.append([[_scheme_plan(user, point_frame, name, rng_scene,
                                     designs[name][p][u] if name in designs else None)
                        for u, user in enumerate(scenes)] for name in schemes])
     del designs  # a hybrid scheme's n_t x r sounding columns live on only in its plans' s_u
-    means, nmse, det = _monte_carlo(MonteCarloRows.of(plans, scene), seed, mc_runs, horizon,
-                                    frames[0])
-    bounds = [steady_states(scene, [point[s] for point in plans], [f.rho for f in frames])
+    means, nmse, det = _monte_carlo(MonteCarloRows.of(plans, scene), seed, mc_runs, horizon)
+    bounds = [steady_states(scene, [point[s] for point in plans], rhos)
               for s in range(len(schemes))]
     tables = []
-    for p, (frame, point, det_p, nmse_p, sinr_mc, se_mc) in enumerate(
+    for p, (point_frame, point, det_p, nmse_p, sinr_mc, se_mc) in enumerate(
             zip(frames, plans, det, nmse, *means)):
         lb, det_ss = zip(*(by_scheme[p] for by_scheme in bounds))
         tables.append(MultiuserTable(
-            schemes=list(schemes), horizon=horizon, frame=frame, n_users=n_users,
+            schemes=list(schemes), horizon=horizon, frame=point_frame, n_users=n_users,
             nmse=dict(zip(schemes, nmse_p)),
             sinr_mc=dict(zip(schemes, sinr_mc)), se_mc_runs=dict(zip(schemes, se_mc)),
             sinr_det=dict(zip(schemes, det_p)), sinr_lb=dict(zip(schemes, lb)),
@@ -1093,12 +1080,12 @@ def run_multiuser(config: ExperimentConfig):
     and the per-(SNR, scheme, user) steady-state summaries of every point.
     """
     scenes, _ = multiuser_scenes_from_config(config)
-    points = config.operating_points(scenes[0].gamma)
-    tables = run_multiuser_sweep(scenes, [frame for _, frame in points], config.schemes,
+    snrs_db, rhos = zip(*config.operating_points(scenes[0].gamma))
+    tables = run_multiuser_sweep(scenes, config.frame.build(), rhos, config.schemes,
                                  config.mc_runs, config.seed, config.horizon_blocks)
+    tail = config.frame.g * TAIL_FRAMES
     rows = []
-    for (snr_db, frame), table in zip(points, tables):
-        tail = frame.g_len * TAIL_FRAMES
+    for snr_db, table in zip(snrs_db, tables):
         for name in table.schemes:
             se_mc = table.se_mc(name)[-tail:].mean(axis=0)
             se_det_tail = table.se_det(name)[-tail:].mean(axis=0)

@@ -88,7 +88,7 @@ class TestDesign:
         design = load_sequence_csv(tmp_path / "simulate" / "design.csv")
         assert list(design.g) == summary["g"]
         scene = sim.user_scene(cfg, 0, cfg.ring.theta_h_deg)
-        greedy = sim.design_sweep([scene], [cfg.frame.build()], "min_max")[0][0][0]
+        greedy = sim.design_sweep([scene], cfg.frame.build(), [cfg.frame.rho], "min_max")[0][0][0]
         assert greedy.g != design.g
         assert ((tmp_path / "design" / "design.csv").read_bytes()
                 == (tmp_path / "simulate" / "design.csv").read_bytes())
@@ -336,6 +336,7 @@ class TestErrors:
         ("demo", "schemes", ["min_max", "perfect_csit", "min_max"]),  # a duplicate
         ("demo", "schemes", ["mp_fixed", "perfect_csit"]),  # no designed scheme
         ("demo", "schemes", []),
+        ("demo", "snr_sweep_db", []),  # null runs frame.rho alone
     ])
     def test_bad_field_fails_at_load_naming_it(self, tmp_path, capsys, name, field, value):
         doc = preset(name).to_dict()

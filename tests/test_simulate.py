@@ -4,6 +4,7 @@ reference Kalman module, and output emission."""
 import dataclasses
 import functools
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -128,7 +129,7 @@ class TestEngineAgainstKalmanModule:
             single = sim.run_schemes(scene, frame, [name], 1, 0, horizon)
             assert np.array_equal(det[name], single.sinr_det[name])
         hybrid = together[0]
-        _, _, cols = sim.design_sweep([scene], [frame], "min_max_dft")[0][0]
+        _, _, cols = sim.design_sweep([scene], frame, [frame.rho], "min_max_dft")[0][0]
         assert hybrid.s_u.shape[1] == cols.shape[1] == scene.r_design < 12
         r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
         stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
@@ -270,7 +271,7 @@ class TestBaselineTraining:
     def test_unknown_scheme_rejected(self):
         scene = small_scene()
         frame = FrameParams(g_len=4, m_p=2, m=5, n_d_max=8, rho=1.0)
-        with pytest.raises(ValueError, match="unknown scheme"):
+        with pytest.raises(ValueError, match=r"schemes\[0\] = 'psychic' is not a scheme"):
             sim.build_single_user_plans(scene, frame, 4, ["psychic"],
                                         np.random.default_rng(0))
 
@@ -364,7 +365,7 @@ class TestDftBasisBuilder:
         q = np.real(np.einsum("ij,ik,kj->j", f.conj(), r_h, f))
         order = np.argsort(-q, kind="stable")[: scene.r_design]
         frame = small_frame(g_len=8, n_d_max=scene.r_design)
-        design, _, cols = sim.design_sweep([scene], [frame], "min_max_dft")[0][0]
+        design, _, cols = sim.design_sweep([scene], frame, [frame.rho], "min_max_dft")[0][0]
         assert np.array_equal(cols, f[:, order])
         expected = min_max_design(q[order], scene.a, frame.rho, frame)
         assert design == expected
@@ -558,7 +559,7 @@ class TestSlabStreaming:
         rows = monte_carlo_inputs(scenes, frame, ["min_max", "perfect_csit"])
         plans = rows.plans[0]
         assert plans[0][0].kind == "diag"
-        got = sim._monte_carlo(rows, 9, runs, horizon, frame)[0][:, 0]
+        got = sim._monte_carlo(rows, 9, runs, horizon)[0][:, 0]
         want = bulk_draw_monte_carlo(plans, rows.scene, 9, runs, horizon, frame)
         assert got.tobytes() == want.tobytes()
 
@@ -569,8 +570,7 @@ class TestSlabStreaming:
         frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
         horizon = 2 * sim.SLAB + 37
         schemes = ["min_max", "orthogonal", "perfect_csit"]
-        _, *got = sim._monte_carlo(monte_carlo_inputs(scenes, frame, schemes), 9, 3,
-                                   horizon, frame)
+        _, *got = sim._monte_carlo(monte_carlo_inputs(scenes, frame, schemes), 9, 3, horizon)
         want = monte_carlo_inputs(scenes, frame, schemes).posteriors(horizon)
         assert len(got) == len(want) == 2
         for got_t, want_t in zip(got, want):
@@ -587,7 +587,7 @@ class TestSlabStreaming:
             rows = monte_carlo_inputs(scenes, frame, ["perfect_csit"])
             tracemalloc.start()
             try:
-                sim._monte_carlo(rows, 1, 32, horizon, frame)
+                sim._monte_carlo(rows, 1, 32, horizon)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -605,14 +605,13 @@ class TestSlabStreaming:
                                         ("multiuser_ula32", ["min_max", "perfect_csit"], 3)):
             cfg = preset(name)
             scenes, _ = sim.multiuser_scenes_from_config(cfg)
-            frames = [dataclasses.replace(cfg.frame.build(), rho=rho)
-                      for rho in (1.0, 10.0, 100.0)[:n_points]]
-            sim.run_multiuser_sweep(scenes, frames, schemes, 2, 1, 8)  # fills the scene's caches
+            frame, rhos = cfg.frame.build(), (1.0, 10.0, 100.0)[:n_points]
+            sim.run_multiuser_sweep(scenes, frame, rhos, schemes, 2, 1, 8)  # fills the caches
             peaks, returned = [], []
             for horizon in (2 * sim.SLAB, 16 * sim.SLAB):
                 tracemalloc.start()
                 try:
-                    tables = sim.run_multiuser_sweep(scenes, frames, schemes, 2, 1, horizon)
+                    tables = sim.run_multiuser_sweep(scenes, frame, rhos, schemes, 2, 1, horizon)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -620,6 +619,29 @@ class TestSlabStreaming:
                                     for key in ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")
                                     for trace in getattr(table, key).values()))
             assert peaks[1] - peaks[0] < 2 * (returned[1] - returned[0]), (name, peaks, returned)
+
+    @pytest.mark.parametrize("name, changes", [
+        ("demo", {}),
+        ("ci_ula32", {"mc_runs": 40}),  # two chunks of runs
+        ("multiuser_ula32", {"mc_runs": 8, "horizon_blocks": 300}),  # a slab boundary
+        ("upa375", {"mc_runs": 2, "horizon_blocks": 320}),  # full kinds at n_t = 375
+    ])
+    def test_memory_guard_bounds_the_traced_peak(self, name, changes):
+        # the load guard's model of what a run holds is a bound: the traced
+        # peak of the run on prebuilt scenes stays at or below it
+        cfg = ExperimentConfig.from_dict({**preset(name).to_dict(), **changes})
+        scenes, _ = sim.multiuser_scenes_from_config(cfg)
+        rhos = [rho for _, rho in cfg.operating_points(scenes[0].gamma)]
+        tracemalloc.start()
+        try:
+            sim.run_multiuser_sweep(scenes, cfg.frame.build(), rhos, cfg.schemes, cfg.mc_runs,
+                                    cfg.seed, cfg.horizon_blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = cfg._check_memory()
+        print(f"{name}: traced peak {peak / 1e6:.3g} MB, {peak / model:.2f} of the model")
+        assert peak <= model, (peak, model)
 
     @pytest.mark.parametrize("case", ["one user, every kind", "three users, two chunks"])
     def test_group_size_keeps_the_bits(self, case, monkeypatch):
@@ -651,7 +673,7 @@ class TestSlabStreaming:
             monkeypatch.setattr(sim, "GROUP_BYTES", budget)
             sizes.clear()
             outs.append(sim._monte_carlo(monte_carlo_inputs(scenes, frame, schemes), 9, runs,
-                                         horizon, frame))
+                                         horizon))
             assert sizes[slot] == group
         assert len(outs[0]) == 3
         for got in outs[1:]:
@@ -669,7 +691,7 @@ class TestSlabStreaming:
         rows, moved = (monte_carlo_inputs(scenes, frame, ["perfect_csit"], a)
                        for a in (None, 0.5))
         assert all(plan.a == 0.5 for plan in moved.plans[0][0])
-        got, want = (sim._monte_carlo(r, 3, 5, horizon, frame)[0] for r in (moved, rows))
+        got, want = (sim._monte_carlo(r, 3, 5, horizon)[0] for r in (moved, rows))
         assert got.tobytes() == want.tobytes()
 
 
@@ -688,11 +710,13 @@ class TestSweep:
             scenes = [small_scene()]
             schemes = ["min_max_dft", "orthogonal", "random", "mp_fixed", "perfect_csit"]
             frame = small_frame()
-        frames = [dataclasses.replace(frame, rho=rho) for rho in (0.5, 4.0, 30.0)]
+        rhos = (0.5, 4.0, 30.0)
         runs, horizon = sim.CHUNK_RUNS + 3, sim.SLAB + 13
-        sweep = sim.run_multiuser_sweep(scenes, frames, schemes, runs, 5, horizon)
-        for frame, got in zip(frames, sweep):
-            want = sim.run_multiuser_scene(scenes, frame, schemes, runs, 5, horizon)
+        sweep = sim.run_multiuser_sweep(scenes, frame, rhos, schemes, runs, 5, horizon)
+        for rho, got in zip(rhos, sweep):
+            want = sim.run_multiuser_scene(scenes, dataclasses.replace(frame, rho=rho), schemes,
+                                           runs, 5, horizon)
+            assert got.frame == want.frame
             for key in ("sinr_mc", "se_mc_runs", "sinr_det", "nmse"):
                 for name in schemes:
                     got_bytes, want_bytes = (getattr(t, key)[name].tobytes() for t in (got, want))
@@ -724,8 +748,8 @@ class TestSweep:
         monkeypatch.setattr(sim, "_sinr_tail", spy_tail)
         scenes = [small_scene()]
         schemes = ["min_max", "perfect_csit", "mp_fixed"]
-        frames = [dataclasses.replace(small_frame(), rho=rho) for rho in (0.5, 4.0, 30.0)]
-        sim.run_multiuser_sweep(scenes, frames, schemes, 2, 5, 8)
+        frame = small_frame(rho=0.5)
+        sim.run_multiuser_sweep(scenes, frame, (0.5, 4.0, 30.0), schemes, 2, 5, 8)
         assert blocks == [3 * 2 + 1] * 8
         assert sum(n_blocks for _, n_blocks, _ in tails) == 8
         for n_est, _, est in tails:
@@ -733,7 +757,7 @@ class TestSweep:
             assert est.tolist() == [0, 6, 1, 2, 6, 3, 4, 6, 5]
         blocks.clear()
         tails.clear()
-        sim.run_multiuser_scene(scenes, frames[0], schemes, 2, 5, 8)
+        sim.run_multiuser_scene(scenes, frame, schemes, 2, 5, 8)
         assert blocks == [3] * 8
         assert tails and all(n_est == 3 and est.tolist() == [0, 2, 1] for n_est, _, est in tails)
 
@@ -759,13 +783,12 @@ class TestSweep:
 
     @staticmethod
     def multiuser_sweep_inputs(n_points):
-        """multiuser_ula32's five scenes and the frames of its first
-        ``n_points`` SNR points, as ``run_multiuser`` builds them."""
+        """multiuser_ula32's five scenes, its frame and the data powers of
+        its first ``n_points`` SNR points, as ``run_multiuser`` builds them."""
         cfg = preset("multiuser_ula32")
         scenes, _ = sim.multiuser_scenes_from_config(cfg)
-        frame = cfg.frame.build()
-        return scenes, [dataclasses.replace(frame, rho=10.0 ** (snr / 10.0) / scenes[0].gamma)
-                        for snr in cfg.snr_sweep_db[:n_points]]
+        points = cfg.operating_points(scenes[0].gamma)[:n_points]
+        return scenes, cfg.frame.build(), [rho for _, rho in points]
 
     def test_closed_form_calls_do_not_grow_with_points(self, monkeypatch):
         # the designs and the steady-state envelopes of every (point, user)
@@ -781,9 +804,9 @@ class TestSweep:
             monkeypatch.setattr(module, "min_ss_mse", counted)
         counts = []
         for n_points in (2, 7):
-            scenes, frames = self.multiuser_sweep_inputs(n_points)
+            scenes, frame, rhos = self.multiuser_sweep_inputs(n_points)
             calls.clear()
-            sim.run_multiuser_sweep(scenes, frames, ["min_max", "perfect_csit"], 1, 3, 8)
+            sim.run_multiuser_sweep(scenes, frame, rhos, ["min_max", "perfect_csit"], 1, 3, 8)
             counts.append(len(calls))
         # G = 32: six divisors, then one scoring call and one envelope call
         assert counts == [6 + 1 + 1] * 2
@@ -797,8 +820,9 @@ class TestSweep:
             return construct(asn, frame)
 
         monkeypatch.setattr(sim, "construct_sequence_matrix", counted)
-        scenes, frames = self.multiuser_sweep_inputs(7)
-        tables = sim.run_multiuser_sweep(scenes, frames, ["min_max", "perfect_csit"], 1, 3, 8)
+        scenes, frame, rhos = self.multiuser_sweep_inputs(7)
+        tables = sim.run_multiuser_sweep(scenes, frame, rhos, ["min_max", "perfect_csit"], 1,
+                                         3, 8)
         plans = [by_user["min_max"] for t in tables for by_user in t.user_plans]
         assert len(plans) == 35
         distinct = {plan.design.g for plan in plans}
@@ -810,25 +834,18 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["min_max", "exhaustive", "min_max_dft"])
     def test_sweep_designs_equal_one_cell_designs(self, name):
         scenes = [small_scene(theta_deg=t, d_r=8.0) for t in (-15.0, 35.0, 50.0)]
-        frames = [small_frame(g_len=8, m_p=1, m=10, n_d_max=8, rho=rho)
-                  for rho in (0.0, 0.5, 4.0, 30.0)]
-        designs = sim.design_sweep(scenes, frames, name)
-        assert len(designs) == len(frames)
-        for frame, point in zip(frames, designs):
+        frame, rhos = small_frame(g_len=8, m_p=1, m=10, n_d_max=8), (0.0, 0.5, 4.0, 30.0)
+        designs = sim.design_sweep(scenes, frame, rhos, name)
+        assert len(designs) == len(rhos)
+        for rho, point in zip(rhos, designs):
             for scene, (asn, seq, cols) in zip(scenes, point):
-                want_asn, want_seq, want_cols = sim.design_sweep([scene], [frame], name)[0][0]
+                want_asn, want_seq, want_cols = sim.design_sweep([scene], frame, [rho], name)[0][0]
                 assert asn == want_asn
                 assert asn.objective.hex() == want_asn.objective.hex()
                 assert seq.c.tobytes() == want_seq.c.tobytes()
                 assert (cols is None) == (want_cols is None)
                 if cols is not None:
                     assert cols.tobytes() == want_cols.tobytes()
-
-    def test_sweep_points_differ_only_in_rho(self):
-        frame = small_frame()
-        with pytest.raises(ValueError, match="only in rho"):
-            sim.run_multiuser_sweep([small_scene()], [frame, small_frame(g_len=8)],
-                                    ["min_max"], 1, 0, 8)
 
     @pytest.mark.parametrize("scheme, kind", [("min_max", "diag"), ("orthogonal", "full")])
     def test_posteriors_pad_unequal_ranks(self, scheme, kind):
@@ -1161,13 +1178,29 @@ class TestSchemeList:
         for i, name in enumerate(self.SCHEMES):
             cut, _ = sim.run_multiuser(ExperimentConfig.from_dict(
                 {**doc, "schemes": self.SCHEMES[:i + 1]}))
-            alone = sim.run_multiuser_sweep(scenes, [cfg.frame.build()], [name], cfg.mc_runs,
-                                            cfg.seed, cfg.horizon_blocks)[0]
+            alone = sim.run_multiuser_sweep(scenes, cfg.frame.build(), [cfg.frame.rho], [name],
+                                            cfg.mc_runs, cfg.seed, cfg.horizon_blocks)[0]
             for other, keys in ((cut, ("nmse", "sinr_mc", "se_mc_runs", "sinr_det")),
                                 (alone, ("nmse", "sinr_det"))):
                 for key in keys:
                     got, want = (getattr(t, key)[name].tobytes() for t in (table, other))
                     assert got == want, (key, name)
+
+    def test_run_api_checks_schemes_with_the_config_rule(self):
+        # a repeated name would run two rows under one trace key; the run
+        # API rejects it, and a single-user scheme with two users, as the
+        # config does, naming schemes[i]
+        scene, frame = small_scene(), small_frame()
+        repeated = ["min_max", "mp_fixed", "min_max"]
+        error = re.escape("schemes[2] = 'min_max' repeats an earlier entry")
+        with pytest.raises(ValueError, match=error):
+            sim.run_schemes(scene, frame, repeated, 1, 0, 8)
+        with pytest.raises(ValueError, match=error):
+            sim.build_single_user_plans(scene, frame, 8, repeated, np.random.default_rng(0))
+        pair = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        with pytest.raises(ValueError, match=re.escape("schemes[1] = 'orthogonal' is a single")):
+            sim.run_multiuser_scene(pair, small_frame(g_len=8, m_p=1, m=10, n_d_max=8),
+                                    ["min_max", "orthogonal"], 1, 0, 8)
 
     def test_preset_lists_are_its_own(self):
         # a preset's lists are copies: changing one leaves the next preset as written
