@@ -24,12 +24,13 @@ reduces a window's posteriors at once to its NMSE and deterministic SINR,
 and the Monte Carlo pass advances it one slab at a time, so a run holds
 over the horizon only what it returns.  The diag rows of all users advance as
 one flat vector of per-mode variances; a user's full rows advance as one
-(K, r, r) stack of error covariances, updated in place by a rank-M_p
-Hermitian update without per-block re-symmetrization: it agrees with the
-symmetrized ``kalman`` oracle to rounding, and each row's outputs equal
-its own one-row recursion bit for bit.  A single-user run is the one-user
-case of the multiuser run, and a run at one operating point is the
-one-point case of an SNR sweep: one run path, one result table per point.
+(K, r, r) stack of real matrices M = Re P + Im P, each the whole of a
+Hermitian error covariance P, updated in place by a real rank-2 M_p gemm:
+it agrees with the per-block symmetrized ``kalman`` oracle to rounding, and
+each row's outputs equal its own one-row recursion bit for bit.  A
+single-user run is the one-user case of the multiuser run, and a run at
+one operating point is the one-point case of an SNR sweep: one run path,
+one result table per point.
 
 Monte Carlo runs a whole sweep in one slab-major pass: per slab of blocks
 the recursion advances once, then every chunk of runs steps the slab's
@@ -177,7 +178,9 @@ class TrackerStack:
     zero-padded to the longest, and ``period`` (K, U) their lengths: mode
     indices (diag) or indices into ``cols`` (r, n) (full), every full
     tracker's conjugated training columns conj(sqrt(rho) s_u) side by side,
-    zero-padded to the largest rank r.  perfect: no state.
+    zero-padded to the largest rank r.  perfect: no state.  A full row
+    carries its Hermitian error covariance P as the one real matrix M = Re
+    P + Im P (see ``_full_posteriors``).
 
     The stack does all tracker arithmetic and owns its state.
     ``posteriors(blocks)`` advances the covariance recursion of every row
@@ -201,7 +204,8 @@ class TrackerStack:
     window_sched: np.ndarray | None = None  # the schedule of the blocks in ``window``
     gains: np.ndarray | None = None  # the gains of the blocks in ``window``
     # the recursion's priors at block window.stop: diag, the (K, U, r)
-    # per-mode variances; full, each user's (K, r_u, r_u) error covariances
+    # per-mode variances; full, each user's (K, r_u, r_u) real M = Re P + Im P
+    # of its error covariances P
     state: object = None
 
     @classmethod
@@ -314,11 +318,10 @@ class TrackerStack:
         err, self_err = np.empty((2, n_rows, n_users, blocks))
         diag = np.zeros((n_rows, n_users, blocks, max(map(len, self.lams))))
         if self.kind == "full":
-            if self.state is None:  # the priors lam at block 0
-                self.state = [np.zeros((n_rows, len(lam), len(lam)), dtype=complex)
-                              for lam in self.lams]
-                for p, lam in zip(self.state, self.lams):
-                    p.reshape(n_rows, -1)[:, :: len(lam) + 1] += lam
+            if self.state is None:  # the priors lam at block 0: M = P = diag(lam)
+                self.state = [np.zeros((n_rows, len(lam), len(lam))) for lam in self.lams]
+                for m, lam in zip(self.state, self.lams):
+                    m.reshape(n_rows, -1)[:, :: len(lam) + 1] += lam
             self.gains = np.zeros((*diag.shape, self.sched.shape[-1]), dtype=complex)
             for u in range(n_users):
                 self._full_posteriors(u, err[:, u], self_err[:, u], diag[:, u])
@@ -374,28 +377,36 @@ class TrackerStack:
         one, reduced as ``posteriors`` returns it into err and self_err (K,
         blocks) and diags (K, blocks, r), that user's slices.
 
-        Their error covariances advance together as one (K, r, r) stack
-        updated in place, kept between windows.  Per block, with S the
+        Each row's error covariance P is carried as the real matrix M = Re P
+        + Im P, and P = ((1 + i) M + (1 - i) M^T) / 2 is Hermitian by
+        construction.  The rows advance together as one (K, r, r) stack of
+        M updated in place, kept between windows.  Per block, with S the
         block's columns sqrt(rho) s_u, conjugated back out of ``cols``, and
         I the m_p x m_p identity:
 
-            P S, its conjugate transpose (P S)^H and the Gram matrix
-            G = (P S)^H S + I; K^H = solve(G, (P S)^H); P -= K (P S)^H;
-            ||P||_F^2 as one real dot of P's float64 view with itself;
-            P *= a^2 and the innovation (1 - a^2) lam added to the diagonal.
+            X = M S and Y = M^T S, two real gemms on S's float view, and T =
+            Y + i X, so that P S = (1 - i) T / 2;
+            the gain K = P S (S^H P S + I)^-1 = T (S^H T + (1 + i) I)^-1,
+            written into the block's gains;
+            with H = (P S)^H, M -= Re(K H) + Im(K H) = Re K (Re H + Im H)
+            + Im K (Re H - Im H), one real gemm of K's float view, whose
+            columns interleave Re K and Im K, by T's float view transposed,
+            whose rows interleave (Re T)^T = Re H + Im H and (Im T)^T = Re
+            H - Im H;
+            diag P = diag M and ||P||_F^2 = ||M||_F^2, one real dot of M
+            with itself;
+            M *= a^2 and the innovation (1 - a^2) lam added to the diagonal.
 
-        That is five passes over the stack.  P is not re-symmetrized: the
-        rank-m_p update keeps it Hermitian to rounding, and the aging factor
-        a^2 < 1 damps what rounding leaves, so the reduced outputs stay
-        within 1e-9 relative of the per-block symmetrized ``kalman`` oracle
-        over thousands of blocks.  Every slice of the stack makes the same
-        BLAS, LAPACK and dot calls as a one-row run, so a row's outputs and
-        gains do not depend on its stack, bit for bit.
+        The representation keeps no anti-Hermitian rounding, so the reduced
+        outputs stay within 1e-9 relative of the per-block symmetrized
+        ``kalman`` oracle over thousands of blocks.  Every slice of the
+        stack makes the same BLAS, LAPACK and dot calls as a one-row run, so
+        a row's outputs and gains do not depend on its stack, bit for bit.
 
-        K^H's conjugate is solved straight into the block's gains.  The loop
-        keeps only what the next block needs: each block copies diag P and
-        ||P||_F^2 into buffers of at most GROUP_BYTES, and each group of
-        blocks is reduced at once, with the per-block ops' arithmetic.
+        The loop keeps only what the next block needs: each block copies
+        diag M and ||M||_F^2 into buffers of at most GROUP_BYTES, and each
+        group of blocks is reduced at once, with the per-block ops'
+        arithmetic.
         """
         lam = self.lams[u]
         a2 = self.a[u, 0, 0] * self.a[u, 0, 0]
@@ -403,35 +414,40 @@ class TrackerStack:
         n, m_p = len(self.rho), self.sched.shape[-1]
         r = len(lam)
         cols = self.cols[:r]
-        p = self.state[u]
-        p_flat = p.view(float).reshape(n, 2 * r * r)  # ||P||_F^2 is its real dot with itself
-        d = p.reshape(n, r * r)[:, :: r + 1]  # a writable view of every diagonal
+        m = self.state[u]
+        m_flat = m.reshape(n, r * r)  # ||M||_F^2 is its dot with itself
+        d = m_flat[:, :: r + 1]  # a writable view of every diagonal
         s = np.empty((n, r, m_p), dtype=complex)
-        ps_h, update = np.empty((n, m_p, r), dtype=complex), np.empty_like(p)
-        eye = np.eye(m_p)
-        group = _group_blocks(16 * n * r, len(self.window))
-        d_group, fro = np.empty((group, n, r), dtype=complex), np.empty((group, n))
+        x, y = np.empty((2, n, r, 2 * m_p))  # the float views of M S and M^T S
+        t = np.empty_like(s)
+        t_f = t.view(float)
+        update = np.empty_like(m)
+        shift = (1 + 1j) * np.eye(m_p)
+        group = _group_blocks(8 * n * r, len(self.window))
+        d_group, fro = np.empty((group, n, r)), np.empty((group, n))
         for ell, idx in enumerate(self.window_sched[:, :, u]):
-            np.conjugate(cols[:, idx].transpose(1, 0, 2), out=s)
-            ps = p @ s
-            np.conjugate(ps.swapaxes(1, 2), out=ps_h)
-            gram = ps_h @ s
-            gram += eye
+            s_conj = cols[:, idx]  # (r, K, m_p)
+            np.conjugate(s_conj.transpose(1, 0, 2), out=s)
+            np.matmul(m, s.view(float), out=x)
+            np.matmul(m.swapaxes(1, 2), s.view(float), out=y)
+            np.subtract(y[..., ::2], x[..., 1::2], out=t_f[..., ::2])
+            np.add(x[..., ::2], y[..., 1::2], out=t_f[..., 1::2])
+            gram = s_conj.transpose(1, 2, 0) @ t
+            gram += shift
             k = self.gains[:, u, ell, :r]
-            np.conjugate(np.linalg.solve(gram, ps_h).swapaxes(1, 2), out=k)
-            np.matmul(k, ps_h, out=update)
-            p -= update
+            np.matmul(t, np.linalg.inv(gram), out=k)
+            np.matmul(k.view(float), t_f.swapaxes(1, 2), out=update)
+            m -= update
             i = ell % group
             d_group[i] = d
-            np.vecdot(p_flat, p_flat, out=fro[i])
-            p *= a2
+            np.vecdot(m_flat, m_flat, out=fro[i])
+            m *= a2
             d += innovation
             if i == group - 1 or ell == len(self.window) - 1:  # reduce the group's blocks
                 blocks = slice(ell - i, ell + 1)
-                err[:, blocks] = d_group[:i + 1].sum(axis=-1).real.T
-                self_err[:, blocks] = (np.sum(d_group[:i + 1] * lam, axis=-1).real
-                                       - fro[:i + 1]).T
-                diags[:, blocks, :r] = d_group[:i + 1].real.swapaxes(0, 1)
+                err[:, blocks] = d_group[:i + 1].sum(axis=-1).T
+                self_err[:, blocks] = (np.sum(d_group[:i + 1] * lam, axis=-1) - fro[:i + 1]).T
+                diags[:, blocks, :r] = d_group[:i + 1].swapaxes(0, 1)
 
 
 def _group_blocks(block_bytes: int, blocks: int) -> int:
@@ -996,7 +1012,8 @@ def run_multiuser_sweep(
     """Downlink runs of ``frame``'s block layout at one operating point per
     data power in ``rhos`` (``frame.rho`` is not read): per-user sounding
     over non-overlapping slots, matched-filter data transmission,
-    worst-case-noise SINR.  ``config.check_schemes`` checks the schemes.
+    worst-case-noise SINR.  ``config.check_schemes`` checks the schemes,
+    and an empty ``rhos`` is a ``ValueError``.
 
     Returns one table per point: every scheme's deterministic traces,
     steady-state summaries and Monte Carlo averages, each equal to the
@@ -1006,6 +1023,8 @@ def run_multiuser_sweep(
     generator, so ``random`` draws the same columns at every point; then
     one Monte Carlo pass runs every (point, scheme) pair on the same draws.
     """
+    if not len(rhos):
+        raise ValueError("rhos is empty: a sweep runs at least one data power")
     n_users = len(scenes)
     check_schemes(schemes, n_users)
     scene = _multiuser_scene(scenes, frame)

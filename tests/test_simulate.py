@@ -144,9 +144,10 @@ class TestEngineAgainstKalmanModule:
             state = kalman.time_update(state, stats)
 
     def test_unsymmetrized_recursion_holds_over_a_long_horizon(self):
-        # the stack's full recursion never re-symmetrizes P; the reference does every
-        # step.  Over 3000 blocks of a slowly fading (a > 0.9999) rank-26
-        # channel the two must still agree per block.
+        # the stack's full recursion carries P as the real M = Re P + Im P,
+        # Hermitian by construction, while the reference re-symmetrizes its
+        # complex P every step.  Over 3000 blocks of a slowly fading (a >
+        # 0.9999) rank-26 channel the two must still agree per block.
         scene = small_scene(n=32, d_r=60.0, v_kmh=1.0)
         assert scene.r_sim >= 24 and scene.a >= 0.9999
         frame = small_frame()
@@ -172,6 +173,39 @@ class TestEngineAgainstKalmanModule:
             drift = max(drift, abs(err[ell] / ref_err - 1), abs(self_err[ell] / ref_self - 1))
             state = kalman.time_update(state, stats)
         print(f"largest relative drift over {horizon} blocks: {drift:.3g}")
+
+    @pytest.mark.parametrize("m_p", [1, 3])
+    def test_full_recursion_matches_reference_at_other_pilot_counts(self, m_p):
+        # the full recursion's tr P, self-error and stored gains K = P S (S^H P S
+        # + I)^-1 against the reference, per block and for every full scheme,
+        # at pilot counts whose float views interleave 2 and 6 columns
+        scene = small_scene(n=12)
+        frame = small_frame(m_p=m_p, m=m_p + 3, n_d_max=4 * m_p)
+        horizon = 24
+        schemes = ["min_max_dft", "orthogonal", "random"]
+        plans = [sim._scheme_plan(scene, frame, name, np.random.default_rng(0))
+                 for name in schemes]
+        stack = sim.TrackerStack.of([[plan] for plan in plans])
+        err, self_err, _ = stack.posteriors(horizon)
+        r_h = (scene.u_sim * scene.lam_sim) @ scene.u_sim.conj().T
+        stats = cm.ChannelStatistics(a=scene.a, r_h=r_h, u=scene.u_sim,
+                                     lam=scene.lam_sim, rank=scene.r_sim)
+        for k, plan in enumerate(plans):
+            assert plan.kind == "full" and plan.m_p == m_p
+            cols = scene.u_sim @ plan.s_u  # the plan's training columns in antenna space
+            state = kalman.init(stats)
+            for ell in range(horizon):
+                s = np.sqrt(frame.rho) * cols[:, plan.sched[ell % len(plan.sched)]]
+                ps = state.p_pred @ s
+                gain = ps @ np.linalg.inv(s.conj().T @ ps + np.eye(m_p))
+                np.testing.assert_allclose(stack.gains[k, 0, ell], scene.u_sim.conj().T @ gain,
+                                           rtol=1e-9, atol=1e-9 * np.abs(gain).max())
+                state = kalman.measurement_update(state, s, np.zeros(m_p, complex))
+                p = state.p_est
+                assert err[k, 0, ell] == pytest.approx(np.real(np.trace(p)), rel=1e-9)
+                assert self_err[k, 0, ell] == pytest.approx(
+                    np.real(np.trace(p @ (r_h - p))), rel=1e-9)
+                state = kalman.time_update(state, stats)
 
     def test_stacked_trackers_must_share_their_model(self):
         # a user's rows share its spectrum and a, all rows m_p; the rows'
@@ -519,33 +553,37 @@ def realized_sinr_batch(n_users, n_rows, shared=False):
 
 def full_reductions_per_block(stack, states):
     """Oracle of the reductions of a full stack's last ``posteriors`` call:
-    replays each user's error covariances from ``states``, the stack's state
-    before the call, through the window's stored gains (P S, (P S)^H and P
-    -= K (P S)^H in the recursion's layouts), and reduces every block's
-    posterior on its own: tr P, lam . diag P - ||P||_F^2 and diag P, (K, U,
-    blocks) and (K, U, blocks, r).  Also returns the replayed states."""
+    replays each user's real error-covariance representations M = Re P + Im
+    P from ``states``, the stack's state before the call, through the
+    window's stored gains (X = M S, Y = M^T S, T = Y + i X and M -= K_f
+    T_f^T on the float views, in the recursion's layouts), and reduces
+    every block's posterior on its own: tr P = tr M, lam . diag M -
+    ||M||_F^2 and diag M, (K, U, blocks) and (K, U, blocks, r).  Also
+    returns the replayed states."""
     n_rows, n_users, blocks, r_max, m_p = stack.gains.shape
     err, self_err = np.zeros((2, n_rows, n_users, blocks))
     diag = np.zeros((n_rows, n_users, blocks, r_max))
     out = []
     for u, lam in enumerate(stack.lams):
         r, a2 = len(lam), stack.a[u, 0, 0] * stack.a[u, 0, 0]
-        p = states[u].copy()
-        p_flat = p.view(float).reshape(n_rows, -1)
-        d = p.reshape(n_rows, r * r)[:, :: r + 1]
+        m = states[u].copy()
+        m_flat = m.reshape(n_rows, -1)
+        d = m_flat[:, :: r + 1]
         s = np.empty((n_rows, r, m_p), dtype=complex)
-        ps_h, update = np.empty((n_rows, m_p, r), dtype=complex), np.empty_like(p)
+        t = np.empty_like(s)
+        t_f = t.view(float)
         for ell, idx in enumerate(stack.window_sched[:, :, u]):
             np.conjugate(stack.cols[:r, idx].transpose(1, 0, 2), out=s)
-            np.conjugate((p @ s).swapaxes(1, 2), out=ps_h)
-            np.matmul(stack.gains[:, u, ell, :r], ps_h, out=update)
-            p -= update
-            err[:, u, ell] = d.sum(axis=-1).real
-            self_err[:, u, ell] = np.sum(d * lam, axis=-1).real - np.vecdot(p_flat, p_flat)
-            diag[:, u, ell, :r] = d.real
-            p *= a2
+            x, y = m @ s.view(float), m.swapaxes(1, 2) @ s.view(float)
+            np.subtract(y[..., ::2], x[..., 1::2], out=t_f[..., ::2])
+            np.add(x[..., ::2], y[..., 1::2], out=t_f[..., 1::2])
+            m -= stack.gains[:, u, ell, :r].view(float) @ t_f.swapaxes(1, 2)
+            err[:, u, ell] = d.sum(axis=-1)
+            self_err[:, u, ell] = np.sum(d * lam, axis=-1) - np.vecdot(m_flat, m_flat)
+            diag[:, u, ell, :r] = d
+            m *= a2
             d += (1.0 - a2) * lam
-        out.append(p)
+        out.append(m)
     return (err, self_err, diag), out
 
 
@@ -927,7 +965,7 @@ class TestSweep:
                                   np.random.default_rng(0)) for s in scenes]
                 for rho, scheme in ((1.0, "orthogonal"), (8.0, "random"))]
         if group is not None:  # user 0's group holds that many blocks
-            monkeypatch.setattr(sim, "GROUP_BYTES", group * 16 * len(rows) * r[0])
+            monkeypatch.setattr(sim, "GROUP_BYTES", group * 8 * len(rows) * r[0])
         stack = sim.TrackerStack.of(rows)
         stack.posteriors(3)
         for blocks in (37, 2 * sim.SLAB // 3):
@@ -1201,6 +1239,11 @@ class TestSchemeList:
         with pytest.raises(ValueError, match=re.escape("schemes[1] = 'orthogonal' is a single")):
             sim.run_multiuser_scene(pair, small_frame(g_len=8, m_p=1, m=10, n_d_max=8),
                                     ["min_max", "orthogonal"], 1, 0, 8)
+
+    def test_empty_sweep_names_rhos(self):
+        # a sweep over no data power has no table to return
+        with pytest.raises(ValueError, match="rhos is empty"):
+            sim.run_multiuser_sweep([small_scene()], small_frame(), [], ["min_max"], 1, 0, 8)
 
     def test_preset_lists_are_its_own(self):
         # a preset's lists are copies: changing one leaves the next preset as written
