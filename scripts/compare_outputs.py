@@ -36,7 +36,7 @@ changes) on the same cases:
   ``assignment.json``;
 - ``pilotseq verify``, comparing its standard output;
 - in memory, the arrays that ``simulate.run_schemes`` returns on
-  ``upa375`` (``mc_runs`` = 16) and that ``simulate.run_multiuser_sweep``
+  ``upa375`` with ``min_max_dft`` after its schemes (``mc_runs`` = 16) and that ``simulate.run_multiuser_sweep``
   returns on ``multiuser_ula32`` (its seven SNR points, ``mc_runs`` = 16):
   every point's and scheme's NMSE, Monte Carlo SINR and spectral
   efficiency and deterministic SINR, each saved with ``np.save`` and
@@ -105,8 +105,9 @@ cfg = preset(sys.argv[1])
 scenes, _ = sim.multiuser_scenes_from_config(cfg)
 frame = cfg.frame.build()
 if sys.argv[1] == "upa375":
-    tables = [sim.run_schemes(scenes[0], frame, cfg.schemes, RUNS, cfg.seed,
-                              cfg.horizon_blocks)]
+    # min_max_dft adds a hybrid full-kind row to orthogonal and random
+    tables = [sim.run_schemes(scenes[0], frame, [*cfg.schemes, "min_max_dft"], RUNS,
+                              cfg.seed, cfg.horizon_blocks)]
 else:
     # a tree's operating points are what its sweep takes: one frame per
     # point, or one data power per point beside the one frame

@@ -120,25 +120,32 @@ def _write_csv(path: Path, header: str, rows) -> Path:
     return path
 
 
+def _fmt_column(values) -> list:
+    """``_fmt`` of every value of a float array, formatted by one ``%``."""
+    cells = ",".join([_FMT] * len(values)) % tuple(values.tolist())
+    if np.isfinite(values).all():
+        return cells.split(",")
+    return ["" if cell in ("nan", "inf", "-inf") else cell for cell in cells.split(",")]
+
+
 def _trace_rows(table):
     """One row per block and scheme: NMSE and received SNR as means over
-    users, spectral efficiencies as sums over users."""
-    columns = {}
+    users, spectral efficiencies as sums over users.  Each column is
+    formatted whole, and a scheme's cells after its name are one string per
+    block."""
+    columns = []
     for name in table.schemes:
         lb = table.se_lb(name)
         sinr = table.sinr_mc[name].mean(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             rx_snr_db = np.where(sinr > 0, 10.0 * np.log10(sinr), np.nan)
-        # Python floats: formatting them is cheaper than formatting numpy scalars
-        columns[name] = (table.nmse[name].tolist(), rx_snr_db.tolist(),
-                         table.se_mc(name).sum(axis=1).tolist(),
-                         table.se_det(name).sum(axis=1).tolist(),
-                         _fmt(None if np.all(np.isnan(lb)) else float(np.nansum(lb))))
+        se_lb = _fmt(None if np.all(np.isnan(lb)) else float(np.nansum(lb)))
+        cells = zip(*map(_fmt_column, (table.nmse[name], rx_snr_db, table.se_mc(name).sum(axis=1),
+                                       table.se_det(name).sum(axis=1))))
+        columns.append((name, [",".join((*block, se_lb)) for block in cells]))
     for ell in range(table.horizon):
-        for name in table.schemes:
-            nmse, rx_snr_db, se_mc, se_det, se_lb = columns[name]
-            yield [str(ell), name, _fmt(nmse[ell]), _fmt(rx_snr_db[ell]),
-                   _fmt(se_mc[ell]), _fmt(se_det[ell]), se_lb]
+        for name, cells in columns:
+            yield [str(ell), name, cells[ell]]
 
 
 def emit_outputs(table, config: ExperimentConfig, sweep_rows=None) -> list:

@@ -212,13 +212,16 @@ class ExperimentConfig:
         the Monte Carlo means and the deterministic SINR, and the NMSE per
         (point, scheme), a run's whole tracemalloc growth.  Per run: the
         channel and every estimate row, and a ~1 KB generator per drawing
-        stream.  Per slab: one chunk's draws, the full-kind gains, every
+        stream.  Per slab: one chunk's draws; the full-kind gains, every
         estimate row's diag P and schedule, and U + 8 float64 per (point,
-        scheme, user) of tr P, self-error, leakage and SINR temporaries.
-        Per pass: the group buffers of the Monte Carlo tail and of the
-        full-kind reductions, and their temporaries, at most six groups, a
-        group being GROUP_BYTES or, where larger, one block's (point,
-        scheme, user, run) float64 SINR array.  Under tracemalloc the
+        scheme, user) of tr P, self-error, leakage and SINR temporaries,
+        which a run of several slabs holds in its forked recursion worker;
+        and the shared slot through which that worker hands the pass a
+        window, its NMSE and deterministic SINR and every estimate row's
+        schedule and gains.  Per pass: the group buffers of the Monte Carlo
+        tail and of the full-kind reductions, and their temporaries, at most
+        six groups, a group being GROUP_BYTES or, where larger, one block's
+        (point, scheme, user, run) float64 SINR array.  Under tracemalloc the
         presets' grouped passes peak at most 0.36 MB (5.4 groups of 64 KB)
         above one-block groups."""
         from .simulate import CHUNK_RUNS, GROUP_BYTES, SLAB  # simulate imports this module
@@ -234,6 +237,8 @@ class ExperimentConfig:
         per_slab = SLAB * users * (16 * runs * (n_t + len(kinds) * m_p)
                                    + 16 * points * n_full * n_t * m_p + 8 * est * (n_t + m_p)
                                    + 8 * points * len(kinds) * (users + 8))
+        per_slab += SLAB * (users * (16 * points * n_full * n_t * m_p + 16 * est * m_p)
+                            + 8 * points * len(kinds) * (users + 1))  # the slot
         per_slab += 6 * max(GROUP_BYTES, 8 * points * len(kinds) * users * runs)
         need = self.horizon_blocks * per_block + self.mc_runs * per_run + per_slab
         if need > GAIN_BUDGET_BYTES:

@@ -34,7 +34,12 @@ one result table per point.
 
 Monte Carlo runs a whole sweep in one slab-major pass: per slab of blocks
 the recursion advances once, then every chunk of runs steps the slab's
-blocks.  Its K = P S output rows are
+blocks.  The recursion draws nothing, so a pass of several slabs forks it
+into a worker process that runs one window ahead and hands each window's
+NMSE, deterministic SINR, schedules and gains over in one shared memory
+slot, two pipes carrying one-byte tokens; a pass of one slab, and any pass
+where ``os.fork`` does not exist, runs the same producer in process.  Its
+K = P S output rows are
 the (operating point, scheme) pairs in (point, scheme) order.  Its E
 estimate rows, ordered by tracker kind (diag, then full, then perfect), are
 the noisy output rows, each owning its estimate, and one row per perfect
@@ -62,7 +67,9 @@ and each point of a sweep equals its one-point run.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -314,6 +321,7 @@ class TrackerStack:
         if self.sched is not None:  # block ell sounds row ell mod L of its period
             rows = np.arange(start, start + blocks)[:, None, None, None] % self.period[..., None]
             self.window_sched = np.take_along_axis(self.sched, rows, axis=0)
+            self.gains = np.zeros(*self.window_arrays(blocks)[1])
         n_rows, n_users = len(self.rho), len(self.lams)
         err, self_err = np.empty((2, n_rows, n_users, blocks))
         diag = np.zeros((n_rows, n_users, blocks, max(map(len, self.lams))))
@@ -322,7 +330,6 @@ class TrackerStack:
                 self.state = [np.zeros((n_rows, len(lam), len(lam))) for lam in self.lams]
                 for m, lam in zip(self.state, self.lams):
                     m.reshape(n_rows, -1)[:, :: len(lam) + 1] += lam
-            self.gains = np.zeros((*diag.shape, self.sched.shape[-1]), dtype=complex)
             for u in range(n_users):
                 self._full_posteriors(u, err[:, u], self_err[:, u], diag[:, u])
             return err, self_err, diag
@@ -334,6 +341,18 @@ class TrackerStack:
             diag_u = diag[:, u, :, :len(lam)]
             err[:, u], self_err[:, u] = mu.error_terms(lam, diag_u, diag_u)
         return err, self_err, diag
+
+    def window_arrays(self, blocks: int) -> list:
+        """The (shape, dtype) of ``window_sched`` and ``gains`` over a
+        window of ``blocks`` blocks; none for perfect knowledge."""
+        if self.sched is None:
+            return []
+        n_rows, n_users = self.period.shape
+        sched = (blocks, n_rows, n_users, self.sched.shape[-1])
+        if self.kind == "diag":
+            return [(sched, self.sched.dtype), (sched, np.dtype(float))]
+        gains = (n_rows, n_users, blocks, max(map(len, self.lams)), sched[-1])
+        return [(sched, self.sched.dtype), (gains, np.dtype(complex))]
 
     @cached_property
     def _lam(self) -> np.ndarray:
@@ -360,7 +379,6 @@ class TrackerStack:
         idx = self.window_sched + r_max * np.arange(n_rows * n_users).reshape(n_rows, -1, 1)
         m_p = idx.shape[-1]
         rho = np.repeat(self.rho, n_users * m_p)
-        self.gains = np.zeros((blocks, n_rows, n_users, m_p))
         sqrt_rho, gains = np.sqrt(rho), self.gains.reshape(blocks, -1)
         flat = p.reshape(-1)  # a view of p
         for ell, i in enumerate(idx.reshape(blocks, -1)):
@@ -860,22 +878,162 @@ def _monte_carlo(rows, seed, mc_runs, horizon):
     one whole-horizon draw.  Every chunk's channels, estimates and
     generators persist across slabs.  Each block's total over the runs is
     ((0 + chunk 0) + chunk 1) + ..., the run-order reduction.
+
+    The recursion draws nothing, so it can run ahead of the draws: a
+    horizon of more than one slab forks it into a worker process where
+    ``os.fork`` exists (``_forked_windows``), and the chunks are built
+    while the worker computes the first window.  Otherwise the pass runs
+    ``_windows`` itself and builds the chunks after the first window, so a
+    one-window run never holds its recursion and its draws at once.
     """
     shape = (len(rows.plans), len(rows.plans[0]), horizon)
     slab = min(SLAB, horizon)
     sums = np.zeros((2, len(rows.est), horizon, rows.scene.n_users))
     nmse = np.empty(shape)
     det = np.empty((*shape, rows.scene.n_users))
-    chunks = None
-    for start in range(0, horizon, slab):
-        blocks = min(slab, horizon - start)
-        nmse[:, :, start:start + blocks], det[:, :, start:start + blocks] = rows.posteriors(blocks)
-        if chunks is None:  # built after the first window: a one-window run's
-            chunks = _chunks(rows, seed, mc_runs, slab)  # recursion holds no draws
-        for chunk in chunks:  # in run order
-            chunk.advance(rows, start, blocks, sums)
+    forked = horizon > slab and hasattr(os, "fork")
+    with (_forked_windows(rows, horizon, slab) if forked
+          else contextlib.nullcontext(_windows(rows, horizon, slab))) as windows:
+        chunks = _chunks(rows, seed, mc_runs, slab) if forked else None
+        for start, blocks, nmse_w, det_w in windows:
+            nmse[:, :, start:start + blocks], det[:, :, start:start + blocks] = nmse_w, det_w
+            if chunks is None:
+                chunks = _chunks(rows, seed, mc_runs, slab)
+            for chunk in chunks:  # in run order
+                chunk.advance(rows, start, blocks, sums)
     sums /= mc_runs
     return sums.reshape(2, *shape, -1), nmse, det
+
+
+def _windows(rows, horizon, slab):
+    """The covariance recursion of the rows over the horizon, the producer
+    of the pass: per window of at most ``slab`` blocks it yields the
+    window's first block, its length, and the NMSE and deterministic SINR
+    of ``MonteCarloRows.posteriors``, which leaves every stack's window
+    state (``window``, ``window_sched``, ``gains``) set for the pass."""
+    for start in range(0, horizon, slab):
+        blocks = min(slab, horizon - start)
+        yield start, blocks, *rows.posteriors(blocks)
+
+
+class _Slot:
+    """One window of the recursion in an anonymous shared mapping, which a
+    forked process shares: the NMSE and deterministic SINR of the window,
+    then the ``window_sched`` and ``gains`` of every stack that recurses,
+    each at a 64-byte aligned offset sized for a window of ``slab`` blocks.
+    A shorter window fills the start of each array's span."""
+
+    def __init__(self, rows, slab):
+        import mmap  # only a forked pass needs it
+
+        self.stacks = [stack for stack, _, _ in rows.stacks if stack.sched is not None]
+        self.shape = (len(rows.plans), len(rows.plans[0]))
+        self.n_users = rows.scene.n_users
+        spans = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64
+                 for shape, dtype in self._arrays(slab)]
+        self.offsets = np.cumsum([0, *spans])
+        self.buf = mmap.mmap(-1, int(self.offsets[-1]))
+
+    def _arrays(self, blocks) -> list:
+        """The (shape, dtype) of the slot's arrays over ``blocks`` blocks."""
+        out = [((*self.shape, blocks), np.dtype(float)),
+               ((*self.shape, blocks, self.n_users), np.dtype(float))]
+        return out + [array for stack in self.stacks for array in stack.window_arrays(blocks)]
+
+    def _views(self, blocks) -> list:
+        return [np.frombuffer(self.buf, dtype, int(np.prod(shape)), int(offset)).reshape(shape)
+                for (shape, dtype), offset in zip(self._arrays(blocks), self.offsets)]
+
+    def put(self, blocks, nmse, det) -> None:
+        """Copies in a window: its NMSE and deterministic SINR, and every
+        recursing stack's window state (the worker's side)."""
+        state = [array for stack in self.stacks for array in (stack.window_sched, stack.gains)]
+        for view, array in zip(self._views(blocks), (nmse, det, *state)):
+            view[...] = array
+
+    def take(self, start, blocks) -> tuple:
+        """Sets every recursing stack's window state to views of the slot
+        holding blocks start, ..., start + blocks - 1 and returns the NMSE
+        and deterministic SINR views (the main process's side)."""
+        nmse, det, *state = self._views(blocks)
+        for stack, sched, gains in zip(self.stacks, state[::2], state[1::2]):
+            stack.window, stack.window_sched, stack.gains = (range(start, start + blocks),
+                                                             sched, gains)
+        return nmse, det
+
+
+@contextlib.contextmanager
+def _forked_windows(rows, horizon, slab):
+    """``_windows`` run in a forked worker process, one window ahead of the
+    main process, which iterates what this yields with the same items.
+
+    The worker computes each window, waits until the main process has
+    freed the one shared ``_Slot``, copies the window in and announces it;
+    so it computes window k + 1 while the chunks step window k.  Signals
+    are one-byte tokens over two pipes: free (main process to worker) and
+    ready (worker to main process, b"w" per window).  An exception in the
+    worker reaches the main process as a ``RuntimeError`` that quotes its
+    traceback; an end of file on free, the main process being done or
+    gone, ends the worker.  On leaving, the main process closes its pipe
+    ends and reaps the worker.  The same code runs on the same state, so
+    every output keeps its bits."""
+    slot = _Slot(rows, slab)
+    free_r, free_w = os.pipe()
+    ready_r, ready_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (free_r, free_w, ready_r, ready_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(free_w)
+        os.close(ready_r)
+        _recursion_worker(rows, horizon, slab, slot, free_r, ready_w)
+    os.close(free_r)
+    os.close(ready_w)
+    try:
+        yield _received_windows(horizon, slab, slot, free_w, ready_r)
+    finally:
+        os.close(free_w)
+        os.close(ready_r)
+        os.waitpid(pid, 0)
+
+
+def _recursion_worker(rows, horizon, slab, slot, free, ready):
+    """The forked worker's body (see ``_forked_windows``); never returns."""
+    status = 1
+    try:
+        for start, blocks, nmse, det in _windows(rows, horizon, slab):
+            if start and not os.read(free, 1):  # the main process is gone
+                break
+            slot.put(blocks, nmse, det)
+            os.write(ready, b"w")
+        status = 0
+    except BaseException:
+        import traceback
+
+        with contextlib.suppress(OSError):
+            os.write(ready, b"!" + traceback.format_exc().encode())
+        raise
+    finally:
+        os._exit(status)
+
+
+def _received_windows(horizon, slab, slot, free, ready):
+    """The main process's side of ``_forked_windows``: per window, waits
+    for the worker's token and yields the items of ``_windows`` from the
+    slot; the slot is freed when the next window is asked for."""
+    for start in range(0, horizon, slab):
+        blocks = min(slab, horizon - start)
+        if os.read(ready, 1) != b"w":  # b"!" and a traceback, or the end of file
+            text = b"".join(iter(lambda: os.read(ready, 1 << 16), b"")).decode(errors="replace")
+            raise RuntimeError(f"the covariance worker failed before block {start}"
+                               + (f":\n{text.rstrip()}" if text else " without a report"))
+        yield start, blocks, *slot.take(start, blocks)
+        if start + blocks < horizon:
+            with contextlib.suppress(BrokenPipeError):  # a failed worker reports at the next read
+                os.write(free, b"f")
 
 
 def _chunks(rows, seed, mc_runs, slab) -> list:

@@ -222,6 +222,16 @@ class TestSimulate:
         assert {float(row.split(",")[0]) for row in sweep[1:]} == {0.0, 10.0}
 
 
+class TestTraceFormat:
+    def test_columns_format_as_single_values(self):
+        # trace.csv formats whole columns; each cell is the one-value format,
+        # blank where the value is not finite
+        values = np.array([0.0, -0.0, 1.5, -2.25e-300, 1e300, 123456789.123456789, 7.0,
+                           np.nan, np.inf, -np.inf])
+        for column in (values, values[:7]):
+            assert cli._fmt_column(column) == [cli._fmt(v) for v in column.tolist()]
+
+
 class TestErrors:
     def test_missing_config_is_machine_readable(self):
         proc = run_cli(["simulate", "--config", "/nonexistent/cfg.json"])

@@ -4,7 +4,9 @@ reference Kalman module, and output emission."""
 import dataclasses
 import functools
 import json
+import os
 import re
+import signal
 import tracemalloc
 import warnings
 
@@ -631,7 +633,7 @@ class TestSlabStreaming:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
 
-    def test_run_memory_grows_only_with_its_outputs(self):
+    def test_run_memory_grows_only_with_its_outputs(self, monkeypatch):
         # a run holds over the horizon only the traces it returns and its
         # Monte Carlo sums: from 2 to 16 slabs its traced peak grows by less
         # than twice the per-block arrays it returns, for a diag and a
@@ -639,6 +641,9 @@ class TestSlabStreaming:
         # at three SNR points.  Holding every block's gains and diag P grows
         # the first by 2.5 MB here; holding every block's tr P, self-error
         # and (U, U) leakage grows the second by six times what it returns.
+        # tracemalloc cannot see a forked worker, so without os.fork the
+        # pass runs the recursion in process, where the peak counts it
+        monkeypatch.delattr(os, "fork")
         for name, schemes, n_points in (("demo", ["min_max", "orthogonal"], 1),
                                         ("multiuser_ula32", ["min_max", "perfect_csit"], 3)):
             cfg = preset(name)
@@ -731,6 +736,111 @@ class TestSlabStreaming:
         assert all(plan.a == 0.5 for plan in moved.plans[0][0])
         got, want = (sim._monte_carlo(r, 3, 5, horizon)[0] for r in (moved, rows))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers ``os.fork`` starts in the test, which fails
+    rather than hangs if a wait for one of them outlasts two minutes."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def timeout(signum, frame):
+        raise TimeoutError("the pass still waits on its worker after two minutes")
+
+    monkeypatch.setattr(os, "fork", spy)
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(120)
+    try:
+        yield pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def assert_reaped(pids):
+    """Every pid was forked and has been waited for: none is left as a child."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestForkedRecursion:
+    """A pass of several slabs runs the covariance recursion in a forked
+    worker, one window ahead of the chunks."""
+
+    @staticmethod
+    def inputs():
+        """Rows of diag, full and perfect schemes for two users of unequal
+        rank, a horizon of four windows, the last partial, and two chunks."""
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        assert scenes[0].r_sim != scenes[1].r_sim
+        frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
+        rows = monte_carlo_inputs(scenes, frame, ["min_max", "orthogonal", "perfect_csit"])
+        assert [stack.kind for stack, _, _ in rows.stacks] == ["diag", "full", "perfect"]
+        return rows, 3 * sim.SLAB + 37, sim.CHUNK_RUNS + 5
+
+    def test_worker_path_equals_inline_path(self, forked, monkeypatch):
+        # the Monte Carlo means, NMSE and deterministic SINR, byte for byte
+        rows, horizon, runs = self.inputs()
+        got = sim._monte_carlo(rows, 9, runs, horizon)
+        assert len(forked) == 1
+        assert_reaped(forked)
+        monkeypatch.delattr(os, "fork")
+        rows, horizon, runs = self.inputs()
+        want = sim._monte_carlo(rows, 9, runs, horizon)
+        assert len(got) == len(want) == 3
+        for got_t, want_t in zip(got, want):
+            assert got_t.tobytes() == want_t.tobytes()
+
+    def test_one_window_runs_in_process(self, forked):
+        rows, _, runs = self.inputs()
+        sim._monte_carlo(rows, 9, runs, sim.SLAB)
+        assert not forked
+
+    def test_main_process_error_reaps_the_worker(self, forked, monkeypatch):
+        # the chunks fail in the second window: the error is the pass's own
+        advance, calls = sim._Chunk.advance, []
+
+        def failing(chunk, rows, start, blocks, sums):
+            calls.append(start)
+            if start:
+                raise KeyError("chunk failed")
+            return advance(chunk, rows, start, blocks, sums)
+
+        monkeypatch.setattr(sim._Chunk, "advance", failing)
+        rows, horizon, runs = self.inputs()
+        with pytest.raises(KeyError, match="chunk failed"):
+            sim._monte_carlo(rows, 9, runs, horizon)
+        assert calls == [0, 0, sim.SLAB]
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_worker_error_names_it(self, forked, monkeypatch, window):
+        # the worker's recursion fails in a window: the main process raises
+        # an error that names the worker's exception, and reaps the worker
+        posteriors, calls = sim.MonteCarloRows.posteriors, []
+
+        def failing(rows, blocks):
+            calls.append(blocks)
+            if len(calls) > window:
+                raise ArithmeticError(f"recursion failed in window {window}")
+            return posteriors(rows, blocks)
+
+        monkeypatch.setattr(sim.MonteCarloRows, "posteriors", failing)
+        rows, horizon, runs = self.inputs()
+        with pytest.raises(RuntimeError, match=f"ArithmeticError: recursion failed in window "
+                                               f"{window}") as error:
+            sim._monte_carlo(rows, 9, runs, horizon)
+        assert f"before block {window * sim.SLAB}" in str(error.value)
+        assert not calls  # the recursion ran in the worker only
+        assert_reaped(forked)
 
 
 class TestSweep:
