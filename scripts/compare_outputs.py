@@ -36,7 +36,10 @@ changes) on the same cases:
   ``assignment.json``;
 - ``pilotseq verify``, comparing its standard output;
 - in memory, the arrays that ``simulate.run_schemes`` returns on
-  ``upa375`` with ``min_max_dft`` after its schemes (``mc_runs`` = 16) and that ``simulate.run_multiuser_sweep``
+  ``upa375`` with ``min_max_dft`` after its schemes (``mc_runs`` = 16), at
+  the preset's 2560 blocks, whose recursion runs in a forked worker, and
+  at 256 blocks, one ``simulate.SLAB`` window that runs it in process, and
+  that ``simulate.run_multiuser_sweep``
   returns on ``multiuser_ula32`` (its seven SNR points, ``mc_runs`` = 16):
   every point's and scheme's NMSE, Monte Carlo SINR and spectral
   efficiency and deterministic SINR, each saved with ``np.save`` and
@@ -91,20 +94,24 @@ FILES = {"simulate": ("out/trace.csv", "out/design.csv", "out/sweep.csv"),
          "verify": ("stdout.txt",)}
 CUT_RUNS = 16
 CHUNKED_RUNS = 40  # two chunks of simulate.CHUNK_RUNS = 32 runs, the second partial
+ONE_WINDOW = 256  # simulate.SLAB blocks: the pass runs its recursion in process
 BASELINES = ["orthogonal", "random", "mp_fixed", "nd_fixed", "perfect_csit"]  # ci_ula32, upa375
 ARRAYS = """\
+import json
 import sys
 from pathlib import Path
 import numpy as np
 from pilotseq import simulate as sim
-from pilotseq.config import preset
+from pilotseq.config import ExperimentConfig, preset
 
 out = Path("out/arrays")
 out.mkdir(parents=True)
-cfg = preset(sys.argv[1])
+flag, source = sys.argv[1:]  # --preset NAME or --config PATH
+cfg = (preset(source) if flag == "--preset"
+       else ExperimentConfig.from_dict(json.loads(Path(source).read_text())))
 scenes, _ = sim.multiuser_scenes_from_config(cfg)
 frame = cfg.frame.build()
-if sys.argv[1] == "upa375":
+if cfg.users.count == 1:
     # min_max_dft adds a hybrid full-kind row to orthogonal and random
     tables = [sim.run_schemes(scenes[0], frame, [*cfg.schemes, "min_max_dft"], RUNS,
                               cfg.seed, cfg.horizon_blocks)]
@@ -126,11 +133,12 @@ def run_cli(tree: Path, command: str, args: list[str], workdir: Path) -> Path:
     """Run ``pilotseq COMMAND`` from ``tree``'s sources in ``workdir``, which
     receives the outputs in ``out`` and the standard output in
     ``stdout.txt``; returns ``workdir``.  The command ``arrays`` runs
-    ``ARRAYS`` on the preset ``args[1]`` instead."""
+    ``ARRAYS`` on ``args`` (``--preset NAME`` or ``--config PATH``)
+    instead."""
     workdir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     if command == "arrays":
-        cmd = [sys.executable, "-c", ARRAYS, args[1]]
+        cmd = [sys.executable, "-c", ARRAYS, *args]
     else:
         cmd = [sys.executable, "-m", "pilotseq.cli", command, *args]
     if command not in ("verify", "arrays"):
@@ -277,6 +285,8 @@ def main(argv: list[str]) -> int:
                   "ring": {"theta_h_deg": 55.0}}),
                 ("verify", "battery", None, None),
                 ("arrays", f"upa375 (mc_runs={CUT_RUNS})", "upa375", None),
+                ("arrays", f"upa375 at {ONE_WINDOW} blocks (mc_runs={CUT_RUNS})", "upa375",
+                 {"horizon_blocks": ONE_WINDOW}),
                 ("arrays", f"multiuser_ula32 (mc_runs={CUT_RUNS})", "multiuser_ula32", None),
             ]
             differ = 0

@@ -219,11 +219,11 @@ class ExperimentConfig:
         and the shared slot through which that worker hands the pass a
         window, its NMSE and deterministic SINR and every estimate row's
         schedule and gains.  Per pass: the group buffers of the Monte Carlo
-        tail and of the full-kind reductions, and their temporaries, at most
-        six groups, a group being GROUP_BYTES or, where larger, one block's
-        (point, scheme, user, run) float64 SINR array.  Under tracemalloc the
-        presets' grouped passes peak at most 0.36 MB (5.4 groups of 64 KB)
-        above one-block groups."""
+        tail, the only ones, and their temporaries, at most six groups, a
+        group being GROUP_BYTES or, where larger, one block's (point,
+        scheme, user, run) float64 SINR array.  After a warm-up pass the
+        grouped passes of the memory tests and of upa375 at 16 runs trace
+        up to 0.72 MB (11 groups of 64 KB) above one-block groups."""
         from .simulate import CHUNK_RUNS, GROUP_BYTES, SLAB  # simulate imports this module
 
         kinds = [SCHEME_KINDS[s] for s in self.schemes]

@@ -38,9 +38,9 @@ blocks.  The recursion draws nothing, so a pass of several slabs forks it
 into a worker process that runs one window ahead and hands each window's
 NMSE, deterministic SINR, schedules and gains over in one shared memory
 slot, two pipes carrying one-byte tokens; a pass of one slab, and any pass
-where ``os.fork`` does not exist, runs the same producer in process.  Its
-K = P S output rows are
-the (operating point, scheme) pairs in (point, scheme) order.  Its E
+where ``os.fork`` does not exist or fails, runs the same producer in
+process.  Its K = P S output rows are the (operating point, scheme) pairs
+in (point, scheme) order.  Its E
 estimate rows, ordered by tracker kind (diag, then full, then perfect), are
 the noisy output rows, each owning its estimate, and one row per perfect
 scheme, which every point's row of that scheme reads: perfect knowledge is
@@ -55,7 +55,7 @@ realized-SINR terms of every estimate row and user.  What is elementwise
 over blocks runs outside the per-block loops: the channel draws and their
 scaling once per slab, and once per group of blocks each output row's SINR
 at its rho, the spectral efficiency and their sums over the runs; the
-full-kind recursion likewise reduces its posteriors once per group.
+recursions' per-block posteriors are likewise reduced once per window.
 
 Determinism: every Monte Carlo run owns spawned RNG streams (one per user
 channel, then one per scheme and user, whatever the number of points; the
@@ -100,7 +100,7 @@ from .steady_state import profiles as ss_profiles
 
 CHUNK_RUNS = 32  # runs per Monte Carlo chunk, the unit of buffering and of the reduction
 SLAB = 256  # blocks per recursion window and per draw of innovations and pilot noise
-GROUP_BYTES = 64 * 1024  # per-block buffer a group of blocks fills before one reduction
+GROUP_BYTES = 64 * 1024  # per-block buffer of the Monte Carlo tail a group of blocks fills
 SIM_RANK_TOL = 1e-12  # relative eigenvalue floor of the simulation space
 TAIL_FRAMES = 2  # trailing frames averaged into the steady-state summaries
 
@@ -311,10 +311,11 @@ class TrackerStack:
         row's and user's posteriors reduced per block: tr P and the
         self-error term Re tr(P (Lambda - P)) = lam . diag P - ||P||_F^2,
         (K, U, blocks) each, and diag P, (K, U, blocks, r) zero-padded to
-        the largest rank r.  Every reduction sums the user's own r_u modes, never the
-        padding.  Perfect knowledge leaves no error: P = 0.  The state
-        carried between calls is the recursion's own, so any split of the
-        horizon into windows gives the bits of one call.
+        the largest rank r.  The recursion writes diag P (and ||P||_F^2) per
+        block, and the window is reduced once, over the user's own r_u modes,
+        never the padding.  Perfect knowledge leaves no error: P = 0.  The
+        state carried between calls is the recursion's own, so any split of
+        the horizon into windows gives the bits of one call.
         """
         start = self.window.stop
         self.window = range(start, start + blocks)
@@ -330,16 +331,19 @@ class TrackerStack:
                 self.state = [np.zeros((n_rows, len(lam), len(lam))) for lam in self.lams]
                 for m, lam in zip(self.state, self.lams):
                     m.reshape(n_rows, -1)[:, :: len(lam) + 1] += lam
-            for u in range(n_users):
-                self._full_posteriors(u, err[:, u], self_err[:, u], diag[:, u])
-            return err, self_err, diag
-        if self.kind == "diag":
+            for u in range(n_users):  # self_err holds ||P||_F^2 until the reduction
+                self._full_posteriors(u, self_err[:, u], diag[:, u])
+        elif self.kind == "diag":
             if self.state is None:  # the priors lam at block 0
                 self.state = self._lam.copy()
             self._diag_posteriors(diag)
         for u, lam in enumerate(self.lams):
             diag_u = diag[:, u, :, :len(lam)]
-            err[:, u], self_err[:, u] = mu.error_terms(lam, diag_u, diag_u)
+            if self.kind == "full":  # lam . diag P - ||P||_F^2
+                err[:, u] = diag_u.sum(axis=-1)
+                self_err[:, u] = np.sum(diag_u * lam, axis=-1) - self_err[:, u]
+            else:
+                err[:, u], self_err[:, u] = mu.error_terms(lam, diag_u, diag_u)
         return err, self_err, diag
 
     def window_arrays(self, blocks: int) -> list:
@@ -390,10 +394,10 @@ class TrackerStack:
             flat *= a2
             flat += innovation
 
-    def _full_posteriors(self, u: int, err, self_err, diags) -> None:
+    def _full_posteriors(self, u: int, fro, diags) -> None:
         """The covariance recursion of user u's rows over the window, run as
-        one, reduced as ``posteriors`` returns it into err and self_err (K,
-        blocks) and diags (K, blocks, r), that user's slices.
+        one, writing each block's ||P||_F^2 and diag P into fro (K, blocks)
+        and diags (K, blocks, r), that user's slices.
 
         Each row's error covariance P is carried as the real matrix M = Re P
         + Im P, and P = ((1 + i) M + (1 - i) M^T) / 2 is Hermitian by
@@ -420,11 +424,6 @@ class TrackerStack:
         ``kalman`` oracle over thousands of blocks.  Every slice of the
         stack makes the same BLAS, LAPACK and dot calls as a one-row run, so
         a row's outputs and gains do not depend on its stack, bit for bit.
-
-        The loop keeps only what the next block needs: each block copies
-        diag M and ||M||_F^2 into buffers of at most GROUP_BYTES, and each
-        group of blocks is reduced at once, with the per-block ops'
-        arithmetic.
         """
         lam = self.lams[u]
         a2 = self.a[u, 0, 0] * self.a[u, 0, 0]
@@ -441,8 +440,6 @@ class TrackerStack:
         t_f = t.view(float)
         update = np.empty_like(m)
         shift = (1 + 1j) * np.eye(m_p)
-        group = _group_blocks(8 * n * r, len(self.window))
-        d_group, fro = np.empty((group, n, r)), np.empty((group, n))
         for ell, idx in enumerate(self.window_sched[:, :, u]):
             s_conj = cols[:, idx]  # (r, K, m_p)
             np.conjugate(s_conj.transpose(1, 0, 2), out=s)
@@ -456,16 +453,10 @@ class TrackerStack:
             np.matmul(t, np.linalg.inv(gram), out=k)
             np.matmul(k.view(float), t_f.swapaxes(1, 2), out=update)
             m -= update
-            i = ell % group
-            d_group[i] = d
-            np.vecdot(m_flat, m_flat, out=fro[i])
+            diags[:, ell, :r] = d
+            np.vecdot(m_flat, m_flat, out=fro[:, ell])
             m *= a2
             d += innovation
-            if i == group - 1 or ell == len(self.window) - 1:  # reduce the group's blocks
-                blocks = slice(ell - i, ell + 1)
-                err[:, blocks] = d_group[:i + 1].sum(axis=-1).T
-                self_err[:, blocks] = (np.sum(d_group[:i + 1] * lam, axis=-1) - fro[:i + 1]).T
-                diags[:, blocks, :r] = d_group[:i + 1].swapaxes(0, 1)
 
 
 def _group_blocks(block_bytes: int, blocks: int) -> int:
@@ -881,10 +872,11 @@ def _monte_carlo(rows, seed, mc_runs, horizon):
 
     The recursion draws nothing, so it can run ahead of the draws: a
     horizon of more than one slab forks it into a worker process where
-    ``os.fork`` exists (``_forked_windows``), and the chunks are built
-    while the worker computes the first window.  Otherwise the pass runs
-    ``_windows`` itself and builds the chunks after the first window, so a
-    one-window run never holds its recursion and its draws at once.
+    ``os.fork`` exists (``_forked_windows``, in process if the fork fails),
+    and the chunks are built while the worker computes the first window.
+    Otherwise the pass runs ``_windows`` itself and builds the chunks after
+    the first window, so a one-window run never holds its recursion and
+    its draws at once.
     """
     shape = (len(rows.plans), len(rows.plans[0]), horizon)
     slab = min(SLAB, horizon)
@@ -975,17 +967,21 @@ def _forked_windows(rows, horizon, slab):
     worker reaches the main process as a ``RuntimeError`` that quotes its
     traceback; an end of file on free, the main process being done or
     gone, ends the worker.  On leaving, the main process closes its pipe
-    ends and reaps the worker.  The same code runs on the same state, so
-    every output keeps its bits."""
+    ends and reaps the worker; where ``os.fork`` fails, it closes them at
+    once and runs ``_windows`` itself.  The same code runs on the same
+    state, so every output keeps its bits."""
     slot = _Slot(rows, slab)
     free_r, free_w = os.pipe()
     ready_r, ready_w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError:  # no process to spare: the same producer runs in process
+        pid = None
         for fd in (free_r, free_w, ready_r, ready_w):
             os.close(fd)
-        raise
+    if pid is None:
+        yield _windows(rows, horizon, slab)
+        return
     if pid == 0:
         os.close(free_w)
         os.close(ready_r)
@@ -1251,11 +1247,14 @@ def multiuser_scenes_from_config(config: ExperimentConfig):
 def run_multiuser(config: ExperimentConfig):
     """The experiment of a configuration document, for any number of users.
 
-    The configuration's ``operating_points`` run as one sweep.  Returns
+    The load checks run again on the configuration as handed in, so a
+    field assigned after load is checked too, and its ``operating_points``
+    run as one sweep.  Returns
     (table, sweep_rows): the per-block table at the last operating point,
     whose traces are copies so that the other points' traces can be freed,
     and the per-(SNR, scheme, user) steady-state summaries of every point.
     """
+    config = ExperimentConfig.from_dict(config.to_dict())
     scenes, _ = multiuser_scenes_from_config(config)
     snrs_db, rhos = zip(*config.operating_points(scenes[0].gamma))
     tables = run_multiuser_sweep(scenes, config.frame.build(), rhos, config.schemes,

@@ -2,6 +2,7 @@
 reference Kalman module, and output emission."""
 
 import dataclasses
+import errno
 import functools
 import json
 import os
@@ -663,15 +664,33 @@ class TestSlabStreaming:
                                     for trace in getattr(table, key).values()))
             assert peaks[1] - peaks[0] < 2 * (returned[1] - returned[0]), (name, peaks, returned)
 
-    @pytest.mark.parametrize("name, changes", [
+    MEMORY_CASES = [
         ("demo", {}),
         ("ci_ula32", {"mc_runs": 40}),  # two chunks of runs
         ("multiuser_ula32", {"mc_runs": 8, "horizon_blocks": 300}),  # a slab boundary
         ("upa375", {"mc_runs": 2, "horizon_blocks": 320}),  # full kinds at n_t = 375
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, changes", MEMORY_CASES)
     def test_memory_guard_bounds_the_traced_peak(self, name, changes):
         # the load guard's model of what a run holds is a bound: the traced
         # peak of the run on prebuilt scenes stays at or below it
+        self.check_traced_peak(name, changes)
+
+    @pytest.mark.parametrize("name, changes", MEMORY_CASES[1:],
+                             ids=[name for name, _ in MEMORY_CASES[1:]])
+    def test_memory_guard_bounds_the_in_process_peak(self, name, changes, monkeypatch):
+        # tracemalloc does not see a forked recursion worker: without
+        # os.fork the passes of several windows hold the recursion and the
+        # draws in the one traced process, and still stay within the model
+        monkeypatch.delattr(os, "fork")
+        self.check_traced_peak(name, changes)
+
+    @staticmethod
+    def check_traced_peak(name, changes):
+        """Runs preset ``name`` with top-level ``changes`` on prebuilt
+        scenes under tracemalloc and checks its peak against the model of
+        ``config._check_memory``."""
         cfg = ExperimentConfig.from_dict({**preset(name).to_dict(), **changes})
         scenes, _ = sim.multiuser_scenes_from_config(cfg)
         rhos = [rho for _, rho in cfg.operating_points(scenes[0].gamma)]
@@ -792,6 +811,35 @@ class TestForkedRecursion:
         got = sim._monte_carlo(rows, 9, runs, horizon)
         assert len(forked) == 1
         assert_reaped(forked)
+        monkeypatch.delattr(os, "fork")
+        rows, horizon, runs = self.inputs()
+        want = sim._monte_carlo(rows, 9, runs, horizon)
+        assert len(got) == len(want) == 3
+        for got_t, want_t in zip(got, want):
+            assert got_t.tobytes() == want_t.tobytes()
+
+    def test_failed_fork_runs_the_recursion_in_process(self, monkeypatch):
+        # os.fork failing at the process limit leaves the pass to the
+        # in-process producer: the same bytes, and no pipe left open
+        pipes, pipe = [], os.pipe
+
+        def spy():
+            ends = pipe()
+            pipes.extend(ends)
+            return ends
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", spy)
+        monkeypatch.setattr(os, "fork", no_fork)
+        rows, horizon, runs = self.inputs()
+        got = sim._monte_carlo(rows, 9, runs, horizon)
+        assert len(pipes) == 4
+        for fd in pipes:
+            with pytest.raises(OSError) as error:
+                os.fstat(fd)
+            assert error.value.errno == errno.EBADF
         monkeypatch.delattr(os, "fork")
         rows, horizon, runs = self.inputs()
         want = sim._monte_carlo(rows, 9, runs, horizon)
@@ -1064,9 +1112,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("group", [1, 7, None])
     def test_full_group_reductions_equal_per_block_reductions(self, group, monkeypatch):
-        # each window's tr P, self-error and diag P, reduced a group of
-        # blocks at a time, equal a per-block reduction of the same P
-        # trajectory bit for bit, for users of unequal rank over two windows
+        # each window's tr P, self-error and diag P, reduced once per
+        # window, equal a per-block reduction of the same P trajectory bit
+        # for bit, for users of unequal rank over two windows, whatever
+        # GROUP_BYTES is: it sizes only the Monte Carlo tail's groups
         scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
         r = [s.r_sim for s in scenes]
         assert r[0] != r[1]
@@ -1074,7 +1123,7 @@ class TestSweep:
         rows = [[sim._scheme_plan(s, dataclasses.replace(frame, rho=rho), scheme,
                                   np.random.default_rng(0)) for s in scenes]
                 for rho, scheme in ((1.0, "orthogonal"), (8.0, "random"))]
-        if group is not None:  # user 0's group holds that many blocks
+        if group is not None:  # a group of user 0's diag would hold that many blocks
             monkeypatch.setattr(sim, "GROUP_BYTES", group * 8 * len(rows) * r[0])
         stack = sim.TrackerStack.of(rows)
         stack.posteriors(3)
@@ -1286,6 +1335,20 @@ class TestMultiuserEngine:
         table, rows = sim.run_multiuser(cfg)
         assert table.frame.rho == cfg.frame.rho
         assert len(rows) == 2 * n_users  # scheme x user at one operating point
+
+    @pytest.mark.parametrize("field, value", [("mc_runs", 10**7), ("snr_sweep_db", [])])
+    def test_run_checks_fields_assigned_after_load(self, field, value, monkeypatch):
+        # the load checks, the memory guard among them, run on the config
+        # as handed in: a field assigned after load fails naming it before
+        # the run starts (10**7 runs of demo would need about 41 GB)
+        def started(config):
+            raise AssertionError("the run started on an unchecked config")
+
+        monkeypatch.setattr(sim, "multiuser_scenes_from_config", started)
+        cfg = preset("demo")
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=field):
+            sim.run_multiuser(cfg)
 
     def test_run_keeps_only_the_last_points_traces(self, monkeypatch):
         # the returned traces own their memory, so the other points' traces
