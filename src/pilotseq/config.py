@@ -219,11 +219,16 @@ class ExperimentConfig:
         and the shared slot through which that worker hands the pass a
         window, its NMSE and deterministic SINR and every estimate row's
         schedule and gains.  Per pass: the group buffers of the Monte Carlo
-        tail, the only ones, and their temporaries, at most six groups, a
-        group being GROUP_BYTES or, where larger, one block's (point,
-        scheme, user, run) float64 SINR array.  After a warm-up pass the
-        grouped passes of the memory tests and of upa375 at 16 runs trace
-        up to 0.72 MB (11 groups of 64 KB) above one-block groups."""
+        tail, the only ones, and their temporaries, at most thirteen
+        groups, a group being GROUP_BYTES or, where larger, one block's
+        (point, scheme, user, run) float64 SINR array.  A lone user's
+        buffers are three groups, its terms being complex; ``_sinr_tail``
+        holds up to 7.2 more at once (its complex error, the squared parts,
+        the gathered norms, sigma and the ratio), while the previous
+        group's SINR and spectral efficiency, two more, are still bound:
+        12.2 in all.  After a warm-up pass, grouped passes of upa375 at 16
+        runs trace 11.0 groups above one-block groups, and several users'
+        float terms less (multiuser_ula32 at 8 runs, 1.8)."""
         from .simulate import CHUNK_RUNS, GROUP_BYTES, SLAB  # simulate imports this module
 
         kinds = [SCHEME_KINDS[s] for s in self.schemes]
@@ -239,7 +244,7 @@ class ExperimentConfig:
                                    + 8 * points * len(kinds) * (users + 8))
         per_slab += SLAB * (users * (16 * points * n_full * n_t * m_p + 16 * est * m_p)
                             + 8 * points * len(kinds) * (users + 1))  # the slot
-        per_slab += 6 * max(GROUP_BYTES, 8 * points * len(kinds) * users * runs)
+        per_slab += 13 * max(GROUP_BYTES, 8 * points * len(kinds) * users * runs)
         need = self.horizon_blocks * per_block + self.mc_runs * per_run + per_slab
         if need > GAIN_BUDGET_BYTES:
             raise ValueError(

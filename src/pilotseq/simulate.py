@@ -33,13 +33,16 @@ one operating point is the one-point case of an SNR sweep: one run path,
 one result table per point.
 
 Monte Carlo runs a whole sweep in one slab-major pass: per slab of blocks
-the recursion advances once, then every chunk of runs steps the slab's
-blocks.  The recursion draws nothing, so a pass of several slabs forks it
-into a worker process that runs one window ahead and hands each window's
-NMSE, deterministic SINR, schedules and gains over in one shared memory
-slot, two pipes carrying one-byte tokens; a pass of one slab, and any pass
-where ``os.fork`` does not exist or fails, runs the same producer in
-process.  Its K = P S output rows are the (operating point, scheme) pairs
+the recursion advances once, then every chunk of runs draws and steps the
+slab's blocks.  The recursion draws nothing, so a pass of several slabs
+forks it into a worker process that runs one window ahead and hands each
+window's NMSE, deterministic SINR, schedules and gains over in one shared
+memory slot, two pipes carrying one-byte tokens; the main process frees
+the slot as soon as its last chunk has stepped a window, and its first
+chunk draws the next slab before the pass waits for the next window, so
+the draws overlap the hand-off.  A pass of one slab, and any pass where
+``os.fork`` does not exist or fails, runs the same producer in process.
+Its K = P S output rows are the (operating point, scheme) pairs
 in (point, scheme) order.  Its E
 estimate rows, ordered by tracker kind (diag, then full, then perfect), are
 the noisy output rows, each owning its estimate, and one row per perfect
@@ -183,11 +186,12 @@ class TrackerStack:
     share its spectrum and AR(1) coefficient, and all rows the number of
     pilots m_p.  ``sched`` (L, K, U, m_p) holds each tracker's period,
     zero-padded to the longest, and ``period`` (K, U) their lengths: mode
-    indices (diag) or indices into ``cols`` (r, n) (full), every full
-    tracker's conjugated training columns conj(sqrt(rho) s_u) side by side,
-    zero-padded to the largest rank r.  perfect: no state.  A full row
-    carries its Hermitian error covariance P as the one real matrix M = Re
-    P + Im P (see ``_full_posteriors``).
+    indices (diag) or row indices into ``cols`` (n, r) (full), every full
+    tracker's conjugated training columns conj(sqrt(rho) s_u) stored as
+    rows one tracker after another, zero-padded to the largest rank r, so
+    that a block's columns are one gather of whole rows.  perfect: no
+    state.  A full row carries its Hermitian error covariance P as the one
+    real matrix M = Re P + Im P (see ``_full_posteriors``).
 
     The stack does all tracker arithmetic and owns its state.
     ``posteriors(blocks)`` advances the covariance recursion of every row
@@ -232,9 +236,8 @@ class TrackerStack:
             stack.sched = np.zeros((stack.period.max(), len(rows), len(first), first[0].m_p),
                                    dtype=first[0].sched.dtype)
             if kind == "full":
-                stack.cols = np.zeros((max(map(len, stack.lams)),
-                                       sum(t.s_u.shape[1] for row in rows for t in row)),
-                                      dtype=complex)
+                stack.cols = np.zeros((sum(t.s_u.shape[1] for row in rows for t in row),
+                                       max(map(len, stack.lams))), dtype=complex)
         offset = 0
         for k, row in enumerate(rows):
             for u, tracker in enumerate(row):
@@ -253,8 +256,8 @@ class TrackerStack:
                     raise IndexError("schedule index outside the sounding basis")
                 stack.sched[:len(tracker.sched), k, u] = tracker.sched + offset
                 if kind == "full":
-                    stack.cols[:r, offset:offset + n_cols] = (np.sqrt(tracker.rho)
-                                                              * tracker.s_u).conj()
+                    stack.cols[offset:offset + n_cols, :r] = (np.sqrt(tracker.rho)
+                                                              * tracker.s_u).conj().T
                     offset += n_cols
         return stack
 
@@ -297,7 +300,7 @@ class TrackerStack:
             chat = hats[k, u, :, idx]
             hats[k, u, :, idx] = chat + self.gains[i][..., None] * (y - sqrt_rho * chat)
         else:
-            s_conj = np.ascontiguousarray(self.cols[:, idx].transpose(1, 2, 0, 3))
+            s_conj = np.take(self.cols, idx, axis=0).swapaxes(-1, -2)  # (K, U, r, m_p)
             y = c @ s_conj + noise
             hats += (y - hats @ s_conj) @ self.gains[:, :, i].swapaxes(-1, -2)
 
@@ -430,7 +433,7 @@ class TrackerStack:
         innovation = (1.0 - a2) * lam
         n, m_p = len(self.rho), self.sched.shape[-1]
         r = len(lam)
-        cols = self.cols[:r]
+        cols = self.cols[:, :r].T  # (r, n): each gather below is (r, K, m_p)
         m = self.state[u]
         m_flat = m.reshape(n, r * r)  # ||M||_F^2 is its dot with itself
         d = m_flat[:, :: r + 1]  # a writable view of every diagonal
@@ -769,17 +772,29 @@ class MonteCarloRows:
         return nmse.reshape(shape), det.reshape(*shape, -1)
 
 
+def _child(seq, i):
+    """Child i of the seed sequence seq, built alone: ``seq.spawn(n)[i]``
+    for any n > i, when seq has spawned none before."""
+    return np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, i),
+                                  pool_size=seq.pool_size)
+
+
 @dataclass
 class _Chunk:
     """One chunk of Monte Carlo runs between slabs: channels c (U, runs, r)
     about to enter the next block, estimates hats (E, U, runs, r) after the
-    last, per drawing stream (generator, its rows of the shared slab
-    buffers, per-part scale or None), and the chunk's runs of those
-    buffers, proc (U, runs, slab, r) and noise (S, U, runs, slab, m_p), and
-    of the realized-SINR group buffers."""
+    last, the users' AR(1) coefficients a (U, 1, 1), per drawing stream
+    (generator, its rows of the shared slab buffers, per-part scale or
+    None), and the chunk's runs of those buffers, proc (U, runs, slab, r)
+    and noise (S, U, runs, slab, m_p), and of the realized-SINR group
+    buffers.  A slab is ``draw`` then ``step``: the draws read no gain, so
+    they may go before the slab's window of the recursion is at hand, but
+    every chunk draws into the same buffers, so a chunk draws only once
+    the chunk before it has stepped."""
 
     c: np.ndarray
     hats: np.ndarray
+    a: np.ndarray
     fills: list
     proc: np.ndarray
     noise: np.ndarray
@@ -788,12 +803,13 @@ class _Chunk:
 
     @classmethod
     def of(cls, seed_seqs, rows, proc, noise, scratch, sinr_terms) -> _Chunk:
-        """The chunk of runs seed_seqs at block 0.  Each run spawns its
-        streams in one layout, whatever the points: one per user channel,
-        which draws the run's first channel at once, then one per (scheme,
-        user).  Every point's row of a scheme reads that scheme's pilot
-        noise; perfect knowledge consumes its streams without drawing from
-        them.  Run i fills run i of the shared innovation buffer proc (U,
+        """The chunk of runs seed_seqs at block 0.  Each run's streams are
+        children (``_child``) of its seed sequence in one layout, whatever
+        the points: child u for user u's channel, which draws the run's
+        first channel at once, then child U (1 + s) + u for scheme s and
+        user u.  Every point's row of a scheme reads that scheme's pilot
+        noise; perfect knowledge draws none, so its children are not built.
+        Run i fills run i of the shared innovation buffer proc (U,
         CHUNK_RUNS, slab, r) and pilot-noise buffer noise (S, U, CHUNK_RUNS,
         slab, m_p), and the group buffers sinr_terms (blocks, E, U, CHUNK_RUNS)."""
         users = [user.stats for user in rows.scene.users]
@@ -803,41 +819,43 @@ class _Chunk:
         c = np.zeros((n_users, n_runs, proc.shape[-1]), dtype=complex)
         fills = []
         for i, seq in enumerate(seed_seqs):
-            streams = seq.spawn(n_users * (1 + len(noisy)))
             for u, part_sd in enumerate(scale):
-                gen, r = np.random.default_rng(streams[u]), len(part_sd) // 2
+                gen, r = np.random.default_rng(_child(seq, u)), len(part_sd) // 2
                 _draw_complex(gen, c[u, i:i + 1, :r], part_sd, scratch)
                 fills.append((gen, proc[u, i, :, :r], part_sd))
             for pos, (s, u) in enumerate(np.ndindex(len(noisy), n_users), start=n_users):
                 if noisy[s]:
-                    fills.append((np.random.default_rng(streams[pos]), noise[s, u, i], None))
-        return cls(c, np.zeros((rows.n_est, *c.shape), dtype=complex), fills,
+                    fills.append((np.random.default_rng(_child(seq, pos)), noise[s, u, i], None))
+        a = np.array([stats.a for stats in users])[:, None, None]
+        return cls(c, np.zeros((rows.n_est, *c.shape), dtype=complex), a, fills,
                    proc[:, :n_runs], noise[:, :, :n_runs], scratch,
                    tuple(buf[..., :n_runs] for buf in sinr_terms))
 
-    def advance(self, rows, start, blocks, sums) -> None:
-        """Draws the chunk's next ``blocks`` blocks into the shared buffers
-        and simulates blocks start, ..., start + blocks - 1, adding each
-        block's sums over the chunk's runs of the realized SINR and the
-        spectral efficiency of the K output rows to sums (2, K, horizon, U).
-        Per block the channel is drawn and evolved once for all rows, with
-        each user's AR(1) coefficient and spectrum from the scene, whatever
-        the plans assume; each tracker kind makes one stacked step of its
-        estimate rows, and ``_sinr_terms`` fills the block's slot of the
-        group buffers.  The rest is elementwise over blocks, so it runs once
-        per slab or group: the innovations are scaled by sqrt(1 - a^2) once
-        per slab, and one ``_sinr_tail`` covers every output row, user and
-        block of a group, whose SINR and spectral-efficiency sums over the
-        runs are added at once."""
-        c, hats, n_users = self.c, self.hats, len(self.c)
-        nrm2, terms = self.sinr_terms
-        group = len(nrm2)
-        a = np.array([user.stats.a for user in rows.scene.users])[:, None, None]
-        evolve = np.sqrt(1.0 - a * a)
+    def draw(self, blocks) -> None:
+        """Draws the chunk's next ``blocks`` blocks of channel innovations
+        and pilot noise into the shared buffers and scales the innovations
+        by sqrt(1 - a^2), once per slab.  Each stream fills sequentially,
+        so the values equal one whole-horizon draw."""
         for gen, buf, part_sd in self.fills:
             _draw_complex(gen, buf[:blocks], part_sd, self.scratch)
         innovations = self.proc[:, :, :blocks]
-        np.multiply(evolve[..., None], innovations, out=innovations)
+        np.multiply(np.sqrt(1.0 - self.a * self.a)[..., None], innovations, out=innovations)
+
+    def step(self, rows, start, blocks, sums) -> None:
+        """Simulates blocks start, ..., start + blocks - 1 on the draws in
+        the shared buffers, adding each block's sums over the chunk's runs
+        of the realized SINR and the spectral efficiency of the K output
+        rows to sums (2, K, horizon, U).  Per block the channel evolves once
+        for all rows, with each user's AR(1) coefficient and spectrum from
+        the scene, whatever the plans assume; each tracker kind makes one
+        stacked step of its estimate rows, and ``_sinr_terms`` fills the
+        block's slot of the group buffers.  The rest is elementwise over
+        blocks, so it runs once per group: one ``_sinr_tail`` covers every
+        output row, user and block of a group, whose SINR and
+        spectral-efficiency sums over the runs are added at once."""
+        c, hats, a, n_users = self.c, self.hats, self.a, len(self.c)
+        nrm2, terms = self.sinr_terms
+        group = len(nrm2)
         for k, ell in enumerate(range(start, start + blocks)):
             pilots = self.noise[:, :, :, k]
             for stack, block, schemes in rows.stacks:
@@ -845,7 +863,7 @@ class _Chunk:
             i = k % group
             _sinr_terms(c, hats, rows.pairs, nrm2[i], terms[i])
             c *= a
-            c += innovations[:, :, k]
+            c += self.proc[:, :, k]
             if i == group - 1 or k == blocks - 1:  # the group's tail, (blocks, K, U, runs)
                 sinr = _sinr_tail(nrm2[:i + 1], terms[:i + 1], rows.rho, rows.est, n_users)
                 se = mu.spectral_efficiency(sinr, n_users, rows.scene.m_p, rows.scene.m)
@@ -865,18 +883,21 @@ def _monte_carlo(rows, seed, mc_runs, horizon):
     advances once, filling the slab's NMSE and SINR, then each chunk of at
     most CHUNK_RUNS runs, in run order, draws the slab's channel
     innovations and pilot noise into buffers that every chunk shares and
-    steps its blocks; each stream fills sequentially, so the values equal
-    one whole-horizon draw.  Every chunk's channels, estimates and
-    generators persist across slabs.  Each block's total over the runs is
-    ((0 + chunk 0) + chunk 1) + ..., the run-order reduction.
+    steps its blocks.  Every chunk's channels, estimates and generators
+    persist across slabs.  Each block's total over the runs is ((0 + chunk
+    0) + chunk 1) + ..., the run-order reduction.
 
     The recursion draws nothing, so it can run ahead of the draws: a
     horizon of more than one slab forks it into a worker process where
     ``os.fork`` exists (``_forked_windows``, in process if the fork fails),
     and the chunks are built while the worker computes the first window.
-    Otherwise the pass runs ``_windows`` itself and builds the chunks after
-    the first window, so a one-window run never holds its recursion and
-    its draws at once.
+    The pass frees each window (``release``) once the last chunk has
+    stepped it, and the first chunk draws the next slab before the pass
+    waits for the next window (``take``): so chunk 0's draws of slab 0
+    overlap the worker's first window, and those of slab k + 1 the
+    worker's copy of window k + 1 into the freed slot.  A one-window pass
+    runs its recursion in process (``_Windows``) and builds the chunks
+    after it, so it never holds its recursion and its draws at once.
     """
     shape = (len(rows.plans), len(rows.plans[0]), horizon)
     slab = min(SLAB, horizon)
@@ -885,46 +906,78 @@ def _monte_carlo(rows, seed, mc_runs, horizon):
     det = np.empty((*shape, rows.scene.n_users))
     forked = horizon > slab and hasattr(os, "fork")
     with (_forked_windows(rows, horizon, slab) if forked
-          else contextlib.nullcontext(_windows(rows, horizon, slab))) as windows:
+          else contextlib.nullcontext(_Windows(rows))) as windows:
         chunks = _chunks(rows, seed, mc_runs, slab) if forked else None
-        for start, blocks, nmse_w, det_w in windows:
+        for start, blocks in _windows(horizon, slab):
+            ahead = bool(chunks)  # the first chunk draws before the wait for the window
+            if ahead:
+                chunks[0].draw(blocks)
+            nmse_w, det_w = windows.take(start, blocks)
             nmse[:, :, start:start + blocks], det[:, :, start:start + blocks] = nmse_w, det_w
             if chunks is None:
                 chunks = _chunks(rows, seed, mc_runs, slab)
-            for chunk in chunks:  # in run order
-                chunk.advance(rows, start, blocks, sums)
+            for i, chunk in enumerate(chunks):  # in run order
+                if i or not ahead:
+                    chunk.draw(blocks)
+                chunk.step(rows, start, blocks, sums)
+            if start + blocks < horizon:
+                windows.release()
     sums /= mc_runs
     return sums.reshape(2, *shape, -1), nmse, det
 
 
-def _windows(rows, horizon, slab):
-    """The covariance recursion of the rows over the horizon, the producer
-    of the pass: per window of at most ``slab`` blocks it yields the
-    window's first block, its length, and the NMSE and deterministic SINR
-    of ``MonteCarloRows.posteriors``, which leaves every stack's window
-    state (``window``, ``window_sched``, ``gains``) set for the pass."""
+def _windows(horizon, slab):
+    """The (first block, length) of each window of at most ``slab`` blocks
+    of the horizon, in order."""
     for start in range(0, horizon, slab):
-        blocks = min(slab, horizon - start)
-        yield start, blocks, *rows.posteriors(blocks)
+        yield start, min(slab, horizon - start)
 
 
-class _Slot:
+class _Windows:
+    """The covariance recursion of the rows, the producer of the pass, run
+    in process.  ``take(start, blocks)`` advances it over the next window,
+    blocks start, ..., start + blocks - 1, and returns the window's NMSE
+    and deterministic SINR of ``MonteCarloRows.posteriors``, which leaves
+    every stack's window state (``window``, ``window_sched``, ``gains``)
+    set for the chunks' steps.  ``release()`` ends the window: each
+    recursing stack's window becomes empty at its end and drops its
+    schedule and gains, so a stale ``step`` raises ``IndexError``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.stacks = [stack for stack, _, _ in rows.stacks if stack.sched is not None]
+
+    def take(self, start, blocks) -> tuple:
+        return self.rows.posteriors(blocks)
+
+    def release(self) -> None:
+        for stack in self.stacks:
+            stop = stack.window.stop
+            stack.window, stack.window_sched, stack.gains = range(stop, stop), None, None
+
+
+class _Slot(_Windows):
     """One window of the recursion in an anonymous shared mapping, which a
     forked process shares: the NMSE and deterministic SINR of the window,
     then the ``window_sched`` and ``gains`` of every stack that recurses,
     each at a 64-byte aligned offset sized for a window of ``slab`` blocks.
-    A shorter window fills the start of each array's span."""
+    A shorter window fills the start of each array's span.
+
+    The worker fills it with ``put``, and the main process reads it
+    through the calls of ``_Windows``, ``take`` and ``release``, once
+    ``_forked_windows`` has set its pipe ends ``free`` and ``ready``."""
 
     def __init__(self, rows, slab):
         import mmap  # only a forked pass needs it
 
-        self.stacks = [stack for stack, _, _ in rows.stacks if stack.sched is not None]
+        super().__init__(rows)
         self.shape = (len(rows.plans), len(rows.plans[0]))
         self.n_users = rows.scene.n_users
         spans = [-(-int(np.prod(shape)) * dtype.itemsize // 64) * 64
                  for shape, dtype in self._arrays(slab)]
         self.offsets = np.cumsum([0, *spans])
         self.buf = mmap.mmap(-1, int(self.offsets[-1]))
+        self.free = self.ready = None  # the main process's pipe ends
 
     def _arrays(self, blocks) -> list:
         """The (shape, dtype) of the slot's arrays over ``blocks`` blocks."""
@@ -944,32 +997,48 @@ class _Slot:
             view[...] = array
 
     def take(self, start, blocks) -> tuple:
-        """Sets every recursing stack's window state to views of the slot
-        holding blocks start, ..., start + blocks - 1 and returns the NMSE
-        and deterministic SINR views (the main process's side)."""
+        """Waits for the worker's token of the window of blocks start, ...,
+        start + blocks - 1, sets every recursing stack's window state to
+        views of the slot and returns the NMSE and deterministic SINR
+        views.  A worker that failed, or ended, before the window is a
+        ``RuntimeError`` quoting its report."""
+        if os.read(self.ready, 1) != b"w":  # b"!" and a traceback, or the end of file
+            text = b"".join(iter(lambda: os.read(self.ready, 1 << 16), b"")).decode(
+                errors="replace")
+            raise RuntimeError(f"the covariance worker failed before block {start}"
+                               + (f":\n{text.rstrip()}" if text else " without a report"))
         nmse, det, *state = self._views(blocks)
         for stack, sched, gains in zip(self.stacks, state[::2], state[1::2]):
             stack.window, stack.window_sched, stack.gains = (range(start, start + blocks),
                                                              sched, gains)
         return nmse, det
 
+    def release(self) -> None:
+        """Ends the window (see ``_Windows``) and frees the slot for the
+        worker's next one."""
+        super().release()
+        with contextlib.suppress(BrokenPipeError):  # a failed worker reports at the next take
+            os.write(self.free, b"f")
+
 
 @contextlib.contextmanager
 def _forked_windows(rows, horizon, slab):
-    """``_windows`` run in a forked worker process, one window ahead of the
-    main process, which iterates what this yields with the same items.
+    """The recursion of ``_Windows`` run in a forked worker process, one
+    window ahead of the main process, which gets a ``_Slot`` to ``take``
+    and ``release`` the windows through.
 
     The worker computes each window, waits until the main process has
     freed the one shared ``_Slot``, copies the window in and announces it;
     so it computes window k + 1 while the chunks step window k.  Signals
-    are one-byte tokens over two pipes: free (main process to worker) and
-    ready (worker to main process, b"w" per window).  An exception in the
-    worker reaches the main process as a ``RuntimeError`` that quotes its
-    traceback; an end of file on free, the main process being done or
-    gone, ends the worker.  On leaving, the main process closes its pipe
-    ends and reaps the worker; where ``os.fork`` fails, it closes them at
-    once and runs ``_windows`` itself.  The same code runs on the same
-    state, so every output keeps its bits."""
+    are one-byte tokens over two pipes: free (main process to worker, one
+    per ``release``) and ready (worker to main process, b"w" per window,
+    which ``take`` waits for).  An exception in the worker reaches the
+    main process as a ``RuntimeError`` that quotes its traceback; an end
+    of file on free, the main process being done or gone, ends the worker.
+    On leaving, the main process closes its pipe ends and reaps the
+    worker; where ``os.fork`` fails, it closes them at once and runs
+    ``_Windows`` itself.  The same code runs on the same state, so every
+    output keeps its bits."""
     slot = _Slot(rows, slab)
     free_r, free_w = os.pipe()
     ready_r, ready_w = os.pipe()
@@ -980,7 +1049,7 @@ def _forked_windows(rows, horizon, slab):
         for fd in (free_r, free_w, ready_r, ready_w):
             os.close(fd)
     if pid is None:
-        yield _windows(rows, horizon, slab)
+        yield _Windows(rows)
         return
     if pid == 0:
         os.close(free_w)
@@ -988,8 +1057,9 @@ def _forked_windows(rows, horizon, slab):
         _recursion_worker(rows, horizon, slab, slot, free_r, ready_w)
     os.close(free_r)
     os.close(ready_w)
+    slot.free, slot.ready = free_w, ready_r
     try:
-        yield _received_windows(horizon, slab, slot, free_w, ready_r)
+        yield slot
     finally:
         os.close(free_w)
         os.close(ready_r)
@@ -1000,7 +1070,8 @@ def _recursion_worker(rows, horizon, slab, slot, free, ready):
     """The forked worker's body (see ``_forked_windows``); never returns."""
     status = 1
     try:
-        for start, blocks, nmse, det in _windows(rows, horizon, slab):
+        for start, blocks in _windows(horizon, slab):
+            nmse, det = rows.posteriors(blocks)
             if start and not os.read(free, 1):  # the main process is gone
                 break
             slot.put(blocks, nmse, det)
@@ -1014,22 +1085,6 @@ def _recursion_worker(rows, horizon, slab, slot, free, ready):
         raise
     finally:
         os._exit(status)
-
-
-def _received_windows(horizon, slab, slot, free, ready):
-    """The main process's side of ``_forked_windows``: per window, waits
-    for the worker's token and yields the items of ``_windows`` from the
-    slot; the slot is freed when the next window is asked for."""
-    for start in range(0, horizon, slab):
-        blocks = min(slab, horizon - start)
-        if os.read(ready, 1) != b"w":  # b"!" and a traceback, or the end of file
-            text = b"".join(iter(lambda: os.read(ready, 1 << 16), b"")).decode(errors="replace")
-            raise RuntimeError(f"the covariance worker failed before block {start}"
-                               + (f":\n{text.rstrip()}" if text else " without a report"))
-        yield start, blocks, *slot.take(start, blocks)
-        if start + blocks < horizon:
-            with contextlib.suppress(BrokenPipeError):  # a failed worker reports at the next read
-                os.write(free, b"f")
 
 
 def _chunks(rows, seed, mc_runs, slab) -> list:

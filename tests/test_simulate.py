@@ -576,7 +576,7 @@ def full_reductions_per_block(stack, states):
         t = np.empty_like(s)
         t_f = t.view(float)
         for ell, idx in enumerate(stack.window_sched[:, :, u]):
-            np.conjugate(stack.cols[:r, idx].transpose(1, 0, 2), out=s)
+            np.conjugate(stack.cols[idx, :r].transpose(0, 2, 1), out=s)
             x, y = m @ s.view(float), m.swapaxes(1, 2) @ s.view(float)
             np.subtract(y[..., ::2], x[..., 1::2], out=t_f[..., ::2])
             np.add(x[..., ::2], y[..., 1::2], out=t_f[..., 1::2])
@@ -685,6 +685,59 @@ class TestSlabStreaming:
         # draws in the one traced process, and still stay within the model
         monkeypatch.delattr(os, "fork")
         self.check_traced_peak(name, changes)
+
+    @pytest.mark.parametrize("name, changes", [
+        ("upa375", {"mc_runs": 16, "horizon_blocks": 256}),  # complex terms, E = K
+        ("multiuser_ula32", {"mc_runs": 8, "horizon_blocks": 300}),
+    ], ids=["one user", "several users"])
+    def test_memory_guard_bounds_the_tail_groups(self, name, changes, monkeypatch):
+        # the model's per-pass group term bounds what the Monte Carlo tail's
+        # groups add: after a warm-up pass, a pass of default groups traces
+        # no more above a pass of one-block groups than the model adds from
+        # GROUP_BYTES = 1 to the default (11.0 groups of 13 on one user)
+        cfg = ExperimentConfig.from_dict({**preset(name).to_dict(), **changes})
+        scenes, _ = sim.multiuser_scenes_from_config(cfg)
+        rhos = [rho for _, rho in cfg.operating_points(scenes[0].gamma)]
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                sim.run_multiuser_sweep(scenes, cfg.frame.build(), rhos, cfg.schemes,
+                                        cfg.mc_runs, cfg.seed, cfg.horizon_blocks)
+                return tracemalloc.get_traced_memory()[1], cfg._check_memory()
+            finally:
+                tracemalloc.stop()
+
+        traced_peak()  # fills the caches
+        grouped, model = traced_peak()
+        monkeypatch.setattr(sim, "GROUP_BYTES", 1)
+        one_block, one_block_model = traced_peak()
+        print(f"{name}: the groups add {(grouped - one_block) / 1e6:.3g} MB, "
+              f"the model {(model - one_block_model) / 1e6:.3g} MB")
+        assert grouped - one_block <= model - one_block_model, (grouped, one_block, model)
+
+    def test_drawn_streams_keep_the_spawned_layout(self):
+        # each run builds only the children of its seed sequence that draw,
+        # and every generator's state equals that of the child of
+        # seq.spawn(U (1 + S)) it replaces: the channel's after the run's
+        # first channel, a scheme's noise before any draw
+        scenes = [small_scene(theta_deg=-15.0, d_r=8.0), small_scene(theta_deg=35.0, d_r=8.0)]
+        frame = small_frame(g_len=8, m_p=1, m=10, n_d_max=8)
+        schemes, runs = ["min_max", "perfect_csit", "orthogonal"], sim.CHUNK_RUNS + 3
+        chunks = sim._chunks(monte_carlo_inputs(scenes, frame, schemes), 9, runs, sim.SLAB)
+        want, n_users = [], len(scenes)
+        for seq in np.random.SeedSequence(9).spawn(2)[1].spawn(runs):
+            children = seq.spawn(n_users * (1 + len(schemes)))
+            for u, scene in enumerate(scenes):
+                gen = np.random.default_rng(children[u])
+                gen.standard_normal(2 * scene.r_sim)
+                want.append(gen.bit_generator.state)
+            want += [np.random.default_rng(children[n_users * (1 + s) + u]).bit_generator.state
+                     for s, name in enumerate(schemes) if name != "perfect_csit"
+                     for u in range(n_users)]
+        got = [gen.bit_generator.state for chunk in chunks for gen, _, _ in chunk.fills]
+        assert len(got) == runs * n_users * 3
+        assert got == want
 
     @staticmethod
     def check_traced_peak(name, changes):
@@ -854,20 +907,66 @@ class TestForkedRecursion:
 
     def test_main_process_error_reaps_the_worker(self, forked, monkeypatch):
         # the chunks fail in the second window: the error is the pass's own
-        advance, calls = sim._Chunk.advance, []
+        step, calls = sim._Chunk.step, []
 
         def failing(chunk, rows, start, blocks, sums):
             calls.append(start)
             if start:
                 raise KeyError("chunk failed")
-            return advance(chunk, rows, start, blocks, sums)
+            return step(chunk, rows, start, blocks, sums)
 
-        monkeypatch.setattr(sim._Chunk, "advance", failing)
+        monkeypatch.setattr(sim._Chunk, "step", failing)
         rows, horizon, runs = self.inputs()
         with pytest.raises(KeyError, match="chunk failed"):
             sim._monte_carlo(rows, 9, runs, horizon)
         assert calls == [0, 0, sim.SLAB]
         assert_reaped(forked)
+
+    def test_first_chunk_draws_between_the_free_and_the_wait(self, forked, monkeypatch):
+        # the main process frees the slot once the last chunk has stepped
+        # window k, chunk 0 draws slab k + 1, and only then the pass waits
+        # for the worker's token of window k + 1; window 0's first draws go
+        # before the first wait.  Each release empties the recursing stacks'
+        # windows, so a stale step raises
+        events, drawers, main = [], [], os.getpid()
+        read, write, draw, release = os.read, os.write, sim._Chunk.draw, sim._Windows.release
+
+        def spy_read(fd, n):
+            if os.getpid() == main:
+                events.append("wait")
+            return read(fd, n)
+
+        def spy_write(fd, data):
+            if os.getpid() == main:
+                events.append(("free", data))
+            return write(fd, data)
+
+        def spy_draw(chunk, blocks):
+            if id(chunk) not in drawers:
+                drawers.append(id(chunk))
+            events.append(("draw", drawers.index(id(chunk)), blocks))
+            return draw(chunk, blocks)
+
+        def spy_release(windows):
+            release(windows)
+            assert len(windows.stacks) == 2
+            for stack in windows.stacks:
+                with pytest.raises(IndexError, match="outside the gains window"):
+                    stack.step(None, None, None, stack.window.stop - 1)
+
+        monkeypatch.setattr(os, "read", spy_read)
+        monkeypatch.setattr(os, "write", spy_write)
+        monkeypatch.setattr(sim._Chunk, "draw", spy_draw)
+        monkeypatch.setattr(sim._Windows, "release", spy_release)
+        rows, horizon, runs = self.inputs()
+        sim._monte_carlo(rows, 9, runs, horizon)
+        assert_reaped(forked)
+        want = []
+        for start in range(0, horizon, sim.SLAB):
+            blocks = min(sim.SLAB, horizon - start)
+            want += [("free", b"f")] * bool(start) + [("draw", 0, blocks), "wait",
+                                                      ("draw", 1, blocks)]
+        assert events == want
 
     @pytest.mark.parametrize("window", [0, 2])
     def test_worker_error_names_it(self, forked, monkeypatch, window):
